@@ -8,12 +8,11 @@
 //! >15% slower fails the build (exit 1), >7% warns.
 //!
 //! Artifacts:
-//! * `BENCH_metrics.json` (repo root) — the metrics-gate overhead
-//!   measurement (disabled vs enabled, `BENCH_trace.json` methodology)
-//!   plus per-kernel guard verdicts;
+//! * `BENCH_metrics.json` (repo root) — per-kernel guard verdicts (the
+//!   telemetry gate's overhead lives in `BENCH_trace.json`);
 //! * `results/bench_guard.prom` — a Prometheus-text snapshot of the
-//!   metrics registry populated during the run (NTT latency histograms,
-//!   plan-cache gauges, scheduler utilization, guard gauges);
+//!   `neo-trace` registry populated during the run (span durations of
+//!   the GEMM and store kernels, scheduler utilization, guard gauges);
 //! * `results/bench_guard.json` (or `--out <path>`) — the JSON report.
 //!
 //! Flags: `--update-baselines` rewrites `results/baselines.json` with
@@ -22,7 +21,7 @@
 //! value so CI can prove the gate trips on a regression.
 
 use neo_bench::guard::{self, Baselines, GuardResult, Verdict};
-use neo_bench::measure::{self, MeasureConfig, Measurement};
+use neo_bench::measure::{self, MeasureConfig};
 use neo_bench::{emit, fmt_time};
 use neo_ckks::cost::{CostConfig, Operation};
 use neo_ckks::sched::batch_op_graph;
@@ -43,10 +42,6 @@ use std::path::Path;
 const BASELINE_PATH: &str = "results/baselines.json";
 const PROM_PATH: &str = "results/bench_guard.prom";
 
-fn us3(m: &Measurement) -> serde_json::Value {
-    json!([m.min_ns / 1e3, m.median_ns / 1e3, m.max_ns / 1e3])
-}
-
 fn verdict_tag(v: Verdict) -> &'static str {
     match v {
         Verdict::Warn => "WARN",
@@ -59,10 +54,10 @@ fn main() {
     let update_baselines = std::env::args().any(|a| a == "--update-baselines");
     let cfg = MeasureConfig::from_env();
     let inject = guard::inject_pct();
-    // The run itself exercises the instrumented paths with metrics live,
-    // so the .prom artifact carries real series; the gate-overhead
-    // measurement below toggles the gate explicitly around its loops.
-    neo_metrics::reset();
+    // The tracked NTT runs with the telemetry gate off; the rest of the
+    // run exercises the instrumented paths with it on, so the .prom
+    // artifact carries real series.
+    neo_trace::reset();
     neo_trace::disable();
 
     // --- Kernel setups (portable backend, backend_bench's inputs). ---
@@ -72,25 +67,12 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0xbe);
     let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
 
-    // Metrics-gate overhead on the NTT hot path (BENCH_trace.json
-    // methodology): the same instrumented kernel with the gate off (one
-    // relaxed load per transform, no clock reads) vs on (two `Instant`
-    // reads plus a histogram record per transform).
-    neo_metrics::disable();
-    let ntt_disabled = measure::time(&cfg, || {
+    let ntt = measure::time(&cfg, || {
         let mut x = a.clone();
         radix2::forward(&plan, &mut x);
         x
     });
-    neo_metrics::enable();
-    let ntt_enabled = measure::time(&cfg, || {
-        let mut x = a.clone();
-        radix2::forward(&plan, &mut x);
-        x
-    });
-    let gate_ratio = ntt_enabled.median_ns / ntt_disabled.median_ns;
-    // The disabled run is also the guard's tracked NTT measurement.
-    let ntt = ntt_disabled;
+    neo_trace::enable();
 
     let src = RnsBasis::new(&neo_math::primes::ntt_primes(36, n, 3).expect("primes"))
         .expect("basis builds");
@@ -248,10 +230,10 @@ fn main() {
 
     // Publish the verdicts as gauges so the .prom artifact carries them.
     for r in &results {
-        neo_metrics::gauge("bench_guard_change_pct", &[("kernel", &r.kernel)]).set(r.change_pct);
-        neo_metrics::gauge("bench_guard_measured", &[("kernel", &r.kernel)]).set(r.measured);
+        neo_trace::gauge("bench_guard_change_pct", &[("kernel", &r.kernel)]).set(r.change_pct);
+        neo_trace::gauge("bench_guard_measured", &[("kernel", &r.kernel)]).set(r.measured);
     }
-    neo_metrics::gauge("bench_guard_inject_pct", &[]).set(inject);
+    neo_trace::gauge("bench_guard_inject_pct", &[]).set(inject);
 
     // --- Human report. ---
     let mut human = format!(
@@ -290,19 +272,12 @@ fn main() {
             verdict_tag(r.verdict),
         );
     }
-    let _ = writeln!(
-        human,
-        "\nmetrics gate on NTT fwd n=16384: disabled {} vs enabled {} ({:.3}x)",
-        fmt_time(ntt.median_ns / 1e9),
-        fmt_time(ntt_enabled.median_ns / 1e9),
-        gate_ratio,
-    );
-    let _ = writeln!(human, "overall: {}", verdict_tag(overall));
+    let _ = writeln!(human, "\noverall: {}", verdict_tag(overall));
 
     // --- Artifacts. ---
-    let snap = neo_metrics::registry().snapshot();
-    neo_metrics::disable();
-    let prom = neo_metrics::export::prometheus_text(&snap);
+    let snap = neo_trace::registry().snapshot();
+    neo_trace::disable();
+    let prom = neo_trace::export::prometheus_text(&snap);
     if let Some(dir) = Path::new(PROM_PATH).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -313,31 +288,15 @@ fn main() {
 
     let doc = json!({
         "description": "CI perf-regression gate: tracked kernel medians vs the committed \
-                        results/baselines.json (warn >7%, fail >15%), plus the neo-metrics \
-                        gate-overhead measurement on the NTT hot path. Re-run with: \
-                        cargo run --release -p neo-bench --bin bench_guard; promote new \
-                        baselines with --update-baselines.",
+                        results/baselines.json (warn >7%, fail >15%); the NTT is timed with \
+                        the telemetry gate off. Re-run with: cargo run --release -p neo-bench \
+                        --bin bench_guard; promote new baselines with --update-baselines.",
         "config": {
             "warmup_ms": cfg.warmup.as_millis() as u64,
             "measure_ms": cfg.measure.as_millis() as u64,
             "samples": cfg.samples,
             "inject_pct": inject,
             "baseline_file": BASELINE_PATH,
-        },
-        "gate_overhead": {
-            "kernel": "ntt_forward_n16384 (portable)",
-            "methodology": "Same instrumented binary; the metrics AtomicBool gate is \
-                            toggled around two measure::time loops (BENCH_trace.json \
-                            methodology). Disabled = one relaxed load per transform, no \
-                            clock read; enabled = two Instant reads + one histogram \
-                            record per transform.",
-            "disabled_us": us3(&ntt),
-            "enabled_us": us3(&ntt_enabled),
-            "enabled_over_disabled": gate_ratio,
-            "disabled_overhead_target": "< 2% vs pre-instrumentation",
-            "evidence": "The disabled path adds exactly one relaxed atomic load and one \
-                         untaken branch per transform (~1e0 ns) against a multi-hundred-us \
-                         kernel — structurally under 0.01%, below measurement noise.",
         },
         "guard": {
             "warn_pct": guard::WARN_PCT,

@@ -74,7 +74,7 @@ fn plan_summary(p: &ExecPlan) -> String {
 #[allow(clippy::too_many_lines)]
 fn main() {
     let copies = env_usize("NEO_PLAN_COPIES", 8);
-    neo_metrics::enable();
+    neo_trace::enable();
 
     // --- Simulated planning on the accelerator parameters ---
     let params = ParamSet::C.params();

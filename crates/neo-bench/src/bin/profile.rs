@@ -81,7 +81,6 @@ fn main() {
 
     // --- Measured op sequence, each op recorded separately. ---
     neo_trace::reset();
-    neo_trace::span::reset_spans();
     let vals = vec![Complex64::new(1.5, 0.0), Complex64::new(-0.5, 0.25)];
     let pt = enc.encode(&ctx, &vals, params.scale(), level);
     let mut op_rows = Vec::new();

@@ -21,7 +21,7 @@
 //! order, workload mix, and plaintexts are reproducible run to run.
 //! Artifacts: `BENCH_serve.json` at the repo root (ops/sec, p50/p99
 //! latency, shed rate, coalescing factor) plus the `serve_*`
-//! histograms/counters in the metrics registry.
+//! histograms/counters in the `neo-trace` registry.
 
 #![deny(clippy::unwrap_used)]
 
@@ -92,7 +92,7 @@ fn main() {
     let seed = env_u64("NEO_SERVE_SEED", 42);
     let mut rng = StdRng::seed_from_u64(seed);
 
-    neo_metrics::enable();
+    neo_trace::enable();
 
     eprintln!("[serve_bench] registering {tenants} tenants over one shared context…");
     let t_setup = Instant::now();
@@ -307,7 +307,7 @@ fn main() {
     );
     println!("{human}");
 
-    let snapshot = neo_metrics::registry().snapshot();
+    let snapshot = neo_trace::registry().snapshot();
     let queue_wait_p99_ns = snapshot
         .histogram("serve_queue_wait_ns", &[])
         .map(|h| h.p99());

@@ -68,7 +68,7 @@ fn main() -> ExitCode {
     let tenants = env_u64("NEO_STORE_TENANTS", 24);
     let seed = env_u64("NEO_STORE_SEED", 42);
     let path = bench_path();
-    neo_metrics::enable();
+    neo_trace::enable();
 
     let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).expect("params"));
     let targets = warm_targets(&ctx);

@@ -126,7 +126,7 @@ pub struct Baselines {
 }
 
 impl Baselines {
-    /// Loads `path` through the strict parser ([`neo_metrics::jsonv`]),
+    /// Loads `path` through the strict parser ([`neo_trace::jsonv`]),
     /// returning `Ok(None)` when the file does not exist (first run
     /// before `--update-baselines`).
     pub fn load(path: &Path) -> Result<Option<Self>, String> {
@@ -135,8 +135,8 @@ impl Baselines {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(format!("read {}: {e}", path.display())),
         };
-        let doc = neo_metrics::jsonv::parse(&text)
-            .map_err(|e| format!("parse {}: {e}", path.display()))?;
+        let doc =
+            neo_trace::jsonv::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
         let fields = doc
             .get("kernels")
             .and_then(|k| k.as_object())

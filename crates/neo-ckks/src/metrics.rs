@@ -1,28 +1,28 @@
-//! `neo-metrics` integration for the CKKS layer.
+//! Telemetry for the CKKS layer beyond the op spans themselves.
 //!
-//! Two histogram families cover the questions a serving layer asks of the
-//! engine, labeled by op kind (`hmult`/`hadd`/`hrotate`/`rescale`):
+//! Per-op latency is the op's span: `span_duration_ns{span="ckks.hmult"}`
+//! (likewise `ckks.hadd`, `ckks.hrotate`, `ckks.rescale`), recorded by
+//! `neo-trace` when the span closes. This module adds what a span cannot
+//! measure:
 //!
-//! * `fhe_op_latency_ns{op}` — wall-clock per successful primitive;
-//! * `fhe_noise_consumed_bits{op}` — noise-budget bits the op consumed
+//! * `fhe_noise_consumed_bits{op}` — noise-budget bits an op consumed
 //!   (the drop from the weakest operand's budget to the result's, via
-//!   [`crate::ops::noise_budget_bits`]).
+//!   [`crate::ops::noise_budget_bits`]), labeled by op kind
+//!   (`hmult`/`hadd`/`hrotate`/`rescale`);
+//! * `fhe_batch_*` counters from the [`crate::batch::BatchReport`]
+//!   recovery accounting.
 //!
-//! Batch execution additionally bumps `fhe_batch_*` counters from the
-//! [`crate::batch::BatchReport`] recovery accounting. Everything follows
-//! the gate discipline: [`ObserveOp::start`] returns `None` (one relaxed
-//! load, no clock read) while [`neo_metrics::enabled`] is off.
+//! Both cost one relaxed load while the [`neo_trace::enabled`] gate is off.
 
 use crate::batch::BatchReport;
 use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
 use crate::ops::noise_budget_bits;
-use neo_metrics::{CounterHandle, Histogram};
+use neo_trace::{CounterHandle, Histogram};
 use std::sync::{Arc, LazyLock};
-use std::time::Instant;
 
-/// The instrumented op kinds, indexing [`KIND_NAMES`] and the histogram
-/// arrays.
+/// The op kinds whose noise consumption is recorded, indexing the
+/// histogram array in label order `hmult`, `hadd`, `hrotate`, `rescale`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OpKind {
     HMult = 0,
@@ -31,66 +31,46 @@ pub(crate) enum OpKind {
     Rescale = 3,
 }
 
-/// Label values, in [`OpKind`] discriminant order.
-pub(crate) const KIND_NAMES: [&str; 4] = ["hmult", "hadd", "hrotate", "rescale"];
-
-fn hists(name: &str) -> [Arc<Histogram>; 4] {
-    KIND_NAMES.map(|k| neo_metrics::histogram(name, &[("op", k)]))
-}
-
-static LATENCY: LazyLock<[Arc<Histogram>; 4]> = LazyLock::new(|| hists("fhe_op_latency_ns"));
-static NOISE: LazyLock<[Arc<Histogram>; 4]> = LazyLock::new(|| hists("fhe_noise_consumed_bits"));
+static NOISE: LazyLock<[Arc<Histogram>; 4]> = LazyLock::new(|| {
+    ["hmult", "hadd", "hrotate", "rescale"]
+        .map(|op| neo_trace::histogram("fhe_noise_consumed_bits", &[("op", op)]))
+});
 
 static BATCH_OPS: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_metrics::counter("fhe_batch_ops_total", &[]));
+    LazyLock::new(|| neo_trace::counter("fhe_batch_ops_total", &[]));
 static BATCH_FAILED: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_metrics::counter("fhe_batch_op_failures_total", &[]));
+    LazyLock::new(|| neo_trace::counter("fhe_batch_op_failures_total", &[]));
 static BATCH_RETRIES: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_metrics::counter("fhe_batch_retries_total", &[]));
+    LazyLock::new(|| neo_trace::counter("fhe_batch_retries_total", &[]));
 static BATCH_RECOVERED: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_metrics::counter("fhe_batch_faults_recovered_total", &[]));
+    LazyLock::new(|| neo_trace::counter("fhe_batch_faults_recovered_total", &[]));
 static BATCH_QUARANTINED: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_metrics::counter("fhe_batch_plans_quarantined_total", &[]));
+    LazyLock::new(|| neo_trace::counter("fhe_batch_plans_quarantined_total", &[]));
 
-/// An in-flight observation of one CKKS primitive: latency clock plus the
-/// weakest operand's noise budget, captured before the op runs.
-pub(crate) struct ObserveOp {
-    kind: usize,
-    t0: Instant,
-    in_budget: f64,
-}
-
-impl ObserveOp {
-    /// Starts an observation, or `None` (no clock read) while metrics are
-    /// disabled.
-    pub(crate) fn start(kind: OpKind, ctx: &CkksContext, operands: &[&Ciphertext]) -> Option<Self> {
-        if !neo_metrics::enabled() {
-            return None;
-        }
-        let in_budget = operands
-            .iter()
-            .map(|ct| noise_budget_bits(ctx, ct))
-            .fold(f64::INFINITY, f64::min);
-        Some(Self {
-            kind: kind as usize,
-            t0: Instant::now(),
-            in_budget,
-        })
+/// Records the noise budget `out` consumed relative to the weakest of
+/// `operands`. A no-op while the gate is off.
+pub(crate) fn note_noise(
+    kind: OpKind,
+    ctx: &CkksContext,
+    operands: &[&Ciphertext],
+    out: &Ciphertext,
+) {
+    if !neo_trace::enabled() {
+        return;
     }
-
-    /// Records the op's latency and noise consumption against `out`.
-    pub(crate) fn success(self, ctx: &CkksContext, out: &Ciphertext) {
-        LATENCY[self.kind].record_ns(self.t0.elapsed().as_nanos() as u64);
-        let consumed = (self.in_budget - noise_budget_bits(ctx, out)).max(0.0);
-        NOISE[self.kind].record(consumed.round() as u64);
-    }
+    let in_budget = operands
+        .iter()
+        .map(|ct| noise_budget_bits(ctx, ct))
+        .fold(f64::INFINITY, f64::min);
+    let consumed = (in_budget - noise_budget_bits(ctx, out)).max(0.0);
+    NOISE[kind as usize].record(consumed.round() as u64);
 }
 
 /// Folds a batch execution's recovery accounting into the `fhe_batch_*`
-/// counters and refreshes the NTT plan-cache gauges. A no-op while
-/// metrics are disabled.
+/// counters and refreshes the NTT plan-cache gauges. A no-op while the
+/// gate is off.
 pub(crate) fn record_batch_report(report: &BatchReport) {
-    if !neo_metrics::enabled() {
+    if !neo_trace::enabled() {
         return;
     }
     BATCH_OPS.add(report.results.len() as u64);
@@ -98,5 +78,5 @@ pub(crate) fn record_batch_report(report: &BatchReport) {
     BATCH_RETRIES.add(u64::from(report.total_retries()));
     BATCH_RECOVERED.add(u64::from(report.total_recovered()));
     BATCH_QUARANTINED.add(report.plans_quarantined);
-    neo_ntt::metrics::publish_cache_metrics();
+    neo_ntt::cache::publish_cache_metrics();
 }

@@ -11,6 +11,7 @@ use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::keys::{KeyChest, KeyTarget, PublicKey, SecretKey};
 use crate::keyswitch::{hybrid::keyswitch_hybrid, klss::keyswitch_klss};
+use crate::metrics::{note_noise, OpKind};
 use crate::params::KsMethod;
 use neo_error::NeoError;
 use neo_math::{Domain, RnsPoly};
@@ -37,7 +38,7 @@ pub fn noise_budget_bits(ctx: &CkksContext, ct: &Ciphertext) -> f64 {
 }
 
 fn emit_budget(ctx: &CkksContext, op: &str, ct: &Ciphertext) {
-    if neo_trace::enabled() {
+    if neo_trace::enabled() && neo_trace::recording() {
         neo_trace::event(
             "noise.budget",
             format!(
@@ -161,15 +162,13 @@ pub fn try_decrypt(
 pub fn try_hadd(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, NeoError> {
     fault_gate("hadd")?;
     check_compatible("hadd", a, b)?;
-    let obs = crate::metrics::ObserveOp::start(crate::metrics::OpKind::HAdd, ctx, &[a, b]);
+    let _s = span!("ckks.hadd", level = a.level());
     let moduli = ctx.q_moduli(a.level());
     let mut out = a.clone();
     let (c0, c1) = out.parts_mut();
     c0.add_assign(b.c0(), moduli);
     c1.add_assign(b.c1(), moduli);
-    if let Some(obs) = obs {
-        obs.success(ctx, &out);
-    }
+    note_noise(OpKind::HAdd, ctx, &[a, b], &out);
     Ok(out)
 }
 
@@ -255,7 +254,6 @@ pub fn try_hmult(
         return Err(NeoError::level_mismatch("hmult", a.level(), b.level()));
     }
     let ctx = chest.context();
-    let obs = crate::metrics::ObserveOp::start(crate::metrics::OpKind::HMult, ctx, &[a, b]);
     let level = a.level();
     let _s = span!("ckks.hmult", level = level);
     let moduli = ctx.q_moduli(level).to_vec();
@@ -286,9 +284,7 @@ pub fn try_hmult(
     d1.add_assign(&u1, &moduli);
     let out = Ciphertext::new(d0, d1, a.scale() * b.scale(), level);
     emit_budget(ctx, "hmult", &out);
-    if let Some(obs) = obs {
-        obs.success(ctx, &out);
-    }
+    note_noise(OpKind::HMult, ctx, &[a, b], &out);
     Ok(out)
 }
 
@@ -318,12 +314,9 @@ pub fn try_hrotate(
 ) -> Result<Ciphertext, NeoError> {
     fault_gate("hrotate")?;
     let ctx = chest.context();
-    let obs = crate::metrics::ObserveOp::start(crate::metrics::OpKind::HRotate, ctx, &[a]);
     let g = galois_element(ctx.degree(), steps);
-    let out = apply_galois(chest, a, g, method)?;
-    if let Some(obs) = obs {
-        obs.success(ctx, &out);
-    }
+    let out = apply_galois("ckks.hrotate", chest, a, g, method)?;
+    note_noise(OpKind::HRotate, ctx, &[a], &out);
     Ok(out)
 }
 
@@ -339,10 +332,13 @@ pub fn try_hconjugate(
     method: KsMethod,
 ) -> Result<Ciphertext, NeoError> {
     let n = chest.context().degree();
-    apply_galois(chest, a, 2 * n - 1, method)
+    apply_galois("ckks.hconjugate", chest, a, 2 * n - 1, method)
 }
 
+/// The automorphism `X ↦ X^g` plus its Galois key switch, under a span
+/// named after the calling op.
 fn apply_galois(
+    span_name: &'static str,
     chest: &KeyChest,
     a: &Ciphertext,
     g: usize,
@@ -351,7 +347,7 @@ fn apply_galois(
     let ctx = chest.context();
     let level = a.level();
     check_level(ctx, "galois", level)?;
-    let _s = span!("ckks.galois", level = level, g = g);
+    let _s = span!(span_name, level = level, g = g);
     let moduli = ctx.q_moduli(level).to_vec();
     let mut c0 = a.c0().automorphism(g, &moduli);
     let c1 = a.c1().automorphism(g, &moduli);
@@ -392,7 +388,6 @@ pub fn try_rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Neo
     if level < 1 {
         return Err(NeoError::chain_exhausted("rescale", level, 1));
     }
-    let obs = crate::metrics::ObserveOp::start(crate::metrics::OpKind::Rescale, ctx, &[ct]);
     let _s = span!("ckks.rescale", level = level);
     let q_last = ctx.q_moduli(level)[level];
     let moduli = ctx.q_moduli(level - 1).to_vec();
@@ -416,9 +411,7 @@ pub fn try_rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Neo
     let c1 = rescale_poly(ct.c1());
     let out = Ciphertext::new(c0, c1, ct.scale() / q_last.value() as f64, level - 1);
     emit_budget(ctx, "rescale", &out);
-    if let Some(obs) = obs {
-        obs.success(ctx, &out);
-    }
+    note_noise(OpKind::Rescale, ctx, &[ct], &out);
     Ok(out)
 }
 

@@ -6,13 +6,13 @@
 //! setup, key switching, kernels, tests). The cache hands out `Arc`s so a
 //! plan is built once per process and shared freely across threads.
 //!
-//! The cache keeps its own hit/miss/discard tallies (see [`stats`]) and
-//! mirrors them into `neo-trace` counters when tracing is enabled, so
-//! profile reports show cache behaviour alongside kernel work.
+//! The cache keeps its own hit/miss/discard/eviction tallies (see
+//! [`stats`]) — the one place each cache event is counted.
+//! [`publish_cache_metrics`] copies them into `ntt_plan_cache_*` gauges
+//! of the `neo-trace` registry on demand, so the hot path stays untouched.
 
 use crate::NttPlan;
 use neo_math::{BackendKind, MathError};
-use neo_trace::Counter;
 use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -89,7 +89,6 @@ pub fn get_or_build_with(
     };
     if let Some(plan) = hit {
         HITS.fetch_add(1, Ordering::Relaxed);
-        neo_trace::add(Counter::PlanCacheHits, 1);
         // Fault injection: serve (and keep serving) a plan whose twiddle
         // tables rotted after insertion. The stored token still describes
         // the clean tables, so quarantine_corrupt() can convict it.
@@ -105,7 +104,6 @@ pub fn get_or_build_with(
         return Ok(plan);
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    neo_trace::add(Counter::PlanCacheMisses, 1);
     // Build outside the write lock: construction costs O(n) multiplies
     // and other keys shouldn't wait on it.
     let built = Arc::new(NttPlan::with_backend(q, n, backend)?);
@@ -114,7 +112,6 @@ pub fn get_or_build_with(
         Entry::Occupied(e) => {
             // Another thread built the same plan first; ours is discarded.
             DISCARDED.fetch_add(1, Ordering::Relaxed);
-            neo_trace::add(Counter::PlanCacheDiscards, 1);
             Ok(e.get().plan.clone())
         }
         Entry::Vacant(v) => {
@@ -139,7 +136,6 @@ pub fn quarantine_corrupt() -> usize {
     for &(q, n, backend) in &corrupt {
         cache.remove(&(q, n, backend));
         EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        neo_trace::add(Counter::PlanCacheEvictions, 1);
         // Rebuild once, preserving the key's backend choice: the key built
         // successfully before, so a failure here (impossible for a
         // previously valid (q, n)) just leaves the entry absent for the
@@ -167,6 +163,22 @@ pub fn stats() -> CacheStats {
         evictions: EVICTIONS.load(Ordering::Relaxed),
         entries: cached_plans(),
     }
+}
+
+/// Copies the lifetime statistics ([`stats`]) into `ntt_plan_cache_*`
+/// gauges of the default `neo-trace` registry. Call before
+/// [`neo_trace::MetricsRegistry::snapshot`] to get fresh values; a no-op
+/// while the telemetry gate is off.
+pub fn publish_cache_metrics() {
+    if !neo_trace::enabled() {
+        return;
+    }
+    let s = stats();
+    neo_trace::gauge("ntt_plan_cache_hits", &[]).set(s.hits as f64);
+    neo_trace::gauge("ntt_plan_cache_misses", &[]).set(s.misses as f64);
+    neo_trace::gauge("ntt_plan_cache_discarded_builds", &[]).set(s.discarded_builds as f64);
+    neo_trace::gauge("ntt_plan_cache_evictions", &[]).set(s.evictions as f64);
+    neo_trace::gauge("ntt_plan_cache_entries", &[]).set(s.entries as f64);
 }
 
 /// Empties the cache and zeroes the statistics. Intended for tests that
@@ -298,6 +310,26 @@ mod tests {
         assert!(rebuilt.verify_integrity());
         assert_eq!(rebuilt.integrity_token(), clean.integrity_token());
         assert_eq!(quarantine_corrupt(), 0);
+        clear();
+    }
+
+    #[test]
+    fn cache_gauges_mirror_stats() {
+        let _g = lock();
+        clear();
+        let q = primes::ntt_primes(36, 128, 1).unwrap()[0];
+        let _a = get_or_build(q, 128).unwrap();
+        let _b = get_or_build(q, 128).unwrap();
+        let (snap, _) = neo_trace::record(|| {
+            publish_cache_metrics();
+            neo_trace::registry().snapshot()
+        });
+        // At least this test's miss and hit: verify.rs's tests share the
+        // process-wide cache without taking this module's lock.
+        for name in ["misses", "hits", "entries"] {
+            let v = snap.gauge(&format!("ntt_plan_cache_{name}"), &[]);
+            assert!(v.is_some_and(|v| v >= 1.0), "{name}: {v:?}");
+        }
         clear();
     }
 

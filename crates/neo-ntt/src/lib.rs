@@ -40,7 +40,6 @@
 pub mod cache;
 pub mod complexity;
 pub mod matrix;
-pub mod metrics;
 mod plan;
 pub mod radix2;
 pub mod reference;

@@ -19,16 +19,17 @@
 //!
 //! The stage inner loops execute on the plan's
 //! [`ComputeBackend`](neo_math::ComputeBackend) — scalar or vectorized —
-//! while this driver keeps the stage schedule, the butterfly tallies, and
-//! the fault-injection hook, so telemetry and the fault model are
-//! backend-independent by construction.
+//! while this driver keeps the stage schedule, the butterfly tallies, the
+//! `ntt.forward`/`ntt.inverse` timer spans, and the fault-injection hook,
+//! so telemetry and the fault model are backend-independent by
+//! construction.
 //!
 //! The reference path ([`forward_reference`]/[`inverse_reference`]) reduces
 //! after every operation and serves as the correctness oracle and the
 //! baseline for `benches/ntt.rs` (shared via [`crate::reference`]).
 
 use crate::NttPlan;
-use neo_trace::Counter;
+use neo_trace::{Counter, SpanGuard};
 
 /// In-place forward negacyclic NTT (natural order in and out) — Shoup
 /// fast path.
@@ -45,8 +46,8 @@ use neo_trace::Counter;
 pub fn forward(plan: &NttPlan, x: &mut [u64]) {
     let n = plan.degree();
     assert_eq!(x.len(), n, "length mismatch");
-    // Gate before touching the clock: one relaxed load when disabled.
-    let t0 = neo_metrics::enabled().then(std::time::Instant::now);
+    // A timer span: one relaxed load while the gate is off.
+    let _s = SpanGuard::timer("ntt.forward");
     let m = plan.modulus();
     let be = neo_math::backend::get(plan.backend());
     let mut butterflies = 0u64;
@@ -75,9 +76,6 @@ pub fn forward(plan: &NttPlan, x: &mut [u64]) {
     if neo_fault::armed() {
         neo_fault::corrupt_limb(neo_fault::FaultSite::NttStage, x);
     }
-    if let Some(t0) = t0 {
-        crate::metrics::FWD_NS.record_ns(t0.elapsed().as_nanos() as u64);
-    }
 }
 
 /// In-place inverse negacyclic NTT (natural order in and out) — Shoup
@@ -90,7 +88,7 @@ pub fn forward(plan: &NttPlan, x: &mut [u64]) {
 pub fn inverse(plan: &NttPlan, x: &mut [u64]) {
     let n = plan.degree();
     assert_eq!(x.len(), n, "length mismatch");
-    let t0 = neo_metrics::enabled().then(std::time::Instant::now);
+    let _s = SpanGuard::timer("ntt.inverse");
     let m = plan.modulus();
     let be = neo_math::backend::get(plan.backend());
     bit_reverse_planned(x, plan);
@@ -115,9 +113,6 @@ pub fn inverse(plan: &NttPlan, x: &mut [u64]) {
     neo_trace::add(Counter::ModMuls, n as u64);
     if neo_fault::armed() {
         neo_fault::corrupt_limb(neo_fault::FaultSite::NttStage, x);
-    }
-    if let Some(t0) = t0 {
-        crate::metrics::INV_NS.record_ns(t0.elapsed().as_nanos() as u64);
     }
 }
 
@@ -245,6 +240,26 @@ mod tests {
             assert_eq!(fast, reference, "inverse mismatch at n={n}");
             assert_eq!(fast, a, "roundtrip mismatch at n={n}");
         }
+    }
+
+    #[test]
+    fn transforms_time_themselves_into_span_histograms() {
+        let p = plan(64);
+        let mut x: Vec<u64> = (0..64).collect();
+        let fwd = neo_trace::span::duration_histogram("ntt.forward");
+        let inv = neo_trace::span::duration_histogram("ntt.inverse");
+        let ((), _) = neo_trace::record(|| {
+            let (f0, i0) = (fwd.count(), inv.count());
+            forward(&p, &mut x);
+            inverse(&p, &mut x);
+            assert_eq!((fwd.count(), inv.count()), (f0 + 1, i0 + 1));
+            // Gate off: the same calls record nothing.
+            neo_trace::disable();
+            forward(&p, &mut x);
+            inverse(&p, &mut x);
+            neo_trace::enable();
+            assert_eq!((fwd.count(), inv.count()), (f0 + 1, i0 + 1));
+        });
     }
 
     #[test]

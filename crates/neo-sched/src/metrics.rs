@@ -1,4 +1,4 @@
-//! `neo-metrics` integration: publishes a simulated [`Schedule`]'s
+//! `neo-trace` registry integration: publishes a simulated [`Schedule`]'s
 //! busy-time accounting as utilization gauges.
 //!
 //! The event loop in [`crate::sim`] accumulates per-engine and per-stream
@@ -18,20 +18,20 @@
 use crate::sim::Schedule;
 
 /// Publishes `sched`'s utilization gauges into the default metrics
-/// registry. A no-op while metrics are disabled.
+/// registry. A no-op while the telemetry gate is off.
 pub fn publish_utilization(sched: &Schedule) {
-    if !neo_metrics::enabled() {
+    if !neo_trace::enabled() {
         return;
     }
     // Guard the empty schedule: report zero utilization, not NaN.
     let window = sched.device_window_s();
     let frac = |busy_s: f64| if window > 0.0 { busy_s / window } else { 0.0 };
 
-    neo_metrics::gauge("sched_engine_busy_fraction", &[("engine", "cuda")])
+    neo_trace::gauge("sched_engine_busy_fraction", &[("engine", "cuda")])
         .set(frac(sched.busy.cuda_s));
-    neo_metrics::gauge("sched_engine_busy_fraction", &[("engine", "tcu")])
+    neo_trace::gauge("sched_engine_busy_fraction", &[("engine", "tcu")])
         .set(frac(sched.busy.tcu_s));
-    neo_metrics::gauge("sched_engine_busy_fraction", &[("engine", "hbm")])
+    neo_trace::gauge("sched_engine_busy_fraction", &[("engine", "hbm")])
         .set(frac(sched.busy.hbm_s));
 
     for (s, (&compute, &mem)) in sched
@@ -42,21 +42,21 @@ pub fn publish_utilization(sched: &Schedule) {
         .enumerate()
     {
         let stream = s.to_string();
-        neo_metrics::gauge(
+        neo_trace::gauge(
             "sched_stream_busy_fraction",
             &[("stream", &stream), ("engine", "compute")],
         )
         .set(frac(compute));
-        neo_metrics::gauge(
+        neo_trace::gauge(
             "sched_stream_busy_fraction",
             &[("stream", &stream), ("engine", "hbm")],
         )
         .set(frac(mem));
     }
 
-    neo_metrics::gauge("sched_makespan_s", &[]).set(sched.makespan_s);
-    neo_metrics::gauge("sched_prologue_s", &[]).set(sched.prologue_s);
-    neo_metrics::gauge("sched_streams", &[]).set(sched.streams as f64);
+    neo_trace::gauge("sched_makespan_s", &[]).set(sched.makespan_s);
+    neo_trace::gauge("sched_prologue_s", &[]).set(sched.prologue_s);
+    neo_trace::gauge("sched_streams", &[]).set(sched.streams as f64);
 }
 
 #[cfg(test)]
@@ -121,10 +121,10 @@ mod tests {
         g.add(kern("a", 1.0, 1.0, 1.0), false, 0);
         g.add(kern("b", 1.0, 1.0, 1.0), false, 1);
         let s = simulate(&g, &dev, SimConfig::streams(2));
-        neo_metrics::enable();
-        publish_utilization(&s);
-        neo_metrics::disable();
-        let snap = neo_metrics::registry().snapshot();
+        let (snap, _) = neo_trace::record(|| {
+            publish_utilization(&s);
+            neo_trace::registry().snapshot()
+        });
         let cuda = snap
             .gauge("sched_engine_busy_fraction", &[("engine", "cuda")])
             .expect("gauge");

@@ -176,11 +176,7 @@ pub fn execute_coalesced(
     }
 
     let exec_wall = t0.elapsed();
-    crate::metrics::note_batch(
-        n_requests,
-        exec_wall.as_nanos() as u64,
-        est_makespan.as_micros() as u64,
-    );
+    crate::metrics::note_batch(n_requests, est_makespan.as_micros() as u64);
     for resp in &responses {
         crate::metrics::note_response(
             resp.queue.as_nanos() as u64,

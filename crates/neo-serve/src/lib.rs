@@ -28,8 +28,8 @@
 //!   answered immediately with [`neo_error::NeoError::Overloaded`].
 //!
 //! Observability rides the existing rails: `serve_*` histograms and
-//! counters in [`neo_metrics`] (gate-disciplined — zero overhead while
-//! disabled) and `serve_batch` / `serve_request` spans in [`neo_trace`].
+//! counters plus `serve_batch` / `serve_request` spans, all in
+//! [`neo_trace`] behind its one gate (zero overhead while it is off).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(missing_docs)]

@@ -1,4 +1,4 @@
-//! `neo-metrics` integration for the serving layer.
+//! `neo-trace` registry integration for the serving layer.
 //!
 //! * `serve_requests_total` / `serve_shed_total{reason}` — admission
 //!   outcomes (`reason` ∈ `queue_depth`, `retry_budget`,
@@ -7,17 +7,17 @@
 //!   ratio is the coalescing factor;
 //! * `serve_request_latency_ns` / `serve_queue_wait_ns` — per-request
 //!   end-to-end and queue-only latency histograms;
-//! * `serve_batch_exec_ns` / `serve_batch_requests` /
-//!   `serve_batch_est_makespan_us` — per-batch wall time, size, and the
-//!   cost oracle's simulated makespan;
+//! * `serve_batch_requests` / `serve_batch_est_makespan_us` — per-batch
+//!   size and the cost oracle's simulated makespan (the batch's wall time
+//!   is its `serve_batch` span, `span_duration_ns{span="serve_batch"}`);
 //! * `serve_plan_admissions_total` — batches whose stream choice was
 //!   served from the shared plan cache instead of a fresh sim sweep;
 //! * `serve_queue_depth` — pending requests (gauge).
 //!
 //! Everything follows the gate discipline: one relaxed load and no work
-//! while [`neo_metrics::enabled`] is off.
+//! while [`neo_trace::enabled`] is off.
 
-use neo_metrics::{CounterHandle, GaugeHandle, Histogram};
+use neo_trace::{CounterHandle, GaugeHandle, Histogram};
 use std::sync::{Arc, LazyLock};
 
 /// Shed reasons, fixed so the counter family has a closed label set.
@@ -25,39 +25,37 @@ pub(crate) const SHED_REASONS: [&str; 4] =
     ["queue_depth", "retry_budget", "tenant_inflight", "channel"];
 
 static REQUESTS: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_metrics::counter("serve_requests_total", &[]));
+    LazyLock::new(|| neo_trace::counter("serve_requests_total", &[]));
 static SHED: LazyLock<[Arc<CounterHandle>; 4]> = LazyLock::new(|| {
-    SHED_REASONS.map(|r| neo_metrics::counter("serve_shed_total", &[("reason", r)]))
+    SHED_REASONS.map(|r| neo_trace::counter("serve_shed_total", &[("reason", r)]))
 });
 static BATCHES: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_metrics::counter("serve_batches_total", &[]));
+    LazyLock::new(|| neo_trace::counter("serve_batches_total", &[]));
 static COALESCED: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_metrics::counter("serve_coalesced_requests_total", &[]));
+    LazyLock::new(|| neo_trace::counter("serve_coalesced_requests_total", &[]));
 static LATENCY: LazyLock<Arc<Histogram>> =
-    LazyLock::new(|| neo_metrics::histogram("serve_request_latency_ns", &[]));
+    LazyLock::new(|| neo_trace::histogram("serve_request_latency_ns", &[]));
 static QUEUE_WAIT: LazyLock<Arc<Histogram>> =
-    LazyLock::new(|| neo_metrics::histogram("serve_queue_wait_ns", &[]));
-static BATCH_EXEC: LazyLock<Arc<Histogram>> =
-    LazyLock::new(|| neo_metrics::histogram("serve_batch_exec_ns", &[]));
+    LazyLock::new(|| neo_trace::histogram("serve_queue_wait_ns", &[]));
 static BATCH_REQS: LazyLock<Arc<Histogram>> =
-    LazyLock::new(|| neo_metrics::histogram("serve_batch_requests", &[]));
+    LazyLock::new(|| neo_trace::histogram("serve_batch_requests", &[]));
 static BATCH_EST: LazyLock<Arc<Histogram>> =
-    LazyLock::new(|| neo_metrics::histogram("serve_batch_est_makespan_us", &[]));
+    LazyLock::new(|| neo_trace::histogram("serve_batch_est_makespan_us", &[]));
 static QUEUE_DEPTH: LazyLock<Arc<GaugeHandle>> =
-    LazyLock::new(|| neo_metrics::gauge("serve_queue_depth", &[]));
+    LazyLock::new(|| neo_trace::gauge("serve_queue_depth", &[]));
 static PLAN_ADMISSIONS: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_metrics::counter("serve_plan_admissions_total", &[]));
+    LazyLock::new(|| neo_trace::counter("serve_plan_admissions_total", &[]));
 
 /// One admitted request.
 pub(crate) fn note_request() {
-    if neo_metrics::enabled() {
+    if neo_trace::enabled() {
         REQUESTS.inc();
     }
 }
 
 /// One shed request; `reason` must be in [`SHED_REASONS`].
 pub(crate) fn note_shed(reason: &'static str) {
-    if !neo_metrics::enabled() {
+    if !neo_trace::enabled() {
         return;
     }
     if let Some(i) = SHED_REASONS.iter().position(|r| *r == reason) {
@@ -65,21 +63,20 @@ pub(crate) fn note_shed(reason: &'static str) {
     }
 }
 
-/// One executed batch: size, wall time, and the oracle's estimate.
-pub(crate) fn note_batch(requests: usize, exec_ns: u64, est_makespan_us: u64) {
-    if !neo_metrics::enabled() {
+/// One executed batch: size and the oracle's estimate.
+pub(crate) fn note_batch(requests: usize, est_makespan_us: u64) {
+    if !neo_trace::enabled() {
         return;
     }
     BATCHES.inc();
     COALESCED.add(requests as u64);
     BATCH_REQS.record(requests as u64);
-    BATCH_EXEC.record(exec_ns);
     BATCH_EST.record(est_makespan_us);
 }
 
 /// One completed request's latency split.
 pub(crate) fn note_response(queue_ns: u64, total_ns: u64) {
-    if !neo_metrics::enabled() {
+    if !neo_trace::enabled() {
         return;
     }
     QUEUE_WAIT.record(queue_ns);
@@ -88,14 +85,14 @@ pub(crate) fn note_response(queue_ns: u64, total_ns: u64) {
 
 /// One batch admitted off the plan cache (no sim sweep paid).
 pub(crate) fn note_plan_admission() {
-    if neo_metrics::enabled() {
+    if neo_trace::enabled() {
         PLAN_ADMISSIONS.inc();
     }
 }
 
 /// Current admission-queue depth.
 pub(crate) fn set_queue_depth(depth: usize) {
-    if neo_metrics::enabled() {
+    if neo_trace::enabled() {
         QUEUE_DEPTH.set(depth as f64);
     }
 }

@@ -23,7 +23,13 @@
 use crate::gemm::GemmEngine;
 use neo_error::NeoError;
 use neo_math::Modulus;
-use neo_trace::Counter;
+use neo_trace::{Counter, CounterHandle};
+use std::sync::{Arc, LazyLock};
+
+/// `tcu_abft_detections_total`: verifications that caught corruption.
+/// (Checks run are [`Counter::AbftChecks`].)
+static DETECTIONS: LazyLock<Arc<CounterHandle>> =
+    LazyLock::new(|| neo_trace::counter("tcu_abft_detections_total", &[]));
 
 /// Verifies `c == a·b (mod q)` via modular row/column checksums.
 ///
@@ -52,7 +58,6 @@ pub fn verify_gemm(
     assert_eq!(b.len(), k * n, "B must be k x n");
     assert_eq!(c.len(), m * n, "C must be m x n");
     neo_trace::add(Counter::AbftChecks, 1);
-    crate::metrics::ABFT_CHECKS.inc();
     neo_trace::add(
         Counter::AbftMacs,
         (2 * m * k + 2 * k * n + 2 * m * n) as u64,
@@ -79,7 +84,7 @@ pub fn verify_gemm(
         }
         let (expect, got) = (q.reduce_u128(expect), q.reduce_u128(got));
         if expect != got {
-            crate::metrics::ABFT_DETECTIONS.inc();
+            DETECTIONS.inc();
             return Err(NeoError::fault_detected(
                 "tcu_gemm",
                 format!(
@@ -111,7 +116,7 @@ pub fn verify_gemm(
         }
         let (expect, got) = (q.reduce_u128(expect), q.reduce_u128(got));
         if expect != got {
-            crate::metrics::ABFT_DETECTIONS.inc();
+            DETECTIONS.inc();
             return Err(NeoError::fault_detected(
                 "tcu_gemm",
                 format!(
@@ -208,6 +213,26 @@ mod tests {
         r.unwrap();
         assert_eq!(w.get(Counter::AbftChecks), 1);
         assert!(w.get(Counter::AbftMacs) > 0);
+    }
+
+    #[test]
+    fn gemm_span_and_detections_record_under_the_gate() {
+        use crate::gemm::BackendGemm;
+        let q = test_modulus(36);
+        let (a, b, _) = random_gemm(3, &q, 4, 4, 4);
+        let mut c = vec![0u64; 16];
+        let gemm_ns = neo_trace::span::duration_histogram("tcu.gemm");
+        let ((), _) = neo_trace::record(|| {
+            let (timed, detected) = (gemm_ns.count(), DETECTIONS.get());
+            BackendGemm::new(neo_math::BackendKind::Portable).gemm(&q, &a, &b, 4, 4, 4, &mut c);
+            assert_eq!(gemm_ns.count(), timed + 1);
+            verify_gemm(&q, &a, &b, 4, 4, 4, &c).expect("clean gemm verifies");
+            assert_eq!(DETECTIONS.get(), detected);
+            // Corrupt one limb: the check fails and the detection counter moves.
+            c[5] ^= 1 << 17;
+            assert!(verify_gemm(&q, &a, &b, 4, 4, 4, &c).is_err());
+            assert_eq!(DETECTIONS.get(), detected + 1);
+        });
     }
 
     #[test]

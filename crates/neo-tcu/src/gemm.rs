@@ -19,7 +19,7 @@
 use crate::fragment::{self, FragmentShape, FP64_FRAGMENT, INT8_FRAGMENTS};
 use crate::split::{Fp64SplitScheme, Int8SplitScheme};
 use neo_math::{BackendKind, Modulus, PortableBackend};
-use neo_trace::Counter;
+use neo_trace::{Counter, SpanGuard};
 use std::cell::RefCell;
 
 thread_local! {
@@ -137,12 +137,9 @@ impl GemmEngine for BackendGemm {
     ) {
         check_dims(a, b, out, m, k, n);
         neo_trace::add(Counter::GemmMacs, (m * k * n) as u64);
-        // Gate before touching the clock: one relaxed load when disabled.
-        let t0 = neo_metrics::enabled().then(std::time::Instant::now);
+        // A timer span: one relaxed load while the gate is off.
+        let _s = SpanGuard::timer("tcu.gemm");
         neo_math::backend::get(self.kind).gemm(q, a, b, m, k, n, out);
-        if let Some(t0) = t0 {
-            crate::metrics::gemm_hist(self.kind).record_ns(t0.elapsed().as_nanos() as u64);
-        }
     }
 
     fn name(&self) -> &'static str {

@@ -45,7 +45,6 @@
 pub mod abft;
 pub mod fragment;
 pub mod gemm;
-pub mod metrics;
 pub mod multimod;
 pub mod split;
 pub mod stats;

@@ -5,11 +5,11 @@
 //! element), so the disabled-path cost is a single relaxed load and the
 //! enabled-path cost is one relaxed fetch-add per instrumented region.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Number of distinct counters (length of the backing array).
-pub const N_COUNTERS: usize = 18;
+pub const N_COUNTERS: usize = 14;
 
 /// Everything the instrumented kernels tally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,20 +41,12 @@ pub enum Counter {
     BytesWritten = 10,
     /// Kernel-launch equivalents (one per logical GPU kernel).
     Launches = 11,
-    /// NTT plan-cache hits.
-    PlanCacheHits = 12,
-    /// NTT plan-cache misses (a plan had to be built).
-    PlanCacheMisses = 13,
-    /// Plans built concurrently by a losing thread and thrown away.
-    PlanCacheDiscards = 14,
     /// ABFT verifications executed (GEMM checksum or NTT spot check).
-    AbftChecks = 15,
+    AbftChecks = 12,
     /// Modular MACs spent computing ABFT checksums and spot checks —
     /// the arithmetic overhead of verification, kept separate so the
     /// cost model can price it explicitly.
-    AbftMacs = 16,
-    /// NTT plans evicted from the cache by integrity quarantine.
-    PlanCacheEvictions = 17,
+    AbftMacs = 13,
 }
 
 impl Counter {
@@ -72,12 +64,8 @@ impl Counter {
         Counter::BytesRead,
         Counter::BytesWritten,
         Counter::Launches,
-        Counter::PlanCacheHits,
-        Counter::PlanCacheMisses,
-        Counter::PlanCacheDiscards,
         Counter::AbftChecks,
         Counter::AbftMacs,
-        Counter::PlanCacheEvictions,
     ];
 
     /// Stable snake_case name used in reports and JSON keys.
@@ -95,12 +83,8 @@ impl Counter {
             Counter::BytesRead => "bytes_read",
             Counter::BytesWritten => "bytes_written",
             Counter::Launches => "launches",
-            Counter::PlanCacheHits => "plan_cache_hits",
-            Counter::PlanCacheMisses => "plan_cache_misses",
-            Counter::PlanCacheDiscards => "plan_cache_discards",
             Counter::AbftChecks => "abft_checks",
             Counter::AbftMacs => "abft_macs",
-            Counter::PlanCacheEvictions => "plan_cache_evictions",
         }
     }
 }
@@ -183,26 +167,59 @@ pub fn snapshot() -> WorkCounters {
 /// (e.g. parallel test threads) cannot pollute each other.
 static RECORD_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` with tracing enabled and returns its output together with the
-/// counter deltas it produced.
+/// True while a [`record`] section runs: spans and events build the tree
+/// only then. `Relaxed` suffices: the flag publishes no data (the arena
+/// and event list it admits writes to have their own mutexes).
+static RECORDING: AtomicBool = AtomicBool::new(false);
+
+/// Is a [`record`] section running? Spans and point events are kept in
+/// the tree only while it is; outside it spans just time themselves into
+/// the span histogram.
+#[inline]
+pub fn recording() -> bool {
+    RECORDING.load(Ordering::Relaxed)
+}
+
+/// Takes the process-wide lock [`record`] holds, without touching the
+/// gate: for tests that flip the gate by hand and must not race a
+/// concurrent `record` section.
+pub fn lock() -> MutexGuard<'static, ()> {
+    RECORD_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Restores the gate and ends the recording section on drop, so a
+/// panicking closure cannot leave either switched on.
+struct Recording {
+    was_enabled: bool,
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        RECORDING.store(false, Ordering::Relaxed);
+        if !self.was_enabled {
+            crate::disable();
+        }
+    }
+}
+
+/// Runs `f` with telemetry enabled and the span tree recording, and
+/// returns its output together with the counter deltas it produced.
 ///
-/// Holds a process-wide lock for the duration of `f`, enabling tracing on
-/// entry and restoring the previous gate state on exit, so counter deltas
+/// Holds a process-wide lock for the duration of `f`, enabling the gate
+/// on entry and restoring its previous state on exit, so counter deltas
 /// are attributable to `f` alone (as long as all *traced* work in the
 /// process goes through `record`). Work spawned by `f` onto rayon workers
 /// is still captured — the counters are global, not thread-local.
 pub fn record<R>(f: impl FnOnce() -> R) -> (R, WorkCounters) {
-    let guard = RECORD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let was_enabled = crate::enabled();
+    let _guard = lock();
+    let _recording = Recording {
+        was_enabled: crate::enabled(),
+    };
     crate::enable();
+    RECORDING.store(true, Ordering::Relaxed);
     let before = snapshot();
     let out = f();
-    let after = snapshot();
-    if !was_enabled {
-        crate::disable();
-    }
-    drop(guard);
-    (out, after.since(&before))
+    (out, snapshot().since(&before))
 }
 
 #[cfg(test)]

@@ -8,29 +8,13 @@
 //! * [`chrome_trace`] — Chrome `chrome://tracing` / Perfetto "trace event"
 //!   JSON (`ph:"X"` complete events plus `ph:"i"` instants).
 //!
-//! JSON is emitted by hand so the crate stays dependency-free.
+//! JSON is emitted by hand so the crate stays dependency-free; every
+//! string goes through the shared [`crate::jsonv::escape`].
 
 use crate::counters::snapshot;
+use crate::jsonv::escape as json_escape;
 use crate::span::{events, spans, Event, SpanNode};
 use std::fmt::Write as _;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn fmt_duration(us: u64) -> String {
     if us >= 1_000_000 {
@@ -243,28 +227,24 @@ mod tests {
 
     #[test]
     fn exporters_cover_recorded_spans() {
-        let ((), _) = record(|| {
+        let ((tree, json, chrome), _) = record(|| {
             crate::reset();
-            let _op = crate::span!("op.test", n = 1024);
-            add(Counter::NttButterflies, 5120);
-            crate::span::event("noise.budget", "bits=31.5");
+            {
+                let _op = crate::span!("op.test", n = 1024);
+                add(Counter::NttButterflies, 5120);
+                crate::span::event("noise.budget", "bits=31.5");
+            }
+            let out = (tree_report(), json_report(), chrome_trace());
+            crate::reset();
+            out
         });
-        let tree = tree_report();
         assert!(tree.contains("op.test"));
         assert!(tree.contains("ntt_butterflies=5120"));
         assert!(tree.contains("noise.budget"));
-        let json = json_report();
         assert!(json.contains("\"name\":\"op.test\""));
         assert!(json.contains("\"label\":\"n=1024\""));
-        let chrome = chrome_trace();
         assert!(chrome.contains("\"ph\":\"X\""));
         assert!(chrome.contains("\"ph\":\"i\""));
-        crate::reset();
-    }
-
-    #[test]
-    fn json_escaping_is_safe() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

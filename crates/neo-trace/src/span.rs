@@ -1,20 +1,37 @@
-//! Hierarchical timed spans and point events.
+//! Timed spans and point events.
 //!
-//! Spans live in a process-wide arena; each thread keeps a stack of the
-//! spans it currently has open, so nesting is tracked per thread while the
-//! arena aggregates across threads. Enter spans with the [`span!`](crate::span!)
-//! macro; the returned [`SpanGuard`] closes the span when dropped.
+//! Spans are the workspace's only timer. Every span opened while the gate
+//! is on records its duration, when it closes, into the
+//! [`SPAN_DURATION_NS`] histogram family under its own name
+//! (`span_duration_ns{span="keyswitch.klss"}`) — that is where per-op
+//! latency percentiles come from.
+//!
+//! Inside [`record`](crate::record) spans and events also build a tree:
+//! spans live in a process-wide arena, each thread keeps a stack of the
+//! spans it currently has open (so nesting is tracked per thread while the
+//! arena aggregates across threads), and each node carries the counter
+//! delta observed while it was open. Outside `record` nothing is kept per
+//! span, so memory stays bounded however long the gate is on. Enter spans
+//! with the [`span!`](crate::span!) macro; the returned [`SpanGuard`]
+//! closes the span when dropped.
 //!
 //! Rayon caveat: a span opened on the orchestrating thread does not
-//! automatically parent work executed on worker threads — keep spans at
-//! the sequential orchestration level and let the *counters* capture
-//! worker-thread work (they are global).
+//! parent work executed on worker threads — tree spans stay at the
+//! sequential orchestration level and the *counters* capture worker-thread
+//! work (they are global). Kernels that run on rayon workers (NTTs, GEMMs)
+//! open [`SpanGuard::timer`] spans instead: timed into the histogram like
+//! every span, but never placed in the tree.
 
-use crate::counters::{snapshot, WorkCounters};
+use crate::counters::{recording, snapshot, WorkCounters};
+use crate::hist::Histogram;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+/// The histogram family closing spans record their durations into, in
+/// nanoseconds, labeled `span=<span name>`.
+pub const SPAN_DURATION_NS: &str = "span_duration_ns";
 
 /// One closed (or still-open) span in the arena.
 #[derive(Debug, Clone)]
@@ -69,11 +86,16 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     static STACK: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    /// Per-thread cache of span-name → duration histogram, so a closing
+    /// span pays the registry's map lock once per name and thread.
+    static HISTS: RefCell<Vec<(&'static str, Arc<Histogram>)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
-/// Microseconds since the (lazily initialised) trace epoch.
-pub(crate) fn now_us() -> u64 {
-    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
+/// Microseconds from the (lazily initialised) trace epoch to `t`.
+fn micros_since_epoch(t: Instant) -> u64 {
+    t.saturating_duration_since(*EPOCH.get_or_init(Instant::now))
+        .as_micros() as u64
 }
 
 fn lock_arena() -> std::sync::MutexGuard<'static, Vec<SpanNode>> {
@@ -85,8 +107,8 @@ fn lock_events() -> std::sync::MutexGuard<'static, Vec<Event>> {
 }
 
 /// Clears the span arena and event list (the calling thread's open-span
-/// stack included) — call before a fresh profiling run.
-pub fn reset_spans() {
+/// stack included).
+pub(crate) fn reset_spans() {
     lock_arena().clear();
     lock_events().clear();
     STACK.with(|s| s.borrow_mut().clear());
@@ -102,15 +124,36 @@ pub fn events() -> Vec<Event> {
     lock_events().clone()
 }
 
-/// Records a point event under the currently open span, if tracing is on.
+/// The duration histogram of the span named `name` in the default
+/// registry (`span_duration_ns{span=name}`).
+pub fn duration_histogram(name: &str) -> Arc<Histogram> {
+    crate::registry().histogram(SPAN_DURATION_NS, &[("span", name)])
+}
+
+fn record_duration(name: &'static str, ns: u64) {
+    HISTS.with(|h| {
+        let mut cache = h.borrow_mut();
+        match cache.iter().find(|(n, _)| *n == name) {
+            Some((_, hist)) => hist.record_always(ns),
+            None => {
+                let hist = duration_histogram(name);
+                hist.record_always(ns);
+                cache.push((name, hist));
+            }
+        }
+    });
+}
+
+/// Records a point event under the currently open span, if a
+/// [`record`](crate::record) section is running with the gate on.
 pub fn event(name: &'static str, detail: impl Into<String>) {
-    if !crate::enabled() {
+    if !(crate::enabled() && recording()) {
         return;
     }
     let ev = Event {
         name,
         detail: detail.into(),
-        ts_us: now_us(),
+        ts_us: micros_since_epoch(Instant::now()),
         tid: TID.with(|t| *t),
         span: STACK.with(|s| s.borrow().last().copied()),
     };
@@ -123,15 +166,23 @@ pub fn event(name: &'static str, detail: impl Into<String>) {
 /// [`SpanGuard::enter`] directly.
 #[must_use = "a span closes when the guard drops — bind it to a variable"]
 pub struct SpanGuard {
+    name: &'static str,
+    /// Entry time; `None` when the gate was off at entry.
+    start: Option<Instant>,
+    /// Arena index; `Some` only for tree spans opened inside `record`.
     idx: Option<usize>,
 }
 
 impl SpanGuard {
-    /// Opens a span named `name`; `label` is only evaluated when tracing
-    /// is enabled.
+    /// Opens a span named `name`; `label` is only evaluated when the span
+    /// enters the tree (gate on, inside [`record`](crate::record)).
     pub fn enter(name: &'static str, label: impl FnOnce() -> String) -> Self {
-        if !crate::enabled() {
-            return Self { idx: None };
+        let mut guard = Self::timer(name);
+        let Some(start) = guard.start else {
+            return guard;
+        };
+        if !recording() {
+            return guard;
         }
         let (parent, depth) = STACK.with(|s| {
             let stack = s.borrow();
@@ -143,7 +194,7 @@ impl SpanGuard {
             parent,
             tid: TID.with(|t| *t),
             depth,
-            start_us: now_us(),
+            start_us: micros_since_epoch(start),
             end_us: None,
             work_at_start: snapshot(),
             work: WorkCounters::default(),
@@ -154,12 +205,28 @@ impl SpanGuard {
             arena.len() - 1
         };
         STACK.with(|s| s.borrow_mut().push(idx));
-        Self { idx: Some(idx) }
+        guard.idx = Some(idx);
+        guard
+    }
+
+    /// Opens a span that is timed into the span histogram but never
+    /// enters the tree — for kernels that run on rayon workers, where the
+    /// per-thread stack cannot name the logical parent.
+    #[inline]
+    pub fn timer(name: &'static str) -> Self {
+        Self {
+            name,
+            start: crate::enabled().then(Instant::now),
+            idx: None,
+        }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
+        let Some(start) = self.start else { return };
+        let end = Instant::now();
+        record_duration(self.name, end.duration_since(start).as_nanos() as u64);
         let Some(idx) = self.idx else { return };
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
@@ -171,23 +238,22 @@ impl Drop for SpanGuard {
                 stack.retain(|&i| i != idx);
             }
         });
-        let end = now_us();
         let work_now = snapshot();
         let mut arena = lock_arena();
         if let Some(node) = arena.get_mut(idx) {
-            node.end_us = Some(end);
+            node.end_us = Some(micros_since_epoch(end));
             node.work = work_now.since(&node.work_at_start);
         }
     }
 }
 
-/// Opens a hierarchical span: `span!("name")`,
-/// `span!("keyswitch.klss", level, dnum)` (bare identifiers become
-/// `level=… dnum=…`), or `span!("bconv", n = poly_n, dst = out.len())`.
+/// Opens a span: `span!("name")`, `span!("keyswitch.klss", level, dnum)`
+/// (bare identifiers become `level=… dnum=…`), or
+/// `span!("bconv", n = poly_n, dst = out.len())`.
 ///
 /// Expands to a [`SpanGuard`] binding; the span closes when the guard
-/// leaves scope. When tracing is disabled the cost is one atomic load and
-/// the label expression is never evaluated.
+/// leaves scope. When the gate is off the cost is one atomic load, and
+/// the label expression is only evaluated for spans entering the tree.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
@@ -214,17 +280,17 @@ mod tests {
 
     #[test]
     fn spans_nest_and_close() {
-        let ((), _) = record(|| {
+        let (spans, _) = record(|| {
             reset_spans();
-            let _outer = crate::span!("outer", level = 3);
             {
+                let _outer = crate::span!("outer", level = 3);
                 let _inner = crate::span!("inner");
                 add(Counter::GemmMacs, 11);
             }
+            spans()
         });
-        let spans = spans();
-        let outer = spans.iter().find(|s| s.name == "outer").unwrap();
-        let inner = spans.iter().find(|s| s.name == "inner").unwrap();
+        let outer = spans.iter().find(|s| s.name == "outer").expect("outer");
+        let inner = spans.iter().find(|s| s.name == "inner").expect("inner");
         assert_eq!(outer.label, "level=3");
         assert_eq!(outer.depth, 0);
         assert_eq!(inner.depth, 1);
@@ -238,22 +304,59 @@ mod tests {
         let ((), _) = record(|| {
             crate::disable();
             let before = spans().len();
+            let timed = duration_histogram("ghost").count();
             let g = crate::span!("ghost");
             drop(g);
             assert_eq!(spans().len(), before);
+            assert_eq!(duration_histogram("ghost").count(), timed);
             crate::enable();
         });
     }
 
     #[test]
-    fn events_attach_to_open_span() {
+    fn closing_spans_feed_the_duration_histogram() {
         let ((), _) = record(|| {
+            let tree = duration_histogram("test.tree").count();
+            let timer = duration_histogram("test.timer").count();
+            let before = spans().len();
+            drop(crate::span!("test.tree"));
+            drop(SpanGuard::timer("test.timer"));
+            drop(SpanGuard::timer("test.timer"));
+            assert_eq!(duration_histogram("test.tree").count(), tree + 1);
+            assert_eq!(duration_histogram("test.timer").count(), timer + 2);
+            // Timer spans never enter the tree.
+            assert_eq!(spans().len(), before + 1);
+        });
+    }
+
+    #[test]
+    fn gate_on_outside_record_keeps_no_tree() {
+        let _g = crate::lock();
+        let (spans_before, events_before) = (spans().len(), events().len());
+        let timed = duration_histogram("test.untreed").count();
+        crate::enable();
+        for _ in 0..3 {
+            let _s = crate::span!("test.untreed");
+            event("noise.budget", "bits=1");
+        }
+        crate::disable();
+        assert_eq!(spans().len(), spans_before);
+        assert_eq!(events().len(), events_before);
+        assert_eq!(duration_histogram("test.untreed").count(), timed + 3);
+    }
+
+    #[test]
+    fn events_attach_to_open_span() {
+        let (evs, _) = record(|| {
             reset_spans();
             let _s = crate::span!("op");
             event("noise.budget", "bits=42");
+            events()
         });
-        let evs = events();
-        let ev = evs.iter().find(|e| e.name == "noise.budget").unwrap();
+        let ev = evs
+            .iter()
+            .find(|e| e.name == "noise.budget")
+            .expect("event");
         assert_eq!(ev.detail, "bits=42");
         assert!(ev.span.is_some());
     }

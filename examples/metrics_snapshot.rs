@@ -1,6 +1,7 @@
-//! Metrics quick-start: run a small encrypted batch with the metrics
-//! gate on, then read per-op latency/noise histograms out of one
-//! registry snapshot and export it as Prometheus text and JSON.
+//! Telemetry quick-start: run a small encrypted batch with the
+//! `neo-trace` gate on, then read per-op latency (span-duration) and
+//! noise histograms out of one registry snapshot and export it as
+//! Prometheus text and JSON.
 //!
 //! Run with: `cargo run --release --example metrics_snapshot`
 
@@ -8,9 +9,11 @@ use neo::ckks::batch::{BatchOp, BatchProgram, Slot};
 use neo::prelude::*;
 
 fn main() -> Result<(), NeoError> {
-    // Metrics are off by default (every instrumented site costs one
-    // relaxed atomic load). Turn the gate on for the monitored section.
-    neo::metrics::enable();
+    // Telemetry is off by default (every instrumented site costs one
+    // relaxed atomic load). Turn the gate on for the monitored section;
+    // outside `neo::trace::record` spans only time themselves, so memory
+    // stays bounded however long the gate is on.
+    neo::trace::enable();
 
     let engine = FheEngine::new(CkksParams::test_small(), 2025)?;
     let x = engine.encrypt_f64(&[0.5, 0.25, 0.125], 3)?;
@@ -30,12 +33,14 @@ fn main() -> Result<(), NeoError> {
         report.faults_recovered.iter().sum::<u32>()
     );
 
-    neo::metrics::disable();
+    neo::trace::disable();
 
-    // One snapshot captures every series at one instant.
-    let snap = neo::metrics::registry().snapshot();
+    // One snapshot captures every series at one instant. An op's latency
+    // is its span's duration histogram.
+    let snap = neo::trace::registry().snapshot();
     for op in ["hmult", "rescale", "hrotate", "hadd"] {
-        if let Some(lat) = snap.histogram("fhe_op_latency_ns", &[("op", op)]) {
+        let span = format!("ckks.{op}");
+        if let Some(lat) = snap.histogram(neo::trace::SPAN_DURATION_NS, &[("span", &span)]) {
             println!(
                 "{op:8} n={:3}  p50={:>9} ns  p95={:>9} ns  p99={:>9} ns  max={:>9} ns",
                 lat.count,
@@ -56,13 +61,13 @@ fn main() -> Result<(), NeoError> {
 
     // Exporters: Prometheus text exposition and a JSON document.
     println!("\n--- prometheus text (excerpt) ---");
-    let prom = neo::metrics::export::prometheus_text(&snap);
+    let prom = neo::trace::export::prometheus_text(&snap);
     for line in prom.lines().filter(|l| l.contains("fhe_batch")) {
         println!("{line}");
     }
-    let json = neo::metrics::export::json(&snap);
+    let json = neo::trace::export::json(&snap);
     println!(
-        "\nJSON export: {} bytes (parse it back with neo::metrics::jsonv)",
+        "\nJSON export: {} bytes (parse it back with neo::trace::jsonv)",
         json.len()
     );
     Ok(())

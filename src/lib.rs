@@ -30,9 +30,6 @@ pub use neo_gpu_sim as gpu_sim;
 pub use neo_kernels as kernels;
 /// Modular arithmetic, RNS bases, base conversion, RNS polynomials.
 pub use neo_math as math;
-/// Production metrics: latency/noise histograms, labeled registry,
-/// Prometheus-text and JSON exporters.
-pub use neo_metrics as metrics;
 /// Negacyclic NTTs: radix-2, four-step, and radix-16 (ten-step) matrix form.
 pub use neo_ntt as ntt;
 /// Sim-driven execution-plan autotuner: sweeps the knob space through the
@@ -49,7 +46,10 @@ pub use neo_serve as serve;
 pub use neo_store as store;
 /// Tensor-core fragment emulation (FP64 / INT8) and splitting schemes.
 pub use neo_tcu as tcu;
-/// Runtime telemetry: work counters, spans, and trace exporters.
+/// The one telemetry layer: one gate over work counters, spans (the only
+/// timer — each closing span feeds a duration histogram), the labeled
+/// metrics registry, and the tree / Chrome-trace / Prometheus / JSON
+/// exporters.
 pub use neo_trace as trace;
 
 /// The one-line import for applications: the [`ckks::FheEngine`] session

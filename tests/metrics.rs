@@ -1,32 +1,41 @@
-//! Cross-crate metrics tests: the FheEngine's per-op latency and noise
-//! histograms, the scheduler's utilization gauges cross-checked against
-//! analytic component times, and exporter round-trips through strict
-//! parsers (Prometheus text, JSON, Chrome trace).
+//! Cross-crate telemetry tests: the FheEngine's per-op span-duration and
+//! noise histograms, the one gate and one `reset`, the scheduler's
+//! utilization gauges cross-checked against analytic component times, and
+//! exporter round-trips through strict parsers (Prometheus text, JSON,
+//! Chrome trace).
 
 use neo::ckks::batch::{BatchOp, BatchProgram, Slot};
 use neo::ckks::cost::{CostConfig, Operation};
 use neo::ckks::sched::batch_op_graph;
 use neo::ckks::{CkksParams, FheEngine, ParamSet};
 use neo::gpu_sim::DeviceModel;
-use neo::metrics::jsonv::{self, JsonValue};
 use neo::sched::{chrome_trace, publish_utilization, simulate, SimConfig};
+use neo::trace::jsonv::{self, JsonValue};
+use neo::trace::{record, registry, SPAN_DURATION_NS};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
-/// The metrics gate and default registry are process-wide; every test
-/// that enables the gate or reads the registry serializes on this lock.
-static GATE: Mutex<()> = Mutex::new(());
+// The gate and the default registry are process-wide: every test that
+// turns the gate on or reads the registry does so inside `record` (or
+// holds `neo::trace::lock()`), so no concurrent test can flip the gate or
+// reset the registry under it.
 
 // ---------------------------------------------------------------------
 // FheEngine histograms
 // ---------------------------------------------------------------------
 
-/// Batch execution populates per-op-kind latency and noise-consumption
-/// histograms, readable as p50/p95/p99 out of one registry snapshot —
-/// the serving-layer contract of the metrics tentpole.
+/// Each op kind's noise label and the span its latency comes from.
+const OP_SPANS: [(&str, &str); 4] = [
+    ("hmult", "ckks.hmult"),
+    ("rescale", "ckks.rescale"),
+    ("hadd", "ckks.hadd"),
+    ("hrotate", "ckks.hrotate"),
+];
+
+/// Batch execution populates per-op-kind latency (span-duration) and
+/// noise-consumption histograms, readable as p50/p95/p99 out of one
+/// registry snapshot — the serving-layer contract of the telemetry layer.
 #[test]
 fn engine_batch_exposes_latency_and_noise_histograms() {
-    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let engine = FheEngine::new(CkksParams::test_tiny(), 7).expect("params are valid");
     let a = engine.encrypt_f64(&[0.5, 0.25], 3).expect("encrypt");
     let b = engine.encrypt_f64(&[0.25, 0.125], 3).expect("encrypt");
@@ -39,17 +48,17 @@ fn engine_batch_exposes_latency_and_noise_histograms() {
     let s = prog.try_push(BatchOp::HAdd(r, r)).expect("legal op");
     prog.try_push(BatchOp::HRotate(s, 1)).expect("legal op");
 
-    neo::metrics::enable();
-    let report = engine
-        .execute_batch_with_report(&prog, &[a, b], false, 1)
-        .expect("batch executes");
-    neo::metrics::disable();
+    let ((report, snap), _) = record(|| {
+        let report = engine
+            .execute_batch_with_report(&prog, &[a, b], false, 1)
+            .expect("batch executes");
+        (report, registry().snapshot())
+    });
     assert!(report.results.iter().all(Result::is_ok));
 
-    let snap = neo::metrics::registry().snapshot();
-    for op in ["hmult", "rescale", "hadd", "hrotate"] {
+    for (op, span) in OP_SPANS {
         let lat = snap
-            .histogram("fhe_op_latency_ns", &[("op", op)])
+            .histogram(SPAN_DURATION_NS, &[("span", span)])
             .unwrap_or_else(|| panic!("latency histogram for {op} missing"));
         assert!(lat.count >= 1, "{op}: no latency samples");
         let (p50, p95, p99) = (lat.p50(), lat.p95(), lat.p99());
@@ -79,6 +88,56 @@ fn engine_batch_exposes_latency_and_noise_histograms() {
 }
 
 // ---------------------------------------------------------------------
+// One gate, one reset
+// ---------------------------------------------------------------------
+
+/// `reset()` zeroes registry series in place, so the handles instrumented
+/// crates cache (the noise histograms, each thread's span-histogram
+/// cache) keep feeding what the next snapshot reads: the HAdd after the
+/// reset must show up, and only it.
+#[test]
+fn reset_keeps_cached_series_reachable() {
+    let engine = FheEngine::new(CkksParams::test_tiny(), 11).expect("params are valid");
+    let a = engine.encrypt_f64(&[0.5], 3).expect("encrypt");
+    let (snap, _) = record(|| {
+        engine.hadd(&a, &a).expect("hadd");
+        neo::trace::reset();
+        engine.hadd(&a, &a).expect("hadd");
+        registry().snapshot()
+    });
+    let count = |name: &str, labels: &[(&str, &str)]| snap.histogram(name, labels).map(|h| h.count);
+    assert_eq!(count(SPAN_DURATION_NS, &[("span", "ckks.hadd")]), Some(1));
+    assert_eq!(count("fhe_noise_consumed_bits", &[("op", "hadd")]), Some(1));
+}
+
+/// With the gate on outside `record`, K ops leave the span tree and the
+/// event list untouched (memory stays bounded on long runs) while the
+/// span histogram still counts every op.
+#[test]
+fn gate_on_outside_record_times_spans_without_a_tree() {
+    const K: u64 = 3;
+    let engine = FheEngine::new(CkksParams::test_tiny(), 12).expect("params are valid");
+    let a = engine.encrypt_f64(&[0.5], 3).expect("encrypt");
+    engine.hmult(&a, &a).expect("warm the relinearisation key");
+    let hmult_ns = neo::trace::span::duration_histogram("ckks.hmult");
+
+    let _lock = neo::trace::lock();
+    let (spans, events) = (
+        neo::trace::span::spans().len(),
+        neo::trace::span::events().len(),
+    );
+    let timed = hmult_ns.count();
+    neo::trace::enable();
+    for _ in 0..K {
+        engine.hmult(&a, &a).expect("hmult");
+    }
+    neo::trace::disable();
+    assert_eq!(neo::trace::span::spans().len(), spans);
+    assert_eq!(neo::trace::span::events().len(), events);
+    assert_eq!(hmult_ns.count(), timed + K);
+}
+
+// ---------------------------------------------------------------------
 // Scheduler utilization cross-check
 // ---------------------------------------------------------------------
 
@@ -88,7 +147,6 @@ fn engine_batch_exposes_latency_and_noise_histograms() {
 /// HBM is work-conserving, so no service time may be created or lost.
 #[test]
 fn sched_utilization_gauges_match_component_sums() {
-    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dev = DeviceModel::a100();
     let p = ParamSet::C.params();
     let hmult = batch_op_graph(&p, 35, Operation::HMult, &CostConfig::neo(), 8);
@@ -128,10 +186,10 @@ fn sched_utilization_gauges_match_component_sums() {
         "per-stream hbm",
     );
 
-    neo::metrics::enable();
-    publish_utilization(&sched);
-    neo::metrics::disable();
-    let snap = neo::metrics::registry().snapshot();
+    let (snap, _) = record(|| {
+        publish_utilization(&sched);
+        registry().snapshot()
+    });
     let window = sched.device_window_s();
     assert!(window > 0.0);
     for (engine, busy_s) in [
@@ -298,19 +356,17 @@ fn parse_label_block(body: &str, line: &str) -> Vec<(String, String)> {
 /// backslashes, newlines) survive escape + unescape byte-identical.
 #[test]
 fn prometheus_export_round_trips_through_strict_parser() {
-    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    neo::metrics::enable();
     let hostile = "a\\b\"c\nd";
-    neo::metrics::counter("roundtrip_requests_total", &[("path", hostile)]).add(3);
-    neo::metrics::gauge("roundtrip_depth", &[("q", "x,y=z")]).set(-2.5);
-    let h = neo::metrics::histogram("roundtrip_latency_ns", &[("op", "probe")]);
-    for v in [100, 200, 400, 800] {
-        h.record(v);
-    }
-    neo::metrics::disable();
-
-    let snap = neo::metrics::registry().snapshot();
-    let text = neo::metrics::export::prometheus_text(&snap);
+    let (snap, _) = record(|| {
+        neo::trace::counter("roundtrip_requests_total", &[("path", hostile)]).add(3);
+        neo::trace::gauge("roundtrip_depth", &[("q", "x,y=z")]).set(-2.5);
+        let h = neo::trace::histogram("roundtrip_latency_ns", &[("op", "probe")]);
+        for v in [100, 200, 400, 800] {
+            h.record(v);
+        }
+        registry().snapshot()
+    });
+    let text = neo::trace::export::prometheus_text(&snap);
     let samples = parse_prometheus(&text);
     assert!(!samples.is_empty());
 
@@ -349,15 +405,13 @@ fn prometheus_export_round_trips_through_strict_parser() {
 /// with no (name, labels) collisions.
 #[test]
 fn json_export_round_trips_through_strict_parser() {
-    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    neo::metrics::enable();
-    neo::metrics::counter("jsonrt_total", &[("kind", "a")]).add(1);
-    neo::metrics::counter("jsonrt_total", &[("kind", "b")]).add(2);
-    neo::metrics::histogram("jsonrt_ns", &[]).record(1234);
-    neo::metrics::disable();
-
-    let snap = neo::metrics::registry().snapshot();
-    let doc = jsonv::parse(&neo::metrics::export::json(&snap)).expect("exporter emits valid JSON");
+    let (snap, _) = record(|| {
+        neo::trace::counter("jsonrt_total", &[("kind", "a")]).add(1);
+        neo::trace::counter("jsonrt_total", &[("kind", "b")]).add(2);
+        neo::trace::histogram("jsonrt_ns", &[]).record(1234);
+        registry().snapshot()
+    });
+    let doc = jsonv::parse(&neo::trace::export::json(&snap)).expect("exporter emits valid JSON");
     let metrics = doc
         .get("metrics")
         .and_then(JsonValue::as_array)
