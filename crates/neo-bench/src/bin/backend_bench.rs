@@ -1,7 +1,11 @@
 //! `backend_bench` — portable vs SIMD compute-backend comparison on the
-//! three hot kernels the [`neo_math::ComputeBackend`] seam covers: the
-//! negacyclic forward NTT at `n = 2^14`, the exact RNS base conversion,
-//! and the 256×256×256 modular GEMM.
+//! [`neo_math::ComputeBackend`] kernels at the widths the CKKS workloads
+//! run: the negacyclic NTT at `n = 2^14` over 36-bit (`Q`/`P`) and 48-bit
+//! (`T`) primes, exact RNS base conversion in the KLSS Mod-Up (3 → 5) and
+//! Recover-Limbs (5 → 2) shapes, and the 4-term `mul_acc` of the KLSS
+//! inner product. The 55-bit NTT and the 256×256×256 modular GEMM rows are
+//! kept as the portable fallback: the SIMD backend runs the portable
+//! kernels there, so their ratio sits at ≈1.0×.
 //!
 //! Before timing, every kernel's SIMD output is asserted bit-identical to
 //! the portable output on the same inputs — the numbers are only
@@ -11,14 +15,10 @@
 //! `NEO_BENCH_MEASURE_MS` / `NEO_BENCH_SAMPLES` knobs (see
 //! [`neo_bench::measure`]). Artifacts: `BENCH_simd.json` at the repo root
 //! and `results/backend_bench.json`.
-//!
-//! Note: without `--features simd` the "simd" rows time the stable
-//! manually-unrolled fallback, not `std::simd` — the JSON records which
-//! flavour ran under `simd_flavor`.
 
 use neo_bench::measure::{self, MeasureConfig, Measurement};
 use neo_bench::{emit, ratio};
-use neo_math::{BackendKind, Modulus, RnsBasis};
+use neo_math::{backend, BackendKind, BconvTable, Modulus, RnsBasis};
 use neo_ntt::{radix2, NttPlan};
 use neo_tcu::{BackendGemm, GemmEngine};
 use rand::rngs::StdRng;
@@ -35,143 +35,206 @@ fn stats_json(m: &Measurement) -> serde_json::Value {
     })
 }
 
-fn main() {
-    let cfg = MeasureConfig::from_env();
-    let simd_flavor = if cfg!(feature = "simd") {
-        "std::simd (portable_simd)"
-    } else {
-        "stable unrolled fallback"
-    };
-    let mut human = format!(
-        "Compute-backend comparison (portable vs simd [{simd_flavor}])\n\
-         warmup {:?}, measure {:?}, {} samples\n\n\
-         kernel                 | portable med | simd med     | speedup\n\
-         -----------------------+--------------+--------------+--------\n",
-        cfg.warmup, cfg.measure, cfg.samples
-    );
-    let mut rows = Vec::new();
-    let mut push_row = |human: &mut String,
-                        name: &str,
-                        portable: Measurement,
-                        simd: Measurement,
-                        extra: serde_json::Value| {
-        let speedup = ratio(portable.median_ns, simd.median_ns);
-        human.push_str(&format!(
-            "{name:22} | {:9.1} us | {:9.1} us | {speedup:6.2}x\n",
-            portable.median_ns / 1e3,
-            simd.median_ns / 1e3
+/// Which SIMD code path a row exercises.
+const IFMA: &str = "ifma";
+const FALLBACK: &str = "portable fallback";
+
+/// Times the portable and SIMD versions of one kernel after asserting
+/// their outputs are bit-identical, and appends the row.
+struct Table {
+    cfg: MeasureConfig,
+    human: String,
+    rows: Vec<serde_json::Value>,
+}
+
+impl Table {
+    fn row<T: PartialEq + std::fmt::Debug>(
+        &mut self,
+        name: &str,
+        path: &str,
+        config: serde_json::Value,
+        mut portable: impl FnMut() -> T,
+        mut simd: impl FnMut() -> T,
+    ) {
+        assert_eq!(portable(), simd(), "{name}: SIMD diverged from portable");
+        let (p, s) = measure::time_pair(&self.cfg, &mut portable, &mut simd);
+        let speedup = ratio(p.median_ns, s.median_ns);
+        self.human.push_str(&format!(
+            "{name:28} | {path:17} | {:9.1} us | {:9.1} us | {speedup:6.2}x\n",
+            p.median_ns / 1e3,
+            s.median_ns / 1e3
         ));
-        rows.push(json!({
+        self.rows.push(json!({
             "kernel": name,
-            "portable": stats_json(&portable),
-            "simd": stats_json(&simd),
+            "simd_path": path,
+            "portable": stats_json(&p),
+            "simd": stats_json(&s),
             "speedup_simd_vs_portable": speedup,
-            "config": extra,
+            "config": config,
         }));
-    };
+    }
+}
 
-    // --- Forward NTT, n = 2^14, 55-bit prime. ---
-    let n = 1usize << 14;
-    let q = neo_math::primes::ntt_primes(55, n, 1).unwrap()[0];
-    let plan_portable = NttPlan::with_backend(q, n, BackendKind::Portable).unwrap();
-    let plan_simd = NttPlan::with_backend(q, n, BackendKind::Simd).unwrap();
-    let mut rng = StdRng::seed_from_u64(0xbe);
-    let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-    let (mut xp, mut xs) = (a.clone(), a.clone());
-    radix2::forward(&plan_portable, &mut xp);
-    radix2::forward(&plan_simd, &mut xs);
-    assert_eq!(xp, xs, "SIMD forward NTT diverged from portable");
-    radix2::inverse(&plan_simd, &mut xs);
-    assert_eq!(xs, a, "SIMD inverse NTT is not the inverse of forward");
-    let ntt_portable = measure::time(&cfg, || {
-        let mut x = a.clone();
-        radix2::forward(&plan_portable, &mut x);
-        x
-    });
-    let ntt_simd = measure::time(&cfg, || {
-        let mut x = a.clone();
-        radix2::forward(&plan_simd, &mut x);
-        x
-    });
-    push_row(
-        &mut human,
-        "ntt_forward_n16384",
-        ntt_portable,
-        ntt_simd,
-        json!({ "n": n, "prime_bits": 55 }),
-    );
-
-    // --- Exact base conversion, 3 -> 4 limbs at n = 2^14. ---
-    let src = RnsBasis::new(&neo_math::primes::ntt_primes(36, n, 3).unwrap()).unwrap();
-    let dst = RnsBasis::new(&neo_math::primes::ntt_primes(40, n, 4).unwrap()).unwrap();
-    let table_portable = neo_math::BconvTable::new(&src, &dst)
-        .unwrap()
-        .with_backend(BackendKind::Portable);
-    let table_simd = neo_math::BconvTable::new(&src, &dst)
-        .unwrap()
-        .with_backend(BackendKind::Simd);
-    let limbs: Vec<Vec<u64>> = src
+fn random_limbs(rng: &mut StdRng, basis: &RnsBasis, n: usize) -> Vec<Vec<u64>> {
+    basis
         .moduli()
         .iter()
         .map(|m| (0..n).map(|_| rng.gen_range(0..m.value())).collect())
+        .collect()
+}
+
+fn main() {
+    let cfg = MeasureConfig::from_env();
+    let mut table = Table {
+        cfg,
+        human: format!(
+            "Compute-backend comparison (portable vs simd), detected default: {}\n\
+             warmup {:?}, measure {:?}, {} samples, median per kernel\n\n\
+             kernel                       | simd path         | portable med | simd med     | speedup\n\
+             -----------------------------+-------------------+--------------+--------------+--------\n",
+            BackendKind::detect(),
+            cfg.warmup,
+            cfg.measure,
+            cfg.samples
+        ),
+        rows: Vec::new(),
+    };
+    let mut rng = StdRng::seed_from_u64(0xbe);
+    let n = 1usize << 14;
+
+    // --- NTT at n = 2^14: the workloads' 36/48-bit primes, then 55 bits. ---
+    for (bits, path) in [(36u32, IFMA), (48, IFMA), (55, FALLBACK)] {
+        let q = neo_math::primes::ntt_primes(bits, n, 1).unwrap()[0];
+        let portable = NttPlan::with_backend(q, n, BackendKind::Portable).unwrap();
+        let simd = NttPlan::with_backend(q, n, BackendKind::Simd).unwrap();
+        let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+        let mut evals = a.clone();
+        radix2::forward(&portable, &mut evals);
+        let forward = |plan: &NttPlan| {
+            let mut x = a.clone();
+            radix2::forward(plan, &mut x);
+            x
+        };
+        let inverse = |plan: &NttPlan| {
+            let mut x = evals.clone();
+            radix2::inverse(plan, &mut x);
+            x
+        };
+        assert_eq!(inverse(&simd), a, "SIMD inverse NTT is not the inverse");
+        let config = json!({ "n": n, "prime_bits": bits });
+        // The 55-bit forward row keeps its historical name.
+        let fwd_name = if bits == 55 {
+            "ntt_forward_n16384".to_string()
+        } else {
+            format!("ntt_forward_n16384_q{bits}")
+        };
+        table.row(
+            &fwd_name,
+            path,
+            config.clone(),
+            || forward(&portable),
+            || forward(&simd),
+        );
+        if bits != 55 {
+            table.row(
+                &format!("ntt_inverse_n16384_q{bits}"),
+                path,
+                config,
+                || inverse(&portable),
+                || inverse(&simd),
+            );
+        }
+    }
+
+    // --- Exact base conversion at n = 2^14. ---
+    for (name, src_bits, src_limbs, dst_bits, dst_limbs) in [
+        ("bconv_exact_3to4", 36u32, 3usize, 40u32, 4usize),
+        ("bconv_exact_3to5", 36, 3, 48, 5),
+        ("bconv_exact_5to2", 48, 5, 36, 2),
+    ] {
+        let src =
+            RnsBasis::new(&neo_math::primes::ntt_primes(src_bits, n, src_limbs).unwrap()).unwrap();
+        let dst =
+            RnsBasis::new(&neo_math::primes::ntt_primes(dst_bits, n, dst_limbs).unwrap()).unwrap();
+        let portable = BconvTable::new(&src, &dst)
+            .unwrap()
+            .with_backend(BackendKind::Portable);
+        let simd = BconvTable::new(&src, &dst)
+            .unwrap()
+            .with_backend(BackendKind::Simd);
+        let limbs = random_limbs(&mut rng, &src, n);
+        table.row(
+            name,
+            IFMA,
+            json!({ "n": n, "src_limbs": src_limbs, "dst_limbs": dst_limbs,
+                    "src_bits": src_bits, "dst_bits": dst_bits }),
+            || portable.convert_exact(&limbs),
+            || simd.convert_exact(&limbs),
+        );
+    }
+
+    // --- mul_acc: the KLSS inner product's 4 terms over a 48-bit prime. ---
+    let terms = 4usize;
+    let qt = Modulus::new(neo_math::primes::ntt_primes(48, n, 1).unwrap()[0]).unwrap();
+    let rows: Vec<Vec<u64>> = (0..2 * terms)
+        .map(|_| (0..n).map(|_| rng.gen_range(0..qt.value())).collect())
         .collect();
-    assert_eq!(
-        table_portable.convert_exact(&limbs),
-        table_simd.convert_exact(&limbs),
-        "SIMD bconv diverged from portable"
+    let (xs, ys): (Vec<&[u64]>, Vec<&[u64]>) = (
+        rows[..terms].iter().map(Vec::as_slice).collect(),
+        rows[terms..].iter().map(Vec::as_slice).collect(),
     );
-    let bconv_portable = measure::time(&cfg, || table_portable.convert_exact(&limbs));
-    let bconv_simd = measure::time(&cfg, || table_simd.convert_exact(&limbs));
-    push_row(
-        &mut human,
-        "bconv_exact_3to4",
-        bconv_portable,
-        bconv_simd,
-        json!({ "n": n, "src_limbs": 3, "dst_limbs": 4, "src_bits": 36, "dst_bits": 40 }),
+    let mul_acc = |kind: BackendKind| {
+        let mut out = vec![0u64; n];
+        backend::get(kind).mul_acc(&qt, &xs, &ys, &mut out);
+        out
+    };
+    table.row(
+        "mul_acc_4terms_n16384_q48",
+        IFMA,
+        json!({ "n": n, "terms": terms, "prime_bits": 48 }),
+        || mul_acc(BackendKind::Portable),
+        || mul_acc(BackendKind::Simd),
     );
 
     // --- 256x256x256 modular GEMM, 55-bit prime. ---
     let dim = 256usize;
-    let qm = Modulus::new(q).unwrap();
-    let ga: Vec<u64> = (0..dim * dim).map(|_| rng.gen_range(0..q)).collect();
-    let gb: Vec<u64> = (0..dim * dim).map(|_| rng.gen_range(0..q)).collect();
-    let engine_portable = BackendGemm::new(BackendKind::Portable);
-    let engine_simd = BackendGemm::new(BackendKind::Simd);
-    let (mut cp, mut cs) = (vec![0u64; dim * dim], vec![0u64; dim * dim]);
-    engine_portable.gemm(&qm, &ga, &gb, dim, dim, dim, &mut cp);
-    engine_simd.gemm(&qm, &ga, &gb, dim, dim, dim, &mut cs);
-    assert_eq!(cp, cs, "SIMD GEMM diverged from portable");
-    let gemm_portable = measure::time(&cfg, || {
+    let qm = Modulus::new(neo_math::primes::ntt_primes(55, n, 1).unwrap()[0]).unwrap();
+    let ga: Vec<u64> = (0..dim * dim)
+        .map(|_| rng.gen_range(0..qm.value()))
+        .collect();
+    let gb: Vec<u64> = (0..dim * dim)
+        .map(|_| rng.gen_range(0..qm.value()))
+        .collect();
+    let gemm = |kind: BackendKind| {
         let mut out = vec![0u64; dim * dim];
-        engine_portable.gemm(&qm, &ga, &gb, dim, dim, dim, &mut out);
+        BackendGemm::new(kind).gemm(&qm, &ga, &gb, dim, dim, dim, &mut out);
         out
-    });
-    let gemm_simd = measure::time(&cfg, || {
-        let mut out = vec![0u64; dim * dim];
-        engine_simd.gemm(&qm, &ga, &gb, dim, dim, dim, &mut out);
-        out
-    });
-    push_row(
-        &mut human,
+    };
+    table.row(
         "gemm_256",
-        gemm_portable,
-        gemm_simd,
+        FALLBACK,
         json!({ "m": dim, "k": dim, "n": dim, "prime_bits": 55 }),
+        || gemm(BackendKind::Portable),
+        || gemm(BackendKind::Simd),
     );
 
     let doc = json!({
-        "description": "Portable vs SIMD compute-backend medians for the three \
-                        ComputeBackend hot kernels. Bit-identity is asserted on the \
-                        bench inputs before timing. Re-run with: cargo +nightly run \
-                        --release -p neo-bench --bin backend_bench --features simd",
-        "simd_flavor": simd_flavor,
+        "description": "Portable vs SIMD compute-backend medians at the CKKS workloads' \
+                        widths. Bit-identity is asserted on the bench inputs before timing. \
+                        Re-run with: cargo run --release -p neo-bench --bin backend_bench",
+        "method": format!(
+            "median of {} samples per kernel and backend after a {:?} warm-up within a \
+             {:?} window (neo_bench::measure::time_pair: portable and simd samples \
+             alternate); speedup = portable median / simd median",
+            cfg.samples, cfg.warmup, cfg.measure
+        ),
         "detected_default": BackendKind::detect().name(),
-        "kernels": rows,
+        "kernels": table.rows,
         "notes": [
-            "Medians over NEO_BENCH_SAMPLES samples; the container is a single shared \
-             core, so absolute numbers drift between runs while same-run ratios are stable.",
-            "Without --features simd the `simd` rows time the stable unrolled fallback \
-             kernels, which share the SimdBackend dispatch but not its vector lanes.",
+            "The SIMD backend runs AVX-512 IFMA kernels for moduli below 2^50 on CPUs \
+             with AVX-512 IFMA, and the portable kernels otherwise; rows marked \
+             `portable fallback` (55-bit NTT, GEMM) time the same code twice.",
+            "Absolute times drift between runs on a shared VM; compare same-run ratios.",
         ],
     });
     match serde_json::to_string_pretty(&doc) {
@@ -181,5 +244,5 @@ fn main() {
         },
         Err(e) => eprintln!("warning: could not serialize BENCH_simd.json: {e}"),
     }
-    emit("backend_bench", &human, doc);
+    emit("backend_bench", &table.human, doc);
 }

@@ -72,7 +72,27 @@ pub struct Measurement {
 /// Times `f` under `cfg`: warm-up, batch sizing from the observed
 /// per-iteration cost, then `samples` batched samples.
 pub fn time<R, F: FnMut() -> R>(cfg: &MeasureConfig, mut f: F) -> Measurement {
-    // Warm-up, also yielding the per-iteration estimate for batch sizing.
+    let batch = warm_up(cfg, &mut f);
+    summarize((0..cfg.samples).map(|_| sample(&mut f, batch)).collect())
+}
+
+/// Times `f` and `g` like [`time`], alternating their samples so drift in
+/// the host's speed hits both alike — the method for a same-run ratio.
+pub fn time_pair<R, S>(
+    cfg: &MeasureConfig,
+    mut f: impl FnMut() -> R,
+    mut g: impl FnMut() -> S,
+) -> (Measurement, Measurement) {
+    let (bf, bg) = (warm_up(cfg, &mut f), warm_up(cfg, &mut g));
+    let (tf, tg) = (0..cfg.samples)
+        .map(|_| (sample(&mut f, bf), sample(&mut g, bg)))
+        .unzip();
+    (summarize(tf), summarize(tg))
+}
+
+/// Runs `f` for the warm-up window and returns the batch size that makes
+/// one sample last `measure / samples`.
+fn warm_up<R>(cfg: &MeasureConfig, f: &mut impl FnMut() -> R) -> u64 {
     let warm_start = Instant::now();
     let mut warm_iters = 0u64;
     loop {
@@ -84,15 +104,19 @@ pub fn time<R, F: FnMut() -> R>(cfg: &MeasureConfig, mut f: F) -> Measurement {
     }
     let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
     let sample_time = cfg.measure.as_secs_f64() / cfg.samples as f64;
-    let batch = ((sample_time / per_iter.max(1e-9)) as u64).clamp(1, 1 << 24);
-    let mut times_ns = Vec::with_capacity(cfg.samples);
-    for _ in 0..cfg.samples {
-        let t = Instant::now();
-        for _ in 0..batch {
-            std::hint::black_box(f());
-        }
-        times_ns.push(t.elapsed().as_secs_f64() * 1e9 / batch as f64);
+    ((sample_time / per_iter.max(1e-9)) as u64).clamp(1, 1 << 24)
+}
+
+/// One sample: nanoseconds per iteration over `batch` iterations.
+fn sample<R>(f: &mut impl FnMut() -> R, batch: u64) -> f64 {
+    let t = Instant::now();
+    for _ in 0..batch {
+        std::hint::black_box(f());
     }
+    t.elapsed().as_secs_f64() * 1e9 / batch as f64
+}
+
+fn summarize(mut times_ns: Vec<f64>) -> Measurement {
     times_ns.sort_by(|a, b| a.total_cmp(b));
     let n = times_ns.len();
     let median_ns = if n % 2 == 1 {
@@ -132,6 +156,8 @@ mod tests {
         assert!(m.min_ns <= m.median_ns);
         assert!(m.median_ns <= m.max_ns);
         assert!(m.mean_ns > 0.0);
+        let (p, q) = time_pair(&cfg, || x.count_ones(), || x.leading_zeros());
+        assert_eq!((p.samples, q.samples), (4, 4));
         std::env::remove_var("NEO_BENCH_WARMUP_MS");
         std::env::remove_var("NEO_BENCH_MEASURE_MS");
         std::env::remove_var("NEO_BENCH_SAMPLES");

@@ -3,7 +3,9 @@
 
 use crate::params::CkksParams;
 use neo_error::NeoError;
-use neo_math::{primes, BconvTable, Domain, MathError, Modulus, RnsBasis, RnsPoly};
+use neo_math::{
+    backend, primes, BconvTable, ComputeBackend, Domain, MathError, Modulus, RnsBasis, RnsPoly,
+};
 use neo_ntt::{cache as ntt_cache, radix2, NttPlan};
 use parking_lot::RwLock;
 use rand::Rng;
@@ -113,6 +115,12 @@ impl CkksContext {
     /// The static parameters.
     pub fn params(&self) -> &CkksParams {
         &self.params
+    }
+
+    /// The compute backend `params.backend` names, for the limb-wise
+    /// kernels the context's callers run directly.
+    pub fn backend(&self) -> &'static dyn ComputeBackend {
+        backend::get(self.params.backend)
     }
 
     /// Ring degree `N`.

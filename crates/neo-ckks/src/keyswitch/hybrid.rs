@@ -64,14 +64,18 @@ pub fn keyswitch_hybrid(
         })
         .collect();
     let xs: Vec<RnsPoly> = xs.into_iter().collect::<Result<_, _>>()?;
-    // Inner product with the digit key (accumulation stays in digit order,
-    // so the output is bit-identical to the sequential walk).
+    // Inner product with the digit key: one exact sum over every digit
+    // per coefficient, reduced once.
+    let terms = |part: usize| -> Vec<(&RnsPoly, &RnsPoly)> {
+        xs.iter()
+            .zip(&key.digits)
+            .map(|(x, d)| (x, &d[part]))
+            .collect()
+    };
     let mut acc0 = RnsPoly::zero(n, qp.len(), Domain::Ntt);
     let mut acc1 = RnsPoly::zero(n, qp.len(), Domain::Ntt);
-    for (j, x) in xs.iter().enumerate() {
-        acc0.mul_acc_assign(x, &key.digits[j][0], &qp);
-        acc1.mul_acc_assign(x, &key.digits[j][1], &qp);
-    }
+    acc0.mul_acc_terms_assign(ctx.backend(), &terms(0), &qp);
+    acc1.mul_acc_terms_assign(ctx.backend(), &terms(1), &qp);
     ctx.try_ntt_inverse(&mut acc0, &qp)?;
     ctx.try_ntt_inverse(&mut acc1, &qp)?;
     Ok((mod_down(ctx, &acc0, level)?, mod_down(ctx, &acc1, level)?))

@@ -83,9 +83,12 @@ pub fn keyswitch_klss(
             let table = ctx.bconv_table(&t_primes, &digit_primes);
             let recover = |c: usize| -> Result<Vec<Vec<u64>>, NeoError> {
                 let mut acc = RnsPoly::zero(n, t_moduli.len(), Domain::Ntt);
-                for (j, x) in xs.iter().enumerate() {
-                    acc.mul_acc_assign(x, &key.digits[j][jj][c], &t_moduli);
-                }
+                let terms: Vec<(&RnsPoly, &RnsPoly)> = xs
+                    .iter()
+                    .zip(&key.digits)
+                    .map(|(x, digit)| (x, &digit[jj][c]))
+                    .collect();
+                acc.mul_acc_terms_assign(ctx.backend(), &terms, &t_moduli);
                 ctx.try_ntt_inverse(&mut acc, &t_moduli)?;
                 // Exact centered BConv of G_ĵ into digit ĵ's limbs.
                 Ok(table.convert_exact(acc.limbs()))

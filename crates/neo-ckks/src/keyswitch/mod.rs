@@ -67,13 +67,13 @@ pub(crate) fn mod_down(
     let conv = table.convert_approx(&p_part);
     let q_moduli = ctx.q_moduli(level);
     let mut out = RnsPoly::zero(poly.degree(), level + 1, neo_math::Domain::Coeff);
+    let mut diff = vec![0u64; poly.degree()];
     for (i, m) in q_moduli.iter().enumerate() {
-        let inv = ctx.p_inv_mod_q(i);
-        let dst = out.limb_mut(i);
-        for (c, d) in dst.iter_mut().enumerate() {
-            let diff = m.sub(poly.limb(i)[c], conv[i][c]);
-            *d = m.mul(diff, inv);
+        for ((d, &x), &y) in diff.iter_mut().zip(poly.limb(i)).zip(&conv[i]) {
+            *d = m.sub(x, y);
         }
+        let inv = m.shoup(ctx.p_inv_mod_q(i));
+        ctx.backend().mul_const(m, inv, &diff, out.limb_mut(i));
     }
     Ok(out)
 }

@@ -266,15 +266,12 @@ pub fn try_hmult(
     ctx.try_ntt_forward(&mut a1, &moduli)?;
     ctx.try_ntt_forward(&mut b0, &moduli)?;
     ctx.try_ntt_forward(&mut b1, &moduli)?;
-    let mut d0 = a0.clone();
-    d0.mul_pointwise_assign(&b0, &moduli);
-    let mut d1 = a0.clone();
-    d1.mul_pointwise_assign(&b1, &moduli);
-    let mut t = a1.clone();
-    t.mul_pointwise_assign(&b0, &moduli);
-    d1.add_assign(&t, &moduli);
-    let mut d2 = a1.clone();
-    d2.mul_pointwise_assign(&b1, &moduli);
+    let be = ctx.backend();
+    let zero = || RnsPoly::zero(a0.degree(), moduli.len(), Domain::Ntt);
+    let (mut d0, mut d1, mut d2) = (zero(), zero(), zero());
+    d0.mul_acc_terms_assign(be, &[(&a0, &b0)], &moduli);
+    d1.mul_acc_terms_assign(be, &[(&a0, &b1), (&a1, &b0)], &moduli);
+    d2.mul_acc_terms_assign(be, &[(&a1, &b1)], &moduli);
     ctx.try_ntt_inverse(&mut d0, &moduli)?;
     ctx.try_ntt_inverse(&mut d1, &moduli)?;
     ctx.try_ntt_inverse(&mut d2, &moduli)?;
@@ -394,16 +391,21 @@ pub fn try_rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Neo
     let rescale_poly = |p: &RnsPoly| -> RnsPoly {
         let mut out = RnsPoly::zero(p.degree(), level, Domain::Coeff);
         let last = p.limb(level);
+        let mut diff = vec![0u64; p.degree()];
         for (i, m) in moduli.iter().enumerate() {
-            let inv = m.inv(m.reduce(q_last.value())).expect("coprime chain");
-            let dst = out.limb_mut(i);
-            for (c, d) in dst.iter_mut().enumerate() {
+            let q_last_mod = m.reduce(q_last.value());
+            let inv = m.inv(q_last_mod).expect("coprime chain");
+            for ((d, &x), &l) in diff.iter_mut().zip(p.limb(i)).zip(last) {
                 // Centered lift of the dropped limb keeps rounding noise
-                // at q_l/2 instead of q_l.
-                let centered = q_last.to_signed(last[c]);
-                let v = neo_math::signed_mod(centered, m.value());
-                *d = m.mul(m.sub(p.limb(i)[c], v), inv);
+                // at q_l/2 instead of q_l: a residue in the upper half
+                // stands for l − q_l, so its residue mod m is
+                // [l]_m − [q_l]_m. A mask selects it, not a branch — the
+                // half is random per coefficient.
+                let upper = u64::from(q_last.to_signed(l) < 0).wrapping_neg();
+                *d = m.sub(x, m.sub(m.reduce(l), q_last_mod & upper));
             }
+            ctx.backend()
+                .mul_const(m, m.shoup(inv), &diff, out.limb_mut(i));
         }
         out
     };

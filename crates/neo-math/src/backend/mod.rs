@@ -2,35 +2,35 @@
 //!
 //! [`ComputeBackend`] is the seam between the algorithmic drivers
 //! (`neo-ntt`'s stage loops, `neo-math::bconv`'s limb conversion,
+//! [`RnsPoly`](crate::RnsPoly)'s and `neo-ckks`'s inner products,
 //! `neo-tcu`'s blocked GEMM) and the arithmetic inner loops they execute.
 //! The drivers own *what* work happens — stage ordering, counter tallies,
 //! fault-injection hooks, ABFT checks — while a backend owns *how* one
 //! stage/inner-product/tile is evaluated. Every backend must land on the
-//! **bit-identical canonical output**: all three kernels fully reduce at
-//! their boundary (the NTT's final stage folds `[0, 4q) → [0, q)`, the
-//! inverse scale and `mul_const` are full Shoup multiplies, bconv/GEMM
-//! reduce exact 128-bit sums with Barrett), so backends are free to hold
-//! *different lazy representatives internally* — e.g. skipping the `ω⁰ = 1`
-//! multiply scalar-side while vectorizing it uniformly — as long as every
+//! **bit-identical canonical output**: all kernels fully reduce at their
+//! boundary (the NTT's final stage folds `[0, 4q) → [0, q)`, the inverse
+//! scale and `mul_const` are full Shoup multiplies, bconv/`mul_acc`/GEMM
+//! reduce exact sums), so backends are free to hold *different lazy
+//! representatives internally* — e.g. skipping the `ω⁰ = 1` multiply
+//! scalar-side while vectorizing it uniformly — as long as every
 //! intermediate stays congruent and inside the `[0, 4q)` window.
 //!
 //! Two backends ship:
 //!
-//! * [`PortableBackend`] — the scalar Shoup/lazy-reduction code from PR 1,
-//!   moved here verbatim. Always available, the correctness anchor.
-//! * [`SimdBackend`] — lane-parallel kernels. With the `simd` cargo
-//!   feature (nightly `portable_simd`) it runs 8-wide `u64x8` arithmetic
-//!   with runtime AVX2/AVX-512 dispatch; without the feature it falls back
-//!   to manually unrolled scalar chunks so stable builds keep the same
-//!   selectable backend surface.
+//! * [`PortableBackend`] — the scalar Shoup/lazy-reduction code. Always
+//!   available, the correctness anchor.
+//! * [`SimdBackend`] — AVX-512 IFMA kernels (stable `core::arch`, runtime
+//!   feature detection): 8-lane 52-bit arithmetic whenever the modulus is
+//!   below `2^50` and the CPU has IFMA, the portable kernels otherwise.
 //!
 //! Selection happens once, at engine/plan build time: an explicit
 //! [`BackendKind`] via `CkksParamsBuilder::backend(..)`, the `NEO_BACKEND`
 //! environment override, or runtime CPU-feature detection for the default
-//! ([`BackendKind::detect`]). The chosen kind threads through
-//! `NttPlan`/plan-cache keys, `BconvTable`, and `neo-tcu::BackendGemm`, so
-//! a process can hold plans for both backends side by side (the
-//! cross-backend property tests do exactly that).
+//! ([`BackendKind::detect`]: SIMD on CPUs with AVX-512 IFMA). The chosen
+//! kind threads through `NttPlan`/plan-cache keys, `BconvTable`,
+//! `CkksContext` and `neo-tcu::BackendGemm`, so a process can hold plans
+//! for both backends side by side (the cross-backend property tests do
+//! exactly that).
 
 use crate::{Modulus, ShoupMul};
 use serde::{Deserialize, Serialize};
@@ -46,10 +46,10 @@ pub use simd::SimdBackend;
 /// component), and serde-serializable (rides inside `CkksParams`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// Scalar Shoup/lazy-reduction kernels (the PR 1 fast path).
+    /// Scalar Shoup/lazy-reduction kernels (the reference).
     Portable,
-    /// Lane-parallel kernels: `std::simd` under the `simd` feature,
-    /// unrolled scalar chunks on stable builds.
+    /// AVX-512 IFMA kernels for moduli below `2^50` on CPUs that have
+    /// them; the portable kernels otherwise.
     Simd,
 }
 
@@ -76,8 +76,8 @@ impl BackendKind {
     ///
     /// 1. `NEO_BACKEND=portable|scalar|simd` wins outright (unknown values
     ///    are ignored, not errors — benches sweep this variable);
-    /// 2. otherwise, with the `simd` feature compiled in and AVX2 detected
-    ///    at runtime, [`BackendKind::Simd`];
+    /// 2. otherwise, on a CPU with AVX-512F and AVX-512 IFMA,
+    ///    [`BackendKind::Simd`];
     /// 3. otherwise [`BackendKind::Portable`].
     pub fn detect() -> Self {
         static DETECTED: LazyLock<BackendKind> = LazyLock::new(|| {
@@ -86,7 +86,7 @@ impl BackendKind {
                     return kind;
                 }
             }
-            if cfg!(feature = "simd") && simd::lanes_available() {
+            if simd::ifma_available() {
                 return BackendKind::Simd;
             }
             BackendKind::Portable
@@ -128,8 +128,8 @@ pub fn get(kind: BackendKind) -> &'static dyn ComputeBackend {
 /// * `ntt_fwd_stage_final` and `ntt_scale` emit canonical `[0, q)` values.
 /// * `mul_const` accepts **arbitrary** `u64` inputs (Shoup multiplication
 ///   is sound for any multiplicand) and emits canonical values.
-/// * `bconv_ip` and `gemm` compute exact integer sums before reducing, so
-///   their outputs are independent of association order.
+/// * `bconv_ip`, `mul_acc` and `gemm` compute exact integer sums before
+///   reducing, so their outputs are independent of association order.
 pub trait ComputeBackend: Send + Sync {
     /// Which [`BackendKind`] this implementation answers to.
     fn kind(&self) -> BackendKind;
@@ -185,6 +185,13 @@ pub trait ComputeBackend: Send + Sync {
     /// (outputs may be wrong, never unsound); `u64::MAX` is always safe.
     fn bconv_ip(&self, t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]);
 
+    /// Fused element-wise multiply-accumulate across terms:
+    /// `out[c] = (out[c] + Σ_j a[j][c] · b[j][c]) mod q`, the sum taken
+    /// exactly and reduced once — a zeroed `out` gives the plain inner
+    /// product. Every input, `out` included, must be reduced (`< q`);
+    /// `a.len() == b.len()` and every row is at least as long as `out`.
+    fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]);
+
     /// Blocked deferred-reduction modular GEMM: `out = a·b (mod q)` for
     /// row-major `m×k` / `k×n` operands with reduced entries. Dimension
     /// checks and work-counter tallies are the caller's job
@@ -203,10 +210,10 @@ pub trait ComputeBackend: Send + Sync {
     );
 }
 
-/// The GEMM accumulation span: how many products of reduced operands fit
-/// in a `u128` accumulator without wrapping (`span·(q-1)² + (q-1) ≤
-/// u128::MAX`). Shared by both backends so their fold schedules — and thus
-/// their exact per-span sums — coincide.
+/// The accumulation span: how many products of reduced operands fit in a
+/// `u128` accumulator that starts below `q` without wrapping
+/// (`span·(q-1)² + (q-1) ≤ u128::MAX`). GEMM folds its accumulators back
+/// below `q` once per span, and so does the portable `mul_acc`.
 pub(crate) fn gemm_span(q: &Modulus) -> usize {
     let qm1 = u128::from(q.value() - 1);
     usize::try_from((u128::MAX - qm1) / (qm1 * qm1).max(1))
@@ -242,6 +249,24 @@ mod tests {
         assert_eq!(BackendKind::default(), BackendKind::detect());
     }
 
+    /// A CPU with AVX-512 IFMA defaults to the SIMD backend, so the
+    /// cross-backend tests compare two different implementations there.
+    #[test]
+    fn detect_picks_simd_exactly_on_ifma_cpus() {
+        let overridden = std::env::var("NEO_BACKEND")
+            .ok()
+            .and_then(|v| BackendKind::parse(&v))
+            .is_some();
+        if !overridden {
+            let want = if simd::ifma_available() {
+                BackendKind::Simd
+            } else {
+                BackendKind::Portable
+            };
+            assert_eq!(BackendKind::detect(), want);
+        }
+    }
+
     /// Every trait method agrees bit-for-bit across backends on random
     /// inputs, including unreduced `[0, 4q)` lazy values where the
     /// contract allows them.
@@ -250,7 +275,9 @@ mod tests {
         let portable = get(BackendKind::Portable);
         let simd = get(BackendKind::Simd);
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        for bits in [30u32, 36, 50, 61] {
+        // 50 bits is the largest width on the IFMA path, 51 the smallest
+        // past it.
+        for bits in [30u32, 36, 48, 50, 51, 61] {
             let m = modulus(bits);
             let q = m.value();
             let n = 64usize;
@@ -281,7 +308,10 @@ mod tests {
                     portable.ntt_inv_stage(&m, &mut a, size, &stage),
                     simd.ntt_inv_stage(&m, &mut b, size, &stage)
                 );
-                assert_eq!(a, b, "inv stage size={size} bits={bits}");
+                for (&x, &y) in a.iter().zip(&b) {
+                    assert_eq!(x % q, y % q, "inv stage size={size} bits={bits}");
+                    assert!(x < 4 * q && y < 4 * q);
+                }
             }
             let stage: Vec<ShoupMul> = (0..n / 2).map(|_| m.shoup(rng.gen_range(0..q))).collect();
             let (mut a, mut b) = (lazy.clone(), lazy.clone());
@@ -323,6 +353,21 @@ mod tests {
             portable.bconv_ip(&m, &ys, q, &w, &mut a);
             simd.bconv_ip(&m, &ys, q, &w, &mut b);
             assert_eq!(a, b, "bconv_ip bits={bits}");
+
+            // q − 1 operands and accumulator maximise every lane sum; 70
+            // terms carry the IFMA high lane past 2^52 and take the
+            // portable path through two fold groups at 61 bits.
+            for terms in [1usize, 4, 70] {
+                let rows: Vec<Vec<u64>> = (0..2 * terms)
+                    .map(|_| (0..n + 3).map(|_| rng.gen_range(q - 2..q)).collect())
+                    .collect();
+                let xs: Vec<&[u64]> = rows[..terms].iter().map(Vec::as_slice).collect();
+                let ys: Vec<&[u64]> = rows[terms..].iter().map(Vec::as_slice).collect();
+                let (mut a, mut b) = (vec![q - 1; n + 3], vec![q - 1; n + 3]);
+                portable.mul_acc(&m, &xs, &ys, &mut a);
+                simd.mul_acc(&m, &xs, &ys, &mut b);
+                assert_eq!(a, b, "mul_acc terms={terms} bits={bits}");
+            }
 
             let (gm, gk, gn) = (5usize, 600usize, 19usize);
             let ga: Vec<u64> = (0..gm * gk).map(|_| rng.gen_range(0..q)).collect();

@@ -135,6 +135,21 @@ impl ComputeBackend for PortableBackend {
         }
     }
 
+    fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+        // `span` terms fit the u128 accumulator on top of a value below q
+        // (the GEMM's fold bound); longer sums take one pass per group.
+        let span = gemm_span(q);
+        for (xs, ys) in a.chunks(span).zip(b.chunks(span)) {
+            for (c, o) in out.iter_mut().enumerate() {
+                let mut acc = u128::from(*o);
+                for (x, y) in xs.iter().zip(ys) {
+                    acc += u128::from(x[c]) * u128::from(y[c]);
+                }
+                *o = q.reduce_u128(acc);
+            }
+        }
+    }
+
     fn gemm(
         &self,
         q: &Modulus,

@@ -1,73 +1,68 @@
-//! Lane-parallel backend.
+//! AVX-512 IFMA backend.
 //!
-//! With the `simd` cargo feature (nightly, `portable_simd`) every kernel
-//! runs 8-wide `u64x8` arithmetic. The lane layout follows the kernels'
-//! natural parallelism:
+//! IFMA's `vpmadd52{lo,hi}uq` multiply the low 52 bits of two 64-bit lanes
+//! into a 104-bit product and add its low or high 52-bit half into an
+//! accumulator lane — one µop each. For every modulus `q < 2^50` the
+//! Harvey lazy window `[0, 4q)` stays below `2^52`, so every residue of
+//! the CKKS chains (36-bit `Q`/`P`, 48-bit `T`) is a native IFMA operand
+//! and 8 lanes run per instruction with no operand splitting:
 //!
-//! * **NTT stages** vectorize across the `j` index *within* a stage — 8
-//!   butterflies per iteration, `lo[j..j+8]`/`hi[j..j+8]` as the two
-//!   operand vectors. The merged twist stage deinterleaves adjacent pairs
-//!   into even/odd vectors instead. Unlike the portable path there is no
-//!   `ω⁰ = 1` scalar shortcut: lane 0 multiplies by the Shoup double of 1
-//!   like every other lane, producing a *different lazy representative*
-//!   (off by a multiple of `q`, still `< 4q`) and the *same* canonical
-//!   output once the final stage folds — which is exactly why the seam's
-//!   contract demands bit-identity at kernel boundaries, not lockstep
-//!   intermediates.
-//! * **bconv** vectorizes across 8 coefficients, accumulating the exact
-//!   128-bit inner product as an `(hi, lo)` vector pair with explicit
-//!   carries — or, when the caller certifies every factor below `2^52`
-//!   and the CPU has AVX-512 IFMA, as a base-2^52 pair via
-//!   `vpmadd52{l,h}uq` at one µop per half.
-//! * **GEMM** vectorizes across 8 output columns with the same `(hi, lo)`
-//!   accumulator scheme and the same fold span as the portable kernel, so
-//!   per-span sums (and therefore outputs) match exactly.
+//! * **Shoup multiplies** use the 52-bit constant `⌊w·2^52/q⌋`, which is
+//!   exactly `w_shoup >> 12` of the plans' 64-bit [`ShoupMul`] — so the
+//!   NTT plans need no new tables. The quotient estimate
+//!   `madd52hi(a, w_shoup >> 12)` leaves `a·w − q̂·q` in `[0, 2q)` for any
+//!   `a < 2^52`, and that remainder is computed exactly modulo `2^52`.
+//! * **NTT stages** vectorise across the butterflies of a block; spans 2, 4
+//!   and 8 (fewer than 8 butterflies per block) gather 8 butterflies from
+//!   two vectors with `vpermt2q` and scatter them back.
+//! * **Inner products** (`bconv_ip`, `mul_acc`) accumulate the exact sum
+//!   as a base-`2^52` pair `(hi, lo)` — two µops per term — and reduce it
+//!   once.
 //!
-//! Stages too narrow to fill a vector from one block (`size/2 < 8`)
-//! vectorize *across blocks* instead, via compile-time swizzles — see
-//! `stage_lazy_narrow`.
-//!
-//! There is no 64×64 vector multiply on AVX2, so `mul_hi`/widening
-//! products are built from four 32×32→64 partials (`vpmuludq`, issued
-//! through per-ISA inline asm — see the `kernels` module doc for why the
-//! obvious spellings scalarize) plus a carry layer. Kernels are compiled
-//! once generically and re-instantiated inside
-//! `#[target_feature(enable = "avx2")]` / AVX-512 wrappers (dispatched
-//! once via `is_x86_feature_detected!`), so the build needs no global
-//! `RUSTFLAGS` to emit 256/512-bit code.
-//!
-//! Without the feature (stable toolchains) the same backend stays
-//! selectable but the kernels fall back to manually unrolled scalar
-//! chunks — identical outputs, modest ILP gains, no nightly required.
+//! Everything else falls back to [`PortableBackend`], which stays the
+//! reference: moduli of `2^50` or more, CPUs without IFMA, and GEMM (off
+//! the CKKS host path). Outputs equal the portable ones at every kernel
+//! boundary; lazy intermediates inside an NTT may differ by multiples of
+//! `q` (the 52-bit quotient estimate can differ from the 64-bit one by 1,
+//! and lane 0 multiplies by `ω⁰ = 1` instead of taking the scalar
+//! shortcut).
 
-use super::{BackendKind, ComputeBackend};
+use super::{BackendKind, ComputeBackend, PortableBackend};
 use crate::{Modulus, ShoupMul};
 
-/// Lane-parallel kernels (`std::simd` under the `simd` feature, unrolled
-/// scalar chunks otherwise). Bit-identical to
-/// [`PortableBackend`](super::PortableBackend) at every kernel boundary.
+/// AVX-512 IFMA kernels for moduli below `2^50`, portable kernels
+/// otherwise. Bit-identical to [`PortableBackend`] at every kernel
+/// boundary.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimdBackend;
 
-/// True when this build would actually benefit from [`BackendKind::Simd`]
-/// by default: the `simd` feature is compiled in and the CPU offers wide
-/// lanes (any non-x86 target with the feature counts — `portable_simd`
-/// lowers to whatever vector ISA is native there).
-#[cfg(feature = "simd")]
-pub(super) fn lanes_available() -> bool {
+/// True when the CPU runs the IFMA kernels (AVX-512F plus AVX-512 IFMA).
+/// `is_x86_feature_detected!` caches its probe, so this is a load and a
+/// bit test.
+pub(super) fn ifma_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        vector::isa() != vector::Isa::Baseline
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512ifma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        true
+        false
     }
 }
 
-#[cfg(not(feature = "simd"))]
-pub(super) fn lanes_available() -> bool {
-    false
+/// Runs `$ifma` (an `ifma::` kernel call) when `$cond` holds, the portable
+/// kernel `$portable` otherwise.
+macro_rules! route {
+    ($cond:expr, $ifma:expr, $portable:expr) => {{
+        #[cfg(target_arch = "x86_64")]
+        if $cond {
+            // SAFETY: every route condition includes `ifma::supports`,
+            // which proved AVX-512F and AVX-512 IFMA on this CPU.
+            return unsafe { $ifma };
+        }
+        $portable
+    }};
 }
 
 impl ComputeBackend for SimdBackend {
@@ -75,32 +70,71 @@ impl ComputeBackend for SimdBackend {
         BackendKind::Simd
     }
 
+    // The NTT kernels take whole transforms: `x.len()` is the degree, a
+    // power of two, so a length divisible by 16 leaves the vector loops no
+    // tail.
     fn ntt_twist_stage(&self, m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
-        active::twist(m, x, psi_rev)
+        route!(
+            ifma::supports(m) && x.len().is_multiple_of(16),
+            ifma::twist(m, x, psi_rev),
+            PortableBackend.ntt_twist_stage(m, x, psi_rev)
+        )
     }
 
     fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
-        active::stage_lazy(m, x, size, stage)
+        route!(
+            ifma::supports(m) && x.len().is_multiple_of(16),
+            ifma::stage(m, x, size, stage),
+            PortableBackend.ntt_fwd_stage(m, x, size, stage)
+        )
     }
 
     fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
-        active::stage_final(m, x, stage)
+        route!(
+            ifma::supports(m) && x.len().is_multiple_of(16),
+            ifma::stage_final(m, x, stage),
+            PortableBackend.ntt_fwd_stage_final(m, x, stage)
+        )
     }
 
     fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
-        active::stage_lazy(m, x, size, stage)
+        route!(
+            ifma::supports(m) && x.len().is_multiple_of(16),
+            ifma::stage(m, x, size, stage),
+            PortableBackend.ntt_inv_stage(m, x, size, stage)
+        )
     }
 
     fn ntt_scale(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
-        active::scale(m, x, tw);
+        route!(
+            ifma::supports(m) && x.len().is_multiple_of(16),
+            ifma::scale(m, x, tw),
+            PortableBackend.ntt_scale(m, x, tw)
+        )
     }
 
     fn mul_const(&self, m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) {
-        active::mul_const(m, s, x, out);
+        route!(
+            ifma::supports(m),
+            ifma::mul_const(m, s, x, out),
+            PortableBackend.mul_const(m, s, x, out)
+        )
     }
 
     fn bconv_ip(&self, t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]) {
-        active::bconv_ip(t, ys, y_bound, w, out);
+        route!(
+            ifma::supports(t) && y_bound <= 1 << 52 && ys.len() < ifma::MAX_TERMS,
+            ifma::bconv_ip(t, ys, y_bound, w, out),
+            PortableBackend.bconv_ip(t, ys, y_bound, w, out)
+        )
+    }
+
+    fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+        route!(
+            ifma::supports(q) && a.len() < ifma::MAX_TERMS,
+            ifma::mul_acc(q, a, b, out),
+            PortableBackend.mul_acc(q, a, b, out)
+        )
     }
 
     fn gemm(
@@ -113,1085 +147,448 @@ impl ComputeBackend for SimdBackend {
         n: usize,
         out: &mut [u64],
     ) {
-        active::gemm(q, a, b, m, k, n, out);
+        PortableBackend.gemm(q, a, b, m, k, n, out);
     }
 }
 
-#[cfg(feature = "simd")]
-mod active {
-    pub use super::vector::dispatched::*;
-}
-
-#[cfg(not(feature = "simd"))]
-mod active {
-    pub use super::unrolled::*;
-}
-
-/// `std::simd` kernels plus per-ISA instantiations (nightly only).
-#[cfg(feature = "simd")]
-mod vector {
-    use std::sync::LazyLock;
-
-    /// Widest vector path the host CPU supports, probed once.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Isa {
-        /// No AVX2: generic codegen (still correct, rarely faster).
-        Baseline,
-        /// 256-bit path.
-        Avx2,
-        /// 512-bit path (F+DQ+VL+BW: `vpmullq` and wide compares).
-        Avx512,
-    }
-
-    pub fn isa() -> Isa {
-        static ISA: LazyLock<Isa> = LazyLock::new(|| {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512dq")
-                    && std::arch::is_x86_feature_detected!("avx512vl")
-                    && std::arch::is_x86_feature_detected!("avx512bw")
-                {
-                    return Isa::Avx512;
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return Isa::Avx2;
-                }
-            }
-            Isa::Baseline
-        });
-        *ISA
-    }
-
-    /// AVX-512 IFMA (`vpmadd52{l,h}uq`) availability, probed once. Kept
-    /// separate from [`Isa`] because IFMA only changes one kernel's inner
-    /// loop (the bconv inner product) rather than the whole dispatch tier.
-    pub fn has_ifma() -> bool {
-        static IFMA: LazyLock<bool> = LazyLock::new(|| {
-            #[cfg(target_arch = "x86_64")]
-            {
-                std::arch::is_x86_feature_detected!("avx512ifma")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        });
-        *IFMA
-    }
-
-    /// The generic kernel bodies, parameterized over the one primitive
-    /// LLVM cannot be trusted to select on its own: the lane-wise
-    /// 32×32→64 widening multiply. Written as masked 64-bit lane
-    /// multiplies, LLVM's DAG combiner recognizes the 4-partial
-    /// decomposition as a v8i64 `mulhi`, finds no such instruction, and
-    /// *scalarizes* it (8 `mul` + `vpextrq`/`vmovq` round trips per
-    /// vector). Routing the partials through an explicit `vpmuludq`
-    /// intrinsic per ISA keeps everything in vector registers. All
-    /// `#[inline(always)]` so the `#[target_feature]` wrappers below
-    /// re-specialize them with wide registers enabled.
-    pub mod kernels {
-        use crate::backend::gemm_span;
-        use crate::{Modulus, ShoupMul};
-        use std::simd::cmp::{SimdOrd, SimdPartialOrd};
-        use std::simd::{u64x8, Select, Swizzle};
-
-        pub const LANES: usize = 8;
-
-        /// Per-ISA widening multiply: `(a mod 2^32) · (b mod 2^32)` in
-        /// each 64-bit lane (the `vpmuludq` primitive). Implementations
-        /// using ISA intrinsics are only ever instantiated inside the
-        /// matching `#[target_feature]` wrapper, which the dispatcher
-        /// guards with `is_x86_feature_detected!`.
-        pub trait WideMul: Copy {
-            fn mul_even(a: u64x8, b: u64x8) -> u64x8;
-        }
-
-        /// Portable fallback: plain masked lane multiplies. Correct on
-        /// every target; fast only where the backend ISA has a true
-        /// 64-bit lane multiply.
-        #[derive(Clone, Copy)]
-        pub struct GenericMul;
-
-        impl WideMul for GenericMul {
-            #[inline(always)]
-            fn mul_even(a: u64x8, b: u64x8) -> u64x8 {
-                let m32 = u64x8::splat(0xFFFF_FFFF);
-                (a & m32) * (b & m32)
-            }
-        }
-
-        /// `vpmuludq` on 512-bit registers. Sound only under
-        /// `avx512f` — private to this module and only instantiated from
-        /// the avx512 wrapper.
-        #[cfg(target_arch = "x86_64")]
-        #[derive(Clone, Copy)]
-        pub struct Avx512Mul;
-
-        #[cfg(target_arch = "x86_64")]
-        impl WideMul for Avx512Mul {
-            #[inline(always)]
-            fn mul_even(a: u64x8, b: u64x8) -> u64x8 {
-                // SAFETY: only reachable through the avx512 dispatch arm,
-                // entered after `is_x86_feature_detected!("avx512f")`.
-                unsafe { vpmuludq_512(a, b) }
-            }
-        }
-
-        /// One `vpmuludq` via inline asm. The stdarch `_mm512_mul_epu32`
-        /// is *not* a hardware intrinsic — it lowers to the same masked
-        /// lane-multiply pattern the kernels are trying to escape, and
-        /// LLVM promptly re-fuses the surrounding partials into the
-        /// nonexistent v8i64 `mulhi`, scalarizing to 8 `mulq` round
-        /// trips. Inline asm is opaque to the pattern matcher, so the
-        /// partial products stay in vector registers.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        unsafe fn vpmuludq_512(a: u64x8, b: u64x8) -> u64x8 {
-            use core::arch::x86_64::__m512i;
-            let out: __m512i;
-            core::arch::asm!(
-                "vpmuludq {out}, {a}, {b}",
-                out = lateout(zmm_reg) out,
-                a = in(zmm_reg) __m512i::from(a),
-                b = in(zmm_reg) __m512i::from(b),
-                options(pure, nomem, nostack, preserves_flags),
-            );
-            out.into()
-        }
-
-        /// `vpmuludq` on two 256-bit halves. Sound only under `avx2`.
-        #[cfg(target_arch = "x86_64")]
-        #[derive(Clone, Copy)]
-        pub struct Avx2Mul;
-
-        #[cfg(target_arch = "x86_64")]
-        impl WideMul for Avx2Mul {
-            #[inline(always)]
-            fn mul_even(a: u64x8, b: u64x8) -> u64x8 {
-                use std::simd::{simd_swizzle, u64x4};
-                let (a0, a1): (u64x4, u64x4) = (
-                    simd_swizzle!(a, [0, 1, 2, 3]),
-                    simd_swizzle!(a, [4, 5, 6, 7]),
-                );
-                let (b0, b1): (u64x4, u64x4) = (
-                    simd_swizzle!(b, [0, 1, 2, 3]),
-                    simd_swizzle!(b, [4, 5, 6, 7]),
-                );
-                // SAFETY: only reachable through the avx2 dispatch arm,
-                // entered after `is_x86_feature_detected!("avx2")`.
-                let (r0, r1) = unsafe { (vpmuludq_256(a0, b0), vpmuludq_256(a1, b1)) };
-                simd_swizzle!(r0, r1, [0, 1, 2, 3, 4, 5, 6, 7])
-            }
-        }
-
-        /// `vpmuludq` on a 256-bit half — same inline-asm rationale as
-        /// [`vpmuludq_512`].
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn vpmuludq_256(a: std::simd::u64x4, b: std::simd::u64x4) -> std::simd::u64x4 {
-            use core::arch::x86_64::__m256i;
-            let out: __m256i;
-            core::arch::asm!(
-                "vpmuludq {out}, {a}, {b}",
-                out = lateout(ymm_reg) out,
-                a = in(ymm_reg) __m256i::from(a),
-                b = in(ymm_reg) __m256i::from(b),
-                options(pure, nomem, nostack, preserves_flags),
-            );
-            out.into()
-        }
-
-        #[inline(always)]
-        fn splat(v: u64) -> u64x8 {
-            u64x8::splat(v)
-        }
-
-        /// High 64 bits of the lane-wise 64×64 product, from four
-        /// 32×32→64 partials and one carry layer. `mid` cannot overflow:
-        /// it sums three values `< 2^32`…`< 2^33` total, far below 2^64.
-        #[inline(always)]
-        fn mul_hi<W: WideMul>(a: u64x8, b: u64x8) -> u64x8 {
-            let m32 = splat(0xFFFF_FFFF);
-            let s32 = splat(32);
-            let (ah, bh) = (a >> s32, b >> s32);
-            let ll = W::mul_even(a, b);
-            let lh = W::mul_even(a, bh);
-            let hl = W::mul_even(ah, b);
-            let mid = (ll >> s32) + (lh & m32) + (hl & m32);
-            W::mul_even(ah, bh) + (lh >> s32) + (hl >> s32) + (mid >> s32)
-        }
-
-        /// `(hi, lo)` of the lane-wise widening product. Shares the four
-        /// partials between both halves — the low word is reassembled
-        /// from `mid` instead of issuing a separate full 64-bit lane
-        /// multiply (`vpmullq` is multi-uop on every AVX-512 part that
-        /// has it).
-        #[inline(always)]
-        fn mul_wide<W: WideMul>(a: u64x8, b: u64x8) -> (u64x8, u64x8) {
-            let m32 = splat(0xFFFF_FFFF);
-            let s32 = splat(32);
-            let (ah, bh) = (a >> s32, b >> s32);
-            let ll = W::mul_even(a, b);
-            let lh = W::mul_even(a, bh);
-            let hl = W::mul_even(ah, b);
-            let mid = (ll >> s32) + (lh & m32) + (hl & m32);
-            let hi = W::mul_even(ah, bh) + (lh >> s32) + (hl >> s32) + (mid >> s32);
-            let lo = (mid << s32) | (ll & m32);
-            (hi, lo)
-        }
-
-        /// `if x >= c { x - c } else { x }` branch-free: the wrapped
-        /// difference is enormous exactly when `x < c`, so `min` picks the
-        /// right representative.
-        #[inline(always)]
-        fn cond_sub(x: u64x8, c: u64x8) -> u64x8 {
-            (x - c).simd_min(x)
-        }
-
-        /// Lane-wise Shoup multiply, lazy: `a·w - ⌊a·w_shoup/2^64⌋·q`,
-        /// in `[0, 2q)` for any `a` when `w < q` — the same identity the
-        /// scalar `Modulus::mul_shoup_lazy` computes.
-        #[inline(always)]
-        fn mul_shoup_lazy<W: WideMul>(a: u64x8, w: u64x8, ws: u64x8, q: u64x8) -> u64x8 {
-            a * w - mul_hi::<W>(a, ws) * q
-        }
-
-        /// Reads a slice of Shoup pairs as the flat word sequence
-        /// `[w, w_shoup, w, w_shoup, …]` — sound because [`ShoupMul`] is
-        /// `repr(C)` with exactly two `u64` fields.
-        #[inline(always)]
-        fn shoup_words(tw: &[ShoupMul]) -> &[u64] {
-            unsafe { std::slice::from_raw_parts(tw.as_ptr().cast::<u64>(), 2 * tw.len()) }
-        }
-
-        /// Loads 8 consecutive Shoup pairs into `(w, w_shoup)` vectors:
-        /// two wide loads and one deinterleave instead of sixteen scalar
-        /// inserts.
-        #[inline(always)]
-        fn gather_shoup(tw: &[ShoupMul]) -> (u64x8, u64x8) {
-            let raw = shoup_words(&tw[..LANES]);
-            let a = u64x8::from_slice(&raw[..LANES]);
-            let b = u64x8::from_slice(&raw[LANES..2 * LANES]);
-            a.deinterleave(b)
-        }
-
-        /// Adds the widening product `y·w` into the `(hi, lo)` 128-bit
-        /// lane accumulators with an explicit carry out of the low word.
-        #[inline(always)]
-        fn mac_wide<W: WideMul>(
-            acc_hi: u64x8,
-            acc_lo: u64x8,
-            y: u64x8,
-            w: u64x8,
-        ) -> (u64x8, u64x8) {
-            let (p_hi, p_lo) = mul_wide::<W>(y, w);
-            let new_lo = acc_lo + p_lo;
-            let carry = new_lo
-                .simd_lt(acc_lo)
-                .select(u64x8::splat(1), u64x8::splat(0));
-            (acc_hi + p_hi + carry, new_lo)
-        }
-
-        #[inline(always)]
-        pub fn twist<W: WideMul>(m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
-            let q = m.value();
-            let two_q = 2 * q;
-            let (qv, tqv) = (splat(q), splat(two_q));
-            let n = x.len();
-            let mut i = 0;
-            while i + 2 * LANES <= n {
-                let a = u64x8::from_slice(&x[i..]);
-                let b = u64x8::from_slice(&x[i + LANES..]);
-                let (ev, od) = a.deinterleave(b);
-                // 16 consecutive pairs -> even-index and odd-index
-                // (w, w_shoup) vectors in two deinterleave rounds.
-                let raw = shoup_words(&psi_rev[i..i + 2 * LANES]);
-                let (wa, wsa) = u64x8::from_slice(&raw[..LANES])
-                    .deinterleave(u64x8::from_slice(&raw[LANES..2 * LANES]));
-                let (wb, wsb) = u64x8::from_slice(&raw[2 * LANES..3 * LANES])
-                    .deinterleave(u64x8::from_slice(&raw[3 * LANES..4 * LANES]));
-                let (we, wo) = wa.deinterleave(wb);
-                let (wse, wso) = wsa.deinterleave(wsb);
-                let u = mul_shoup_lazy::<W>(ev, we, wse, qv);
-                let t = mul_shoup_lazy::<W>(od, wo, wso, qv);
-                let (r0, r1) = (u + t).interleave(u + tqv - t);
-                r0.copy_to_slice(&mut x[i..i + LANES]);
-                r1.copy_to_slice(&mut x[i + LANES..i + 2 * LANES]);
-                i += 2 * LANES;
-            }
-            while i < n {
-                let u = m.mul_shoup_lazy(x[i], psi_rev[i]);
-                let t = m.mul_shoup_lazy(x[i + 1], psi_rev[i + 1]);
-                x[i] = u + t;
-                x[i + 1] = u + two_q - t;
-                i += 2;
-            }
-            (n / 2) as u64
-        }
-
-        #[inline(always)]
-        pub fn stage_lazy<W: WideMul>(
-            m: &Modulus,
-            x: &mut [u64],
-            size: usize,
-            stage: &[ShoupMul],
-        ) -> u64 {
-            match size / 2 {
-                1 => return stage_lazy_narrow::<W, 1>(m, x, stage),
-                2 => return stage_lazy_narrow::<W, 2>(m, x, stage),
-                4 => return stage_lazy_narrow::<W, 4>(m, x, stage),
-                _ => {}
-            }
-            let q = m.value();
-            let two_q = 2 * q;
-            let half = size / 2;
-            let (qv, tqv) = (splat(q), splat(two_q));
-            let mut butterflies = 0u64;
-            for block in x.chunks_exact_mut(size) {
-                let (lo, hi) = block.split_at_mut(half);
-                let mut j = 0;
-                while j + LANES <= half {
-                    let (w, ws) = gather_shoup(&stage[j..]);
-                    let u = cond_sub(u64x8::from_slice(&lo[j..]), tqv);
-                    let t = mul_shoup_lazy::<W>(u64x8::from_slice(&hi[j..]), w, ws, qv);
-                    (u + t).copy_to_slice(&mut lo[j..j + LANES]);
-                    (u + tqv - t).copy_to_slice(&mut hi[j..j + LANES]);
-                    j += LANES;
-                }
-                while j < half {
-                    let mut u = lo[j];
-                    if u >= two_q {
-                        u -= two_q;
-                    }
-                    let t = m.mul_shoup_lazy(hi[j], stage[j]);
-                    lo[j] = u + t;
-                    hi[j] = u + two_q - t;
-                    j += 1;
-                }
-                butterflies += half as u64;
-            }
-            butterflies
-        }
-
-        /// Lane picker for the narrow stages (`half < 8`): with blocks of
-        /// `2·HALF` elements, 16 consecutive elements hold `8/HALF` whole
-        /// blocks — exactly 8 butterflies. `INDEX` selects the lo (or hi)
-        /// operand of each butterfly, in butterfly order, out of the two
-        /// concatenated input vectors; one `vpermt2q` each.
-        struct NarrowGather<const HALF: usize, const HI: bool>;
-
-        impl<const HALF: usize, const HI: bool> Swizzle<8> for NarrowGather<HALF, HI> {
-            const INDEX: [usize; 8] = {
-                let mut idx = [0usize; 8];
-                let mut l = 0;
-                while l < 8 {
-                    idx[l] = (l / HALF) * 2 * HALF + (l % HALF) + if HI { HALF } else { 0 };
-                    l += 1;
-                }
-                idx
-            };
-        }
-
-        /// Inverse permutation: rebuilds one of the two output vectors
-        /// (`SECOND` selects elements 8..16) from the concatenated
-        /// butterfly results `(r_lo, r_hi)`.
-        struct NarrowScatter<const HALF: usize, const SECOND: bool>;
-
-        impl<const HALF: usize, const SECOND: bool> Swizzle<8> for NarrowScatter<HALF, SECOND> {
-            const INDEX: [usize; 8] = {
-                let mut idx = [0usize; 8];
-                let mut l = 0;
-                while l < 8 {
-                    let g = l + if SECOND { 8 } else { 0 };
-                    let (b, p) = (g / (2 * HALF), g % (2 * HALF));
-                    idx[l] = if p < HALF {
-                        b * HALF + p
-                    } else {
-                        8 + b * HALF + (p - HALF)
-                    };
-                    l += 1;
-                }
-                idx
-            };
-        }
-
-        /// Narrow-stage butterflies (`HALF` ∈ {1, 2, 4}): vectorizes
-        /// *across blocks* instead of within one — the per-stage twiddles
-        /// tile into one register pair and two permutes each side
-        /// gather/scatter the operands, so the late forward stages and
-        /// early inverse stages (21% of all butterflies at `n = 2^14`) run
-        /// 8-wide instead of falling to the scalar tail.
-        #[inline(always)]
-        fn stage_lazy_narrow<W: WideMul, const HALF: usize>(
-            m: &Modulus,
-            x: &mut [u64],
-            stage: &[ShoupMul],
-        ) -> u64 {
-            let q = m.value();
-            let two_q = 2 * q;
-            let (qv, tqv) = (splat(q), splat(two_q));
-            let (mut w, mut ws) = ([0u64; LANES], [0u64; LANES]);
-            for l in 0..LANES {
-                w[l] = stage[l % HALF].w;
-                ws[l] = stage[l % HALF].w_shoup;
-            }
-            let (wv, wsv) = (u64x8::from_array(w), u64x8::from_array(ws));
-            let mut i = 0;
-            // 16 elements = 8/HALF whole blocks per iteration (2·HALF
-            // divides 16), so the group never straddles a block.
-            while i + 2 * LANES <= x.len() {
-                let v0 = u64x8::from_slice(&x[i..]);
-                let v1 = u64x8::from_slice(&x[i + LANES..]);
-                let lov = NarrowGather::<HALF, false>::concat_swizzle(v0, v1);
-                let hiv = NarrowGather::<HALF, true>::concat_swizzle(v0, v1);
-                let u = cond_sub(lov, tqv);
-                let t = mul_shoup_lazy::<W>(hiv, wv, wsv, qv);
-                let (rlo, rhi) = (u + t, u + tqv - t);
-                NarrowScatter::<HALF, false>::concat_swizzle(rlo, rhi)
-                    .copy_to_slice(&mut x[i..i + LANES]);
-                NarrowScatter::<HALF, true>::concat_swizzle(rlo, rhi)
-                    .copy_to_slice(&mut x[i + LANES..i + 2 * LANES]);
-                i += 2 * LANES;
-            }
-            let mut butterflies = (i / 2) as u64;
-            for block in x[i..].chunks_exact_mut(2 * HALF) {
-                let (lo, hi) = block.split_at_mut(HALF);
-                for j in 0..HALF {
-                    let mut u = lo[j];
-                    if u >= two_q {
-                        u -= two_q;
-                    }
-                    let t = m.mul_shoup_lazy(hi[j], stage[j]);
-                    lo[j] = u + t;
-                    hi[j] = u + two_q - t;
-                }
-                butterflies += HALF as u64;
-            }
-            butterflies
-        }
-
-        #[inline(always)]
-        pub fn stage_final<W: WideMul>(m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
-            let q = m.value();
-            let two_q = 2 * q;
-            let half = x.len() / 2;
-            let (qv, tqv) = (splat(q), splat(two_q));
-            let (lo, hi) = x.split_at_mut(half);
-            let mut j = 0;
-            while j + LANES <= half {
-                let (w, ws) = gather_shoup(&stage[j..]);
-                let u = cond_sub(u64x8::from_slice(&lo[j..]), tqv);
-                let t = mul_shoup_lazy::<W>(u64x8::from_slice(&hi[j..]), w, ws, qv);
-                let r0 = cond_sub(cond_sub(u + t, tqv), qv);
-                let r1 = cond_sub(cond_sub(u + tqv - t, tqv), qv);
-                r0.copy_to_slice(&mut lo[j..j + LANES]);
-                r1.copy_to_slice(&mut hi[j..j + LANES]);
-                j += LANES;
-            }
-            while j < half {
-                let mut u = lo[j];
-                if u >= two_q {
-                    u -= two_q;
-                }
-                let t = m.mul_shoup_lazy(hi[j], stage[j]);
-                let mut r0 = u + t;
-                if r0 >= two_q {
-                    r0 -= two_q;
-                }
-                if r0 >= q {
-                    r0 -= q;
-                }
-                let mut r1 = u + two_q - t;
-                if r1 >= two_q {
-                    r1 -= two_q;
-                }
-                if r1 >= q {
-                    r1 -= q;
-                }
-                lo[j] = r0;
-                hi[j] = r1;
-                j += 1;
-            }
-            half as u64
-        }
-
-        #[inline(always)]
-        pub fn scale<W: WideMul>(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
-            let qv = splat(m.value());
-            let mut i = 0;
-            while i + LANES <= x.len() {
-                let (w, ws) = gather_shoup(&tw[i..]);
-                let r = mul_shoup_lazy::<W>(u64x8::from_slice(&x[i..]), w, ws, qv);
-                cond_sub(r, qv).copy_to_slice(&mut x[i..i + LANES]);
-                i += LANES;
-            }
-            while i < x.len() {
-                x[i] = m.mul_shoup(x[i], tw[i]);
-                i += 1;
-            }
-        }
-
-        #[inline(always)]
-        pub fn mul_const<W: WideMul>(m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) {
-            let qv = splat(m.value());
-            let (w, ws) = (splat(s.w), splat(s.w_shoup));
-            let mut i = 0;
-            while i + LANES <= x.len() {
-                let r = mul_shoup_lazy::<W>(u64x8::from_slice(&x[i..]), w, ws, qv);
-                cond_sub(r, qv).copy_to_slice(&mut out[i..i + LANES]);
-                i += LANES;
-            }
-            while i < x.len() {
-                out[i] = m.mul_shoup(x[i], s);
-                i += 1;
-            }
-        }
-
-        #[inline(always)]
-        pub fn bconv_ip<W: WideMul>(t: &Modulus, ys: &[&[u64]], w: &[u64], out: &mut [u64]) {
-            let n = out.len();
-            let q = t.value();
-            // Lane-wide 128→64 reduction constants: `r = 2^64 mod t`
-            // (Shoup-prepared, so the high word reduces with the
-            // any-input lazy identity) and `mu = ⌊2^64 / t⌋` for a
-            // one-round Barrett on the low word. The result is canonical,
-            // so it matches `reduce_u128` bit for bit by value.
-            let r = t.shoup(((1u128 << 64) % u128::from(q)) as u64);
-            let mu = ((1u128 << 64) / u128::from(q)) as u64;
-            let (rv, rsv, muv) = (splat(r.w), splat(r.w_shoup), splat(mu));
-            let (qv, tqv) = (splat(q), splat(2 * q));
-            let mut c = 0;
-            while c + LANES <= n {
-                let mut acc_hi = u64x8::splat(0);
-                let mut acc_lo = u64x8::splat(0);
-                for (row, &wi) in ys.iter().zip(w) {
-                    let y = u64x8::from_slice(&row[c..]);
-                    (acc_hi, acc_lo) = mac_wide::<W>(acc_hi, acc_lo, y, splat(wi));
-                }
-                // hi·2^64 + lo ≡ (hi·r mod t) + (lo mod t): the Shoup
-                // term lands in [0, 2t), the Barrett remainder
-                // `lo - ⌊lo·mu/2^64⌋·t` in [0, 2t) as well, so the sum
-                // (< 4t, no overflow for the ≤61-bit moduli the stack
-                // generates) folds canonical with two conditional subs.
-                let h = mul_shoup_lazy::<W>(acc_hi, rv, rsv, qv);
-                let rem = acc_lo - mul_hi::<W>(acc_lo, muv) * qv;
-                let s = cond_sub(h + rem, tqv);
-                cond_sub(s, qv).copy_to_slice(&mut out[c..c + LANES]);
-                c += LANES;
-            }
-            while c < n {
-                let mut acc = 0u128;
-                for (row, &wi) in ys.iter().zip(w) {
-                    acc += row[c] as u128 * wi as u128;
-                }
-                out[c] = t.reduce_u128(acc);
-                c += 1;
-            }
-        }
-
-        /// IFMA inner product: when every factor fits in 52 bits (the
-        /// caller certifies the residue bound, and `w < t < 2^52`), each
-        /// product fits the native 52×52→104 multiply-add, so
-        /// `vpmadd52luq`/`vpmadd52huq` accumulate the exact sum as a
-        /// base-2^52 `(hi, lo)` pair — one µop per half versus the ~15 of
-        /// the 4-partial `mac_wide` path. Lane overflow needs
-        /// `ys.len() ≤ 2^12` terms (each half grows by `< 2^52` per term);
-        /// the dispatcher enforces that bound too. The sum is then reduced
-        /// canonically — `hi·2^52 + lo ≡ hi·(2^52 mod t) + lo (mod t)`,
-        /// the high term by any-input lazy Shoup, the low by one-round
-        /// Barrett, both in `[0, 2t)` — so the output matches the portable
-        /// `reduce_u128` bit for bit by value.
-        #[cfg(target_arch = "x86_64")]
-        #[inline(always)]
-        pub fn bconv_ip_ifma(t: &Modulus, ys: &[&[u64]], w: &[u64], out: &mut [u64]) {
-            use core::arch::x86_64::{__m512i, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64};
-            let n = out.len();
-            let q = t.value();
-            let r52 = t.shoup(((1u128 << 52) % u128::from(q)) as u64);
-            let mu = ((1u128 << 64) / u128::from(q)) as u64;
-            let (rv, rsv, muv) = (splat(r52.w), splat(r52.w_shoup), splat(mu));
-            let (qv, tqv) = (splat(q), splat(2 * q));
-            let mut c = 0;
-            while c + LANES <= n {
-                let mut hi = __m512i::from(u64x8::splat(0));
-                let mut lo = hi;
-                for (row, &wi) in ys.iter().zip(w) {
-                    let y = __m512i::from(u64x8::from_slice(&row[c..]));
-                    let wv = __m512i::from(splat(wi));
-                    // SAFETY: only instantiated inside the `ifma` wrapper,
-                    // entered after `is_x86_feature_detected!("avx512ifma")`.
-                    unsafe {
-                        lo = _mm512_madd52lo_epu64(lo, y, wv);
-                        hi = _mm512_madd52hi_epu64(hi, y, wv);
-                    }
-                }
-                let (hi, lo): (u64x8, u64x8) = (hi.into(), lo.into());
-                let h = mul_shoup_lazy::<Avx512Mul>(hi, rv, rsv, qv);
-                let rem = lo - mul_hi::<Avx512Mul>(lo, muv) * qv;
-                let s = cond_sub(h + rem, tqv);
-                cond_sub(s, qv).copy_to_slice(&mut out[c..c + LANES]);
-                c += LANES;
-            }
-            while c < n {
-                let mut acc = 0u128;
-                for (row, &wi) in ys.iter().zip(w) {
-                    acc += u128::from(row[c]) * u128::from(wi);
-                }
-                out[c] = t.reduce_u128(acc);
-                c += 1;
-            }
-        }
-
-        /// One register-resident tile of `V` vectors (`V·8` output
-        /// columns) for row `i`: the `(hi, lo)` accumulators live in
-        /// registers across the whole `k` loop, folding below `q` at the
-        /// same span boundaries as the portable kernel — so per-element
-        /// sums (and outputs) match the scalar path bit for bit.
-        #[inline(always)]
-        #[allow(clippy::too_many_arguments)]
-        fn gemm_tile<W: WideMul, const V: usize>(
-            q: &Modulus,
-            a_row: &[u64],
-            b: &[u64],
-            k: usize,
-            n: usize,
-            span: usize,
-            j0: usize,
-            out_row: &mut [u64],
-        ) {
-            let mut hi = [u64x8::splat(0); V];
-            let mut lo = [u64x8::splat(0); V];
-            for t0 in (0..k).step_by(span) {
-                for (t, &ai) in a_row.iter().enumerate().skip(t0).take(span) {
-                    let aiv = splat(ai);
-                    let base = t * n + j0;
-                    for v in 0..V {
-                        let bv = u64x8::from_slice(&b[base + v * LANES..base + (v + 1) * LANES]);
-                        (hi[v], lo[v]) = mac_wide::<W>(hi[v], lo[v], aiv, bv);
-                    }
-                }
-                // Fold back below q before the next span (rare: once per
-                // `span` MACs, so the scalar per-lane reduction is cheap).
-                for v in 0..V {
-                    let (h, l) = (hi[v].to_array(), lo[v].to_array());
-                    let folded: [u64; LANES] = std::array::from_fn(|lane| {
-                        q.reduce_u128((u128::from(h[lane]) << 64) | u128::from(l[lane]))
-                    });
-                    lo[v] = u64x8::from_array(folded);
-                    hi[v] = u64x8::splat(0);
-                }
-            }
-            for v in 0..V {
-                lo[v].copy_to_slice(&mut out_row[j0 + v * LANES..j0 + (v + 1) * LANES]);
-            }
-        }
-
-        #[inline(always)]
-        #[allow(clippy::too_many_arguments)]
-        pub fn gemm<W: WideMul>(
-            q: &Modulus,
-            a: &[u64],
-            b: &[u64],
-            m: usize,
-            k: usize,
-            n: usize,
-            out: &mut [u64],
-        ) {
-            // Same fold span as the portable kernel: the (hi, lo) lane
-            // pair is exactly a u128, so the no-wrap bound carries over.
-            let span = gemm_span(q);
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                let mut j0 = 0;
-                // 32-column register tiles, then single-vector tiles.
-                while j0 + 4 * LANES <= n {
-                    gemm_tile::<W, 4>(q, a_row, b, k, n, span, j0, out_row);
-                    j0 += 4 * LANES;
-                }
-                while j0 + LANES <= n {
-                    gemm_tile::<W, 1>(q, a_row, b, k, n, span, j0, out_row);
-                    j0 += LANES;
-                }
-                // Scalar tail with the identical fold schedule.
-                for j in j0..n {
-                    let mut acc = 0u128;
-                    for t0 in (0..k).step_by(span) {
-                        for (t, &ai) in a_row.iter().enumerate().skip(t0).take(span) {
-                            acc += u128::from(ai) * u128::from(b[t * n + j]);
-                        }
-                        acc = u128::from(q.reduce_u128(acc));
-                    }
-                    out_row[j] = acc as u64;
-                }
-            }
-        }
-    }
-
-    /// Re-instantiates every kernel under a `#[target_feature]` envelope
-    /// so LLVM emits wide vectors without global compile flags.
-    macro_rules! isa_module {
-        ($name:ident, $feature:literal, $wm:ident) => {
-            #[cfg(target_arch = "x86_64")]
-            pub mod $name {
-                use super::kernels;
-                use crate::{Modulus, ShoupMul};
-
-                #[target_feature(enable = $feature)]
-                pub unsafe fn twist(m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
-                    kernels::twist::<kernels::$wm>(m, x, psi_rev)
-                }
-
-                #[target_feature(enable = $feature)]
-                pub unsafe fn stage_lazy(
-                    m: &Modulus,
-                    x: &mut [u64],
-                    size: usize,
-                    stage: &[ShoupMul],
-                ) -> u64 {
-                    kernels::stage_lazy::<kernels::$wm>(m, x, size, stage)
-                }
-
-                #[target_feature(enable = $feature)]
-                pub unsafe fn stage_final(m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
-                    kernels::stage_final::<kernels::$wm>(m, x, stage)
-                }
-
-                #[target_feature(enable = $feature)]
-                pub unsafe fn scale(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
-                    kernels::scale::<kernels::$wm>(m, x, tw)
-                }
-
-                #[target_feature(enable = $feature)]
-                pub unsafe fn mul_const(m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) {
-                    kernels::mul_const::<kernels::$wm>(m, s, x, out)
-                }
-
-                #[target_feature(enable = $feature)]
-                pub unsafe fn bconv_ip(t: &Modulus, ys: &[&[u64]], w: &[u64], out: &mut [u64]) {
-                    kernels::bconv_ip::<kernels::$wm>(t, ys, w, out)
-                }
-
-                #[target_feature(enable = $feature)]
-                #[allow(clippy::too_many_arguments)]
-                pub unsafe fn gemm(
-                    q: &Modulus,
-                    a: &[u64],
-                    b: &[u64],
-                    m: usize,
-                    k: usize,
-                    n: usize,
-                    out: &mut [u64],
-                ) {
-                    kernels::gemm::<kernels::$wm>(q, a, b, m, k, n, out)
-                }
-            }
-        };
-    }
-
-    isa_module!(avx2, "avx2", Avx2Mul);
-    isa_module!(avx512, "avx512f,avx512dq,avx512vl,avx512bw", Avx512Mul);
-
-    /// The IFMA envelope: the avx512 tier's features plus `avx512ifma`,
-    /// wrapping only the one kernel whose inner loop the extension changes.
-    #[cfg(target_arch = "x86_64")]
-    pub mod ifma {
-        use super::kernels;
-        use crate::Modulus;
-
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw,avx512ifma")]
-        pub unsafe fn bconv_ip(t: &Modulus, ys: &[&[u64]], w: &[u64], out: &mut [u64]) {
-            kernels::bconv_ip_ifma(t, ys, w, out)
-        }
-    }
-
-    /// Safe entry points: pick the widest instantiation the CPU supports.
-    /// The `unsafe` calls are sound because `isa()` proved the features.
-    pub mod dispatched {
-        use crate::{Modulus, ShoupMul};
-
-        macro_rules! dispatched_fn {
-            ($name:ident ( $($arg:ident : $ty:ty),* $(,)? ) -> $ret:ty) => {
-                #[cfg(target_arch = "x86_64")]
-                #[allow(clippy::too_many_arguments)]
-                pub fn $name($($arg: $ty),*) -> $ret {
-                    match super::isa() {
-                        super::Isa::Avx512 => unsafe { super::avx512::$name($($arg),*) },
-                        super::Isa::Avx2 => unsafe { super::avx2::$name($($arg),*) },
-                        super::Isa::Baseline => {
-                            super::kernels::$name::<super::kernels::GenericMul>($($arg),*)
-                        }
-                    }
-                }
-
-                #[cfg(not(target_arch = "x86_64"))]
-                #[allow(clippy::too_many_arguments)]
-                pub fn $name($($arg: $ty),*) -> $ret {
-                    super::kernels::$name::<super::kernels::GenericMul>($($arg),*)
-                }
-            };
-        }
-
-        dispatched_fn!(twist(m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64);
-        dispatched_fn!(
-            stage_lazy(m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64
-        );
-        dispatched_fn!(stage_final(m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64);
-        dispatched_fn!(scale(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> ());
-        dispatched_fn!(mul_const(m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) -> ());
-        /// Dispatched by hand rather than through `dispatched_fn!`: on the
-        /// AVX-512 tier the inner product additionally upgrades to the
-        /// IFMA kernel when every factor is certified below `2^52`
-        /// (`y_bound` from the caller; `w < t` by contract) and the term
-        /// count cannot overflow a base-2^52 lane accumulator.
-        pub fn bconv_ip(t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]) {
-            #[cfg(target_arch = "x86_64")]
-            {
-                match super::isa() {
-                    super::Isa::Avx512 => {
-                        const FITS52: u64 = 1 << 52;
-                        if super::has_ifma()
-                            && t.value() < FITS52
-                            && y_bound <= FITS52
-                            && ys.len() <= 1 << 12
-                        {
-                            // SAFETY: avx512ifma (plus the avx512 tier)
-                            // proven by `has_ifma()` + the Avx512 arm.
-                            unsafe { super::ifma::bconv_ip(t, ys, w, out) }
-                        } else {
-                            // SAFETY: features proven by the Avx512 arm.
-                            unsafe { super::avx512::bconv_ip(t, ys, w, out) }
-                        }
-                    }
-                    // SAFETY: avx2 proven by the Avx2 arm.
-                    super::Isa::Avx2 => unsafe { super::avx2::bconv_ip(t, ys, w, out) },
-                    super::Isa::Baseline => {
-                        super::kernels::bconv_ip::<super::kernels::GenericMul>(t, ys, w, out)
-                    }
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let _ = y_bound;
-                super::kernels::bconv_ip::<super::kernels::GenericMul>(t, ys, w, out)
-            }
-        }
-        dispatched_fn!(
-            gemm(
-                q: &Modulus,
-                a: &[u64],
-                b: &[u64],
-                m: usize,
-                k: usize,
-                n: usize,
-                out: &mut [u64],
-            ) -> ()
-        );
-    }
-}
-
-/// Stable fallback: the same kernel surface with 4-way manually unrolled
-/// scalar bodies. Outputs are canonical and therefore identical to both
-/// the portable and the vectorized paths; the unroll buys instruction-
-/// level parallelism (four independent Shoup chains in flight) without
-/// nightly features.
-#[cfg(not(feature = "simd"))]
-mod unrolled {
-    use crate::backend::gemm_span;
+/// The IFMA kernels. Each carries
+/// `#[target_feature(enable = "avx512f,avx512ifma")]`, so calling one from
+/// code without those features is `unsafe`; the dispatcher calls them only
+/// after [`supports`](ifma::supports) proved both, for a modulus below
+/// `2^50` — the bound every lane-range argument below relies on.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use super::PortableBackend;
+    use crate::backend::ComputeBackend;
     use crate::{Modulus, ShoupMul};
+    use core::arch::x86_64::*;
 
-    #[inline(always)]
-    fn cond_sub(v: u64, c: u64) -> u64 {
-        if v >= c {
-            v - c
-        } else {
-            v
+    type V = __m512i;
+
+    const MASK52: u64 = (1 << 52) - 1;
+
+    /// Moduli below this bound keep lazy `[0, 4q)` values below `2^52`.
+    const MODULUS_BOUND: u64 = 1 << 50;
+
+    /// Whether arithmetic modulo `q` takes the IFMA path on this CPU.
+    pub fn supports(q: &Modulus) -> bool {
+        q.value() < MODULUS_BOUND && super::ifma_available()
+    }
+
+    /// Term count below which an inner product's base-`2^52` lane
+    /// accumulators cannot overflow (each term adds `< 2^52` to `lo`).
+    pub const MAX_TERMS: usize = 1 << 11;
+
+    /// Every row from element `from` on: the operands of the portable
+    /// code that finishes the `len % 8` elements whole vectors leave.
+    fn tails<'a>(rows: &[&'a [u64]], from: usize) -> Vec<&'a [u64]> {
+        rows.iter().map(|r| &r[from..]).collect()
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn splat(v: u64) -> V {
+        _mm512_set1_epi64(v as i64)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn load(v: &[u64; 8]) -> V {
+        // SAFETY: `v` is 64 readable bytes; `loadu` needs no alignment.
+        unsafe { _mm512_loadu_si512(v.as_ptr().cast()) }
+    }
+
+    /// Loads `row[i..i + 8]`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn load_at(row: &[u64], i: usize) -> V {
+        load(row[i..].first_chunk().expect("row shorter than the output"))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn store(v: &mut [u64; 8], x: V) {
+        // SAFETY: `v` is 64 writable bytes; `storeu` needs no alignment.
+        unsafe { _mm512_storeu_si512(v.as_mut_ptr().cast(), x) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn add(a: V, b: V) -> V {
+        _mm512_add_epi64(a, b)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn sub(a: V, b: V) -> V {
+        _mm512_sub_epi64(a, b)
+    }
+
+    /// `x − c` where `x ≥ c`, else `x`: the wrapped difference is huge
+    /// exactly when `x < c`, so the unsigned minimum picks the answer.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn cond_sub(x: V, c: V) -> V {
+        _mm512_min_epu64(_mm512_sub_epi64(x, c), x)
+    }
+
+    /// Two-source lane permute: lane `l` of the result is lane `idx[l]` of
+    /// the concatenation `a ‖ b` (one `vpermt2q`).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn permute(a: V, idx: V, b: V) -> V {
+        _mm512_permutex2var_epi64(a, idx, b)
+    }
+
+    /// Per-modulus lane constants.
+    struct Lanes {
+        q: V,
+        two_q: V,
+        /// `2^52 − q`: adding `lo52(q̂·(2^52 − q))` subtracts `q̂·q`
+        /// modulo `2^52`.
+        neg_q: V,
+        mask: V,
+    }
+
+    impl Lanes {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn new(m: &Modulus) -> Self {
+            let q = m.value();
+            Self {
+                q: splat(q),
+                two_q: splat(2 * q),
+                neg_q: splat((1 << 52) - q),
+                mask: splat(MASK52),
+            }
+        }
+
+        /// `a·w − q̂·q` for the 52-bit quotient estimate
+        /// `q̂ = ⌊a·ws/2^52⌋`, `ws = ⌊w·2^52/q⌋`: in `[0, 2q)` for
+        /// `a < 2^52`, `w < q`, so its low 52 bits are the whole value.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn mul_shoup_lazy(&self, a: V, w: V, ws: V) -> V {
+            let zero = _mm512_setzero_si512();
+            let qhat = _mm512_madd52hi_epu64(zero, a, ws);
+            let prod = _mm512_madd52lo_epu64(zero, a, w);
+            _mm512_and_si512(_mm512_madd52lo_epu64(prod, qhat, self.neg_q), self.mask)
+        }
+
+        /// The Harvey butterfly: `u = lo` folded below `2q`,
+        /// `t = hi·w` lazily; returns `(u + t, u + 2q − t)`, both `< 4q`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn butterfly(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
+            let u = cond_sub(lo, self.two_q);
+            let t = self.mul_shoup_lazy(hi, w, ws);
+            (add(u, t), sub(add(u, self.two_q), t))
+        }
+
+        /// Folds `[0, 4q)` to canonical `[0, q)`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn canonical(&self, x: V) -> V {
+            cond_sub(cond_sub(x, self.two_q), self.q)
         }
     }
 
+    /// `(w, ⌊w·2^52/q⌋)` as a pair of lane constants.
+    fn shoup52(m: &Modulus, w: u64) -> (u64, u64) {
+        (w, m.shoup(w).w_shoup >> 12)
+    }
+
+    /// Loads 8 Shoup pairs as `(w, w_shoup >> 12)` lane vectors: two wide
+    /// loads and two deinterleaving permutes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn load_shoup(tw: &[ShoupMul; 8]) -> (V, V) {
+        let words = tw.as_ptr().cast::<u64>();
+        // SAFETY: `ShoupMul` is `repr(C)` with two `u64` fields and no
+        // padding, so `tw` is 16 contiguous readable words.
+        let (a, b) = unsafe {
+            (
+                _mm512_loadu_si512(words.cast()),
+                _mm512_loadu_si512(words.add(8).cast()),
+            )
+        };
+        let w = permute(a, load(&[0, 2, 4, 6, 8, 10, 12, 14]), b);
+        let ws = permute(a, load(&[1, 3, 5, 7, 9, 11, 13, 15]), b);
+        (w, _mm512_srli_epi64::<12>(ws))
+    }
+
+    /// Index vectors for a butterfly span with `half < 8` butterflies per
+    /// block: 16 consecutive elements hold `8/half` whole blocks. `gather`
+    /// picks the lo (or hi) operand of each of the 8 butterflies out of
+    /// the two input vectors; `scatter` rebuilds the first (or second)
+    /// input vector from the `(lo results ‖ hi results)` pair.
+    const fn gather_idx(half: usize, hi: bool) -> [u64; 8] {
+        let mut idx = [0u64; 8];
+        let mut l = 0;
+        while l < 8 {
+            let off = if hi { half } else { 0 };
+            idx[l] = ((l / half) * 2 * half + l % half + off) as u64;
+            l += 1;
+        }
+        idx
+    }
+
+    const fn scatter_idx(half: usize, second: bool) -> [u64; 8] {
+        let mut idx = [0u64; 8];
+        let mut l = 0;
+        while l < 8 {
+            let g = l + if second { 8 } else { 0 };
+            let (block, pos) = (g / (2 * half), g % (2 * half));
+            idx[l] = if pos < half {
+                block * half + pos
+            } else {
+                8 + block * half + pos - half
+            } as u64;
+            l += 1;
+        }
+        idx
+    }
+
+    /// The four permutes of a narrow span: gather lo, gather hi, scatter
+    /// first, scatter second.
+    struct Narrow([V; 4]);
+
+    impl Narrow {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn new(half: usize) -> Self {
+            Self([
+                load(&gather_idx(half, false)),
+                load(&gather_idx(half, true)),
+                load(&scatter_idx(half, false)),
+                load(&scatter_idx(half, true)),
+            ])
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn gather(&self, a: V, b: V) -> (V, V) {
+            (permute(a, self.0[0], b), permute(a, self.0[1], b))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn scatter(&self, lo: V, hi: V) -> (V, V) {
+            (permute(lo, self.0[2], hi), permute(lo, self.0[3], hi))
+        }
+    }
+
+    /// Merged ψ-twist and span-2 stage: both operands of each adjacent
+    /// pair take one lazy multiply, then the size-2 butterfly.
+    #[target_feature(enable = "avx512f,avx512ifma")]
     pub fn twist(m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
-        let two_q = 2 * m.value();
-        let n = x.len();
-        let mut chunks = x.chunks_exact_mut(8);
-        let mut tws = psi_rev.chunks_exact(8);
-        for (c, s) in (&mut chunks).zip(&mut tws) {
-            let u0 = m.mul_shoup_lazy(c[0], s[0]);
-            let t0 = m.mul_shoup_lazy(c[1], s[1]);
-            let u1 = m.mul_shoup_lazy(c[2], s[2]);
-            let t1 = m.mul_shoup_lazy(c[3], s[3]);
-            let u2 = m.mul_shoup_lazy(c[4], s[4]);
-            let t2 = m.mul_shoup_lazy(c[5], s[5]);
-            let u3 = m.mul_shoup_lazy(c[6], s[6]);
-            let t3 = m.mul_shoup_lazy(c[7], s[7]);
-            c[0] = u0 + t0;
-            c[1] = u0 + two_q - t0;
-            c[2] = u1 + t1;
-            c[3] = u1 + two_q - t1;
-            c[4] = u2 + t2;
-            c[5] = u2 + two_q - t2;
-            c[6] = u3 + t3;
-            c[7] = u3 + two_q - t3;
+        let k = Lanes::new(m);
+        let pairs = Narrow::new(1);
+        let (vecs, _) = x.as_chunks_mut::<8>();
+        let (vecs, _) = vecs.as_chunks_mut::<2>();
+        let (tws, _) = psi_rev.as_chunks::<8>();
+        let (tws, _) = tws.as_chunks::<2>();
+        for ([a, b], [ta, tb]) in vecs.iter_mut().zip(tws) {
+            let (wa, wsa) = load_shoup(ta);
+            let (wb, wsb) = load_shoup(tb);
+            let ra = k.mul_shoup_lazy(load(a), wa, wsa);
+            let rb = k.mul_shoup_lazy(load(b), wb, wsb);
+            let (u, t) = pairs.gather(ra, rb);
+            let (ra, rb) = pairs.scatter(add(u, t), sub(add(u, k.two_q), t));
+            store(a, ra);
+            store(b, rb);
         }
-        for (pair, s) in chunks
-            .into_remainder()
-            .chunks_exact_mut(2)
-            .zip(tws.remainder().chunks_exact(2))
-        {
-            let u = m.mul_shoup_lazy(pair[0], s[0]);
-            let t = m.mul_shoup_lazy(pair[1], s[1]);
-            pair[0] = u + t;
-            pair[1] = u + two_q - t;
-        }
-        (n / 2) as u64
+        (x.len() / 2) as u64
     }
 
-    pub fn stage_lazy(m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
-        let two_q = 2 * m.value();
+    /// One lazy stage of span `size` (forward middle stages and every
+    /// inverse stage).
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub fn stage(m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
+        let k = Lanes::new(m);
         let half = size / 2;
-        let mut butterflies = 0u64;
+        if half < 8 {
+            return narrow_stage(&k, x, half, stage);
+        }
+        let (tws, _) = stage.as_chunks::<8>();
         for block in x.chunks_exact_mut(size) {
             let (lo, hi) = block.split_at_mut(half);
-            let mut j = 0;
-            while j + 4 <= half {
-                let u0 = cond_sub(lo[j], two_q);
-                let u1 = cond_sub(lo[j + 1], two_q);
-                let u2 = cond_sub(lo[j + 2], two_q);
-                let u3 = cond_sub(lo[j + 3], two_q);
-                let t0 = m.mul_shoup_lazy(hi[j], stage[j]);
-                let t1 = m.mul_shoup_lazy(hi[j + 1], stage[j + 1]);
-                let t2 = m.mul_shoup_lazy(hi[j + 2], stage[j + 2]);
-                let t3 = m.mul_shoup_lazy(hi[j + 3], stage[j + 3]);
-                lo[j] = u0 + t0;
-                lo[j + 1] = u1 + t1;
-                lo[j + 2] = u2 + t2;
-                lo[j + 3] = u3 + t3;
-                hi[j] = u0 + two_q - t0;
-                hi[j + 1] = u1 + two_q - t1;
-                hi[j + 2] = u2 + two_q - t2;
-                hi[j + 3] = u3 + two_q - t3;
-                j += 4;
+            let (lo, _) = lo.as_chunks_mut::<8>();
+            let (hi, _) = hi.as_chunks_mut::<8>();
+            for ((l, h), tw) in lo.iter_mut().zip(hi).zip(tws) {
+                let (w, ws) = load_shoup(tw);
+                let (rl, rh) = k.butterfly(load(l), load(h), w, ws);
+                store(l, rl);
+                store(h, rh);
             }
-            while j < half {
-                let u = cond_sub(lo[j], two_q);
-                let t = m.mul_shoup_lazy(hi[j], stage[j]);
-                lo[j] = u + t;
-                hi[j] = u + two_q - t;
-                j += 1;
-            }
-            butterflies += half as u64;
         }
-        butterflies
+        (x.len() / size * half) as u64
     }
 
+    /// Spans 2, 4 and 8: every block shares the stage's `half` twiddles,
+    /// tiled across one register, and 8 butterflies are gathered from two
+    /// vectors at a time.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn narrow_stage(k: &Lanes, x: &mut [u64], half: usize, stage: &[ShoupMul]) -> u64 {
+        let (w, ws) = load_shoup(&std::array::from_fn(|l| stage[l % half]));
+        let lanes = Narrow::new(half);
+        let (vecs, _) = x.as_chunks_mut::<8>();
+        let (vecs, _) = vecs.as_chunks_mut::<2>();
+        for [a, b] in vecs.iter_mut() {
+            let (lo, hi) = lanes.gather(load(a), load(b));
+            let (rl, rh) = k.butterfly(lo, hi, w, ws);
+            let (ra, rb) = lanes.scatter(rl, rh);
+            store(a, ra);
+            store(b, rb);
+        }
+        (x.len() / 2) as u64
+    }
+
+    /// The last forward stage (span `x.len()`), outputs folded canonical.
+    #[target_feature(enable = "avx512f,avx512ifma")]
     pub fn stage_final(m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
-        let q = m.value();
-        let two_q = 2 * q;
+        let k = Lanes::new(m);
         let half = x.len() / 2;
         let (lo, hi) = x.split_at_mut(half);
-        for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-            let u = cond_sub(*a, two_q);
-            let t = m.mul_shoup_lazy(*b, w);
-            *a = cond_sub(cond_sub(u + t, two_q), q);
-            *b = cond_sub(cond_sub(u + two_q - t, two_q), q);
+        let (lo, _) = lo.as_chunks_mut::<8>();
+        let (hi, _) = hi.as_chunks_mut::<8>();
+        let (tws, _) = stage.as_chunks::<8>();
+        for ((l, h), tw) in lo.iter_mut().zip(hi).zip(tws) {
+            let (w, ws) = load_shoup(tw);
+            let (rl, rh) = k.butterfly(load(l), load(h), w, ws);
+            store(l, k.canonical(rl));
+            store(h, k.canonical(rh));
         }
         half as u64
     }
 
+    /// `x[i] = x[i]·tw[i] mod q`, canonical, for `x[i] < 4q`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
     pub fn scale(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
-        let mut chunks = x.chunks_exact_mut(4);
-        let mut tws = tw.chunks_exact(4);
-        for (c, s) in (&mut chunks).zip(&mut tws) {
-            let r0 = m.mul_shoup(c[0], s[0]);
-            let r1 = m.mul_shoup(c[1], s[1]);
-            let r2 = m.mul_shoup(c[2], s[2]);
-            let r3 = m.mul_shoup(c[3], s[3]);
-            c[0] = r0;
-            c[1] = r1;
-            c[2] = r2;
-            c[3] = r3;
-        }
-        for (v, &s) in chunks.into_remainder().iter_mut().zip(tws.remainder()) {
-            *v = m.mul_shoup(*v, s);
+        let k = Lanes::new(m);
+        let (vecs, _) = x.as_chunks_mut::<8>();
+        let (tws, _) = tw.as_chunks::<8>();
+        for (v, t) in vecs.iter_mut().zip(tws) {
+            let (w, ws) = load_shoup(t);
+            let r = k.mul_shoup_lazy(load(v), w, ws);
+            store(v, cond_sub(r, k.q));
         }
     }
 
+    /// `out[i] = x[i]·s.w mod q` for arbitrary 64-bit `x[i]`: the input
+    /// splits as `x = h·2^52 + l` (`h < 2^12`) and
+    /// `x·w ≡ l·w + h·(2^52·w mod q)`; both products take one 52-bit
+    /// Shoup quotient, so their combined remainder lies in `[0, 4q)`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
     pub fn mul_const(m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) {
-        let mut xs = x.chunks_exact(4);
-        let mut os = out.chunks_exact_mut(4);
-        for (xc, oc) in (&mut xs).zip(&mut os) {
-            oc[0] = m.mul_shoup(xc[0], s);
-            oc[1] = m.mul_shoup(xc[1], s);
-            oc[2] = m.mul_shoup(xc[2], s);
-            oc[3] = m.mul_shoup(xc[3], s);
+        let k = Lanes::new(m);
+        let (w, ws) = shoup52(m, s.w);
+        let (c, cs) = shoup52(m, m.mul(m.reduce(1 << 52), s.w));
+        let (w, ws, c, cs) = (splat(w), splat(ws), splat(c), splat(cs));
+        let zero = _mm512_setzero_si512();
+        let (outs, out_tail) = out.as_chunks_mut::<8>();
+        let (xs, x_tail) = x.as_chunks::<8>();
+        for (o, v) in outs.iter_mut().zip(xs) {
+            let v = load(v);
+            let (h, l) = (_mm512_srli_epi64::<52>(v), _mm512_and_si512(v, k.mask));
+            let qhat = _mm512_madd52hi_epu64(_mm512_madd52hi_epu64(zero, l, ws), h, cs);
+            let prod = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(zero, l, w), h, c);
+            let r = _mm512_and_si512(_mm512_madd52lo_epu64(prod, qhat, k.neg_q), k.mask);
+            store(o, k.canonical(r));
         }
-        for (&v, o) in xs.remainder().iter().zip(os.into_remainder()) {
-            *o = m.mul_shoup(v, s);
+        PortableBackend.mul_const(m, s, x_tail, out_tail);
+    }
+
+    /// Reduces an exact lane sum `hi·2^52 + lo` (`hi < 2^62`) to canonical
+    /// `[0, q)`.
+    struct WideReducer {
+        k: Lanes,
+        /// `2^52 mod q` and `2^104 mod q` with their 52-bit Shoup
+        /// constants, and `⌊2^52/q⌋` (the Shoup constant of 1).
+        c52: (V, V),
+        c104: (V, V),
+        one_s: V,
+    }
+
+    impl WideReducer {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn new(m: &Modulus) -> Self {
+            let c52 = m.reduce(1 << 52);
+            let c104 = m.mul(c52, c52);
+            let pair = |(w, ws): (u64, u64)| (splat(w), splat(ws));
+            Self {
+                k: Lanes::new(m),
+                c52: pair(shoup52(m, c52)),
+                c104: pair(shoup52(m, c104)),
+                one_s: splat(shoup52(m, 1).1),
+            }
+        }
+
+        /// With `h = hi + ⌊lo/2^52⌋ = h1·2^52 + h0` and `l0 = lo mod 2^52`,
+        /// the sum is `≡ h1·c104 + h0·c52 + l0`. The first two products
+        /// share one Shoup remainder in `[0, 4q)`; `l0` takes its own
+        /// (Shoup by 1) in `[0, 2q)`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn reduce(&self, hi: V, lo: V) -> V {
+            let k = &self.k;
+            let zero = _mm512_setzero_si512();
+            let h = add(hi, _mm512_srli_epi64::<52>(lo));
+            let l0 = _mm512_and_si512(lo, k.mask);
+            let (h1, h0) = (_mm512_srli_epi64::<52>(h), _mm512_and_si512(h, k.mask));
+            let qhat =
+                _mm512_madd52hi_epu64(_mm512_madd52hi_epu64(zero, h0, self.c52.1), h1, self.c104.1);
+            let prod =
+                _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(zero, h0, self.c52.0), h1, self.c104.0);
+            let r1 = _mm512_and_si512(_mm512_madd52lo_epu64(prod, qhat, k.neg_q), k.mask);
+            let qhat = _mm512_madd52hi_epu64(zero, l0, self.one_s);
+            let r2 = _mm512_and_si512(_mm512_madd52lo_epu64(l0, qhat, k.neg_q), k.mask);
+            k.canonical(add(cond_sub(r1, k.two_q), r2))
         }
     }
 
-    pub fn bconv_ip(t: &Modulus, ys: &[&[u64]], _y_bound: u64, w: &[u64], out: &mut [u64]) {
-        let n = out.len();
-        let mut c = 0;
-        while c + 4 <= n {
-            let (mut a0, mut a1, mut a2, mut a3) = (0u128, 0u128, 0u128, 0u128);
+    /// `out[c] = (Σ_i ys[i][c]·w[i]) mod t` for `ys < 2^52`, `w < t`, fewer
+    /// than `2^11` rows: each term adds `< 2^52` to `lo` and `< 2^50` to
+    /// `hi`, so neither lane wraps.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub fn bconv_ip(t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]) {
+        let reducer = WideReducer::new(t);
+        let (outs, tail) = out.as_chunks_mut::<8>();
+        for (c, o) in outs.iter_mut().enumerate() {
+            let (mut hi, mut lo) = (_mm512_setzero_si512(), _mm512_setzero_si512());
             for (row, &wi) in ys.iter().zip(w) {
-                let wi = wi as u128;
-                a0 += row[c] as u128 * wi;
-                a1 += row[c + 1] as u128 * wi;
-                a2 += row[c + 2] as u128 * wi;
-                a3 += row[c + 3] as u128 * wi;
+                let (y, wi) = (load_at(row, 8 * c), splat(wi));
+                lo = _mm512_madd52lo_epu64(lo, y, wi);
+                hi = _mm512_madd52hi_epu64(hi, y, wi);
             }
-            out[c] = t.reduce_u128(a0);
-            out[c + 1] = t.reduce_u128(a1);
-            out[c + 2] = t.reduce_u128(a2);
-            out[c + 3] = t.reduce_u128(a3);
-            c += 4;
+            store(o, reducer.reduce(hi, lo));
         }
-        while c < n {
-            let mut acc = 0u128;
-            for (row, &wi) in ys.iter().zip(w) {
-                acc += row[c] as u128 * wi as u128;
-            }
-            out[c] = t.reduce_u128(acc);
-            c += 1;
+        if !tail.is_empty() {
+            let ys = tails(ys, 8 * outs.len());
+            PortableBackend.bconv_ip(t, &ys, y_bound, w, tail);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm(q: &Modulus, a: &[u64], b: &[u64], m: usize, k: usize, n: usize, out: &mut [u64]) {
-        let span = gemm_span(q);
-        let vn = n - n % 4;
-        let mut acc = vec![0u128; n];
-        for i in 0..m {
-            acc.fill(0);
-            let a_row = &a[i * k..(i + 1) * k];
-            for t0 in (0..k).step_by(span) {
-                for (t, &ai) in a_row.iter().enumerate().skip(t0).take(span) {
-                    let ai = u128::from(ai);
-                    let brow = &b[t * n..(t + 1) * n];
-                    let mut j = 0;
-                    while j < vn {
-                        acc[j] += ai * u128::from(brow[j]);
-                        acc[j + 1] += ai * u128::from(brow[j + 1]);
-                        acc[j + 2] += ai * u128::from(brow[j + 2]);
-                        acc[j + 3] += ai * u128::from(brow[j + 3]);
-                        j += 4;
-                    }
-                    while j < n {
-                        acc[j] += ai * u128::from(brow[j]);
-                        j += 1;
-                    }
-                }
-                for s in acc.iter_mut() {
-                    *s = u128::from(q.reduce_u128(*s));
-                }
+    /// `out[c] = (out[c] + Σ_j a[j][c]·b[j][c]) mod q` for reduced inputs
+    /// and fewer than `2^11` terms: `lo` starts at `out[c] < 2^50` and
+    /// gains `< 2^52` per term, `hi` gains `< 2^48`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub fn mul_acc(q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+        let reducer = WideReducer::new(q);
+        let (outs, tail) = out.as_chunks_mut::<8>();
+        for (c, o) in outs.iter_mut().enumerate() {
+            let (mut hi, mut lo) = (_mm512_setzero_si512(), load(o));
+            for (x, y) in a.iter().zip(b) {
+                let (x, y) = (load_at(x, 8 * c), load_at(y, 8 * c));
+                lo = _mm512_madd52lo_epu64(lo, x, y);
+                hi = _mm512_madd52hi_epu64(hi, x, y);
             }
-            for (o, &s) in out[i * n..(i + 1) * n].iter_mut().zip(&acc) {
-                *o = s as u64;
-            }
+            store(o, reducer.reduce(hi, lo));
+        }
+        if !tail.is_empty() {
+            let split = 8 * outs.len();
+            PortableBackend.mul_acc(q, &tails(a, split), &tails(b, split), tail);
         }
     }
 }

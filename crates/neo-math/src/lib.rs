@@ -28,7 +28,6 @@
 //! # Ok(())
 //! # }
 //! ```
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod backend;
 pub mod bconv;

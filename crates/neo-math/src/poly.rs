@@ -4,9 +4,10 @@
 //! paper's "limb" = the residues of all coefficients modulo one prime).
 //! The type is a plain data container: it does not own its basis, so the
 //! moduli are passed to each operation by the managing context (`neo-ckks`'s
-//! `CkksContext`). Operations assert limb-count agreement, which catches
-//! level mismatches early.
+//! `CkksContext`). Operations assert limb-count agreement — between
+//! operands and with the moduli — which catches level mismatches early.
 
+use crate::backend::{self, BackendKind, ComputeBackend};
 use crate::{signed_mod, MathError, Modulus};
 use rand::Rng;
 
@@ -163,13 +164,21 @@ impl RnsPoly {
         assert_eq!(self.domain, other.domain, "domain mismatch");
     }
 
+    /// Limb-wise ops pair limb `i` with `moduli[i]`; a shorter list would
+    /// silently leave the tail limbs untouched.
+    fn check_moduli(&self, moduli: &[Modulus]) {
+        assert_eq!(moduli.len(), self.limbs.len(), "moduli count mismatch");
+    }
+
     /// `self += other` limb-wise.
     ///
     /// # Panics
     ///
-    /// Panics on degree/limb/domain mismatch or too few moduli.
+    /// Panics on degree/limb/domain mismatch or when `moduli.len()`
+    /// differs from the limb count.
     pub fn add_assign(&mut self, other: &Self, moduli: &[Modulus]) {
         self.check_pair(other);
+        self.check_moduli(moduli);
         for ((a, b), m) in self.limbs.iter_mut().zip(&other.limbs).zip(moduli) {
             for (x, &y) in a.iter_mut().zip(b) {
                 *x = m.add(*x, y);
@@ -184,6 +193,7 @@ impl RnsPoly {
     /// Same conditions as [`RnsPoly::add_assign`].
     pub fn sub_assign(&mut self, other: &Self, moduli: &[Modulus]) {
         self.check_pair(other);
+        self.check_moduli(moduli);
         for ((a, b), m) in self.limbs.iter_mut().zip(&other.limbs).zip(moduli) {
             for (x, &y) in a.iter_mut().zip(b) {
                 *x = m.sub(*x, y);
@@ -192,7 +202,12 @@ impl RnsPoly {
     }
 
     /// `self = -self` limb-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `moduli.len()` differs from the limb count.
     pub fn neg_assign(&mut self, moduli: &[Modulus]) {
+        self.check_moduli(moduli);
         for (a, m) in self.limbs.iter_mut().zip(moduli) {
             for x in a.iter_mut() {
                 *x = m.neg(*x);
@@ -201,34 +216,69 @@ impl RnsPoly {
     }
 
     /// Pointwise (Hadamard) product; both operands must be in NTT domain.
+    /// Runs on the process-default backend ([`BackendKind::detect`]);
+    /// every backend gives the same result.
     ///
     /// # Panics
     ///
-    /// Panics if either operand is in the coefficient domain.
+    /// Panics if either operand is in the coefficient domain, on a shape
+    /// mismatch, or when `moduli.len()` differs from the limb count.
     pub fn mul_pointwise_assign(&mut self, other: &Self, moduli: &[Modulus]) {
         assert_eq!(self.domain, Domain::Ntt, "pointwise mul needs NTT domain");
         self.check_pair(other);
-        for ((a, b), m) in self.limbs.iter_mut().zip(&other.limbs).zip(moduli) {
-            for (x, &y) in a.iter_mut().zip(b) {
-                *x = m.mul(*x, y);
-            }
+        self.check_moduli(moduli);
+        let be = backend::get(BackendKind::detect());
+        // `mul_acc` accumulates into its output, so each product lands in
+        // a zeroed scratch row that then swaps places with the limb.
+        let mut prod = vec![0u64; self.n];
+        for ((limb, b), m) in self.limbs.iter_mut().zip(&other.limbs).zip(moduli) {
+            prod.fill(0);
+            be.mul_acc(m, &[limb], &[b], &mut prod);
+            std::mem::swap(limb, &mut prod);
         }
     }
 
-    /// Fused multiply-add: `self += a * b` pointwise (NTT domain).
+    /// Fused multiply-add: `self += a * b` pointwise (NTT domain), on the
+    /// process-default backend.
     ///
     /// # Panics
     ///
-    /// Panics on domain or shape mismatch.
+    /// Panics on domain or shape mismatch, or when `moduli.len()` differs
+    /// from the limb count.
     pub fn mul_acc_assign(&mut self, a: &Self, b: &Self, moduli: &[Modulus]) {
-        assert_eq!(self.domain, Domain::Ntt);
-        self.check_pair(a);
-        a.check_pair(b);
-        for (i, m) in moduli.iter().enumerate().take(self.limbs.len()) {
-            let (dst, (x, y)) = (&mut self.limbs[i], (&a.limbs[i], &b.limbs[i]));
-            for ((d, &u), &v) in dst.iter_mut().zip(x).zip(y) {
-                *d = m.add(*d, m.mul(u, v));
-            }
+        self.mul_acc_terms_assign(backend::get(BackendKind::detect()), &[(a, b)], moduli);
+    }
+
+    /// Fused inner product on `be`: `self += Σ_j a_j * b_j` pointwise (NTT
+    /// domain), each coefficient one exact sum reduced once — one
+    /// [`ComputeBackend::mul_acc`] call per limb.
+    ///
+    /// # Panics
+    ///
+    /// Panics on domain or shape mismatch, or when `moduli.len()` differs
+    /// from the limb count.
+    pub fn mul_acc_terms_assign(
+        &mut self,
+        be: &dyn ComputeBackend,
+        terms: &[(&Self, &Self)],
+        moduli: &[Modulus],
+    ) {
+        assert_eq!(self.domain, Domain::Ntt, "multiply-add needs NTT domain");
+        self.check_moduli(moduli);
+        for (a, b) in terms {
+            self.check_pair(a);
+            a.check_pair(b);
+        }
+        let (mut a, mut b) = (
+            Vec::with_capacity(terms.len()),
+            Vec::with_capacity(terms.len()),
+        );
+        for (i, (dst, m)) in self.limbs.iter_mut().zip(moduli).enumerate() {
+            a.clear();
+            b.clear();
+            a.extend(terms.iter().map(|(x, _)| x.limb(i)));
+            b.extend(terms.iter().map(|(_, y)| y.limb(i)));
+            be.mul_acc(m, &a, &b, dst);
         }
     }
 
@@ -236,9 +286,10 @@ impl RnsPoly {
     ///
     /// # Panics
     ///
-    /// Panics if scalar/limb counts differ.
+    /// Panics if scalar, moduli and limb counts differ.
     pub fn mul_scalar_per_limb_assign(&mut self, s: &[u64], moduli: &[Modulus]) {
         assert_eq!(s.len(), self.limbs.len());
+        self.check_moduli(moduli);
         for ((a, &sc), m) in self.limbs.iter_mut().zip(s).zip(moduli) {
             let sc = m.reduce(sc);
             for x in a.iter_mut() {
@@ -253,7 +304,8 @@ impl RnsPoly {
     ///
     /// # Panics
     ///
-    /// Panics if called in NTT domain or `g` is even.
+    /// Panics if called in NTT domain, `g` is even, or `moduli.len()`
+    /// differs from the limb count.
     pub fn automorphism(&self, g: usize, moduli: &[Modulus]) -> Self {
         assert_eq!(
             self.domain,
@@ -261,6 +313,7 @@ impl RnsPoly {
             "AUTO runs in coefficient domain"
         );
         assert_eq!(g % 2, 1, "automorphism index must be odd");
+        self.check_moduli(moduli);
         let two_n = 2 * self.n;
         let mut out = Self::zero(self.n, self.limbs.len(), Domain::Coeff);
         for (li, (src, m)) in self.limbs.iter().zip(moduli).enumerate() {
@@ -367,6 +420,61 @@ mod tests {
         let mut a = RnsPoly::zero(8, 2, Domain::Coeff);
         let b = RnsPoly::zero(8, 1, Domain::Coeff);
         a.add_assign(&b, &ms);
+    }
+
+    /// Every limb-wise op refuses a moduli list shorter than its limbs
+    /// instead of leaving the tail limbs unprocessed.
+    fn short_moduli_case(op: impl FnOnce(&mut RnsPoly, &RnsPoly, &[Modulus])) {
+        let ms = moduli(2);
+        let mut rng = rand::thread_rng();
+        let mut a = RnsPoly::random_uniform(&mut rng, 8, &ms, Domain::Ntt);
+        let b = RnsPoly::random_uniform(&mut rng, 8, &ms, Domain::Ntt);
+        op(&mut a, &b, &ms[..1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "moduli count mismatch")]
+    fn add_assign_rejects_short_moduli() {
+        short_moduli_case(|a, b, ms| a.add_assign(b, ms));
+    }
+
+    #[test]
+    #[should_panic(expected = "moduli count mismatch")]
+    fn sub_assign_rejects_short_moduli() {
+        short_moduli_case(|a, b, ms| a.sub_assign(b, ms));
+    }
+
+    #[test]
+    #[should_panic(expected = "moduli count mismatch")]
+    fn neg_assign_rejects_short_moduli() {
+        short_moduli_case(|a, _, ms| a.neg_assign(ms));
+    }
+
+    #[test]
+    #[should_panic(expected = "moduli count mismatch")]
+    fn mul_pointwise_assign_rejects_short_moduli() {
+        short_moduli_case(|a, b, ms| a.mul_pointwise_assign(b, ms));
+    }
+
+    #[test]
+    #[should_panic(expected = "moduli count mismatch")]
+    fn mul_acc_assign_rejects_short_moduli() {
+        short_moduli_case(|a, b, ms| a.mul_acc_assign(b, b, ms));
+    }
+
+    #[test]
+    #[should_panic(expected = "moduli count mismatch")]
+    fn mul_scalar_per_limb_assign_rejects_short_moduli() {
+        short_moduli_case(|a, _, ms| a.mul_scalar_per_limb_assign(&[3, 5], ms));
+    }
+
+    #[test]
+    #[should_panic(expected = "moduli count mismatch")]
+    fn automorphism_rejects_short_moduli() {
+        short_moduli_case(|a, _, ms| {
+            a.set_domain(Domain::Coeff);
+            a.automorphism(5, ms);
+        });
     }
 
     #[test]

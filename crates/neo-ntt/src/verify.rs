@@ -242,25 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_stage_fault_is_detected() {
-        let p = plan(36, 64);
-        let mut rng = StdRng::seed_from_u64(9);
-        let coeffs: Vec<u64> = (0..64)
-            .map(|_| rng.gen_range(0..p.modulus().value()))
-            .collect();
-        let fault = std::sync::Arc::new(
-            neo_fault::FaultPlan::new(21)
-                .with_site(neo_fault::FaultSite::NttStage, neo_fault::FaultSpec::once()),
-        );
-        let scope = neo_fault::FaultScope::install(fault.clone());
-        let mut evals = coeffs.clone();
-        radix2::forward(&p, &mut evals);
-        drop(scope);
-        assert_eq!(fault.injected(neo_fault::FaultSite::NttStage), 1);
-        assert!(spot_check_forward(&p, &coeffs, &evals, 3).is_err());
-    }
-
-    #[test]
     fn checks_tally_abft_counters() {
         let p = plan(36, 32);
         let (coeffs, evals) = random_pair(&p, 2);

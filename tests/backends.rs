@@ -1,18 +1,31 @@
 //! Cross-backend bit-identity: the portable and SIMD compute backends
 //! must produce byte-for-byte equal outputs on every kernel the
 //! [`neo_math::ComputeBackend`] seam covers — forward/inverse NTT, RNS
-//! base conversion, and the verified modular GEMM — across random primes
-//! and bootstrapping-adjacent degrees. Equality of canonical outputs (not
+//! base conversion, the fused multiply-accumulate, and the verified
+//! modular GEMM — and on whole CKKS operations, across random primes on
+//! both sides of the SIMD backend's `2^50` IFMA bound and
+//! bootstrapping-adjacent degrees. Equality of canonical outputs (not
 //! just congruence) is the contract that makes the backend a pure
 //! throughput knob: ABFT checksums, integrity tokens, and golden test
 //! vectors all remain valid regardless of which backend computed them.
 
-use neo_math::{BackendKind, BconvTable, Modulus, RnsBasis};
+use neo_math::{backend, BackendKind, BconvTable, Modulus, RnsBasis};
 use neo_ntt::{radix2, NttPlan};
 use neo_tcu::{BackendGemm, CheckedGemm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Serialises the tests that run NTTs: `simd_engine_detects_injected_ntt_fault`
+/// arms a process-wide once-only NTT-stage fault, which a transform on
+/// another test thread could otherwise draw.
+fn ntt_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn random_vec(rng: &mut StdRng, len: usize, q: u64) -> Vec<u64> {
     (0..len).map(|_| rng.gen_range(0..q)).collect()
@@ -31,6 +44,7 @@ proptest! {
         bits in 30u32..=59,
         log_n in 10u32..=13,
     ) {
+        let _l = ntt_lock();
         let n = 1usize << log_n;
         let q = neo_math::primes::ntt_primes(bits, n, 1).unwrap()[0];
         let portable = NttPlan::with_backend(q, n, BackendKind::Portable).unwrap();
@@ -101,22 +115,124 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused multiply-accumulate agrees across backends for 1–8 terms
+    /// and ragged lengths; `saturate` makes every operand and the
+    /// accumulator `q − 1`, the largest sum the lanes must hold.
+    #[test]
+    fn mul_acc_is_bit_identical_across_backends(
+        seed in any::<u64>(),
+        bits in 30u32..=61,
+        terms in 1usize..=8,
+        len in 1usize..=70,
+        saturate in any::<bool>(),
+    ) {
+        let q = Modulus::new(
+            neo_math::primes::ntt_primes(bits, 1 << 4, 1).unwrap()[0],
+        ).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut row = || if saturate {
+            vec![q.value() - 1; len]
+        } else {
+            random_vec(&mut rng, len, q.value())
+        };
+        let rows: Vec<Vec<u64>> = (0..2 * terms).map(|_| row()).collect();
+        let acc = row();
+        let xs: Vec<&[u64]> = rows[..terms].iter().map(Vec::as_slice).collect();
+        let ys: Vec<&[u64]> = rows[terms..].iter().map(Vec::as_slice).collect();
+        let (mut p, mut s) = (acc.clone(), acc);
+        backend::get(BackendKind::Portable).mul_acc(&q, &xs, &ys, &mut p);
+        backend::get(BackendKind::Simd).mul_acc(&q, &xs, &ys, &mut s);
+        prop_assert_eq!(p, s);
+    }
+
+    /// `mul_const` accepts raw, unreduced 64-bit inputs; at the
+    /// workloads' 36- and 48-bit primes the SIMD backend splits them into
+    /// 52-bit halves and must still match.
+    #[test]
+    fn mul_const_raw_inputs_are_bit_identical_across_backends(
+        seed in any::<u64>(),
+        wide in any::<bool>(),
+        len in 1usize..=70,
+    ) {
+        let bits = if wide { 48 } else { 36 };
+        let q = Modulus::new(
+            neo_math::primes::ntt_primes(bits, 1 << 4, 1).unwrap()[0],
+        ).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s = q.shoup(rng.gen_range(0..q.value()));
+        let mut x: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
+        x[0] = u64::MAX;
+        let (mut p, mut v) = (vec![0u64; len], vec![0u64; len]);
+        backend::get(BackendKind::Portable).mul_const(&q, s, &x, &mut p);
+        backend::get(BackendKind::Simd).mul_const(&q, s, &x, &mut v);
+        prop_assert_eq!(p, v);
+    }
+}
+
+/// The smallest prime `≥ 2^50` with `q ≡ 1 (mod 2n)`: the first modulus
+/// past the IFMA bound.
+fn ntt_prime_above_2_50(n: usize) -> u64 {
+    let mut q = (1u64 << 50) + 1;
+    while !neo_math::primes::is_prime(q) {
+        q += 2 * n as u64;
+    }
+    q
+}
+
 /// The acceptance corner pinned deterministically: `n = 2^14` forward and
-/// inverse NTT, bit-identical across backends at a 55-bit prime.
+/// inverse NTT, bit-identical across backends at the workloads' 36- and
+/// 48-bit primes, the largest NTT prime below `2^50` (the widest IFMA
+/// modulus), the smallest one above it, and a 55-bit prime.
 #[test]
 fn ntt_n16384_bit_identity() {
+    let _l = ntt_lock();
     let n = 1usize << 14;
-    let q = neo_math::primes::ntt_primes(55, n, 1).unwrap()[0];
-    let portable = NttPlan::with_backend(q, n, BackendKind::Portable).unwrap();
-    let simd = NttPlan::with_backend(q, n, BackendKind::Simd).unwrap();
+    let mut primes: Vec<u64> = [36, 48, 50, 55]
+        .iter()
+        .map(|&bits| neo_math::primes::ntt_primes(bits, n, 1).unwrap()[0])
+        .collect();
+    primes.push(ntt_prime_above_2_50(n));
     let mut rng = StdRng::seed_from_u64(16384);
-    let a = random_vec(&mut rng, n, q);
-    let (mut fp, mut fs) = (a.clone(), a.clone());
-    radix2::forward(&portable, &mut fp);
-    radix2::forward(&simd, &mut fs);
-    assert_eq!(fp, fs);
-    radix2::inverse(&simd, &mut fs);
-    assert_eq!(fs, a);
+    for q in primes {
+        let portable = NttPlan::with_backend(q, n, BackendKind::Portable).unwrap();
+        let simd = NttPlan::with_backend(q, n, BackendKind::Simd).unwrap();
+        let a = random_vec(&mut rng, n, q);
+        let (mut fp, mut fs) = (a.clone(), a.clone());
+        radix2::forward(&portable, &mut fp);
+        radix2::forward(&simd, &mut fs);
+        assert_eq!(fp, fs, "forward diverged at q = {q}");
+        let mut ip = fp.clone();
+        radix2::inverse(&portable, &mut ip);
+        radix2::inverse(&simd, &mut fs);
+        assert_eq!(ip, fs, "inverse diverged at q = {q}");
+        assert_eq!(fs, a, "round trip lost the input at q = {q}");
+    }
+}
+
+/// Whole operations on `test_small`: a KLSS HMult→Rescale and an HRotate
+/// give the same ciphertexts on a portable and a SIMD engine — the tensor,
+/// key-switch inner product, Mod Down and rescale run on the engine's
+/// backend.
+#[test]
+fn ckks_ops_are_bit_identical_across_backends() {
+    use neo_ckks::{CkksParams, FheEngine, KsMethod};
+
+    let _l = ntt_lock();
+    let run = |kind: BackendKind| {
+        let mut params = CkksParams::test_small();
+        params.backend = kind;
+        let engine = FheEngine::new(params, 11).unwrap();
+        assert_eq!((engine.backend(), engine.method()), (kind, KsMethod::Klss));
+        let level = engine.max_level();
+        let a = engine.encrypt_f64(&[0.5, -0.25, 1.5], level).unwrap();
+        let b = engine.encrypt_f64(&[1.25, 0.75, -2.0], level).unwrap();
+        let product = engine.rescale(&engine.hmult(&a, &b).unwrap()).unwrap();
+        (product, engine.hrotate(&a, 3).unwrap())
+    };
+    assert_eq!(run(BackendKind::Portable), run(BackendKind::Simd));
 }
 
 /// Fault-matrix spot run against the SIMD backend: an injected NTT-stage
@@ -129,6 +245,7 @@ fn simd_engine_detects_injected_ntt_fault() {
     use neo_fault::{FaultPlan, FaultScope, FaultSite, FaultSpec};
     use std::sync::Arc;
 
+    let _l = ntt_lock();
     let mut params = CkksParams::test_tiny();
     params.backend = BackendKind::Simd;
     // Engine ops install their own VerifyScope from the policy, so the
