@@ -216,7 +216,7 @@ fn main() {
         cache.discarded_builds,
         cache.evictions,
         cache.entries,
-        params.backend
+        neo_math::BackendKind::detect()
     ));
 
     // --- Artifacts. ---
@@ -234,7 +234,7 @@ fn main() {
             "params": "test_small",
             "tolerance": TOLERANCE,
             "pass": all_ok,
-            "backend": params.backend.name(),
+            "backend": neo_math::BackendKind::detect().name(),
             "ops": ops_json,
             "bootstrap_segments": segments,
             "crosschecks": checks_json,

@@ -85,7 +85,7 @@ impl CkksContext {
         let t_moduli = to_moduli(&t_primes)?;
         let mut plans = HashMap::new();
         for &q in q_primes.iter().chain(&p_primes).chain(&t_primes) {
-            plans.insert(q, ntt_cache::get_or_build_with(q, n, params.backend)?);
+            plans.insert(q, ntt_cache::get_or_build(q, n)?);
         }
         let mut p_mod_q = Vec::with_capacity(q_moduli.len());
         let mut p_inv_mod_q = Vec::with_capacity(q_moduli.len());
@@ -117,10 +117,10 @@ impl CkksContext {
         &self.params
     }
 
-    /// The compute backend `params.backend` names, for the limb-wise
-    /// kernels the context's callers run directly.
+    /// The process-wide compute backend ([`backend::active`]), for the
+    /// limb-wise kernels the context's callers run directly.
     pub fn backend(&self) -> &'static dyn ComputeBackend {
-        backend::get(self.params.backend)
+        backend::active()
     }
 
     /// Ring degree `N`.
@@ -194,19 +194,6 @@ impl CkksContext {
             .expect("prime not managed by this context")
     }
 
-    /// The shared (`Arc`) NTT plan for one prime, for callers that need to
-    /// hold the plan beyond the context borrow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prime is not part of any chain in this context.
-    pub fn plan_arc(&self, prime: u64) -> Arc<NttPlan> {
-        self.plans
-            .get(&prime)
-            .expect("prime not managed by this context")
-            .clone()
-    }
-
     /// Forward-NTTs a polynomial in place (per-limb plans chosen by the
     /// modulus list).
     ///
@@ -254,24 +241,21 @@ impl CkksContext {
     ///
     /// # Errors
     ///
-    /// [`NeoError::FaultDetected`] (site `ntt_forward` / `ntt_plan`) on a
-    /// failed check; [`NeoError::Math`] if a plan cannot be built.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the poly is already in NTT domain.
+    /// [`NeoError::ParameterMismatch`] (site `ntt_forward`) if the poly is
+    /// already in NTT domain, its limb count differs from `moduli.len()`
+    /// or its degree from the context's; [`NeoError::FaultDetected`]
+    /// (site `ntt_forward` / `ntt_plan`) on a failed check;
+    /// [`NeoError::Math`] if a plan cannot be built.
     pub fn try_ntt_forward(&self, poly: &mut RnsPoly, moduli: &[Modulus]) -> Result<(), NeoError> {
-        assert_eq!(poly.domain(), Domain::Coeff, "already in NTT domain");
-        assert_eq!(poly.limb_count(), moduli.len());
+        self.check_transform("ntt_forward", poly, moduli, Domain::Coeff)?;
         let n = self.degree();
-        let backend = self.params.backend;
         let verify = neo_fault::verification_due();
         let checks: Vec<Result<(), NeoError>> = poly
             .limbs_mut()
             .par_iter_mut()
             .zip(moduli.par_iter())
             .map(|(limb, m)| {
-                let plan = ntt_cache::get_or_build_with(m.value(), n, backend)?;
+                let plan = ntt_cache::get_or_build(m.value(), n)?;
                 if verify {
                     let input = limb.clone();
                     radix2::forward(&plan, limb);
@@ -293,24 +277,21 @@ impl CkksContext {
     ///
     /// # Errors
     ///
+    /// [`NeoError::ParameterMismatch`] (site `ntt_inverse`) if the poly is
+    /// already in coefficient domain, its limb count differs from
+    /// `moduli.len()` or its degree from the context's;
     /// [`NeoError::FaultDetected`] (site `ntt_inverse` / `ntt_plan`) on a
     /// failed check; [`NeoError::Math`] if a plan cannot be built.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the poly is already in coefficient domain.
     pub fn try_ntt_inverse(&self, poly: &mut RnsPoly, moduli: &[Modulus]) -> Result<(), NeoError> {
-        assert_eq!(poly.domain(), Domain::Ntt, "already in coefficient domain");
-        assert_eq!(poly.limb_count(), moduli.len());
+        self.check_transform("ntt_inverse", poly, moduli, Domain::Ntt)?;
         let n = self.degree();
-        let backend = self.params.backend;
         let verify = neo_fault::verification_due();
         let checks: Vec<Result<(), NeoError>> = poly
             .limbs_mut()
             .par_iter_mut()
             .zip(moduli.par_iter())
             .map(|(limb, m)| {
-                let plan = ntt_cache::get_or_build_with(m.value(), n, backend)?;
+                let plan = ntt_cache::get_or_build(m.value(), n)?;
                 if verify {
                     let evals = limb.clone();
                     radix2::inverse(&plan, limb);
@@ -324,6 +305,29 @@ impl CkksContext {
         checks.into_iter().collect::<Result<(), NeoError>>()?;
         poly.set_domain(Domain::Coeff);
         Ok(())
+    }
+
+    /// Refuses a transform input the context cannot run: a poly outside
+    /// the `from` domain, a limb count other than `moduli.len()`, or a
+    /// degree other than the context's.
+    fn check_transform(
+        &self,
+        site: &'static str,
+        poly: &RnsPoly,
+        moduli: &[Modulus],
+        from: Domain,
+    ) -> Result<(), NeoError> {
+        let (domain, limbs, n) = (poly.domain(), poly.limb_count(), poly.degree());
+        let what = if domain != from {
+            format!("input is in the {domain:?} domain, expected {from:?}")
+        } else if limbs != moduli.len() {
+            format!("{limbs} limbs for {} moduli", moduli.len())
+        } else if n != self.degree() {
+            format!("degree {n} for a degree-{} context", self.degree())
+        } else {
+            return Ok(());
+        };
+        Err(NeoError::parameter_mismatch(site, what))
     }
 
     /// Samples a ternary secret with values in `{-1, 0, 1}`.
@@ -367,11 +371,7 @@ impl CkksContext {
         }
         let src_basis = RnsBasis::new(src).expect("valid source basis");
         let dst_basis = RnsBasis::new(dst).expect("valid target basis");
-        let table = Arc::new(
-            BconvTable::new(&src_basis, &dst_basis)
-                .expect("coprime bases")
-                .with_backend(self.params.backend),
-        );
+        let table = Arc::new(BconvTable::new(&src_basis, &dst_basis).expect("coprime bases"));
         self.bconv_cache.write().insert(key, table.clone());
         table
     }

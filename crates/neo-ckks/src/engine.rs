@@ -176,29 +176,13 @@ impl FheEngine {
     /// [`Self::execute_batch_planned`] honors its stream choice. The
     /// single planned entry point replacing the removed per-knob setters
     /// (the 0.3.0-deprecated `with_method`, manual `OpPolicy.verify`
-    /// edits, ad-hoc parallelism flags).
-    ///
-    /// # Errors
-    ///
-    /// [`NeoError::ParameterMismatch`] if the plan was tuned on a
-    /// different compute backend than this session runs on — a cached
-    /// plan only replays on the backend it was priced for.
-    pub fn with_plan(mut self, plan: &ExecPlan) -> Result<Self, NeoError> {
-        let backend = self.backend();
-        if plan.backend != backend {
-            return Err(NeoError::parameter_mismatch(
-                "with_plan",
-                format!(
-                    "plan was tuned on the {} backend but this session runs {}",
-                    plan.backend.name(),
-                    backend.name()
-                ),
-            ));
-        }
+    /// edits, ad-hoc parallelism flags). A plan carries no compute
+    /// backend, so any plan installs on any session.
+    pub fn with_plan(mut self, plan: &ExecPlan) -> Self {
         self.method = plan.method;
         self.policy.verify = plan.verify;
         self.plan = Some(*plan);
-        Ok(self)
+        self
     }
 
     /// The installed execution plan, if any.
@@ -215,15 +199,6 @@ impl FheEngine {
     /// The underlying context.
     pub fn context(&self) -> &Arc<CkksContext> {
         self.chest.context()
-    }
-
-    /// The compute backend every hot path of this session dispatches to,
-    /// fixed at build time via
-    /// [`CkksParamsBuilder::backend`](crate::CkksParamsBuilder::backend)
-    /// (or [`BackendKind::detect`](neo_math::BackendKind::detect) by
-    /// default).
-    pub fn backend(&self) -> neo_math::BackendKind {
-        self.context().params().backend
     }
 
     /// The key chest (exposed for warm-up and the batch executor).

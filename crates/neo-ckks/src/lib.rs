@@ -26,10 +26,11 @@
 //! The free functions in [`ops`] are available in fallible `try_*` form
 //! (the original panicking names were removed after their one-release
 //! migration window). Performance knobs — key-switching method, fusion,
-//! stream count, verify policy, backend — travel as a typed
-//! [`ExecPlan`] installed via [`FheEngine::with_plan`]; the `neo-plan`
-//! crate's autotuner produces one by sweeping the knob space through the
-//! `neo-sched` simulator.
+//! stream count, verify policy — travel as a typed [`ExecPlan`] installed
+//! via [`FheEngine::with_plan`]; the `neo-plan` crate's autotuner
+//! produces one by sweeping the knob space through the `neo-sched`
+//! simulator. The compute backend is not a knob: every session in a
+//! process runs on the one [`neo_math::backend::active`] resolves.
 
 // Library code must surface failures as typed `NeoError`s, never by
 // unwrapping; tests may unwrap freely.
@@ -62,6 +63,5 @@ pub use keys::{KeyChest, KeyTarget, PublicKey, SecretKey};
 pub use linear::LinearTransform;
 pub use neo_error::{ErrorKind, NeoError};
 pub use neo_fault::VerifyPolicy;
-pub use neo_math::BackendKind;
 pub use params::{CkksParams, CkksParamsBuilder, KlssConfig, KsMethod, ParamSet};
 pub use plan::ExecPlan;

@@ -4,8 +4,7 @@
 //!
 //! Every operation comes in a fallible `try_*` form returning
 //! [`Result<_, NeoError>`] — the preferred entry points, also used by the
-//! [`crate::engine::FheEngine`] session facade. The original panicking
-//! names remain as thin deprecated wrappers for one release.
+//! [`crate::engine::FheEngine`] session facade.
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::CkksContext;

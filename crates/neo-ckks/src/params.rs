@@ -4,11 +4,10 @@
 //! infeasible configurations *before* any prime generation runs.
 
 use neo_error::NeoError;
-use neo_math::{BackendKind, MathError};
-use serde::{Deserialize, Serialize};
+use neo_math::MathError;
 
 /// KLSS key-switching configuration (Section 2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KlssConfig {
     /// Bit width of the auxiliary `R_T` primes (`WordSize_T`).
     pub word_size_t: u32,
@@ -17,7 +16,7 @@ pub struct KlssConfig {
 }
 
 /// Which key-switching method an evaluation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KsMethod {
     /// The conventional Hybrid method.
     Hybrid,
@@ -25,8 +24,10 @@ pub enum KsMethod {
     Klss,
 }
 
-/// Static CKKS parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Static CKKS parameters. The compute backend is not one of them: it is
+/// resolved once per process ([`neo_math::backend::active`]), and keys,
+/// ciphertexts and stored records are bit-identical under either backend.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CkksParams {
     /// log2 of the ring degree `N`.
     pub log_n: u32,
@@ -51,12 +52,6 @@ pub struct CkksParams {
     /// Use single scaling (plain Rescale) in bootstrapping even at small
     /// word sizes — the TensorFHE\_SS / Neo\_SS rows of Table 5.
     pub single_scaling: bool,
-    /// Compute backend for the NTT/bconv/GEMM hot paths. Defaults to
-    /// [`BackendKind::detect`] (the `NEO_BACKEND` override if set,
-    /// otherwise the best backend the build and CPU support). Outputs are
-    /// bit-identical across backends, so this is purely a throughput knob.
-    #[serde(default)]
-    pub backend: BackendKind,
 }
 
 impl CkksParams {
@@ -155,7 +150,6 @@ impl CkksParams {
             scale_bits: 36,
             lambda: 0,
             single_scaling: false,
-            backend: BackendKind::detect(),
         }
     }
 
@@ -206,7 +200,6 @@ pub struct CkksParamsBuilder {
     scale_bits: Option<u32>,
     lambda: u32,
     single_scaling: bool,
-    backend: Option<BackendKind>,
 }
 
 impl Default for CkksParamsBuilder {
@@ -231,7 +224,6 @@ impl CkksParamsBuilder {
             scale_bits: None,
             lambda: 0,
             single_scaling: false,
-            backend: None,
         }
     }
 
@@ -304,14 +296,6 @@ impl CkksParamsBuilder {
         self
     }
 
-    /// Pins the compute backend for the NTT/bconv/GEMM hot paths
-    /// (defaults to [`BackendKind::detect`]). Results are bit-identical
-    /// across backends; only throughput differs.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
     /// Approximate count of NTT-friendly primes (`p ≡ 1 mod 2N`) of
     /// exactly `bits` bits, by the prime-counting density: of the
     /// `2^(bits-1)` integers in range, one in `ln(2^bits)` is prime and
@@ -345,7 +329,6 @@ impl CkksParamsBuilder {
             scale_bits: self.scale_bits.unwrap_or(self.word_size),
             lambda: self.lambda,
             single_scaling: self.single_scaling,
-            backend: self.backend.unwrap_or_else(BackendKind::detect),
         };
         p.validate()?;
         // alpha() divides by dnum, so derive the default special count
@@ -441,7 +424,7 @@ impl CkksParamsBuilder {
 }
 
 /// The paper's Table 4 parameter sets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamSet {
     /// `d_num = 1`, 36-bit words, Hybrid.
     A,
@@ -489,7 +472,6 @@ impl ParamSet {
             scale_bits: 36,
             lambda: 128,
             single_scaling: false,
-            backend: BackendKind::detect(),
         };
         let mut p = match self {
             ParamSet::A => CkksParams { dnum: 1, ..base },
@@ -602,25 +584,6 @@ mod tests {
         assert_eq!(built.klss, None);
         let with_klss = CkksParams::builder().klss(48, 2).build().unwrap();
         assert_eq!(with_klss, CkksParams::test_small());
-    }
-
-    #[test]
-    fn builder_pins_backend() {
-        let p = CkksParams::builder()
-            .backend(BackendKind::Portable)
-            .build()
-            .unwrap();
-        assert_eq!(p.backend, BackendKind::Portable);
-        let s = CkksParams::builder()
-            .backend(BackendKind::Simd)
-            .build()
-            .unwrap();
-        assert_eq!(s.backend, BackendKind::Simd);
-        // Unset defaults to the process-wide detection.
-        assert_eq!(
-            CkksParams::builder().build().unwrap().backend,
-            BackendKind::detect()
-        );
     }
 
     #[test]

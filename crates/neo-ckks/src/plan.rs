@@ -3,9 +3,9 @@
 //!
 //! A plan bundles every performance-relevant knob that used to travel
 //! through scattered per-knob setters — key-switching method,
-//! `WordSize_T`, kernel fusion, stream count, ABFT verify policy,
-//! compute backend — plus the simulated makespan the planner predicted
-//! for the workload it was tuned on. The planner itself (the sweep over
+//! `WordSize_T`, kernel fusion, stream count, ABFT verify policy — plus
+//! the simulated makespan the planner predicted for the workload it was
+//! tuned on. The planner itself (the sweep over
 //! this space through `neo_sched::simulate_best`, and the `PlanStore`
 //! cache) lives in the `neo-plan` crate; the type is defined here so the
 //! engine can accept a plan without a dependency cycle.
@@ -17,7 +17,6 @@
 
 use crate::params::{CkksParams, KsMethod};
 use neo_fault::VerifyPolicy;
-use neo_math::BackendKind;
 
 /// A tuned execution configuration: the winning point of the planner's
 /// sweep, plus the simulated makespan that made it win.
@@ -38,11 +37,6 @@ pub struct ExecPlan {
     /// ABFT verification policy priced into — and installed by — the
     /// plan.
     pub verify: VerifyPolicy,
-    /// Compute backend the plan was tuned on. A cached plan only
-    /// replays on the backend it was priced for; installing it on an
-    /// engine built over a different backend is a typed
-    /// [`crate::NeoError::ParameterMismatch`].
-    pub backend: BackendKind,
     /// The simulated makespan of the plan's workload under this
     /// configuration, in seconds (0.0 for hand-built plans).
     pub predicted_makespan_s: f64,
@@ -64,7 +58,6 @@ impl ExecPlan {
             fusion: false,
             streams: 1,
             verify: VerifyPolicy::Off,
-            backend: p.backend,
             predicted_makespan_s: 0.0,
         }
     }
@@ -98,7 +91,6 @@ mod tests {
         assert_eq!(plan.method, KsMethod::Klss, "test_small carries KLSS");
         assert_eq!(plan.word_size_t, Some(48));
         assert!(!plan.fusion && plan.streams == 1 && !plan.parallel());
-        assert_eq!(plan.backend, p.backend);
 
         let hybrid = ExecPlan::pinned(&p, KsMethod::Hybrid);
         assert_eq!(hybrid.method, KsMethod::Hybrid);

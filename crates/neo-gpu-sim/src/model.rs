@@ -1,5 +1,4 @@
 use crate::{DeviceSpec, KernelProfile};
-use serde::{Deserialize, Serialize};
 
 /// Execution-strategy knobs for a kernel sequence (Section 4.6).
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// `sequence_time_s(ps, ExecConfig::naive())` exactly, and the
 /// default-config makespan must land inside the eta model's
 /// `[max(Σcuda, Σtcu), Σcuda + Σtcu]` compute envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
     /// Overlap CUDA-core and TCU phases across streams. `overlap_eta` is
     /// the fraction of the shorter phase hidden behind the longer one
@@ -52,7 +51,7 @@ impl ExecConfig {
 /// `launches`). The building block both the closed-form
 /// [`DeviceModel::sequence_time_s`] and the `neo-sched` envelope
 /// cross-checks work from.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ComponentSums {
     /// Σ CUDA-core compute seconds.
     pub cuda_s: f64,

@@ -1,6 +1,5 @@
 use crate::costs::{MERGE_COST, REORDER_COST, SPLIT_COST};
 use neo_trace::{Counter, WorkCounters};
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul};
 
 /// Exact work counts for one kernel invocation (or a batch of them).
@@ -10,7 +9,7 @@ use std::ops::{Add, AddAssign, Mul};
 /// They form a commutative monoid under `+` (sequencing work) and support
 /// scalar `*` (repeating a kernel), which is how operation- and
 /// application-level costs are assembled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelProfile {
     /// Kernel name for reporting ("bconv", "ip", "ntt", …).
     pub name: String,

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// Fraction of peak throughput real kernels achieve on each component.
 ///
 /// These are the model's only free parameters. They are fit once against
 /// the paper's Table 7 kernel throughputs and then frozen for every other
 /// experiment (see `EXPERIMENTS.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Efficiency {
     /// CUDA-core integer/modular pipelines.
     pub cuda: f64,
@@ -36,7 +34,7 @@ impl Default for Efficiency {
 }
 
 /// Static hardware description of one GPGPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable device name.
     pub name: String,

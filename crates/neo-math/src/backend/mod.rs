@@ -23,17 +23,19 @@
 //!   feature detection): 8-lane 52-bit arithmetic whenever the modulus is
 //!   below `2^50` and the CPU has IFMA, the portable kernels otherwise.
 //!
-//! Selection happens once, at engine/plan build time: an explicit
-//! [`BackendKind`] via `CkksParamsBuilder::backend(..)`, the `NEO_BACKEND`
-//! environment override, or runtime CPU-feature detection for the default
-//! ([`BackendKind::detect`]: SIMD on CPUs with AVX-512 IFMA). The chosen
-//! kind threads through `NttPlan`/plan-cache keys, `BconvTable`,
-//! `CkksContext` and `neo-tcu::BackendGemm`, so a process can hold plans
-//! for both backends side by side (the cross-backend property tests do
-//! exactly that).
+//! Selection happens once per process: the `NEO_BACKEND` environment
+//! override, else runtime CPU-feature detection ([`BackendKind::detect`]:
+//! SIMD on CPUs with AVX-512 IFMA). [`active`] hands that choice to
+//! everything above the kernel objects — `CkksContext::backend`,
+//! [`RnsPoly`](crate::RnsPoly)'s products and the default constructors
+//! (`NttPlan::new`, [`BconvTable::new`](crate::BconvTable::new),
+//! `BackendGemm::auto`). The explicit pins on the kernel objects
+//! (`NttPlan::with_backend`, [`BconvTable::with_backend`](crate::BconvTable::with_backend),
+//! `BackendGemm::new`) are bench and test seams: they let one process run
+//! both backends side by side, as the cross-backend property tests and
+//! `backend_bench` do.
 
 use crate::{Modulus, ShoupMul};
-use serde::{Deserialize, Serialize};
 use std::sync::LazyLock;
 
 mod portable;
@@ -42,9 +44,8 @@ mod simd;
 pub use portable::PortableBackend;
 pub use simd::SimdBackend;
 
-/// Identifies a compute backend. `Copy`-cheap, hashable (plan-cache key
-/// component), and serde-serializable (rides inside `CkksParams`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Identifies a compute backend. `Copy`-cheap and hashable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Scalar Shoup/lazy-reduction kernels (the reference).
     Portable,
@@ -95,12 +96,6 @@ impl BackendKind {
     }
 }
 
-impl Default for BackendKind {
-    fn default() -> Self {
-        BackendKind::detect()
-    }
-}
-
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -114,6 +109,12 @@ pub fn get(kind: BackendKind) -> &'static dyn ComputeBackend {
         BackendKind::Portable => &PortableBackend,
         BackendKind::Simd => &SimdBackend,
     }
+}
+
+/// The process-wide backend: [`BackendKind::detect`]'s choice, resolved
+/// once. Everything above the kernel objects runs on it.
+pub fn active() -> &'static dyn ComputeBackend {
+    get(BackendKind::detect())
 }
 
 /// The arithmetic inner loops of the three hot kernels.
@@ -246,7 +247,7 @@ mod tests {
     #[test]
     fn detect_is_stable_within_a_process() {
         assert_eq!(BackendKind::detect(), BackendKind::detect());
-        assert_eq!(BackendKind::default(), BackendKind::detect());
+        assert_eq!(active().kind(), BackendKind::detect());
     }
 
     /// A CPU with AVX-512 IFMA defaults to the SIMD backend, so the

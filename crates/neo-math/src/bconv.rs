@@ -90,13 +90,13 @@ impl BconvTable {
             qhat_mod_dst,
             q_mod_dst,
             inv_q,
-            backend: BackendKind::detect(),
+            backend: backend::active().kind(),
         })
     }
 
     /// Pins the limb-wise hot loops to `kind` (the constructor defaults to
-    /// [`BackendKind::detect`]). Outputs are bit-identical across backends;
-    /// only throughput differs.
+    /// [`backend::active`]), a bench and test seam. Outputs are
+    /// bit-identical across backends; only throughput differs.
     #[must_use]
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
         self.backend = kind;

@@ -7,7 +7,7 @@
 //! `CkksContext`). Operations assert limb-count agreement — between
 //! operands and with the moduli — which catches level mismatches early.
 
-use crate::backend::{self, BackendKind, ComputeBackend};
+use crate::backend::{self, ComputeBackend};
 use crate::{signed_mod, MathError, Modulus};
 use rand::Rng;
 
@@ -216,8 +216,8 @@ impl RnsPoly {
     }
 
     /// Pointwise (Hadamard) product; both operands must be in NTT domain.
-    /// Runs on the process-default backend ([`BackendKind::detect`]);
-    /// every backend gives the same result.
+    /// Runs on the process-wide backend ([`backend::active`]); every
+    /// backend gives the same result.
     ///
     /// # Panics
     ///
@@ -227,7 +227,7 @@ impl RnsPoly {
         assert_eq!(self.domain, Domain::Ntt, "pointwise mul needs NTT domain");
         self.check_pair(other);
         self.check_moduli(moduli);
-        let be = backend::get(BackendKind::detect());
+        let be = backend::active();
         // `mul_acc` accumulates into its output, so each product lands in
         // a zeroed scratch row that then swaps places with the limb.
         let mut prod = vec![0u64; self.n];
@@ -239,14 +239,14 @@ impl RnsPoly {
     }
 
     /// Fused multiply-add: `self += a * b` pointwise (NTT domain), on the
-    /// process-default backend.
+    /// process-wide backend.
     ///
     /// # Panics
     ///
     /// Panics on domain or shape mismatch, or when `moduli.len()` differs
     /// from the limb count.
     pub fn mul_acc_assign(&mut self, a: &Self, b: &Self, moduli: &[Modulus]) {
-        self.mul_acc_terms_assign(backend::get(BackendKind::detect()), &[(a, b)], moduli);
+        self.mul_acc_terms_assign(backend::active(), &[(a, b)], moduli);
     }
 
     /// Fused inner product on `be`: `self += Σ_j a_j * b_j` pointwise (NTT

@@ -1,4 +1,4 @@
-//! Process-wide cache of [`NttPlan`]s keyed by `(q, n, backend)`.
+//! Process-wide cache of [`NttPlan`]s keyed by `(q, n)`.
 //!
 //! Plan construction is expensive — four power tables plus four Shoup
 //! tables, each `O(n)` multiplications — and the CKKS stack asks for the
@@ -12,7 +12,7 @@
 //! of the `neo-trace` registry on demand, so the hot path stays untouched.
 
 use crate::NttPlan;
-use neo_math::{BackendKind, MathError};
+use neo_math::MathError;
 use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -28,10 +28,9 @@ struct CachedPlan {
     token: u64,
 }
 
-/// Key includes the backend kind: plans with different backends hold
-/// identical tables and tokens, but callers that pinned a backend at
-/// engine-build time must get a plan that dispatches to it.
-type PlanMap = HashMap<(u64, usize, BackendKind), CachedPlan>;
+/// Plans are built with [`NttPlan::new`], so every resident plan runs on
+/// the process-wide backend.
+type PlanMap = HashMap<(u64, usize), CachedPlan>;
 
 static PLAN_CACHE: LazyLock<RwLock<PlanMap>> = LazyLock::new(|| RwLock::new(HashMap::new()));
 
@@ -57,35 +56,20 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// Returns the cached plan for `(q, n)` under the process-default backend
-/// ([`BackendKind::detect`]). See [`get_or_build_with`].
+/// Returns the cached plan for `(q, n)`, building and inserting it on the
+/// first request. Concurrent callers for the same key all receive the
+/// same `Arc`. A race may build a plan twice; only one instance is kept
+/// and the loser is counted in [`CacheStats::discarded_builds`].
 ///
 /// # Errors
 ///
 /// Propagates [`NttPlan::new`] errors; failures are not cached.
 pub fn get_or_build(q: u64, n: usize) -> Result<Arc<NttPlan>, MathError> {
-    get_or_build_with(q, n, BackendKind::detect())
-}
-
-/// Returns the cached plan for `(q, n, backend)`, building and inserting
-/// it on the first request. Concurrent callers for the same key all
-/// receive the same `Arc`. A race may build a plan twice; only one
-/// instance is kept and the loser is counted in
-/// [`CacheStats::discarded_builds`].
-///
-/// # Errors
-///
-/// Propagates [`NttPlan::with_backend`] errors; failures are not cached.
-pub fn get_or_build_with(
-    q: u64,
-    n: usize,
-    backend: BackendKind,
-) -> Result<Arc<NttPlan>, MathError> {
     // Clone out of a scoped read guard: the injection path below needs
     // the write lock, which would deadlock under a live read guard.
     let hit = {
         let cache = PLAN_CACHE.read();
-        cache.get(&(q, n, backend)).map(|e| e.plan.clone())
+        cache.get(&(q, n)).map(|e| e.plan.clone())
     };
     if let Some(plan) = hit {
         HITS.fetch_add(1, Ordering::Relaxed);
@@ -95,7 +79,7 @@ pub fn get_or_build_with(
         if neo_fault::armed() {
             if let Some(h) = neo_fault::draw_entropy(neo_fault::FaultSite::NttPlan) {
                 let poisoned = Arc::new(plan.poisoned_clone(h));
-                if let Some(entry) = PLAN_CACHE.write().get_mut(&(q, n, backend)) {
+                if let Some(entry) = PLAN_CACHE.write().get_mut(&(q, n)) {
                     entry.plan = poisoned.clone();
                 }
                 return Ok(poisoned);
@@ -106,9 +90,9 @@ pub fn get_or_build_with(
     MISSES.fetch_add(1, Ordering::Relaxed);
     // Build outside the write lock: construction costs O(n) multiplies
     // and other keys shouldn't wait on it.
-    let built = Arc::new(NttPlan::with_backend(q, n, backend)?);
+    let built = Arc::new(NttPlan::new(q, n)?);
     let mut cache = PLAN_CACHE.write();
-    match cache.entry((q, n, backend)) {
+    match cache.entry((q, n)) {
         Entry::Occupied(e) => {
             // Another thread built the same plan first; ours is discarded.
             DISCARDED.fetch_add(1, Ordering::Relaxed);
@@ -128,22 +112,21 @@ pub fn get_or_build_with(
 /// which is exactly what the retrying executors do.
 pub fn quarantine_corrupt() -> usize {
     let mut cache = PLAN_CACHE.write();
-    let corrupt: Vec<(u64, usize, BackendKind)> = cache
+    let corrupt: Vec<(u64, usize)> = cache
         .iter()
         .filter(|(_, e)| e.plan.checksum() != e.token)
         .map(|(&k, _)| k)
         .collect();
-    for &(q, n, backend) in &corrupt {
-        cache.remove(&(q, n, backend));
+    for &(q, n) in &corrupt {
+        cache.remove(&(q, n));
         EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        // Rebuild once, preserving the key's backend choice: the key built
-        // successfully before, so a failure here (impossible for a
-        // previously valid (q, n)) just leaves the entry absent for the
-        // next get_or_build to rebuild.
-        if let Ok(fresh) = NttPlan::with_backend(q, n, backend) {
+        // Rebuild once: the key built successfully before, so a failure
+        // here (impossible for a previously valid (q, n)) just leaves the
+        // entry absent for the next get_or_build to rebuild.
+        if let Ok(fresh) = NttPlan::new(q, n) {
             let fresh = Arc::new(fresh);
             let token = fresh.integrity_token();
-            cache.insert((q, n, backend), CachedPlan { plan: fresh, token });
+            cache.insert((q, n), CachedPlan { plan: fresh, token });
         }
     }
     corrupt.len()
@@ -330,28 +313,6 @@ mod tests {
             let v = snap.gauge(&format!("ntt_plan_cache_{name}"), &[]);
             assert!(v.is_some_and(|v| v >= 1.0), "{name}: {v:?}");
         }
-        clear();
-    }
-
-    #[test]
-    fn backend_pinned_requests_get_distinct_entries_with_equal_tokens() {
-        let _g = lock();
-        clear();
-        let q = primes::ntt_primes(36, 64, 1).unwrap()[0];
-        let portable = get_or_build_with(q, 64, BackendKind::Portable).unwrap();
-        let simd = get_or_build_with(q, 64, BackendKind::Simd).unwrap();
-        assert!(!Arc::ptr_eq(&portable, &simd));
-        assert_eq!(portable.backend(), BackendKind::Portable);
-        assert_eq!(simd.backend(), BackendKind::Simd);
-        // Same (q, n) ⇒ identical tables ⇒ identical integrity tokens;
-        // only the dispatch target differs.
-        assert_eq!(portable.integrity_token(), simd.integrity_token());
-        assert_eq!(stats().entries, 2);
-        // The default entry point resolves to the process-default backend
-        // and shares its Arc with the matching pinned entry.
-        let auto = get_or_build(q, 64).unwrap();
-        let pinned = get_or_build_with(q, 64, BackendKind::detect()).unwrap();
-        assert!(Arc::ptr_eq(&auto, &pinned));
         clear();
     }
 

@@ -35,8 +35,8 @@ pub struct NttPlan {
 
 impl NttPlan {
     /// Builds a plan for degree `n` (power of two, ≥ 4) and prime `q` with
-    /// `q ≡ 1 (mod 2n)`, executing on the process-default backend
-    /// ([`BackendKind::detect`]).
+    /// `q ≡ 1 (mod 2n)`, executing on the process-wide backend
+    /// ([`neo_math::backend::active`]).
     ///
     /// # Errors
     ///
@@ -44,10 +44,11 @@ impl NttPlan {
     /// [`MathError::InvalidModulus`] if `q` is out of range or lacks the
     /// root of unity.
     pub fn new(q: u64, n: usize) -> Result<Self, MathError> {
-        Self::with_backend(q, n, BackendKind::detect())
+        Self::with_backend(q, n, neo_math::backend::active().kind())
     }
 
-    /// [`NttPlan::new`] with an explicit compute backend.
+    /// [`NttPlan::new`] with an explicit compute backend — a bench and
+    /// test seam for running both backends in one process.
     ///
     /// # Errors
     ///

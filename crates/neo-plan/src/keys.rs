@@ -3,11 +3,11 @@
 //! A cached plan is only valid for the exact pricing context it was
 //! tuned in, so the key has two halves:
 //!
-//! * [`param_fingerprint`] — a hash of **every** [`CkksParams`] field,
-//!   including the compute backend. Changing any parameter (or the
-//!   backend) changes the fingerprint, which *is* the cache
-//!   invalidation story: stale entries are never evicted, they simply
-//!   stop being addressed.
+//! * [`param_fingerprint`] — a hash of **every** [`CkksParams`] field.
+//!   Changing any parameter changes the fingerprint, which *is* the
+//!   cache invalidation story: stale entries are never evicted, they
+//!   simply stop being addressed. The compute backend is not a
+//!   parameter, so a plan or store record answers under either one.
 //! * a workload **shape** hash — the op sequence with its operand
 //!   wiring and input level ([`program_shape`]), or the step sequence
 //!   of a trace ([`trace_shape`]). Two requests with the same shape
@@ -25,7 +25,7 @@ use std::hash::{Hash, Hasher};
 /// The cache key of one (parameter set, workload shape) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// Hash of every [`CkksParams`] field, backend included.
+    /// Hash of every [`CkksParams`] field.
     pub fingerprint: u64,
     /// Hash of the workload's structure (ops, wiring, levels).
     pub shape: u64,
@@ -54,8 +54,7 @@ fn hasher() -> std::collections::hash_map::DefaultHasher {
 }
 
 /// Deterministic hash of every field of `p` — the parameter half of a
-/// [`PlanKey`]. Includes the resolved [`neo_ckks::BackendKind`], so a
-/// plan tuned under one backend never answers for another.
+/// [`PlanKey`].
 pub fn param_fingerprint(p: &CkksParams) -> u64 {
     let mut h = hasher();
     p.log_n.hash(&mut h);
@@ -69,7 +68,6 @@ pub fn param_fingerprint(p: &CkksParams) -> u64 {
     p.scale_bits.hash(&mut h);
     p.lambda.hash(&mut h);
     p.single_scaling.hash(&mut h);
-    p.backend.hash(&mut h);
     h.finish()
 }
 
@@ -120,13 +118,6 @@ mod tests {
         let mut q = p.clone();
         q.max_level += 1;
         assert_ne!(base, param_fingerprint(&q), "level change re-keys");
-
-        let mut q = p.clone();
-        q.backend = match q.backend {
-            neo_ckks::BackendKind::Portable => neo_ckks::BackendKind::Simd,
-            neo_ckks::BackendKind::Simd => neo_ckks::BackendKind::Portable,
-        };
-        assert_ne!(base, param_fingerprint(&q), "backend change re-keys");
     }
 
     #[test]

@@ -210,7 +210,6 @@ impl Planner {
                         .scale_bits(self.params.scale_bits)
                         .lambda(self.params.lambda)
                         .single_scaling(self.params.single_scaling)
-                        .backend(self.params.backend)
                         .build()?
                 }
             }
@@ -260,7 +259,6 @@ impl Planner {
                                 fusion,
                                 streams: sched.streams,
                                 verify,
-                                backend: self.params.backend,
                                 predicted_makespan_s: makespan,
                             });
                         }

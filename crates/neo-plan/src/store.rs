@@ -10,9 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Concurrent map from [`PlanKey`] to the winning [`ExecPlan`], with
 /// hit/miss accounting.
 ///
-/// The store never evicts: keys embed a full parameter fingerprint
-/// (backend included), so entries tuned for a stale context simply stop
-/// being addressed when the context changes. Share one store across
+/// The store never evicts: keys embed a full parameter fingerprint, so
+/// entries tuned for a stale context simply stop being addressed when the
+/// context changes. Share one store across
 /// planner and admission via `Arc`.
 #[derive(Default)]
 pub struct PlanStore {

@@ -43,11 +43,10 @@ use neo_error::NeoError;
 use neo_fault::{CompletionFault, FaultSite};
 use neo_gpu_sim::DeviceModel;
 use neo_trace::SimSpan;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Simulator knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Number of simulated CUDA streams (≥ 1).
     pub streams: usize,
@@ -68,7 +67,7 @@ impl Default for SimConfig {
 }
 
 /// Simulated timeline of one graph node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeTimeline {
     /// Stream the node was assigned to.
     pub stream: usize,
@@ -94,7 +93,7 @@ impl NodeTimeline {
 /// engine, and a stale duplicate is discarded before it mutates state, so
 /// a faulted run's [`Schedule::timeline`] is bit-identical to the clean
 /// run's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompletionFaults {
     /// Dropped completion interrupts the watchdog resynthesized.
     pub resynthesized: u64,
@@ -114,7 +113,7 @@ impl CompletionFaults {
 /// it can be cross-checked against the analytic per-kernel component
 /// times, and exported as `sched_*_busy_fraction` gauges via
 /// [`crate::metrics::publish_utilization`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineBusy {
     /// Seconds the exclusive CUDA-core engine spent serving a phase.
     pub cuda_s: f64,
@@ -132,7 +131,7 @@ pub struct EngineBusy {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Stream count the graph was scheduled onto.
     pub streams: usize,
@@ -145,9 +144,7 @@ pub struct Schedule {
     /// Completion-signal faults injected and recovered during the run
     /// (all-zero unless a `neo_fault` plan arms `SchedCompletion`).
     pub faults: CompletionFaults,
-    /// Per-engine and per-stream busy time accumulated by the event loop
-    /// (defaults to all-zero when deserializing pre-accounting artifacts).
-    #[serde(default)]
+    /// Per-engine and per-stream busy time accumulated by the event loop.
     pub busy: EngineBusy,
 }
 

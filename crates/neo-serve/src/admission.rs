@@ -313,7 +313,6 @@ impl AdmissionQueue {
                     fusion: false,
                     streams,
                     verify: VerifyPolicy::Off,
-                    backend: pricing.backend,
                     predicted_makespan_s: est.as_secs_f64(),
                 },
             );

@@ -24,9 +24,7 @@ pub struct TenantConfig {
     /// level alignment, noise floor, warm-key requirement, verification).
     pub policy: OpPolicy,
     /// Tuned execution plan installed on the tenant's engine via
-    /// [`FheEngine::with_plan`] at registration. The plan must have been
-    /// tuned for this registry's backend — a mismatch fails registration
-    /// with [`NeoError::ParameterMismatch`]. Produce one with the
+    /// [`FheEngine::with_plan`] at registration. Produce one with the
     /// `neo-plan` autotuner; to pin a key-switching method, pin it in the
     /// plan ([`ExecPlan::pinned`] — the per-knob `method` override was
     /// removed in 0.4.0 after its one-release deprecation window).
@@ -218,9 +216,7 @@ impl TenantRegistry {
     ///
     /// # Errors
     ///
-    /// [`NeoError::InvalidParams`] if `id` is already registered;
-    /// [`NeoError::ParameterMismatch`] if `cfg.plan` was tuned for a
-    /// different backend than this registry runs.
+    /// [`NeoError::InvalidParams`] if `id` is already registered.
     pub fn register(
         &self,
         id: TenantId,
@@ -241,7 +237,7 @@ impl TenantRegistry {
     ) -> Result<Arc<TenantSession>, NeoError> {
         engine.set_policy(cfg.policy);
         if let Some(p) = cfg.plan.as_ref() {
-            engine = engine.with_plan(p)?;
+            engine = engine.with_plan(p);
         }
         let session = Arc::new(TenantSession::new(id, engine, cfg));
         let mut map = self.tenants.write();
@@ -272,8 +268,7 @@ impl TenantRegistry {
     /// `store` was opened over a different context than this registry;
     /// [`NeoError::FaultDetected`] if the tenant's records are
     /// quarantined or fail integrity checks (see
-    /// [`neo_store::SessionStore::warm_start`]);
-    /// [`NeoError::ParameterMismatch`] on a backend-mismatched plan.
+    /// [`neo_store::SessionStore::warm_start`]).
     pub fn register_warm(
         &self,
         id: TenantId,
@@ -371,23 +366,6 @@ mod tests {
         };
         let s = reg.register(1, 11, cfg).expect("register");
         assert_eq!(s.engine().plan(), Some(&plan));
-    }
-
-    #[test]
-    fn backend_mismatched_plan_fails_registration() {
-        let params = CkksParams::test_tiny();
-        let reg = TenantRegistry::new(params.clone()).expect("params");
-        let mut plan = ExecPlan::unplanned(&params);
-        plan.backend = match plan.backend {
-            neo_ckks::BackendKind::Portable => neo_ckks::BackendKind::Simd,
-            neo_ckks::BackendKind::Simd => neo_ckks::BackendKind::Portable,
-        };
-        let cfg = TenantConfig {
-            plan: Some(plan),
-            ..TenantConfig::default()
-        };
-        let err = reg.register(1, 11, cfg).expect_err("mismatch");
-        assert_eq!(err.kind().name(), "parameter_mismatch");
     }
 
     #[test]

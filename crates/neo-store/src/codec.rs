@@ -9,7 +9,7 @@
 
 use neo_ckks::{Ciphertext, ExecPlan, KsMethod, VerifyPolicy};
 use neo_error::NeoError;
-use neo_math::{BackendKind, Domain, RnsPoly};
+use neo_math::{Domain, RnsPoly};
 
 /// Reader over a payload with bounds-checked little-endian accessors.
 pub(crate) struct Reader<'a> {
@@ -215,10 +215,6 @@ pub fn encode_plan(plan: &ExecPlan) -> Vec<u8> {
             out.extend_from_slice(&n.to_le_bytes());
         }
     }
-    out.push(match plan.backend {
-        BackendKind::Portable => 0,
-        BackendKind::Simd => 1,
-    });
     out.extend_from_slice(&plan.predicted_makespan_s.to_bits().to_le_bytes());
     out
 }
@@ -253,11 +249,6 @@ pub fn decode_plan(bytes: &[u8]) -> Result<ExecPlan, NeoError> {
         2 => VerifyPolicy::Sampled(r.u32()?),
         t => return Err(corrupt(format!("unknown verify tag {t}"))),
     };
-    let backend = match r.u8()? {
-        0 => BackendKind::Portable,
-        1 => BackendKind::Simd,
-        t => return Err(corrupt(format!("unknown backend tag {t}"))),
-    };
     let predicted_makespan_s = r.f64()?;
     r.finish()?;
     Ok(ExecPlan {
@@ -266,7 +257,6 @@ pub fn decode_plan(bytes: &[u8]) -> Result<ExecPlan, NeoError> {
         fusion,
         streams,
         verify,
-        backend,
         predicted_makespan_s,
     })
 }
@@ -369,7 +359,6 @@ mod tests {
                 fusion: true,
                 streams: 4,
                 verify: VerifyPolicy::Sampled(16),
-                backend: BackendKind::Portable,
                 predicted_makespan_s: 1.25e-3,
             },
             ExecPlan {
@@ -378,7 +367,6 @@ mod tests {
                 fusion: false,
                 streams: 1,
                 verify: VerifyPolicy::Off,
-                backend: BackendKind::Simd,
                 predicted_makespan_s: 0.0,
             },
         ] {

@@ -19,8 +19,9 @@ pub const FILE_MAGIC: [u8; 8] = *b"NEOSTOR1";
 pub const RECORD_MAGIC: [u8; 4] = *b"NREC";
 
 /// Current record format version. Bumped on any layout change; old
-/// versions are quarantined, not guessed at.
-pub const RECORD_VERSION: u16 = 1;
+/// versions are quarantined, not guessed at. Version 2 dropped the
+/// compute-backend byte from `ExecPlan` payloads.
+pub const RECORD_VERSION: u16 = 2;
 
 /// Size of the fixed record header in bytes.
 pub const HEADER_LEN: usize = 72;

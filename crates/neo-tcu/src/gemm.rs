@@ -105,11 +105,11 @@ impl BackendGemm {
         Self { kind }
     }
 
-    /// Engine using the process-default backend ([`BackendKind::detect`]):
+    /// Engine on the process-wide backend ([`neo_math::backend::active`]):
     /// the `NEO_BACKEND` override if set, otherwise the best backend the
-    /// build and CPU support.
+    /// CPU supports.
     pub fn auto() -> Self {
-        Self::new(BackendKind::detect())
+        Self::new(neo_math::backend::active().kind())
     }
 
     /// The pinned backend kind.

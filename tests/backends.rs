@@ -2,12 +2,16 @@
 //! must produce byte-for-byte equal outputs on every kernel the
 //! [`neo_math::ComputeBackend`] seam covers — forward/inverse NTT, RNS
 //! base conversion, the fused multiply-accumulate, and the verified
-//! modular GEMM — and on whole CKKS operations, across random primes on
-//! both sides of the SIMD backend's `2^50` IFMA bound and
-//! bootstrapping-adjacent degrees. Equality of canonical outputs (not
-//! just congruence) is the contract that makes the backend a pure
-//! throughput knob: ABFT checksums, integrity tokens, and golden test
-//! vectors all remain valid regardless of which backend computed them.
+//! modular GEMM — across random primes on both sides of the SIMD
+//! backend's `2^50` IFMA bound and bootstrapping-adjacent degrees. The
+//! kernel tests pin each backend on the kernel objects in one process.
+//! The backend is a process-wide fact above them, so whole CKKS
+//! operations and a session-store round trip are compared against a
+//! child process that re-runs this binary under the other `NEO_BACKEND`.
+//! Equality of canonical outputs (not just congruence) is the contract
+//! that makes the backend a pure throughput knob: ABFT checksums,
+//! integrity tokens, stored sessions and golden test vectors all remain
+//! valid regardless of which backend computed them.
 
 use neo_math::{backend, BackendKind, BconvTable, Modulus, RnsBasis};
 use neo_ntt::{radix2, NttPlan};
@@ -17,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Serialises the tests that run NTTs: `simd_engine_detects_injected_ntt_fault`
+/// Serialises the tests that run NTTs: `engine_detects_injected_ntt_fault`
 /// arms a process-wide once-only NTT-stage fault, which a transform on
 /// another test thread could otherwise draw.
 fn ntt_lock() -> MutexGuard<'static, ()> {
@@ -212,49 +216,170 @@ fn ntt_n16384_bit_identity() {
     }
 }
 
-/// Whole operations on `test_small`: a KLSS HMult→Rescale and an HRotate
-/// give the same ciphertexts on a portable and a SIMD engine — the tensor,
-/// key-switch inner product, Mod Down and rescale run on the engine's
-/// backend.
-#[test]
-fn ckks_ops_are_bit_identical_across_backends() {
-    use neo_ckks::{CkksParams, FheEngine, KsMethod};
-
-    let _l = ntt_lock();
-    let run = |kind: BackendKind| {
-        let mut params = CkksParams::test_small();
-        params.backend = kind;
-        let engine = FheEngine::new(params, 11).unwrap();
-        assert_eq!((engine.backend(), engine.method()), (kind, KsMethod::Klss));
-        let level = engine.max_level();
-        let a = engine.encrypt_f64(&[0.5, -0.25, 1.5], level).unwrap();
-        let b = engine.encrypt_f64(&[1.25, 0.75, -2.0], level).unwrap();
-        let product = engine.rescale(&engine.hmult(&a, &b).unwrap()).unwrap();
-        (product, engine.hrotate(&a, 3).unwrap())
+/// Re-runs this test binary's `#[ignore]`d `helper` in a child process
+/// under the backend this process does not run (`NEO_BACKEND` is the
+/// only selector), checks that the child ran there, and returns the
+/// digest it printed.
+fn digest_under_other_backend(helper: &str) -> String {
+    let other = match BackendKind::detect() {
+        BackendKind::Portable => BackendKind::Simd,
+        BackendKind::Simd => BackendKind::Portable,
     };
-    assert_eq!(run(BackendKind::Portable), run(BackendKind::Simd));
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", helper, "--ignored", "--nocapture"])
+        .env("NEO_BACKEND", other.name())
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{helper} failed under {other}:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let field = |name: &str| {
+        let rest = stdout.split(&format!("{name}=")).nth(1)?;
+        rest.split_whitespace().next().map(str::to_owned)
+    };
+    assert_eq!(field("backend").as_deref(), Some(other.name()), "{stdout}");
+    field("digest").unwrap_or_else(|| panic!("{helper} printed no digest:\n{stdout}"))
 }
 
-/// Fault-matrix spot run against the SIMD backend: an injected NTT-stage
-/// fault inside a SIMD-backed CKKS engine is still detected by the ABFT
-/// spot checks — detection does not depend on which backend computed the
-/// transform.
+/// The line a child-process helper prints for [`digest_under_other_backend`].
+fn print_digest(digest: u64) {
+    println!("backend={} digest={digest:016x}", BackendKind::detect());
+}
+
+/// Digest of a KLSS HMult→Rescale and an HRotate on `test_small` (engine
+/// seed 11): the tensor, key-switch inner product, Mod Down and rescale
+/// all run on the process-wide backend.
+fn ckks_ops_digest() -> u64 {
+    use neo_ckks::{CkksParams, FheEngine, KsMethod};
+    use neo_store::codec::encode_ciphertext;
+
+    let _l = ntt_lock();
+    let engine = FheEngine::new(CkksParams::test_small(), 11).unwrap();
+    assert_eq!(engine.method(), KsMethod::Klss);
+    let level = engine.max_level();
+    let a = engine.encrypt_f64(&[0.5, -0.25, 1.5], level).unwrap();
+    let b = engine.encrypt_f64(&[1.25, 0.75, -2.0], level).unwrap();
+    let product = engine.rescale(&engine.hmult(&a, &b).unwrap()).unwrap();
+    let mut bytes = encode_ciphertext(&product);
+    bytes.extend(encode_ciphertext(&engine.hrotate(&a, 3).unwrap()));
+    neo_store::checksum64(&bytes)
+}
+
 #[test]
-fn simd_engine_detects_injected_ntt_fault() {
+#[ignore = "child process of ckks_ops_are_bit_identical_across_backends"]
+fn ckks_ops_digest_helper() {
+    print_digest(ckks_ops_digest());
+}
+
+/// Whole operations give the same ciphertext bytes in a child process
+/// running the other backend.
+#[test]
+fn ckks_ops_are_bit_identical_across_backends() {
+    let own = format!("{:016x}", ckks_ops_digest());
+    assert_eq!(digest_under_other_backend("ckks_ops_digest_helper"), own);
+}
+
+const STORE_TENANT: u64 = 3;
+const STORE_SEED: u64 = 21;
+
+/// The session store a test process writes for its child to open.
+fn store_path(writer_pid: u32) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("neo-backends-{writer_pid}.neostore"))
+}
+
+/// Digest of the decrypted slots of `ct` and of a rotated square of it,
+/// with every key switch refused unless its key is already warm.
+fn session_digest(engine: neo_ckks::FheEngine, ct: &neo_ckks::Ciphertext) -> u64 {
+    let engine = engine.with_policy(neo_ckks::OpPolicy {
+        require_warm_keys: true,
+        ..neo_ckks::OpPolicy::default()
+    });
+    let square = engine.rescale(&engine.hmult(ct, ct).unwrap()).unwrap();
+    let rotated = engine.hrotate(&square, 1).unwrap();
+    let bytes: Vec<u8> = [ct, &rotated]
+        .into_iter()
+        .flat_map(|c| engine.decrypt_f64(c).unwrap())
+        .flat_map(f64::to_le_bytes)
+        .collect();
+    neo_store::checksum64(&bytes)
+}
+
+#[test]
+#[ignore = "child process of store_written_under_one_backend_warm_starts_under_the_other"]
+fn store_session_digest_helper() {
+    use neo_ckks::{CkksContext, CkksParams};
+    use std::sync::Arc;
+
+    let path = store_path(std::os::unix::process::parent_id());
+    if !path.exists() {
+        eprintln!("{} is missing: run the parent test", path.display());
+        return;
+    }
+    let _l = ntt_lock();
+    let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
+    let mut store = neo_store::SessionStore::open(&path, ctx).unwrap();
+    assert!(store.has_session(STORE_TENANT), "session not found");
+    let engine = store.warm_start(STORE_TENANT).unwrap().expect("warm start");
+    let ct = store
+        .load_ciphertext(STORE_TENANT, 0)
+        .unwrap()
+        .expect("saved ciphertext");
+    print_digest(session_digest(engine, &ct));
+}
+
+/// A `test_tiny` session committed under this process's backend (secret
+/// key, warm KSKs, one ciphertext) warm-starts in a child process under
+/// the other backend and decrypts to the same slots: no record depends on
+/// the backend that wrote it.
+#[test]
+fn store_written_under_one_backend_warm_starts_under_the_other() {
+    use neo_ckks::{CkksContext, CkksParams, FheEngine};
+    use std::sync::Arc;
+
+    let path = store_path(std::process::id());
+    let _ = std::fs::remove_file(&path);
+    let own = {
+        let _l = ntt_lock();
+        let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
+        let engine = FheEngine::with_context(Arc::clone(&ctx), STORE_SEED);
+        let ct = engine
+            .encrypt_f64(&[0.5, -1.25, 2.0], engine.max_level())
+            .unwrap();
+        // Warm the relinearisation key and the rotation key the digest uses.
+        let square = engine.rescale(&engine.hmult(&ct, &ct).unwrap()).unwrap();
+        engine.hrotate(&square, 1).unwrap();
+        let mut store = neo_store::SessionStore::open(&path, ctx).unwrap();
+        store.save_engine(STORE_TENANT, &engine, STORE_SEED);
+        store.save_ciphertext(STORE_TENANT, 0, &ct);
+        store.commit().unwrap();
+        format!("{:016x}", session_digest(engine, &ct))
+    };
+    let child = digest_under_other_backend("store_session_digest_helper");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(child, own);
+}
+
+/// An injected NTT-stage fault inside a CKKS engine is detected by the
+/// ABFT spot checks on whichever backend the process runs; CI runs this
+/// under the detected, the portable and the forced-SIMD backend.
+#[test]
+fn engine_detects_injected_ntt_fault() {
     use neo_ckks::{encoding::Complex64, CkksParams, ErrorKind, FheEngine, OpPolicy, VerifyPolicy};
     use neo_fault::{FaultPlan, FaultScope, FaultSite, FaultSpec};
     use std::sync::Arc;
 
     let _l = ntt_lock();
-    let mut params = CkksParams::test_tiny();
-    params.backend = BackendKind::Simd;
     // Engine ops install their own VerifyScope from the policy, so the
     // always-verify request must live there.
-    let engine = FheEngine::new(params, 7).unwrap().with_policy(OpPolicy {
-        verify: VerifyPolicy::Always,
-        ..OpPolicy::default()
-    });
-    assert_eq!(engine.backend(), BackendKind::Simd);
+    let engine = FheEngine::new(CkksParams::test_tiny(), 7)
+        .unwrap()
+        .with_policy(OpPolicy {
+            verify: VerifyPolicy::Always,
+            ..OpPolicy::default()
+        });
     // Encode outside the armed window so the single fault lands inside
     // the encryption's NTTs, not the encoder's.
     let pt = engine
@@ -270,6 +395,6 @@ fn simd_engine_detects_injected_ntt_fault() {
         1,
         "fault was not injected"
     );
-    let err = result.expect_err("injected NTT fault must be detected under SIMD");
+    let err = result.expect_err("injected NTT fault must be detected");
     assert_eq!(err.kind(), ErrorKind::FaultDetected);
 }

@@ -4,7 +4,9 @@
 //! while keeping the valid subset bit-identical to a clean run.
 
 use neo::ckks::ops;
+use neo::math::{Domain, RnsPoly};
 use neo::prelude::*;
+use neo::store::codec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,6 +114,70 @@ fn error_counters_tally_by_kind() {
     // Other tests in this binary may tally concurrently; monotonic check.
     let after = neo::trace::error_count(ErrorKind::ModulusChainExhausted.name());
     assert!(after > before);
+}
+
+/// The site a [`NeoError::ParameterMismatch`] names.
+fn mismatch_site(err: &NeoError) -> &'static str {
+    match err {
+        NeoError::ParameterMismatch { op, .. } => op,
+        other => panic!("expected a parameter mismatch, got {other}"),
+    }
+}
+
+/// `try_ntt_forward`/`try_ntt_inverse` refuse a poly in the wrong domain,
+/// with a limb count other than `moduli.len()`, or of another degree than
+/// the context's: a typed error, the input left alone, no panic.
+#[test]
+fn try_ntt_refuses_bad_inputs() {
+    let e = engine();
+    let ctx = e.context();
+    let moduli = ctx.q_moduli(2).to_vec();
+    let n = ctx.degree();
+    let mut rng = StdRng::seed_from_u64(5);
+    for (site, from, to) in [
+        ("ntt_forward", Domain::Coeff, Domain::Ntt),
+        ("ntt_inverse", Domain::Ntt, Domain::Coeff),
+    ] {
+        let bad = [
+            RnsPoly::random_uniform(&mut rng, n, &moduli, to),
+            RnsPoly::random_uniform(&mut rng, n, &moduli[..2], from),
+            RnsPoly::random_uniform(&mut rng, n / 2, &moduli, from),
+        ];
+        for poly in bad {
+            let mut p = poly.clone();
+            let err = match from {
+                Domain::Coeff => ctx.try_ntt_forward(&mut p, &moduli),
+                Domain::Ntt => ctx.try_ntt_inverse(&mut p, &moduli),
+            }
+            .unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::ParameterMismatch, "{err}");
+            assert_eq!(mismatch_site(&err), site);
+            assert_eq!(p, poly, "a refused transform must not touch its input");
+        }
+    }
+}
+
+/// A ciphertext whose polys are tagged NTT-domain, as the store's
+/// `decode_ciphertext` accepts it, is refused by every op that
+/// transforms it.
+#[test]
+fn ntt_domain_ciphertexts_are_refused() {
+    let e = engine();
+    let level = e.max_level();
+    let ct = e.encrypt_f64(&[0.5, -0.25], level).unwrap();
+    let tag = |p: &RnsPoly| RnsPoly::from_limbs(p.limbs().to_vec(), Domain::Ntt).unwrap();
+    let tagged = Ciphertext::new(tag(ct.c0()), tag(ct.c1()), ct.scale(), level);
+    let bad = codec::decode_ciphertext(&codec::encode_ciphertext(&tagged)).unwrap();
+    let pt = e.encode_f64(&[2.0], level).unwrap();
+    for err in [
+        e.hmult(&bad, &ct).unwrap_err(),
+        e.hmult(&ct, &bad).unwrap_err(),
+        e.pmult(&bad, &pt).unwrap_err(),
+        e.decrypt(&bad).unwrap_err(),
+    ] {
+        assert_eq!(err.kind(), ErrorKind::ParameterMismatch, "{err}");
+        assert_eq!(mismatch_site(&err), "ntt_forward");
+    }
 }
 
 proptest! {
