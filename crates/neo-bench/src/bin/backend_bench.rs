@@ -1,7 +1,8 @@
 //! `backend_bench` — portable vs SIMD compute-backend comparison on the
 //! [`neo_math::ComputeBackend`] kernels at the widths the CKKS workloads
-//! run: the negacyclic NTT at `n = 2^14` over 36-bit (`Q`/`P`) and 48-bit
-//! (`T`) primes, exact RNS base conversion in the KLSS Mod-Up (3 → 5) and
+//! run: the negacyclic NTT at `n = 2^14` (`ks-ops`) and `n = 2^13`
+//! (`coeff-to-slot`) over 36-bit (`Q`/`P`) and 48-bit (`T`) primes,
+//! exact RNS base conversion in the KLSS Mod-Up (3 → 5) and
 //! Recover-Limbs (5 → 2) shapes, and the 4-term `mul_acc` of the KLSS
 //! inner product. The 55-bit NTT and the 256×256×256 modular GEMM rows are
 //! kept as the portable fallback: the SIMD backend runs the portable
@@ -102,8 +103,16 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0xbe);
     let n = 1usize << 14;
 
-    // --- NTT at n = 2^14: the workloads' 36/48-bit primes, then 55 bits. ---
-    for (bits, path) in [(36u32, IFMA), (48, IFMA), (55, FALLBACK)] {
+    // --- NTT at n = 2^14 (the workloads' 36/48-bit primes, then 55 bits)
+    // and at n = 2^13, coeff-to-slot's width. ---
+    for (log_n, bits, path) in [
+        (14u32, 36u32, IFMA),
+        (14, 48, IFMA),
+        (14, 55, FALLBACK),
+        (13, 36, IFMA),
+        (13, 48, IFMA),
+    ] {
+        let n = 1usize << log_n;
         let q = neo_math::primes::ntt_primes(bits, n, 1).unwrap()[0];
         let portable = NttPlan::with_backend(q, n, BackendKind::Portable).unwrap();
         let simd = NttPlan::with_backend(q, n, BackendKind::Simd).unwrap();
@@ -124,9 +133,9 @@ fn main() {
         let config = json!({ "n": n, "prime_bits": bits });
         // The 55-bit forward row keeps its historical name.
         let fwd_name = if bits == 55 {
-            "ntt_forward_n16384".to_string()
+            format!("ntt_forward_n{n}")
         } else {
-            format!("ntt_forward_n16384_q{bits}")
+            format!("ntt_forward_n{n}_q{bits}")
         };
         table.row(
             &fwd_name,
@@ -137,7 +146,7 @@ fn main() {
         );
         if bits != 55 {
             table.row(
-                &format!("ntt_inverse_n16384_q{bits}"),
+                &format!("ntt_inverse_n{n}_q{bits}"),
                 path,
                 config,
                 || inverse(&portable),

@@ -354,8 +354,17 @@ impl CkksContext {
 
     /// Uniformly random polynomial over the given moduli (NTT domain —
     /// uniform in either domain, and keys are used in NTT form).
+    ///
+    /// Each limb is drawn in natural evaluation order (the `k`-th draw is
+    /// the value at `ψ^{2k+1}`) and stored in the transforms'
+    /// bit-reversed order, so a seed names the same polynomial whatever
+    /// order the NTT emits.
     pub fn sample_uniform<R: Rng + ?Sized>(&self, rng: &mut R, moduli: &[Modulus]) -> RnsPoly {
-        RnsPoly::random_uniform(rng, self.degree(), moduli, Domain::Ntt)
+        let mut poly = RnsPoly::random_uniform(rng, self.degree(), moduli, Domain::Ntt);
+        for limb in poly.limbs_mut() {
+            neo_ntt::bit_reverse(limb);
+        }
+        poly
     }
 
     /// A cached base-conversion table between two prime lists.

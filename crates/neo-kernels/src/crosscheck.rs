@@ -205,8 +205,8 @@ fn check_ntt(n: usize) -> (Vec<DeltaEntry>, WorkCounters) {
             analytic: 2 * complexity::radix2_butterfly_macs(n),
         },
         DeltaEntry {
-            // The inverse's merged untwist/scale pass: one Shoup multiply
-            // per coefficient.
+            // The inverse's n⁻¹ scale pass (the untwist lives in its
+            // twiddles): one Shoup multiply per coefficient.
             metric: "mod_muls",
             measured: w.get(Counter::ModMuls),
             analytic: n as u64,

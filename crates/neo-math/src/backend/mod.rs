@@ -11,9 +11,9 @@
 //! boundary (the NTT's final stage folds `[0, 4q) → [0, q)`, the inverse
 //! scale and `mul_const` are full Shoup multiplies, bconv/`mul_acc`/GEMM
 //! reduce exact sums), so backends are free to hold *different lazy
-//! representatives internally* — e.g. skipping the `ω⁰ = 1` multiply
-//! scalar-side while vectorizing it uniformly — as long as every
-//! intermediate stays congruent and inside the `[0, 4q)` window.
+//! representatives internally* — e.g. a 52-bit Shoup quotient that lands
+//! `q` away from the 64-bit one — as long as every intermediate stays
+//! congruent and inside the stage's lazy window.
 //!
 //! Two backends ship:
 //!
@@ -121,11 +121,15 @@ pub fn active() -> &'static dyn ComputeBackend {
 ///
 /// Contract highlights (see module docs for the bit-identity argument):
 ///
-/// * NTT stage methods operate on the Harvey lazy window: inputs `< 4q`,
-///   outputs `< 4q`, with `q < 2^62`. They return the number of
-///   butterflies executed, tallied from their own loop structure, so the
-///   driver's `NttButterflies` counter reflects real work for *any*
-///   backend.
+/// * NTT stage methods run one radix-2 stage of the merged-ψ transform
+///   (`neo-ntt`'s `radix2`): the `i`-th run of `size` elements is one
+///   block, and every butterfly in it uses the block's own twiddle
+///   `tw[i]` (`tw.len() == x.len() / size`). Forward (Cooley–Tukey)
+///   stages take and return the Harvey lazy window `[0, 4q)`, inverse
+///   (Gentleman–Sande) stages `[0, 2q)`, with `q < 2^62`. They return the
+///   number of butterflies executed, tallied from their own loop
+///   structure, so the `NttButterflies` counter `radix2` records
+///   reflects real work for *any* backend.
 /// * `ntt_fwd_stage_final` and `ntt_scale` emit canonical `[0, q)` values.
 /// * `mul_const` accepts **arbitrary** `u64` inputs (Shoup multiplication
 ///   is sound for any multiplicand) and emits canonical values.
@@ -140,33 +144,27 @@ pub trait ComputeBackend: Send + Sync {
         self.kind().name()
     }
 
-    /// Merged ψ-twist + first butterfly stage of the forward NTT: for each
-    /// adjacent pair `(x[2i], x[2i+1])`, both operands take one lazy Shoup
-    /// multiply by `psi_rev[2i]`/`psi_rev[2i+1]` (landing in `[0, 2q)`),
-    /// then the size-2 butterfly. Returns butterflies executed (`n/2`).
-    fn ntt_twist_stage(&self, m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64;
-
-    /// One middle forward stage of span `size`: every `size`-length block
-    /// runs `size/2` lazy butterflies against the stage-major twiddles
-    /// `stage` (`stage.len() == size/2`, `stage[0]` is `ω⁰ = 1`). Inputs
-    /// and outputs stay in `[0, 4q)`. Returns butterflies executed.
-    fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64;
-
-    /// The last forward stage (span `x.len()`) with the final
-    /// `[0, 4q) → [0, q)` reduction folded into the butterfly outputs.
+    /// One forward Cooley–Tukey stage of span `size` (`size ≥ 4`): in
+    /// block `i`, each butterfly maps `(u, v)` to `(u + w·v, u − w·v)`
+    /// for `w = tw[i]`, lazily. Inputs and outputs stay in `[0, 4q)`.
     /// Returns butterflies executed (`x.len()/2`).
-    fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64;
+    fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64;
 
-    /// One inverse stage of span `size` (identical butterfly recurrence to
-    /// [`ntt_fwd_stage`](Self::ntt_fwd_stage), kept distinct because the
-    /// inverse runs *every* stage through it, including `size == 2` and
-    /// `size == n`). Returns butterflies executed.
-    fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64;
+    /// The last forward stage (span 2, one twiddle per adjacent pair)
+    /// with the final `[0, 4q) → [0, q)` reduction folded into the
+    /// butterfly outputs. Returns butterflies executed (`x.len()/2`).
+    fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64;
 
-    /// Merged untwist-and-scale of the inverse NTT: `x[i] = x[i] · tw[i]`
-    /// as a full Shoup multiply, accepting the stage loop's unreduced
-    /// `[0, 4q)` values and emitting canonical `[0, q)`.
-    fn ntt_scale(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]);
+    /// One inverse Gentleman–Sande stage of span `size` (`size ≥ 2`): in
+    /// block `i`, each butterfly maps `(u, v)` to `(u + v, (u − v)·w)`
+    /// for `w = tw[i]`, lazily. Inputs and outputs stay in `[0, 2q)`.
+    /// Returns butterflies executed (`x.len()/2`).
+    fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64;
+
+    /// The inverse NTT's `n⁻¹` scale: `x[i] = x[i] · s.w` as a full Shoup
+    /// multiply, accepting the stage loop's `[0, 2q)` values and emitting
+    /// canonical `[0, q)`.
+    fn ntt_scale(&self, m: &Modulus, x: &mut [u64], s: ShoupMul);
 
     /// Element-wise constant multiply `out[i] = (x[i] · s.w) mod m`,
     /// accepting arbitrary (even unreduced) `x` and emitting canonical
@@ -269,8 +267,8 @@ mod tests {
     }
 
     /// Every trait method agrees bit-for-bit across backends on random
-    /// inputs, including unreduced `[0, 4q)` lazy values where the
-    /// contract allows them.
+    /// inputs, including unreduced lazy values where the contract allows
+    /// them.
     #[test]
     fn backends_agree_on_every_kernel() {
         let portable = get(BackendKind::Portable);
@@ -283,58 +281,48 @@ mod tests {
             let q = m.value();
             let n = 64usize;
             let lazy: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * q)).collect();
-            let tw: Vec<ShoupMul> = (0..n).map(|_| m.shoup(rng.gen_range(0..q))).collect();
+            let lazy2: Vec<u64> = (0..n).map(|_| rng.gen_range(0..2 * q)).collect();
 
-            // Stage kernels (uniform-twiddle path needs stage[0] = shoup(1)
-            // to match the canonical-twiddle layout the plans provide).
-            for size in [2usize, 4, 8, 16, 64] {
-                let mut stage: Vec<ShoupMul> = (0..size / 2)
+            // Stage kernels at every span, one random twiddle per block.
+            // Lazy representatives may differ; canonical values not.
+            for size in [2usize, 4, 8, 16, 32, 64] {
+                let tw: Vec<ShoupMul> = (0..n / size)
                     .map(|_| m.shoup(rng.gen_range(0..q)))
                     .collect();
-                stage[0] = m.shoup(1);
-                let (mut a, mut b) = (lazy.clone(), lazy.clone());
                 if size >= 4 {
+                    let (mut a, mut b) = (lazy.clone(), lazy.clone());
                     assert_eq!(
-                        portable.ntt_fwd_stage(&m, &mut a, size, &stage),
-                        simd.ntt_fwd_stage(&m, &mut b, size, &stage)
+                        portable.ntt_fwd_stage(&m, &mut a, size, &tw),
+                        simd.ntt_fwd_stage(&m, &mut b, size, &tw)
                     );
-                    // Lazy representatives may differ; canonical values not.
                     for (&x, &y) in a.iter().zip(&b) {
                         assert_eq!(x % q, y % q, "fwd stage size={size} bits={bits}");
                         assert!(x < 4 * q && y < 4 * q);
                     }
+                } else {
+                    let (mut a, mut b) = (lazy.clone(), lazy.clone());
+                    assert_eq!(
+                        portable.ntt_fwd_stage_final(&m, &mut a, &tw),
+                        simd.ntt_fwd_stage_final(&m, &mut b, &tw)
+                    );
+                    assert_eq!(a, b, "final stage bits={bits}");
+                    assert!(a.iter().all(|&v| v < q));
                 }
-                let (mut a, mut b) = (lazy.clone(), lazy.clone());
+                let (mut a, mut b) = (lazy2.clone(), lazy2.clone());
                 assert_eq!(
-                    portable.ntt_inv_stage(&m, &mut a, size, &stage),
-                    simd.ntt_inv_stage(&m, &mut b, size, &stage)
+                    portable.ntt_inv_stage(&m, &mut a, size, &tw),
+                    simd.ntt_inv_stage(&m, &mut b, size, &tw)
                 );
                 for (&x, &y) in a.iter().zip(&b) {
                     assert_eq!(x % q, y % q, "inv stage size={size} bits={bits}");
-                    assert!(x < 4 * q && y < 4 * q);
+                    assert!(x < 2 * q && y < 2 * q);
                 }
             }
-            let stage: Vec<ShoupMul> = (0..n / 2).map(|_| m.shoup(rng.gen_range(0..q))).collect();
-            let (mut a, mut b) = (lazy.clone(), lazy.clone());
-            assert_eq!(
-                portable.ntt_fwd_stage_final(&m, &mut a, &stage),
-                simd.ntt_fwd_stage_final(&m, &mut b, &stage)
-            );
-            assert_eq!(a, b, "final stage bits={bits}");
-            assert!(a.iter().all(|&v| v < q));
 
-            let (mut a, mut b) = (lazy.clone(), lazy.clone());
-            assert_eq!(
-                portable.ntt_twist_stage(&m, &mut a, &tw),
-                simd.ntt_twist_stage(&m, &mut b, &tw)
-            );
-            for (&x, &y) in a.iter().zip(&b) {
-                assert_eq!(x % q, y % q, "twist bits={bits}");
-            }
-
-            let (mut a, mut b) = (lazy.clone(), lazy.clone());
-            portable.ntt_scale(&m, &mut a, &tw);
-            simd.ntt_scale(&m, &mut b, &tw);
+            let s = m.shoup(rng.gen_range(0..q));
+            let (mut a, mut b) = (lazy2.clone(), lazy2.clone());
+            portable.ntt_scale(&m, &mut a, s);
+            simd.ntt_scale(&m, &mut b, s);
             assert_eq!(a, b, "scale bits={bits}");
             assert!(a.iter().all(|&v| v < q));
 

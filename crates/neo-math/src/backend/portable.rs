@@ -1,7 +1,6 @@
-//! The scalar Shoup/lazy-reduction backend — PR 1's fast-path inner loops,
-//! relocated behind the [`ComputeBackend`] seam unchanged. This is the
-//! correctness anchor every other backend is property-tested against, and
-//! the fallback on targets without better options.
+//! The scalar Shoup/lazy-reduction backend. This is the correctness
+//! anchor every other backend is property-tested against, and the
+//! fallback on targets without better options.
 
 use super::{gemm_span, BackendKind, ComputeBackend};
 use crate::{Modulus, ShoupMul};
@@ -15,89 +14,15 @@ impl ComputeBackend for PortableBackend {
         BackendKind::Portable
     }
 
-    fn ntt_twist_stage(&self, m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
-        let two_q = 2 * m.value();
-        for (pair, s) in x.chunks_exact_mut(2).zip(psi_rev.chunks_exact(2)) {
-            let u = m.mul_shoup_lazy(pair[0], s[0]);
-            let t = m.mul_shoup_lazy(pair[1], s[1]);
-            pair[0] = u + t;
-            pair[1] = u + two_q - t;
-        }
-        (x.len() / 2) as u64
-    }
-
-    fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
-        let two_q = 2 * m.value();
-        let half = size / 2;
-        let mut butterflies = 0u64;
-        for block in x.chunks_exact_mut(size) {
-            let (lo, hi) = block.split_at_mut(half);
-            // j = 0 has w = ω^0 = 1: a conditional subtraction stands in
-            // for the multiply (any [0, 2q) representative works).
-            let mut u = lo[0];
-            if u >= two_q {
-                u -= two_q;
-            }
-            let mut t = hi[0];
-            if t >= two_q {
-                t -= two_q;
-            }
-            lo[0] = u + t;
-            hi[0] = u + two_q - t;
-            for ((a, b), &w) in lo[1..].iter_mut().zip(hi[1..].iter_mut()).zip(&stage[1..]) {
-                let mut u = *a;
-                if u >= two_q {
-                    u -= two_q;
-                }
-                let t = m.mul_shoup_lazy(*b, w);
-                *a = u + t;
-                *b = u + two_q - t;
-            }
-            butterflies += half as u64;
-        }
-        butterflies
-    }
-
-    fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
-        let q = m.value();
-        let two_q = 2 * q;
-        let half = x.len() / 2;
-        let (lo, hi) = x.split_at_mut(half);
-        for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-            let mut u = *a;
-            if u >= two_q {
-                u -= two_q;
-            }
-            let t = m.mul_shoup_lazy(*b, w);
-            let mut r0 = u + t;
-            if r0 >= two_q {
-                r0 -= two_q;
-            }
-            if r0 >= q {
-                r0 -= q;
-            }
-            let mut r1 = u + two_q - t;
-            if r1 >= two_q {
-                r1 -= two_q;
-            }
-            if r1 >= q {
-                r1 -= q;
-            }
-            *a = r0;
-            *b = r1;
-        }
-        half as u64
-    }
-
-    fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
+    fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
         let two_q = 2 * m.value();
         let half = size / 2;
         let mut butterflies = 0u64;
         // chunks_exact + split_at keep the inner loop free of bounds
         // checks, which is worth ~25% at bootstrapping-sized degrees.
-        for block in x.chunks_exact_mut(size) {
+        for (block, &w) in x.chunks_exact_mut(size).zip(tw) {
             let (lo, hi) = block.split_at_mut(half);
-            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
                 let mut u = *a;
                 if u >= two_q {
                     u -= two_q;
@@ -111,8 +36,52 @@ impl ComputeBackend for PortableBackend {
         butterflies
     }
 
-    fn ntt_scale(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
-        for (v, &s) in x.iter_mut().zip(tw) {
+    fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64 {
+        let q = m.value();
+        let two_q = 2 * q;
+        let canonical = |mut r: u64| {
+            if r >= two_q {
+                r -= two_q;
+            }
+            if r >= q {
+                r -= q;
+            }
+            r
+        };
+        for (pair, &w) in x.chunks_exact_mut(2).zip(tw) {
+            let mut u = pair[0];
+            if u >= two_q {
+                u -= two_q;
+            }
+            let t = m.mul_shoup_lazy(pair[1], w);
+            pair[0] = canonical(u + t);
+            pair[1] = canonical(u + two_q - t);
+        }
+        (x.len() / 2) as u64
+    }
+
+    fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
+        let two_q = 2 * m.value();
+        let half = size / 2;
+        let mut butterflies = 0u64;
+        for (block, &w) in x.chunks_exact_mut(size).zip(tw) {
+            let (lo, hi) = block.split_at_mut(half);
+            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                let (u, v) = (*a, *b);
+                let mut s = u + v;
+                if s >= two_q {
+                    s -= two_q;
+                }
+                *a = s;
+                *b = m.mul_shoup_lazy(u + two_q - v, w);
+            }
+            butterflies += half as u64;
+        }
+        butterflies
+    }
+
+    fn ntt_scale(&self, m: &Modulus, x: &mut [u64], s: ShoupMul) {
+        for v in x.iter_mut() {
             *v = m.mul_shoup(*v, s);
         }
     }

@@ -12,9 +12,11 @@
 //!   NTT plans need no new tables. The quotient estimate
 //!   `madd52hi(a, w_shoup >> 12)` leaves `a·w − q̂·q` in `[0, 2q)` for any
 //!   `a < 2^52`, and that remainder is computed exactly modulo `2^52`.
-//! * **NTT stages** vectorise across the butterflies of a block; spans 2, 4
-//!   and 8 (fewer than 8 butterflies per block) gather 8 butterflies from
-//!   two vectors with `vpermt2q` and scatter them back.
+//! * **NTT stages** vectorise across the butterflies of a block, which all
+//!   share the block's twiddle; spans 2, 4 and 8 (fewer than 8 butterflies
+//!   per block) gather 8 butterflies from two vectors with `vpermt2q`,
+//!   spread their blocks' twiddles with one `vpermq` per vector, and
+//!   scatter the results back.
 //! * **Inner products** (`bconv_ip`, `mul_acc`) accumulate the exact sum
 //!   as a base-`2^52` pair `(hi, lo)` — two µops per term — and reduce it
 //!   once.
@@ -23,9 +25,7 @@
 //! reference: moduli of `2^50` or more, CPUs without IFMA, and GEMM (off
 //! the CKKS host path). Outputs equal the portable ones at every kernel
 //! boundary; lazy intermediates inside an NTT may differ by multiples of
-//! `q` (the 52-bit quotient estimate can differ from the 64-bit one by 1,
-//! and lane 0 multiplies by `ω⁰ = 1` instead of taking the scalar
-//! shortcut).
+//! `q` (the 52-bit quotient estimate can differ from the 64-bit one by 1).
 
 use super::{BackendKind, ComputeBackend, PortableBackend};
 use crate::{Modulus, ShoupMul};
@@ -71,45 +71,37 @@ impl ComputeBackend for SimdBackend {
     }
 
     // The NTT kernels take whole transforms: `x.len()` is the degree, a
-    // power of two, so a length divisible by 16 leaves the vector loops no
-    // tail.
-    fn ntt_twist_stage(&self, m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
+    // power of two, and from 64 on every span leaves the vector loops no
+    // tail (spans 2–8 read 8 block twiddles per 64 elements).
+    fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
         route!(
-            ifma::supports(m) && x.len().is_multiple_of(16),
-            ifma::twist(m, x, psi_rev),
-            PortableBackend.ntt_twist_stage(m, x, psi_rev)
+            ifma::supports(m) && x.len().is_multiple_of(64),
+            ifma::stage::<{ ifma::CT }>(m, x, size, tw),
+            PortableBackend.ntt_fwd_stage(m, x, size, tw)
         )
     }
 
-    fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
+    fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64 {
         route!(
-            ifma::supports(m) && x.len().is_multiple_of(16),
-            ifma::stage(m, x, size, stage),
-            PortableBackend.ntt_fwd_stage(m, x, size, stage)
+            ifma::supports(m) && x.len().is_multiple_of(64),
+            ifma::stage::<{ ifma::CT_FINAL }>(m, x, 2, tw),
+            PortableBackend.ntt_fwd_stage_final(m, x, tw)
         )
     }
 
-    fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
+    fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
         route!(
-            ifma::supports(m) && x.len().is_multiple_of(16),
-            ifma::stage_final(m, x, stage),
-            PortableBackend.ntt_fwd_stage_final(m, x, stage)
+            ifma::supports(m) && x.len().is_multiple_of(64),
+            ifma::stage::<{ ifma::GS }>(m, x, size, tw),
+            PortableBackend.ntt_inv_stage(m, x, size, tw)
         )
     }
 
-    fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
+    fn ntt_scale(&self, m: &Modulus, x: &mut [u64], s: ShoupMul) {
         route!(
-            ifma::supports(m) && x.len().is_multiple_of(16),
-            ifma::stage(m, x, size, stage),
-            PortableBackend.ntt_inv_stage(m, x, size, stage)
-        )
-    }
-
-    fn ntt_scale(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
-        route!(
-            ifma::supports(m) && x.len().is_multiple_of(16),
-            ifma::scale(m, x, tw),
-            PortableBackend.ntt_scale(m, x, tw)
+            ifma::supports(m) && x.len().is_multiple_of(8),
+            ifma::scale(m, x, s),
+            PortableBackend.ntt_scale(m, x, s)
         )
     }
 
@@ -240,6 +232,13 @@ mod ifma {
         _mm512_permutex2var_epi64(a, idx, b)
     }
 
+    /// Stage kinds: a lazy forward (Cooley–Tukey) stage, the last forward
+    /// stage (span 2, outputs canonical), and an inverse (Gentleman–Sande)
+    /// stage.
+    pub const CT: u8 = 0;
+    pub const CT_FINAL: u8 = 1;
+    pub const GS: u8 = 2;
+
     /// Per-modulus lane constants.
     struct Lanes {
         q: V,
@@ -275,14 +274,37 @@ mod ifma {
             _mm512_and_si512(_mm512_madd52lo_epu64(prod, qhat, self.neg_q), self.mask)
         }
 
-        /// The Harvey butterfly: `u = lo` folded below `2q`,
+        /// The Harvey Cooley–Tukey butterfly: `u = lo` folded below `2q`,
         /// `t = hi·w` lazily; returns `(u + t, u + 2q − t)`, both `< 4q`.
         #[inline]
         #[target_feature(enable = "avx512f,avx512ifma")]
-        fn butterfly(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
+        fn ct(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
             let u = cond_sub(lo, self.two_q);
             let t = self.mul_shoup_lazy(hi, w, ws);
             (add(u, t), sub(add(u, self.two_q), t))
+        }
+
+        /// The lazy Gentleman–Sande butterfly for `lo, hi < 2q`: returns
+        /// `lo + hi` folded below `2q` and `(lo + 2q − hi)·w` lazily.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn gs(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
+            let s = cond_sub(add(lo, hi), self.two_q);
+            (s, self.mul_shoup_lazy(sub(add(lo, self.two_q), hi), w, ws))
+        }
+
+        /// The butterfly of stage kind `KIND`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn butterfly<const KIND: u8>(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
+            match KIND {
+                CT => self.ct(lo, hi, w, ws),
+                CT_FINAL => {
+                    let (a, b) = self.ct(lo, hi, w, ws);
+                    (self.canonical(a), self.canonical(b))
+                }
+                _ => self.gs(lo, hi, w, ws),
+            }
         }
 
         /// Folds `[0, 4q)` to canonical `[0, q)`.
@@ -296,6 +318,13 @@ mod ifma {
     /// `(w, ⌊w·2^52/q⌋)` as a pair of lane constants.
     fn shoup52(m: &Modulus, w: u64) -> (u64, u64) {
         (w, m.shoup(w).w_shoup >> 12)
+    }
+
+    /// One Shoup pair broadcast to every lane as `(w, w_shoup >> 12)`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn splat_shoup(s: &ShoupMul) -> (V, V) {
+        (splat(s.w), splat(s.w_shoup >> 12))
     }
 
     /// Loads 8 Shoup pairs as `(w, w_shoup >> 12)` lane vectors: two wide
@@ -378,98 +407,88 @@ mod ifma {
         }
     }
 
-    /// Merged ψ-twist and span-2 stage: both operands of each adjacent
-    /// pair take one lazy multiply, then the size-2 butterfly.
+    /// A stage of kind `KIND` and span `size`: every block broadcasts its
+    /// own twiddle across the lanes of its butterflies.
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub fn twist(m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
-        let k = Lanes::new(m);
-        let pairs = Narrow::new(1);
-        let (vecs, _) = x.as_chunks_mut::<8>();
-        let (vecs, _) = vecs.as_chunks_mut::<2>();
-        let (tws, _) = psi_rev.as_chunks::<8>();
-        let (tws, _) = tws.as_chunks::<2>();
-        for ([a, b], [ta, tb]) in vecs.iter_mut().zip(tws) {
-            let (wa, wsa) = load_shoup(ta);
-            let (wb, wsb) = load_shoup(tb);
-            let ra = k.mul_shoup_lazy(load(a), wa, wsa);
-            let rb = k.mul_shoup_lazy(load(b), wb, wsb);
-            let (u, t) = pairs.gather(ra, rb);
-            let (ra, rb) = pairs.scatter(add(u, t), sub(add(u, k.two_q), t));
-            store(a, ra);
-            store(b, rb);
-        }
-        (x.len() / 2) as u64
-    }
-
-    /// One lazy stage of span `size` (forward middle stages and every
-    /// inverse stage).
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    pub fn stage(m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
+    pub fn stage<const KIND: u8>(m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
         let k = Lanes::new(m);
         let half = size / 2;
         if half < 8 {
-            return narrow_stage(&k, x, half, stage);
+            return narrow_stage::<KIND>(&k, x, half, tw);
         }
-        let (tws, _) = stage.as_chunks::<8>();
-        for block in x.chunks_exact_mut(size) {
+        for (block, t) in x.chunks_exact_mut(size).zip(tw) {
+            let (w, ws) = splat_shoup(t);
             let (lo, hi) = block.split_at_mut(half);
             let (lo, _) = lo.as_chunks_mut::<8>();
             let (hi, _) = hi.as_chunks_mut::<8>();
-            for ((l, h), tw) in lo.iter_mut().zip(hi).zip(tws) {
-                let (w, ws) = load_shoup(tw);
-                let (rl, rh) = k.butterfly(load(l), load(h), w, ws);
+            for (l, h) in lo.iter_mut().zip(hi) {
+                let (rl, rh) = k.butterfly::<KIND>(load(l), load(h), w, ws);
                 store(l, rl);
                 store(h, rh);
             }
         }
-        (x.len() / size * half) as u64
+        (x.len() / 2) as u64
     }
 
-    /// Spans 2, 4 and 8: every block shares the stage's `half` twiddles,
-    /// tiled across one register, and 8 butterflies are gathered from two
-    /// vectors at a time.
+    /// Lane `l` of the twiddle vector for the `g`-th vector pair under
+    /// one load of 8 block twiddles: butterfly `l` of that pair lies in
+    /// block `g·(8/half) + l/half` of the 8.
+    const fn spread_idx(half: usize, g: usize) -> [u64; 8] {
+        let mut idx = [0u64; 8];
+        let mut l = 0;
+        while l < 8 {
+            idx[l] = (g * (8 / half) + l / half) as u64;
+            l += 1;
+        }
+        idx
+    }
+
+    /// Spans 2, 4 and 8: two vectors hold `8/half` whole blocks, whose 8
+    /// butterflies are gathered into one lo and one hi vector. One load
+    /// of 8 block twiddles serves `half` vector pairs, each spreading its
+    /// blocks' twiddles across the lanes with one permute per vector.
     #[target_feature(enable = "avx512f,avx512ifma")]
-    fn narrow_stage(k: &Lanes, x: &mut [u64], half: usize, stage: &[ShoupMul]) -> u64 {
-        let (w, ws) = load_shoup(&std::array::from_fn(|l| stage[l % half]));
+    fn narrow_stage<const KIND: u8>(k: &Lanes, x: &mut [u64], half: usize, tw: &[ShoupMul]) -> u64 {
         let lanes = Narrow::new(half);
+        // Pairs past the first `half` of a group do not exist; their
+        // (out-of-range) indices are never used.
+        let spread = [
+            load(&spread_idx(half, 0)),
+            load(&spread_idx(half, 1)),
+            load(&spread_idx(half, 2)),
+            load(&spread_idx(half, 3)),
+        ];
         let (vecs, _) = x.as_chunks_mut::<8>();
-        let (vecs, _) = vecs.as_chunks_mut::<2>();
-        for [a, b] in vecs.iter_mut() {
-            let (lo, hi) = lanes.gather(load(a), load(b));
-            let (rl, rh) = k.butterfly(lo, hi, w, ws);
-            let (ra, rb) = lanes.scatter(rl, rh);
-            store(a, ra);
-            store(b, rb);
+        let (pairs, _) = vecs.as_chunks_mut::<2>();
+        let (tws, _) = tw.as_chunks::<8>();
+        for (group, t) in pairs.chunks_exact_mut(half).zip(tws) {
+            let (w8, ws8) = load_shoup(t);
+            for ([a, b], &idx) in group.iter_mut().zip(&spread) {
+                let (w, ws) = if half == 1 {
+                    (w8, ws8)
+                } else {
+                    (
+                        _mm512_permutexvar_epi64(idx, w8),
+                        _mm512_permutexvar_epi64(idx, ws8),
+                    )
+                };
+                let (lo, hi) = lanes.gather(load(a), load(b));
+                let (rl, rh) = k.butterfly::<KIND>(lo, hi, w, ws);
+                let (ra, rb) = lanes.scatter(rl, rh);
+                store(a, ra);
+                store(b, rb);
+            }
         }
         (x.len() / 2) as u64
     }
 
-    /// The last forward stage (span `x.len()`), outputs folded canonical.
+    /// `x[i] = x[i]·s.w mod q`, canonical, for `x[i] < 2q`.
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub fn stage_final(m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
+    pub fn scale(m: &Modulus, x: &mut [u64], s: ShoupMul) {
         let k = Lanes::new(m);
-        let half = x.len() / 2;
-        let (lo, hi) = x.split_at_mut(half);
-        let (lo, _) = lo.as_chunks_mut::<8>();
-        let (hi, _) = hi.as_chunks_mut::<8>();
-        let (tws, _) = stage.as_chunks::<8>();
-        for ((l, h), tw) in lo.iter_mut().zip(hi).zip(tws) {
-            let (w, ws) = load_shoup(tw);
-            let (rl, rh) = k.butterfly(load(l), load(h), w, ws);
-            store(l, k.canonical(rl));
-            store(h, k.canonical(rh));
-        }
-        half as u64
-    }
-
-    /// `x[i] = x[i]·tw[i] mod q`, canonical, for `x[i] < 4q`.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    pub fn scale(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
-        let k = Lanes::new(m);
+        let (w, ws) = splat_shoup(&s);
         let (vecs, _) = x.as_chunks_mut::<8>();
-        let (tws, _) = tw.as_chunks::<8>();
-        for (v, t) in vecs.iter_mut().zip(tws) {
-            let (w, ws) = load_shoup(t);
+        for v in vecs {
             let r = k.mul_shoup_lazy(load(v), w, ws);
             store(v, cond_sub(r, k.q));
         }

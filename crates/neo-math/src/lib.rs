@@ -29,6 +29,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod backend;
 pub mod bconv;
 mod biguint;

@@ -1,10 +1,16 @@
 //! Negacyclic number-theoretic transforms (NTTs) for `Z_q[X]/(X^N + 1)`.
 //!
-//! Three algorithms, all with identical input/output conventions (natural
-//! coefficient order in, natural evaluation order out):
+//! Three algorithms, all with identical input/output conventions: natural
+//! coefficient order in, **bit-reversed** evaluation order out,
+//! `forward(a)[k] = a(ψ^{2·rev(k)+1})` for the primitive `2N`-th root `ψ`
+//! and `rev` reversing `log₂ N` bits. That is the order the radix-2
+//! transform produces without a permutation pass; every NTT-domain
+//! consumer (pointwise products, multiply-accumulates, key-switch inner
+//! products) works slot by slot and never depends on it.
 //!
-//! * [`radix2`] — the classic in-place radix-2 transform; the correctness
-//!   oracle and the "CPU-style" baseline.
+//! * [`radix2`] — the in-place merged-ψ radix-2 transform; the host fast
+//!   path, with a reduce-every-op reference beside it as the correctness
+//!   oracle.
 //! * [`matrix::forward_four_step`] — the four-step NTT used by earlier GPU
 //!   work: two `√N × √N` matrix multiplications with a twiddle/transpose in
 //!   between (Fig. 9, left).
@@ -37,6 +43,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod cache;
 pub mod complexity;
 pub mod matrix;
@@ -49,6 +57,34 @@ pub use plan::NttPlan;
 pub use verify::{spot_check_forward, spot_check_inverse, spot_check_transform};
 
 use neo_math::Modulus;
+
+/// `k` with its low `bits` bits reversed (`k < 2^bits`).
+pub(crate) fn bit_rev(k: usize, bits: u32) -> usize {
+    k.reverse_bits()
+        .checked_shr(usize::BITS - bits)
+        .unwrap_or(0)
+}
+
+/// The bit-reversal permutation in place: `x[i] ↔ x[rev(i)]` for a
+/// power-of-two length. It maps natural evaluation order to the radix-2
+/// transforms' bit-reversed order and back; the oracles and the matrix
+/// NTTs apply it at their boundary, and `neo-ckks` applies it to
+/// uniformly drawn evaluation-domain limbs.
+///
+/// # Panics
+///
+/// Panics if `x.len()` is not a power of two.
+pub fn bit_reverse(x: &mut [u64]) {
+    let n = x.len();
+    assert!(n.is_power_of_two(), "length must be a power of two");
+    let bits = n.trailing_zeros();
+    for i in 0..n {
+        let j = bit_rev(i, bits);
+        if j > i {
+            x.swap(i, j);
+        }
+    }
+}
 
 /// Multiplies two polynomials in `Z_q[X]/(X^N+1)` via the radix-2 NTT —
 /// a convenience oracle used throughout the test suites.

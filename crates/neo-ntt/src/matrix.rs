@@ -1,7 +1,10 @@
 //! Matrix-multiplication NTTs: four-step and Radix-16 ("ten-step").
 //!
 //! Both factor the cyclic DFT behind the negacyclic twist into batched
-//! small DFTs executed as GEMMs on a pluggable [`GemmEngine`]:
+//! small DFTs executed as GEMMs on a pluggable [`GemmEngine`]. The DFTs
+//! run in natural evaluation order; the transforms permute at their
+//! boundary ([`crate::bit_reverse`]) so their inputs and outputs follow
+//! the radix-2 convention `forward(a)[k] = a(ψ^{2·rev(k)+1})`:
 //!
 //! * **Four-step** (`N = N1·N2`, `N1 ≈ N2 ≈ √N`): column DFTs → twiddle →
 //!   transpose → row DFTs. Matmul work `N·(N1+N2)` — `2^25` MACs at
@@ -104,6 +107,7 @@ fn forward_matrix(plan: &NttPlan, x: &mut [u64], engine: &dyn GemmEngine, decomp
         *v = m.mul(*v, plan.psi_pows()[i]);
     }
     dft_rows(x, 1, n, plan, 1, false, engine, decomp);
+    crate::bit_reverse(x);
 }
 
 fn inverse_matrix(plan: &NttPlan, x: &mut [u64], engine: &dyn GemmEngine, decomp: Decomp) {
@@ -111,6 +115,7 @@ fn inverse_matrix(plan: &NttPlan, x: &mut [u64], engine: &dyn GemmEngine, decomp
     assert_eq!(x.len(), n, "length mismatch");
     assert!(n >= 16, "matrix NTT needs degree >= 16");
     let m = plan.modulus();
+    crate::bit_reverse(x);
     dft_rows(x, 1, n, plan, 1, true, engine, decomp);
     for (i, v) in x.iter_mut().enumerate() {
         *v = m.mul(m.mul(*v, plan.psi_inv_pows()[i]), plan.n_inv());

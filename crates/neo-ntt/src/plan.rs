@@ -2,12 +2,12 @@ use neo_math::{primes, BackendKind, MathError, Modulus, ShoupMul};
 
 /// Precomputed tables for NTTs of degree `n` modulo one prime.
 ///
-/// Holds the primitive `2n`-th root `ψ` (for the negacyclic twist), the
-/// `n`-th root `ω = ψ²`, their full power tables, and `n⁻¹` — plus Shoup
-/// doubles of everything the radix-2 fast path touches: the twist powers,
-/// the merged untwist-and-scale powers `ψ^{-i}·n⁻¹`, and stage-major
-/// twiddle tables laid out in exactly the order the butterfly loops read
-/// them (stage `size` contributes its `size/2` twiddles contiguously).
+/// Holds the primitive `2n`-th root `ψ`, the `n`-th root `ω = ψ²`, their
+/// full power tables, and `n⁻¹` — plus the radix-2 fast path's two
+/// per-block twiddle tables: Shoup doubles of `ψ^{rev(k)}` (forward) and
+/// `ψ^{-rev(k)}` (inverse) for `k < n`, where `rev` reverses `log₂ n`
+/// bits. A stage with `b` blocks reads entries `b..2b`, one per block, so
+/// each table is read front to back over a transform.
 #[derive(Debug, Clone)]
 pub struct NttPlan {
     n: usize,
@@ -17,9 +17,6 @@ pub struct NttPlan {
     omega_pows: Vec<u64>,
     omega_inv_pows: Vec<u64>,
     n_inv: u64,
-    bitrev_pairs: Vec<(u32, u32)>,
-    psi_rev_shoup: Vec<ShoupMul>,
-    psi_inv_n_inv_shoup: Vec<ShoupMul>,
     fwd_twiddles: Vec<ShoupMul>,
     inv_twiddles: Vec<ShoupMul>,
     /// Which [`ComputeBackend`](neo_math::ComputeBackend) executes this
@@ -81,42 +78,13 @@ impl NttPlan {
             d = m.mul(d, omega_inv);
         }
         let n_inv = m.inv(n as u64)?;
-        // Twist powers permuted into bit-reversed position order, so the
-        // forward fast path can fold the twist into its first butterfly
-        // stage (which runs after the bit-reversal permutation).
+        // Block k of the stage with b blocks (k in b..2b) multiplies by
+        // ψ^{rev(k)}: the merged-ψ layout of Longa and Naehrig, which
+        // folds the negacyclic twist into the butterflies.
         let bits = n.trailing_zeros();
-        // Swap list for the bit-reversal permutation: only the (i, rev(i))
-        // pairs with i < rev(i), so the fast path does one swap per pair
-        // with no per-element bit twiddling.
-        let bitrev_pairs = (0..n)
-            .filter_map(|i| {
-                let r = (i as u64).reverse_bits().wrapping_shr(64 - bits) as usize;
-                (i < r).then_some((i as u32, r as u32))
-            })
-            .collect();
-        let psi_rev_shoup = (0..n)
-            .map(|i| {
-                let r = (i as u64).reverse_bits().wrapping_shr(64 - bits) as usize;
-                m.shoup(psi_pows[r])
-            })
-            .collect();
-        let psi_inv_n_inv_shoup = psi_inv_pows
-            .iter()
-            .map(|&w| m.shoup(m.mul(w, n_inv)))
-            .collect();
-        // Stage-major twiddles: the radix-2 stage of span `size` reads
-        // omega^(j * n/size) for j in 0..size/2, identically in every block.
-        let mut fwd_twiddles = Vec::with_capacity(n - 1);
-        let mut inv_twiddles = Vec::with_capacity(n - 1);
-        let mut size = 2;
-        while size <= n {
-            let step = n / size;
-            for j in 0..size / 2 {
-                fwd_twiddles.push(m.shoup(omega_pows[j * step]));
-                inv_twiddles.push(m.shoup(omega_inv_pows[j * step]));
-            }
-            size *= 2;
-        }
+        let rev = |k: usize| crate::bit_rev(k, bits);
+        let fwd_twiddles = (0..n).map(|k| m.shoup(psi_pows[rev(k)])).collect();
+        let inv_twiddles = (0..n).map(|k| m.shoup(psi_inv_pows[rev(k)])).collect();
         let mut plan = Self {
             n,
             m,
@@ -125,9 +93,6 @@ impl NttPlan {
             omega_pows,
             omega_inv_pows,
             n_inv,
-            bitrev_pairs,
-            psi_rev_shoup,
-            psi_inv_n_inv_shoup,
             fwd_twiddles,
             inv_twiddles,
             backend,
@@ -177,35 +142,18 @@ impl NttPlan {
         self.backend
     }
 
-    /// Shoup doubles of `ψ^{rev(i)}` — the forward twist in bit-reversed
-    /// position order, consumed by the merged first butterfly stage.
-    pub(crate) fn psi_rev_shoup(&self) -> &[ShoupMul] {
-        &self.psi_rev_shoup
-    }
-
-    /// Precomputed `(i, rev(i))` swap pairs (`i < rev(i)`) for the
-    /// bit-reversal permutation.
-    pub(crate) fn bitrev_pairs(&self) -> &[(u32, u32)] {
-        &self.bitrev_pairs
-    }
-
-    /// Shoup doubles of `ψ^{-i}·n⁻¹` — untwist and scale in one multiply.
-    pub(crate) fn psi_inv_n_inv_shoup(&self) -> &[ShoupMul] {
-        &self.psi_inv_n_inv_shoup
-    }
-
-    /// Stage-major forward twiddles (`n - 1` entries).
+    /// Per-block forward twiddles: Shoup doubles of `ψ^{rev(k)}`, `k < n`.
     pub(crate) fn fwd_twiddles(&self) -> &[ShoupMul] {
         &self.fwd_twiddles
     }
 
-    /// Stage-major inverse twiddles (`n - 1` entries).
+    /// Per-block inverse twiddles: Shoup doubles of `ψ^{-rev(k)}`, `k < n`.
     pub(crate) fn inv_twiddles(&self) -> &[ShoupMul] {
         &self.inv_twiddles
     }
 
-    /// Recomputes the checksum of every table (power tables, swap pairs,
-    /// and all Shoup doubles). `O(n)` mixes — cheap next to a rebuild.
+    /// Recomputes the checksum of every table (power tables and both
+    /// twiddle tables). `O(n)` mixes — cheap next to a rebuild.
     pub fn checksum(&self) -> u64 {
         #[inline]
         fn fold(h: u64, v: u64) -> u64 {
@@ -222,16 +170,7 @@ impl NttPlan {
         {
             h = fold(h, v);
         }
-        for &(i, r) in &self.bitrev_pairs {
-            h = fold(h, (u64::from(i) << 32) | u64::from(r));
-        }
-        for s in self
-            .psi_rev_shoup
-            .iter()
-            .chain(&self.psi_inv_n_inv_shoup)
-            .chain(&self.fwd_twiddles)
-            .chain(&self.inv_twiddles)
-        {
+        for s in self.fwd_twiddles.iter().chain(&self.inv_twiddles) {
             h = fold(fold(h, s.w), s.w_shoup);
         }
         h
@@ -247,7 +186,7 @@ impl NttPlan {
         self.checksum() == self.token
     }
 
-    /// Test support: a clone with one forward fast-path twiddle corrupted
+    /// Test support: a clone with one forward twiddle corrupted
     /// (bit flip chosen from `salt`) but the *original* integrity token,
     /// modelling in-memory table rot. The corrupted entry is a consistent
     /// Shoup pair for a *wrong* twiddle, so transforms run without
@@ -258,11 +197,11 @@ impl NttPlan {
     pub fn poisoned_clone(&self, salt: u64) -> NttPlan {
         let mut poisoned = self.clone();
         let h = neo_fault::splitmix64(salt ^ 0x706f_6973_6f6e);
-        // Corrupt a *final-stage* twiddle: the fast path's first-twiddle
-        // shortcuts (ω⁰ = 1 handled by conditional subtraction) never read
-        // some earlier entries, and a poison must not be benign.
+        // Corrupt a twiddle of the last stage (entries n/2..n, one per
+        // span-2 block): every entry there is read, unlike the unused
+        // entry 0, so the poison is never benign.
         let half = self.n / 2;
-        let idx = (half - 1) + (h >> 32) as usize % half;
+        let idx = half + (h >> 32) as usize % half;
         let w = poisoned.fwd_twiddles[idx].w;
         let q = poisoned.m.value();
         let mut bit = (h >> 8) % 63;

@@ -1,21 +1,25 @@
 //! Radix-2 negacyclic NTT: Shoup/lazy-reduction fast path plus the plain
 //! reference implementation.
 //!
-//! Both variants compute the same transform — twist by `ψ^i`, then a
-//! cyclic FFT, with natural order in and out — and produce
-//! **bit-identical** results (enforced by the equivalence tests below and
-//! the workspace property suite).
+//! Both variants compute the same transform — coefficients in natural
+//! order in, evaluations in **bit-reversed** order out:
+//! `forward(a)[k] = a(ψ^{2·rev(k)+1})`, where `rev` reverses `log₂ n`
+//! bits — and produce **bit-identical** results (enforced by the
+//! equivalence tests below and the workspace property suite).
 //!
-//! The fast path ([`forward`]/[`inverse`]) applies Harvey's lazy-reduction
-//! discipline: every twiddle multiply is a precomputed Shoup multiply
-//! (`mul_shoup_lazy`, one mulhi + two mullo, no division) returning a
-//! representative in `[0, 2q)`, butterflies keep values in `[0, 4q)` with
-//! a single conditional subtraction of `2q` before each multiply, and full
-//! reduction happens once at the end. `q < 2^62` guarantees `4q < 2^64`,
-//! so nothing overflows. The forward path additionally folds the ψ-twist
-//! into its first butterfly stage (via the bit-reversed twist table) and
-//! the final reduction into its last stage, so every element is touched
-//! exactly `log₂ n + 1` times.
+//! The fast path ([`forward`]/[`inverse`]) is the merged-ψ formulation
+//! (Longa and Naehrig, CANS 2016): the forward runs Cooley–Tukey stages
+//! from natural to bit-reversed order, the inverse Gentleman–Sande stages
+//! back, and the negacyclic twist is folded into the twiddles — block `k`
+//! of the stage with `b` blocks (`b ≤ k < 2b`) multiplies by `ψ^{rev(k)}`
+//! (inverse: `ψ^{-rev(k)}`). No transform permutes its data and no
+//! separate twist pass runs. Every twiddle multiply is a precomputed
+//! Shoup multiply (`mul_shoup_lazy`, one mulhi + two mullo, no division)
+//! landing in `[0, 2q)`, following Harvey's lazy-reduction discipline:
+//! forward butterflies keep values in `[0, 4q)` and fold the final
+//! reduction into the last stage; inverse butterflies keep them in
+//! `[0, 2q)` ahead of one `n⁻¹` scale pass that emits canonical values.
+//! `q < 2^62` guarantees `4q < 2^64`, so nothing overflows.
 //!
 //! The stage inner loops execute on the plan's
 //! [`ComputeBackend`](neo_math::ComputeBackend) — scalar or vectorized —
@@ -25,14 +29,16 @@
 //! construction.
 //!
 //! The reference path ([`forward_reference`]/[`inverse_reference`]) reduces
-//! after every operation and serves as the correctness oracle and the
-//! baseline for `benches/ntt.rs` (shared via [`crate::reference`]).
+//! after every operation, runs the textbook twist-then-cyclic-FFT in
+//! natural order, and applies [`crate::bit_reverse`] at its boundary. It
+//! serves as the correctness oracle and the baseline for
+//! `benches/ntt.rs` (shared via [`crate::reference`]).
 
-use crate::NttPlan;
+use crate::{bit_reverse, NttPlan};
 use neo_trace::{Counter, SpanGuard};
 
-/// In-place forward negacyclic NTT (natural order in and out) — Shoup
-/// fast path.
+/// In-place forward negacyclic NTT (natural order in, bit-reversed
+/// evaluation order out) — Shoup fast path.
 ///
 /// The butterflies each stage executes are tallied from the loop structure
 /// (not a closed-form formula) and recorded under
@@ -50,26 +56,18 @@ pub fn forward(plan: &NttPlan, x: &mut [u64]) {
     let _s = SpanGuard::timer("ntt.forward");
     let m = plan.modulus();
     let be = neo_math::backend::get(plan.backend());
-    let mut butterflies = 0u64;
-    bit_reverse_planned(x, plan);
-    // Stage 1 with the ψ-twist folded in: after bit-reversal, position i
-    // holds a[rev(i)], which needs twist factor ψ^{rev(i)}; the stage-1
-    // twiddle is ω^0 = 1, so both operands take exactly one lazy Shoup
-    // multiply (landing in [0, 2q)) and no separate twist pass is needed.
-    butterflies += be.ntt_twist_stage(m, x, plan.psi_rev_shoup());
-    // Middle stages stay lazy in [0, 4q).
     let twiddles = plan.fwd_twiddles();
-    let mut size = 4;
-    let mut stage_off = 1;
-    while size < n {
-        let half = size / 2;
-        butterflies += be.ntt_fwd_stage(m, x, size, &twiddles[stage_off..stage_off + half]);
-        stage_off += half;
-        size *= 2;
+    let mut butterflies = 0u64;
+    // Cooley–Tukey stages, widest first, lazy in [0, 4q): the stage with
+    // `blocks` blocks reads twiddles blocks..2·blocks, one per block.
+    let mut blocks = 1;
+    while blocks < n / 2 {
+        let tw = &twiddles[blocks..2 * blocks];
+        butterflies += be.ntt_fwd_stage(m, x, n / blocks, tw);
+        blocks *= 2;
     }
-    // Last stage with the final [0, 4q) -> [0, q) reduction folded in.
-    let half = n / 2;
-    butterflies += be.ntt_fwd_stage_final(m, x, &twiddles[stage_off..stage_off + half]);
+    // The span-2 stage with the final [0, 4q) -> [0, q) reduction folded in.
+    butterflies += be.ntt_fwd_stage_final(m, x, &twiddles[n / 2..]);
     neo_trace::add(Counter::NttButterflies, butterflies);
     // Fault injection: a limb corrupted after stage execution, before the
     // result leaves the kernel — what a flipped write-back bit looks like.
@@ -78,9 +76,9 @@ pub fn forward(plan: &NttPlan, x: &mut [u64]) {
     }
 }
 
-/// In-place inverse negacyclic NTT (natural order in and out) — Shoup
-/// fast path. The untwist by `ψ^{-i}` and the `n⁻¹` scaling are merged
-/// into a single Shoup multiply that also performs the final reduction.
+/// In-place inverse negacyclic NTT (bit-reversed evaluation order in,
+/// natural coefficient order out) — Shoup fast path. Inputs must lie in
+/// `[0, 2q)`; reduced evaluations always do.
 ///
 /// # Panics
 ///
@@ -91,53 +89,29 @@ pub fn inverse(plan: &NttPlan, x: &mut [u64]) {
     let _s = SpanGuard::timer("ntt.inverse");
     let m = plan.modulus();
     let be = neo_math::backend::get(plan.backend());
-    bit_reverse_planned(x, plan);
-    // Cooley–Tukey stages with Harvey lazy butterflies. Invariant: all
-    // values entering a stage are < 4q; each butterfly conditionally
-    // subtracts 2q from u, takes t = v·w in [0, 2q) via lazy Shoup, and
-    // emits u + t and u - t + 2q, both < 4q.
     let twiddles = plan.inv_twiddles();
-    let mut size = 2;
-    let mut stage_off = 0;
     let mut butterflies = 0u64;
-    while size <= n {
-        let half = size / 2;
-        butterflies += be.ntt_inv_stage(m, x, size, &twiddles[stage_off..stage_off + half]);
-        stage_off += half;
-        size *= 2;
+    // Gentleman–Sande stages, narrowest first, lazy in [0, 2q): each
+    // butterfly emits u + v folded below 2q and (u − v + 2q)·w lazily.
+    let mut blocks = n / 2;
+    while blocks >= 1 {
+        let tw = &twiddles[blocks..2 * blocks];
+        butterflies += be.ntt_inv_stage(m, x, n / blocks, tw);
+        blocks /= 2;
     }
     neo_trace::add(Counter::NttButterflies, butterflies);
-    // The scale multiply accepts the unreduced [0, 4q) values directly and
-    // returns the exact representative in [0, q).
-    be.ntt_scale(m, x, plan.psi_inv_n_inv_shoup());
+    // The n⁻¹ scale: a full Shoup multiply that also performs the final
+    // reduction to [0, q).
+    be.ntt_scale(m, x, m.shoup(plan.n_inv()));
     neo_trace::add(Counter::ModMuls, n as u64);
     if neo_fault::armed() {
         neo_fault::corrupt_limb(neo_fault::FaultSite::NttStage, x);
     }
 }
 
-/// Bit-reversal permutation via the plan's precomputed swap list — one
-/// swap per transposition, no per-element bit twiddling.
-fn bit_reverse_planned(x: &mut [u64], plan: &NttPlan) {
-    for &(i, j) in plan.bitrev_pairs() {
-        x.swap(i as usize, j as usize);
-    }
-}
-
-/// Bit-reversal permutation (computed on the fly, reference path).
-fn bit_reverse(x: &mut [u64]) {
-    let n = x.len();
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u64).reverse_bits().wrapping_shr(64 - bits) as usize;
-        if j > i {
-            x.swap(i, j);
-        }
-    }
-}
-
 /// In-place forward negacyclic NTT, reference implementation (reduces
-/// after every operation).
+/// after every operation; bit-reversed evaluation order out, like
+/// [`forward`]).
 ///
 /// # Panics
 ///
@@ -151,9 +125,11 @@ pub fn forward_reference(plan: &NttPlan, x: &mut [u64]) {
         *v = m.mul(*v, plan.psi_pows()[i]);
     }
     cyclic_fft(x, plan, false);
+    bit_reverse(x);
 }
 
-/// In-place inverse negacyclic NTT, reference implementation.
+/// In-place inverse negacyclic NTT, reference implementation
+/// (bit-reversed evaluation order in, like [`inverse`]).
 ///
 /// # Panics
 ///
@@ -162,6 +138,7 @@ pub fn inverse_reference(plan: &NttPlan, x: &mut [u64]) {
     let n = plan.degree();
     assert_eq!(x.len(), n, "length mismatch");
     let m = plan.modulus();
+    bit_reverse(x);
     cyclic_fft(x, plan, true);
     // Untwist and scale by n^{-1}.
     for (i, v) in x.iter_mut().enumerate() {
@@ -239,6 +216,32 @@ mod tests {
             inverse_reference(&p, &mut reference);
             assert_eq!(fast, reference, "inverse mismatch at n={n}");
             assert_eq!(fast, a, "roundtrip mismatch at n={n}");
+        }
+    }
+
+    /// `forward(a)[k] = a(ψ^{2·rev(k)+1})`, checked by Horner evaluation
+    /// of the input at 16 seeded `k`: the evaluation order against its
+    /// definition, not against another transform.
+    #[test]
+    fn forward_evaluates_at_odd_powers_of_psi_in_bit_reversed_order() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0dd);
+        for log_n in [4u32, 10, 14] {
+            let n = 1usize << log_n;
+            for bits in [36u32, 48, 55, 61] {
+                let q = primes::ntt_primes(bits, n, 1).unwrap()[0];
+                let p = NttPlan::new(q, n).unwrap();
+                let m = p.modulus();
+                let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+                let mut y = a.clone();
+                forward(&p, &mut y);
+                for _ in 0..16 {
+                    let k = rng.gen_range(0..n);
+                    let e = 2 * crate::bit_rev(k, log_n) as u64 + 1;
+                    let z = m.pow(p.psi_pows()[1], e);
+                    let at_z = a.iter().rev().fold(0, |acc, &c| m.add(m.mul(acc, z), c));
+                    assert_eq!(y[k], at_z, "n={n} bits={bits} k={k}");
+                }
+            }
         }
     }
 

@@ -1,17 +1,20 @@
 //! Slow-but-obvious NTT references shared by benches and property tests.
 //!
-//! [`forward_division_baseline`] is the radix-2 forward NTT exactly as the
-//! tree had it before the Shoup lazy-reduction rewrite: every modular
-//! multiply is a 128-bit `%` division, the ψ-twist is a separate pass, and
-//! every butterfly fully reduces. It is deliberately kept this naive — it
-//! is the "before" row of `BENCH_ntt.json` and the oracle that pins both
+//! [`forward_division_baseline`] is the radix-2 forward NTT as the tree
+//! had it before the Shoup lazy-reduction rewrite: every modular multiply
+//! is a 128-bit `%` division, the ψ-twist is a separate pass, and every
+//! butterfly fully reduces. It is deliberately kept this naive — it is
+//! the "before" row of `BENCH_ntt.json` and the oracle that pins both
 //! compute backends' fast paths to an implementation with no lazy
-//! representatives, no Shoup precomputation, and no vector lanes.
+//! representatives, no Shoup precomputation, and no vector lanes. It
+//! computes natural evaluation order and permutes it to the fast path's
+//! bit-reversed order at its boundary.
 
 use crate::NttPlan;
 
-/// The pre-Shoup division-based forward NTT (natural order in, natural
-/// evaluation order out — same convention as [`crate::radix2::forward`]).
+/// The pre-Shoup division-based forward NTT (natural order in,
+/// bit-reversed evaluation order out — same convention as
+/// [`crate::radix2::forward`]).
 ///
 /// # Panics
 ///
@@ -24,13 +27,7 @@ pub fn forward_division_baseline(plan: &NttPlan, x: &mut [u64]) {
     for (v, &p) in x.iter_mut().zip(plan.psi_pows()) {
         *v = mulq(*v, p);
     }
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u64).reverse_bits().wrapping_shr(64 - bits) as usize;
-        if j > i {
-            x.swap(i, j);
-        }
-    }
+    crate::bit_reverse(x);
     let pows = plan.omega_pows();
     let mut size = 2;
     while size <= n {
@@ -48,6 +45,7 @@ pub fn forward_division_baseline(plan: &NttPlan, x: &mut [u64]) {
         }
         size *= 2;
     }
+    crate::bit_reverse(x);
 }
 
 #[cfg(test)]

@@ -3,19 +3,21 @@
 //!
 //! A full verification would re-run the transform; instead each check
 //! spends `O(n)` against the kernel's `O(n log n)` on two identities of
-//! the negacyclic NTT `y_j = Σ_i a_i ψ^i ω^{ij} = a(ψ·ω^j)`:
+//! the negacyclic NTT. Its evaluations sit in bit-reversed order,
+//! `y_{rev(j)} = a(ψ·ω^j) = Σ_i a_i ψ^i ω^{ij}` (see [`crate::radix2`]):
 //!
 //! 1. **Sum identity** — `Σ_j y_j ≡ n · a_0 (mod q)`, because
-//!    `Σ_j ω^{ij} = 0` for `i ≠ 0`. Covers *every* evaluation limb: a
-//!    single bit flip in any `y_j` shifts the sum by `±2^b mod q ≠ 0`
-//!    (q is an odd prime), so it is always caught.
+//!    `Σ_j ω^{ij} = 0` for `i ≠ 0`; the order of the `y_j` does not
+//!    matter. Covers *every* evaluation limb: a single bit flip in any
+//!    `y_j` shifts the sum by `±2^b mod q ≠ 0` (q is an odd prime), so it
+//!    is always caught.
 //! 2. **Evaluation at a point** — Horner-evaluate the coefficient side at
-//!    `z = ψ·ω^j` for a salt-derived `j` and compare against `y_j`.
-//!    Covers *every* coefficient limb: a flip in any `a_i` perturbs the
-//!    evaluation by `δ·z^i ≠ 0`. Also cross-checks the transform itself
-//!    against the plan's ψ/ω power tables, which the radix-2 fast path
-//!    never reads — so corrupt stage-major Shoup twiddles (a poisoned
-//!    plan) are caught against an independent reference.
+//!    `z = ψ·ω^j` for a salt-derived `j` and compare against
+//!    `y_{rev(j)}`. Covers *every* coefficient limb: a flip in any `a_i`
+//!    perturbs the evaluation by `δ·z^i ≠ 0`. Also cross-checks the
+//!    transform itself against the plan's ψ/ω power tables, which the
+//!    radix-2 fast path never reads — so corrupt per-block Shoup twiddles
+//!    (a poisoned plan) are caught against an independent reference.
 //!
 //! Run together on a (input, output) pair, the two identities make any
 //! single-limb corruption on either side a guaranteed detection,
@@ -98,11 +100,11 @@ pub fn spot_check_transform(
     salt: u64,
     forward: bool,
 ) -> Result<(), NeoError> {
-    // The checksum walks every table (~12n words of reads, one splitmix
+    // The checksum walks every table (8n words of reads, one splitmix
     // mix each); price it so the overhead report stays honest.
     let n = plan.degree() as u64;
-    neo_trace::add(Counter::AbftMacs, 12 * n);
-    neo_trace::add(Counter::BytesRead, 96 * n);
+    neo_trace::add(Counter::AbftMacs, 8 * n);
+    neo_trace::add(Counter::BytesRead, 64 * n);
     if !plan.verify_integrity() {
         return Err(NeoError::fault_detected(
             "ntt_plan",
@@ -157,14 +159,14 @@ fn check_pair(
         ));
     }
 
-    // Identity 2: a(ψ·ω^j) ≡ y_j for a salt-derived point j.
+    // Identity 2: a(ψ·ω^j) ≡ y_{rev(j)} for a salt-derived point j.
     let j = (neo_fault::splitmix64(salt ^ m.value() ^ (n as u64) << 8) % n as u64) as usize;
     let z = m.mul(plan.psi_pows()[1], plan.omega_pows()[j]);
     let mut acc = 0u64;
     for &c in coeffs.iter().rev() {
         acc = m.add(m.mul(acc, z), m.reduce(c));
     }
-    let got = m.reduce(evals[j]);
+    let got = m.reduce(evals[crate::bit_rev(j, n.trailing_zeros())]);
     if acc != got {
         return Err(NeoError::fault_detected(
             site,

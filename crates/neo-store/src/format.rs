@@ -20,8 +20,10 @@ pub const RECORD_MAGIC: [u8; 4] = *b"NREC";
 
 /// Current record format version. Bumped on any layout change; old
 /// versions are quarantined, not guessed at. Version 2 dropped the
-/// compute-backend byte from `ExecPlan` payloads.
-pub const RECORD_VERSION: u16 = 2;
+/// compute-backend byte from `ExecPlan` payloads. Version 3 stores
+/// NTT-domain limbs (KSK `b`-parts) in the radix-2 transforms'
+/// bit-reversed evaluation order.
+pub const RECORD_VERSION: u16 = 3;
 
 /// Size of the fixed record header in bytes.
 pub const HEADER_LEN: usize = 72;

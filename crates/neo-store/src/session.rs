@@ -413,6 +413,79 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Rewrites the header of every record `pick` selects to claim
+    /// `version`, with a valid header checksum: the file an older build
+    /// wrote.
+    fn rewrite_versions(path: &Path, version: u16, pick: impl Fn(RecordKind) -> bool) {
+        use crate::format::{Header, FILE_MAGIC, HEADER_LEN};
+        let bytes = std::fs::read(path).expect("read");
+        let mut out = bytes[..FILE_MAGIC.len()].to_vec();
+        let mut offset = FILE_MAGIC.len();
+        while offset < bytes.len() {
+            let mut header = Header::decode(&bytes[offset..]).expect("current header");
+            if pick(header.id.kind) {
+                header.version = version;
+            }
+            header.encode_to(&mut out);
+            let end = offset + HEADER_LEN + header.payload_len as usize;
+            out.extend_from_slice(&bytes[offset + HEADER_LEN..end]);
+            offset = end;
+        }
+        std::fs::write(path, out).expect("write");
+    }
+
+    /// Version-2 KSK records hold `b`-parts in natural evaluation order,
+    /// which the current transforms do not use: they are quarantined
+    /// unread, and a whole version-2 session cold-starts.
+    #[test]
+    fn version_2_records_are_quarantined_and_never_hydrated() {
+        let path = tmp("v2");
+        let ctx = ctx();
+        let lvl = ctx.params().max_level;
+        let cold = FheEngine::with_context(ctx.clone(), 5);
+        cold.chest()
+            .warm(lvl, KeyTarget::Relin, cold.method())
+            .expect("warm");
+        let kind = ksk_kind(cold.method());
+        let save = || {
+            let _ = std::fs::remove_file(&path);
+            let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
+            ss.save_engine(2, &cold, 5);
+            ss.commit().expect("commit");
+        };
+        let ksk = RecordId {
+            kind,
+            tenant: 2,
+            level: lvl as u64,
+            aux: KeyTarget::Relin.code(),
+        };
+
+        // Only the KSK is version 2: the session warm-starts from its
+        // secret key, and the stale key is never decoded into the chest.
+        save();
+        rewrite_versions(&path, 2, |k| k == kind);
+        let mut ss2 = SessionStore::open(&path, ctx.clone()).expect("reopen");
+        assert_eq!(ss2.store().report().quarantined, 1);
+        assert_eq!(ss2.store().status(ksk), RecordStatus::Missing);
+        let warm = ss2.warm_start(2).expect("warm").expect("present");
+        assert!(warm.chest().cached_keys(warm.method()).is_empty());
+        // The key regenerates from seed, bit-identical to the cold one.
+        assert_eq!(
+            warm.chest().export_b_parts(lvl, KeyTarget::Relin),
+            cold.chest().export_b_parts(lvl, KeyTarget::Relin)
+        );
+
+        // A whole version-2 session: nothing is valid, so it cold-starts.
+        save();
+        rewrite_versions(&path, 2, |_| true);
+        let mut ss3 = SessionStore::open(&path, ctx).expect("reopen v2");
+        assert_eq!(ss3.store().report().quarantined, 2);
+        assert!(ss3.store().ids().is_empty());
+        assert!(!ss3.has_session(2));
+        assert!(ss3.warm_start(2).expect("cold").is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn plans_roundtrip_through_the_store() {
         let path = tmp("plans");

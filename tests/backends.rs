@@ -216,6 +216,39 @@ fn ntt_n16384_bit_identity() {
     }
 }
 
+/// `forward(a)[k] = a(ψ^{2·rev(k)+1})` on both pinned backends, checked
+/// by Horner evaluation at 16 seeded `k`, at the IFMA widths and past
+/// the `2^50` bound.
+#[test]
+fn ntt_evaluation_order_holds_on_both_backends() {
+    let _l = ntt_lock();
+    let mut rng = StdRng::seed_from_u64(0x0dd);
+    for log_n in [4u32, 10, 14] {
+        let n = 1usize << log_n;
+        let mut primes: Vec<u64> = [36, 48, 55, 61]
+            .iter()
+            .map(|&bits| neo_math::primes::ntt_primes(bits, n, 1).unwrap()[0])
+            .collect();
+        primes.push(ntt_prime_above_2_50(n));
+        for q in primes {
+            let a = random_vec(&mut rng, n, q);
+            let points: Vec<usize> = (0..16).map(|_| rng.gen_range(0..n)).collect();
+            for kind in [BackendKind::Portable, BackendKind::Simd] {
+                let plan = NttPlan::with_backend(q, n, kind).unwrap();
+                let m = plan.modulus();
+                let mut y = a.clone();
+                radix2::forward(&plan, &mut y);
+                for &k in &points {
+                    let rev = k.reverse_bits() >> (usize::BITS - log_n);
+                    let z = m.pow(plan.psi_pows()[1], 2 * rev as u64 + 1);
+                    let at_z = a.iter().rev().fold(0, |acc, &c| m.add(m.mul(acc, z), c));
+                    assert_eq!(y[k], at_z, "{kind} n={n} q={q} k={k}");
+                }
+            }
+        }
+    }
+}
+
 /// Re-runs this test binary's `#[ignore]`d `helper` in a child process
 /// under the backend this process does not run (`NEO_BACKEND` is the
 /// only selector), checks that the child ran there, and returns the
