@@ -10,7 +10,7 @@
 use neo_apps::{helr, resnet, workload, AppKind, AppTrace};
 use neo_ckks::cost::{op_time_us, CostConfig, Operation};
 use neo_ckks::{CkksParams, KsMethod, ParamSet};
-use neo_gpu_sim::{DeviceModel, DeviceSpec, Efficiency, ExecConfig};
+use neo_gpu_sim::{DeviceModel, DeviceSpec, Efficiency};
 use neo_kernels::{MatmulTarget, NttAlgorithm};
 
 /// A named (device, parameters, strategy) triple — one row of Table 5/6.
@@ -80,11 +80,7 @@ impl SchemeModel {
                 ip_adaptive: false,
                 ip_target: MatmulTarget::Cuda,
                 hybrid_intt_per_digit: false,
-                exec: ExecConfig {
-                    multi_stream: false,
-                    overlap_eta: 0.0,
-                    fusion: true,
-                },
+                multi_stream: false,
             },
             device: DeviceModel::new(cpu_server_spec()),
         }

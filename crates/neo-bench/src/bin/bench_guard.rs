@@ -1,11 +1,13 @@
 //! `bench_guard` — the CI perf-regression gate.
 //!
 //! Re-runs the tracked micro-kernels (portable backend, the same setups
-//! as `backend_bench`) plus the deterministic 4-stream KLSS HMult
-//! schedule and the `neo-plan` autotuner's planned-HMult makespan,
-//! compares each median against the committed baselines in
-//! `results/baselines.json`, and applies the [`neo_bench::guard`] policy:
-//! >15% slower fails the build (exit 1), >7% warns.
+//! as `backend_bench`) and the store warm start, compares each median
+//! against the committed baselines in `results/baselines.json`, and
+//! applies the [`neo_bench::guard`] policy: >15% slower fails the build
+//! (exit 1), >7% warns. Three model rows — the 4-stream KLSS HMult
+//! schedule, the coalesced serve batch and the `neo-plan` autotuner's
+//! planned-HMult makespan — are deterministic simulator outputs and
+//! fail on any drift from their baselines, up or down.
 //!
 //! Artifacts:
 //! * `BENCH_metrics.json` (repo root) — per-kernel guard verdicts (the
@@ -201,10 +203,16 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let measured: Vec<(&str, f64)> = vec![
+    let timed: Vec<(&str, f64)> = vec![
         ("ntt_forward_n16384", guard::apply_injection(ntt.median_ns)),
         ("bconv_exact_3to4", guard::apply_injection(bconv.median_ns)),
         ("gemm_256", guard::apply_injection(gemm.median_ns)),
+        (
+            "store_warm_start_1tenant",
+            guard::apply_injection(store_warm.median_ns),
+        ),
+    ];
+    let modelled: Vec<(&str, f64)> = vec![
         (
             "sched_klss_hmult_makespan",
             guard::apply_injection(sched.makespan_s),
@@ -217,14 +225,16 @@ fn main() {
             "plan_hmult8_makespan",
             guard::apply_injection(hmult_plan.predicted_makespan_s),
         ),
-        (
-            "store_warm_start_1tenant",
-            guard::apply_injection(store_warm.median_ns),
-        ),
     ];
-    let results: Vec<GuardResult> = measured
+    let is_model = |kernel: &str| modelled.iter().any(|(k, _)| *k == kernel);
+    let results: Vec<GuardResult> = timed
         .iter()
         .map(|(k, v)| guard::evaluate(k, baselines.get(k), *v))
+        .chain(
+            modelled
+                .iter()
+                .map(|(k, v)| guard::evaluate_model(k, baselines.get(k), *v)),
+        )
         .collect();
     let overall = guard::overall(&results);
 
@@ -237,7 +247,8 @@ fn main() {
 
     // --- Human report. ---
     let mut human = format!(
-        "bench_guard: perf-regression gate (warn >{:.0}%, fail >{:.0}%)\n\
+        "bench_guard: perf-regression gate (warn >{:.0}%, fail >{:.0}%; \
+         model rows fail on drift >1e-9)\n\
          warmup {:?}, measure {:?}, {} samples; inject {:+.1}%\n\n\
          kernel                    | baseline     | measured     | change   | verdict\n\
          --------------------------+--------------+--------------+----------+--------\n",
@@ -250,10 +261,7 @@ fn main() {
     );
     for r in &results {
         let unit_time = |v: f64| {
-            if r.kernel.starts_with("sched_")
-                || r.kernel.starts_with("serve_")
-                || r.kernel.starts_with("plan_")
-            {
+            if is_model(&r.kernel) {
                 fmt_time(v)
             } else {
                 fmt_time(v / 1e9)
@@ -288,9 +296,11 @@ fn main() {
 
     let doc = json!({
         "description": "CI perf-regression gate: tracked kernel medians vs the committed \
-                        results/baselines.json (warn >7%, fail >15%); the NTT is timed with \
-                        the telemetry gate off. Re-run with: cargo run --release -p neo-bench \
-                        --bin bench_guard; promote new baselines with --update-baselines.",
+                        results/baselines.json (warn >7%, fail >15%); the simulated makespan \
+                        rows are model drift checks that fail on any relative difference \
+                        above 1e-9. The NTT is timed with the telemetry gate off. Re-run \
+                        with: cargo run --release -p neo-bench --bin bench_guard; promote \
+                        new baselines with --update-baselines.",
         "config": {
             "warmup_ms": cfg.warmup.as_millis() as u64,
             "measure_ms": cfg.measure.as_millis() as u64,
@@ -317,7 +327,7 @@ fn main() {
 
     if update_baselines {
         let mut b = Baselines::default();
-        for (k, v) in &measured {
+        for (k, v) in timed.iter().chain(&modelled) {
             b.kernels.insert((*k).to_string(), *v);
         }
         match b.save(Path::new(BASELINE_PATH)) {
@@ -331,7 +341,7 @@ fn main() {
     }
     if overall == Verdict::Fail {
         eprintln!(
-            "bench_guard: FAIL — at least one kernel regressed past {}%",
+            "bench_guard: FAIL — a kernel regressed past {}% or a model row drifted",
             guard::FAIL_PCT
         );
         std::process::exit(1);

@@ -3,7 +3,8 @@
 //! original (element-wise) kernels.
 
 use neo_bench::emit;
-use neo_ckks::cost::{keyswitch_profiles, CostConfig};
+use neo_ckks::cost::CostConfig;
+use neo_ckks::sched::keyswitch_graph;
 use neo_ckks::{KsMethod, ParamSet};
 use serde_json::json;
 
@@ -35,7 +36,7 @@ fn main() {
             let p = set.params();
             let mut cfg = CostConfig::tensorfhe();
             cfg.method = method;
-            let profiles = keyswitch_profiles(&p, l, &cfg);
+            let profiles = keyswitch_graph(&p, l, &cfg).profiles();
             let (bconv, ip, ntt, total) = share(&profiles);
             human.push_str(&format!(
                 "  {l:3} | {label:6} | {:5.1}% {:5.1}% {:5.1}% {:5.1}% | {:7.2}\n",

@@ -1,14 +1,19 @@
 //! The perf-regression guard: committed baselines, measured medians, and
 //! the pass/warn/fail policy `bench_guard` enforces in CI.
 //!
-//! The guard compares the median of each tracked kernel against the
-//! committed baseline in `results/baselines.json` (relative change, so
-//! the stored unit — nanoseconds for timed kernels, seconds for the
-//! simulated makespan — cancels out):
+//! The guard compares each tracked row against the committed baseline in
+//! `results/baselines.json` (relative change, so the stored unit —
+//! nanoseconds for timed kernels, seconds for simulated makespans —
+//! cancels out). Wall-clock rows ([`evaluate`]) are timings:
 //!
 //! * change > [`FAIL_PCT`] (15%) slower  → **Fail** (CI exits non-zero);
 //! * change > [`WARN_PCT`] (7%) slower   → **Warn** (reported, build passes);
 //! * otherwise (including improvements)  → **Pass**.
+//!
+//! Model rows ([`evaluate_model`]) are deterministic simulator outputs,
+//! not timings: they are drift checks, and a relative difference above
+//! 1e-9 in either direction is a **Fail**. A model change that moves one
+//! must promote the new value with `--update-baselines`.
 //!
 //! `NEO_GUARD_INJECT_PCT` inflates every measured value by the given
 //! percentage before evaluation. It exists so CI can prove the guard
@@ -27,11 +32,13 @@ pub const FAIL_PCT: f64 = 15.0;
 /// Outcome of comparing one kernel against its baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Within the warn threshold (or faster than baseline).
+    /// Within the warn threshold (or faster than baseline); for a model
+    /// row, equal to its baseline.
     Pass,
     /// Slower than [`WARN_PCT`] but within [`FAIL_PCT`].
     Warn,
-    /// Slower than [`FAIL_PCT`]; the guard exits non-zero.
+    /// Slower than [`FAIL_PCT`], or a model row that drifted; the guard
+    /// exits non-zero.
     Fail,
     /// No committed baseline for this kernel yet; informational only.
     New,
@@ -77,7 +84,8 @@ impl GuardResult {
     }
 }
 
-/// Evaluates one kernel's measured median against its baseline.
+/// Evaluates one wall-clock kernel's measured median against its
+/// baseline.
 pub fn evaluate(kernel: &str, baseline: Option<f64>, measured: f64) -> GuardResult {
     let (change_pct, verdict) = match baseline {
         Some(b) if b > 0.0 => {
@@ -100,6 +108,20 @@ pub fn evaluate(kernel: &str, baseline: Option<f64>, measured: f64) -> GuardResu
         change_pct,
         verdict,
     }
+}
+
+/// Evaluates one model row (a deterministic simulator output) against
+/// its baseline: a relative drift above 1e-9, up or down, fails.
+pub fn evaluate_model(kernel: &str, baseline: Option<f64>, measured: f64) -> GuardResult {
+    let mut r = evaluate(kernel, baseline, measured);
+    if r.verdict != Verdict::New {
+        r.verdict = if r.change_pct.abs() > 1e-9 * 100.0 {
+            Verdict::Fail
+        } else {
+            Verdict::Pass
+        };
+    }
+    r
 }
 
 /// Reads `NEO_GUARD_INJECT_PCT` (a synthetic slowdown percentage for CI's
@@ -226,6 +248,24 @@ mod tests {
             evaluate("ntt_forward_n16384", Some(baseline), healthy).verdict,
             Verdict::Pass
         );
+    }
+
+    #[test]
+    fn model_rows_fail_on_drift_either_way() {
+        let b = 2.4936583466535436;
+        assert_eq!(evaluate_model("m", Some(b), b).verdict, Verdict::Pass);
+        assert_eq!(
+            evaluate_model("m", Some(b), b * (1.0 + 1e-6)).verdict,
+            Verdict::Fail
+        );
+        assert_eq!(
+            evaluate_model("m", Some(b), b * (1.0 - 1e-6)).verdict,
+            Verdict::Fail
+        );
+        // A fall the wall-clock policy would pass is still drift.
+        assert_eq!(evaluate("m", Some(b), b * 0.5).verdict, Verdict::Pass);
+        assert_eq!(evaluate_model("m", Some(b), b * 0.5).verdict, Verdict::Fail);
+        assert_eq!(evaluate_model("m", None, b).verdict, Verdict::New);
     }
 
     #[test]

@@ -1,24 +1,30 @@
-//! Operation-level cost assembly: turns CKKS parameters plus an execution
-//! strategy into the kernel sequences the device model prices.
+//! Operation-level cost assembly: prices CKKS operations under one
+//! execution strategy on the `neo-sched` simulator.
 //!
 //! This is the layer that regenerates the paper's evaluation: a
 //! [`CostConfig`] captures one design point (which key-switching method,
-//! which NTT algorithm, which compute component each matmul runs on), and
-//! [`op_profiles`] emits the exact kernel sequence of each CKKS operation
-//! at a level. Conventions:
+//! which NTT algorithm, which compute component each matmul runs on),
+//! and [`crate::sched`] builds the kernel DAG of each CKKS operation at a
+//! level. Pricing follows one rule:
 //!
+//! * the op's graph is built once per in-flight batch —
+//!   [`SimConfig::default`]'s stream count for a
+//!   [`CostConfig::multi_stream`] preset, one otherwise — fused
+//!   ([`OpGraph::fuse_elementwise`]) and simulated on that many streams;
+//!   the makespan divided by the batch count is the time of one batch;
 //! * ciphertexts are NTT-resident (standard on GPUs); key switching pays
 //!   the INTT of its input and the NTTs after Mod Up;
-//! * profiles describe one *batched* operation over
-//!   `params.batch_size` ciphertexts; [`op_time_us`] reports the
-//!   batch-amortized per-ciphertext time, which is what the paper's
-//!   tables quote;
+//! * a batch is one operation over `params.batch_size` ciphertexts;
+//!   [`op_time_us`] reports the batch-amortized per-ciphertext time,
+//!   which is what the paper's tables quote;
 //! * small batches underutilize the GPU; utilization follows a saturating
 //!   `bs / (bs + BATCH_HALF)` curve (Fig. 17).
 
 use crate::params::{CkksParams, KsMethod};
-use neo_gpu_sim::{DeviceModel, ExecConfig, KernelProfile};
+use crate::sched::{append_keyswitch, append_op};
+use neo_gpu_sim::DeviceModel;
 use neo_kernels::{MatmulTarget, NttAlgorithm};
+use neo_sched::{simulate, OpGraph, SimConfig};
 
 /// Batch size at which utilization reaches 50% of its asymptote.
 pub const BATCH_HALF: f64 = 24.0;
@@ -46,8 +52,11 @@ pub struct CostConfig {
     /// TensorFHE implementation behavior that Table 2 records) instead of
     /// accumulating in NTT domain first (`2(l+α)`).
     pub hybrid_intt_per_digit: bool,
-    /// Fusion / multi-stream execution model.
-    pub exec: ExecConfig,
+    /// Keep [`SimConfig::default`]'s stream count of independent batches
+    /// in flight, one per stream, so one batch's CUDA-core kernels hide
+    /// behind another's tensor-core kernels (Section 4.6). Off, one batch
+    /// runs on one stream.
+    pub multi_stream: bool,
 }
 
 impl CostConfig {
@@ -64,12 +73,12 @@ impl CostConfig {
             ip_adaptive: true,
             ip_target: MatmulTarget::TcuFp64,
             hybrid_intt_per_digit: false,
-            exec: ExecConfig::default(),
+            multi_stream: true,
         }
     }
 
     /// TensorFHE: Hybrid method, four-step NTT on INT8 TCUs, element-wise
-    /// BConv/IP, kernel fusion but no CUDA/TCU cross-stream overlap.
+    /// BConv/IP, no CUDA/TCU cross-stream overlap.
     pub fn tensorfhe() -> Self {
         Self {
             method: KsMethod::Hybrid,
@@ -81,16 +90,12 @@ impl CostConfig {
             ip_adaptive: false,
             ip_target: MatmulTarget::Cuda,
             hybrid_intt_per_digit: true,
-            exec: ExecConfig {
-                multi_stream: false,
-                overlap_eta: 0.0,
-                fusion: true,
-            },
+            multi_stream: false,
         }
     }
 
-    /// HEonGPU: Hybrid method, everything on CUDA cores (no TCU use),
-    /// well-fused kernels.
+    /// HEonGPU: Hybrid method, everything on CUDA cores (no TCU use), one
+    /// stream.
     pub fn heongpu() -> Self {
         Self {
             method: KsMethod::Hybrid,
@@ -102,11 +107,7 @@ impl CostConfig {
             ip_adaptive: false,
             ip_target: MatmulTarget::Cuda,
             hybrid_intt_per_digit: false,
-            exec: ExecConfig {
-                multi_stream: false,
-                overlap_eta: 0.0,
-                fusion: true,
-            },
+            multi_stream: false,
         }
     }
 }
@@ -130,27 +131,6 @@ pub enum Operation {
     DoubleRescale,
 }
 
-/// Kernel sequence of one KeySwitch at `level` (batched).
-///
-/// The sequence is the topological order of the kernel DAG built by
-/// [`crate::sched::append_keyswitch`] — the graph is the source of
-/// truth; this flat view is what the closed-form sums-based model
-/// prices.
-pub fn keyswitch_profiles(p: &CkksParams, level: usize, cfg: &CostConfig) -> Vec<KernelProfile> {
-    crate::sched::keyswitch_graph(p, level, cfg).profiles()
-}
-
-/// Kernel sequence of one batched CKKS operation at `level` — the
-/// topological order of [`crate::sched::op_graph`].
-pub fn op_profiles(
-    p: &CkksParams,
-    level: usize,
-    op: Operation,
-    cfg: &CostConfig,
-) -> Vec<KernelProfile> {
-    crate::sched::op_graph(p, level, op, cfg).profiles()
-}
-
 /// Saturating batch-utilization curve (Fig. 17).
 pub fn batch_utilization(batch: usize) -> f64 {
     let bs = batch as f64;
@@ -167,14 +147,38 @@ pub fn op_time_us(
     op: Operation,
     cfg: &CostConfig,
 ) -> f64 {
-    let seq = op_profiles(p, level, op, cfg);
-    dev.sequence_time_us(&seq, &cfg.exec) / batch_utilization(p.batch_size) / p.batch_size as f64
+    price_us(dev, p, cfg, |g, tag| {
+        append_op(g, p, level, op, cfg, &[], tag);
+    })
 }
 
 /// Batch-amortized per-ciphertext KeySwitch time in microseconds.
 pub fn keyswitch_time_us(dev: &DeviceModel, p: &CkksParams, level: usize, cfg: &CostConfig) -> f64 {
-    let seq = keyswitch_profiles(p, level, cfg);
-    dev.sequence_time_us(&seq, &cfg.exec) / batch_utilization(p.batch_size) / p.batch_size as f64
+    price_us(dev, p, cfg, |g, tag| {
+        append_keyswitch(g, p, level, cfg, &[], tag);
+    })
+}
+
+/// The pricing rule of the module docs: `append` adds one batch's
+/// kernels (tagged with the batch index) to the graph.
+fn price_us(
+    dev: &DeviceModel,
+    p: &CkksParams,
+    cfg: &CostConfig,
+    append: impl Fn(&mut OpGraph, usize),
+) -> f64 {
+    let batches = if cfg.multi_stream {
+        SimConfig::default().streams
+    } else {
+        1
+    };
+    let mut g = OpGraph::new();
+    for tag in 0..batches {
+        append(&mut g, tag);
+    }
+    let (fused, _) = g.fuse_elementwise();
+    let makespan_s = simulate(&fused, dev, SimConfig::streams(batches)).makespan_s;
+    makespan_s * 1e6 / batches as f64 / batch_utilization(p.batch_size) / p.batch_size as f64
 }
 
 #[cfg(test)]
@@ -229,6 +233,59 @@ mod tests {
         let ks = keyswitch_time_us(&dev, &p, 35, &cfg);
         let hm = op_time_us(&dev, &p, 35, Operation::HMult, &cfg);
         assert!(ks < hm && ks > 0.6 * hm, "ks {ks:.0} vs hmult {hm:.0}");
+    }
+
+    #[test]
+    fn one_stream_prices_the_fused_serial_sum() {
+        let dev = DeviceModel::a100();
+        let ops = [
+            Operation::HMult,
+            Operation::HRotate,
+            Operation::PMult,
+            Operation::HAdd,
+            Operation::PAdd,
+            Operation::Rescale,
+            Operation::DoubleRescale,
+        ];
+        for (p, cfg) in [
+            (ParamSet::A.params(), CostConfig::tensorfhe()),
+            (ParamSet::E.params(), CostConfig::heongpu()),
+        ] {
+            assert!(!cfg.multi_stream);
+            for level in [11usize, 35] {
+                for op in ops {
+                    let (fused, _) = crate::sched::op_graph(&p, level, op, &cfg).fuse_elementwise();
+                    let want = dev.serial_time_s(&fused.profiles()) * 1e6
+                        / batch_utilization(p.batch_size)
+                        / p.batch_size as f64;
+                    let got = op_time_us(&dev, &p, level, op, &cfg);
+                    let rel = (got - want).abs() / want;
+                    assert!(
+                        rel <= 1e-12,
+                        "{:?} {op:?} l={level}: {got} vs {want}",
+                        cfg.method
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_stream_never_prices_above_one_stream() {
+        let dev = DeviceModel::a100();
+        let p = ParamSet::C.params();
+        let neo = CostConfig::neo();
+        let one = CostConfig {
+            multi_stream: false,
+            ..neo
+        };
+        for op in [Operation::HMult, Operation::HRotate, Operation::Rescale] {
+            for level in [11usize, 23, 35] {
+                let multi = op_time_us(&dev, &p, level, op, &neo);
+                let serial = op_time_us(&dev, &p, level, op, &one);
+                assert!(multi <= serial, "{op:?} l={level}: {multi} > {serial}");
+            }
+        }
     }
 
     #[test]

@@ -1,19 +1,13 @@
 //! Kernel-DAG builders: the CKKS pipelines as [`OpGraph`]s.
 //!
-//! This module is the graph-shaped source of truth for the kernel
-//! sequences in [`crate::cost`]: each builder appends the kernels of one
-//! CKKS operation (HMult, HRotate, Rescale, KeySwitch, bootstrap
-//! segments) to an [`OpGraph`] *with their real data dependencies* —
-//! e.g. the β Mod Up BConvs of one key switch are mutually independent,
-//! and the element-wise prologue of an HMult is a fusable chain. The flat
-//! kernel sequences [`crate::cost::op_profiles`] returns are simply the
-//! topological order of these graphs ([`OpGraph::profiles`]), so the
-//! closed-form cost model and the `neo-sched` multi-stream simulator
-//! price exactly the same work.
-//!
-//! Node insertion order deliberately matches the historical sequence
-//! order of `cost.rs` (kernel by kernel), which keeps every calibrated
-//! sums-based result unchanged.
+//! Each builder appends the kernels of one CKKS operation (HMult,
+//! HRotate, Rescale, KeySwitch, bootstrap segments) to an [`OpGraph`]
+//! *with their real data dependencies* — e.g. the β Mod Up BConvs of one
+//! key switch are mutually independent, and the element-wise prologue of
+//! an HMult is a fusable chain. These graphs are the only description of
+//! an operation's work: [`crate::cost`] prices them on the `neo-sched`
+//! simulator for the paper artifacts, and the planner and serve
+//! admission simulate the same graphs.
 
 use crate::bootstrap::TraceStep;
 use crate::cost::{CostConfig, Operation};
@@ -52,8 +46,7 @@ pub(crate) fn ip_profile(geom: &IpGeom, cfg: &CostConfig) -> neo_gpu_sim::Kernel
 
 /// Appends one KeySwitch at `level` to `g`; the first kernel (the input
 /// INTT) depends on `after`, and the returned node is the exit (the Mod
-/// Down ModADD). Kernel insertion order matches
-/// [`crate::cost::keyswitch_profiles`].
+/// Down ModADD).
 pub fn append_keyswitch(
     g: &mut OpGraph,
     p: &CkksParams,
@@ -310,7 +303,7 @@ fn append_rescale(
 
 /// Appends one batched CKKS operation at `level` to `g`; its first
 /// kernel depends on `after`, and the returned node is the operation's
-/// exit. Kernel insertion order matches [`crate::cost::op_profiles`].
+/// exit.
 pub fn append_op(
     g: &mut OpGraph,
     p: &CkksParams,
@@ -452,38 +445,7 @@ pub fn trace_graph(p: &CkksParams, steps: &[TraceStep], cfg: &CostConfig) -> OpG
 mod tests {
     use super::*;
     use crate::bootstrap::BootstrapPlan;
-    use crate::cost::{keyswitch_profiles, op_profiles};
     use crate::params::ParamSet;
-
-    #[test]
-    fn graph_profiles_match_cost_sequences() {
-        let p = ParamSet::C.params();
-        for cfg in [
-            CostConfig::neo(),
-            CostConfig::tensorfhe(),
-            CostConfig::heongpu(),
-        ] {
-            for op in [
-                Operation::HMult,
-                Operation::HRotate,
-                Operation::PMult,
-                Operation::HAdd,
-                Operation::PAdd,
-                Operation::Rescale,
-                Operation::DoubleRescale,
-            ] {
-                let graph = op_graph(&p, 20, op, &cfg);
-                assert_eq!(
-                    graph.profiles(),
-                    op_profiles(&p, 20, op, &cfg),
-                    "{op:?} under {:?}",
-                    cfg.method
-                );
-            }
-            let ks = keyswitch_graph(&p, 20, &cfg);
-            assert_eq!(ks.profiles(), keyswitch_profiles(&p, 20, &cfg));
-        }
-    }
 
     #[test]
     fn keyswitch_graph_has_modup_parallelism() {

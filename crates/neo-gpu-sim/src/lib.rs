@@ -10,15 +10,17 @@
 //! t_kernel = launches · t_launch + max(t_mem, t_cuda + t_tcu)
 //! ```
 //!
-//! where each component time is `work / (peak · efficiency)`. Sequences of
-//! kernels can additionally model **kernel fusion** (launch amortization +
-//! intermediate-traffic elimination is reflected in the profiles
-//! themselves) and **multi-stream overlap** (CUDA-core phases of one
-//! stream hide TCU phases of another — Section 4.6).
+//! where each component time is `work / (peak · efficiency)`. A kernel
+//! sequence on one stream costs [`DeviceModel::serial_time_s`], the
+//! summed roofline. Kernel fusion and multi-stream overlap (CUDA-core
+//! phases of one stream hiding TCU phases of another — Section 4.6) are
+//! not modelled here: the `neo-sched` crate rewrites and simulates kernel
+//! DAGs over these per-kernel component times, and it is the one timing
+//! model every paper artifact, the planner and serve admission use.
 //!
-//! Efficiency factors are calibrated once against the paper's Table 7 and
-//! then frozen (see `EXPERIMENTS.md`); everything else the model outputs is
-//! a consequence of counted work.
+//! The four efficiency factors were fit once against the paper's Table 7
+//! and are frozen (see `EXPERIMENTS.md`); everything else the model
+//! outputs is a consequence of counted work.
 //!
 //! # Example
 //!
@@ -39,6 +41,6 @@ mod model;
 mod profile;
 mod spec;
 
-pub use model::{ComponentSums, DeviceModel, ExecConfig};
+pub use model::{ComponentSums, DeviceModel};
 pub use profile::KernelProfile;
 pub use spec::{DeviceSpec, Efficiency};

@@ -1,56 +1,8 @@
 use crate::{DeviceSpec, KernelProfile};
 
-/// Execution-strategy knobs for a kernel sequence (Section 4.6).
-///
-/// This is the *closed-form* execution model: multi-stream overlap is a
-/// single scalar `overlap_eta` fudge and fusion a boolean launch-count
-/// collapse. The `neo-sched` crate supersedes both with a kernel-DAG
-/// simulation (a list scheduler over N streams with HBM contention and a
-/// real fusion graph rewrite); the closed form is retained as the
-/// analytic baseline the simulator is cross-checked against — at one
-/// stream the simulated makespan equals
-/// `sequence_time_s(ps, ExecConfig::naive())` exactly, and the
-/// default-config makespan must land inside the eta model's
-/// `[max(Σcuda, Σtcu), Σcuda + Σtcu]` compute envelope.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecConfig {
-    /// Overlap CUDA-core and TCU phases across streams. `overlap_eta` is
-    /// the fraction of the shorter phase hidden behind the longer one
-    /// (1.0 = perfect overlap).
-    pub multi_stream: bool,
-    /// Fraction of min(cuda, tcu) hidden when multi-streaming.
-    pub overlap_eta: f64,
-    /// Fuse adjacent kernels: launches collapse (intermediate-traffic
-    /// savings are already reflected in optimized kernels' profiles).
-    pub fusion: bool,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        Self {
-            multi_stream: true,
-            overlap_eta: 0.8,
-            fusion: true,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// No fusion, no multi-stream — the naive execution model used for the
-    /// pre-optimization baselines.
-    pub fn naive() -> Self {
-        Self {
-            multi_stream: false,
-            overlap_eta: 0.0,
-            fusion: false,
-        }
-    }
-}
-
 /// Per-resource totals of a kernel sequence, in seconds (except
-/// `launches`). The building block both the closed-form
-/// [`DeviceModel::sequence_time_s`] and the `neo-sched` envelope
-/// cross-checks work from.
+/// `launches`). The building block of [`DeviceModel::serial_time_s`] and
+/// of the `neo-sched` overlap-envelope cross-checks.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ComponentSums {
     /// Σ CUDA-core compute seconds.
@@ -126,33 +78,21 @@ impl DeviceModel {
         self.kernel_time_s(p) * 1e6
     }
 
-    /// Time of a sequence of kernels under an execution config, in seconds.
+    /// One-stream serial time of a kernel sequence, in seconds:
+    /// `Σlaunches·launch_s + max(Σcuda+Σtcu, Σmem)`.
     ///
-    /// With multi-stream enabled, the CUDA and TCU phases of *different*
-    /// kernels overlap: total compute approaches
-    /// `max(Σcuda, Σtcu) + (1-η)·min(Σcuda, Σtcu)`. With fusion enabled,
-    /// launch counts collapse to one per kernel group boundary (modelled
-    /// as 25% of the unfused launches, floor one launch).
-    pub fn sequence_time_s(&self, ps: &[KernelProfile], cfg: &ExecConfig) -> f64 {
-        if ps.is_empty() {
-            return 0.0;
-        }
+    /// Compute phases run back to back while HBM traffic drains
+    /// alongside them. This is the reference the `neo-sched` simulator
+    /// must equal on one stream (property-tested), not a pricing path:
+    /// the cost model prices every operation on the simulator.
+    pub fn serial_time_s(&self, ps: &[KernelProfile]) -> f64 {
         let sums = self.sequence_sums(ps);
-        let mut launches = sums.launches;
-        if cfg.fusion {
-            launches = (launches * 0.25).max(1.0);
-        }
-        let compute = if cfg.multi_stream {
-            sums.overlap_floor_s() + (1.0 - cfg.overlap_eta) * sums.cuda_s.min(sums.tcu_s)
-        } else {
-            sums.serial_compute_s()
-        };
-        launches * self.spec.kernel_launch_s + compute.max(sums.mem_s)
+        sums.launches * self.spec.kernel_launch_s + sums.serial_compute_s().max(sums.mem_s)
     }
 
-    /// Per-resource totals of a kernel sequence — the sums both
-    /// [`Self::sequence_time_s`] and the `neo-sched` simulator
-    /// cross-check envelopes are built from.
+    /// Per-resource totals of a kernel sequence — the sums
+    /// [`Self::serial_time_s`] and the `neo-sched` simulator cross-check
+    /// envelopes are built from.
     pub fn sequence_sums(&self, ps: &[KernelProfile]) -> ComponentSums {
         let mut sums = ComponentSums::default();
         for p in ps {
@@ -163,11 +103,6 @@ impl DeviceModel {
             sums.launches += p.launches;
         }
         sums
-    }
-
-    /// Sequence time in microseconds.
-    pub fn sequence_time_us(&self, ps: &[KernelProfile], cfg: &ExecConfig) -> f64 {
-        self.sequence_time_s(ps, cfg) * 1e6
     }
 }
 
@@ -211,33 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_stream_overlaps() {
-        let dev = DeviceModel::a100();
-        let ps = vec![profile(1e11, 0.0, 1e3), profile(0.0, 1e11, 1e3)];
-        let serial = dev.sequence_time_s(&ps, &ExecConfig::naive());
-        let overlapped = dev.sequence_time_s(&ps, &ExecConfig::default());
-        assert!(overlapped < serial, "overlap should reduce time");
-    }
-
-    #[test]
-    fn fusion_amortizes_launches() {
-        let dev = DeviceModel::a100();
-        let ps: Vec<KernelProfile> = (0..100)
-            .map(|_| KernelProfile::new("k").launches(1.0))
-            .collect();
-        let unfused = dev.sequence_time_s(&ps, &ExecConfig::naive());
-        let fused = dev.sequence_time_s(
-            &ps,
-            &ExecConfig {
-                fusion: true,
-                multi_stream: false,
-                overlap_eta: 0.0,
-            },
-        );
-        assert!(fused < unfused * 0.3);
-    }
-
-    #[test]
     fn tcu_fp64_beats_cuda_for_same_macs() {
         // The architectural premise: TCU FP64 MAC rate exceeds the
         // CUDA-core modular MAC rate.
@@ -250,19 +158,26 @@ mod tests {
     #[test]
     fn empty_sequence_is_free() {
         let dev = DeviceModel::a100();
-        assert_eq!(dev.sequence_time_s(&[], &ExecConfig::default()), 0.0);
+        assert_eq!(dev.serial_time_s(&[]), 0.0);
     }
 
     #[test]
-    fn sequence_sums_match_naive_model() {
+    fn serial_time_sums_the_rooflines() {
         let dev = DeviceModel::a100();
-        let ps = vec![profile(1e9, 2e9, 1e6), profile(3e9, 0.0, 5e8)];
+        // One kernel: the serial sum is that kernel's roofline.
+        let p = profile(1e9, 2e9, 1e6);
+        assert!(
+            (dev.serial_time_s(std::slice::from_ref(&p)) - dev.kernel_time_s(&p)).abs() < 1e-15
+        );
+        // Two kernels: compute phases add, and the memory total is
+        // compared with the compute total, not kernel by kernel.
+        let ps = vec![p, profile(3e9, 0.0, 5e8)];
         let sums = dev.sequence_sums(&ps);
         assert_eq!(sums.launches, 2.0);
         assert!(sums.overlap_floor_s() <= sums.serial_compute_s());
-        let naive = dev.sequence_time_s(&ps, &ExecConfig::naive());
-        let rebuilt =
-            sums.launches * dev.spec().kernel_launch_s + sums.serial_compute_s().max(sums.mem_s);
-        assert!((naive - rebuilt).abs() <= 1e-15 * naive);
+        let serial = dev.serial_time_s(&ps);
+        let per_kernel: f64 = ps.iter().map(|k| dev.kernel_time_s(k)).sum();
+        assert!(serial <= per_kernel + 1e-15);
+        assert!(serial >= 2.0 * dev.spec().kernel_launch_s + sums.serial_compute_s());
     }
 }

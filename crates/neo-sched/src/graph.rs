@@ -6,9 +6,7 @@
 //! groups the kernels of one logical ciphertext operation for reporting.
 //! Edges are data dependencies. Edges must point forward in insertion
 //! order, which keeps the graph acyclic by construction and makes
-//! insertion order a valid topological order — [`OpGraph::profiles`]
-//! therefore reproduces exactly the kernel sequences the closed-form cost
-//! model sums over.
+//! insertion order a valid topological order.
 
 use neo_gpu_sim::{DeviceModel, KernelProfile};
 
@@ -123,8 +121,8 @@ impl OpGraph {
         &self.succs[i]
     }
 
-    /// The kernel profiles in topological order — the exact sequence the
-    /// closed-form [`DeviceModel::sequence_time_s`] baseline prices.
+    /// The kernel profiles in topological order (the sequence
+    /// [`DeviceModel::serial_time_s`] prices on one stream).
     pub fn profiles(&self) -> Vec<KernelProfile> {
         self.nodes.iter().map(|n| n.profile.clone()).collect()
     }
@@ -191,8 +189,7 @@ impl OpGraph {
     /// ModADD) that a fused kernel executes in one launch. The merged
     /// profile keeps all compute, drops the intermediate tensor's
     /// write+read traffic (it stays in registers), and collapses the
-    /// launch count. This is the graph-rewrite replacement for the old
-    /// boolean `ExecConfig::fusion` flag.
+    /// launch count.
     pub fn fuse_elementwise(&self) -> (OpGraph, FusionStats) {
         let n = self.nodes.len();
         // prev_in_chain[v] = u marks the contraction edge u -> v.

@@ -6,19 +6,18 @@
 //!   [`neo_gpu_sim::KernelProfile`] work counts (CUDA-FP64 seconds, TCU
 //!   seconds, HBM bytes, launch overhead via the device model) and whose
 //!   edges are data dependencies, plus the element-wise **fusion
-//!   rewrite** ([`OpGraph::fuse_elementwise`]) that replaces the old
-//!   boolean `ExecConfig::fusion` flag with an actual graph
-//!   transformation. Builders that capture the CKKS pipelines
-//!   (hmult / KLSS key switch / rescale / rotate / bootstrap segments)
-//!   as graphs live in `neo_ckks::sched`.
+//!   rewrite** ([`OpGraph::fuse_elementwise`]). Builders that capture
+//!   the CKKS pipelines (hmult / KLSS key switch / rescale / rotate /
+//!   bootstrap segments) as graphs live in `neo_ckks::sched`.
 //! * [`sim`] — a **discrete-event multi-stream simulator**: a list
 //!   scheduler maps the DAG onto N streams; CUDA and TCU phases of
 //!   different streams overlap on exclusive engines while concurrently
-//!   resident traffic shares the HBM bandwidth. The schedule-derived
-//!   makespan supersedes the scalar `overlap_eta` fudge of
-//!   `neo_gpu_sim::ExecConfig` (which is retained as a closed-form
-//!   baseline and cross-checked in the workspace tests). Simulated
-//!   timelines export as Chrome traces via [`sim::chrome_trace`].
+//!   resident traffic shares the HBM bandwidth. It is the workspace's
+//!   one timing model: the paper artifacts (`neo_ckks::cost`), the
+//!   planner and serve admission all price on it. On one stream it
+//!   collapses to [`neo_gpu_sim::DeviceModel::serial_time_s`]
+//!   (property-tested). Simulated timelines export as Chrome traces via
+//!   [`sim::chrome_trace`].
 //! * [`exec`] — a **host batch executor**: [`exec::TaskGraph`] runs
 //!   independent ciphertext operations of a batch concurrently in
 //!   topological wavefronts on the rayon pool, bit-identical to serial

@@ -12,8 +12,8 @@
 //!   then its TCU phase, and each engine serves one kernel phase at a
 //!   time (FIFO, deterministic stream-index tie-breaks). Different
 //!   streams therefore overlap on *different* engines — one stream's TCU
-//!   phase hides another's CUDA phase — which is exactly the overlap the
-//!   old scalar `overlap_eta` fudge approximated.
+//!   phase hides another's CUDA phase (Section 4.6's multi-stream
+//!   execution).
 //! - **Shared HBM.** Each stream's memory traffic is a FIFO of per-kernel
 //!   jobs, all eligible from `t_start` (prefetch/write-behind semantics)
 //!   and drained continuously; the HBM bandwidth is split equally among
@@ -33,9 +33,9 @@
 //!   turns a stalled timeline into a typed error.
 //!
 //! With one stream this collapses to
-//! `Σlaunches·launch_s + max(Σcuda+Σtcu, Σmem)` — the closed-form serial
-//! [`DeviceModel::sequence_time_s`](neo_gpu_sim::DeviceModel) baseline,
-//! which is kept as a cross-check (see the workspace
+//! `Σlaunches·launch_s + max(Σcuda+Σtcu, Σmem)` —
+//! [`DeviceModel::serial_time_s`] — on any DAG (property-tested in
+//! `tests/properties.rs` and on the CKKS graphs in the workspace
 //! `tests/scheduler.rs`).
 
 use crate::graph::OpGraph;

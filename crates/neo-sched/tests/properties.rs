@@ -3,7 +3,7 @@
 //! exactness of the one-stream collapse, and fusion invariants — all over
 //! randomized forward-edge DAGs with randomized kernel work counts.
 
-use neo_gpu_sim::{DeviceModel, ExecConfig, KernelProfile};
+use neo_gpu_sim::{DeviceModel, KernelProfile};
 use neo_sched::{simulate, simulate_best, NodeId, OpGraph, SimConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -76,17 +76,17 @@ proptest! {
         }
     }
 
-    /// One stream collapses to the closed-form serial model
-    /// `Σlaunches·launch_s + max(Σcuda+Σtcu, Σmem)` for *any* DAG — the
+    /// One stream collapses to the serial model `serial_time_s`,
+    /// `Σlaunches·launch_s + max(Σcuda+Σtcu, Σmem)`, for *any* DAG — the
     /// dependency structure is irrelevant when everything serializes.
     #[test]
     fn one_stream_is_exact_on_any_dag(seed in any::<u64>()) {
         let g = random_graph(seed);
         let dev = DeviceModel::a100();
-        let serial = dev.sequence_time_s(&g.profiles(), &ExecConfig::naive());
+        let serial = dev.serial_time_s(&g.profiles());
         let sim = simulate(&g, &dev, SimConfig::streams(1)).makespan_s;
         prop_assert!((sim - serial).abs() <= 1e-9 * serial.max(1e-30),
-            "simulated {sim} vs closed-form {serial}");
+            "simulated {sim} vs serial {serial}");
     }
 
     /// Fusion preserves compute work and never adds nodes, launches, or
@@ -105,7 +105,7 @@ proptest! {
         prop_assert!(rel(before.cuda_modmacs, after.cuda_modmacs));
         prop_assert!(rel(before.tcu_fp64_macs, after.tcu_fp64_macs));
         prop_assert!(rel(before.tcu_int8_macs, after.tcu_int8_macs));
-        let serial = dev.sequence_time_s(&fused.profiles(), &ExecConfig::naive());
+        let serial = dev.serial_time_s(&fused.profiles());
         let sim = simulate(&fused, &dev, SimConfig::streams(1)).makespan_s;
         prop_assert!((sim - serial).abs() <= 1e-9 * serial.max(1e-30));
     }

@@ -1,22 +1,22 @@
 //! Cross-crate scheduler tests: the `neo-sched` discrete-event simulator
-//! against the closed-form `neo-gpu-sim` baseline, and the rayon batch
-//! executor against serial execution on real ciphertexts.
+//! against the one-stream serial sum `DeviceModel::serial_time_s` and
+//! its overlap envelope, and the rayon batch executor against serial
+//! execution on real ciphertexts.
 
 use neo::ckks::batch::{BatchOp, BatchProgram, Slot};
-use neo::ckks::cost::{op_profiles, CostConfig, Operation};
+use neo::ckks::cost::{CostConfig, Operation};
 use neo::ckks::encoding::Complex64;
 use neo::ckks::keys::{KeyChest, PublicKey, SecretKey};
 use neo::ckks::sched::{batch_op_graph, op_graph};
 use neo::ckks::{ops, CkksContext, CkksParams, Encoder, KsMethod, ParamSet};
-use neo::gpu_sim::{DeviceModel, ExecConfig};
+use neo::gpu_sim::DeviceModel;
 use neo::sched::{simulate, simulate_best, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// At one stream the simulated makespan equals the closed-form serial
-/// model `Σlaunches·launch_s + max(Σcuda+Σtcu, Σmem)` — the simulator
-/// and the analytic baseline price identical work.
+/// At one stream the simulated makespan equals the serial model
+/// `Σlaunches·launch_s + max(Σcuda+Σtcu, Σmem)` on the CKKS graphs.
 #[test]
 fn one_stream_equals_serial_model() {
     let dev = DeviceModel::a100();
@@ -25,8 +25,7 @@ fn one_stream_equals_serial_model() {
         for op in [Operation::HMult, Operation::HRotate, Operation::Rescale] {
             for level in [10usize, 35] {
                 let g = op_graph(&p, level, op, &cfg);
-                let serial =
-                    dev.sequence_time_s(&op_profiles(&p, level, op, &cfg), &ExecConfig::naive());
+                let serial = dev.serial_time_s(&g.profiles());
                 let sim = simulate(&g, &dev, SimConfig::streams(1));
                 let rel = (sim.makespan_s - serial).abs() / serial;
                 assert!(
@@ -40,16 +39,16 @@ fn one_stream_equals_serial_model() {
     }
 }
 
-/// The default-config simulated makespan lands inside the eta model's
-/// compute envelope `[max(Σcuda, Σtcu), Σcuda + Σtcu]` (plus prologue):
+/// The default-config simulated makespan lands inside the compute
+/// overlap envelope `[max(Σcuda, Σtcu), Σcuda + Σtcu]` (plus prologue):
 /// overlap can hide at most the shorter engine's phase.
 #[test]
-fn default_config_within_eta_envelope() {
+fn default_config_within_overlap_envelope() {
     let dev = DeviceModel::a100();
     let p = ParamSet::C.params();
     let cfg = CostConfig::neo();
     let g = op_graph(&p, 35, Operation::HMult, &cfg);
-    let sums = dev.sequence_sums(&op_profiles(&p, 35, Operation::HMult, &cfg));
+    let sums = dev.sequence_sums(&g.profiles());
     let prologue = g.launch_prologue_s(&dev);
     let sim = simulate_best(&g, &dev, SimConfig::default().streams);
     let floor = prologue + sums.overlap_floor_s().max(sums.mem_s);
