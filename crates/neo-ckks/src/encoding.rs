@@ -8,8 +8,15 @@
 
 use crate::ciphertext::Plaintext;
 use crate::context::CkksContext;
-use neo_math::RnsPoly;
+use neo_math::recycle::Recycler;
+use neo_math::{signed_mod, Domain, RnsPoly};
 use std::ops::{Add, Mul, Neg, Sub};
+
+/// A second recycler beside the limbs' (`neo_math::recycle::LIMBS`), for
+/// the `N/2`-slot scratch of [`Encoder::encode`] and of the BSGS diagonal
+/// rotation: one limb's bytes each, which every encode would otherwise
+/// allocate afresh.
+pub(crate) static SLOTS: Recycler<Complex64> = Recycler::new();
 
 /// A minimal complex number (avoids an external dependency for the one
 /// cold path that needs it).
@@ -144,15 +151,24 @@ impl Encoder {
     ) -> Plaintext {
         let slots = self.slots();
         assert!(values.len() <= slots, "too many slots");
-        let mut vals = vec![Complex64::default(); slots];
+        let mut vals = SLOTS.zeroed(slots);
         vals[..values.len()].copy_from_slice(values);
         self.fft_special_inv(&mut vals);
-        let mut coeffs = vec![0i64; self.n];
-        for (j, v) in vals.iter().enumerate() {
-            coeffs[j] = (v.re * scale).round() as i64;
-            coeffs[j + slots] = (v.im * scale).round() as i64;
+        // Coefficient j is round(Δ·Re v_j) and coefficient j + N/2 is
+        // round(Δ·Im v_j): rounded once here, reduced into each limb below.
+        for v in vals.iter_mut() {
+            *v = Complex64::new((v.re * scale).round(), (v.im * scale).round());
         }
-        let poly = RnsPoly::from_signed(&coeffs, ctx.q_moduli(level));
+        let moduli = ctx.q_moduli(level);
+        let mut poly = RnsPoly::zero(self.n, moduli.len(), Domain::Coeff);
+        for (limb, m) in poly.limbs_mut().iter_mut().zip(moduli) {
+            let (re, im) = limb.split_at_mut(slots);
+            for ((r, i), v) in re.iter_mut().zip(im).zip(&vals) {
+                *r = signed_mod(v.re as i64, m.value());
+                *i = signed_mod(v.im as i64, m.value());
+            }
+        }
+        SLOTS.give(vals);
         Plaintext::new(poly, scale, level)
     }
 

@@ -23,6 +23,7 @@ use neo_fault::{VerifyPolicy, VerifyScope};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Runtime guardrails applied by [`FheEngine`] before each operation.
@@ -596,24 +597,25 @@ impl FheEngine {
         Ok(())
     }
 
-    /// Level alignment for binary ops: reduce the higher operand when the
-    /// policy allows, error otherwise.
-    fn align_pair(
+    /// Level alignment for binary ops: operands at one level are borrowed;
+    /// otherwise the higher one is reduced when the policy allows, and the
+    /// pair refused when it does not.
+    fn align_pair<'a>(
         &self,
         op: &'static str,
-        a: &Ciphertext,
-        b: &Ciphertext,
-    ) -> Result<(Ciphertext, Ciphertext), NeoError> {
+        a: &'a Ciphertext,
+        b: &'a Ciphertext,
+    ) -> Result<(Cow<'a, Ciphertext>, Cow<'a, Ciphertext>), NeoError> {
         if a.level() == b.level() {
-            return Ok((a.clone(), b.clone()));
+            return Ok((Cow::Borrowed(a), Cow::Borrowed(b)));
         }
         if !self.policy.auto_align_levels {
             return Err(NeoError::level_mismatch(op, a.level(), b.level()));
         }
         let level = a.level().min(b.level());
         Ok((
-            ops::try_level_reduce(a, level)?,
-            ops::try_level_reduce(b, level)?,
+            Cow::Owned(ops::try_level_reduce(a, level)?),
+            Cow::Owned(ops::try_level_reduce(b, level)?),
         ))
     }
 

@@ -448,14 +448,11 @@ impl KeyChest {
                 key_ranges
                     .iter()
                     .map(|r| {
-                        let digit_primes = qp_primes[r.clone()].to_vec();
-                        let table = ctx.bconv_table(&digit_primes, &t_primes);
+                        let table = ctx.bconv_table(&qp_primes[r.clone()], &t_primes);
                         let mut out: Vec<RnsPoly> = pair
                             .iter()
                             .map(|k| {
-                                let limbs: Vec<Vec<u64>> =
-                                    r.clone().map(|i| k.limb(i).to_vec()).collect();
-                                let conv = table.convert_exact(&limbs);
+                                let conv = table.convert_exact(&k.limbs()[r.clone()]);
                                 let mut p =
                                     RnsPoly::from_limbs(conv, Domain::Coeff).expect("valid limbs");
                                 ctx.ntt_forward(&mut p, &t_moduli);

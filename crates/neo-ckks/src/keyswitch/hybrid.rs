@@ -4,6 +4,7 @@ use super::{check_keyswitch_input, mod_down};
 use crate::context::CkksContext;
 use crate::keys::{digit_ranges, HybridKey};
 use neo_error::NeoError;
+use neo_math::recycle::LIMBS;
 use neo_math::{Domain, RnsPoly};
 use rayon::prelude::*;
 
@@ -36,29 +37,25 @@ pub fn keyswitch_hybrid(
     let xs: Vec<Result<RnsPoly, NeoError>> = ranges
         .par_iter()
         .map(|r| -> Result<RnsPoly, NeoError> {
-            // Digit limbs straight from d.
-            let digit: Vec<Vec<u64>> = r.clone().map(|i| d.limb(i).to_vec()).collect();
-            let digit_primes: Vec<u64> = q_primes[r.clone()].to_vec();
             let complement: Vec<u64> = qp_primes
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| !r.contains(i))
                 .map(|(_, &p)| p)
                 .collect();
-            let table = ctx.bconv_table(&digit_primes, &complement);
-            let conv = table.convert_approx(&digit);
-            // Reassemble in qp order.
-            let mut limbs: Vec<Vec<u64>> = Vec::with_capacity(qp.len());
-            let mut conv_iter = conv.into_iter();
-            let mut digit_iter = digit.into_iter();
-            for i in 0..qp.len() {
-                if r.contains(&i) {
-                    limbs.push(digit_iter.next().expect("digit limb"));
-                } else {
-                    limbs.push(conv_iter.next().expect("converted limb"));
-                }
-            }
-            let mut x = RnsPoly::from_limbs(limbs, Domain::Coeff).expect("valid limbs");
+            let table = ctx.bconv_table(&q_primes[r.clone()], &complement);
+            let mut conv = table.convert_approx(&d.limbs()[r.clone()]).into_iter();
+            // Reassemble in qp order: the digit's own limbs are copied in.
+            let limbs = (0..qp.len())
+                .map(|i| {
+                    if r.contains(&i) {
+                        LIMBS.copied(d.limb(i))
+                    } else {
+                        conv.next().expect("converted limb")
+                    }
+                })
+                .collect();
+            let mut x = RnsPoly::from_limbs(limbs, Domain::Coeff)?;
             ctx.try_ntt_forward(&mut x, &qp)?;
             Ok(x)
         })
@@ -78,7 +75,7 @@ pub fn keyswitch_hybrid(
     acc1.mul_acc_terms_assign(ctx.backend(), &terms(1), &qp);
     ctx.try_ntt_inverse(&mut acc0, &qp)?;
     ctx.try_ntt_inverse(&mut acc1, &qp)?;
-    Ok((mod_down(ctx, &acc0, level)?, mod_down(ctx, &acc1, level)?))
+    Ok((mod_down(ctx, acc0, level)?, mod_down(ctx, acc1, level)?))
 }
 
 #[cfg(test)]

@@ -54,11 +54,9 @@ pub fn keyswitch_klss(
     let xs: Vec<Result<RnsPoly, NeoError>> = ranges
         .par_iter()
         .map(|r| -> Result<RnsPoly, NeoError> {
-            let digit: Vec<Vec<u64>> = r.clone().map(|i| d.limb(i).to_vec()).collect();
-            let digit_primes: Vec<u64> = q_primes[r.clone()].to_vec();
-            let table = ctx.bconv_table(&digit_primes, &t_primes);
-            let conv = table.convert_exact(&digit);
-            let mut x = RnsPoly::from_limbs(conv, Domain::Coeff).expect("valid limbs");
+            let table = ctx.bconv_table(&q_primes[r.clone()], &t_primes);
+            let conv = table.convert_exact(&d.limbs()[r.clone()]);
+            let mut x = RnsPoly::from_limbs(conv, Domain::Coeff)?;
             ctx.try_ntt_forward(&mut x, &t_moduli)?;
             Ok(x)
         })
@@ -74,13 +72,12 @@ pub fn keyswitch_klss(
     let key_ranges = digit_ranges(kcfg.alpha_tilde, qp.len());
     // Output digits write disjoint limb ranges of the result, so each
     // (IP, INTT, Recover Limbs) chain runs on its own worker; the recovered
-    // limbs are stitched into `result` afterwards.
+    // limbs are stitched together afterwards.
     let recovered: Vec<Result<[Vec<Vec<u64>>; 2], NeoError>> = key_ranges
         .par_iter()
         .enumerate()
         .map(|(jj, range)| -> Result<[Vec<Vec<u64>>; 2], NeoError> {
-            let digit_primes: Vec<u64> = qp_primes[range.clone()].to_vec();
-            let table = ctx.bconv_table(&t_primes, &digit_primes);
+            let table = ctx.bconv_table(&t_primes, &qp_primes[range.clone()]);
             let recover = |c: usize| -> Result<Vec<Vec<u64>>, NeoError> {
                 let mut acc = RnsPoly::zero(n, t_moduli.len(), Domain::Ntt);
                 let terms: Vec<(&RnsPoly, &RnsPoly)> = xs
@@ -96,20 +93,16 @@ pub fn keyswitch_klss(
             Ok([recover(0)?, recover(1)?])
         })
         .collect();
-    let recovered: Vec<[Vec<Vec<u64>>; 2]> = recovered.into_iter().collect::<Result<_, _>>()?;
-    let mut result = [
-        RnsPoly::zero(n, qp.len(), Domain::Coeff),
-        RnsPoly::zero(n, qp.len(), Domain::Coeff),
-    ];
-    for (range, convs) in key_ranges.iter().zip(recovered) {
-        for (res, conv) in result.iter_mut().zip(convs) {
-            for (limb_out, limb_idx) in conv.into_iter().zip(range.clone()) {
-                res.limb_mut(limb_idx).copy_from_slice(&limb_out);
-            }
+    // The key ranges cover the R_PQ limbs in order, so the recovered limbs
+    // move into place one digit after another.
+    let mut result = [Vec::with_capacity(qp.len()), Vec::with_capacity(qp.len())];
+    for convs in recovered {
+        for (res, conv) in result.iter_mut().zip(convs?) {
+            res.extend(conv);
         }
     }
-    let [r0, r1] = result;
-    Ok((mod_down(ctx, &r0, level)?, mod_down(ctx, &r1, level)?))
+    let [r0, r1] = result.map(|limbs| RnsPoly::from_limbs(limbs, Domain::Coeff));
+    Ok((mod_down(ctx, r0?, level)?, mod_down(ctx, r1?, level)?))
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ pub mod klss;
 
 use crate::context::CkksContext;
 use neo_error::NeoError;
+use neo_math::recycle::LIMBS;
 use neo_math::{Domain, RnsPoly};
 
 /// Shared operand validation for both key-switching methods: the input
@@ -38,7 +39,8 @@ pub(crate) fn check_keyswitch_input(d: &RnsPoly, level: usize) -> Result<(), Neo
 
 /// Mod Down by `P`: takes a coefficient-domain polynomial over the
 /// `R_PQ_l` basis (`l+1` data limbs then `K` special limbs) and returns
-/// `round(x / P)` over the data limbs.
+/// `round(x / P)` over the data limbs, computed in `poly`'s own data
+/// limbs.
 ///
 /// # Errors
 ///
@@ -46,7 +48,7 @@ pub(crate) fn check_keyswitch_input(d: &RnsPoly, level: usize) -> Result<(), Neo
 /// `level + 1 + K`.
 pub(crate) fn mod_down(
     ctx: &CkksContext,
-    poly: &RnsPoly,
+    mut poly: RnsPoly,
     level: usize,
 ) -> Result<RnsPoly, NeoError> {
     let k = ctx.p_primes().len();
@@ -60,22 +62,20 @@ pub(crate) fn mod_down(
             ),
         ));
     }
-    let p_part: Vec<Vec<u64>> = (level + 1..level + 1 + k)
-        .map(|i| poly.limb(i).to_vec())
-        .collect();
     let table = ctx.bconv_table(ctx.p_primes(), &ctx.q_primes()[..=level]);
-    let conv = table.convert_approx(&p_part);
-    let q_moduli = ctx.q_moduli(level);
-    let mut out = RnsPoly::zero(poly.degree(), level + 1, neo_math::Domain::Coeff);
-    let mut diff = vec![0u64; poly.degree()];
-    for (i, m) in q_moduli.iter().enumerate() {
-        for ((d, &x), &y) in diff.iter_mut().zip(poly.limb(i)).zip(&conv[i]) {
-            *d = m.sub(x, y);
+    let mut conv = table.convert_approx(&poly.limbs()[level + 1..]);
+    // (x − conv)·P⁻¹ per data limb: the difference overwrites the
+    // converted row, and the product overwrites x's limb.
+    for (i, (m, diff)) in ctx.q_moduli(level).iter().zip(&mut conv).enumerate() {
+        for (d, &x) in diff.iter_mut().zip(poly.limb(i)) {
+            *d = m.sub(x, *d);
         }
         let inv = m.shoup(ctx.p_inv_mod_q(i));
-        ctx.backend().mul_const(m, inv, &diff, out.limb_mut(i));
+        ctx.backend().mul_const(m, inv, diff, poly.limb_mut(i));
     }
-    Ok(out)
+    LIMBS.give_all(conv);
+    poly.truncate_limbs(level + 1);
+    Ok(poly)
 }
 
 #[cfg(test)]
@@ -98,7 +98,7 @@ mod tests {
             .map(|m| vec![x_int.rem_u64(m.value()); ctx.degree()])
             .collect();
         let poly = RnsPoly::from_limbs(limbs, Domain::Coeff).unwrap();
-        let out = mod_down(&ctx, &poly, level).unwrap();
+        let out = mod_down(&ctx, poly, level).unwrap();
         for (i, m) in ctx.q_moduli(level).iter().enumerate() {
             assert!(out.limb(i).iter().all(|&c| c == m.reduce(v)), "limb {i}");
         }
@@ -119,7 +119,7 @@ mod tests {
             .map(|m| vec![x_int.rem_u64(m.value()); ctx.degree()])
             .collect();
         let poly = RnsPoly::from_limbs(limbs, Domain::Coeff).unwrap();
-        let out = mod_down(&ctx, &poly, level).unwrap();
+        let out = mod_down(&ctx, poly, level).unwrap();
         let m0 = &ctx.q_moduli(level)[0];
         let got = out.limb(0)[0];
         let diff = m0.to_signed(m0.sub(got, m0.reduce(v))).abs();

@@ -4,7 +4,7 @@
 //! building block of EvalMod and polynomial activations).
 
 use crate::ciphertext::Ciphertext;
-use crate::encoding::{Complex64, Encoder};
+use crate::encoding::{Complex64, Encoder, SLOTS};
 use crate::keys::KeyChest;
 use crate::ops;
 use crate::params::KsMethod;
@@ -202,11 +202,11 @@ impl LinearTransform {
             for &d in ds {
                 let diag = &self.diagonals[&d];
                 // Pre-rotate the diagonal right by the giant shift.
-                let pre: Vec<Complex64> = (0..self.slots)
-                    .map(|t| diag[(t + self.slots - shift % self.slots) % self.slots])
-                    .collect();
+                let mut pre = SLOTS.copied(diag);
+                pre.rotate_right(shift % self.slots);
                 let b = &babies[&(d % baby)];
                 let pt = enc.encode(ctx, &pre, scale, b.level());
+                SLOTS.give(pre);
                 let term = ops::try_pmult(ctx, b, &pt)?;
                 inner = Some(match inner {
                     None => term,

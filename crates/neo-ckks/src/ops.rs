@@ -13,6 +13,7 @@ use crate::keyswitch::{hybrid::keyswitch_hybrid, klss::keyswitch_klss};
 use crate::metrics::{note_noise, OpKind};
 use crate::params::KsMethod;
 use neo_error::NeoError;
+use neo_math::recycle::LIMBS;
 use neo_math::{Domain, RnsPoly};
 use neo_trace::span;
 use rand::Rng;
@@ -157,10 +158,12 @@ pub fn try_decrypt(
 /// # Errors
 ///
 /// [`NeoError::LevelMismatch`] / [`NeoError::ScaleMismatch`] if the
-/// operands disagree on level or scale.
+/// operands disagree on level or scale; [`NeoError::ParameterMismatch`]
+/// if their level exceeds the modulus chain.
 pub fn try_hadd(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, NeoError> {
     fault_gate("hadd")?;
     check_compatible("hadd", a, b)?;
+    check_level(ctx, "hadd", a.level())?;
     let _s = span!("ckks.hadd", level = a.level());
     let moduli = ctx.q_moduli(a.level());
     let mut out = a.clone();
@@ -176,9 +179,11 @@ pub fn try_hadd(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> Result<Cip
 /// # Errors
 ///
 /// [`NeoError::LevelMismatch`] / [`NeoError::ScaleMismatch`] if the
-/// operands disagree on level or scale.
+/// operands disagree on level or scale; [`NeoError::ParameterMismatch`]
+/// if their level exceeds the modulus chain.
 pub fn try_hsub(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, NeoError> {
     check_compatible("hsub", a, b)?;
+    check_level(ctx, "hsub", a.level())?;
     let moduli = ctx.q_moduli(a.level());
     let mut out = a.clone();
     let (c0, c1) = out.parts_mut();
@@ -192,12 +197,14 @@ pub fn try_hsub(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> Result<Cip
 /// # Errors
 ///
 /// [`NeoError::LevelMismatch`] / [`NeoError::ScaleMismatch`] if the
-/// operands disagree on level or scale.
+/// operands disagree on level or scale; [`NeoError::ParameterMismatch`]
+/// if their level exceeds the modulus chain.
 pub fn try_padd(ctx: &CkksContext, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, NeoError> {
     if a.level() != pt.level() {
         return Err(NeoError::level_mismatch("padd", a.level(), pt.level()));
     }
     check_scales("padd", a.scale(), pt.scale())?;
+    check_level(ctx, "padd", a.level())?;
     let moduli = ctx.q_moduli(a.level());
     let mut out = a.clone();
     out.parts_mut().0.add_assign(pt.poly(), moduli);
@@ -209,7 +216,9 @@ pub fn try_padd(ctx: &CkksContext, a: &Ciphertext, pt: &Plaintext) -> Result<Cip
 ///
 /// # Errors
 ///
-/// [`NeoError::LevelMismatch`] if the operands disagree on level.
+/// [`NeoError::LevelMismatch`] if the operands disagree on level;
+/// [`NeoError::ParameterMismatch`] if their level exceeds the modulus
+/// chain.
 pub fn try_pmult(
     ctx: &CkksContext,
     a: &Ciphertext,
@@ -218,6 +227,7 @@ pub fn try_pmult(
     if a.level() != pt.level() {
         return Err(NeoError::level_mismatch("pmult", a.level(), pt.level()));
     }
+    check_level(ctx, "pmult", a.level())?;
     let _s = span!("ckks.pmult", level = a.level());
     let moduli = ctx.q_moduli(a.level()).to_vec();
     let mut m = pt.poly().clone();
@@ -240,8 +250,10 @@ pub fn try_pmult(
 /// # Errors
 ///
 /// [`NeoError::LevelMismatch`] if the operands disagree on level;
-/// [`NeoError::KeySwitchKeyMissing`] if the relinearization key cannot be
-/// produced (e.g. KLSS requested without a KLSS parameter configuration).
+/// [`NeoError::ParameterMismatch`] if their level exceeds the modulus
+/// chain; [`NeoError::KeySwitchKeyMissing`] if the relinearization key
+/// cannot be produced (e.g. KLSS requested without a KLSS parameter
+/// configuration).
 pub fn try_hmult(
     chest: &KeyChest,
     a: &Ciphertext,
@@ -254,6 +266,7 @@ pub fn try_hmult(
     }
     let ctx = chest.context();
     let level = a.level();
+    check_level(ctx, "hmult", level)?;
     let _s = span!("ckks.hmult", level = level);
     let moduli = ctx.q_moduli(level).to_vec();
     // Tensor product in NTT domain.
@@ -377,10 +390,12 @@ fn switch(
 ///
 /// # Errors
 ///
-/// [`NeoError::ModulusChainExhausted`] at level 0 (no limb left to drop).
+/// [`NeoError::ModulusChainExhausted`] at level 0 (no limb left to drop);
+/// [`NeoError::ParameterMismatch`] if the level exceeds the modulus chain.
 pub fn try_rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, NeoError> {
     fault_gate("rescale")?;
     let level = ct.level();
+    check_level(ctx, "rescale", level)?;
     if level < 1 {
         return Err(NeoError::chain_exhausted("rescale", level, 1));
     }
@@ -390,7 +405,7 @@ pub fn try_rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Neo
     let rescale_poly = |p: &RnsPoly| -> RnsPoly {
         let mut out = RnsPoly::zero(p.degree(), level, Domain::Coeff);
         let last = p.limb(level);
-        let mut diff = vec![0u64; p.degree()];
+        let mut diff = LIMBS.zeroed(p.degree());
         for (i, m) in moduli.iter().enumerate() {
             let q_last_mod = m.reduce(q_last.value());
             let inv = m.inv(q_last_mod).expect("coprime chain");
@@ -406,6 +421,7 @@ pub fn try_rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Neo
             ctx.backend()
                 .mul_const(m, m.shoup(inv), &diff, out.limb_mut(i));
         }
+        LIMBS.give(diff);
         out
     };
     let c0 = rescale_poly(ct.c0());

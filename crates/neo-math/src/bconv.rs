@@ -26,6 +26,7 @@
 //! rounding boundary while the f64 accumulation error is below `k·2⁻⁴⁰`.
 
 use crate::backend::{self, BackendKind};
+use crate::recycle::LIMBS;
 use crate::{MathError, RnsBasis};
 use neo_trace::Counter;
 
@@ -184,6 +185,9 @@ impl BconvTable {
     /// product is an exact u128 sum (order-independent) reduced once, and
     /// the exact correction accumulates the fractional sum in the same
     /// source-limb order so the f64 rounding decision cannot differ.
+    ///
+    /// Scratch rows and outputs come from the [`LIMBS`] recycler; the
+    /// scratch goes back before returning.
     fn convert_limbs(&self, x: &[Vec<u64>], exact: bool) -> Vec<Vec<u64>> {
         assert_eq!(x.len(), self.src.len(), "source limb count mismatch");
         let n = x[0].len();
@@ -191,32 +195,38 @@ impl BconvTable {
             assert_eq!(limb.len(), n, "ragged limb lengths");
         }
         let be = backend::get(self.backend);
-        // y_i = [x_i · q̂_i⁻¹]_{q_i}, whole limbs at a time.
-        let mut ys = vec![vec![0u64; n]; self.src.len()];
-        for ((m, limb), (y, &hi)) in self
+        // y_i = [x_i · q̂_i⁻¹]_{q_i}, whole limbs at a time; `mul_const`
+        // overwrites each row.
+        let ys: Vec<Vec<u64>> = self
             .src
             .moduli()
             .iter()
             .zip(x)
-            .zip(ys.iter_mut().zip(&self.qhat_inv))
-        {
-            be.mul_const(m, m.shoup(hi), limb, y);
-        }
+            .zip(&self.qhat_inv)
+            .map(|((m, limb), &hi)| {
+                let mut y = LIMBS.take(n);
+                be.mul_const(m, m.shoup(hi), limb, &mut y);
+                y
+            })
+            .collect();
         let ys_rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
         // Overshoot counts for the exact flavour, fractional sums taken in
         // source-limb order per coefficient (same order as the oracle).
-        let ks: Vec<u64> = if exact {
-            let mut frac = vec![0.0f64; n];
+        // One row holds the f64 sums as bits (zero bits are +0.0), then
+        // the rounded counts.
+        let ks = exact.then(|| {
+            let mut ks = LIMBS.zeroed(n);
             for (y, &inv) in ys.iter().zip(&self.inv_q) {
-                for (f, &v) in frac.iter_mut().zip(y) {
-                    *f += v as f64 * inv;
+                for (f, &v) in ks.iter_mut().zip(y) {
+                    *f = (f64::from_bits(*f) + v as f64 * inv).to_bits();
                 }
             }
-            frac.into_iter().map(|f| f.round() as u64).collect()
-        } else {
-            Vec::new()
-        };
-        let mut out = vec![vec![0u64; n]; self.dst.len()];
+            for k in ks.iter_mut() {
+                *k = f64::from_bits(*k).round() as u64;
+            }
+            ks
+        });
+        let mut out = Vec::with_capacity(self.dst.len());
         let mut w = vec![0u64; self.src.len()];
         // Exclusive bound on the scaled residues: `mul_const` emits
         // canonical values, so the largest source modulus bounds every row.
@@ -228,12 +238,14 @@ impl BconvTable {
             .map(crate::Modulus::value)
             .max()
             .unwrap_or(u64::MAX);
-        for (j, (t, limb)) in self.dst.moduli().iter().zip(out.iter_mut()).enumerate() {
+        for (j, t) in self.dst.moduli().iter().enumerate() {
             for (wi, row) in w.iter_mut().zip(&self.qhat_mod_dst) {
                 *wi = row[j];
             }
-            be.bconv_ip(t, &ys_rows, y_bound, &w, limb);
-            if exact {
+            // `bconv_ip` overwrites every coefficient of its output.
+            let mut limb = LIMBS.take(n);
+            be.bconv_ip(t, &ys_rows, y_bound, &w, &mut limb);
+            if let Some(ks) = &ks {
                 let qj = self.q_mod_dst[j];
                 // Each fractional term is < 1, so the overshoot count k is
                 // at most src.len(): the correction multiples `k·q mod t`
@@ -242,11 +254,13 @@ impl BconvTable {
                 let kq: Vec<u64> = (0..=self.src.len() as u64)
                     .map(|k| t.mul(t.reduce(k), qj))
                     .collect();
-                for (o, &k) in limb.iter_mut().zip(&ks) {
+                for (o, &k) in limb.iter_mut().zip(ks) {
                     *o = t.sub(*o, kq[k as usize]);
                 }
             }
+            out.push(limb);
         }
+        LIMBS.give_all(ys.into_iter().chain(ks));
         // One MAC per (coeff, src, dst) triple plus the per-source residue
         // scaling; the exact flavour multiplies one correction per target.
         let (s, d) = (self.src.len() as u64, self.dst.len() as u64);

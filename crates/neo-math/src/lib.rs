@@ -13,6 +13,8 @@
 //!   style) and exact (floating-point–corrected) RNS base conversion.
 //! * [`RnsPoly`] — polynomials in `Z_Q[X]/(X^N+1)` stored limb-major, the
 //!   ciphertext component representation, with automorphism support.
+//! * [`recycle`] — the limb-buffer recycler every `RnsPoly` limb and the
+//!   host kernels' limb-length scratch come from and go back to.
 //! * [`BigUint`] — a minimal unsigned big integer used for CRT
 //!   reconstruction in tests and in the CKKS decoder.
 //!
@@ -38,6 +40,7 @@ mod error;
 mod modulus;
 pub mod poly;
 pub mod primes;
+pub mod recycle;
 pub mod rns;
 
 pub use backend::{BackendKind, ComputeBackend, PortableBackend, SimdBackend};

@@ -6,8 +6,13 @@
 //! moduli are passed to each operation by the managing context (`neo-ckks`'s
 //! `CkksContext`). Operations assert limb-count agreement — between
 //! operands and with the moduli — which catches level mismatches early.
+//!
+//! Limbs live in the [`LIMBS`] recycler: every constructor but
+//! [`RnsPoly::from_limbs`] takes them from it, and dropping or truncating
+//! a polynomial gives them back.
 
 use crate::backend::{self, ComputeBackend};
+use crate::recycle::LIMBS;
 use crate::{signed_mod, MathError, Modulus};
 use rand::Rng;
 
@@ -22,7 +27,7 @@ pub enum Domain {
 
 /// A polynomial in RNS representation: `limbs[i][j]` is coefficient `j`
 /// modulo prime `i`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct RnsPoly {
     n: usize,
     domain: Domain,
@@ -41,7 +46,7 @@ impl RnsPoly {
         Self {
             n,
             domain,
-            limbs: vec![vec![0u64; n]; k],
+            limbs: (0..k).map(|_| LIMBS.zeroed(n)).collect(),
         }
     }
 
@@ -55,7 +60,13 @@ impl RnsPoly {
         assert!(coeffs.len().is_power_of_two());
         let limbs = moduli
             .iter()
-            .map(|m| coeffs.iter().map(|&c| signed_mod(c, m.value())).collect())
+            .map(|m| {
+                let mut limb = LIMBS.take(coeffs.len());
+                for (x, &c) in limb.iter_mut().zip(coeffs) {
+                    *x = signed_mod(c, m.value());
+                }
+                limb
+            })
             .collect();
         Self {
             n: coeffs.len(),
@@ -89,7 +100,11 @@ impl RnsPoly {
     ) -> Self {
         let limbs = moduli
             .iter()
-            .map(|m| (0..n).map(|_| rng.gen_range(0..m.value())).collect())
+            .map(|m| {
+                let mut limb = LIMBS.take(n);
+                limb.fill_with(|| rng.gen_range(0..m.value()));
+                limb
+            })
             .collect();
         Self { n, domain, limbs }
     }
@@ -121,7 +136,7 @@ impl RnsPoly {
     }
 
     /// Write access to limb `i`.
-    pub fn limb_mut(&mut self, i: usize) -> &mut Vec<u64> {
+    pub fn limb_mut(&mut self, i: usize) -> &mut [u64] {
         &mut self.limbs[i]
     }
 
@@ -135,19 +150,22 @@ impl RnsPoly {
         &mut self.limbs
     }
 
-    /// Consumes the polynomial, returning the limb data.
-    pub fn into_limbs(self) -> Vec<Vec<u64>> {
-        self.limbs
+    /// Consumes the polynomial, returning the limb data. The limbs leave
+    /// without going back to the recycler; wrapping them in
+    /// [`RnsPoly::from_limbs`] again returns them when that poly drops.
+    pub fn into_limbs(mut self) -> Vec<Vec<u64>> {
+        std::mem::take(&mut self.limbs)
     }
 
-    /// Drops limbs after the first `k` (level reduction).
+    /// Drops limbs after the first `k` (level reduction), giving them back
+    /// to the recycler.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0` or `k > limb_count()`.
     pub fn truncate_limbs(&mut self, k: usize) {
         assert!(k >= 1 && k <= self.limbs.len());
-        self.limbs.truncate(k);
+        LIMBS.give_all(self.limbs.drain(k..));
     }
 
     /// Appends extra limb rows (e.g. after a Mod Up).
@@ -230,12 +248,13 @@ impl RnsPoly {
         let be = backend::active();
         // `mul_acc` accumulates into its output, so each product lands in
         // a zeroed scratch row that then swaps places with the limb.
-        let mut prod = vec![0u64; self.n];
+        let mut prod = LIMBS.take(self.n);
         for ((limb, b), m) in self.limbs.iter_mut().zip(&other.limbs).zip(moduli) {
             prod.fill(0);
             be.mul_acc(m, &[limb], &[b], &mut prod);
             std::mem::swap(limb, &mut prod);
         }
+        LIMBS.give(prod);
     }
 
     /// Fused multiply-add: `self += a * b` pointwise (NTT domain), on the
@@ -338,6 +357,22 @@ impl RnsPoly {
             .map(|&c| m.to_signed(c).unsigned_abs())
             .max()
             .unwrap_or(0)
+    }
+}
+
+impl Clone for RnsPoly {
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            domain: self.domain,
+            limbs: self.limbs.iter().map(|l| LIMBS.copied(l)).collect(),
+        }
+    }
+}
+
+impl Drop for RnsPoly {
+    fn drop(&mut self) {
+        LIMBS.give_all(self.limbs.drain(..));
     }
 }
 
@@ -475,6 +510,49 @@ mod tests {
             a.set_domain(Domain::Coeff);
             a.automorphism(5, ms);
         });
+    }
+
+    // The recycler tests below each use a degree no other test in this
+    // crate uses, so they own their shelf of the process-wide recycler.
+
+    #[test]
+    fn a_dropped_secret_is_taken_again_zeroed() {
+        let n = 1 << 9;
+        let ms = moduli(2);
+        let secret: Vec<i64> = (0..n as i64).map(|i| i % 3 - 1).collect();
+        let s = RnsPoly::from_signed(&secret, &ms);
+        let addrs: Vec<*const u64> = s.limbs().iter().map(|l| l.as_ptr()).collect();
+        drop(s);
+        assert_eq!(LIMBS.counts(n).0, 2);
+        let z = RnsPoly::zero(n, 2, Domain::Ntt);
+        assert_eq!(LIMBS.counts(n).0, 0);
+        for limb in z.limbs() {
+            assert!(addrs.contains(&limb.as_ptr()), "not a recycled buffer");
+            assert!(limb.iter().all(|&x| x == 0), "secret residue leaked");
+        }
+    }
+
+    #[test]
+    fn truncate_limbs_gives_the_dropped_limbs_back() {
+        let n = 1 << 10;
+        let mut p = RnsPoly::zero(n, 3, Domain::Coeff);
+        p.truncate_limbs(1);
+        assert_eq!(LIMBS.counts(n).0, 2);
+        drop(p);
+        assert_eq!(LIMBS.counts(n).0, 3);
+    }
+
+    #[test]
+    fn into_limbs_releases_the_limbs_to_the_caller() {
+        let n = 1 << 11;
+        let ms = moduli(2);
+        let p = RnsPoly::random_uniform(&mut rand::thread_rng(), n, &ms, Domain::Coeff);
+        let limbs = p.clone().into_limbs();
+        assert_eq!(limbs, p.limbs());
+        assert_eq!(LIMBS.counts(n).0, 0, "released limbs must not be shelved");
+        // Wrapped again, they go back when that polynomial drops.
+        drop(RnsPoly::from_limbs(limbs, Domain::Coeff).unwrap());
+        assert_eq!(LIMBS.counts(n).0, 2);
     }
 
     #[test]

@@ -180,6 +180,30 @@ fn ntt_domain_ciphertexts_are_refused() {
     }
 }
 
+/// A ciphertext deeper than the chain is refused by every op with the
+/// typed error encrypt, decrypt and rotation already give, never a panic.
+#[test]
+fn ciphertexts_deeper_than_the_chain_are_refused() {
+    let e = engine();
+    let ctx = e.context();
+    let level = e.max_level() + 2;
+    let deep = || RnsPoly::zero(ctx.degree(), level + 1, Domain::Coeff);
+    let ct = Ciphertext::new(deep(), deep(), e.default_scale(), level);
+    let pt = Plaintext::new(deep(), e.default_scale(), level);
+    for err in [
+        e.hadd(&ct, &ct).unwrap_err(),
+        e.hsub(&ct, &ct).unwrap_err(),
+        e.padd(&ct, &pt).unwrap_err(),
+        e.pmult(&ct, &pt).unwrap_err(),
+        e.hmult(&ct, &ct).unwrap_err(),
+        e.rescale(&ct).unwrap_err(),
+        e.hrotate(&ct, 1).unwrap_err(),
+        ops::try_pmult(ctx, &ct, &pt).unwrap_err(),
+    ] {
+        assert_eq!(err.kind(), ErrorKind::ParameterMismatch, "{err}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
