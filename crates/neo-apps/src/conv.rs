@@ -167,7 +167,7 @@ mod tests {
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
         let mut rng = StdRng::seed_from_u64(32);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
         let chest = KeyChest::new(ctx.clone(), sk, 33);
         let enc = Encoder::new(ctx.degree());
         let conv = Conv2d::new(8, 16, SOBEL); // 128 = slot count of N=256

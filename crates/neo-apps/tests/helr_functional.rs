@@ -24,7 +24,7 @@ fn rig(method: KsMethod, seed: u64) -> Rig {
     let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
     let mut rng = StdRng::seed_from_u64(seed);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+    let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
     let chest = KeyChest::new(ctx.clone(), sk, seed + 1);
     let model = EncryptedLogisticRegression::new(ctx.clone(), FEATURES, SAMPLES, method);
     Rig {

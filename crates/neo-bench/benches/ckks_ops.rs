@@ -20,7 +20,7 @@ fn rig() -> Rig {
     let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
     let mut rng = StdRng::seed_from_u64(1);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+    let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
     let chest = KeyChest::new(ctx.clone(), sk, 2);
     let enc = Encoder::new(ctx.degree());
     let vals: Vec<Complex64> = (0..enc.slots())

@@ -180,13 +180,13 @@ fn main() {
         std::sync::Arc::new(neo_ckks::CkksContext::new(CkksParams::test_tiny()).expect("params"));
     let store_level = store_ctx.params().max_level;
     {
-        let engine = FheEngine::with_context(store_ctx.clone(), 0xbe);
+        let engine = FheEngine::with_context(store_ctx.clone(), 0xbe).expect("cold keygen");
         engine
             .chest()
             .warm(store_level, KeyTarget::Relin, engine.method())
             .expect("cold keygen");
         let mut ss = SessionStore::open(&store_path, store_ctx.clone()).expect("open store");
-        ss.save_engine(0, &engine, 0xbe);
+        ss.save_engine(0, &engine, 0xbe).expect("save session");
         ss.commit().expect("commit");
     }
     let store_warm = measure::time(&cfg, || {

@@ -18,13 +18,13 @@
 //! Artifact: `results/fault_report.json`.
 
 use neo_ckks::{
-    BatchOp, BatchProgram, Ciphertext, CkksParams, FheEngine, NeoError, OpPolicy, Slot,
+    BatchOp, BatchProgram, Ciphertext, CkksParams, FheEngine, KeyTarget, NeoError, OpPolicy, Slot,
     VerifyPolicy,
 };
 use neo_error::ErrorKind;
 use neo_fault::{splitmix64, FaultPlan, FaultScope, FaultSite, FaultSpec};
 use neo_gpu_sim::{DeviceModel, DeviceSpec, KernelProfile};
-use neo_math::{primes, Modulus};
+use neo_math::{primes, Modulus, RnsPoly};
 use neo_sched::{simulate, try_simulate, NodeId, OpGraph, SimConfig};
 use neo_tcu::{CheckedGemm, Fp64TcuGemm};
 use rand::rngs::StdRng;
@@ -35,6 +35,7 @@ use std::sync::Arc;
 
 const TCU_TRIALS: u64 = 300;
 const NTT_STAGE_TRIALS: u64 = 300;
+const NTT_KEYGEN_TRIALS: u64 = 60;
 const NTT_PLAN_TRIALS: u64 = 100;
 const SCHED_TRIALS: u64 = 250;
 const CKKS_TRIALS: u64 = 100;
@@ -136,6 +137,92 @@ fn ntt_stage_matrix(base: u64) -> Tally {
             neo_ntt::spot_check_transform(&ntt_plan, &out, &coeffs, seed, false)
         };
         t.classify(seed, out == clean, check.as_ref().err());
+    }
+    t
+}
+
+/// Limb transforms one cold generation of the top-level `target` key runs,
+/// counted under a plan that never fires.
+fn keygen_transforms(e: &FheEngine, target: KeyTarget) -> u64 {
+    e.chest().clear_cache(e.method());
+    let plan = Arc::new(
+        FaultPlan::new(0).with_site(FaultSite::NttStage, FaultSpec::with_probability_ppm(0)),
+    );
+    let scope = FaultScope::install(plan.clone());
+    e.chest()
+        .warm(e.max_level(), target, e.method())
+        .expect("clean key generation");
+    drop(scope);
+    plan.opportunities(FaultSite::NttStage)
+}
+
+/// Op 0 is a cold HRotate by one slot, op 1 a cold HMult, op 2 a decrypt;
+/// the result's polynomials.
+fn cold_op(e: &FheEngine, op: usize, cts: &[Ciphertext]) -> Result<Vec<RnsPoly>, NeoError> {
+    e.chest().clear_cache(e.method());
+    let ct = match op {
+        0 => e.hrotate(&cts[0], 1)?,
+        1 => e.hmult(&cts[0], &cts[1])?,
+        _ => return Ok(vec![e.decrypt(&cts[0])?.poly().clone()]),
+    };
+    Ok(vec![ct.c0().clone(), ct.c1().clone()])
+}
+
+/// One corrupted NTT limb inside cold key generation or the secret's
+/// transform, through an always-verifying engine: a cold HRotate (its
+/// Galois key comes first), a cold HMult (its relinearisation key, after
+/// the tensor's seven transforms) and a decrypt (the secret's limbs come
+/// first), in turn. A detected fault that leaves a key cached, or whose
+/// disarmed retry differs from clean, counts as silent.
+fn ntt_keygen_matrix(base: u64) -> Tally {
+    let mut t = Tally::default();
+    let e = FheEngine::new(CkksParams::test_tiny(), 20250)
+        .expect("engine")
+        .with_policy(OpPolicy {
+            verify: VerifyPolicy::Always,
+            ..OpPolicy::default()
+        });
+    let (_, cts) = batch_fixture(&e);
+    let level = e.max_level();
+    let targets = [
+        KeyTarget::Galois(neo_ckks::ops::galois_element(e.context().degree(), 1)),
+        KeyTarget::Relin,
+    ];
+    let limbs = level as u64 + 1;
+    // Per op, the (first, count) limb transforms that generate its key or,
+    // for the decrypt, transform the secret.
+    let windows = [
+        (0, keygen_transforms(&e, targets[0])),
+        (7 * limbs, keygen_transforms(&e, targets[1])),
+        (0, limbs),
+    ];
+    let clean: Vec<_> = (0..3)
+        .map(|op| cold_op(&e, op, &cts).expect("clean run succeeds"))
+        .collect();
+    for trial in 0..NTT_KEYGEN_TRIALS {
+        // Continues the ntt_stage row's seed sequence.
+        let seed = trial_seed(base, FaultSite::NttStage, NTT_STAGE_TRIALS + trial);
+        let op = (trial % 3) as usize;
+        let (first, len) = windows[op];
+        let plan = Arc::new(FaultPlan::new(seed).with_site(
+            FaultSite::NttStage,
+            FaultSpec::once_after(first + splitmix64(seed) % len),
+        ));
+        let scope = FaultScope::install(plan.clone());
+        let got = cold_op(&e, op, &cts);
+        drop(scope);
+        t.absorb_plan(&plan, FaultSite::NttStage);
+        match got {
+            Ok(polys) => t.classify(seed, polys == clean[op], None),
+            Err(err) => {
+                let stale_key = targets
+                    .get(op)
+                    .is_some_and(|&target| e.chest().has_key(level, target, e.method()));
+                let retry_clean = cold_op(&e, op, &cts).is_ok_and(|p| p == clean[op]);
+                let sound = (!stale_key && retry_clean).then_some(&err);
+                t.classify(seed, false, sound);
+            }
+        }
     }
     t
 }
@@ -261,6 +348,7 @@ fn main() -> ExitCode {
     let sites = [
         ("tcu_fragment", tcu_matrix(base_seed)),
         ("ntt_stage", ntt_stage_matrix(base_seed)),
+        ("ntt_stage_keygen", ntt_keygen_matrix(base_seed)),
         (
             "ntt_plan",
             batch_matrix(

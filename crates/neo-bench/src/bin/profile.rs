@@ -72,7 +72,7 @@ fn main() {
     let ctx = Arc::new(CkksContext::new(params.clone()).expect("test_small context"));
     let mut rng = StdRng::seed_from_u64(42);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+    let pk = PublicKey::generate(&ctx, &sk, &mut rng).expect("public key");
     let chest = KeyChest::new(ctx.clone(), sk, 43);
     let enc = Encoder::new(ctx.degree());
     let level = params.max_level;

@@ -132,7 +132,7 @@ fn main() {
     let ctx = Arc::new(CkksContext::new(CkksParams::test_small()).expect("test_small context"));
     let mut rng = StdRng::seed_from_u64(21);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+    let pk = PublicKey::generate(&ctx, &sk, &mut rng).expect("public key");
     let chest = KeyChest::new(ctx.clone(), sk, 22);
     let enc = Encoder::new(ctx.degree());
     let scale = ctx.params().scale();

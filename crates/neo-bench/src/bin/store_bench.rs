@@ -79,7 +79,8 @@ fn main() -> ExitCode {
     let t_cold = Instant::now();
     let cold: Vec<FheEngine> = (0..tenants)
         .map(|id| {
-            let engine = FheEngine::with_context(ctx.clone(), tenant_seed(seed, id));
+            let engine =
+                FheEngine::with_context(ctx.clone(), tenant_seed(seed, id)).expect("cold keygen");
             for &(lv, target) in &targets {
                 engine
                     .chest()
@@ -98,7 +99,8 @@ fn main() -> ExitCode {
         let id = id as u64;
         let x = 0.5 + id as f64 / 16.0;
         let ct = engine.encrypt_f64(&[x], level).expect("encrypt");
-        ss.save_engine(id, engine, tenant_seed(seed, id));
+        ss.save_engine(id, engine, tenant_seed(seed, id))
+            .expect("save session");
         ss.save_ciphertext(id, 0, &ct);
         reference.push(x);
     }
@@ -130,7 +132,7 @@ fn main() -> ExitCode {
     for engine in &cold {
         let chest = engine.chest();
         for &(lv, target) in &targets {
-            let mut pair = chest.export_b_parts(lv, target);
+            let mut pair = chest.export_b_parts(lv, target).expect("b-parts");
             pair.extend(chest.regen_a_parts(lv, target));
             let full_payload = neo_store::codec::encode_polys(&pair);
             full_ksk += (HEADER_LEN + full_payload.len()) as u64;

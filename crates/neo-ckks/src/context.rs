@@ -1,12 +1,17 @@
-//! The CKKS context: prime chains, NTT plans, samplers, and cached base-
-//! conversion tables.
+//! The CKKS context: prime chains, samplers, the verified NTT driver, and
+//! cached base-conversion tables.
+//!
+//! The context holds no NTT plans. Every transform fetches its per-limb
+//! plans from the process-wide [`neo_ntt::cache`] at transform time, so
+//! a quarantined and rebuilt plan reaches the next transform, key
+//! generation and decryption included.
 
 use crate::params::CkksParams;
 use neo_error::NeoError;
 use neo_math::{
     backend, primes, BconvTable, ComputeBackend, Domain, MathError, Modulus, RnsBasis, RnsPoly,
 };
-use neo_ntt::{cache as ntt_cache, radix2, NttPlan};
+use neo_ntt::{cache as ntt_cache, radix2};
 use parking_lot::RwLock;
 use rand::Rng;
 use rayon::prelude::*;
@@ -18,7 +23,9 @@ type BconvMap = HashMap<(Vec<u64>, Vec<u64>), Arc<BconvTable>>;
 
 /// Everything derived from a [`CkksParams`]: the modulus chains
 /// (`q_0..q_L`, special `p_0..p_{K-1}`, and the KLSS auxiliary
-/// `t_0..t_{α'-1}`), per-prime NTT plans, and table caches.
+/// `t_0..t_{α'-1}`) and the BConv table cache. Transforms run through
+/// [`Self::try_ntt_forward`]/[`Self::try_ntt_inverse`] on plans from the
+/// process-wide [`neo_ntt::cache`].
 pub struct CkksContext {
     params: CkksParams,
     q_primes: Vec<u64>,
@@ -27,9 +34,6 @@ pub struct CkksContext {
     q_moduli: Vec<Modulus>,
     p_moduli: Vec<Modulus>,
     t_moduli: Vec<Modulus>,
-    /// Shared from the process-wide `neo_ntt::cache`, so contexts over the
-    /// same chains (tests, benches, multiple keys) reuse one set of tables.
-    plans: HashMap<u64, Arc<NttPlan>>,
     /// `P mod q_i` and `P⁻¹ mod q_i` for Mod Down.
     p_mod_q: Vec<u64>,
     p_inv_mod_q: Vec<u64>,
@@ -48,7 +52,9 @@ impl std::fmt::Debug for CkksContext {
 }
 
 impl CkksContext {
-    /// Builds the context: generates prime chains and NTT plans.
+    /// Builds the context: generates the prime chains and builds each
+    /// chain prime's NTT plan in the process-wide [`neo_ntt::cache`], so a
+    /// prime without a plan fails here rather than at the first transform.
     ///
     /// # Errors
     ///
@@ -83,9 +89,8 @@ impl CkksContext {
         let q_moduli = to_moduli(&q_primes)?;
         let p_moduli = to_moduli(&p_primes)?;
         let t_moduli = to_moduli(&t_primes)?;
-        let mut plans = HashMap::new();
         for &q in q_primes.iter().chain(&p_primes).chain(&t_primes) {
-            plans.insert(q, ntt_cache::get_or_build(q, n)?);
+            ntt_cache::get_or_build(q, n)?;
         }
         let mut p_mod_q = Vec::with_capacity(q_moduli.len());
         let mut p_inv_mod_q = Vec::with_capacity(q_moduli.len());
@@ -105,7 +110,6 @@ impl CkksContext {
             q_moduli,
             p_moduli,
             t_moduli,
-            plans,
             p_mod_q,
             p_inv_mod_q,
             bconv_cache: RwLock::new(HashMap::new()),
@@ -183,59 +187,12 @@ impl CkksContext {
         self.p_inv_mod_q[i]
     }
 
-    /// The NTT plan for one prime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prime is not part of any chain in this context.
-    pub fn plan(&self, prime: u64) -> &NttPlan {
-        self.plans
-            .get(&prime)
-            .expect("prime not managed by this context")
-    }
-
-    /// Forward-NTTs a polynomial in place (per-limb plans chosen by the
-    /// modulus list).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the poly is already in NTT domain or moduli are unknown.
-    pub fn ntt_forward(&self, poly: &mut RnsPoly, moduli: &[Modulus]) {
-        assert_eq!(poly.domain(), Domain::Coeff, "already in NTT domain");
-        assert_eq!(poly.limb_count(), moduli.len());
-        poly.limbs_mut()
-            .par_iter_mut()
-            .zip(moduli.par_iter())
-            .for_each(|(limb, m)| {
-                radix2::forward(self.plan(m.value()), limb);
-            });
-        poly.set_domain(Domain::Ntt);
-    }
-
-    /// Inverse-NTTs a polynomial in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the poly is already in coefficient domain.
-    pub fn ntt_inverse(&self, poly: &mut RnsPoly, moduli: &[Modulus]) {
-        assert_eq!(poly.domain(), Domain::Ntt, "already in coefficient domain");
-        assert_eq!(poly.limb_count(), moduli.len());
-        poly.limbs_mut()
-            .par_iter_mut()
-            .zip(moduli.par_iter())
-            .for_each(|(limb, m)| {
-                radix2::inverse(self.plan(m.value()), limb);
-            });
-        poly.set_domain(Domain::Coeff);
-    }
-
-    /// Forward NTT with ABFT verification. Unlike [`Self::ntt_forward`],
-    /// plans are re-fetched per limb from the process-wide
-    /// [`neo_ntt::cache`] at transform time — so a quarantine/rebuild (or
-    /// a fault-injected poisoning) of a cached plan is visible to the
-    /// very next transform instead of being frozen at context
-    /// construction. When the active [`neo_fault::VerifyPolicy`] says a
-    /// check is due, each limb's (input, output) pair is spot-checked via
+    /// Forward NTT of every limb, with ABFT verification. Plans are
+    /// fetched per limb from the process-wide [`neo_ntt::cache`] at
+    /// transform time — so a quarantine/rebuild (or a fault-injected
+    /// poisoning) of a cached plan is visible to the very next transform.
+    /// When the active [`neo_fault::VerifyPolicy`] says a check is due,
+    /// each limb's (input, output) pair is spot-checked via
     /// [`neo_ntt::spot_check_transform`], which also re-hashes the plan
     /// against its build-time integrity token.
     ///
@@ -247,30 +204,7 @@ impl CkksContext {
     /// (site `ntt_forward` / `ntt_plan`) on a failed check;
     /// [`NeoError::Math`] if a plan cannot be built.
     pub fn try_ntt_forward(&self, poly: &mut RnsPoly, moduli: &[Modulus]) -> Result<(), NeoError> {
-        self.check_transform("ntt_forward", poly, moduli, Domain::Coeff)?;
-        let n = self.degree();
-        let verify = neo_fault::verification_due();
-        let checks: Vec<Result<(), NeoError>> = poly
-            .limbs_mut()
-            .par_iter_mut()
-            .zip(moduli.par_iter())
-            .map(|(limb, m)| {
-                let plan = ntt_cache::get_or_build(m.value(), n)?;
-                if verify {
-                    let input = limb.clone();
-                    radix2::forward(&plan, limb);
-                    // Salt with the modulus: deterministic per limb, so a
-                    // rayon schedule cannot change which point is checked.
-                    neo_ntt::spot_check_transform(&plan, &input, limb, m.value(), true)
-                } else {
-                    radix2::forward(&plan, limb);
-                    Ok(())
-                }
-            })
-            .collect();
-        checks.into_iter().collect::<Result<(), NeoError>>()?;
-        poly.set_domain(Domain::Ntt);
-        Ok(())
+        self.transform(poly, moduli, true)
     }
 
     /// Inverse NTT with ABFT verification; see [`Self::try_ntt_forward`].
@@ -283,7 +217,29 @@ impl CkksContext {
     /// [`NeoError::FaultDetected`] (site `ntt_inverse` / `ntt_plan`) on a
     /// failed check; [`NeoError::Math`] if a plan cannot be built.
     pub fn try_ntt_inverse(&self, poly: &mut RnsPoly, moduli: &[Modulus]) -> Result<(), NeoError> {
-        self.check_transform("ntt_inverse", poly, moduli, Domain::Ntt)?;
+        self.transform(poly, moduli, false)
+    }
+
+    /// The one NTT driver behind [`Self::try_ntt_forward`] and
+    /// [`Self::try_ntt_inverse`]. The domain is set only when every limb
+    /// transformed and passed its check.
+    fn transform(
+        &self,
+        poly: &mut RnsPoly,
+        moduli: &[Modulus],
+        forward: bool,
+    ) -> Result<(), NeoError> {
+        let (site, from, to) = if forward {
+            ("ntt_forward", Domain::Coeff, Domain::Ntt)
+        } else {
+            ("ntt_inverse", Domain::Ntt, Domain::Coeff)
+        };
+        self.check_transform(site, poly, moduli, from)?;
+        let kernel = if forward {
+            radix2::forward
+        } else {
+            radix2::inverse
+        };
         let n = self.degree();
         let verify = neo_fault::verification_due();
         let checks: Vec<Result<(), NeoError>> = poly
@@ -292,18 +248,23 @@ impl CkksContext {
             .zip(moduli.par_iter())
             .map(|(limb, m)| {
                 let plan = ntt_cache::get_or_build(m.value(), n)?;
-                if verify {
-                    let evals = limb.clone();
-                    radix2::inverse(&plan, limb);
-                    neo_ntt::spot_check_transform(&plan, limb, &evals, m.value(), false)
+                let input = verify.then(|| limb.clone());
+                kernel(&plan, limb);
+                let Some(input) = input else {
+                    return Ok(());
+                };
+                let (coeffs, evals) = if forward {
+                    (&input[..], &limb[..])
                 } else {
-                    radix2::inverse(&plan, limb);
-                    Ok(())
-                }
+                    (&limb[..], &input[..])
+                };
+                // Salt with the modulus: deterministic per limb, so a
+                // rayon schedule cannot change which point is checked.
+                neo_ntt::spot_check_transform(&plan, coeffs, evals, m.value(), forward)
             })
             .collect();
         checks.into_iter().collect::<Result<(), NeoError>>()?;
-        poly.set_domain(Domain::Coeff);
+        poly.set_domain(to);
         Ok(())
     }
 
@@ -425,9 +386,9 @@ mod tests {
         let mut rng = rand::thread_rng();
         let mut poly = RnsPoly::random_uniform(&mut rng, ctx.degree(), &moduli, Domain::Coeff);
         let orig = poly.clone();
-        ctx.ntt_forward(&mut poly, &moduli);
+        ctx.try_ntt_forward(&mut poly, &moduli).unwrap();
         assert_ne!(poly, orig);
-        ctx.ntt_inverse(&mut poly, &moduli);
+        ctx.try_ntt_inverse(&mut poly, &moduli).unwrap();
         assert_eq!(poly, orig);
     }
 

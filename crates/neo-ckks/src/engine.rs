@@ -96,38 +96,28 @@ impl FheEngine {
     /// # Errors
     ///
     /// [`NeoError::Math`] if the parameters fail validation or prime
-    /// generation.
+    /// generation; as [`Self::with_context`] for the keys.
     pub fn new(params: CkksParams, seed: u64) -> Result<Self, NeoError> {
         let ctx = Arc::new(CkksContext::new(params)?);
-        Ok(Self::with_context(ctx, seed))
+        Self::with_context(ctx, seed)
     }
 
     /// Builds a session over an *existing* context: fresh secret/public
-    /// keys and key chest seeded from `seed`, but the (expensive) context
-    /// — prime chains, NTT plans, BConv tables — shared with every other
-    /// session built from the same `Arc`. This is the multi-tenant seam:
-    /// a serving layer gives each tenant its own keys and policy while
-    /// thousands of tenants share one parameter set's tables.
-    pub fn with_context(ctx: Arc<CkksContext>, seed: u64) -> Self {
+    /// keys and key chest seeded from `seed`, but the context — prime
+    /// chains and BConv tables — shared with every other session built
+    /// from the same `Arc` (NTT plans live in the process-wide
+    /// [`neo_ntt::cache`]). This is the multi-tenant seam: a serving layer
+    /// gives each tenant its own keys and policy while thousands of
+    /// tenants share one parameter set's tables.
+    ///
+    /// # Errors
+    ///
+    /// [`NeoError::FaultDetected`] if a transform of the public-key
+    /// generation fails its check.
+    pub fn with_context(ctx: Arc<CkksContext>, seed: u64) -> Result<Self, NeoError> {
         let mut rng = StdRng::seed_from_u64(seed);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
-        let encoder = Encoder::new(ctx.degree());
-        let method = if ctx.params().klss.is_some() {
-            KsMethod::Klss
-        } else {
-            KsMethod::Hybrid
-        };
-        let chest = KeyChest::new(ctx, sk, seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
-        Self {
-            chest,
-            encoder,
-            pk,
-            method,
-            policy: OpPolicy::default(),
-            plan: None,
-            rng: Mutex::new(rng),
-        }
+        Self::build(ctx, sk, rng, seed)
     }
 
     /// Builds a session over an existing context from a *rehydrated*
@@ -136,28 +126,45 @@ impl FheEngine {
     /// public key and every key-switching key are bit-identical to that
     /// session's, so ciphertexts and seed-compressed KSK records written
     /// before a restart remain valid after it.
-    pub fn with_secret_key(ctx: Arc<CkksContext>, sk: SecretKey, seed: u64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::with_context`].
+    pub fn with_secret_key(
+        ctx: Arc<CkksContext>,
+        sk: SecretKey,
+        seed: u64,
+    ) -> Result<Self, NeoError> {
         let mut rng = StdRng::seed_from_u64(seed);
         // Burn the draws `with_context` spends sampling the secret key, so
         // the public key (and everything after) replays bit-exactly.
         let _ = ctx.sample_ternary(&mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
-        let encoder = Encoder::new(ctx.degree());
+        Self::build(ctx, sk, rng, seed)
+    }
+
+    /// The one constructor body: `rng` is the session stream seeded from
+    /// `seed`, positioned after the secret key's draws.
+    fn build(
+        ctx: Arc<CkksContext>,
+        sk: SecretKey,
+        mut rng: StdRng,
+        seed: u64,
+    ) -> Result<Self, NeoError> {
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng)?;
         let method = if ctx.params().klss.is_some() {
             KsMethod::Klss
         } else {
             KsMethod::Hybrid
         };
-        let chest = KeyChest::new(ctx, sk, seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
-        Self {
-            chest,
-            encoder,
+        Ok(Self {
+            encoder: Encoder::new(ctx.degree()),
+            chest: KeyChest::new(ctx, sk, seed.wrapping_mul(0x9e37_79b9).wrapping_add(1)),
             pk,
             method,
             policy: OpPolicy::default(),
             plan: None,
             rng: Mutex::new(rng),
-        }
+        })
     }
 
     /// Pre-generates every key-switching key `prog` will need at
@@ -167,7 +174,9 @@ impl FheEngine {
     ///
     /// # Errors
     ///
-    /// [`NeoError::KeySwitchKeyMissing`] if a key cannot be generated.
+    /// As [`KeyChest::warm`]: [`NeoError::KeySwitchKeyMissing`] if a key
+    /// cannot exist, [`NeoError::FaultDetected`] if its generation fails a
+    /// transform check.
     pub fn warm_program(&self, prog: &BatchProgram, input_level: usize) -> Result<(), NeoError> {
         prog.warm_keys(&self.chest, input_level, self.method)
     }
@@ -338,7 +347,8 @@ impl FheEngine {
     /// # Errors
     ///
     /// [`NeoError::ParameterMismatch`] if the ciphertext's level is
-    /// outside the chain.
+    /// outside the chain; [`NeoError::FaultDetected`] if a transform (the
+    /// secret's included) fails its check under the verify policy.
     pub fn decrypt(&self, ct: &Ciphertext) -> Result<Plaintext, NeoError> {
         let _v = VerifyScope::enter(self.policy.verify);
         ops::try_decrypt(self.context(), self.chest.secret_key(), ct)

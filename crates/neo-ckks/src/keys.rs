@@ -59,10 +59,16 @@ impl SecretKey {
     }
 
     /// The secret as an NTT-domain polynomial over the given moduli.
-    pub fn poly_ntt(&self, ctx: &CkksContext, moduli: &[Modulus]) -> RnsPoly {
+    ///
+    /// # Errors
+    ///
+    /// As [`CkksContext::try_ntt_forward`]: [`NeoError::FaultDetected`] on
+    /// a failed transform check, [`NeoError::ParameterMismatch`] if the
+    /// key's degree differs from the context's.
+    pub fn poly_ntt(&self, ctx: &CkksContext, moduli: &[Modulus]) -> Result<RnsPoly, NeoError> {
         let mut s = RnsPoly::from_signed(&self.coeffs, moduli);
-        ctx.ntt_forward(&mut s, moduli);
-        s
+        ctx.try_ntt_forward(&mut s, moduli)?;
+        Ok(s)
     }
 }
 
@@ -76,17 +82,26 @@ pub struct PublicKey {
 
 impl PublicKey {
     /// Generates the public key for `sk`.
-    pub fn generate<R: Rng + ?Sized>(ctx: &CkksContext, sk: &SecretKey, rng: &mut R) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// As [`SecretKey::poly_ntt`]: a failed transform check surfaces as
+    /// [`NeoError::FaultDetected`].
+    pub fn generate<R: Rng + ?Sized>(
+        ctx: &CkksContext,
+        sk: &SecretKey,
+        rng: &mut R,
+    ) -> Result<Self, NeoError> {
         let moduli = ctx.q_moduli(ctx.params().max_level).to_vec();
-        let s = sk.poly_ntt(ctx, &moduli);
+        let s = sk.poly_ntt(ctx, &moduli)?;
         let a = ctx.sample_uniform(rng, &moduli);
         let mut e = RnsPoly::from_signed(&ctx.sample_gaussian(rng), &moduli);
-        ctx.ntt_forward(&mut e, &moduli);
+        ctx.try_ntt_forward(&mut e, &moduli)?;
         let mut p0 = a.clone();
         p0.mul_pointwise_assign(&s, &moduli);
         p0.neg_assign(&moduli);
         p0.add_assign(&e, &moduli);
-        Self { p0, p1: a }
+        Ok(Self { p0, p1: a })
     }
 
     /// `p0` truncated to `level + 1` limbs (NTT limbs are independent).
@@ -285,39 +300,50 @@ impl KeyChest {
     }
 
     /// The key-switch target polynomial in NTT domain over `moduli`.
-    fn target_poly(&self, target: KeyTarget, moduli: &[Modulus]) -> RnsPoly {
+    fn target_poly(&self, target: KeyTarget, moduli: &[Modulus]) -> Result<RnsPoly, NeoError> {
         match target {
             KeyTarget::Relin => {
-                let mut s = self.sk.poly_ntt(&self.ctx, moduli);
+                let mut s = self.sk.poly_ntt(&self.ctx, moduli)?;
                 let s2 = s.clone();
                 s.mul_pointwise_assign(&s2, moduli);
-                s
+                Ok(s)
             }
             KeyTarget::Galois(g) => {
                 let s = RnsPoly::from_signed(self.sk.coeffs(), moduli);
                 let mut rot = s.automorphism(g, moduli);
-                self.ctx.ntt_forward(&mut rot, moduli);
-                rot
+                self.ctx.try_ntt_forward(&mut rot, moduli)?;
+                Ok(rot)
             }
         }
     }
 
-    /// The Hybrid key for `(level, target)`, generated on first use.
-    pub fn hybrid_key(&self, level: usize, target: KeyTarget) -> Arc<HybridKey> {
+    /// The Hybrid key for `(level, target)`, generated on first use. A key
+    /// is cached only once its generation succeeded.
+    ///
+    /// # Errors
+    ///
+    /// [`NeoError::FaultDetected`] if a transform of the generation fails
+    /// its check.
+    pub fn hybrid_key(&self, level: usize, target: KeyTarget) -> Result<Arc<HybridKey>, NeoError> {
         if let Some(k) = self.hybrid.read().get(&(level, target)) {
-            return k.clone();
+            return Ok(k.clone());
         }
-        let key = Arc::new(self.gen_hybrid(level, target));
+        let key = Arc::new(HybridKey {
+            digits: self.gen_digit_keys(level, target)?,
+            level,
+        });
         self.hybrid.write().insert((level, target), key.clone());
-        key
+        Ok(key)
     }
 
-    /// The KLSS key for `(level, target)`, generated on first use.
+    /// The KLSS key for `(level, target)`, generated on first use. A key
+    /// is cached only once its generation succeeded.
     ///
     /// # Errors
     ///
     /// [`NeoError::KeySwitchKeyMissing`] if the parameter set has no KLSS
-    /// configuration — the key cannot exist.
+    /// configuration — the key cannot exist; [`NeoError::FaultDetected`]
+    /// if a transform of the generation fails its check.
     pub fn klss_key(&self, level: usize, target: KeyTarget) -> Result<Arc<KlssKey>, NeoError> {
         if let Some(k) = self.klss.read().get(&(level, target)) {
             return Ok(k.clone());
@@ -345,11 +371,12 @@ impl KeyChest {
     /// # Errors
     ///
     /// [`NeoError::KeySwitchKeyMissing`] if `method` is KLSS but the
-    /// parameter set has no KLSS configuration.
+    /// parameter set has no KLSS configuration; [`NeoError::FaultDetected`]
+    /// if a transform of the generation fails its check.
     pub fn warm(&self, level: usize, target: KeyTarget, method: KsMethod) -> Result<(), NeoError> {
         match method {
             KsMethod::Hybrid => {
-                self.hybrid_key(level, target);
+                self.hybrid_key(level, target)?;
             }
             KsMethod::Klss => {
                 self.klss_key(level, target)?;
@@ -360,15 +387,19 @@ impl KeyChest {
 
     /// Generates the raw digit key pairs `K_j` over `R_PQ_l` (NTT domain):
     /// `K_j0 + K_j1·s = e_j + P·g_j·target`.
-    fn gen_digit_keys(&self, level: usize, target: KeyTarget) -> Vec<[RnsPoly; 2]> {
+    fn gen_digit_keys(
+        &self,
+        level: usize,
+        target: KeyTarget,
+    ) -> Result<Vec<[RnsPoly; 2]>, NeoError> {
         let ctx = &self.ctx;
         let qp = ctx.qp_moduli(level);
         let q_primes = &ctx.q_primes()[..=level];
         let alpha = ctx.params().alpha();
         let ranges = digit_ranges(alpha, level + 1);
         let g = gadget_factors(q_primes, &ranges, &qp);
-        let s = self.sk.poly_ntt(ctx, &qp);
-        let tgt = self.target_poly(target, &qp);
+        let s = self.sk.poly_ntt(ctx, &qp)?;
+        let tgt = self.target_poly(target, &qp)?;
         let mut a_rng = self.stream_rng(level, target, A_STREAM_SALT);
         let mut e_rng = self.stream_rng(level, target, E_STREAM_SALT);
         ranges
@@ -377,7 +408,7 @@ impl KeyChest {
             .map(|(j, _)| {
                 let a = ctx.sample_uniform(&mut a_rng, &qp);
                 let mut e = RnsPoly::from_signed(&ctx.sample_gaussian(&mut e_rng), &qp);
-                ctx.ntt_forward(&mut e, &qp);
+                ctx.try_ntt_forward(&mut e, &qp)?;
                 // evk0 = -a*s + e + (P*g_j)·tgt
                 let mut k0 = a.clone();
                 k0.mul_pointwise_assign(&s, &qp);
@@ -395,20 +426,13 @@ impl KeyChest {
                 let mut pg_tgt = tgt.clone();
                 pg_tgt.mul_scalar_per_limb_assign(&scal, &qp);
                 k0.add_assign(&pg_tgt, &qp);
-                [k0, a]
+                Ok([k0, a])
             })
             .collect()
     }
 
-    fn gen_hybrid(&self, level: usize, target: KeyTarget) -> HybridKey {
-        HybridKey {
-            digits: self.gen_digit_keys(level, target),
-            level,
-        }
-    }
-
     fn gen_klss(&self, level: usize, target: KeyTarget) -> Result<KlssKey, NeoError> {
-        let raw = self.gen_digit_keys(level, target);
+        let raw = self.gen_digit_keys(level, target)?;
         self.klss_from_raw(level, target, raw)
     }
 
@@ -435,10 +459,8 @@ impl KeyChest {
         let t_primes = ctx.t_primes().to_vec();
         let t_moduli = ctx.t_moduli().to_vec();
         // Raw digit keys, moved to coefficient domain for decomposition.
-        for pair in raw.iter_mut() {
-            for k in pair.iter_mut() {
-                ctx.ntt_inverse(k, &qp);
-            }
+        for k in raw.iter_mut().flatten() {
+            ctx.try_ntt_inverse(k, &qp)?;
         }
         // Key digits: α̃-limb runs over the full qp chain.
         let key_ranges = digit_ranges(kcfg.alpha_tilde, level + 1 + params.special);
@@ -449,23 +471,17 @@ impl KeyChest {
                     .iter()
                     .map(|r| {
                         let table = ctx.bconv_table(&qp_primes[r.clone()], &t_primes);
-                        let mut out: Vec<RnsPoly> = pair
-                            .iter()
-                            .map(|k| {
-                                let conv = table.convert_exact(&k.limbs()[r.clone()]);
-                                let mut p =
-                                    RnsPoly::from_limbs(conv, Domain::Coeff).expect("valid limbs");
-                                ctx.ntt_forward(&mut p, &t_moduli);
-                                p
-                            })
-                            .collect();
-                        let k1 = out.pop().expect("two components");
-                        let k0 = out.pop().expect("two components");
-                        [k0, k1]
+                        let [k0, k1] = pair.each_ref().map(|k| {
+                            let conv = table.convert_exact(&k.limbs()[r.clone()]);
+                            let mut p = RnsPoly::from_limbs(conv, Domain::Coeff)?;
+                            ctx.try_ntt_forward(&mut p, &t_moduli)?;
+                            Ok::<_, NeoError>(p)
+                        });
+                        Ok([k0?, k1?])
                     })
                     .collect()
             })
-            .collect();
+            .collect::<Result<_, NeoError>>()?;
         Ok(KlssKey { digits, level })
     }
 
@@ -507,14 +523,24 @@ impl KeyChest {
     /// record has to persist. Served from the hybrid cache when warm;
     /// regenerated deterministically otherwise (KLSS keys cache only the
     /// decomposed form, so their raw `b`-parts are always regenerated).
-    pub fn export_b_parts(&self, level: usize, target: KeyTarget) -> Vec<RnsPoly> {
+    ///
+    /// # Errors
+    ///
+    /// [`NeoError::FaultDetected`] if a transform of the regeneration
+    /// fails its check.
+    pub fn export_b_parts(
+        &self,
+        level: usize,
+        target: KeyTarget,
+    ) -> Result<Vec<RnsPoly>, NeoError> {
         if let Some(k) = self.hybrid.read().get(&(level, target)) {
-            return k.digits.iter().map(|pair| pair[0].clone()).collect();
+            return Ok(k.digits.iter().map(|pair| pair[0].clone()).collect());
         }
-        self.gen_digit_keys(level, target)
+        Ok(self
+            .gen_digit_keys(level, target)?
             .into_iter()
             .map(|[k0, _]| k0)
-            .collect()
+            .collect())
     }
 
     /// Validates stored `b`-parts against the shape the context demands
@@ -591,9 +617,9 @@ impl KeyChest {
     ///
     /// # Errors
     ///
-    /// [`NeoError::FaultDetected`] on a shape mismatch;
-    /// [`NeoError::KeySwitchKeyMissing`] if the parameter set has no KLSS
-    /// configuration.
+    /// [`NeoError::FaultDetected`] on a shape mismatch or a failed
+    /// transform check; [`NeoError::KeySwitchKeyMissing`] if the parameter
+    /// set has no KLSS configuration.
     pub fn rebuild_klss(
         &self,
         level: usize,
@@ -663,10 +689,10 @@ mod tests {
         let chest = chest();
         let ctx = chest.context();
         let level = 3;
-        let key = chest.hybrid_key(level, KeyTarget::Relin);
+        let key = chest.hybrid_key(level, KeyTarget::Relin).unwrap();
         assert_eq!(key.digits.len(), ctx.params().beta(level));
         let qp = ctx.qp_moduli(level);
-        let s = chest.secret_key().poly_ntt(ctx, &qp);
+        let s = chest.secret_key().poly_ntt(ctx, &qp).unwrap();
         let mut s2 = s.clone();
         s2.mul_pointwise_assign(&s, &qp);
         // phase = k0 + k1*s
@@ -682,7 +708,7 @@ mod tests {
         let mut ps2 = s2.clone();
         ps2.mul_scalar_per_limb_assign(&scal, &qp);
         phase.sub_assign(&ps2, &qp);
-        ctx.ntt_inverse(&mut phase, &qp);
+        ctx.try_ntt_inverse(&mut phase, &qp).unwrap();
         // Limb 0 should now hold just the error e_0 (small).
         let norm = phase.centered_inf_norm_limb0(&qp[0]);
         assert!(norm < 64, "residual error too large: {norm}");
@@ -714,10 +740,10 @@ mod tests {
         // in different orders yields bit-identical material.
         let a = chest();
         let b = chest();
-        let ka2 = a.hybrid_key(2, KeyTarget::Relin);
-        let ka3 = a.hybrid_key(3, KeyTarget::Galois(5));
-        let kb3 = b.hybrid_key(3, KeyTarget::Galois(5));
-        let kb2 = b.hybrid_key(2, KeyTarget::Relin);
+        let ka2 = a.hybrid_key(2, KeyTarget::Relin).unwrap();
+        let ka3 = a.hybrid_key(3, KeyTarget::Galois(5)).unwrap();
+        let kb3 = b.hybrid_key(3, KeyTarget::Galois(5)).unwrap();
+        let kb2 = b.hybrid_key(2, KeyTarget::Relin).unwrap();
         assert_eq!(ka2.digits, kb2.digits);
         assert_eq!(ka3.digits, kb3.digits);
     }
@@ -725,8 +751,8 @@ mod tests {
     #[test]
     fn rebuild_hybrid_from_b_parts_is_bit_identical() {
         let cold = chest();
-        let full = cold.hybrid_key(3, KeyTarget::Relin);
-        let b_parts = cold.export_b_parts(3, KeyTarget::Relin);
+        let full = cold.hybrid_key(3, KeyTarget::Relin).unwrap();
+        let b_parts = cold.export_b_parts(3, KeyTarget::Relin).unwrap();
         // A fresh chest (same sk + seed) rebuilds from b-parts alone.
         let warm = chest();
         let rebuilt = warm.rebuild_hybrid(3, KeyTarget::Relin, b_parts).unwrap();
@@ -739,7 +765,7 @@ mod tests {
     fn rebuild_klss_from_b_parts_is_bit_identical() {
         let cold = chest();
         let full = cold.klss_key(2, KeyTarget::Relin).unwrap();
-        let b_parts = cold.export_b_parts(2, KeyTarget::Relin);
+        let b_parts = cold.export_b_parts(2, KeyTarget::Relin).unwrap();
         let warm = chest();
         let rebuilt = warm.rebuild_klss(2, KeyTarget::Relin, b_parts).unwrap();
         assert_eq!(full.digits, rebuilt.digits);
@@ -748,7 +774,7 @@ mod tests {
     #[test]
     fn rebuild_rejects_misshapen_b_parts() {
         let c = chest();
-        let mut b_parts = c.export_b_parts(2, KeyTarget::Relin);
+        let mut b_parts = c.export_b_parts(2, KeyTarget::Relin).unwrap();
         b_parts.pop();
         let err = c.rebuild_hybrid(2, KeyTarget::Relin, b_parts).unwrap_err();
         assert!(
@@ -760,9 +786,9 @@ mod tests {
     #[test]
     fn cached_keys_enumerates_in_stable_order() {
         let c = chest();
-        c.hybrid_key(3, KeyTarget::Galois(5));
-        c.hybrid_key(2, KeyTarget::Relin);
-        c.hybrid_key(3, KeyTarget::Relin);
+        c.hybrid_key(3, KeyTarget::Galois(5)).unwrap();
+        c.hybrid_key(2, KeyTarget::Relin).unwrap();
+        c.hybrid_key(3, KeyTarget::Relin).unwrap();
         assert_eq!(
             c.cached_keys(KsMethod::Hybrid),
             vec![
@@ -777,11 +803,11 @@ mod tests {
     #[test]
     fn key_cache_returns_same_arc() {
         let chest = chest();
-        let a = chest.hybrid_key(2, KeyTarget::Relin);
-        let b = chest.hybrid_key(2, KeyTarget::Relin);
+        let a = chest.hybrid_key(2, KeyTarget::Relin).unwrap();
+        let b = chest.hybrid_key(2, KeyTarget::Relin).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         chest.clear_cache(KsMethod::Hybrid);
-        let c = chest.hybrid_key(2, KeyTarget::Relin);
+        let c = chest.hybrid_key(2, KeyTarget::Relin).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
     }
 }

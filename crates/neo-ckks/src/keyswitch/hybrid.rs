@@ -100,24 +100,24 @@ mod tests {
         // A *small* input d keeps the keyswitch error small relative to q0.
         let d_coeffs: Vec<i64> = (0..ctx.degree() as i64).map(|i| (i % 17) - 8).collect();
         let d = RnsPoly::from_signed(&d_coeffs, &q);
-        let key = chest.hybrid_key(level, KeyTarget::Relin);
+        let key = chest.hybrid_key(level, KeyTarget::Relin).unwrap();
         let (u0, u1) = keyswitch_hybrid(&ctx, &key, &d).unwrap();
         // phase = u0 + u1*s  (computed in NTT domain).
-        let s = chest.secret_key().poly_ntt(&ctx, &q);
+        let s = chest.secret_key().poly_ntt(&ctx, &q).unwrap();
         let mut u1n = u1.clone();
-        ctx.ntt_forward(&mut u1n, &q);
+        ctx.try_ntt_forward(&mut u1n, &q).unwrap();
         u1n.mul_pointwise_assign(&s, &q);
         let mut phase = u0.clone();
-        ctx.ntt_forward(&mut phase, &q);
+        ctx.try_ntt_forward(&mut phase, &q).unwrap();
         phase.add_assign(&u1n, &q);
         // expected = d * s².
         let mut s2 = s.clone();
         s2.mul_pointwise_assign(&s, &q);
         let mut dn = d.clone();
-        ctx.ntt_forward(&mut dn, &q);
+        ctx.try_ntt_forward(&mut dn, &q).unwrap();
         dn.mul_pointwise_assign(&s2, &q);
         phase.sub_assign(&dn, &q);
-        ctx.ntt_inverse(&mut phase, &q);
+        ctx.try_ntt_inverse(&mut phase, &q).unwrap();
         // Residual must be small (keyswitch noise ~ N * B_err * digits / P).
         let norm = phase.centered_inf_norm_limb0(&q[0]);
         assert!(norm < 1 << 20, "keyswitch error too large: {norm}");

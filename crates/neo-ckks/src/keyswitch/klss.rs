@@ -131,20 +131,20 @@ mod tests {
         let d = RnsPoly::from_signed(&d_coeffs, &q);
         let key = chest.klss_key(level, KeyTarget::Relin).unwrap();
         let (u0, u1) = keyswitch_klss(&ctx, &key, &d).unwrap();
-        let s = chest.secret_key().poly_ntt(&ctx, &q);
+        let s = chest.secret_key().poly_ntt(&ctx, &q).unwrap();
         let mut u1n = u1.clone();
-        ctx.ntt_forward(&mut u1n, &q);
+        ctx.try_ntt_forward(&mut u1n, &q).unwrap();
         u1n.mul_pointwise_assign(&s, &q);
         let mut phase = u0.clone();
-        ctx.ntt_forward(&mut phase, &q);
+        ctx.try_ntt_forward(&mut phase, &q).unwrap();
         phase.add_assign(&u1n, &q);
         let mut s2 = s.clone();
         s2.mul_pointwise_assign(&s, &q);
         let mut dn = d.clone();
-        ctx.ntt_forward(&mut dn, &q);
+        ctx.try_ntt_forward(&mut dn, &q).unwrap();
         dn.mul_pointwise_assign(&s2, &q);
         phase.sub_assign(&dn, &q);
-        ctx.ntt_inverse(&mut phase, &q);
+        ctx.try_ntt_inverse(&mut phase, &q).unwrap();
         let norm = phase.centered_inf_norm_limb0(&q[0]);
         assert!(norm < 1 << 20, "KLSS keyswitch error too large: {norm}");
     }
@@ -158,23 +158,23 @@ mod tests {
         let q = ctx.q_moduli(level).to_vec();
         let d_coeffs: Vec<i64> = (0..ctx.degree() as i64).map(|i| (i % 11) - 5).collect();
         let d = RnsPoly::from_signed(&d_coeffs, &q);
-        let hk = chest.hybrid_key(level, KeyTarget::Relin);
+        let hk = chest.hybrid_key(level, KeyTarget::Relin).unwrap();
         let kk = chest.klss_key(level, KeyTarget::Relin).unwrap();
         let (h0, h1) = keyswitch_hybrid(&ctx, &hk, &d).unwrap();
         let (k0, k1) = keyswitch_klss(&ctx, &kk, &d).unwrap();
-        let s = chest.secret_key().poly_ntt(&ctx, &q);
+        let s = chest.secret_key().poly_ntt(&ctx, &q).unwrap();
         let phase = |u0: &RnsPoly, u1: &RnsPoly| {
             let mut u1n = u1.clone();
-            ctx.ntt_forward(&mut u1n, &q);
+            ctx.try_ntt_forward(&mut u1n, &q).unwrap();
             u1n.mul_pointwise_assign(&s, &q);
             let mut p = u0.clone();
-            ctx.ntt_forward(&mut p, &q);
+            ctx.try_ntt_forward(&mut p, &q).unwrap();
             p.add_assign(&u1n, &q);
             p
         };
         let mut diff = phase(&h0, &h1);
         diff.sub_assign(&phase(&k0, &k1), &q);
-        ctx.ntt_inverse(&mut diff, &q);
+        ctx.try_ntt_inverse(&mut diff, &q).unwrap();
         let norm = diff.centered_inf_norm_limb0(&q[0]);
         assert!(norm < 1 << 20, "methods disagree beyond noise: {norm}");
     }
@@ -193,21 +193,21 @@ mod tests {
         let s_rot = {
             let s = RnsPoly::from_signed(chest.secret_key().coeffs(), &q);
             let mut r = s.automorphism(g, &q);
-            ctx.ntt_forward(&mut r, &q);
+            ctx.try_ntt_forward(&mut r, &q).unwrap();
             r
         };
-        let s = chest.secret_key().poly_ntt(&ctx, &q);
+        let s = chest.secret_key().poly_ntt(&ctx, &q).unwrap();
         let mut u1n = u1.clone();
-        ctx.ntt_forward(&mut u1n, &q);
+        ctx.try_ntt_forward(&mut u1n, &q).unwrap();
         u1n.mul_pointwise_assign(&s, &q);
         let mut phase = u0.clone();
-        ctx.ntt_forward(&mut phase, &q);
+        ctx.try_ntt_forward(&mut phase, &q).unwrap();
         phase.add_assign(&u1n, &q);
         let mut dn = d.clone();
-        ctx.ntt_forward(&mut dn, &q);
+        ctx.try_ntt_forward(&mut dn, &q).unwrap();
         dn.mul_pointwise_assign(&s_rot, &q);
         phase.sub_assign(&dn, &q);
-        ctx.ntt_inverse(&mut phase, &q);
+        ctx.try_ntt_inverse(&mut phase, &q).unwrap();
         let norm = phase.centered_inf_norm_limb0(&q[0]);
         assert!(norm < 1 << 20, "Galois keyswitch error too large: {norm}");
     }

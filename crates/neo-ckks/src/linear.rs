@@ -290,7 +290,7 @@ mod tests {
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
         let mut rng = StdRng::seed_from_u64(seed);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
         let chest = KeyChest::new(ctx.clone(), sk, seed + 1);
         let enc = Encoder::new(ctx.degree());
         (ctx, chest, pk, enc, rng)
@@ -432,7 +432,7 @@ mod bsgs_tests {
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
         let mut rng = StdRng::seed_from_u64(11);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
         let chest = KeyChest::new(ctx.clone(), sk, 12);
         let enc = Encoder::new(ctx.degree());
         let slots = enc.slots();

@@ -60,7 +60,7 @@ mod tests {
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
         let mut rng = StdRng::seed_from_u64(21);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
         let chest = KeyChest::new(ctx.clone(), sk, 22);
         let enc = Encoder::new(ctx.degree());
         let vals: Vec<Complex64> = (0..enc.slots())
@@ -98,7 +98,7 @@ mod tests {
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
         let mut rng = StdRng::seed_from_u64(23);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
         let enc = Encoder::new(ctx.degree());
         let vals = vec![Complex64::new(0.5, 0.0); 4];
         let pt = enc.encode(&ctx, &vals, ctx.params().scale(), 2);

@@ -134,7 +134,8 @@ pub fn try_encrypt<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// [`NeoError::ParameterMismatch`] if the ciphertext's level exceeds the
-/// modulus chain.
+/// modulus chain; [`NeoError::FaultDetected`] if a transform (the
+/// secret's included) fails its check.
 pub fn try_decrypt(
     ctx: &CkksContext,
     sk: &SecretKey,
@@ -143,7 +144,7 @@ pub fn try_decrypt(
     check_level(ctx, "decrypt", ct.level())?;
     let _s = span!("ckks.decrypt", level = ct.level());
     let moduli = ctx.q_moduli(ct.level()).to_vec();
-    let s = sk.poly_ntt(ctx, &moduli);
+    let s = sk.poly_ntt(ctx, &moduli)?;
     let mut c1 = ct.c1().clone();
     ctx.try_ntt_forward(&mut c1, &moduli)?;
     c1.mul_pointwise_assign(&s, &moduli);
@@ -375,7 +376,7 @@ fn switch(
     let ctx = chest.context();
     match method {
         KsMethod::Hybrid => {
-            let key = chest.hybrid_key(level, target);
+            let key = chest.hybrid_key(level, target)?;
             keyswitch_hybrid(ctx, &key, d)
         }
         KsMethod::Klss => {

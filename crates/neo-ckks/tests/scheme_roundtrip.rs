@@ -23,7 +23,7 @@ impl Harness {
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
         let mut rng = StdRng::seed_from_u64(seed);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
         let chest = KeyChest::new(ctx.clone(), sk, seed + 1);
         let enc = Encoder::new(ctx.degree());
         Self {

@@ -257,17 +257,6 @@ impl RnsPoly {
         LIMBS.give(prod);
     }
 
-    /// Fused multiply-add: `self += a * b` pointwise (NTT domain), on the
-    /// process-wide backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics on domain or shape mismatch, or when `moduli.len()` differs
-    /// from the limb count.
-    pub fn mul_acc_assign(&mut self, a: &Self, b: &Self, moduli: &[Modulus]) {
-        self.mul_acc_terms_assign(backend::active(), &[(a, b)], moduli);
-    }
-
     /// Fused inner product on `be`: `self += Σ_j a_j * b_j` pointwise (NTT
     /// domain), each coefficient one exact sum reduced once — one
     /// [`ComputeBackend::mul_acc`] call per limb.
@@ -493,8 +482,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "moduli count mismatch")]
-    fn mul_acc_assign_rejects_short_moduli() {
-        short_moduli_case(|a, b, ms| a.mul_acc_assign(b, b, ms));
+    fn mul_acc_terms_assign_rejects_short_moduli() {
+        short_moduli_case(|a, b, ms| a.mul_acc_terms_assign(backend::active(), &[(b, b)], ms));
     }
 
     #[test]
@@ -562,7 +551,7 @@ mod tests {
         let mut acc = RnsPoly::zero(8, 2, Domain::Ntt);
         let a = RnsPoly::random_uniform(&mut rng, 8, &ms, Domain::Ntt);
         let b = RnsPoly::random_uniform(&mut rng, 8, &ms, Domain::Ntt);
-        acc.mul_acc_assign(&a, &b, &ms);
+        acc.mul_acc_terms_assign(backend::active(), &[(&a, &b)], &ms);
         let mut manual = a.clone();
         manual.mul_pointwise_assign(&b, &ms);
         assert_eq!(acc, manual);

@@ -16,54 +16,6 @@ use rayon::prelude::*;
 /// dependencies were declared.
 type TaskFn<'a, T> = Box<dyn Fn(&[&T]) -> T + Send + Sync + 'a>;
 
-/// Outputs of a retrying run ([`TaskGraph::run_serial_retry`] /
-/// [`TaskGraph::run_parallel_retry`]) plus per-task attempt counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryRun<T> {
-    /// One output per task, indexed like the graph.
-    pub outputs: Vec<T>,
-    /// Invocation count per task: `1` means the first attempt was
-    /// accepted, `1 + k` means `k` retries were spent on it.
-    pub attempts: Vec<u32>,
-}
-
-impl<T> RetryRun<T> {
-    /// Total retries spent across the whole graph.
-    pub fn total_retries(&self) -> u64 {
-        self.attempts.iter().map(|&a| u64::from(a - 1)).sum()
-    }
-}
-
-/// Deterministic backoff between attempts: a bounded spin (no clocks, so
-/// reruns are reproducible) that still yields a transient upset a window
-/// to clear before the next attempt.
-fn backoff(attempt: u32) {
-    for _ in 0..(64u64 << attempt.min(6)) {
-        std::hint::spin_loop();
-    }
-}
-
-/// Runs one task until `should_retry` declines its output or the retry
-/// budget is spent; returns the final output and the invocation count.
-fn run_with_retry<T>(
-    task: &(dyn Fn(&[&T]) -> T + Send + Sync),
-    inputs: &[&T],
-    idx: usize,
-    max_retries: u32,
-    should_retry: &(impl Fn(&T) -> bool + ?Sized),
-    on_retry: &(impl Fn(usize, u32) + ?Sized),
-) -> (T, u32) {
-    let mut attempt = 1u32;
-    let mut out = task(inputs);
-    while attempt <= max_retries && should_retry(&out) {
-        on_retry(idx, attempt);
-        backoff(attempt);
-        out = task(inputs);
-        attempt += 1;
-    }
-    (out, attempt)
-}
-
 /// An acyclic graph of host tasks producing values of type `T`.
 pub struct TaskGraph<'a, T: Send + Sync> {
     tasks: Vec<TaskFn<'a, T>>,
@@ -170,79 +122,6 @@ impl<'a, T: Send + Sync> TaskGraph<'a, T> {
             .map(|v| v.expect("every task ran"))
             .collect()
     }
-
-    /// [`Self::run_serial`] with bounded per-task retry: after each
-    /// attempt, `should_retry(&output)` decides whether the output is a
-    /// transient failure worth re-running (at most `max_retries` times,
-    /// with a deterministic spin backoff between attempts). `on_retry`
-    /// fires before each re-attempt with `(task index, attempt number)` —
-    /// the hook where callers quarantine poisoned caches or tally
-    /// recoveries.
-    ///
-    /// Retrying is only sound for tasks that are *restartable*: pure
-    /// functions of their inputs whose failures are transient (injected
-    /// faults, detected corruption), which is exactly what the CKKS batch
-    /// ops are.
-    pub fn run_serial_retry(
-        &self,
-        max_retries: u32,
-        should_retry: impl Fn(&T) -> bool,
-        on_retry: impl Fn(usize, u32),
-    ) -> RetryRun<T> {
-        let mut outputs: Vec<T> = Vec::with_capacity(self.tasks.len());
-        let mut attempts: Vec<u32> = Vec::with_capacity(self.tasks.len());
-        for (i, task) in self.tasks.iter().enumerate() {
-            let inputs: Vec<&T> = self.deps[i].iter().map(|&p| &outputs[p]).collect();
-            let (v, a) = run_with_retry(&**task, &inputs, i, max_retries, &should_retry, &on_retry);
-            outputs.push(v);
-            attempts.push(a);
-        }
-        RetryRun { outputs, attempts }
-    }
-
-    /// [`Self::run_parallel`] with the same bounded per-task retry as
-    /// [`Self::run_serial_retry`]; retries happen inside the wavefront
-    /// worker, so one flaky task delays only its own slot, not the wave.
-    pub fn run_parallel_retry(
-        &self,
-        max_retries: u32,
-        should_retry: impl Fn(&T) -> bool + Sync,
-        on_retry: impl Fn(usize, u32) + Sync,
-    ) -> RetryRun<T> {
-        let mut slots: Vec<Option<(T, u32)>> = (0..self.tasks.len()).map(|_| None).collect();
-        for wave in self.wavefronts() {
-            let produced: Vec<(usize, T, u32)> = wave
-                .par_iter()
-                .map(|&i| {
-                    let inputs: Vec<&T> = self.deps[i]
-                        .iter()
-                        .map(|&p| {
-                            let (v, _) =
-                                slots[p].as_ref().expect("dependency in earlier wavefront");
-                            v
-                        })
-                        .collect();
-                    let (v, a) = run_with_retry(
-                        &*self.tasks[i],
-                        &inputs,
-                        i,
-                        max_retries,
-                        &should_retry,
-                        &on_retry,
-                    );
-                    (i, v, a)
-                })
-                .collect();
-            for (i, v, a) in produced {
-                slots[i] = Some((v, a));
-            }
-        }
-        let (outputs, attempts) = slots
-            .into_iter()
-            .map(|v| v.expect("every task ran"))
-            .unzip();
-        RetryRun { outputs, attempts }
-    }
 }
 
 #[cfg(test)]
@@ -290,53 +169,6 @@ mod tests {
     fn forward_dependency_rejected() {
         let mut g = TaskGraph::new();
         g.push(&[3], |_| 0u64);
-    }
-
-    #[test]
-    fn retry_recovers_transient_failures() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Mutex;
-        // Task 1 fails its first two attempts, then succeeds.
-        let remaining = AtomicU32::new(2);
-        let mut g: TaskGraph<'_, Result<u64, &'static str>> = TaskGraph::new();
-        let a = g.push(&[], |_| Ok(7u64));
-        g.push(&[a], move |x| {
-            let failing = remaining
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                .is_ok();
-            if failing {
-                Err("transient")
-            } else {
-                Ok(x[0].as_ref().unwrap() * 3)
-            }
-        });
-        let retried = Mutex::new(Vec::new());
-        let run = g.run_serial_retry(3, Result::is_err, |i, attempt| {
-            retried.lock().unwrap().push((i, attempt));
-        });
-        assert_eq!(run.outputs, vec![Ok(7), Ok(21)]);
-        assert_eq!(run.attempts, vec![1, 3]);
-        assert_eq!(run.total_retries(), 2);
-        assert_eq!(*retried.lock().unwrap(), vec![(1, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_returns_last_failure() {
-        let mut g: TaskGraph<'_, Result<u64, &'static str>> = TaskGraph::new();
-        g.push(&[], |_| Err("permanent"));
-        let run = g.run_parallel_retry(2, Result::is_err, |_, _| {});
-        assert_eq!(run.outputs, vec![Err("permanent")]);
-        assert_eq!(run.attempts, vec![3], "initial attempt plus two retries");
-        assert_eq!(run.total_retries(), 2);
-    }
-
-    #[test]
-    fn retry_runs_match_plain_runs_when_clean() {
-        let g = diamond();
-        let run = g.run_parallel_retry(2, |_| false, |_, _| panic!("no retries on a clean run"));
-        assert_eq!(run.outputs, g.run_serial());
-        assert_eq!(run.attempts, vec![1; 4]);
-        assert_eq!(run.total_retries(), 0);
     }
 
     #[test]

@@ -21,17 +21,14 @@
 //! * [`exec`] — a **host batch executor**: [`exec::TaskGraph`] runs
 //!   independent ciphertext operations of a batch concurrently in
 //!   topological wavefronts on the rayon pool, bit-identical to serial
-//!   execution, with retry-capable variants
-//!   ([`exec::TaskGraph::run_serial_retry`] /
-//!   [`exec::TaskGraph::run_parallel_retry`]) that re-run tasks whose
-//!   outputs a caller-supplied predicate flags as transient failures.
+//!   execution.
 
 pub mod exec;
 pub mod graph;
 pub mod metrics;
 pub mod sim;
 
-pub use exec::{RetryRun, TaskGraph};
+pub use exec::TaskGraph;
 pub use graph::{FusionStats, NodeId, OpGraph, OpNode};
 pub use metrics::publish_utilization;
 pub use sim::{

@@ -3,9 +3,10 @@
 //! A [`TenantSession`] wraps one [`FheEngine`] — its own secret/public
 //! keys, key chest, guardrail policy and recovery budget — while every
 //! session built by one [`TenantRegistry`] shares a single
-//! [`CkksContext`] `Arc` (prime chains, NTT plans, BConv tables), so
-//! registering ten thousand tenants costs ten thousand key generations,
-//! not ten thousand parameter setups.
+//! [`CkksContext`] `Arc` (prime chains, BConv tables; NTT plans live in
+//! the process-wide `neo_ntt` plan cache), so registering ten thousand
+//! tenants costs ten thousand key generations, not ten thousand
+//! parameter setups.
 
 use neo_ckks::{CkksContext, CkksParams, ExecPlan, FheEngine, NeoError, OpPolicy};
 use parking_lot::RwLock;
@@ -216,14 +217,16 @@ impl TenantRegistry {
     ///
     /// # Errors
     ///
-    /// [`NeoError::InvalidParams`] if `id` is already registered.
+    /// [`NeoError::InvalidParams`] if `id` is already registered;
+    /// [`NeoError::FaultDetected`] if the tenant's key generation fails a
+    /// transform check (see [`FheEngine::with_context`]).
     pub fn register(
         &self,
         id: TenantId,
         seed: u64,
         cfg: TenantConfig,
     ) -> Result<Arc<TenantSession>, NeoError> {
-        let engine = FheEngine::with_context(Arc::clone(&self.ctx), seed);
+        let engine = FheEngine::with_context(Arc::clone(&self.ctx), seed)?;
         self.install(id, engine, cfg)
     }
 
@@ -268,7 +271,8 @@ impl TenantRegistry {
     /// `store` was opened over a different context than this registry;
     /// [`NeoError::FaultDetected`] if the tenant's records are
     /// quarantined or fail integrity checks (see
-    /// [`neo_store::SessionStore::warm_start`]).
+    /// [`neo_store::SessionStore::warm_start`]), or a key generation fails
+    /// a transform check.
     pub fn register_warm(
         &self,
         id: TenantId,
@@ -285,7 +289,7 @@ impl TenantRegistry {
             Some(engine) => self.install(id, engine, cfg),
             None => {
                 let session = self.register(id, seed, cfg)?;
-                store.save_engine(id, session.engine(), seed);
+                store.save_engine(id, session.engine(), seed)?;
                 Ok(session)
             }
         }

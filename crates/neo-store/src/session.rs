@@ -104,7 +104,17 @@ impl SessionStore {
     /// with `engine_seed`, the seed the engine was built with, so the
     /// replayed public key is bit-identical) plus every currently-warm
     /// KSK in seed-compressed form. Memory only until [`Self::commit`].
-    pub fn save_engine(&mut self, tenant: u64, engine: &FheEngine, engine_seed: u64) {
+    ///
+    /// # Errors
+    ///
+    /// [`NeoError::FaultDetected`] if regenerating a KSK's `b`-parts fails
+    /// a transform check.
+    pub fn save_engine(
+        &mut self,
+        tenant: u64,
+        engine: &FheEngine,
+        engine_seed: u64,
+    ) -> Result<(), NeoError> {
         let chest = engine.chest();
         self.store.put(
             Self::sk_id(tenant),
@@ -114,7 +124,7 @@ impl SessionStore {
         );
         let kind = ksk_kind(engine.method());
         for (level, target) in chest.cached_keys(engine.method()) {
-            let b_parts = chest.export_b_parts(level, target);
+            let b_parts = chest.export_b_parts(level, target)?;
             self.store.put(
                 RecordId {
                     kind,
@@ -127,6 +137,7 @@ impl SessionStore {
                 codec::encode_polys(&b_parts),
             );
         }
+        Ok(())
     }
 
     /// Rebuilds `tenant`'s session from the store: decodes the secret
@@ -142,8 +153,9 @@ impl SessionStore {
     /// # Errors
     ///
     /// [`NeoError::FaultDetected`] if the secret-key record is
-    /// quarantined, any record fails its read-back checksum, or a
-    /// payload decodes to something the context refuses.
+    /// quarantined, any record fails its read-back checksum, a payload
+    /// decodes to something the context refuses, or a key generation
+    /// fails a transform check.
     pub fn warm_start(&mut self, tenant: u64) -> Result<Option<FheEngine>, NeoError> {
         let sk_id = Self::sk_id(tenant);
         let Some(payload) = self.store.get(sk_id)? else {
@@ -154,7 +166,7 @@ impl SessionStore {
         }
         let seed = self.store.seed_of(sk_id).unwrap_or(0);
         let sk = SecretKey::from_coeffs(codec::decode_secret_key(&payload)?)?;
-        let engine = FheEngine::with_secret_key(self.ctx.clone(), sk, seed);
+        let engine = FheEngine::with_secret_key(self.ctx.clone(), sk, seed)?;
         let method = engine.method();
         let kind = ksk_kind(method);
         let chest = engine.chest();
@@ -200,7 +212,7 @@ impl SessionStore {
                 continue;
             };
             chest.warm(id.level as usize, target, method)?;
-            let b_parts = chest.export_b_parts(id.level as usize, target);
+            let b_parts = chest.export_b_parts(id.level as usize, target)?;
             self.store.put(
                 id,
                 chest.key_seed(),
@@ -336,7 +348,7 @@ mod tests {
     fn warm_start_replays_a_bit_identical_session() {
         let path = tmp("warm");
         let ctx = ctx();
-        let cold = FheEngine::with_context(ctx.clone(), 7);
+        let cold = FheEngine::with_context(ctx.clone(), 7).unwrap();
         cold.chest()
             .warm(ctx.params().max_level, KeyTarget::Relin, cold.method())
             .expect("warm relin");
@@ -345,7 +357,7 @@ mod tests {
             .expect("enc");
 
         let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
-        ss.save_engine(42, &cold, 7);
+        ss.save_engine(42, &cold, 7).unwrap();
         ss.save_ciphertext(42, 1, &ct);
         ss.commit().expect("commit");
 
@@ -369,9 +381,11 @@ mod tests {
         // And its rebuilt relin key matches a cold regeneration bit for bit.
         assert_eq!(
             warm.chest()
-                .export_b_parts(ctx.params().max_level, KeyTarget::Relin),
+                .export_b_parts(ctx.params().max_level, KeyTarget::Relin)
+                .unwrap(),
             cold.chest()
                 .export_b_parts(ctx.params().max_level, KeyTarget::Relin)
+                .unwrap()
         );
         assert!(ss2.warm_start(9999).expect("missing tenant").is_none());
         let _ = std::fs::remove_file(&path);
@@ -382,12 +396,12 @@ mod tests {
         let path = tmp("heal");
         let ctx = ctx();
         let lvl = ctx.params().max_level;
-        let cold = FheEngine::with_context(ctx.clone(), 11);
+        let cold = FheEngine::with_context(ctx.clone(), 11).unwrap();
         cold.chest()
             .warm(lvl, KeyTarget::Relin, cold.method())
             .expect("warm");
         let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
-        ss.save_engine(1, &cold, 11);
+        ss.save_engine(1, &cold, 11).unwrap();
         ss.commit().expect("commit");
 
         // Corrupt the KSK payload on disk (flip the file's last byte:
@@ -402,8 +416,8 @@ mod tests {
         let warm = ss2.warm_start(1).expect("warm").expect("present");
         // Healed in memory from seed — bit-identical to the cold key...
         assert_eq!(
-            warm.chest().export_b_parts(lvl, KeyTarget::Relin),
-            cold.chest().export_b_parts(lvl, KeyTarget::Relin)
+            warm.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap(),
+            cold.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap()
         );
         // ...and rewritten so the next commit+open sees a clean file.
         ss2.commit().expect("heal commit");
@@ -442,7 +456,7 @@ mod tests {
         let path = tmp("v2");
         let ctx = ctx();
         let lvl = ctx.params().max_level;
-        let cold = FheEngine::with_context(ctx.clone(), 5);
+        let cold = FheEngine::with_context(ctx.clone(), 5).unwrap();
         cold.chest()
             .warm(lvl, KeyTarget::Relin, cold.method())
             .expect("warm");
@@ -450,7 +464,7 @@ mod tests {
         let save = || {
             let _ = std::fs::remove_file(&path);
             let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
-            ss.save_engine(2, &cold, 5);
+            ss.save_engine(2, &cold, 5).unwrap();
             ss.commit().expect("commit");
         };
         let ksk = RecordId {
@@ -471,8 +485,8 @@ mod tests {
         assert!(warm.chest().cached_keys(warm.method()).is_empty());
         // The key regenerates from seed, bit-identical to the cold one.
         assert_eq!(
-            warm.chest().export_b_parts(lvl, KeyTarget::Relin),
-            cold.chest().export_b_parts(lvl, KeyTarget::Relin)
+            warm.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap(),
+            cold.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap()
         );
 
         // A whole version-2 session: nothing is valid, so it cold-starts.

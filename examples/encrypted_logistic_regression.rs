@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny())?);
     let mut rng = StdRng::seed_from_u64(99);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+    let pk = PublicKey::generate(&ctx, &sk, &mut rng)?;
     let chest = KeyChest::new(ctx.clone(), sk, 100);
     let model = EncryptedLogisticRegression::new(ctx.clone(), FEATURES, SAMPLES, KsMethod::Klss);
 

@@ -377,7 +377,7 @@ fn store_written_under_one_backend_warm_starts_under_the_other() {
     let own = {
         let _l = ntt_lock();
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
-        let engine = FheEngine::with_context(Arc::clone(&ctx), STORE_SEED);
+        let engine = FheEngine::with_context(Arc::clone(&ctx), STORE_SEED).unwrap();
         let ct = engine
             .encrypt_f64(&[0.5, -1.25, 2.0], engine.max_level())
             .unwrap();
@@ -385,7 +385,9 @@ fn store_written_under_one_backend_warm_starts_under_the_other() {
         let square = engine.rescale(&engine.hmult(&ct, &ct).unwrap()).unwrap();
         engine.hrotate(&square, 1).unwrap();
         let mut store = neo_store::SessionStore::open(&path, ctx).unwrap();
-        store.save_engine(STORE_TENANT, &engine, STORE_SEED);
+        store
+            .save_engine(STORE_TENANT, &engine, STORE_SEED)
+            .unwrap();
         store.save_ciphertext(STORE_TENANT, 0, &ct);
         store.commit().unwrap();
         format!("{:016x}", session_digest(engine, &ct))

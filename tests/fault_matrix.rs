@@ -20,7 +20,7 @@
 
 use neo::fault::{FaultPlan, FaultScope, FaultSite, FaultSpec};
 use neo::gpu_sim::{DeviceModel, DeviceSpec, KernelProfile};
-use neo::math::{primes, Modulus};
+use neo::math::{primes, Modulus, RnsPoly};
 use neo::prelude::*;
 use neo::sched::{simulate, try_simulate, NodeId, OpGraph, SimConfig};
 use neo::tcu::{CheckedGemm, Fp64TcuGemm};
@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 const TCU_TRIALS: u64 = 300;
 const NTT_STAGE_TRIALS: u64 = 300;
+const NTT_KEYGEN_TRIALS: u64 = 60;
 const NTT_PLAN_TRIALS: u64 = 100;
 const SCHED_TRIALS: u64 = 250;
 const CKKS_TRIALS: u64 = 100;
@@ -89,7 +90,13 @@ fn assert_batch_sound(report: &BatchReport, clean: &[Ciphertext], trial: u64, se
 #[allow(clippy::assertions_on_constants)] // the point: pin the trial-count floor
 fn the_matrix_covers_at_least_1000_trials() {
     assert!(
-        TCU_TRIALS + NTT_STAGE_TRIALS + NTT_PLAN_TRIALS + SCHED_TRIALS + CKKS_TRIALS + SERVE_TRIALS
+        TCU_TRIALS
+            + NTT_STAGE_TRIALS
+            + NTT_KEYGEN_TRIALS
+            + NTT_PLAN_TRIALS
+            + SCHED_TRIALS
+            + CKKS_TRIALS
+            + SERVE_TRIALS
             >= 1000,
         "fault matrix shrank below the 1000-trial floor"
     );
@@ -190,6 +197,77 @@ fn ntt_stage_matrix() {
     assert!(
         injected >= NTT_STAGE_TRIALS / 2,
         "matrix is vacuous: only {injected} injections over {NTT_STAGE_TRIALS} trials"
+    );
+}
+
+/// One corrupted NTT limb inside cold key generation or the secret's
+/// transform, through an always-verifying engine: a cold HRotate (which
+/// generates its Galois key before any other transform), a cold HMult
+/// (its relinearisation key, after the tensor's seven transforms) and a
+/// decrypt (the secret's limbs come first), in turn. A detected fault must
+/// leave no key cached, and a disarmed retry must reproduce the clean
+/// result.
+#[test]
+fn ntt_stage_keygen_matrix() {
+    let _l = test_lock();
+    let e = FheEngine::new(CkksParams::test_tiny(), engine_seed())
+        .unwrap()
+        .with_policy(OpPolicy {
+            verify: VerifyPolicy::Always,
+            ..OpPolicy::default()
+        });
+    let (_, cts) = batch_fixture(&e);
+    let level = e.max_level();
+    let targets = [
+        KeyTarget::Galois(neo::ckks::ops::galois_element(e.context().degree(), 1)),
+        KeyTarget::Relin,
+    ];
+    let limbs = level as u64 + 1;
+    // Per op, the (first, count) limb transforms that generate its key or,
+    // for the decrypt, transform the secret.
+    let windows = [
+        (0, keygen_transforms(&e, targets[0])),
+        (7 * limbs, keygen_transforms(&e, targets[1])),
+        (0, limbs),
+    ];
+    let clean: Vec<_> = (0..3).map(|op| cold_op(&e, op, &cts).unwrap()).collect();
+    let mut injected = 0u64;
+    for trial in 0..NTT_KEYGEN_TRIALS {
+        let seed = 0x6e9e_e000 + trial;
+        let op = (trial % 3) as usize;
+        let (first, len) = windows[op];
+        let skip = first + neo::fault::splitmix64(seed) % len;
+        let plan = Arc::new(
+            FaultPlan::new(seed).with_site(FaultSite::NttStage, FaultSpec::once_after(skip)),
+        );
+        let scope = FaultScope::install(plan.clone());
+        let got = cold_op(&e, op, &cts);
+        drop(scope);
+        injected += plan.injected(FaultSite::NttStage);
+        match got {
+            Ok(polys) => assert_eq!(
+                polys, clean[op],
+                "trial {trial} (seed {seed}): SILENT CORRUPTION in cold op {op}"
+            ),
+            Err(err) => {
+                assert_detected(&err, trial, seed);
+                if let Some(&target) = targets.get(op) {
+                    assert!(
+                        !e.chest().has_key(level, target, e.method()),
+                        "trial {trial} (seed {seed}): a key from a faulty generation stayed cached"
+                    );
+                }
+                assert_eq!(
+                    cold_op(&e, op, &cts).unwrap(),
+                    clean[op],
+                    "trial {trial} (seed {seed}): disarmed retry differs from clean"
+                );
+            }
+        }
+    }
+    assert!(
+        injected >= NTT_KEYGEN_TRIALS / 2,
+        "matrix is vacuous: only {injected} injections over {NTT_KEYGEN_TRIALS} trials"
     );
 }
 
@@ -546,6 +624,31 @@ fn batch_fixture(e: &FheEngine) -> (BatchProgram, Vec<Ciphertext>) {
     let a = e.encrypt_f64(&[1.25, -0.75, 2.0], e.max_level()).unwrap();
     let b = e.encrypt_f64(&[0.5, 3.0, -1.5], e.max_level()).unwrap();
     (prog, vec![a, b])
+}
+
+/// Limb transforms one cold generation of the top-level `target` key runs,
+/// counted under a plan that never fires.
+fn keygen_transforms(e: &FheEngine, target: KeyTarget) -> u64 {
+    e.chest().clear_cache(e.method());
+    let plan = Arc::new(
+        FaultPlan::new(0).with_site(FaultSite::NttStage, FaultSpec::with_probability_ppm(0)),
+    );
+    let scope = FaultScope::install(plan.clone());
+    e.chest().warm(e.max_level(), target, e.method()).unwrap();
+    drop(scope);
+    plan.opportunities(FaultSite::NttStage)
+}
+
+/// Op 0 is a cold HRotate by one slot, op 1 a cold HMult, op 2 a decrypt;
+/// the result's polynomials.
+fn cold_op(e: &FheEngine, op: usize, cts: &[Ciphertext]) -> Result<Vec<RnsPoly>, NeoError> {
+    e.chest().clear_cache(e.method());
+    let ct = match op {
+        0 => e.hrotate(&cts[0], 1)?,
+        1 => e.hmult(&cts[0], &cts[1])?,
+        _ => return Ok(vec![e.decrypt(&cts[0])?.poly().clone()]),
+    };
+    Ok(vec![ct.c0().clone(), ct.c1().clone()])
 }
 
 fn unwrap_all(results: Vec<Result<Ciphertext, NeoError>>) -> Vec<Ciphertext> {

@@ -75,7 +75,7 @@ fn mixed_operation_pipeline() {
     let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
     let mut rng = StdRng::seed_from_u64(3);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+    let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
     let chest = KeyChest::new(ctx.clone(), sk, 4);
     let enc = Encoder::new(ctx.degree());
     let slots = enc.slots();

@@ -127,7 +127,7 @@ proptest! {
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
         let chest = KeyChest::new(ctx.clone(), sk, seed.wrapping_add(1));
         let enc = Encoder::new(ctx.degree());
         let a: Vec<Complex64> = (0..enc.slots())

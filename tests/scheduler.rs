@@ -123,7 +123,7 @@ fn chest_and_inputs(seed: u64, count: usize) -> (KeyChest, Vec<neo::ckks::Cipher
     let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
     let mut rng = StdRng::seed_from_u64(seed);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+    let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
     let enc = Encoder::new(ctx.degree());
     let level = ctx.params().max_level;
     let scale = ctx.params().scale();

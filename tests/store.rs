@@ -177,7 +177,7 @@ proptest! {
 fn damaged_session_warm_start_recovers_or_refuses() {
     let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
     let path = case_path("session");
-    let engine = FheEngine::with_context(ctx.clone(), 31);
+    let engine = FheEngine::with_context(ctx.clone(), 31).unwrap();
     let level = ctx.params().max_level;
     engine
         .chest()
@@ -185,7 +185,7 @@ fn damaged_session_warm_start_recovers_or_refuses() {
         .unwrap();
     let ct = engine.encrypt_f64(&[2.75], level).unwrap();
     let mut ss = SessionStore::open(&path, ctx.clone()).unwrap();
-    ss.save_engine(5, &engine, 31);
+    ss.save_engine(5, &engine, 31).unwrap();
     ss.save_ciphertext(5, 0, &ct);
     ss.commit().unwrap();
     let image = std::fs::read(&path).unwrap();
