@@ -34,9 +34,8 @@ pub struct CkksContext {
     q_moduli: Vec<Modulus>,
     p_moduli: Vec<Modulus>,
     t_moduli: Vec<Modulus>,
-    /// `P mod q_i` and `P⁻¹ mod q_i` for Mod Down.
+    /// `P mod q_i`.
     p_mod_q: Vec<u64>,
-    p_inv_mod_q: Vec<u64>,
     bconv_cache: RwLock<BconvMap>,
 }
 
@@ -93,14 +92,12 @@ impl CkksContext {
             ntt_cache::get_or_build(q, n)?;
         }
         let mut p_mod_q = Vec::with_capacity(q_moduli.len());
-        let mut p_inv_mod_q = Vec::with_capacity(q_moduli.len());
         for m in &q_moduli {
             let mut acc = 1u64;
             for &p in &p_primes {
                 acc = m.mul(acc, m.reduce(p));
             }
             p_mod_q.push(acc);
-            p_inv_mod_q.push(m.inv(acc)?);
         }
         Ok(Self {
             params,
@@ -111,7 +108,6 @@ impl CkksContext {
             p_moduli,
             t_moduli,
             p_mod_q,
-            p_inv_mod_q,
             bconv_cache: RwLock::new(HashMap::new()),
         })
     }
@@ -180,11 +176,6 @@ impl CkksContext {
     /// `P mod q_i`.
     pub fn p_mod_q(&self, i: usize) -> u64 {
         self.p_mod_q[i]
-    }
-
-    /// `P⁻¹ mod q_i`.
-    pub fn p_inv_mod_q(&self, i: usize) -> u64 {
-        self.p_inv_mod_q[i]
     }
 
     /// Forward NTT of every limb, with ABFT verification. Plans are
@@ -393,10 +384,11 @@ mod tests {
     }
 
     #[test]
-    fn p_inverse_identity() {
+    fn p_mod_q_is_p_reduced() {
         let ctx = CkksContext::new(CkksParams::test_tiny()).unwrap();
+        let p = neo_math::BigUint::product(ctx.p_primes());
         for (i, m) in ctx.q_moduli(5).iter().enumerate() {
-            assert_eq!(m.mul(ctx.p_mod_q(i), ctx.p_inv_mod_q(i)), 1);
+            assert_eq!(ctx.p_mod_q(i), p.rem_u64(m.value()));
         }
     }
 

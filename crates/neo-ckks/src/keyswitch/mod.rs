@@ -15,7 +15,6 @@ pub mod klss;
 
 use crate::context::CkksContext;
 use neo_error::NeoError;
-use neo_math::recycle::LIMBS;
 use neo_math::{Domain, RnsPoly};
 
 /// Shared operand validation for both key-switching methods: the input
@@ -63,17 +62,8 @@ pub(crate) fn mod_down(
         ));
     }
     let table = ctx.bconv_table(ctx.p_primes(), &ctx.q_primes()[..=level]);
-    let mut conv = table.convert_approx(&poly.limbs()[level + 1..]);
-    // (x − conv)·P⁻¹ per data limb: the difference overwrites the
-    // converted row, and the product overwrites x's limb.
-    for (i, (m, diff)) in ctx.q_moduli(level).iter().zip(&mut conv).enumerate() {
-        for (d, &x) in diff.iter_mut().zip(poly.limb(i)) {
-            *d = m.sub(x, *d);
-        }
-        let inv = m.shoup(ctx.p_inv_mod_q(i));
-        ctx.backend().mul_const(m, inv, diff, poly.limb_mut(i));
-    }
-    LIMBS.give_all(conv);
+    let (data, special) = poly.limbs_mut().split_at_mut(level + 1);
+    table.mod_down(special, data);
     poly.truncate_limbs(level + 1);
     Ok(poly)
 }

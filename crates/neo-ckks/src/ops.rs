@@ -14,7 +14,7 @@ use crate::metrics::{note_noise, OpKind};
 use crate::params::KsMethod;
 use neo_error::NeoError;
 use neo_math::recycle::LIMBS;
-use neo_math::{Domain, RnsPoly};
+use neo_math::{Domain, Modulus, RnsPoly};
 use neo_trace::span;
 use rand::Rng;
 
@@ -402,27 +402,30 @@ pub fn try_rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Neo
     }
     let _s = span!("ckks.rescale", level = level);
     let q_last = ctx.q_moduli(level)[level];
-    let moduli = ctx.q_moduli(level - 1).to_vec();
+    let moduli = ctx.q_moduli(level - 1);
+    // Exclusive bound on every inner-product row below.
+    let y_bound = ctx.q_moduli(level).iter().map(Modulus::value).max();
+    let y_bound = y_bound.unwrap_or(u64::MAX);
     let rescale_poly = |p: &RnsPoly| -> RnsPoly {
         let mut out = RnsPoly::zero(p.degree(), level, Domain::Coeff);
         let last = p.limb(level);
-        let mut diff = LIMBS.zeroed(p.degree());
-        for (i, m) in moduli.iter().enumerate() {
-            let q_last_mod = m.reduce(q_last.value());
-            let inv = m.inv(q_last_mod).expect("coprime chain");
-            for ((d, &x), &l) in diff.iter_mut().zip(p.limb(i)).zip(last) {
-                // Centered lift of the dropped limb keeps rounding noise
-                // at q_l/2 instead of q_l: a residue in the upper half
-                // stands for l − q_l, so its residue mod m is
-                // [l]_m − [q_l]_m. A mask selects it, not a branch — the
-                // half is random per coefficient.
-                let upper = u64::from(q_last.to_signed(l) < 0).wrapping_neg();
-                *d = m.sub(x, m.sub(m.reduce(l), q_last_mod & upper));
-            }
-            ctx.backend()
-                .mul_const(m, m.shoup(inv), &diff, out.limb_mut(i));
+        // Centered lift of the dropped limb keeps rounding noise at q_l/2
+        // instead of q_l: a residue l in the upper half stands for
+        // l − q_l. With inv = q_l⁻¹ mod q_i,
+        // (x_i − l + upper·q_l)·inv ≡ x_i·inv − l·inv + upper (mod q_i),
+        // so each output limb is one exact inner product over the rows
+        // (x_i, l, upper), reduced once.
+        let mut upper = LIMBS.zeroed(p.degree());
+        for (u, &l) in upper.iter_mut().zip(last) {
+            *u = u64::from(q_last.to_signed(l) < 0);
         }
-        LIMBS.give(diff);
+        for (i, m) in moduli.iter().enumerate() {
+            let inv = m.inv(q_last.value()).expect("coprime chain");
+            let (rows, w) = ([p.limb(i), last, &upper], [inv, m.neg(inv), 1]);
+            ctx.backend()
+                .bconv_ip(m, &rows, y_bound, &w, out.limb_mut(i));
+        }
+        LIMBS.give(upper);
         out
     };
     let c0 = rescale_poly(ct.c0());
@@ -464,4 +467,52 @@ pub fn try_level_reduce(ct: &Ciphertext, level: usize) -> Result<Ciphertext, Neo
     c0.truncate_limbs(level + 1);
     c1.truncate_limbs(level + 1);
     Ok(Ciphertext::new(c0, c1, ct.scale(), level))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::CkksParams;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The two-pass Rescale `try_rescale` replaced: the centered
+    /// difference `x_i − l + upper·q_l` per coefficient, then a multiply
+    /// by `q_l⁻¹`.
+    fn rescale_two_pass(ctx: &CkksContext, p: &RnsPoly, level: usize) -> Vec<Vec<u64>> {
+        let q_last = ctx.q_moduli(level)[level];
+        let last = p.limb(level);
+        ctx.q_moduli(level - 1)
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let q_last_mod = m.reduce(q_last.value());
+                let inv = m.inv(q_last_mod).unwrap();
+                p.limb(i)
+                    .iter()
+                    .zip(last)
+                    .map(|(&x, &l)| {
+                        let upper = u64::from(q_last.to_signed(l) < 0).wrapping_neg();
+                        let d = m.sub(x, m.sub(m.reduce(l), q_last_mod & upper));
+                        m.mul(d, inv)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rescale_matches_two_pass_reference() {
+        let ctx = CkksContext::new(CkksParams::test_small()).unwrap();
+        let mut rng = StdRng::seed_from_u64(22);
+        for level in [1, ctx.params().max_level] {
+            let moduli = ctx.q_moduli(level);
+            let mut poly =
+                || RnsPoly::random_uniform(&mut rng, ctx.degree(), moduli, Domain::Coeff);
+            let ct = Ciphertext::new(poly(), poly(), 2f64.powi(30), level);
+            let out = try_rescale(&ctx, &ct).unwrap();
+            assert_eq!(out.c0().limbs(), rescale_two_pass(&ctx, ct.c0(), level));
+            assert_eq!(out.c1().limbs(), rescale_two_pass(&ctx, ct.c1(), level));
+        }
+    }
 }

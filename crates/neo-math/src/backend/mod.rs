@@ -174,7 +174,9 @@ pub trait ComputeBackend: Send + Sync {
     /// BConv inner product across source limbs:
     /// `out[c] = (Σ_i ys[i][c] · w[i]) mod t`, the sum taken exactly in
     /// 128 bits. `ys` are the scaled residue rows, `w` the `q̂_i mod t`
-    /// column (`ys.len() == w.len()`, every row as long as `out`).
+    /// column (`ys.len() == w.len()`, every row as long as `out`); callers
+    /// may append rows, such as BConv's overshoot counts or Mod Down's and
+    /// Rescale's own limbs, with any weight reduced mod `t`.
     ///
     /// `y_bound` is a caller-certified *exclusive* upper bound on every
     /// `ys` element (the largest source modulus). Backends may use it to

@@ -8,7 +8,7 @@
 //!   BConv(x)_j = Σ_i [x_i · q̂_i⁻¹]_{q_i} · q̂_i  (mod t_j)
 //! ```
 //!
-//! Two flavours are provided, matching how FHE implementations actually use
+//! Three uses are provided, matching how FHE implementations actually use
 //! the primitive:
 //!
 //! * [`BconvTable::convert_approx`] — the *Mod Up* flavour: no correction, so
@@ -19,16 +19,48 @@
 //!   `−round(Σ y_i/q_i)·Q`, recovering the residues of `x` itself. Required
 //!   by the KLSS *Recover Limbs* step, where an overshoot of `Q` would be a
 //!   correctness bug rather than noise.
+//! * [`BconvTable::mod_down`] — Mod Down by `Q`: `(a − BConv(x))·Q⁻¹` on
+//!   the target limbs `a` of the same value.
+//!
+//! All three are one [`bconv_ip`] call per target limb: the correction and
+//! the division are folded into that inner product as extra rows and
+//! rescaled weights. Each output is then an exact sum congruent to the
+//! scalar formula, reduced once — the same canonical residue.
 //!
 //! The exact flavour is provably safe when the represented value keeps a
 //! factor-2 margin below `Q` (the KLSS `T ≥ 2βN·B·B̃` budget guarantees
 //! this): the fractional sum then stays at least `1/4` away from the `1/2`
 //! rounding boundary while the f64 accumulation error is below `k·2⁻⁴⁰`.
+//! It rounds that sum by truncating and comparing the remainder with one
+//! half, which matches [`f64::round`] on the sums that can occur.
+//!
+//! [`bconv_ip`]: crate::backend::ComputeBackend::bconv_ip
 
 use crate::backend::{self, BackendKind};
 use crate::recycle::LIMBS;
-use crate::{MathError, RnsBasis};
+use crate::{MathError, Modulus, RnsBasis};
 use neo_trace::Counter;
+
+/// What [`BconvTable::convert_limbs`] folds into each target's inner
+/// product besides the BConv terms `Σ_i y_i·q̂_i`.
+#[derive(Clone, Copy)]
+enum Fold<'a> {
+    /// Nothing: the residues of `x + ε·Q`.
+    Approx,
+    /// The overshoot row `k` with weight `−Q`: the residues of `x`.
+    Exact,
+    /// Mod Down: the target limbs `a` of the same value, one row each,
+    /// and every weight times `Q⁻¹`: `(a_j − BConv(x)_j)·Q⁻¹`.
+    Divide(&'a [Vec<u64>]),
+}
+
+/// `x.round()` for `0 ≤ x < 2^52` without a libm call: `x − ⌊x⌋` is exact
+/// in that range, so comparing it with one half rounds halves away from
+/// zero exactly as [`f64::round`] does.
+fn round_nonneg(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
+}
 
 /// Precomputed constants for converting from one RNS basis to another.
 #[derive(Debug, Clone)]
@@ -41,6 +73,8 @@ pub struct BconvTable {
     qhat_mod_dst: Vec<Vec<u64>>,
     /// `Q mod t_j` for the exact correction.
     q_mod_dst: Vec<u64>,
+    /// `Q⁻¹ mod t_j` for Mod Down.
+    q_inv_mod_dst: Vec<u64>,
     /// `1.0 / q_i` for the correction accumulator.
     inv_q: Vec<f64>,
     /// Compute backend for the limb-wise scaling and inner-product loops.
@@ -67,6 +101,7 @@ impl BconvTable {
         let src_primes = src.primes();
         let mut qhat_mod_dst = vec![vec![0u64; dst.len()]; k];
         let mut q_mod_dst = vec![0u64; dst.len()];
+        let mut q_inv_mod_dst = vec![0u64; dst.len()];
         for (j, t) in dst.moduli().iter().enumerate() {
             for (i, row) in qhat_mod_dst.iter_mut().enumerate() {
                 let mut acc = 1u64;
@@ -82,6 +117,7 @@ impl BconvTable {
                 acc = t.mul(acc, t.reduce(q));
             }
             q_mod_dst[j] = acc;
+            q_inv_mod_dst[j] = t.inv(acc)?;
         }
         let inv_q = src_primes.iter().map(|&q| 1.0 / q as f64).collect();
         Ok(Self {
@@ -90,6 +126,7 @@ impl BconvTable {
             qhat_inv,
             qhat_mod_dst,
             q_mod_dst,
+            q_inv_mod_dst,
             inv_q,
             backend: backend::active().kind(),
         })
@@ -167,7 +204,7 @@ impl BconvTable {
     ///
     /// Panics if limb counts do not match the table's bases.
     pub fn convert_approx(&self, x: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        self.convert_limbs(x, false)
+        self.convert_limbs(x, Fold::Approx)
     }
 
     /// Exact conversion of whole limbs (`x[limb][coeff]` layout).
@@ -176,94 +213,112 @@ impl BconvTable {
     ///
     /// Panics if limb counts do not match the table's bases.
     pub fn convert_exact(&self, x: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        self.convert_limbs(x, true)
+        self.convert_limbs(x, Fold::Exact)
     }
 
-    /// Limb-major conversion on the pinned backend. Bit-identical to the
-    /// coefficient-wise oracles: the scaling multiply lands on the same
-    /// canonical residue as `mul(reduce(x), q̂⁻¹)`, the per-target inner
-    /// product is an exact u128 sum (order-independent) reduced once, and
-    /// the exact correction accumulates the fractional sum in the same
-    /// source-limb order so the f64 rounding decision cannot differ.
+    /// Mod Down by the source modulus `Q`: for a value held as source
+    /// limbs `x` and target limbs `a`, overwrites each `a[j]` with
+    /// `(a_j − BConv(x)_j)·Q⁻¹ mod t_j` — the approximate conversion's
+    /// residues, subtracted and divided out, as one inner product. The
+    /// replaced limbs go back to the [`LIMBS`] recycler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if limb counts do not match the table's bases.
+    pub fn mod_down(&self, x: &[Vec<u64>], a: &mut [Vec<u64>]) {
+        assert_eq!(a.len(), self.dst.len(), "target limb count mismatch");
+        let divided = self.convert_limbs(x, Fold::Divide(a));
+        let replaced = a.iter_mut().zip(divided);
+        LIMBS.give_all(replaced.map(|(limb, new)| std::mem::replace(limb, new)));
+    }
+
+    /// Limb-major conversion on the pinned backend: one [`bconv_ip`] per
+    /// target limb over the scaled rows `y_i` and the rows `fold` appends,
+    /// with weights that make the exact sum congruent to the scalar
+    /// formula. Bit-identical to the coefficient-wise oracles: the scaling
+    /// multiply lands on the same canonical residue as
+    /// `mul(reduce(x), q̂⁻¹)`, the inner product is an exact sum
+    /// (order-independent) reduced once, and the exact correction
+    /// accumulates the fractional sum in the same source-limb order so the
+    /// f64 rounding decision cannot differ.
     ///
     /// Scratch rows and outputs come from the [`LIMBS`] recycler; the
     /// scratch goes back before returning.
-    fn convert_limbs(&self, x: &[Vec<u64>], exact: bool) -> Vec<Vec<u64>> {
+    ///
+    /// [`bconv_ip`]: crate::backend::ComputeBackend::bconv_ip
+    fn convert_limbs(&self, x: &[Vec<u64>], fold: Fold<'_>) -> Vec<Vec<u64>> {
         assert_eq!(x.len(), self.src.len(), "source limb count mismatch");
         let n = x[0].len();
-        for limb in x {
+        let own: &[Vec<u64>] = if let Fold::Divide(a) = fold { a } else { &[] };
+        for limb in x.iter().chain(own) {
             assert_eq!(limb.len(), n, "ragged limb lengths");
         }
-        let be = backend::get(self.backend);
-        // y_i = [x_i · q̂_i⁻¹]_{q_i}, whole limbs at a time; `mul_const`
-        // overwrites each row.
-        let ys: Vec<Vec<u64>> = self
-            .src
-            .moduli()
-            .iter()
-            .zip(x)
-            .zip(&self.qhat_inv)
-            .map(|((m, limb), &hi)| {
-                let mut y = LIMBS.take(n);
-                be.mul_const(m, m.shoup(hi), limb, &mut y);
-                y
-            })
-            .collect();
-        let ys_rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
-        // Overshoot counts for the exact flavour, fractional sums taken in
-        // source-limb order per coefficient (same order as the oracle).
-        // One row holds the f64 sums as bits (zero bits are +0.0), then
-        // the rounded counts.
-        let ks = exact.then(|| {
+        let mut ys = self.scale_with(x, |len| LIMBS.take(len));
+        if let Fold::Exact = fold {
+            // Overshoot counts k = round(Σ_i y_i/q_i), the fractional sums
+            // taken in source-limb order per coefficient (the oracle's
+            // order). One row holds the f64 sums as bits (zero bits are
+            // +0.0), then the rounded counts.
             let mut ks = LIMBS.zeroed(n);
             for (y, &inv) in ys.iter().zip(&self.inv_q) {
                 for (f, &v) in ks.iter_mut().zip(y) {
                     *f = (f64::from_bits(*f) + v as f64 * inv).to_bits();
                 }
             }
-            for k in ks.iter_mut() {
-                *k = f64::from_bits(*k).round() as u64;
+            for k in &mut ks {
+                *k = round_nonneg(f64::from_bits(*k));
             }
-            ks
-        });
-        let mut out = Vec::with_capacity(self.dst.len());
-        let mut w = vec![0u64; self.src.len()];
-        // Exclusive bound on the scaled residues: `mul_const` emits
-        // canonical values, so the largest source modulus bounds every row.
-        // Backends use this to pick narrower multiply paths (IFMA).
-        let y_bound = self
-            .src
+            ys.push(ks);
+        }
+        // Exclusive bound on every row: `mul_const` emits canonical values
+        // and the overshoot count is at most `src.len()`, so the largest
+        // source modulus bounds them; Mod Down's own rows are canonical
+        // target residues. Backends use it to pick narrower multiply paths
+        // (IFMA).
+        let bound = |b: &RnsBasis| b.moduli().iter().map(Modulus::value).max();
+        let y_bound = match fold {
+            Fold::Divide(_) => bound(&self.src).max(bound(&self.dst)),
+            _ => bound(&self.src),
+        }
+        .unwrap_or(u64::MAX);
+        let mut rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
+        let mut w = Vec::with_capacity(rows.len() + 1);
+        let be = backend::get(self.backend);
+        let out = self
+            .dst
             .moduli()
             .iter()
-            .map(crate::Modulus::value)
-            .max()
-            .unwrap_or(u64::MAX);
-        for (j, t) in self.dst.moduli().iter().enumerate() {
-            for (wi, row) in w.iter_mut().zip(&self.qhat_mod_dst) {
-                *wi = row[j];
-            }
-            // `bconv_ip` overwrites every coefficient of its output.
-            let mut limb = LIMBS.take(n);
-            be.bconv_ip(t, &ys_rows, y_bound, &w, &mut limb);
-            if let Some(ks) = &ks {
-                let qj = self.q_mod_dst[j];
-                // Each fractional term is < 1, so the overshoot count k is
-                // at most src.len(): the correction multiples `k·q mod t`
-                // come from a tiny table instead of a per-coefficient
-                // Barrett multiply (same formula, so bit-identical).
-                let kq: Vec<u64> = (0..=self.src.len() as u64)
-                    .map(|k| t.mul(t.reduce(k), qj))
-                    .collect();
-                for (o, &k) in limb.iter_mut().zip(ks) {
-                    *o = t.sub(*o, kq[k as usize]);
+            .enumerate()
+            .map(|(j, t)| {
+                w.clear();
+                w.extend(self.qhat_mod_dst.iter().map(|row| row[j]));
+                match fold {
+                    Fold::Approx => {}
+                    // −k·Q: the overshoot row is the last of `rows`.
+                    Fold::Exact => w.push(t.neg(self.q_mod_dst[j])),
+                    // (a_j − Σ y_i·q̂_i)·Q⁻¹ ≡ Σ y_i·(−q̂_i·Q⁻¹) + a_j·Q⁻¹.
+                    Fold::Divide(a) => {
+                        let inv = self.q_inv_mod_dst[j];
+                        for wi in &mut w {
+                            *wi = t.neg(t.mul(*wi, inv));
+                        }
+                        w.push(inv);
+                        rows.truncate(ys.len());
+                        rows.push(&a[j]);
+                    }
                 }
-            }
-            out.push(limb);
-        }
-        LIMBS.give_all(ys.into_iter().chain(ks));
+                // `bconv_ip` overwrites every coefficient of its output.
+                let mut limb = LIMBS.take(n);
+                be.bconv_ip(t, &rows, y_bound, &w, &mut limb);
+                limb
+            })
+            .collect();
+        LIMBS.give_all(ys);
         // One MAC per (coeff, src, dst) triple plus the per-source residue
-        // scaling; the exact flavour multiplies one correction per target.
+        // scaling; the exact flavour counts one correction multiply per
+        // target (Table 2's work, though it now rides in the inner product).
         let (s, d) = (self.src.len() as u64, self.dst.len() as u64);
+        let exact = matches!(fold, Fold::Exact);
         neo_trace::add(Counter::ModMacs, n as u64 * s * d);
         neo_trace::add(Counter::ModMuls, n as u64 * (s + if exact { d } else { 0 }));
         out
@@ -293,6 +348,12 @@ impl BconvTable {
         assert_eq!(x.len(), self.src.len(), "source limb count mismatch");
         let elems: u64 = x.iter().map(|l| l.len() as u64).sum();
         neo_trace::add(Counter::ModMuls, elems);
+        self.scale_with(x, |len| vec![0u64; len])
+    }
+
+    /// `y_i = [x_i · q̂_i⁻¹]_{q_i}` for whole source limbs, each into a row
+    /// from `row(len)` (`mul_const` overwrites every element).
+    fn scale_with(&self, x: &[Vec<u64>], mut row: impl FnMut(usize) -> Vec<u64>) -> Vec<Vec<u64>> {
         let be = backend::get(self.backend);
         self.src
             .moduli()
@@ -300,7 +361,7 @@ impl BconvTable {
             .zip(x)
             .zip(&self.qhat_inv)
             .map(|((m, limb), &hi)| {
-                let mut y = vec![0u64; limb.len()];
+                let mut y = row(limb.len());
                 be.mul_const(m, m.shoup(hi), limb, &mut y);
                 y
             })
@@ -323,6 +384,8 @@ impl BconvTable {
 mod tests {
     use super::*;
     use crate::{primes, BigUint};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn bases() -> (RnsBasis, RnsBasis) {
         let qs = primes::ntt_primes(36, 1 << 10, 3).unwrap();
@@ -387,6 +450,44 @@ mod tests {
         assert!(found, "approximate conversion not within eps*Q");
     }
 
+    fn basis(bits: u32, count: usize) -> RnsBasis {
+        RnsBasis::new(&primes::ntt_primes(bits, 1 << 10, count).unwrap()).unwrap()
+    }
+
+    fn random_limbs(b: &RnsBasis, n: usize, rng: &mut StdRng) -> Vec<Vec<u64>> {
+        b.moduli()
+            .iter()
+            .map(|m| (0..n).map(|_| rng.gen_range(0..m.value())).collect())
+            .collect()
+    }
+
+    /// The real KLSS shapes — Mod Up of a 3-limb 36-bit digit into a 5-limb
+    /// 48-bit `T`, and Recover from that `T` into a 2-limb 36-bit digit —
+    /// on random full-range limbs at a length with a vector tail.
+    fn klss_shapes() -> Vec<(RnsBasis, RnsBasis, Vec<Vec<u64>>)> {
+        let mut rng = StdRng::seed_from_u64(20);
+        let n = (1 << 10) + 3;
+        [(basis(36, 3), basis(48, 5)), (basis(48, 5), basis(36, 2))]
+            .into_iter()
+            .map(|(src, dst)| {
+                let x = random_limbs(&src, n, &mut rng);
+                (src, dst, x)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rounding_matches_f64_round() {
+        let mut xs = vec![0.0, 0.499_999_999_999_999_94];
+        for k in 0..=8 {
+            let half = k as f64 + 0.5;
+            xs.extend([half.next_down(), half, half.next_up()]);
+        }
+        for x in xs {
+            assert_eq!(round_nonneg(x), x.round() as u64, "x={x:e}");
+        }
+    }
+
     #[test]
     fn limbwise_is_bit_identical_across_backends() {
         let (src, dst) = bases();
@@ -401,23 +502,26 @@ mod tests {
                     .collect()
             })
             .collect();
-        let portable = BconvTable::new(&src, &dst)
-            .unwrap()
-            .with_backend(BackendKind::Portable);
-        let simd = BconvTable::new(&src, &dst)
-            .unwrap()
-            .with_backend(BackendKind::Simd);
-        assert_eq!(portable.backend(), BackendKind::Portable);
-        assert_eq!(simd.backend(), BackendKind::Simd);
-        assert_eq!(portable.convert_exact(&x), simd.convert_exact(&x));
-        assert_eq!(portable.convert_approx(&x), simd.convert_approx(&x));
-        assert_eq!(portable.scale_limbs(&x), simd.scale_limbs(&x));
+        let mut cases = vec![(src, dst, x)];
+        cases.extend(klss_shapes());
+        for (src, dst, x) in cases {
+            let portable = BconvTable::new(&src, &dst)
+                .unwrap()
+                .with_backend(BackendKind::Portable);
+            let simd = BconvTable::new(&src, &dst)
+                .unwrap()
+                .with_backend(BackendKind::Simd);
+            assert_eq!(portable.backend(), BackendKind::Portable);
+            assert_eq!(simd.backend(), BackendKind::Simd);
+            assert_eq!(portable.convert_exact(&x), simd.convert_exact(&x));
+            assert_eq!(portable.convert_approx(&x), simd.convert_approx(&x));
+            assert_eq!(portable.scale_limbs(&x), simd.scale_limbs(&x));
+        }
     }
 
     #[test]
     fn limbwise_matches_coeffwise() {
         let (src, dst) = bases();
-        let table = BconvTable::new(&src, &dst).unwrap();
         let n = 8;
         let x: Vec<Vec<u64>> = src
             .moduli()
@@ -429,13 +533,55 @@ mod tests {
                     .collect()
             })
             .collect();
-        let out = table.convert_exact(&x);
-        for c in 0..n {
-            let xcol: Vec<u64> = x.iter().map(|l| l[c]).collect();
-            let mut ocol = vec![0u64; dst.len()];
-            table.convert_exact_coeff(&xcol, &mut ocol);
-            for j in 0..dst.len() {
-                assert_eq!(out[j][c], ocol[j]);
+        let mut cases = vec![(src, dst, x)];
+        cases.extend(klss_shapes());
+        for (src, dst, x) in cases {
+            let table = BconvTable::new(&src, &dst).unwrap();
+            let (exact, approx) = (table.convert_exact(&x), table.convert_approx(&x));
+            for c in 0..x[0].len() {
+                let xcol: Vec<u64> = x.iter().map(|l| l[c]).collect();
+                let (mut ecol, mut acol) = (vec![0u64; dst.len()], vec![0u64; dst.len()]);
+                table.convert_exact_coeff(&xcol, &mut ecol);
+                table.convert_approx_coeff(&xcol, &mut acol);
+                for j in 0..dst.len() {
+                    assert_eq!(exact[j][c], ecol[j]);
+                    assert_eq!(approx[j][c], acol[j]);
+                }
+            }
+        }
+    }
+
+    /// The two-pass Mod Down `mod_down` replaced: approximate BConv, then
+    /// `(a_j − conv_j)·Q⁻¹` coefficient by coefficient.
+    fn mod_down_two_pass(table: &BconvTable, x: &[Vec<u64>], a: &[Vec<u64>]) -> Vec<Vec<u64>> {
+        let conv = table.convert_approx(x);
+        let q = table.src().big_q();
+        table
+            .dst()
+            .moduli()
+            .iter()
+            .zip(a.iter().zip(&conv))
+            .map(|(t, (a, conv))| {
+                let inv = t.inv(q.rem_u64(t.value())).unwrap();
+                a.iter()
+                    .zip(conv)
+                    .map(|(&a, &c)| t.mul(t.sub(a, c), inv))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mod_down_matches_two_pass_reference() {
+        let mut rng = StdRng::seed_from_u64(21);
+        // Special limbs of both widths into data limbs of the other.
+        for (src, dst, x) in klss_shapes() {
+            let a = random_limbs(&dst, x[0].len(), &mut rng);
+            for kind in [BackendKind::Portable, BackendKind::Simd] {
+                let table = BconvTable::new(&src, &dst).unwrap().with_backend(kind);
+                let mut got = a.clone();
+                table.mod_down(&x, &mut got);
+                assert_eq!(got, mod_down_two_pass(&table, &x, &a), "{kind}");
             }
         }
     }

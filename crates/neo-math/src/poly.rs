@@ -322,19 +322,25 @@ impl RnsPoly {
         );
         assert_eq!(g % 2, 1, "automorphism index must be odd");
         self.check_moduli(moduli);
-        let two_n = 2 * self.n;
-        let mut out = Self::zero(self.n, self.limbs.len(), Domain::Coeff);
-        for (li, (src, m)) in self.limbs.iter().zip(moduli).enumerate() {
-            let dst = &mut out.limbs[li];
-            for (j, &c) in src.iter().enumerate() {
-                let t = (j * g) % two_n;
-                if t < self.n {
-                    dst[t] = m.add(dst[t], c);
-                } else {
-                    dst[t - self.n] = m.sub(dst[t - self.n], c);
-                }
+        let n = self.n;
+        // X^j ↦ X^t with t = j·g mod 2N lands on index t mod N, negated
+        // when t ≥ N (X^N = −1). The map is the same for every limb, so it
+        // is built once: the index in the low bits, the sign in the top bit.
+        let mut map = LIMBS.take(n);
+        let mut t = 0usize;
+        for e in &mut map {
+            *e = (t & (n - 1)) as u64 | u64::from(t >= n) << 63;
+            t = (t + g) & (2 * n - 1);
+        }
+        // Odd g makes the map a permutation: each destination is written once.
+        let mut out = Self::zero(n, self.limbs.len(), Domain::Coeff);
+        for ((dst, src), m) in out.limbs.iter_mut().zip(&self.limbs).zip(moduli) {
+            for (&c, &e) in src.iter().zip(&map) {
+                let negate = (e >> 63).wrapping_neg();
+                dst[(e & !(1 << 63)) as usize] = (m.neg(c) & negate) | (c & !negate);
             }
         }
+        LIMBS.give(map);
         out
     }
 

@@ -1,6 +1,8 @@
 //! Golden digests: a fixed-seed `test_small` KLSS session must produce the
 //! same ciphertext bytes and the same relinearisation key, bit for bit,
 //! across refactors of the transforms, the samplers and the key switch.
+//! One Hybrid HMult→Rescale pins the other key switch's Mod Up, inner
+//! product and Mod Down.
 //!
 //! Every digest is `neo_store::checksum64` of bytes whose layout does not
 //! depend on the evaluation-domain slot order: ciphertexts are encoded in
@@ -13,6 +15,7 @@
 //! that is meant to move them shows the new constants in one run.
 
 use neo::ckks::keys::KeyTarget;
+use neo::ckks::ops::{try_hmult, try_rescale};
 use neo::ckks::{CkksParams, FheEngine, KsMethod};
 use neo::math::RnsPoly;
 use neo::store::checksum64;
@@ -23,6 +26,7 @@ const HMULT_RESCALE: u64 = 0xb3c5_e2d3_cf46_f2b1;
 const HROTATE: u64 = 0xb0d2_472e_dfbc_d99e;
 const RELIN_A_COEFF: u64 = 0x6876_35d6_4244_26db;
 const RELIN_B_COEFF: u64 = 0x6ef5_f32f_8189_bd5c;
+const HYBRID_HMULT_RESCALE: u64 = 0x635c_02bb_14d1_4ac0;
 
 /// `polys` (NTT domain) taken back to coefficient form, then encoded.
 fn coeff_bytes(engine: &FheEngine, level: usize, mut polys: Vec<RnsPoly>) -> Vec<u8> {
@@ -67,10 +71,26 @@ fn fixed_seed_session_digests_are_pinned() {
                 chest.export_b_parts(level, KeyTarget::Relin).unwrap(),
             )),
         ),
+        (
+            "HYBRID_HMULT_RESCALE",
+            checksum64(&encode_ciphertext(
+                &try_rescale(
+                    engine.context(),
+                    &try_hmult(chest, &a, &b, KsMethod::Hybrid).unwrap(),
+                )
+                .unwrap(),
+            )),
+        ),
     ];
     for (name, digest) in got {
         println!("{name}: {digest:#018x}");
     }
-    let want = [HMULT_RESCALE, HROTATE, RELIN_A_COEFF, RELIN_B_COEFF];
+    let want = [
+        HMULT_RESCALE,
+        HROTATE,
+        RELIN_A_COEFF,
+        RELIN_B_COEFF,
+        HYBRID_HMULT_RESCALE,
+    ];
     assert_eq!(got.map(|(_, d)| d), want, "golden digests moved");
 }
