@@ -17,9 +17,10 @@
 //! printed up front so a failing randomized CI run reproduces exactly.
 //! Artifact: `results/fault_report.json`.
 
+use neo_ckks::encoding::Complex64;
 use neo_ckks::{
-    BatchOp, BatchProgram, Ciphertext, CkksParams, FheEngine, KeyTarget, NeoError, OpPolicy, Slot,
-    VerifyPolicy,
+    BatchOp, BatchProgram, Ciphertext, CkksParams, FheEngine, KeyTarget, LinearTransform, NeoError,
+    OpPolicy, Slot, VerifyPolicy,
 };
 use neo_error::ErrorKind;
 use neo_fault::{splitmix64, FaultPlan, FaultScope, FaultSite, FaultSpec};
@@ -36,6 +37,7 @@ use std::sync::Arc;
 const TCU_TRIALS: u64 = 300;
 const NTT_STAGE_TRIALS: u64 = 300;
 const NTT_KEYGEN_TRIALS: u64 = 60;
+const NTT_BSGS_TRIALS: u64 = 60;
 const NTT_PLAN_TRIALS: u64 = 100;
 const SCHED_TRIALS: u64 = 250;
 const CKKS_TRIALS: u64 = 100;
@@ -227,6 +229,84 @@ fn ntt_keygen_matrix(base: u64) -> Tally {
     t
 }
 
+/// A fresh seven-diagonal transform, so its first application is cold.
+fn bsgs_fixture(e: &FheEngine) -> LinearTransform {
+    let slots = e.slots();
+    let diagonals = [0, 1, 3, 8, 9, 17, slots - 1]
+        .into_iter()
+        .map(|d| {
+            let diag = (0..slots)
+                .map(|i| Complex64::new(((i * 31 + d * 7) % 11) as f64 * 0.05, 0.0))
+                .collect();
+            (d, diag)
+        })
+        .collect();
+    LinearTransform::try_from_diagonals(slots, diagonals).expect("legal transform")
+}
+
+/// Limb transforms one application of `lt` to `ct` runs, counted under a
+/// plan that never fires.
+fn bsgs_transforms(e: &FheEngine, lt: &LinearTransform, ct: &Ciphertext) -> u64 {
+    let plan = Arc::new(
+        FaultPlan::new(0).with_site(FaultSite::NttStage, FaultSpec::with_probability_ppm(0)),
+    );
+    let scope = FaultScope::install(plan.clone());
+    e.apply_transform_bsgs(lt, ct).expect("clean transform");
+    drop(scope);
+    plan.opportunities(FaultSite::NttStage)
+}
+
+/// One corrupted NTT limb inside the plaintext transforms of a cold BSGS
+/// application, through an always-verifying engine. The transform encodes
+/// its diagonals before it rotates anything, so the window opens at the
+/// first limb transform and spans what a cold application runs beyond a
+/// warm one. A detected fault whose disarmed retry on the same transform
+/// differs from clean (a faulty encoding stayed cached) counts as silent.
+fn ntt_bsgs_matrix(base: u64) -> Tally {
+    let mut t = Tally::default();
+    let e = FheEngine::new(CkksParams::test_tiny(), 20250)
+        .expect("engine")
+        .with_policy(OpPolicy {
+            verify: VerifyPolicy::Always,
+            ..OpPolicy::default()
+        });
+    let (_, cts) = batch_fixture(&e);
+    let warm = bsgs_fixture(&e);
+    // The first application also generates the Galois keys.
+    let clean = e
+        .apply_transform_bsgs(&warm, &cts[0])
+        .expect("clean run succeeds");
+    let window =
+        bsgs_transforms(&e, &bsgs_fixture(&e), &cts[0]) - bsgs_transforms(&e, &warm, &cts[0]);
+    for trial in 0..NTT_BSGS_TRIALS {
+        // Continues the ntt_stage_keygen row's seed sequence.
+        let seed = trial_seed(
+            base,
+            FaultSite::NttStage,
+            NTT_STAGE_TRIALS + NTT_KEYGEN_TRIALS + trial,
+        );
+        let lt = bsgs_fixture(&e);
+        let plan = Arc::new(FaultPlan::new(seed).with_site(
+            FaultSite::NttStage,
+            FaultSpec::once_after(splitmix64(seed) % window),
+        ));
+        let scope = FaultScope::install(plan.clone());
+        let got = e.apply_transform_bsgs(&lt, &cts[0]);
+        drop(scope);
+        t.absorb_plan(&plan, FaultSite::NttStage);
+        match got {
+            Ok(ct) => t.classify(seed, ct == clean, None),
+            Err(err) => {
+                let retry_clean = e
+                    .apply_transform_bsgs(&lt, &cts[0])
+                    .is_ok_and(|ct| ct == clean);
+                t.classify(seed, false, retry_clean.then_some(&err));
+            }
+        }
+    }
+    t
+}
+
 /// HMult → Rescale chain plus an independent HAdd.
 fn batch_fixture(e: &FheEngine) -> (BatchProgram, Vec<Ciphertext>) {
     let mut prog = BatchProgram::new();
@@ -349,6 +429,7 @@ fn main() -> ExitCode {
         ("tcu_fragment", tcu_matrix(base_seed)),
         ("ntt_stage", ntt_stage_matrix(base_seed)),
         ("ntt_stage_keygen", ntt_keygen_matrix(base_seed)),
+        ("ntt_stage_bsgs", ntt_bsgs_matrix(base_seed)),
         (
             "ntt_plan",
             batch_matrix(

@@ -494,11 +494,15 @@ impl FheEngine {
 
     // --- Higher-level helpers ---
 
-    /// Applies a linear transform (diagonal method).
+    /// Applies a linear transform as one giant group
+    /// ([`LinearTransform::try_apply`]): a rotation per non-zero diagonal
+    /// index, an evaluation-domain product per diagonal, one rescale.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying rotation / multiply / rescale errors.
+    /// [`NeoError::ParameterMismatch`] if the ciphertext's level lies
+    /// outside the chain; plus the underlying transform, rotation and
+    /// rescale errors.
     pub fn apply_transform(
         &self,
         lt: &LinearTransform,
@@ -509,11 +513,15 @@ impl FheEngine {
     }
 
     /// Applies a linear transform with baby-step/giant-step rotations
-    /// (baby-step size ≈ √D for D diagonals).
+    /// (baby-step size ≈ √D for D diagonals,
+    /// [`LinearTransform::try_apply_bsgs`]): about `2√D` rotations, an
+    /// evaluation-domain product per diagonal, one rescale.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying rotation / multiply / rescale errors.
+    /// [`NeoError::ParameterMismatch`] if the ciphertext's level lies
+    /// outside the chain; plus the underlying transform, rotation and
+    /// rescale errors.
     pub fn apply_transform_bsgs(
         &self,
         lt: &LinearTransform,
@@ -528,8 +536,10 @@ impl FheEngine {
     ///
     /// # Errors
     ///
-    /// [`NeoError::ModulusChainExhausted`] if the chain is too short for
-    /// the polynomial's degree, plus the underlying op errors.
+    /// [`NeoError::ParameterMismatch`] if the ciphertext's level lies
+    /// outside the chain; [`NeoError::ModulusChainExhausted`] if the chain
+    /// is too short for the polynomial's degree, plus the underlying op
+    /// errors.
     pub fn eval_polynomial(&self, ct: &Ciphertext, coeffs: &[f64]) -> Result<Ciphertext, NeoError> {
         let _v = VerifyScope::enter(self.policy.verify);
         linear::try_eval_polynomial(&self.chest, &self.encoder, ct, coeffs, self.method)

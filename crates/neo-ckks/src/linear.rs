@@ -2,28 +2,84 @@
 //! block of bootstrapping's CoeffToSlot / SlotToCoeff and of the encrypted
 //! convolutions in the ResNet workload) and polynomial evaluation (the
 //! building block of EvalMod and polynomial activations).
+//!
+//! A transform runs its baby-step/giant-step products in the evaluation
+//! domain (DESIGN.md, "Linear transforms in the evaluation domain"). It
+//! keeps its diagonals encoded and forward-transformed, so an application
+//! transforms each baby rotation once and takes one fused product and one
+//! inverse transform pair per giant group.
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, Plaintext};
+use crate::context::CkksContext;
 use crate::encoding::{Complex64, Encoder, SLOTS};
 use crate::keys::KeyChest;
 use crate::ops;
 use crate::params::KsMethod;
 use neo_error::NeoError;
+use neo_math::{Domain, RnsPoly};
+use parking_lot::Mutex;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A slot-space linear map `z ↦ M·z` stored by generalized diagonals:
 /// `(M·z)_i = Σ_d diag_d[i] · z_{(i+d) mod slots}`.
 ///
-/// Homomorphic application costs one rotation + one plaintext
-/// multiplication per non-zero diagonal — the access pattern whose cost
-/// the bootstrap plan models with BSGS counts.
-#[derive(Debug, Clone)]
+/// Homomorphic application ([`Self::try_apply_bsgs`]) costs `g + D/g`
+/// rotations for `D` diagonals and baby-step size `g`, and one
+/// evaluation-domain product per diagonal — the access pattern whose
+/// cost the bootstrap plan models with BSGS counts. The transform keeps
+/// one encoding of its diagonals, built by the first application and
+/// rebuilt only when the q-prime prefix, the scale or `g` changes.
 pub struct LinearTransform {
     slots: usize,
     diagonals: BTreeMap<usize, Vec<Complex64>>,
+    /// The diagonals as the last application encoded them.
+    encoding: Mutex<Option<Arc<Encoding>>>,
+}
+
+/// A transform's diagonals ready for BSGS products: each pre-rotated by
+/// its giant shift, encoded at the chain's scale and forward-transformed
+/// over one q-prime prefix. It depends on the transform alone, never on a
+/// ciphertext, and holds `D·(l+1)` limbs.
+struct Encoding {
+    /// `q_0..q_l`: the chain and, by its length, the level.
+    primes: Vec<u64>,
+    scale_bits: u64,
+    baby: usize,
+    /// Per giant group in ascending shift: the shift, and each diagonal
+    /// as its baby step and its evaluation-domain plaintext.
+    giants: Vec<(usize, Vec<(usize, Plaintext)>)>,
+}
+
+impl Clone for LinearTransform {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots,
+            diagonals: self.diagonals.clone(),
+            encoding: Mutex::new(self.encoding.lock().clone()),
+        }
+    }
+}
+
+impl std::fmt::Debug for LinearTransform {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LinearTransform")
+            .field("slots", &self.slots)
+            .field("diagonals", &self.diagonals)
+            .finish_non_exhaustive()
+    }
 }
 
 impl LinearTransform {
+    fn new(slots: usize, diagonals: BTreeMap<usize, Vec<Complex64>>) -> Self {
+        Self {
+            slots,
+            diagonals,
+            encoding: Mutex::new(None),
+        }
+    }
+
     /// Builds from an explicit dense matrix (`rows[i][j]`, `slots×slots`),
     /// keeping only non-zero diagonals.
     ///
@@ -50,7 +106,7 @@ impl LinearTransform {
                 diagonals.insert(d, diag);
             }
         }
-        Ok(Self { slots, diagonals })
+        Ok(Self::new(slots, diagonals))
     }
 
     /// Builds directly from diagonals (`d → diag_d`).
@@ -76,7 +132,7 @@ impl LinearTransform {
                 )));
             }
         }
-        Ok(Self { slots, diagonals })
+        Ok(Self::new(slots, diagonals))
     }
 
     /// Number of non-zero diagonals (= rotations per application).
@@ -103,12 +159,15 @@ impl LinearTransform {
     /// Applies the transform homomorphically: `Σ_d diag_d ⊙ rot(ct, d)`,
     /// followed by one rescale. Consumes one level.
     ///
+    /// This is [`Self::try_apply_bsgs`] with baby-step size `slots`: one
+    /// giant group of shift 0 whose babies are the rotations by each
+    /// non-zero diagonal index, so it costs one rotation per such
+    /// diagonal, one evaluation-domain product per diagonal and one
+    /// inverse transform pair.
+    ///
     /// # Errors
     ///
-    /// [`NeoError::InvalidParams`] if the transform has no diagonals;
-    /// [`NeoError::ParameterMismatch`] if the encoder's slot count differs
-    /// from the transform's; plus the underlying rotation / multiply /
-    /// rescale errors.
+    /// As [`Self::try_apply_bsgs`].
     pub fn try_apply(
         &self,
         chest: &KeyChest,
@@ -116,25 +175,131 @@ impl LinearTransform {
         ct: &Ciphertext,
         method: KsMethod,
     ) -> Result<Ciphertext, NeoError> {
+        self.try_apply_bsgs(chest, enc, ct, self.slots, method)
+    }
+
+    /// Applies the transform with the baby-step/giant-step rotation
+    /// schedule used by real CoeffToSlot/SlotToCoeff implementations:
+    /// `M·z = Σ_j rot_{g·j}( Σ_i rot^{-gj}(diag_{gj+i}) ⊙ rot_i(z) )`,
+    /// costing `g + D/g` rotations instead of `D` for `D` diagonals,
+    /// followed by one rescale. Consumes one level.
+    ///
+    /// Each baby rotation `rot_i(z)` is forward-transformed once; each
+    /// giant group is one fused multiply-add per ciphertext component
+    /// against the transform's cached plaintexts, one inverse transform
+    /// pair, then its giant rotation and a coefficient-domain HAdd. The
+    /// result is bit-identical to a PMult and HAdd per diagonal.
+    ///
+    /// # Errors
+    ///
+    /// [`NeoError::InvalidParams`] if `baby == 0` or the transform has no
+    /// diagonals; [`NeoError::ParameterMismatch`] on slot disagreement or
+    /// a ciphertext level outside the chain; plus the underlying
+    /// transform, rotation and rescale errors.
+    pub fn try_apply_bsgs(
+        &self,
+        chest: &KeyChest,
+        enc: &Encoder,
+        ct: &Ciphertext,
+        baby: usize,
+        method: KsMethod,
+    ) -> Result<Ciphertext, NeoError> {
+        if baby == 0 {
+            return Err(NeoError::invalid_params("baby-step size must be positive"));
+        }
         self.check_slots(enc)?;
         let ctx = chest.context();
-        let scale = ctx.params().scale();
+        let level = ct.level();
+        ops::check_level(ctx, "linear_transform", level)?;
+        let encoding = self.encoding(ctx, enc, level, baby)?;
+        let moduli = ctx.q_moduli(level);
+        // Baby rotations of the ciphertext, each computed and
+        // forward-transformed once.
+        let mut babies: BTreeMap<usize, [RnsPoly; 2]> = BTreeMap::new();
+        for &d in self.diagonals.keys() {
+            // Not entry().or_insert_with(): the rotation is fallible.
+            if let Entry::Vacant(slot) = babies.entry(d % baby) {
+                let rotated = match d % baby {
+                    0 => ct.clone(),
+                    i => ops::try_hrotate(chest, ct, i, method)?,
+                };
+                let (mut c0, mut c1) = rotated.into_parts();
+                ctx.try_ntt_forward(&mut c0, moduli)?;
+                ctx.try_ntt_forward(&mut c1, moduli)?;
+                slot.insert([c0, c1]);
+            }
+        }
+        let be = ctx.backend();
+        let scale = ct.scale() * ctx.params().scale();
         let mut acc: Option<Ciphertext> = None;
-        for (&d, diag) in &self.diagonals {
-            let rotated = if d == 0 {
-                ct.clone()
-            } else {
-                ops::try_hrotate(chest, ct, d, method)?
-            };
-            let pt = enc.encode(ctx, diag, scale, rotated.level());
-            let term = ops::try_pmult(ctx, &rotated, &pt)?;
+        for (shift, group) in &encoding.giants {
+            let mut parts = [0, 1].map(|k| {
+                let terms: Vec<_> = group
+                    .iter()
+                    .map(|(i, pt)| (&babies[i][k], pt.poly()))
+                    .collect();
+                let mut sum = RnsPoly::zero(ctx.degree(), level + 1, Domain::Ntt);
+                sum.mul_acc_terms_assign(be, &terms, moduli);
+                sum
+            });
+            for part in &mut parts {
+                ctx.try_ntt_inverse(part, moduli)?;
+            }
+            let [c0, c1] = parts;
+            let mut giant = Ciphertext::new(c0, c1, scale, level);
+            if *shift != 0 {
+                giant = ops::try_hrotate(chest, &giant, *shift, method)?;
+            }
             acc = Some(match acc {
-                None => term,
-                Some(a) => ops::try_hadd(ctx, &a, &term)?,
+                None => giant,
+                Some(a) => ops::try_hadd(ctx, &a, &giant)?,
             });
         }
         let acc = acc.ok_or_else(|| NeoError::invalid_params("transform has no diagonals"))?;
         ops::try_rescale(ctx, &acc)
+    }
+
+    /// The encoding for `level` and `baby`: the cached one if its key
+    /// matches, else a new one, cached only once every plaintext has
+    /// transformed cleanly, so a detected fault leaves nothing behind.
+    fn encoding(
+        &self,
+        ctx: &CkksContext,
+        enc: &Encoder,
+        level: usize,
+        baby: usize,
+    ) -> Result<Arc<Encoding>, NeoError> {
+        let primes = &ctx.q_primes()[..=level];
+        let scale = ctx.params().scale();
+        let cached = self.encoding.lock().clone();
+        if let Some(e) = cached
+            .filter(|e| e.primes == primes && e.scale_bits == scale.to_bits() && e.baby == baby)
+        {
+            return Ok(e);
+        }
+        let moduli = ctx.q_moduli(level);
+        let mut giants: Vec<(usize, Vec<(usize, Plaintext)>)> = Vec::new();
+        for (&d, diag) in &self.diagonals {
+            let (shift, i) = (d - d % baby, d % baby);
+            // Pre-rotate the diagonal right by its giant shift.
+            let mut pre = SLOTS.copied(diag);
+            pre.rotate_right(shift);
+            let mut pt = enc.encode(ctx, &pre, scale, level);
+            SLOTS.give(pre);
+            ctx.try_ntt_forward(pt.poly_mut(), moduli)?;
+            match giants.last_mut() {
+                Some((s, group)) if *s == shift => group.push((i, pt)),
+                _ => giants.push((shift, vec![(i, pt)])),
+            }
+        }
+        let built = Arc::new(Encoding {
+            primes: primes.to_vec(),
+            scale_bits: scale.to_bits(),
+            baby,
+            giants,
+        });
+        *self.encoding.lock() = Some(Arc::clone(&built));
+        Ok(built)
     }
 
     fn check_slots(&self, enc: &Encoder) -> Result<(), NeoError> {
@@ -152,82 +317,6 @@ impl LinearTransform {
     }
 }
 
-impl LinearTransform {
-    /// Applies the transform with the baby-step/giant-step rotation
-    /// schedule used by real CoeffToSlot/SlotToCoeff implementations:
-    /// `M·z = Σ_j rot_{g·j}( Σ_i rot^{-gj}(diag_{gj+i}) ⊙ rot_i(z) )`,
-    /// costing `g + D/g` rotations instead of `D` for `D` diagonals.
-    ///
-    /// # Errors
-    ///
-    /// [`NeoError::InvalidParams`] if `baby == 0` or the transform has no
-    /// diagonals; [`NeoError::ParameterMismatch`] on slot disagreement;
-    /// plus the underlying op errors.
-    pub fn try_apply_bsgs(
-        &self,
-        chest: &KeyChest,
-        enc: &Encoder,
-        ct: &Ciphertext,
-        baby: usize,
-        method: KsMethod,
-    ) -> Result<Ciphertext, NeoError> {
-        if baby == 0 {
-            return Err(NeoError::invalid_params("baby-step size must be positive"));
-        }
-        self.check_slots(enc)?;
-        let ctx = chest.context();
-        let scale = ctx.params().scale();
-        // Baby rotations of the ciphertext, computed once.
-        let mut babies: BTreeMap<usize, Ciphertext> = BTreeMap::new();
-        for &d in self.diagonals.keys() {
-            // Not entry().or_insert_with(): the rotation is fallible.
-            if let std::collections::btree_map::Entry::Vacant(slot) = babies.entry(d % baby) {
-                let i = d % baby;
-                slot.insert(if i == 0 {
-                    ct.clone()
-                } else {
-                    ops::try_hrotate(chest, ct, i, method)?
-                });
-            }
-        }
-        // Group diagonals by giant step.
-        let mut giants: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &d in self.diagonals.keys() {
-            giants.entry(d / baby).or_default().push(d);
-        }
-        let mut acc: Option<Ciphertext> = None;
-        for (&j, ds) in &giants {
-            let shift = j * baby;
-            let mut inner: Option<Ciphertext> = None;
-            for &d in ds {
-                let diag = &self.diagonals[&d];
-                // Pre-rotate the diagonal right by the giant shift.
-                let mut pre = SLOTS.copied(diag);
-                pre.rotate_right(shift % self.slots);
-                let b = &babies[&(d % baby)];
-                let pt = enc.encode(ctx, &pre, scale, b.level());
-                SLOTS.give(pre);
-                let term = ops::try_pmult(ctx, b, &pt)?;
-                inner = Some(match inner {
-                    None => term,
-                    Some(a) => ops::try_hadd(ctx, &a, &term)?,
-                });
-            }
-            let mut giant_ct =
-                inner.ok_or_else(|| NeoError::invalid_params("empty giant group"))?;
-            if !shift.is_multiple_of(self.slots) {
-                giant_ct = ops::try_hrotate(chest, &giant_ct, shift % self.slots, method)?;
-            }
-            acc = Some(match acc {
-                None => giant_ct,
-                Some(a) => ops::try_hadd(ctx, &a, &giant_ct)?,
-            });
-        }
-        let acc = acc.ok_or_else(|| NeoError::invalid_params("transform has no diagonals"))?;
-        ops::try_rescale(ctx, &acc)
-    }
-}
-
 /// Evaluates a real-coefficient polynomial `p(x) = c_0 + c_1 x + …` on a
 /// ciphertext by Horner's rule. Consumes `deg(p)` levels (one
 /// multiplication + rescale per step) — the pattern EvalMod and the
@@ -236,8 +325,9 @@ impl LinearTransform {
 /// # Errors
 ///
 /// [`NeoError::InvalidParams`] if `deg(p) < 1`;
-/// [`NeoError::ModulusChainExhausted`] if the ciphertext lacks the
-/// required depth; plus the underlying op errors.
+/// [`NeoError::ParameterMismatch`] if the ciphertext's level lies outside
+/// the chain; [`NeoError::ModulusChainExhausted`] if the ciphertext lacks
+/// the required depth; plus the underlying op errors.
 pub fn try_eval_polynomial(
     chest: &KeyChest,
     enc: &Encoder,
@@ -250,11 +340,12 @@ pub fn try_eval_polynomial(
             "need degree >= 1 (constant polys need no ciphertext)",
         ));
     }
+    let ctx = chest.context();
+    ops::check_level(ctx, "eval_polynomial", ct.level())?;
     let n = coeffs.len() - 1;
     if ct.level() < n {
         return Err(NeoError::chain_exhausted("eval_polynomial", ct.level(), n));
     }
-    let ctx = chest.context();
     let scale = ctx.params().scale();
     let slots = enc.slots();
     let constant = |c: f64, level: usize, s: f64| {
@@ -281,10 +372,9 @@ pub fn try_eval_polynomial(
 mod tests {
     use super::*;
     use crate::keys::{PublicKey, SecretKey};
-    use crate::{CkksContext, CkksParams};
+    use crate::CkksParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
 
     fn rig(seed: u64) -> (Arc<CkksContext>, KeyChest, PublicKey, Encoder, StdRng) {
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
@@ -416,35 +506,27 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), neo_error::ErrorKind::ModulusChainExhausted);
     }
-}
 
-#[cfg(test)]
-mod bsgs_tests {
-    use super::*;
-    use crate::keys::{PublicKey, SecretKey};
-    use crate::{CkksContext, CkksParams};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
+    /// Diagonals spanning several giant steps for every baby-step size
+    /// tested, with the last diagonal at the top of the slot range.
+    fn spread(slots: usize) -> LinearTransform {
+        let diagonals = [0usize, 1, 3, 8, 9, 17, 24, slots - 1]
+            .into_iter()
+            .map(|d| {
+                let diag = (0..slots)
+                    .map(|i| Complex64::new(((i * 31 + d * 7) % 11) as f64 * 0.05, 0.0))
+                    .collect();
+                (d, diag)
+            })
+            .collect();
+        LinearTransform::try_from_diagonals(slots, diagonals).unwrap()
+    }
 
     #[test]
     fn bsgs_matches_direct_application() {
-        let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
-        let mut rng = StdRng::seed_from_u64(11);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
-        let chest = KeyChest::new(ctx.clone(), sk, 12);
-        let enc = Encoder::new(ctx.degree());
+        let (ctx, chest, pk, enc, mut rng) = rig(11);
         let slots = enc.slots();
-        // A transform with diagonals spanning several giant steps.
-        let mut diagonals = std::collections::BTreeMap::new();
-        for d in [0usize, 1, 3, 8, 9, 17, 24] {
-            let diag: Vec<Complex64> = (0..slots)
-                .map(|i| Complex64::new(((i * 31 + d * 7) % 11) as f64 * 0.05, 0.0))
-                .collect();
-            diagonals.insert(d, diag);
-        }
-        let lt = LinearTransform::try_from_diagonals(slots, diagonals).unwrap();
+        let lt = spread(slots);
         let z: Vec<Complex64> = (0..slots)
             .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), 0.0))
             .collect();
@@ -455,14 +537,9 @@ mod bsgs_tests {
             .try_apply_bsgs(&chest, &enc, &ct, 8, KsMethod::Klss)
             .unwrap();
         let want = lt.apply_plain(&z);
-        let d1 = enc.decode(
-            &ctx,
-            &ops::try_decrypt(&ctx, chest.secret_key(), &direct).unwrap(),
-        );
-        let d2 = enc.decode(
-            &ctx,
-            &ops::try_decrypt(&ctx, chest.secret_key(), &bsgs).unwrap(),
-        );
+        let sk = chest.secret_key();
+        let d1 = enc.decode(&ctx, &ops::try_decrypt(&ctx, sk, &direct).unwrap());
+        let d2 = enc.decode(&ctx, &ops::try_decrypt(&ctx, sk, &bsgs).unwrap());
         for i in 0..slots {
             assert!((d1[i] - want[i]).abs() < 1e-2, "direct slot {i}");
             assert!(
@@ -471,6 +548,93 @@ mod bsgs_tests {
                 d2[i],
                 want[i]
             );
+        }
+    }
+
+    /// The per-diagonal loop the evaluation-domain BSGS replaced, from
+    /// public calls: per diagonal an encode, a PMult (five transforms)
+    /// and a coefficient-domain HAdd.
+    fn per_diagonal(
+        lt: &LinearTransform,
+        chest: &KeyChest,
+        enc: &Encoder,
+        ct: &Ciphertext,
+        baby: usize,
+        method: KsMethod,
+    ) -> Ciphertext {
+        let ctx = chest.context();
+        let scale = ctx.params().scale();
+        let slots = lt.slots();
+        let mut babies = BTreeMap::new();
+        for &d in lt.diagonals.keys() {
+            babies.entry(d % baby).or_insert_with(|| match d % baby {
+                0 => ct.clone(),
+                i => ops::try_hrotate(chest, ct, i, method).unwrap(),
+            });
+        }
+        let mut giants: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for &d in lt.diagonals.keys() {
+            giants.entry(d / baby).or_default().push(d);
+        }
+        let mut acc: Option<Ciphertext> = None;
+        for (&j, ds) in &giants {
+            let shift = j * baby;
+            let mut inner: Option<Ciphertext> = None;
+            for &d in ds {
+                let mut pre = lt.diagonals[&d].clone();
+                pre.rotate_right(shift % slots);
+                let b = &babies[&(d % baby)];
+                let pt = enc.encode(ctx, &pre, scale, b.level());
+                let term = ops::try_pmult(ctx, b, &pt).unwrap();
+                inner = Some(match inner {
+                    None => term,
+                    Some(a) => ops::try_hadd(ctx, &a, &term).unwrap(),
+                });
+            }
+            let mut giant = inner.unwrap();
+            if !shift.is_multiple_of(slots) {
+                giant = ops::try_hrotate(chest, &giant, shift % slots, method).unwrap();
+            }
+            acc = Some(match acc {
+                None => giant,
+                Some(a) => ops::try_hadd(ctx, &a, &giant).unwrap(),
+            });
+        }
+        ops::try_rescale(ctx, &acc.unwrap()).unwrap()
+    }
+
+    #[test]
+    fn bsgs_is_bit_identical_to_the_per_diagonal_loop() {
+        let (ctx, chest, pk, enc, mut rng) = rig(13);
+        let slots = enc.slots();
+        let lt = spread(slots);
+        let z: Vec<Complex64> = (0..slots)
+            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let top = ctx.params().max_level;
+        let pt = enc.encode(&ctx, &z, ctx.params().scale(), top);
+        let ct_top = ops::try_encrypt(&ctx, &pk, &pt, &mut rng).unwrap();
+        let ct_low = ops::try_level_reduce(&ct_top, 3).unwrap();
+        let cached = || lt.encoding.lock().clone().unwrap();
+        for method in [KsMethod::Klss, KsMethod::Hybrid] {
+            for baby in [1, 2, 3, 8] {
+                let mut built = Vec::new();
+                for ct in [&ct_top, &ct_top, &ct_low] {
+                    let want = per_diagonal(&lt, &chest, &enc, ct, baby, method);
+                    let got = lt.try_apply_bsgs(&chest, &enc, ct, baby, method);
+                    let level = ct.level();
+                    assert_eq!(got.unwrap(), want, "{method:?}, baby {baby}, level {level}");
+                    built.push(cached());
+                }
+                // The second top-level call reuses the first's encoding;
+                // the call further down the chain rebuilds it.
+                assert!(Arc::ptr_eq(&built[0], &built[1]), "baby {baby}: rebuilt");
+                assert!(!Arc::ptr_eq(&built[1], &built[2]), "baby {baby}: stale");
+                assert_eq!(built[2].primes.len(), ct_low.level() + 1);
+            }
+            let want = per_diagonal(&lt, &chest, &enc, &ct_top, slots, method);
+            let got = lt.try_apply(&chest, &enc, &ct_top, method).unwrap();
+            assert_eq!(got, want, "{method:?}, one giant group");
         }
     }
 }

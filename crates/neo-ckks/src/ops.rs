@@ -67,7 +67,11 @@ fn fault_gate(op: &'static str) -> Result<(), NeoError> {
 }
 
 /// The level must sit inside the context's modulus chain.
-fn check_level(ctx: &CkksContext, op: &'static str, level: usize) -> Result<(), NeoError> {
+pub(crate) fn check_level(
+    ctx: &CkksContext,
+    op: &'static str,
+    level: usize,
+) -> Result<(), NeoError> {
     let max = ctx.params().max_level;
     if level > max {
         return Err(NeoError::parameter_mismatch(

@@ -180,8 +180,9 @@ fn ntt_domain_ciphertexts_are_refused() {
     }
 }
 
-/// A ciphertext deeper than the chain is refused by every op with the
-/// typed error encrypt, decrypt and rotation already give, never a panic.
+/// A ciphertext deeper than the chain is refused by every op, linear
+/// transforms and polynomial evaluation included, with the typed error
+/// encrypt, decrypt and rotation already give, never a panic.
 #[test]
 fn ciphertexts_deeper_than_the_chain_are_refused() {
     let e = engine();
@@ -190,7 +191,13 @@ fn ciphertexts_deeper_than_the_chain_are_refused() {
     let deep = || RnsPoly::zero(ctx.degree(), level + 1, Domain::Coeff);
     let ct = Ciphertext::new(deep(), deep(), e.default_scale(), level);
     let pt = Plaintext::new(deep(), e.default_scale(), level);
+    // Diagonal 0 alone: no rotation runs before the first encode.
+    let ones = vec![Complex64::new(1.0, 0.0); e.slots()];
+    let identity = LinearTransform::try_from_diagonals(e.slots(), [(0, ones)].into()).unwrap();
     for err in [
+        e.apply_transform(&identity, &ct).unwrap_err(),
+        e.apply_transform_bsgs(&identity, &ct).unwrap_err(),
+        e.eval_polynomial(&ct, &[0.5, 1.0]).unwrap_err(),
         e.hadd(&ct, &ct).unwrap_err(),
         e.hsub(&ct, &ct).unwrap_err(),
         e.padd(&ct, &pt).unwrap_err(),

@@ -31,6 +31,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 const TCU_TRIALS: u64 = 300;
 const NTT_STAGE_TRIALS: u64 = 300;
 const NTT_KEYGEN_TRIALS: u64 = 60;
+const NTT_BSGS_TRIALS: u64 = 60;
 const NTT_PLAN_TRIALS: u64 = 100;
 const SCHED_TRIALS: u64 = 250;
 const CKKS_TRIALS: u64 = 100;
@@ -93,6 +94,7 @@ fn the_matrix_covers_at_least_1000_trials() {
         TCU_TRIALS
             + NTT_STAGE_TRIALS
             + NTT_KEYGEN_TRIALS
+            + NTT_BSGS_TRIALS
             + NTT_PLAN_TRIALS
             + SCHED_TRIALS
             + CKKS_TRIALS
@@ -268,6 +270,61 @@ fn ntt_stage_keygen_matrix() {
     assert!(
         injected >= NTT_KEYGEN_TRIALS / 2,
         "matrix is vacuous: only {injected} injections over {NTT_KEYGEN_TRIALS} trials"
+    );
+}
+
+/// One corrupted NTT limb inside the plaintext transforms of a cold BSGS
+/// application, through an always-verifying engine. A transform encodes
+/// its diagonals before it rotates anything, so the window opens at the
+/// first limb transform and spans what a cold application runs beyond a
+/// warm one. A detected fault must leave no encoding cached: a disarmed
+/// retry on the same transform must reproduce the clean result.
+#[test]
+fn ntt_stage_bsgs_matrix() {
+    let _l = test_lock();
+    let e = FheEngine::new(CkksParams::test_tiny(), engine_seed())
+        .unwrap()
+        .with_policy(OpPolicy {
+            verify: VerifyPolicy::Always,
+            ..OpPolicy::default()
+        });
+    let (_, cts) = batch_fixture(&e);
+    let warm = bsgs_fixture(&e);
+    // The first application also generates the Galois keys.
+    let clean = e.apply_transform_bsgs(&warm, &cts[0]).unwrap();
+    let window =
+        bsgs_transforms(&e, &bsgs_fixture(&e), &cts[0]) - bsgs_transforms(&e, &warm, &cts[0]);
+    assert!(window > 0, "a cold application ran no plaintext transform");
+    let mut injected = 0u64;
+    for trial in 0..NTT_BSGS_TRIALS {
+        let seed = 0x6e9e_b000 + trial;
+        let lt = bsgs_fixture(&e);
+        let skip = neo::fault::splitmix64(seed) % window;
+        let plan = Arc::new(
+            FaultPlan::new(seed).with_site(FaultSite::NttStage, FaultSpec::once_after(skip)),
+        );
+        let scope = FaultScope::install(plan.clone());
+        let got = e.apply_transform_bsgs(&lt, &cts[0]);
+        drop(scope);
+        injected += plan.injected(FaultSite::NttStage);
+        match got {
+            Ok(ct) => assert_eq!(
+                ct, clean,
+                "trial {trial} (seed {seed}): SILENT CORRUPTION in a cold transform"
+            ),
+            Err(err) => {
+                assert_detected(&err, trial, seed);
+                assert_eq!(
+                    e.apply_transform_bsgs(&lt, &cts[0]).unwrap(),
+                    clean,
+                    "trial {trial} (seed {seed}): disarmed retry differs from clean"
+                );
+            }
+        }
+    }
+    assert!(
+        injected >= NTT_BSGS_TRIALS / 2,
+        "matrix is vacuous: only {injected} injections over {NTT_BSGS_TRIALS} trials"
     );
 }
 
@@ -635,6 +692,33 @@ fn keygen_transforms(e: &FheEngine, target: KeyTarget) -> u64 {
     );
     let scope = FaultScope::install(plan.clone());
     e.chest().warm(e.max_level(), target, e.method()).unwrap();
+    drop(scope);
+    plan.opportunities(FaultSite::NttStage)
+}
+
+/// A fresh seven-diagonal transform, so its first application is cold.
+fn bsgs_fixture(e: &FheEngine) -> LinearTransform {
+    let slots = e.slots();
+    let diagonals = [0, 1, 3, 8, 9, 17, slots - 1]
+        .into_iter()
+        .map(|d| {
+            let diag = (0..slots)
+                .map(|i| Complex64::new(((i * 31 + d * 7) % 11) as f64 * 0.05, 0.0))
+                .collect();
+            (d, diag)
+        })
+        .collect();
+    LinearTransform::try_from_diagonals(slots, diagonals).unwrap()
+}
+
+/// Limb transforms one application of `lt` to `ct` runs, counted under a
+/// plan that never fires.
+fn bsgs_transforms(e: &FheEngine, lt: &LinearTransform, ct: &Ciphertext) -> u64 {
+    let plan = Arc::new(
+        FaultPlan::new(0).with_site(FaultSite::NttStage, FaultSpec::with_probability_ppm(0)),
+    );
+    let scope = FaultScope::install(plan.clone());
+    e.apply_transform_bsgs(lt, ct).unwrap();
     drop(scope);
     plan.opportunities(FaultSite::NttStage)
 }
