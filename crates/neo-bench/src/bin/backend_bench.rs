@@ -3,8 +3,9 @@
 //! run: the negacyclic NTT at `n = 2^14` (`ks-ops`) and `n = 2^13`
 //! (`coeff-to-slot`) over 36-bit (`Q`/`P`) and 48-bit (`T`) primes,
 //! exact RNS base conversion in the KLSS Mod-Up (3 → 5) and
-//! Recover-Limbs (5 → 2) shapes, and the 4-term `mul_acc` of the KLSS
-//! inner product. The 55-bit NTT and the 256×256×256 modular GEMM rows are
+//! Recover-Limbs (5 → 2) shapes, exact BConv's `f64` overshoot row over
+//! Recover's 5 source rows, and the 4-term `mul_acc` of the KLSS inner
+//! product. The 55-bit NTT and the 256×256×256 modular GEMM rows are
 //! kept as the portable fallback: the SIMD backend runs the portable
 //! kernels there, so their ratio sits at ≈1.0×.
 //!
@@ -38,6 +39,7 @@ fn stats_json(m: &Measurement) -> serde_json::Value {
 
 /// Which SIMD code path a row exercises.
 const IFMA: &str = "ifma";
+const AVX512: &str = "avx512dq f64";
 const FALLBACK: &str = "portable fallback";
 
 /// Times the portable and SIMD versions of one kernel after asserting
@@ -182,6 +184,28 @@ fn main() {
         );
     }
 
+    // --- Exact BConv's overshoot row alone: Recover Limbs' 5 scaled
+    // 48-bit T rows. ---
+    let ts = neo_math::primes::ntt_primes(48, n, 5).unwrap();
+    let rows: Vec<Vec<u64>> = ts
+        .iter()
+        .map(|&t| (0..n).map(|_| rng.gen_range(0..t)).collect())
+        .collect();
+    let ys: Vec<&[u64]> = rows.iter().map(Vec::as_slice).collect();
+    let inv_t: Vec<f64> = ts.iter().map(|&t| 1.0 / t as f64).collect();
+    let overshoot = |kind: BackendKind| {
+        let mut out = vec![0u64; n];
+        backend::get(kind).bconv_overshoot(&ys, &inv_t, &mut out);
+        out
+    };
+    table.row(
+        "bconv_overshoot_5rows_n16384",
+        AVX512,
+        json!({ "n": n, "rows": ts.len(), "src_bits": 48 }),
+        || overshoot(BackendKind::Portable),
+        || overshoot(BackendKind::Simd),
+    );
+
     // --- mul_acc: the KLSS inner product's 4 terms over a 48-bit prime. ---
     let terms = 4usize;
     let qt = Modulus::new(neo_math::primes::ntt_primes(48, n, 1).unwrap()[0]).unwrap();
@@ -240,9 +264,10 @@ fn main() {
         "detected_default": BackendKind::detect().name(),
         "kernels": table.rows,
         "notes": [
-            "The SIMD backend runs AVX-512 IFMA kernels for moduli below 2^50 on CPUs \
-             with AVX-512 IFMA, and the portable kernels otherwise; rows marked \
-             `portable fallback` (55-bit NTT, GEMM) time the same code twice.",
+            "The SIMD backend runs AVX-512 kernels on CPUs with AVX-512F, IFMA and DQ \
+             (IFMA for moduli below 2^50, radix-4 NTT passes, an f64 overshoot row), and \
+             the portable kernels otherwise; rows marked `portable fallback` (55-bit NTT, \
+             GEMM) time the same code twice.",
             "Absolute times drift between runs on a shared VM; compare same-run ratios.",
         ],
     });

@@ -1,31 +1,35 @@
 //! Pluggable compute backends for the three hot kernels.
 //!
 //! [`ComputeBackend`] is the seam between the algorithmic drivers
-//! (`neo-ntt`'s stage loops, `neo-math::bconv`'s limb conversion,
+//! (`neo-ntt`'s transforms, `neo-math::bconv`'s limb conversion,
 //! [`RnsPoly`](crate::RnsPoly)'s and `neo-ckks`'s inner products,
-//! `neo-tcu`'s blocked GEMM) and the arithmetic inner loops they execute.
-//! The drivers own *what* work happens — stage ordering, counter tallies,
-//! fault-injection hooks, ABFT checks — while a backend owns *how* one
-//! stage/inner-product/tile is evaluated. Every backend must land on the
-//! **bit-identical canonical output**: all kernels fully reduce at their
-//! boundary (the NTT's final stage folds `[0, 4q) → [0, q)`, the inverse
-//! scale and `mul_const` are full Shoup multiplies, bconv/`mul_acc`/GEMM
-//! reduce exact sums), so backends are free to hold *different lazy
-//! representatives internally* — e.g. a 52-bit Shoup quotient that lands
-//! `q` away from the 64-bit one — as long as every intermediate stays
-//! congruent and inside the stage's lazy window.
+//! `neo-tcu`'s blocked GEMM) and the arithmetic loops they execute.
+//! The drivers own *what* work happens — which transform, counter
+//! tallies, fault-injection hooks, ABFT checks — while a backend owns
+//! *how* one transform/inner-product/tile is evaluated, including how an
+//! NTT's stages group into passes over the data. Every backend must land
+//! on the **bit-identical canonical output**: all kernels fully reduce at
+//! their boundary (the forward NTT's last stage folds `[0, 4q) → [0, q)`,
+//! the inverse's `n⁻¹` scale and `mul_const` are full Shoup multiplies,
+//! bconv/`mul_acc`/GEMM reduce exact sums, the overshoot row repeats one
+//! scalar sequence of IEEE operations), so backends are free to hold
+//! *different lazy representatives internally* — e.g. a 52-bit Shoup
+//! quotient that lands `q` away from the 64-bit one — as long as every
+//! intermediate stays congruent and inside its stage's lazy window.
 //!
 //! Two backends ship:
 //!
 //! * [`PortableBackend`] — the scalar Shoup/lazy-reduction code. Always
 //!   available, the correctness anchor.
-//! * [`SimdBackend`] — AVX-512 IFMA kernels (stable `core::arch`, runtime
-//!   feature detection): 8-lane 52-bit arithmetic whenever the modulus is
-//!   below `2^50` and the CPU has IFMA, the portable kernels otherwise.
+//! * [`SimdBackend`] — AVX-512 kernels (stable `core::arch`, runtime
+//!   feature detection): 8-lane 52-bit IFMA arithmetic whenever the
+//!   modulus is below `2^50`, radix-4 NTT passes, and an 8-lane `f64`
+//!   overshoot row, on CPUs with AVX-512F, IFMA and DQ; the portable
+//!   kernels otherwise.
 //!
 //! Selection happens once per process: the `NEO_BACKEND` environment
 //! override, else runtime CPU-feature detection ([`BackendKind::detect`]:
-//! SIMD on CPUs with AVX-512 IFMA). [`active`] hands that choice to
+//! SIMD on CPUs with AVX-512F, IFMA and DQ). [`active`] hands that choice to
 //! everything above the kernel objects — `CkksContext::backend`,
 //! [`RnsPoly`](crate::RnsPoly)'s products and the default constructors
 //! (`NttPlan::new`, [`BconvTable::new`](crate::BconvTable::new),
@@ -49,8 +53,8 @@ pub use simd::SimdBackend;
 pub enum BackendKind {
     /// Scalar Shoup/lazy-reduction kernels (the reference).
     Portable,
-    /// AVX-512 IFMA kernels for moduli below `2^50` on CPUs that have
-    /// them; the portable kernels otherwise.
+    /// AVX-512 kernels (IFMA for moduli below `2^50`) on CPUs with
+    /// AVX-512F, IFMA and DQ; the portable kernels otherwise.
     Simd,
 }
 
@@ -77,7 +81,7 @@ impl BackendKind {
     ///
     /// 1. `NEO_BACKEND=portable|scalar|simd` wins outright (unknown values
     ///    are ignored, not errors — benches sweep this variable);
-    /// 2. otherwise, on a CPU with AVX-512F and AVX-512 IFMA,
+    /// 2. otherwise, on a CPU with AVX-512F, AVX-512 IFMA and AVX-512DQ,
     ///    [`BackendKind::Simd`];
     /// 3. otherwise [`BackendKind::Portable`].
     pub fn detect() -> Self {
@@ -121,20 +125,24 @@ pub fn active() -> &'static dyn ComputeBackend {
 ///
 /// Contract highlights (see module docs for the bit-identity argument):
 ///
-/// * NTT stage methods run one radix-2 stage of the merged-ψ transform
-///   (`neo-ntt`'s `radix2`): the `i`-th run of `size` elements is one
-///   block, and every butterfly in it uses the block's own twiddle
-///   `tw[i]` (`tw.len() == x.len() / size`). Forward (Cooley–Tukey)
-///   stages take and return the Harvey lazy window `[0, 4q)`, inverse
-///   (Gentleman–Sande) stages `[0, 2q)`, with `q < 2^62`. They return the
-///   number of butterflies executed, tallied from their own loop
-///   structure, so the `NttButterflies` counter `radix2` records
-///   reflects real work for *any* backend.
-/// * `ntt_fwd_stage_final` and `ntt_scale` emit canonical `[0, q)` values.
+/// * `ntt_forward` and `ntt_inverse` run the whole merged-ψ transform
+///   (`neo-ntt`'s `radix2`) over a power-of-two `x.len() = n` with the
+///   plan's `n`-entry per-block twiddle table: the stage with `b` blocks
+///   reads `tw[b..2b]`, and every butterfly of block `i` uses `tw[b + i]`.
+///   The backend owns the stage schedule — how stages group into passes
+///   over the data — but not the butterflies: every element meets the
+///   same Harvey butterflies, with the same twiddles, in the same order.
+///   Forward (Cooley–Tukey) intermediates stay in `[0, 4q)`, inverse
+///   (Gentleman–Sande) ones in `[0, 2q)`, with `q < 2^62`; both emit
+///   canonical `[0, q)`. They return the butterflies their own loops
+///   executed, so the `NttButterflies` counter `radix2` records reflects
+///   real work for *any* backend.
 /// * `mul_const` accepts **arbitrary** `u64` inputs (Shoup multiplication
 ///   is sound for any multiplicand) and emits canonical values.
 /// * `bconv_ip`, `mul_acc` and `gemm` compute exact integer sums before
 ///   reducing, so their outputs are independent of association order.
+/// * `bconv_overshoot` takes the IEEE operations of one fixed scalar
+///   loop in one fixed order, so every backend rounds alike.
 pub trait ComputeBackend: Send + Sync {
     /// Which [`BackendKind`] this implementation answers to.
     fn kind(&self) -> BackendKind;
@@ -144,27 +152,20 @@ pub trait ComputeBackend: Send + Sync {
         self.kind().name()
     }
 
-    /// One forward Cooley–Tukey stage of span `size` (`size ≥ 4`): in
-    /// block `i`, each butterfly maps `(u, v)` to `(u + w·v, u − w·v)`
-    /// for `w = tw[i]`, lazily. Inputs and outputs stay in `[0, 4q)`.
-    /// Returns butterflies executed (`x.len()/2`).
-    fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64;
+    /// The forward transform: Cooley–Tukey stages from span `n` down to
+    /// span 2, each butterfly mapping `(u, v)` to `(u + w·v, u − w·v)`
+    /// lazily, the final `[0, 4q) → [0, q)` reduction folded into the
+    /// span-2 stage. Accepts inputs in `[0, 4q)`. Returns butterflies
+    /// executed (`(n/2)·log₂ n`).
+    fn ntt_forward(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64;
 
-    /// The last forward stage (span 2, one twiddle per adjacent pair)
-    /// with the final `[0, 4q) → [0, q)` reduction folded into the
-    /// butterfly outputs. Returns butterflies executed (`x.len()/2`).
-    fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64;
-
-    /// One inverse Gentleman–Sande stage of span `size` (`size ≥ 2`): in
-    /// block `i`, each butterfly maps `(u, v)` to `(u + v, (u − v)·w)`
-    /// for `w = tw[i]`, lazily. Inputs and outputs stay in `[0, 2q)`.
-    /// Returns butterflies executed (`x.len()/2`).
-    fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64;
-
-    /// The inverse NTT's `n⁻¹` scale: `x[i] = x[i] · s.w` as a full Shoup
-    /// multiply, accepting the stage loop's `[0, 2q)` values and emitting
-    /// canonical `[0, q)`.
-    fn ntt_scale(&self, m: &Modulus, x: &mut [u64], s: ShoupMul);
+    /// The inverse transform: Gentleman–Sande stages from span 2 up to
+    /// span `n`, each butterfly mapping `(u, v)` to `(u + v, (u − v)·w)`
+    /// lazily, then the `n⁻¹` scale `x[i]·n_inv.w` as a full Shoup
+    /// multiply that emits canonical `[0, q)`. Accepts inputs in
+    /// `[0, 2q)`. Returns butterflies executed (`(n/2)·log₂ n`); the scale
+    /// is not a butterfly.
+    fn ntt_inverse(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul], n_inv: ShoupMul) -> u64;
 
     /// Element-wise constant multiply `out[i] = (x[i] · s.w) mod m`,
     /// accepting arbitrary (even unreduced) `x` and emitting canonical
@@ -185,6 +186,16 @@ pub trait ComputeBackend: Send + Sync {
     /// the data. Passing a bound that the data violates is a logic error
     /// (outputs may be wrong, never unsound); `u64::MAX` is always safe.
     fn bconv_ip(&self, t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]);
+
+    /// Exact BConv's overshoot row: `out[c] = round(Σ_i ys[i][c]·inv_q[i])`,
+    /// halves rounded away from zero as [`f64::round`] does. Each sum is
+    /// taken in `f64` from `+0.0` in row order, one product
+    /// `ys[i][c] as f64 * inv_q[i]` and one addition per row, each rounded
+    /// to nearest: no fused multiply-add. Every row is at least as long as
+    /// `out`, `ys.len() == inv_q.len()`, and the sums are non-negative and
+    /// below `2^52`, where truncating and comparing the remainder with one
+    /// half rounds exactly.
+    fn bconv_overshoot(&self, ys: &[&[u64]], inv_q: &[f64], out: &mut [u64]);
 
     /// Fused element-wise multiply-accumulate across terms:
     /// `out[c] = (out[c] + Σ_j a[j][c] · b[j][c]) mod q`, the sum taken
@@ -250,16 +261,23 @@ mod tests {
         assert_eq!(active().kind(), BackendKind::detect());
     }
 
-    /// A CPU with AVX-512 IFMA defaults to the SIMD backend, so the
-    /// cross-backend tests compare two different implementations there.
+    /// A CPU with AVX-512F, IFMA and DQ defaults to the SIMD backend, so
+    /// the cross-backend tests compare two different implementations there.
     #[test]
     fn detect_picks_simd_exactly_on_ifma_cpus() {
         let overridden = std::env::var("NEO_BACKEND")
             .ok()
             .and_then(|v| BackendKind::parse(&v))
             .is_some();
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512ifma")
+            && std::arch::is_x86_feature_detected!("avx512dq");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        assert_eq!(simd::ifma_available(), avx512);
         if !overridden {
-            let want = if simd::ifma_available() {
+            let want = if avx512 {
                 BackendKind::Simd
             } else {
                 BackendKind::Portable
@@ -281,53 +299,31 @@ mod tests {
         for bits in [30u32, 36, 48, 50, 51, 61] {
             let m = modulus(bits);
             let q = m.value();
-            let n = 64usize;
-            let lazy: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * q)).collect();
-            let lazy2: Vec<u64> = (0..n).map(|_| rng.gen_range(0..2 * q)).collect();
 
-            // Stage kernels at every span, one random twiddle per block.
-            // Lazy representatives may differ; canonical values not.
-            for size in [2usize, 4, 8, 16, 32, 64] {
-                let tw: Vec<ShoupMul> = (0..n / size)
-                    .map(|_| m.shoup(rng.gen_range(0..q)))
-                    .collect();
-                if size >= 4 {
-                    let (mut a, mut b) = (lazy.clone(), lazy.clone());
-                    assert_eq!(
-                        portable.ntt_fwd_stage(&m, &mut a, size, &tw),
-                        simd.ntt_fwd_stage(&m, &mut b, size, &tw)
-                    );
-                    for (&x, &y) in a.iter().zip(&b) {
-                        assert_eq!(x % q, y % q, "fwd stage size={size} bits={bits}");
-                        assert!(x < 4 * q && y < 4 * q);
-                    }
-                } else {
-                    let (mut a, mut b) = (lazy.clone(), lazy.clone());
-                    assert_eq!(
-                        portable.ntt_fwd_stage_final(&m, &mut a, &tw),
-                        simd.ntt_fwd_stage_final(&m, &mut b, &tw)
-                    );
-                    assert_eq!(a, b, "final stage bits={bits}");
-                    assert!(a.iter().all(|&v| v < q));
-                }
-                let (mut a, mut b) = (lazy2.clone(), lazy2.clone());
-                assert_eq!(
-                    portable.ntt_inv_stage(&m, &mut a, size, &tw),
-                    simd.ntt_inv_stage(&m, &mut b, size, &tw)
-                );
-                for (&x, &y) in a.iter().zip(&b) {
-                    assert_eq!(x % q, y % q, "inv stage size={size} bits={bits}");
-                    assert!(x < 2 * q && y < 2 * q);
-                }
+            // Whole transforms on the widest lazy inputs, random twiddles:
+            // odd and even stage counts, and n < 64, which the SIMD
+            // backend runs on the portable loops.
+            for log_n in [3u32, 4, 6, 7, 10, 13, 14] {
+                let n = 1usize << log_n;
+                let tw: Vec<ShoupMul> = (0..n).map(|_| m.shoup(rng.gen_range(0..q))).collect();
+                let want = u64::from(log_n) * n as u64 / 2;
+                let mut a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * q)).collect();
+                let mut b = a.clone();
+                assert_eq!(portable.ntt_forward(&m, &mut a, &tw), want);
+                assert_eq!(simd.ntt_forward(&m, &mut b, &tw), want);
+                assert_eq!(a, b, "forward n={n} bits={bits}");
+                assert!(a.iter().all(|&v| v < q));
+
+                let n_inv = m.shoup(rng.gen_range(0..q));
+                let mut a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..2 * q)).collect();
+                let mut b = a.clone();
+                assert_eq!(portable.ntt_inverse(&m, &mut a, &tw, n_inv), want);
+                assert_eq!(simd.ntt_inverse(&m, &mut b, &tw, n_inv), want);
+                assert_eq!(a, b, "inverse n={n} bits={bits}");
+                assert!(a.iter().all(|&v| v < q));
             }
 
-            let s = m.shoup(rng.gen_range(0..q));
-            let (mut a, mut b) = (lazy2.clone(), lazy2.clone());
-            portable.ntt_scale(&m, &mut a, s);
-            simd.ntt_scale(&m, &mut b, s);
-            assert_eq!(a, b, "scale bits={bits}");
-            assert!(a.iter().all(|&v| v < q));
-
+            let n = 64usize;
             let s = m.shoup(rng.gen_range(0..q));
             let raw: Vec<u64> = (0..n + 3).map(|_| rng.gen()).collect();
             let (mut a, mut b) = (vec![0u64; n + 3], vec![0u64; n + 3]);
@@ -367,6 +363,101 @@ mod tests {
             portable.gemm(&m, &ga, &gb, gm, gk, gn, &mut a);
             simd.gemm(&m, &ga, &gb, gm, gk, gn, &mut b);
             assert_eq!(a, b, "gemm bits={bits}");
+        }
+    }
+    /// `bconv_overshoot` rounds alike on both backends: random rows of
+    /// 1–8 source limbs at the KLSS widths, and crafted rows whose `f64`
+    /// sum is exactly `k + 1/2` or one ulp either side, at lengths with
+    /// and without a vector tail.
+    #[test]
+    fn backends_agree_on_the_overshoot_row() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+        // Both backends, each over a stale output row; returns the counts.
+        let run = |ys: &[Vec<u64>], inv: &[f64]| {
+            let rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
+            let (mut a, mut b) = (vec![u64::MAX; ys[0].len()], vec![7; ys[0].len()]);
+            get(BackendKind::Portable).bconv_overshoot(&rows, inv, &mut a);
+            get(BackendKind::Simd).bconv_overshoot(&rows, inv, &mut b);
+            assert_eq!(a, b);
+            a
+        };
+        // `k + 1/2` and its two neighbours, each with its rounded count.
+        let halves = |k: u64| {
+            let h = k as f64 + 0.5;
+            [(h.next_down(), k), (h, k + 1), (h.next_up(), k + 1)]
+        };
+        for bits in [36u32, 48] {
+            let scale = 0.5f64.powi(bits as i32);
+            for r in 1..=8usize {
+                let qs = primes::ntt_primes(bits, 1 << 10, r).unwrap();
+                let inv: Vec<f64> = qs.iter().map(|&q| 1.0 / q as f64).collect();
+                for len in [64usize, 67] {
+                    let ys: Vec<Vec<u64>> = qs
+                        .iter()
+                        .map(|&q| (0..len).map(|_| rng.gen_range(0..q)).collect())
+                        .collect();
+                    assert!(run(&ys, &inv).iter().all(|&k| k <= r as u64));
+
+                    // One row: its weight is the target over 2^(bits−1).
+                    if r == 1 {
+                        for (t, k) in halves(0) {
+                            let mut y: Vec<u64> =
+                                (0..len).map(|_| rng.gen_range(0..1 << bits)).collect();
+                            y[len - 1] = 1 << (bits - 1);
+                            assert_eq!(run(&[y], &[t * 2.0 * scale])[len - 1], k, "t={t:e}");
+                        }
+                        continue;
+                    }
+                    // Rows 0..r−1 weigh 2^−bits and sum to h or h − 2^−bits
+                    // exactly; the last row weighs 2^−60 and adds the rest of
+                    // the target. Every partial sum is exact.
+                    let fine = 0.5f64.powi(60);
+                    let mut w = vec![scale; r - 1];
+                    w.push(fine);
+                    let mut ys: Vec<Vec<u64>> = (0..r)
+                        .map(|_| (0..len).map(|_| rng.gen_range(0..1 << bits)).collect())
+                        .collect();
+                    let mut want = Vec::new();
+                    for k in 0..r as u64 - 1 {
+                        for (t, count) in halves(k) {
+                            let h = k as f64 + 0.5;
+                            let bulk = if t < h { h - scale } else { h };
+                            let col = len - 1 - 3 * want.len();
+                            let mut rest = (bulk / scale) as u64;
+                            for row in &mut ys[..r - 1] {
+                                row[col] = rest.min((1 << bits) - 1);
+                                rest -= row[col];
+                            }
+                            ys[r - 1][col] = ((t - bulk) / fine) as u64;
+                            let sum = ys
+                                .iter()
+                                .zip(&w)
+                                .fold(0.0, |f, (y, &w)| f + y[col] as f64 * w);
+                            assert_eq!((rest, sum), (0, t), "crafted column");
+                            want.push((col, count));
+                        }
+                    }
+                    let got = run(&ys, &w);
+                    for (col, count) in want {
+                        assert_eq!(got[col], count, "bits={bits} r={r} len={len} col={col}");
+                    }
+                }
+            }
+        }
+        // Two rows a fused multiply-add would round differently:
+        // 129·2^−60 + fl(7·w) is exactly 3/2, the fused 129·2^−60 + 7·w
+        // lands one ulp below it.
+        let (a, w) = (129.0 * 0.5f64.powi(60), 1.5f64.next_down() / 7.0);
+        assert_eq!((a + 7.0 * w, 7.0f64.mul_add(w, a).round()), (1.5, 1.0));
+        for len in [64usize, 67] {
+            let mut ys: Vec<Vec<u64>> = (0..2)
+                .map(|_| (0..len).map(|_| rng.gen_range(0..1 << 36)).collect())
+                .collect();
+            for col in [0, len - 1] {
+                (ys[0][col], ys[1][col]) = (129, 7);
+            }
+            let got = run(&ys, &[0.5f64.powi(60), w]);
+            assert_eq!((got[0], got[len - 1]), (2, 2), "len={len}");
         }
     }
 }

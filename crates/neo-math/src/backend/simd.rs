@@ -1,4 +1,4 @@
-//! AVX-512 IFMA backend.
+//! AVX-512 backend: IFMA modular kernels and an `f64` overshoot row.
 //!
 //! IFMA's `vpmadd52{lo,hi}uq` multiply the low 52 bits of two 64-bit lanes
 //! into a 104-bit product and add its low or high 52-bit half into an
@@ -13,37 +13,47 @@
 //!   `madd52hi(a, w_shoup >> 12)` leaves `a·w − q̂·q` in `[0, 2q)` for any
 //!   `a < 2^52`, and that remainder is computed exactly modulo `2^52`.
 //! * **NTT stages** vectorise across the butterflies of a block, which all
-//!   share the block's twiddle; spans 2, 4 and 8 (fewer than 8 butterflies
-//!   per block) gather 8 butterflies from two vectors with `vpermt2q`,
-//!   spread their blocks' twiddles with one `vpermq` per vector, and
-//!   scatter the results back.
+//!   share the block's twiddle. The backend owns the stage schedule: every
+//!   pair of stages whose wider span is at least 32 runs as one radix-4
+//!   pass (4 loads, 4 butterflies and 4 stores per 8 lanes), so a
+//!   transform of degree `2^14` makes 9 forward and 10 inverse passes over
+//!   its limb instead of 14 and 15. Spans 16 and below stay single stages;
+//!   spans 2, 4 and 8 (fewer than 8 butterflies per block) gather 8
+//!   butterflies from two vectors with `vpermt2q`, spread their blocks'
+//!   twiddles with one `vpermq` per vector, and scatter the results back.
 //! * **Inner products** (`bconv_ip`, `mul_acc`) accumulate the exact sum
 //!   as a base-`2^52` pair `(hi, lo)` — two µops per term — and reduce it
 //!   once.
+//! * **The overshoot row** of exact BConv takes 8 coefficients' `f64`
+//!   sums at once with AVX-512DQ's `u64 ↔ f64` conversions, in the scalar
+//!   loop's operation order, so it rounds bit for bit alike.
 //!
 //! Everything else falls back to [`PortableBackend`], which stays the
-//! reference: moduli of `2^50` or more, CPUs without IFMA, and GEMM (off
-//! the CKKS host path). Outputs equal the portable ones at every kernel
-//! boundary; lazy intermediates inside an NTT may differ by multiples of
-//! `q` (the 52-bit quotient estimate can differ from the 64-bit one by 1).
+//! reference: moduli of `2^50` or more, transforms shorter than 64, CPUs
+//! without AVX-512F, IFMA and DQ, and GEMM (off the CKKS host path).
+//! Outputs equal the portable ones at every kernel boundary; lazy
+//! intermediates inside an NTT may differ by multiples of `q` (the 52-bit
+//! quotient estimate can differ from the 64-bit one by 1).
 
 use super::{BackendKind, ComputeBackend, PortableBackend};
 use crate::{Modulus, ShoupMul};
 
-/// AVX-512 IFMA kernels for moduli below `2^50`, portable kernels
+/// AVX-512 kernels (IFMA for moduli below `2^50`), portable kernels
 /// otherwise. Bit-identical to [`PortableBackend`] at every kernel
 /// boundary.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimdBackend;
 
-/// True when the CPU runs the IFMA kernels (AVX-512F plus AVX-512 IFMA).
-/// `is_x86_feature_detected!` caches its probe, so this is a load and a
-/// bit test.
+/// True when the CPU runs the AVX-512 kernels: AVX-512F, AVX-512 IFMA and
+/// AVX-512DQ together, the one feature set every kernel below enables.
+/// `is_x86_feature_detected!` caches its probe, so this is a few loads
+/// and bit tests.
 pub(super) fn ifma_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512ifma")
+            && std::arch::is_x86_feature_detected!("avx512dq")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -57,8 +67,9 @@ macro_rules! route {
     ($cond:expr, $ifma:expr, $portable:expr) => {{
         #[cfg(target_arch = "x86_64")]
         if $cond {
-            // SAFETY: every route condition includes `ifma::supports`,
-            // which proved AVX-512F and AVX-512 IFMA on this CPU.
+            // SAFETY: every route condition includes `ifma_available`,
+            // directly or through `ifma::supports`, which proved
+            // AVX-512F, AVX-512 IFMA and AVX-512DQ on this CPU.
             return unsafe { $ifma };
         }
         $portable
@@ -70,38 +81,22 @@ impl ComputeBackend for SimdBackend {
         BackendKind::Simd
     }
 
-    // The NTT kernels take whole transforms: `x.len()` is the degree, a
-    // power of two, and from 64 on every span leaves the vector loops no
-    // tail (spans 2–8 read 8 block twiddles per 64 elements).
-    fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
+    // From n = 64 on every span leaves the vector loops no tail (spans
+    // 2–8 read 8 block twiddles per 64 elements); smaller transforms take
+    // the portable loops.
+    fn ntt_forward(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64 {
         route!(
             ifma::supports(m) && x.len().is_multiple_of(64),
-            ifma::stage::<{ ifma::CT }>(m, x, size, tw),
-            PortableBackend.ntt_fwd_stage(m, x, size, tw)
+            ifma::forward(m, x, tw),
+            PortableBackend.ntt_forward(m, x, tw)
         )
     }
 
-    fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64 {
+    fn ntt_inverse(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul], n_inv: ShoupMul) -> u64 {
         route!(
             ifma::supports(m) && x.len().is_multiple_of(64),
-            ifma::stage::<{ ifma::CT_FINAL }>(m, x, 2, tw),
-            PortableBackend.ntt_fwd_stage_final(m, x, tw)
-        )
-    }
-
-    fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
-        route!(
-            ifma::supports(m) && x.len().is_multiple_of(64),
-            ifma::stage::<{ ifma::GS }>(m, x, size, tw),
-            PortableBackend.ntt_inv_stage(m, x, size, tw)
-        )
-    }
-
-    fn ntt_scale(&self, m: &Modulus, x: &mut [u64], s: ShoupMul) {
-        route!(
-            ifma::supports(m) && x.len().is_multiple_of(8),
-            ifma::scale(m, x, s),
-            PortableBackend.ntt_scale(m, x, s)
+            ifma::inverse(m, x, tw, n_inv),
+            PortableBackend.ntt_inverse(m, x, tw, n_inv)
         )
     }
 
@@ -118,6 +113,14 @@ impl ComputeBackend for SimdBackend {
             ifma::supports(t) && y_bound <= 1 << 52 && ys.len() < ifma::MAX_TERMS,
             ifma::bconv_ip(t, ys, y_bound, w, out),
             PortableBackend.bconv_ip(t, ys, y_bound, w, out)
+        )
+    }
+
+    fn bconv_overshoot(&self, ys: &[&[u64]], inv_q: &[f64], out: &mut [u64]) {
+        route!(
+            ifma_available(),
+            ifma::bconv_overshoot(ys, inv_q, out),
+            PortableBackend.bconv_overshoot(ys, inv_q, out)
         )
     }
 
@@ -143,11 +146,13 @@ impl ComputeBackend for SimdBackend {
     }
 }
 
-/// The IFMA kernels. Each carries
-/// `#[target_feature(enable = "avx512f,avx512ifma")]`, so calling one from
-/// code without those features is `unsafe`; the dispatcher calls them only
-/// after [`supports`](ifma::supports) proved both, for a modulus below
-/// `2^50` — the bound every lane-range argument below relies on.
+/// The AVX-512 kernels. Each carries
+/// `#[target_feature(enable = "avx512f,avx512ifma,avx512dq")]`, so calling
+/// one from code without those features is `unsafe`; the dispatcher calls
+/// them only after [`ifma_available`] proved all three — through
+/// [`supports`](ifma::supports) for the modular kernels, which also
+/// require a modulus below `2^50`, the bound every lane-range argument
+/// below relies on.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use super::PortableBackend;
@@ -178,13 +183,13 @@ mod ifma {
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn splat(v: u64) -> V {
         _mm512_set1_epi64(v as i64)
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn load(v: &[u64; 8]) -> V {
         // SAFETY: `v` is 64 readable bytes; `loadu` needs no alignment.
         unsafe { _mm512_loadu_si512(v.as_ptr().cast()) }
@@ -192,26 +197,26 @@ mod ifma {
 
     /// Loads `row[i..i + 8]`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn load_at(row: &[u64], i: usize) -> V {
         load(row[i..].first_chunk().expect("row shorter than the output"))
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn store(v: &mut [u64; 8], x: V) {
         // SAFETY: `v` is 64 writable bytes; `storeu` needs no alignment.
         unsafe { _mm512_storeu_si512(v.as_mut_ptr().cast(), x) }
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn add(a: V, b: V) -> V {
         _mm512_add_epi64(a, b)
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn sub(a: V, b: V) -> V {
         _mm512_sub_epi64(a, b)
     }
@@ -219,7 +224,7 @@ mod ifma {
     /// `x − c` where `x ≥ c`, else `x`: the wrapped difference is huge
     /// exactly when `x < c`, so the unsigned minimum picks the answer.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn cond_sub(x: V, c: V) -> V {
         _mm512_min_epu64(_mm512_sub_epi64(x, c), x)
     }
@@ -227,7 +232,7 @@ mod ifma {
     /// Two-source lane permute: lane `l` of the result is lane `idx[l]` of
     /// the concatenation `a ‖ b` (one `vpermt2q`).
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn permute(a: V, idx: V, b: V) -> V {
         _mm512_permutex2var_epi64(a, idx, b)
     }
@@ -240,7 +245,7 @@ mod ifma {
     pub const GS: u8 = 2;
 
     /// Per-modulus lane constants.
-    struct Lanes {
+    pub struct Lanes {
         q: V,
         two_q: V,
         /// `2^52 − q`: adding `lo52(q̂·(2^52 − q))` subtracts `q̂·q`
@@ -251,8 +256,8 @@ mod ifma {
 
     impl Lanes {
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
-        fn new(m: &Modulus) -> Self {
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        pub fn new(m: &Modulus) -> Self {
             let q = m.value();
             Self {
                 q: splat(q),
@@ -266,7 +271,7 @@ mod ifma {
         /// `q̂ = ⌊a·ws/2^52⌋`, `ws = ⌊w·2^52/q⌋`: in `[0, 2q)` for
         /// `a < 2^52`, `w < q`, so its low 52 bits are the whole value.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn mul_shoup_lazy(&self, a: V, w: V, ws: V) -> V {
             let zero = _mm512_setzero_si512();
             let qhat = _mm512_madd52hi_epu64(zero, a, ws);
@@ -277,7 +282,7 @@ mod ifma {
         /// The Harvey Cooley–Tukey butterfly: `u = lo` folded below `2q`,
         /// `t = hi·w` lazily; returns `(u + t, u + 2q − t)`, both `< 4q`.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn ct(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
             let u = cond_sub(lo, self.two_q);
             let t = self.mul_shoup_lazy(hi, w, ws);
@@ -287,7 +292,7 @@ mod ifma {
         /// The lazy Gentleman–Sande butterfly for `lo, hi < 2q`: returns
         /// `lo + hi` folded below `2q` and `(lo + 2q − hi)·w` lazily.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn gs(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
             let s = cond_sub(add(lo, hi), self.two_q);
             (s, self.mul_shoup_lazy(sub(add(lo, self.two_q), hi), w, ws))
@@ -295,7 +300,7 @@ mod ifma {
 
         /// The butterfly of stage kind `KIND`.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn butterfly<const KIND: u8>(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
             match KIND {
                 CT => self.ct(lo, hi, w, ws),
@@ -309,7 +314,7 @@ mod ifma {
 
         /// Folds `[0, 4q)` to canonical `[0, q)`.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn canonical(&self, x: V) -> V {
             cond_sub(cond_sub(x, self.two_q), self.q)
         }
@@ -322,7 +327,7 @@ mod ifma {
 
     /// One Shoup pair broadcast to every lane as `(w, w_shoup >> 12)`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn splat_shoup(s: &ShoupMul) -> (V, V) {
         (splat(s.w), splat(s.w_shoup >> 12))
     }
@@ -330,7 +335,7 @@ mod ifma {
     /// Loads 8 Shoup pairs as `(w, w_shoup >> 12)` lane vectors: two wide
     /// loads and two deinterleaving permutes.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn load_shoup(tw: &[ShoupMul; 8]) -> (V, V) {
         let words = tw.as_ptr().cast::<u64>();
         // SAFETY: `ShoupMul` is `repr(C)` with two `u64` fields and no
@@ -384,7 +389,7 @@ mod ifma {
 
     impl Narrow {
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn new(half: usize) -> Self {
             Self([
                 load(&gather_idx(half, false)),
@@ -395,26 +400,142 @@ mod ifma {
         }
 
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn gather(&self, a: V, b: V) -> (V, V) {
             (permute(a, self.0[0], b), permute(a, self.0[1], b))
         }
 
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn scatter(&self, lo: V, hi: V) -> (V, V) {
             (permute(lo, self.0[2], hi), permute(lo, self.0[3], hi))
         }
     }
 
+    /// The widest span a forward transform of degree `n` runs as a single
+    /// stage: 16 when `n` has an even number of stages, 8 when odd. Every
+    /// wider stage pairs with its neighbour (the pairs' wider spans are
+    /// then at least 32), and the inverse pairs the same stages.
+    fn narrow_limit(n: usize) -> usize {
+        if n.trailing_zeros().is_multiple_of(2) {
+            16
+        } else {
+            8
+        }
+    }
+
+    /// The forward transform: radix-4 pairs of Cooley–Tukey stages from
+    /// span `n` down, then single stages from span 16 (or 8) to 4 and the
+    /// final span-2 stage.
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    pub fn forward(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64 {
+        let k = Lanes::new(m);
+        let n = x.len();
+        let mut butterflies = 0;
+        let mut span = n;
+        while span > narrow_limit(n) {
+            let b = n / span;
+            butterflies += pair::<CT>(&k, x, span, &tw[b..2 * b], &tw[2 * b..4 * b]);
+            span /= 4;
+        }
+        while span > 2 {
+            let b = n / span;
+            butterflies += stage::<CT>(&k, x, span, &tw[b..2 * b]);
+            span /= 2;
+        }
+        butterflies + stage::<CT_FINAL>(&k, x, 2, &tw[n / 2..])
+    }
+
+    /// The inverse transform: single Gentleman–Sande stages from span 2 up
+    /// to span 16 (or 8), radix-4 pairs up to span `n`, then the `n⁻¹`
+    /// scale.
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    pub fn inverse(m: &Modulus, x: &mut [u64], tw: &[ShoupMul], n_inv: ShoupMul) -> u64 {
+        let k = Lanes::new(m);
+        let n = x.len();
+        let mut butterflies = 0;
+        let mut span = 2;
+        while span <= narrow_limit(n) {
+            let b = n / span;
+            butterflies += stage::<GS>(&k, x, span, &tw[b..2 * b]);
+            span *= 2;
+        }
+        // `span` is the narrower stage of each pair.
+        while span < n {
+            let b = n / (2 * span);
+            butterflies += pair::<GS>(&k, x, 2 * span, &tw[b..2 * b], &tw[2 * b..4 * b]);
+            span *= 4;
+        }
+        scale(&k, x, n_inv);
+        butterflies
+    }
+
+    /// Two stages in one pass: span `size` with one twiddle per block
+    /// (`wide`) and span `size/2` with two (`narrow`), for `size ≥ 32`.
+    /// Each block's quarters `a, b, c, d` load once per 8 lanes: CT runs
+    /// `(a, c)`, `(b, d)` by `wide[i]`, then `(a, b)` by `narrow[2i]` and
+    /// `(c, d)` by `narrow[2i + 1]`; GS runs the same butterflies in the
+    /// opposite order. Each element meets the butterflies of the two
+    /// single stages in their order, so the outputs equal theirs
+    /// bit for bit, lazy representatives included.
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    pub fn pair<const KIND: u8>(
+        k: &Lanes,
+        x: &mut [u64],
+        size: usize,
+        wide: &[ShoupMul],
+        narrow: &[ShoupMul],
+    ) -> u64 {
+        let quarter = size / 4;
+        let mut butterflies = 0;
+        for ((block, t), u) in x
+            .chunks_exact_mut(size)
+            .zip(wide)
+            .zip(narrow.chunks_exact(2))
+        {
+            let (w, ws) = splat_shoup(t);
+            let (v0, v0s) = splat_shoup(&u[0]);
+            let (v1, v1s) = splat_shoup(&u[1]);
+            let (ab, cd) = block.split_at_mut(2 * quarter);
+            let (a, b) = ab.split_at_mut(quarter);
+            let (c, d) = cd.split_at_mut(quarter);
+            let (a, _) = a.as_chunks_mut::<8>();
+            let (b, _) = b.as_chunks_mut::<8>();
+            let (c, _) = c.as_chunks_mut::<8>();
+            let (d, _) = d.as_chunks_mut::<8>();
+            for (((a, b), c), d) in a.iter_mut().zip(b).zip(c).zip(d) {
+                let (x0, x1, x2, x3) = (load(a), load(b), load(c), load(d));
+                let (x0, x1, x2, x3) = if KIND == CT {
+                    let (x0, x2) = k.ct(x0, x2, w, ws);
+                    let (x1, x3) = k.ct(x1, x3, w, ws);
+                    let (x0, x1) = k.ct(x0, x1, v0, v0s);
+                    let (x2, x3) = k.ct(x2, x3, v1, v1s);
+                    (x0, x1, x2, x3)
+                } else {
+                    let (x0, x1) = k.gs(x0, x1, v0, v0s);
+                    let (x2, x3) = k.gs(x2, x3, v1, v1s);
+                    let (x0, x2) = k.gs(x0, x2, w, ws);
+                    let (x1, x3) = k.gs(x1, x3, w, ws);
+                    (x0, x1, x2, x3)
+                };
+                store(a, x0);
+                store(b, x1);
+                store(c, x2);
+                store(d, x3);
+            }
+            // Two stages of `size/2` butterflies each.
+            butterflies += size as u64;
+        }
+        butterflies
+    }
+
     /// A stage of kind `KIND` and span `size`: every block broadcasts its
     /// own twiddle across the lanes of its butterflies.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    pub fn stage<const KIND: u8>(m: &Modulus, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
-        let k = Lanes::new(m);
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    pub fn stage<const KIND: u8>(k: &Lanes, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
         let half = size / 2;
         if half < 8 {
-            return narrow_stage::<KIND>(&k, x, half, tw);
+            return narrow_stage::<KIND>(k, x, half, tw);
         }
         for (block, t) in x.chunks_exact_mut(size).zip(tw) {
             let (w, ws) = splat_shoup(t);
@@ -447,7 +568,7 @@ mod ifma {
     /// butterflies are gathered into one lo and one hi vector. One load
     /// of 8 block twiddles serves `half` vector pairs, each spreading its
     /// blocks' twiddles across the lanes with one permute per vector.
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     fn narrow_stage<const KIND: u8>(k: &Lanes, x: &mut [u64], half: usize, tw: &[ShoupMul]) -> u64 {
         let lanes = Narrow::new(half);
         // Pairs past the first `half` of a group do not exist; their
@@ -483,9 +604,8 @@ mod ifma {
     }
 
     /// `x[i] = x[i]·s.w mod q`, canonical, for `x[i] < 2q`.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    pub fn scale(m: &Modulus, x: &mut [u64], s: ShoupMul) {
-        let k = Lanes::new(m);
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    fn scale(k: &Lanes, x: &mut [u64], s: ShoupMul) {
         let (w, ws) = splat_shoup(&s);
         let (vecs, _) = x.as_chunks_mut::<8>();
         for v in vecs {
@@ -498,7 +618,7 @@ mod ifma {
     /// splits as `x = h·2^52 + l` (`h < 2^12`) and
     /// `x·w ≡ l·w + h·(2^52·w mod q)`; both products take one 52-bit
     /// Shoup quotient, so their combined remainder lies in `[0, 4q)`.
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     pub fn mul_const(m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) {
         let k = Lanes::new(m);
         let (w, ws) = shoup52(m, s.w);
@@ -531,7 +651,7 @@ mod ifma {
 
     impl WideReducer {
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn new(m: &Modulus) -> Self {
             let c52 = m.reduce(1 << 52);
             let c104 = m.mul(c52, c52);
@@ -549,7 +669,7 @@ mod ifma {
         /// share one Shoup remainder in `[0, 4q)`; `l0` takes its own
         /// (Shoup by 1) in `[0, 2q)`.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn reduce(&self, hi: V, lo: V) -> V {
             let k = &self.k;
             let zero = _mm512_setzero_si512();
@@ -570,7 +690,7 @@ mod ifma {
     /// `out[c] = (Σ_i ys[i][c]·w[i]) mod t` for `ys < 2^52`, `w < t`, fewer
     /// than `2^11` rows: each term adds `< 2^52` to `lo` and `< 2^50` to
     /// `hi`, so neither lane wraps.
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     pub fn bconv_ip(t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]) {
         let reducer = WideReducer::new(t);
         let (outs, tail) = out.as_chunks_mut::<8>();
@@ -592,7 +712,7 @@ mod ifma {
     /// `out[c] = (out[c] + Σ_j a[j][c]·b[j][c]) mod q` for reduced inputs
     /// and fewer than `2^11` terms: `lo` starts at `out[c] < 2^50` and
     /// gains `< 2^52` per term, `hi` gains `< 2^48`.
-    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     pub fn mul_acc(q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
         let reducer = WideReducer::new(q);
         let (outs, tail) = out.as_chunks_mut::<8>();
@@ -608,6 +728,83 @@ mod ifma {
         if !tail.is_empty() {
             let split = 8 * outs.len();
             PortableBackend.mul_acc(q, &tails(a, split), &tails(b, split), tail);
+        }
+    }
+
+    /// `out[c] = round(Σ_i ys[i][c]·inv_q[i])` with the scalar loop's IEEE
+    /// operations in its order: per source row a `u64 → f64` conversion
+    /// (`vcvtuqq2pd`), a multiply and an add, each rounded to nearest (no
+    /// FMA); then truncation (`vcvttpd2uqq`), the remainder compared with
+    /// one half, and a masked increment. Both conversions round as Rust's
+    /// `as` casts do, and they are exact below `2^52`.
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    pub fn bconv_overshoot(ys: &[&[u64]], inv_q: &[f64], out: &mut [u64]) {
+        let (half, one) = (_mm512_set1_pd(0.5), splat(1));
+        let (outs, tail) = out.as_chunks_mut::<8>();
+        for (c, o) in outs.iter_mut().enumerate() {
+            let mut f = _mm512_setzero_pd();
+            for (row, &inv) in ys.iter().zip(inv_q) {
+                let y = _mm512_cvtepu64_pd(load_at(row, 8 * c));
+                f = _mm512_add_pd(f, _mm512_mul_pd(y, _mm512_set1_pd(inv)));
+            }
+            let t = _mm512_cvttpd_epu64(f);
+            let up =
+                _mm512_cmp_pd_mask::<_CMP_GE_OQ>(_mm512_sub_pd(f, _mm512_cvtepu64_pd(t)), half);
+            store(o, _mm512_mask_add_epi64(t, up, t, one));
+        }
+        if !tail.is_empty() {
+            PortableBackend.bconv_overshoot(&tails(ys, 8 * outs.len()), inv_q, tail);
+        }
+    }
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests {
+    use super::{ifma, ifma_available};
+    use crate::{primes, Modulus, ShoupMul};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One radix-4 pass equals the two single IFMA stages it replaces on
+    /// the widest lazy inputs, lazy representatives included, and stays
+    /// inside their windows: `[0, 4q)` forward, `[0, 2q)` inverse.
+    #[test]
+    fn a_radix4_pair_is_two_single_stages() {
+        if !ifma_available() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(44);
+        let n = 1 << 10;
+        for bits in [30u32, 36, 48, 50] {
+            let m = Modulus::new(primes::ntt_primes(bits, n, 1).unwrap()[0]).unwrap();
+            let q = m.value();
+            for size in [32usize, 64, 256, n] {
+                let [wide, narrow]: [Vec<ShoupMul>; 2] = [n / size, 2 * n / size]
+                    .map(|count| (0..count).map(|_| m.shoup(rng.gen_range(0..q))).collect());
+                for (kind, window) in [(ifma::CT, 4 * q), (ifma::GS, 2 * q)] {
+                    let x: Vec<u64> = (0..n).map(|_| rng.gen_range(0..window)).collect();
+                    let (mut fused, mut split) = (x.clone(), x);
+                    // SAFETY: `ifma_available` proved AVX-512F, IFMA and DQ.
+                    unsafe {
+                        let k = ifma::Lanes::new(&m);
+                        if kind == ifma::CT {
+                            let done =
+                                ifma::pair::<{ ifma::CT }>(&k, &mut fused, size, &wide, &narrow);
+                            assert_eq!(done, n as u64);
+                            ifma::stage::<{ ifma::CT }>(&k, &mut split, size, &wide);
+                            ifma::stage::<{ ifma::CT }>(&k, &mut split, size / 2, &narrow);
+                        } else {
+                            let done =
+                                ifma::pair::<{ ifma::GS }>(&k, &mut fused, size, &wide, &narrow);
+                            assert_eq!(done, n as u64);
+                            ifma::stage::<{ ifma::GS }>(&k, &mut split, size / 2, &narrow);
+                            ifma::stage::<{ ifma::GS }>(&k, &mut split, size, &wide);
+                        }
+                    }
+                    assert_eq!(fused, split, "kind={kind} size={size} bits={bits}");
+                    assert!(fused.iter().all(|&v| v < window));
+                }
+            }
         }
     }
 }

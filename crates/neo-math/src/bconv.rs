@@ -31,10 +31,12 @@
 //! factor-2 margin below `Q` (the KLSS `T ≥ 2βN·B·B̃` budget guarantees
 //! this): the fractional sum then stays at least `1/4` away from the `1/2`
 //! rounding boundary while the f64 accumulation error is below `k·2⁻⁴⁰`.
-//! It rounds that sum by truncating and comparing the remainder with one
-//! half, which matches [`f64::round`] on the sums that can occur.
+//! The backend's [`bconv_overshoot`] takes those sums in one fixed order
+//! of IEEE operations and rounds them as [`f64::round`] does, so every
+//! backend lands on the same counts.
 //!
 //! [`bconv_ip`]: crate::backend::ComputeBackend::bconv_ip
+//! [`bconv_overshoot`]: crate::backend::ComputeBackend::bconv_overshoot
 
 use crate::backend::{self, BackendKind};
 use crate::recycle::LIMBS;
@@ -52,14 +54,6 @@ enum Fold<'a> {
     /// Mod Down: the target limbs `a` of the same value, one row each,
     /// and every weight times `Q⁻¹`: `(a_j − BConv(x)_j)·Q⁻¹`.
     Divide(&'a [Vec<u64>]),
-}
-
-/// `x.round()` for `0 ≤ x < 2^52` without a libm call: `x − ⌊x⌋` is exact
-/// in that range, so comparing it with one half rounds halves away from
-/// zero exactly as [`f64::round`] does.
-fn round_nonneg(x: f64) -> u64 {
-    let t = x as u64;
-    t + u64::from(x - t as f64 >= 0.5)
 }
 
 /// Precomputed constants for converting from one RNS basis to another.
@@ -253,21 +247,15 @@ impl BconvTable {
         for limb in x.iter().chain(own) {
             assert_eq!(limb.len(), n, "ragged limb lengths");
         }
+        let be = backend::get(self.backend);
         let mut ys = self.scale_with(x, |len| LIMBS.take(len));
         if let Fold::Exact = fold {
             // Overshoot counts k = round(Σ_i y_i/q_i), the fractional sums
             // taken in source-limb order per coefficient (the oracle's
-            // order). One row holds the f64 sums as bits (zero bits are
-            // +0.0), then the rounded counts.
-            let mut ks = LIMBS.zeroed(n);
-            for (y, &inv) in ys.iter().zip(&self.inv_q) {
-                for (f, &v) in ks.iter_mut().zip(y) {
-                    *f = (f64::from_bits(*f) + v as f64 * inv).to_bits();
-                }
-            }
-            for k in &mut ks {
-                *k = round_nonneg(f64::from_bits(*k));
-            }
+            // order).
+            let rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
+            let mut ks = LIMBS.take(n);
+            be.bconv_overshoot(&rows, &self.inv_q, &mut ks);
             ys.push(ks);
         }
         // Exclusive bound on every row: `mul_const` emits canonical values
@@ -283,7 +271,6 @@ impl BconvTable {
         .unwrap_or(u64::MAX);
         let mut rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
         let mut w = Vec::with_capacity(rows.len() + 1);
-        let be = backend::get(self.backend);
         let out = self
             .dst
             .moduli()
@@ -474,18 +461,6 @@ mod tests {
                 (src, dst, x)
             })
             .collect()
-    }
-
-    #[test]
-    fn rounding_matches_f64_round() {
-        let mut xs = vec![0.0, 0.499_999_999_999_999_94];
-        for k in 0..=8 {
-            let half = k as f64 + 0.5;
-            xs.extend([half.next_down(), half, half.next_up()]);
-        }
-        for x in xs {
-            assert_eq!(round_nonneg(x), x.round() as u64, "x={x:e}");
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub struct NttPlan {
     fwd_twiddles: Vec<ShoupMul>,
     inv_twiddles: Vec<ShoupMul>,
     /// Which [`ComputeBackend`](neo_math::ComputeBackend) executes this
-    /// plan's stages. Not part of the checksum: two plans for the same
+    /// plan's transforms. Not part of the checksum: two plans for the same
     /// `(q, n)` share identical tables (and integrity tokens) regardless
     /// of which backend runs them.
     backend: BackendKind,

@@ -21,12 +21,15 @@
 //! `[0, 2q)` ahead of one `n⁻¹` scale pass that emits canonical values.
 //! `q < 2^62` guarantees `4q < 2^64`, so nothing overflows.
 //!
-//! The stage inner loops execute on the plan's
-//! [`ComputeBackend`](neo_math::ComputeBackend) — scalar or vectorized —
-//! while this driver keeps the stage schedule, the butterfly tallies, the
-//! `ntt.forward`/`ntt.inverse` timer spans, and the fault-injection hook,
-//! so telemetry and the fault model are backend-independent by
-//! construction.
+//! Each transform is one call into the plan's
+//! [`ComputeBackend`](neo_math::ComputeBackend), which owns the stage
+//! schedule: the portable backend runs one pass per stage, the AVX-512
+//! one fuses pairs of wide stages into radix-4 passes. Either way every
+//! element meets the same butterflies with the same twiddles in the same
+//! order. This driver keeps the length check, the butterfly and `n⁻¹`
+//! multiply tallies, the `ntt.forward`/`ntt.inverse` timer spans, and the
+//! fault-injection hook, so telemetry and the fault model are
+//! backend-independent by construction.
 //!
 //! The reference path ([`forward_reference`]/[`inverse_reference`]) reduces
 //! after every operation, runs the textbook twist-then-cyclic-FFT in
@@ -40,11 +43,11 @@ use neo_trace::{Counter, SpanGuard};
 /// In-place forward negacyclic NTT (natural order in, bit-reversed
 /// evaluation order out) — Shoup fast path.
 ///
-/// The butterflies each stage executes are tallied from the loop structure
-/// (not a closed-form formula) and recorded under
+/// The butterflies the backend's loops execute are tallied from their
+/// loop structure (not a closed-form formula) and recorded under
 /// [`Counter::NttButterflies`], so the telemetry cross-check against
 /// `complexity::radix2_butterfly_macs` genuinely validates the
-/// implementation's work, stage by stage.
+/// implementation's work.
 ///
 /// # Panics
 ///
@@ -54,23 +57,12 @@ pub fn forward(plan: &NttPlan, x: &mut [u64]) {
     assert_eq!(x.len(), n, "length mismatch");
     // A timer span: one relaxed load while the gate is off.
     let _s = SpanGuard::timer("ntt.forward");
-    let m = plan.modulus();
     let be = neo_math::backend::get(plan.backend());
-    let twiddles = plan.fwd_twiddles();
-    let mut butterflies = 0u64;
-    // Cooley–Tukey stages, widest first, lazy in [0, 4q): the stage with
-    // `blocks` blocks reads twiddles blocks..2·blocks, one per block.
-    let mut blocks = 1;
-    while blocks < n / 2 {
-        let tw = &twiddles[blocks..2 * blocks];
-        butterflies += be.ntt_fwd_stage(m, x, n / blocks, tw);
-        blocks *= 2;
-    }
-    // The span-2 stage with the final [0, 4q) -> [0, q) reduction folded in.
-    butterflies += be.ntt_fwd_stage_final(m, x, &twiddles[n / 2..]);
+    let butterflies = be.ntt_forward(plan.modulus(), x, plan.fwd_twiddles());
     neo_trace::add(Counter::NttButterflies, butterflies);
-    // Fault injection: a limb corrupted after stage execution, before the
-    // result leaves the kernel — what a flipped write-back bit looks like.
+    // Fault injection: a limb corrupted after the transform runs, before
+    // the result leaves the kernel — what a flipped write-back bit looks
+    // like.
     if neo_fault::armed() {
         neo_fault::corrupt_limb(neo_fault::FaultSite::NttStage, x);
     }
@@ -89,20 +81,9 @@ pub fn inverse(plan: &NttPlan, x: &mut [u64]) {
     let _s = SpanGuard::timer("ntt.inverse");
     let m = plan.modulus();
     let be = neo_math::backend::get(plan.backend());
-    let twiddles = plan.inv_twiddles();
-    let mut butterflies = 0u64;
-    // Gentleman–Sande stages, narrowest first, lazy in [0, 2q): each
-    // butterfly emits u + v folded below 2q and (u − v + 2q)·w lazily.
-    let mut blocks = n / 2;
-    while blocks >= 1 {
-        let tw = &twiddles[blocks..2 * blocks];
-        butterflies += be.ntt_inv_stage(m, x, n / blocks, tw);
-        blocks /= 2;
-    }
+    let butterflies = be.ntt_inverse(m, x, plan.inv_twiddles(), m.shoup(plan.n_inv()));
     neo_trace::add(Counter::NttButterflies, butterflies);
-    // The n⁻¹ scale: a full Shoup multiply that also performs the final
-    // reduction to [0, q).
-    be.ntt_scale(m, x, m.shoup(plan.n_inv()));
+    // The n⁻¹ scale, one full Shoup multiply per coefficient.
     neo_trace::add(Counter::ModMuls, n as u64);
     if neo_fault::armed() {
         neo_fault::corrupt_limb(neo_fault::FaultSite::NttStage, x);
