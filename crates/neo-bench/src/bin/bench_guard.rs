@@ -142,6 +142,7 @@ fn main() {
                 program: prog,
                 inputs: Vec::new(), // pricing never touches ciphertexts
                 level: 35,
+                method: serve_cost.method,
                 noise_bits: 30.0,
                 solo_est: solo,
                 submitted: std::time::Instant::now(),

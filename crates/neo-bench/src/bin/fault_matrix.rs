@@ -351,7 +351,7 @@ fn batch_matrix(
         let plan = Arc::new(FaultPlan::new(seed).with_site(site, spec));
         let scope = FaultScope::install(plan.clone());
         let report = e
-            .execute_batch_with_report(&prog, &cts, trial % 2 == 1, 2)
+            .execute_batch_with_report(&prog, &cts, 2)
             .expect("legal program");
         drop(scope);
         t.absorb_plan(&plan, site);

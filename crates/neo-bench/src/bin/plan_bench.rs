@@ -17,10 +17,10 @@
 //!
 //! Host measurement runs the HMult batch on reduced functional
 //! parameters (`test_small` — the usual two-tier pricing split, as in
-//! `serve_bench`): a host-side planner picks a plan, and planned
-//! execution via [`FheEngine::execute_batch_planned`] is timed against
-//! the all-defaults serial path, with outputs asserted bit-identical
-//! to a same-method serial reference.
+//! `serve_bench`): a host-side planner picks a plan, and execution on a
+//! session the plan is installed on ([`FheEngine::with_plan`]) is timed
+//! against the all-defaults session, with outputs asserted
+//! bit-identical to a same-method reference.
 //!
 //! Artifacts: `BENCH_plan.json` at the repo root,
 //! `results/plan_bench.json` (via the shared `emit` convention), and
@@ -157,18 +157,18 @@ fn main() {
         .collect();
     engine.warm_program(&prog, host_level).expect("warm");
 
-    // All-defaults serial baseline (parameter-default method, 1 stream).
+    // All-defaults baseline (parameter-default method, 1 stream).
     let t0 = Instant::now();
     let default_out = engine
         .execute_batch(&prog, &inputs, false)
         .expect("default");
     let host_default_s = t0.elapsed().as_secs_f64();
 
-    // Same-method serial reference: the bit-identity anchor. Only the
-    // KS method changes ciphertext bits; streams/fusion are timing-side.
+    // Same-method reference: the bit-identity anchor. Only the KS method
+    // changes ciphertext bits; streams/fusion are timing-side.
     let engine = engine.with_plan(&ExecPlan::pinned(&host_params, host_plan.method));
     let reference: Vec<_> = engine
-        .execute_batch_planned(&prog, &inputs)
+        .execute_batch(&prog, &inputs, false)
         .expect("reference")
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
@@ -178,7 +178,7 @@ fn main() {
     let engine = engine.with_plan(&host_plan);
     let t1 = Instant::now();
     let planned_out = engine
-        .execute_batch_planned(&prog, &inputs)
+        .execute_batch(&prog, &inputs, false)
         .expect("planned");
     let host_planned_s = t1.elapsed().as_secs_f64();
     let planned: Vec<_> = planned_out
@@ -187,7 +187,7 @@ fn main() {
         .expect("planned ops");
     assert_eq!(
         planned, reference,
-        "planned outputs must be bit-identical to the serial same-method reference"
+        "planned outputs must be bit-identical to the same-method reference"
     );
     let mut identical = planned.len();
     if host_plan.method == ExecPlan::unplanned(&host_params).method {

@@ -1,5 +1,5 @@
 //! `sched_sweep` — multi-stream scheduling sweep over the `neo-sched`
-//! discrete-event simulator, plus the rayon batch executor's host speedup.
+//! discrete-event simulator, plus the batch executor's host speedup.
 //!
 //! Sweeps 1..=8 simulated streams over two kernel DAGs on the A100 model:
 //! a batch of independent KLSS HMults (`ParamSet::C`, level 35 — the
@@ -7,8 +7,9 @@
 //! standard bootstrap plan (BSGS rotations/pmults with the accumulation
 //! barrier). Reports the fixed-stream and best-of-N makespans, modeled
 //! throughput, and the elementwise-fusion statistics, then measures the
-//! wall-clock speedup of the rayon wavefront executor against serial
-//! execution of the same randomized batch program on real ciphertexts
+//! wall-clock speedup of the wavefront batch executor
+//! (`BatchProgram::execute`) over running the same randomized program's
+//! ops one by one through `ops::try_*` on real ciphertexts
 //! (`test_small`), checking bit-identity along the way.
 //!
 //! Artifacts: `BENCH_sched.json` at the repo root and
@@ -16,13 +17,14 @@
 //! schedule — load in `chrome://tracing` or Perfetto).
 
 use neo_bench::fmt_time;
-use neo_ckks::batch::BatchProgram;
+use neo_bench::measure::{self, MeasureConfig};
+use neo_ckks::batch::{BatchOp, BatchProgram, Slot};
 use neo_ckks::bootstrap::BootstrapPlan;
 use neo_ckks::cost::{CostConfig, Operation};
 use neo_ckks::encoding::Complex64;
 use neo_ckks::keys::{PublicKey, SecretKey};
 use neo_ckks::sched::{batch_op_graph, trace_graph};
-use neo_ckks::{ops, CkksContext, CkksParams, Encoder, KeyChest, KsMethod, ParamSet};
+use neo_ckks::{ops, Ciphertext, CkksContext, CkksParams, Encoder, KeyChest, KsMethod, ParamSet};
 use neo_gpu_sim::DeviceModel;
 use neo_sched::{chrome_trace, simulate, simulate_best, OpGraph, SimConfig};
 use rand::rngs::StdRng;
@@ -30,7 +32,6 @@ use rand::SeedableRng;
 use serde_json::{json, Value};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 const MAX_STREAMS: usize = 8;
 const HMULT_COPIES: usize = 8;
@@ -64,23 +65,35 @@ fn sweep(g: &OpGraph, dev: &DeviceModel, ops_in_graph: usize, human: &mut String
     rows
 }
 
-/// Wall-clock host timing of one batch-program execution.
-fn time_execute(
-    prog: &BatchProgram,
-    chest: &KeyChest,
-    inputs: &[neo_ckks::Ciphertext],
-    parallel: bool,
-) -> (f64, Vec<neo_ckks::Ciphertext>) {
-    let t0 = Instant::now();
-    let out = prog
-        .execute(chest, inputs, KsMethod::Klss, parallel)
+/// The executor's reference: the program's ops one by one in issue
+/// order through the public `ops::try_*` calls.
+fn run_sequential(prog: &BatchProgram, chest: &KeyChest, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
+    let ctx = chest.context();
+    let mut out: Vec<Ciphertext> = Vec::with_capacity(prog.ops.len());
+    for op in &prog.ops {
+        let get = |s: Slot| match s {
+            Slot::Input(i) => &inputs[i],
+            Slot::Op(j) => &out[j],
+        };
+        let ct = match *op {
+            BatchOp::HMult(a, b) => ops::try_hmult(chest, get(a), get(b), KsMethod::Klss),
+            BatchOp::HAdd(a, b) => ops::try_hadd(ctx, get(a), get(b)),
+            BatchOp::HRotate(a, steps) => ops::try_hrotate(chest, get(a), steps, KsMethod::Klss),
+            BatchOp::Rescale(a) => ops::try_rescale(ctx, get(a)),
+        }
         .expect("random programs are legal");
-    let secs = t0.elapsed().as_secs_f64();
-    let cts = out
+        out.push(ct);
+    }
+    out
+}
+
+/// The batch executor's outputs.
+fn run_executor(prog: &BatchProgram, chest: &KeyChest, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
+    prog.execute(chest, inputs, KsMethod::Klss)
+        .expect("random programs are legal")
         .into_iter()
         .map(|r| r.expect("random programs are legal"))
-        .collect();
-    (secs, cts)
+        .collect()
 }
 
 fn main() {
@@ -128,7 +141,7 @@ fn main() {
         }
     }
 
-    // --- Rayon batch executor: host wall-clock speedup ----------------
+    // --- Batch executor: host wall-clock speedup ---------------------
     let ctx = Arc::new(CkksContext::new(CkksParams::test_small()).expect("test_small context"));
     let mut rng = StdRng::seed_from_u64(21);
     let sk = SecretKey::generate(&ctx, &mut rng);
@@ -147,18 +160,27 @@ fn main() {
         })
         .collect();
     let prog = BatchProgram::random(&mut rng, inputs.len(), 24, level, ctx.degree());
-    // Warm once so key generation is excluded from both timings.
-    let _ = prog.execute(&chest, &inputs, KsMethod::Klss, false);
-    let (serial_s, serial_out) = time_execute(&prog, &chest, &inputs, false);
-    let (parallel_s, parallel_out) = time_execute(&prog, &chest, &inputs, true);
-    assert_eq!(serial_out, parallel_out, "executor outputs diverged");
-    let host_speedup = serial_s / parallel_s;
+    // The first sequential run generates the keys, outside the timings.
+    let reference = run_sequential(&prog, &chest, &inputs);
+    assert_eq!(
+        run_executor(&prog, &chest, &inputs),
+        reference,
+        "executor outputs diverged from the sequential reference"
+    );
+    let (sequential, executor) = measure::time_pair(
+        &MeasureConfig::from_env(),
+        || run_sequential(&prog, &chest, &inputs),
+        || run_executor(&prog, &chest, &inputs),
+    );
+    let (sequential_s, executor_s) = (sequential.median_ns * 1e-9, executor.median_ns * 1e-9);
+    let host_speedup = sequential_s / executor_s;
     let _ = writeln!(
         human,
-        "\nBatch executor (test_small, 24-op random program, {} threads): serial {} vs parallel {} -> {host_speedup:.2}x, bit-identical",
+        "\nBatch executor (test_small, 24-op random program, {} threads, median of {} alternating samples): sequential {} vs executor {} -> {host_speedup:.2}x, bit-identical",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        fmt_time(serial_s),
-        fmt_time(parallel_s),
+        sequential.samples,
+        fmt_time(sequential_s),
+        fmt_time(executor_s),
     );
 
     println!("{human}");
@@ -189,8 +211,9 @@ fn main() {
         "batch_executor": {
             "params": "test_small",
             "program_ops": prog.ops.len(),
-            "serial_s": serial_s,
-            "parallel_s": parallel_s,
+            "samples": sequential.samples,
+            "sequential_s": sequential_s,
+            "executor_s": executor_s,
             "host_speedup": host_speedup,
             "bit_identical": true,
         },

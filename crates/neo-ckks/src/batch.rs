@@ -1,16 +1,18 @@
 //! Batch workloads over real ciphertexts: one dependency structure that
-//! both *executes* on the host (serial or rayon wavefronts via
-//! [`neo_sched::TaskGraph`]) and *prices* on the device model (as a
-//! kernel DAG via [`crate::sched`]).
+//! both *executes* on the host (topological wavefronts on the rayon
+//! pool) and *prices* on the device model (as a kernel DAG via
+//! [`crate::sched`]).
 //!
 //! A [`BatchProgram`] is a list of ciphertext operations whose operands
-//! are either batch inputs or earlier results ([`Slot`]). Independent
-//! operations run concurrently under [`BatchProgram::execute`] with
-//! `parallel = true`, and the output is bit-identical to the serial run:
-//! every CKKS primitive here is a deterministic pure function of its
-//! operands, and the required key-switching keys are generated *before*
-//! the parallel region (key generation draws from the chest's RNG, so
-//! its order must not depend on the thread schedule).
+//! are either batch inputs or earlier results ([`Slot`]).
+//! [`BatchProgram::execute`] groups the operations by operand depth and
+//! runs each group concurrently, its ops pulled one at a time by the
+//! pool's workers, and the output is bit-identical to
+//! running the operations one by one in issue order: every CKKS
+//! primitive here is a deterministic pure function of its operands, and
+//! the required key-switching keys are generated *before* the first
+//! wave (key generation draws from the chest's RNG, so its order must
+//! not depend on the thread schedule).
 //!
 //! Execution isolates per-operation failures: an op that fails (say a
 //! rescale at level 0) yields its structured [`NeoError`], ops that
@@ -24,11 +26,12 @@ use crate::keys::{KeyChest, KeyTarget};
 use crate::ops;
 use crate::params::{CkksParams, KsMethod};
 use crate::sched::append_op;
-use neo_error::{ErrorKind, NeoError};
+use neo_error::NeoError;
 use neo_ntt::cache as ntt_cache;
-use neo_sched::{OpGraph, TaskGraph};
+use neo_sched::OpGraph;
 use rand::Rng;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bounded retry budget [`BatchProgram::execute`] grants each op for
 /// transient [`NeoError::FaultDetected`] failures.
@@ -62,6 +65,15 @@ impl BatchReport {
     pub fn total_recovered(&self) -> u32 {
         self.faults_recovered.iter().sum()
     }
+}
+
+/// One op's result and recovery accounting, as [`BatchReport`] records
+/// them.
+struct OpOutcome {
+    result: Result<Ciphertext, NeoError>,
+    retries: u32,
+    recovered: u32,
+    quarantined: u64,
 }
 
 /// Maps a detection site back to the `neo_fault` injection site whose
@@ -198,7 +210,7 @@ impl BatchProgram {
 
     /// Generates every key-switching key the program will need, in
     /// deterministic issue order. Called by [`Self::execute`] before the
-    /// parallel region so the chest's RNG draws in a schedule-independent
+    /// first wave so the chest's RNG draws in a schedule-independent
     /// order (lazily generating keys from worker threads would make the
     /// keys themselves depend on thread timing).
     ///
@@ -242,10 +254,35 @@ impl BatchProgram {
         Ok(())
     }
 
+    /// The ops grouped by operand depth: wave `k` holds every op whose
+    /// longest chain of producers has length `k`, in issue order. The ops
+    /// of one wave are mutually independent.
+    fn wavefronts(&self) -> Vec<Vec<usize>> {
+        let mut depth = Vec::with_capacity(self.ops.len());
+        let mut waves: Vec<Vec<usize>> = Vec::new();
+        for (idx, op) in self.ops.iter().enumerate() {
+            let d = op
+                .operands()
+                .into_iter()
+                .filter_map(|s| match s {
+                    Slot::Op(j) => Some(depth[j] + 1),
+                    Slot::Input(_) => None,
+                })
+                .max()
+                .unwrap_or(0);
+            depth.push(d);
+            if waves.len() <= d {
+                waves.resize_with(d + 1, Vec::new);
+            }
+            waves[d].push(idx);
+        }
+        waves
+    }
+
     /// Runs the program over `inputs` and returns every operation's
-    /// output. With `parallel = true` independent operations execute
-    /// concurrently (topological wavefronts on the rayon pool); the
-    /// result is bit-identical to the serial run.
+    /// output. Independent operations execute concurrently, one
+    /// topological wave at a time on the rayon pool; the result is
+    /// bit-identical to running the ops one by one in issue order.
     ///
     /// Failures are isolated per operation: an op that fails (after
     /// [`DEFAULT_MAX_RETRIES`] recovery attempts for transient
@@ -265,9 +302,8 @@ impl BatchProgram {
         chest: &KeyChest,
         inputs: &[Ciphertext],
         method: KsMethod,
-        parallel: bool,
     ) -> Result<Vec<Result<Ciphertext, NeoError>>, NeoError> {
-        self.execute_with_report(chest, inputs, method, parallel, DEFAULT_MAX_RETRIES)
+        self.execute_with_report(chest, inputs, method, DEFAULT_MAX_RETRIES)
             .map(|r| r.results)
     }
 
@@ -280,8 +316,8 @@ impl BatchProgram {
     /// and a deterministic backoff runs. Because every op is a pure
     /// function of its operands, a successful retry is bit-identical to a
     /// fault-free execution. Key warm-up still happens once, in issue
-    /// order, *before* the parallel region — retries reuse the cached
-    /// keys and never touch the chest's RNG.
+    /// order, *before* the first wave — retries reuse the cached keys and
+    /// never touch the chest's RNG.
     ///
     /// # Errors
     ///
@@ -291,7 +327,6 @@ impl BatchProgram {
         chest: &KeyChest,
         inputs: &[Ciphertext],
         method: KsMethod,
-        parallel: bool,
         max_retries: u32,
     ) -> Result<BatchReport, NeoError> {
         if let Some(first) = inputs.first() {
@@ -309,125 +344,106 @@ impl BatchProgram {
         if let Some(first) = inputs.first() {
             self.warm_keys(chest, first.level(), method)?;
         }
-        let ctx = chest.context();
         let n_ops = self.ops.len();
-        let retries: Vec<AtomicU32> = (0..n_ops).map(|_| AtomicU32::new(0)).collect();
-        let recovered: Vec<AtomicU32> = (0..n_ops).map(|_| AtomicU32::new(0)).collect();
-        let quarantined = AtomicU64::new(0);
-        let results = {
-            let mut tg: TaskGraph<'_, Result<Ciphertext, NeoError>> = TaskGraph::new();
-            for (idx, op) in self.ops.iter().enumerate() {
-                // Task dependencies: operand slots that are earlier ops (the
-                // task index equals the op index — one task per op).
-                let deps: Vec<usize> = op
-                    .operands()
-                    .into_iter()
-                    .filter_map(|s| match s {
-                        Slot::Op(j) => Some(j),
-                        Slot::Input(_) => None,
-                    })
-                    .collect();
-                let op = *op;
-                let dep_ids = deps.clone();
-                let (retries, recovered, quarantined) = (&retries, &recovered, &quarantined);
-                tg.push(
-                    &deps,
-                    move |resolved: &[&Result<Ciphertext, NeoError>]| {
-                        // A failed producer poisons this op (first failed operand
-                        // in operand order names the upstream culprit).
-                        for (r, &j) in resolved.iter().zip(&dep_ids) {
-                            if r.is_err() {
-                                return Err(NeoError::poisoned(idx, j));
-                            }
-                        }
-                        let run = || {
-                            // Dep outputs arrive in operand order; inputs come
-                            // from the captured slice.
-                            let mut next = resolved.iter();
-                            let mut get = |s: Slot| -> &Ciphertext {
-                                match s {
-                                    Slot::Input(i) => &inputs[i],
-                                    Slot::Op(_) => next
-                                        .next()
-                                        .expect("dependency output")
-                                        .as_ref()
-                                        .expect("poison-checked above"),
-                                }
-                            };
-                            match op {
-                                BatchOp::HMult(a, b) => {
-                                    let (a, b) = (get(a), get(b));
-                                    ops::try_hmult(chest, a, b, method)
-                                }
-                                BatchOp::HAdd(a, b) => {
-                                    let (a, b) = (get(a), get(b));
-                                    ops::try_hadd(ctx, a, b)
-                                }
-                                BatchOp::HRotate(a, steps) => {
-                                    ops::try_hrotate(chest, get(a), steps, method)
-                                }
-                                BatchOp::Rescale(a) => ops::try_rescale(ctx, get(a)),
-                            }
-                        };
-                        let mut attempt = 0u32;
-                        let mut last_site: Option<&'static str> = None;
-                        loop {
-                            match run() {
-                                Ok(ct) => {
-                                    if attempt > 0 {
-                                        recovered[idx].fetch_add(attempt, Ordering::Relaxed);
-                                        if let Some(site) = last_site.and_then(injection_site) {
-                                            neo_fault::note_recovery(site);
-                                        }
-                                    }
-                                    return Ok(ct);
-                                }
-                                Err(e)
-                                    if e.kind() == ErrorKind::FaultDetected
-                                        && attempt < max_retries =>
-                                {
-                                    if let NeoError::FaultDetected { site, .. } = &e {
-                                        last_site = Some(*site);
-                                    }
-                                    attempt += 1;
-                                    retries[idx].fetch_add(1, Ordering::Relaxed);
-                                    // An NTT-site fault may stem from a rotted
-                                    // plan rather than a transient flip: sweep
-                                    // and rebuild poisoned cache entries so the
-                                    // retry reruns against clean tables. The
-                                    // sweep is gated on the detection site: a
-                                    // TCU or spurious-op fault says nothing
-                                    // about the plan cache, and the sweep's
-                                    // write lock on the process-wide cache
-                                    // would stall every other tenant's NTTs
-                                    // for no reason (see the interleaved-
-                                    // tenant regression test).
-                                    if sweeps_plan_cache(last_site) {
-                                        let swept = ntt_cache::quarantine_corrupt();
-                                        quarantined.fetch_add(swept as u64, Ordering::Relaxed);
-                                    }
-                                    backoff(attempt);
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    },
-                );
-            }
-            if parallel {
-                tg.run_parallel()
-            } else {
-                tg.run_serial()
-            }
+        let mut done: Vec<Option<Result<Ciphertext, NeoError>>> = Vec::new();
+        done.resize_with(n_ops, || None);
+        let mut report = BatchReport {
+            results: Vec::with_capacity(n_ops),
+            retries_attempted: vec![0; n_ops],
+            faults_recovered: vec![0; n_ops],
+            plans_quarantined: 0,
         };
-        let report = BatchReport {
-            results,
-            retries_attempted: retries.into_iter().map(AtomicU32::into_inner).collect(),
-            faults_recovered: recovered.into_iter().map(AtomicU32::into_inner).collect(),
-            plans_quarantined: quarantined.into_inner(),
-        };
+        for wave in self.wavefronts() {
+            // Each pool worker pulls the wave's next op off a shared
+            // counter: ops differ in cost, so an even split of the wave by
+            // count could leave one worker two heavy ops while the other
+            // idles. The counter only hands out indices (`Relaxed`); the
+            // outcomes come back through the pool's join.
+            let next = AtomicUsize::new(0);
+            let lanes = rayon::current_num_threads().min(wave.len());
+            let outcomes: Vec<Vec<(usize, OpOutcome)>> = (0..lanes)
+                .into_par_iter()
+                .map(|_| {
+                    let mut pulled = Vec::new();
+                    while let Some(&idx) = wave.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let outcome = self.run_op(idx, chest, inputs, &done, method, max_retries);
+                        pulled.push((idx, outcome));
+                    }
+                    pulled
+                })
+                .collect();
+            for (idx, outcome) in outcomes.into_iter().flatten() {
+                done[idx] = Some(outcome.result);
+                report.retries_attempted[idx] = outcome.retries;
+                report.faults_recovered[idx] = outcome.recovered;
+                report.plans_quarantined += outcome.quarantined;
+            }
+        }
+        report.results = done.into_iter().flatten().collect();
         crate::metrics::record_batch_report(&report);
         Ok(report)
+    }
+
+    /// Runs op `idx` against its producers' results in `done`, with up to
+    /// `max_retries` retries of a detected fault.
+    fn run_op(
+        &self,
+        idx: usize,
+        chest: &KeyChest,
+        inputs: &[Ciphertext],
+        done: &[Option<Result<Ciphertext, NeoError>>],
+        method: KsMethod,
+        max_retries: u32,
+    ) -> OpOutcome {
+        // A failed producer poisons this op; the first failed operand in
+        // operand order names the upstream culprit.
+        let operand = |s: Slot| match s {
+            Slot::Input(i) => Ok(&inputs[i]),
+            Slot::Op(j) => match &done[j] {
+                Some(Ok(ct)) => Ok(ct),
+                _ => Err(NeoError::poisoned(idx, j)),
+            },
+        };
+        let ctx = chest.context();
+        let run = || match self.ops[idx] {
+            BatchOp::HMult(a, b) => ops::try_hmult(chest, operand(a)?, operand(b)?, method),
+            BatchOp::HAdd(a, b) => ops::try_hadd(ctx, operand(a)?, operand(b)?),
+            BatchOp::HRotate(a, steps) => ops::try_hrotate(chest, operand(a)?, steps, method),
+            BatchOp::Rescale(a) => ops::try_rescale(ctx, operand(a)?),
+        };
+        let mut outcome = OpOutcome {
+            result: run(),
+            retries: 0,
+            recovered: 0,
+            quarantined: 0,
+        };
+        let mut last_site: Option<&'static str> = None;
+        while let Err(NeoError::FaultDetected { site, .. }) = &outcome.result {
+            if outcome.retries >= max_retries {
+                break;
+            }
+            last_site = Some(*site);
+            outcome.retries += 1;
+            // An NTT-site fault may stem from a rotted plan rather than a
+            // transient flip: sweep and rebuild poisoned cache entries so
+            // the retry reruns against clean tables. The sweep is gated on
+            // the detection site: a TCU or spurious-op fault says nothing
+            // about the plan cache, and the sweep's write lock on the
+            // process-wide cache would stall every other tenant's NTTs for
+            // no reason (see the interleaved-tenant regression test).
+            if sweeps_plan_cache(last_site) {
+                outcome.quarantined += ntt_cache::quarantine_corrupt() as u64;
+            }
+            backoff(outcome.retries);
+            outcome.result = run();
+        }
+        if outcome.retries > 0 && outcome.result.is_ok() {
+            outcome.recovered = outcome.retries;
+            if let Some(site) = last_site.and_then(injection_site) {
+                neo_fault::note_recovery(site);
+            }
+        }
+        outcome
     }
 
     /// The program's kernel DAG on the device model: each operation's
@@ -574,6 +590,19 @@ mod tests {
         let r = push(&mut prog, BatchOp::Rescale(m));
         push(&mut prog, BatchOp::HRotate(r, 3));
         assert_eq!(prog.op_levels(5), vec![5, 5, 4]);
+    }
+
+    #[test]
+    fn wavefronts_group_ops_by_operand_depth() {
+        // A diamond over one input plus an independent op: 0 -> {1, 2} -> 3.
+        let mut prog = BatchProgram::new();
+        let m = push(&mut prog, BatchOp::HMult(Slot::Input(0), Slot::Input(0)));
+        let l = push(&mut prog, BatchOp::HRotate(m, 1));
+        let r = push(&mut prog, BatchOp::HRotate(m, 2));
+        push(&mut prog, BatchOp::HAdd(l, r));
+        push(&mut prog, BatchOp::HAdd(Slot::Input(0), Slot::Input(1)));
+        assert_eq!(prog.wavefronts(), vec![vec![0, 4], vec![1, 2], vec![3]]);
+        assert!(BatchProgram::new().wavefronts().is_empty());
     }
 
     #[test]

@@ -182,11 +182,11 @@ impl FheEngine {
     }
 
     /// Installs an execution plan: the session adopts the plan's
-    /// key-switching method and verify policy, and
-    /// [`Self::execute_batch_planned`] honors its stream choice. The
-    /// single planned entry point replacing the removed per-knob setters
-    /// (the 0.3.0-deprecated `with_method`, manual `OpPolicy.verify`
-    /// edits, ad-hoc parallelism flags). A plan carries no compute
+    /// key-switching method and verify policy. Its fusion, stream count
+    /// and `WordSize_T` price the device model only; host execution does
+    /// not read them. The single planned entry point replacing the
+    /// removed per-knob setters (the 0.3.0-deprecated `with_method`,
+    /// manual `OpPolicy.verify` edits). A plan carries no compute
     /// backend, so any plan installs on any session.
     pub fn with_plan(mut self, plan: &ExecPlan) -> Self {
         self.method = plan.method;
@@ -545,10 +545,14 @@ impl FheEngine {
         linear::try_eval_polynomial(&self.chest, &self.encoder, ct, coeffs, self.method)
     }
 
-    /// Runs a batch program through the multi-stream executor with per-op
-    /// error isolation: the outer `Result` covers program-wide failures,
-    /// the inner per-op `Result`s isolate individual op failures (ops
-    /// downstream of a failed op report [`NeoError::PoisonedInput`]).
+    /// Runs a batch program, its independent ops concurrently (see
+    /// [`BatchProgram::execute`]), with per-op error isolation: the outer
+    /// `Result` covers program-wide failures, the inner per-op `Result`s
+    /// isolate individual op failures (ops downstream of a failed op
+    /// report [`NeoError::PoisonedInput`]).
+    ///
+    /// `_parallel` is ignored: every batch runs in topological waves.
+    /// The argument stays so existing callers keep compiling.
     ///
     /// # Errors
     ///
@@ -557,34 +561,10 @@ impl FheEngine {
         &self,
         prog: &BatchProgram,
         inputs: &[Ciphertext],
-        parallel: bool,
+        _parallel: bool,
     ) -> Result<Vec<Result<Ciphertext, NeoError>>, NeoError> {
         let _v = VerifyScope::enter(self.policy.verify);
-        prog.execute(&self.chest, inputs, self.method, parallel)
-    }
-
-    /// Runs a batch program under the installed [`ExecPlan`]: the
-    /// plan's method and verify policy are already active on the
-    /// session, and its stream choice decides serial vs parallel
-    /// execution. Outputs are bit-identical to
-    /// [`Self::execute_batch`] under the same key-switching method —
-    /// fusion, streams and verify are timing-side knobs.
-    ///
-    /// # Errors
-    ///
-    /// [`NeoError::InvalidParams`] if no plan is installed; otherwise
-    /// as [`Self::execute_batch`].
-    pub fn execute_batch_planned(
-        &self,
-        prog: &BatchProgram,
-        inputs: &[Ciphertext],
-    ) -> Result<Vec<Result<Ciphertext, NeoError>>, NeoError> {
-        let plan = self.plan.as_ref().ok_or_else(|| {
-            NeoError::invalid_params(
-                "execute_batch_planned requires a plan — install one with FheEngine::with_plan",
-            )
-        })?;
-        self.execute_batch(prog, inputs, plan.parallel())
+        prog.execute(&self.chest, inputs, self.method)
     }
 
     /// [`Self::execute_batch`] with explicit retry control and recovery
@@ -597,11 +577,10 @@ impl FheEngine {
         &self,
         prog: &BatchProgram,
         inputs: &[Ciphertext],
-        parallel: bool,
         max_retries: u32,
     ) -> Result<crate::batch::BatchReport, NeoError> {
         let _v = VerifyScope::enter(self.policy.verify);
-        prog.execute_with_report(&self.chest, inputs, self.method, parallel, max_retries)
+        prog.execute_with_report(&self.chest, inputs, self.method, max_retries)
     }
 
     // --- Guardrails ---

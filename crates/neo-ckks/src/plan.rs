@@ -31,8 +31,8 @@ pub struct ExecPlan {
     pub word_size_t: Option<u32>,
     /// Fuse element-wise kernel chains before scheduling.
     pub fusion: bool,
-    /// Stream count the simulator found best (`1` = serial execution on
-    /// the host executor).
+    /// Stream count the simulator found best. A device-model knob: the
+    /// host executor always runs a batch's independent ops concurrently.
     pub streams: usize,
     /// ABFT verification policy priced into — and installed by — the
     /// plan.
@@ -45,7 +45,7 @@ pub struct ExecPlan {
 impl ExecPlan {
     /// The all-defaults plan for `p`: the parameter set's own
     /// key-switching method, no fusion, one stream, verification off.
-    /// This is what unplanned serial execution does, and the baseline
+    /// This is what an unplanned session does, and the baseline
     /// `plan_bench` compares the planner's choice against.
     pub fn unplanned(p: &CkksParams) -> Self {
         Self {
@@ -64,19 +64,13 @@ impl ExecPlan {
 
     /// [`Self::unplanned`] with the key-switching method pinned — the
     /// reference configuration for bit-identity checks (only the method
-    /// affects ciphertext bits, so this is the serial default run of
-    /// any plan sharing `method`).
+    /// affects ciphertext bits, so this is the default run of any plan
+    /// sharing `method`).
     pub fn pinned(p: &CkksParams, method: KsMethod) -> Self {
         Self {
             method,
             ..Self::unplanned(p)
         }
-    }
-
-    /// Whether execution under this plan should use the parallel
-    /// (multi-stream) host executor.
-    pub fn parallel(&self) -> bool {
-        self.streams > 1
     }
 }
 
@@ -90,7 +84,7 @@ mod tests {
         let plan = ExecPlan::unplanned(&p);
         assert_eq!(plan.method, KsMethod::Klss, "test_small carries KLSS");
         assert_eq!(plan.word_size_t, Some(48));
-        assert!(!plan.fusion && plan.streams == 1 && !plan.parallel());
+        assert!(!plan.fusion && plan.streams == 1);
 
         let hybrid = ExecPlan::pinned(&p, KsMethod::Hybrid);
         assert_eq!(hybrid.method, KsMethod::Hybrid);

@@ -79,7 +79,7 @@ fn transient_op_fault_is_retried_bit_identically() {
 
     let plan = Arc::new(FaultPlan::new(11).with_site(FaultSite::CkksOp, FaultSpec::once()));
     let scope = FaultScope::install(plan.clone());
-    let report = e.execute_batch_with_report(&prog, &cts, false, 2).unwrap();
+    let report = e.execute_batch_with_report(&prog, &cts, 2).unwrap();
     drop(scope);
 
     assert_eq!(plan.injected(FaultSite::CkksOp), 1);
@@ -91,30 +91,26 @@ fn transient_op_fault_is_retried_bit_identically() {
         clean,
         "retry must be bit-identical"
     );
-
-    // Keys were warmed once, in issue order, before the faulted run; a
-    // fresh parallel execution over the now-cached keys agrees exactly.
-    let again = unwrap_all(e.execute_batch(&prog, &cts, true).unwrap());
-    assert_eq!(again, clean);
 }
 
 #[test]
 fn exhausted_retries_isolate_the_op_and_complete_the_clean_subset() {
     let _l = test_lock();
-    let e = engine(13, VerifyPolicy::Off);
+    let e = engine(13, VerifyPolicy::Always);
     let prog = program();
     let cts = inputs(&e);
     let clean = unwrap_all(e.execute_batch(&prog, &cts, false).unwrap());
 
-    // Two fires cover op 0's first attempt and its single retry; the
-    // rescale is poisoned downstream, the independent hadd stays clean.
-    let plan =
-        Arc::new(FaultPlan::new(23).with_site(FaultSite::CkksOp, FaultSpec::always().max_fires(2)));
+    // Every transform output is corrupted, so op 0 (the hmult) fails its
+    // first attempt and its single retry; the rescale is poisoned
+    // downstream. The independent hadd runs no transform, so the fault
+    // cannot reach it whichever worker it shares the first wave with.
+    let plan = Arc::new(FaultPlan::new(23).with_site(FaultSite::NttStage, FaultSpec::always()));
     let scope = FaultScope::install(plan.clone());
-    let report = e.execute_batch_with_report(&prog, &cts, false, 1).unwrap();
+    let report = e.execute_batch_with_report(&prog, &cts, 1).unwrap();
     drop(scope);
 
-    assert_eq!(plan.injected(FaultSite::CkksOp), 2);
+    assert!(plan.injected(FaultSite::NttStage) >= 2);
     assert_eq!(report.retries_attempted, vec![1, 0, 0]);
     assert_eq!(report.faults_recovered, vec![0, 0, 0]);
     let kinds: Vec<_> = report
@@ -143,7 +139,7 @@ fn poisoned_plan_is_quarantined_and_recovered() {
 
     let plan = Arc::new(FaultPlan::new(31).with_site(FaultSite::NttPlan, FaultSpec::once()));
     let scope = FaultScope::install(plan.clone());
-    let report = e.execute_batch_with_report(&prog, &cts, false, 2).unwrap();
+    let report = e.execute_batch_with_report(&prog, &cts, 2).unwrap();
     drop(scope);
 
     assert_eq!(plan.injected(FaultSite::NttPlan), 1);

@@ -8,20 +8,19 @@
 //! set, the [`Planner`] sweeps the knob space through
 //! [`neo_sched::simulate_best`] and returns the winning configuration
 //! as a typed [`ExecPlan`] with its predicted makespan. Install the
-//! plan on a session via [`neo_ckks::FheEngine::with_plan`] and run it
-//! with `execute_batch_planned` — the single planned surface replacing
-//! per-knob setters.
+//! plan on a session via [`neo_ckks::FheEngine::with_plan`] — the
+//! single planned surface replacing per-knob setters — and run batches
+//! with `execute_batch` as usual.
 //!
 //! Winning plans are cached in a [`PlanStore`] keyed by
 //! ([`param_fingerprint`], workload shape hash), with gate-disciplined
 //! hit/miss metrics (`plan_store_hits_total` /
-//! `plan_store_misses_total` / `plan_store_size`). The serving layer's
-//! admission queue reuses cached stream choices instead of re-running
-//! its own sweep (see `neo-serve`).
+//! `plan_store_misses_total` / `plan_store_size`); `neo-store` persists
+//! the cache with a tenant's session.
 //!
 //! Of the swept knobs only the key-switching method changes ciphertext
-//! *bits* (both methods decrypt identically); fusion, streams,
-//! `WordSize_T` and verify are timing-side, so planned host execution
+//! *bits* (both methods decrypt identically); fusion, streams and
+//! `WordSize_T` price the device model only, so planned host execution
 //! is bit-identical to an unplanned run under the same method.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

@@ -9,14 +9,13 @@
 //!   paper's interesting points 36/48/60; infeasible sizes — Eq. 4
 //!   violations or prime-supply shortfalls — are skipped, not errors);
 //! * elementwise **fusion** on/off ([`neo_sched::OpGraph::fuse_elementwise`]);
-//! * **stream count** `1..=max_streams` (delegated to
-//!   [`neo_sched::simulate_best`]);
-//! * ABFT **verify policy** candidates (default just `Off`).
+//! * **stream count** `1..=4` (delegated to
+//!   [`neo_sched::simulate_best`]).
 //!
-//! Each candidate is priced by the discrete-event simulator; the
-//! verify policy scales the simulated makespan by a closed-form ABFT
-//! overhead factor. The strict minimum wins, ties resolving to the
-//! earliest candidate in sweep order so planning is deterministic.
+//! Each candidate is priced by the discrete-event simulator under Neo's
+//! cost configuration, with ABFT verification off. The strict minimum
+//! wins, ties resolving to the earliest candidate in sweep order so
+//! planning is deterministic.
 //!
 //! [`Planner::simulate_program_plan`] / [`simulate_trace_plan`]
 //! re-price a *given* plan through the identical code path, so a
@@ -40,28 +39,28 @@ use std::sync::Arc;
 /// modulus growth.
 const EXTRA_WORD_SIZES: [u32; 3] = [36, 48, 60];
 
+/// Stream counts the sweep tries: `1..=MAX_STREAMS`.
+const MAX_STREAMS: usize = 4;
+
 /// Sim-driven autotuner over the Neo knob space.
 ///
 /// Construct with [`Planner::new`], optionally attach a shared
-/// [`PlanStore`] and adjust the sweep via the `with_*` builders, then
-/// call [`plan_program`](Planner::plan_program) or
+/// [`PlanStore`] or restrict the methods swept, then call
+/// [`plan_program`](Planner::plan_program) or
 /// [`plan_trace`](Planner::plan_trace).
 #[derive(Debug, Clone)]
 pub struct Planner {
     params: CkksParams,
     dev: DeviceModel,
-    cost: CostConfig,
-    max_streams: usize,
     methods: Vec<KsMethod>,
     word_sizes: Vec<u32>,
-    verify_candidates: Vec<VerifyPolicy>,
     store: Option<Arc<PlanStore>>,
 }
 
 impl Planner {
     /// Planner for `params` priced on `dev`, with the Neo cost preset,
     /// up to 4 streams, both applicable KS methods, the default
-    /// `WordSize_T` candidate set, and verify fixed to `Off`.
+    /// `WordSize_T` candidate set, and verify off.
     pub fn new(params: CkksParams, dev: DeviceModel) -> Self {
         let mut methods = vec![KsMethod::Hybrid];
         let mut word_sizes = Vec::new();
@@ -77,11 +76,8 @@ impl Planner {
         Self {
             params,
             dev,
-            cost: CostConfig::neo(),
-            max_streams: 4,
             methods,
             word_sizes,
-            verify_candidates: vec![VerifyPolicy::Off],
             store: None,
         }
     }
@@ -93,34 +89,9 @@ impl Planner {
         self
     }
 
-    /// Overrides the stream-count ceiling (must be ≥ 1).
-    pub fn with_max_streams(mut self, max_streams: usize) -> Self {
-        self.max_streams = max_streams.max(1);
-        self
-    }
-
-    /// Overrides the cost preset used to price kernels (the sweep still
-    /// rewrites its `method` field per candidate).
-    pub fn with_cost(mut self, cost: CostConfig) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Restricts the key-switching methods swept.
     pub fn with_methods(mut self, methods: Vec<KsMethod>) -> Self {
         self.methods = methods;
-        self
-    }
-
-    /// Overrides the KLSS `WordSize_T` candidates swept.
-    pub fn with_word_sizes(mut self, word_sizes: Vec<u32>) -> Self {
-        self.word_sizes = word_sizes;
-        self
-    }
-
-    /// Overrides the verify-policy candidates swept.
-    pub fn with_verify_candidates(mut self, verify: Vec<VerifyPolicy>) -> Self {
-        self.verify_candidates = verify;
         self
     }
 
@@ -186,8 +157,10 @@ impl Planner {
         method: KsMethod,
         wst: Option<u32>,
     ) -> Result<(CkksParams, CostConfig), NeoError> {
-        let mut cost = self.cost;
-        cost.method = method;
+        let cost = CostConfig {
+            method,
+            ..CostConfig::neo()
+        };
         let params = match method {
             KsMethod::Hybrid => self.params.clone(),
             KsMethod::Klss => {
@@ -246,22 +219,19 @@ impl Planner {
                 let unfused = build(&params, &cost);
                 let (fused, _) = unfused.fuse_elementwise();
                 for (fusion, graph) in [(false, &unfused), (true, &fused)] {
-                    let sched = simulate_best(graph, &self.dev, self.max_streams);
-                    for &verify in &self.verify_candidates {
-                        let makespan = sched.makespan_s * verify_factor(self.params.log_n, verify);
-                        let better = best
-                            .as_ref()
-                            .is_none_or(|b| makespan < b.predicted_makespan_s);
-                        if better {
-                            best = Some(ExecPlan {
-                                method,
-                                word_size_t: wst,
-                                fusion,
-                                streams: sched.streams,
-                                verify,
-                                predicted_makespan_s: makespan,
-                            });
-                        }
+                    let sched = simulate_best(graph, &self.dev, MAX_STREAMS);
+                    let better = best
+                        .as_ref()
+                        .is_none_or(|b| sched.makespan_s < b.predicted_makespan_s);
+                    if better {
+                        best = Some(ExecPlan {
+                            method,
+                            word_size_t: wst,
+                            fusion,
+                            streams: sched.streams,
+                            verify: VerifyPolicy::Off,
+                            predicted_makespan_s: sched.makespan_s,
+                        });
                     }
                 }
             }

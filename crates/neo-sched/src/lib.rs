@@ -1,6 +1,8 @@
 //! # neo-sched — kernel-DAG scheduling for the Neo reproduction
 //!
-//! Three layers over one graph representation:
+//! The device model's scheduler: two layers over one graph
+//! representation. Nothing here runs on the host; the batch executor
+//! that runs real ciphertexts is `neo_ckks::BatchProgram::execute`.
 //!
 //! * [`graph`] — [`OpGraph`], a kernel-level task DAG whose nodes carry
 //!   [`neo_gpu_sim::KernelProfile`] work counts (CUDA-FP64 seconds, TCU
@@ -18,17 +20,11 @@
 //!   collapses to [`neo_gpu_sim::DeviceModel::serial_time_s`]
 //!   (property-tested). Simulated timelines export as Chrome traces via
 //!   [`sim::chrome_trace`].
-//! * [`exec`] — a **host batch executor**: [`exec::TaskGraph`] runs
-//!   independent ciphertext operations of a batch concurrently in
-//!   topological wavefronts on the rayon pool, bit-identical to serial
-//!   execution.
 
-pub mod exec;
 pub mod graph;
 pub mod metrics;
 pub mod sim;
 
-pub use exec::TaskGraph;
 pub use graph::{FusionStats, NodeId, OpGraph, OpNode};
 pub use metrics::publish_utilization;
 pub use sim::{

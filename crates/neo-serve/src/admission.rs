@@ -27,17 +27,15 @@
 
 use crate::tenant::TenantId;
 use neo_ckks::cost::CostConfig;
-use neo_ckks::{BatchProgram, Ciphertext, ExecPlan, NeoError, VerifyPolicy};
+use neo_ckks::{BatchProgram, Ciphertext, KsMethod, NeoError};
 use neo_gpu_sim::DeviceModel;
-use neo_plan::{param_fingerprint, program_shape, PlanKey, PlanStore};
 use neo_sched::{estimate_makespan, estimate_makespan_best, OpGraph};
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Prices one request: the simulated single-stream makespan of its
 /// kernel graph at `level` on `dev`. Computed once per request at
-/// submission; the coalescing cut sums these.
+/// submission, under Neo's cost configuration with the tenant's
+/// key-switching method; the coalescing cut sums these.
 pub fn price_request(
     program: &BatchProgram,
     params: &neo_ckks::CkksParams,
@@ -47,6 +45,15 @@ pub fn price_request(
 ) -> Duration {
     let g = program.kernel_graph(params, level, cost);
     estimate_makespan(&g, dev, 1)
+}
+
+/// The kernel cost model a request is priced under: Neo's configuration
+/// with the key-switching method the tenant's engine runs.
+pub(crate) fn cost_config(method: KsMethod) -> CostConfig {
+    CostConfig {
+        method,
+        ..CostConfig::neo()
+    }
 }
 
 /// Knobs of the admission policy.
@@ -67,8 +74,6 @@ pub struct AdmissionConfig {
     /// Stream counts the cost oracle sweeps (`1..=max_streams`); the
     /// winner is recorded on the batch.
     pub max_streams: usize,
-    /// Kernel cost model used to build request graphs.
-    pub cost: CostConfig,
     /// Parameter set the cost oracle prices against. `None` prices on
     /// the registry's functional parameters; a deployment whose host
     /// runs reduced functional parameters (the usual testing setup in
@@ -86,14 +91,6 @@ pub struct AdmissionConfig {
     /// becomes the most urgent itself instead of starving. `0.0`
     /// disables aging (the pre-0.4 static ordering).
     pub aging_bits_per_sec: f64,
-    /// Plan cache shared with the `neo-plan` autotuner. When set, a
-    /// coalesced batch whose (pricing fingerprint, shape) key hits the
-    /// cache reuses the cached stream choice and predicted makespan
-    /// instead of re-running the [`estimate_makespan_best`] sweep — the
-    /// sweep the planner already paid for. Misses run the sweep and
-    /// populate the cache. Cache-served admissions are counted by
-    /// `serve_plan_admissions_total`.
-    pub plan_store: Option<Arc<PlanStore>>,
 }
 
 impl Default for AdmissionConfig {
@@ -104,10 +101,8 @@ impl Default for AdmissionConfig {
             max_queue_depth: 4096,
             makespan_budget: Duration::from_secs(30),
             max_streams: 4,
-            cost: CostConfig::neo(),
             aging_bits_per_sec: 1.0,
             pricing_params: None,
-            plan_store: None,
         }
     }
 }
@@ -138,6 +133,9 @@ pub struct QueuedRequest {
     pub inputs: Vec<Ciphertext>,
     /// Common input level (drives key warm-up and graph costing).
     pub level: usize,
+    /// The tenant engine's key-switching method: the request's kernel
+    /// graph is priced under it.
+    pub method: KsMethod,
     /// Minimum noise budget across the inputs, in bits — the urgency
     /// signal: ciphertexts nearest exhaustion run first.
     pub noise_bits: f64,
@@ -280,43 +278,9 @@ impl AdmissionQueue {
         for (i, req) in requests.iter().enumerate() {
             let lvl = pricing_level(req.level, params, pricing);
             req.program
-                .append_kernel_graph(&mut graph, pricing, lvl, &self.cfg.cost, i);
-        }
-        // Plan-cache fast path: an identically-shaped batch under the
-        // same pricing parameters was already swept (by the planner or a
-        // previous coalesce) — reuse its stream choice and estimate
-        // rather than paying the sweep again.
-        let key = self
-            .cfg
-            .plan_store
-            .as_ref()
-            .map(|_| batch_plan_key(pricing, params, &requests));
-        if let (Some(store), Some(key)) = (&self.cfg.plan_store, key) {
-            if let Some(plan) = store.get(&key) {
-                crate::metrics::note_plan_admission();
-                return Some(CoalescedBatch {
-                    requests,
-                    graph,
-                    streams: plan.streams,
-                    est_makespan: Duration::from_secs_f64(plan.predicted_makespan_s),
-                    total_ops,
-                });
-            }
+                .append_kernel_graph(&mut graph, pricing, lvl, &cost_config(req.method), i);
         }
         let (streams, est) = estimate_makespan_best(&graph, dev, self.cfg.max_streams);
-        if let (Some(store), Some(key)) = (&self.cfg.plan_store, key) {
-            store.insert(
-                key,
-                ExecPlan {
-                    method: self.cfg.cost.method,
-                    word_size_t: pricing.klss.map(|k| k.word_size_t),
-                    fusion: false,
-                    streams,
-                    verify: VerifyPolicy::Off,
-                    predicted_makespan_s: est.as_secs_f64(),
-                },
-            );
-        }
         Some(CoalescedBatch {
             requests,
             graph,
@@ -324,25 +288,6 @@ impl AdmissionQueue {
             est_makespan: est,
             total_ops,
         })
-    }
-}
-
-/// Cache key of a coalesced batch: the pricing-parameter fingerprint
-/// plus the combined shape of the admitted programs at their mapped
-/// pricing levels, in priority order.
-fn batch_plan_key(
-    pricing: &neo_ckks::CkksParams,
-    functional: &neo_ckks::CkksParams,
-    requests: &[QueuedRequest],
-) -> PlanKey {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for req in requests {
-        let lvl = pricing_level(req.level, functional, pricing);
-        program_shape(&req.program, lvl).hash(&mut h);
-    }
-    PlanKey {
-        fingerprint: param_fingerprint(pricing),
-        shape: h.finish(),
     }
 }
 
@@ -370,7 +315,7 @@ mod tests {
             &program,
             &CkksParams::test_tiny(),
             level,
-            &CostConfig::neo(),
+            &cost_config(engine.method()),
             &DeviceModel::a100(),
         );
         QueuedRequest {
@@ -379,6 +324,7 @@ mod tests {
             program,
             inputs: vec![ct],
             level,
+            method: engine.method(),
             noise_bits,
             solo_est,
             submitted: Instant::now(),
@@ -475,38 +421,6 @@ mod tests {
         let batch = q.coalesce(&params, &dev).expect("batch");
         assert_eq!(batch.requests.len(), 1, "budget cuts after the head");
         assert_eq!(q.depth(), 1);
-    }
-
-    #[test]
-    fn plan_cache_serves_repeat_batches_without_resweep() {
-        let params = CkksParams::test_tiny();
-        let dev = DeviceModel::a100();
-        let store = Arc::new(PlanStore::new());
-        let cfg = AdmissionConfig {
-            plan_store: Some(Arc::clone(&store)),
-            ..AdmissionConfig::default()
-        };
-        let mut q = AdmissionQueue::new(cfg);
-        q.try_enqueue(req(0, 1, 50.0, 3, 2)).expect("enqueue");
-        let first = q.coalesce(&params, &dev).expect("batch");
-        assert_eq!(store.misses(), 1, "first batch sweeps and caches");
-        assert_eq!(store.len(), 1);
-
-        // An identically-shaped batch must be served from the cache.
-        q.try_enqueue(req(1, 1, 50.0, 3, 2)).expect("enqueue");
-        let second = q.coalesce(&params, &dev).expect("batch");
-        assert_eq!(store.hits(), 1, "repeat shape hits the cache");
-        assert_eq!(second.streams, first.streams);
-        assert!(
-            (second.est_makespan.as_secs_f64() - first.est_makespan.as_secs_f64()).abs() < 1e-9,
-            "cached estimate must round-trip"
-        );
-
-        // A differently-shaped batch (more ops) must miss and re-sweep.
-        q.try_enqueue(req(2, 1, 50.0, 3, 4)).expect("enqueue");
-        q.coalesce(&params, &dev).expect("batch");
-        assert_eq!(store.misses(), 2, "perturbed shape misses");
-        assert_eq!(store.len(), 2);
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! Executor bridge: runs a coalesced batch against the tenants' engines.
 //!
-//! Key warm-up runs **serially, in admission order, before the parallel
-//! region**: each tenant's key chest draws from its own deterministic
+//! Key warm-up runs **serially, in admission order, before any request
+//! executes**: each tenant's key chest draws from its own deterministic
 //! RNG, and warming from worker threads would make the generated keys
-//! depend on thread timing. With every key cached up front, the
-//! per-request executions are free to run concurrently on the rayon
-//! pool — requests are independent (separate tenants or separate
-//! programs), and each one runs its own program *serially* inside, so
-//! results are bit-identical to a fully serial pass.
+//! depend on thread timing. With every key cached up front, the requests
+//! run concurrently on the rayon pool — they are independent (separate
+//! tenants or separate programs), and each is a pure function of its
+//! inputs and keys, so results are bit-identical to a serial pass.
+//!
+//! The ABFT verify policy is process-wide
+//! ([`neo_fault::VerifyScope`]), so requests whose tenants verify
+//! differently must not overlap: each group of requests sharing a policy
+//! runs concurrently under one scope, one group after another.
 
-use crate::admission::CoalescedBatch;
+use crate::admission::{CoalescedBatch, QueuedRequest};
 use crate::tenant::{TenantId, TenantRegistry};
-use neo_ckks::{Ciphertext, NeoError};
+use neo_ckks::{Ciphertext, NeoError, VerifyPolicy};
+use neo_fault::VerifyScope;
 use neo_trace::SpanGuard;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
@@ -75,12 +80,11 @@ pub struct BatchStats {
 }
 
 /// Executes a coalesced batch: serial deterministic warm-up, then the
-/// per-request executions in admission order — concurrently across
-/// requests when `parallel` is set, each request serial inside.
+/// requests concurrently, one verify-policy group at a time. Responses
+/// come back in admission order.
 pub fn execute_coalesced(
     registry: &TenantRegistry,
     batch: CoalescedBatch,
-    parallel: bool,
 ) -> (Vec<Response>, BatchStats) {
     let _span = SpanGuard::enter("serve_batch", || {
         format!(
@@ -111,9 +115,8 @@ pub fn execute_coalesced(
         warm.push(res);
     }
 
-    // Phase 2 — execute. Collect preserves input order, so responses come
-    // back in admission order regardless of rayon's schedule.
-    let run_one = |(idx, req): (usize, &crate::admission::QueuedRequest)| -> Response {
+    // Phase 2 — execute, one verify-policy group after another.
+    let run_one = |idx: usize, req: &QueuedRequest| -> Response {
         let _rspan = SpanGuard::enter("serve_request", || {
             format!("tenant={} request={}", req.tenant, req.id)
         });
@@ -133,7 +136,6 @@ pub fn execute_coalesced(
                 match session.engine().execute_batch_with_report(
                     &req.program,
                     &req.inputs,
-                    false,
                     session.config().max_retries,
                 ) {
                     Ok(report) => {
@@ -158,13 +160,29 @@ pub fn execute_coalesced(
         }
     };
 
-    let indexed: Vec<(usize, &crate::admission::QueuedRequest)> =
-        batch.requests.iter().enumerate().collect();
-    let responses: Vec<Response> = if parallel {
-        indexed.into_par_iter().map(run_one).collect()
-    } else {
-        indexed.into_iter().map(run_one).collect()
-    };
+    let mut groups: Vec<(VerifyPolicy, Vec<usize>)> = Vec::new();
+    for (idx, req) in batch.requests.iter().enumerate() {
+        let policy = registry
+            .get(req.tenant)
+            .map_or(VerifyPolicy::Off, |s| s.engine().policy().verify);
+        match groups.iter_mut().find(|(p, _)| *p == policy) {
+            Some((_, members)) => members.push(idx),
+            None => groups.push((policy, vec![idx])),
+        }
+    }
+    let mut slots: Vec<Option<Response>> = Vec::new();
+    slots.resize_with(n_requests, || None);
+    for (policy, members) in groups {
+        let _verify = VerifyScope::enter(policy);
+        let answered: Vec<Response> = members
+            .par_iter()
+            .map(|&idx| run_one(idx, &batch.requests[idx]))
+            .collect();
+        for (idx, resp) in members.into_iter().zip(answered) {
+            slots[idx] = Some(resp);
+        }
+    }
+    let responses: Vec<Response> = slots.into_iter().flatten().collect();
 
     // Post-execution accounting, serial so budget charges are ordered.
     for resp in &responses {

@@ -14,14 +14,13 @@
 //! * [`admission`] — [`AdmissionQueue`]: noise/level-aware priority
 //!   ordering and batch coalescing, priced by the
 //!   [`neo_sched`] discrete-event simulator — each candidate's kernel
-//!   graph is appended to the forming batch and the merged graph's
+//!   graph, priced under its tenant's key-switching method, is appended
+//!   to the forming batch and the merged graph's
 //!   [`neo_sched::estimate_makespan_best`] verdict decides the cut-off
-//!   and the stream count. With a shared `neo-plan` cache attached
-//!   ([`AdmissionConfig::plan_store`]), repeat batch shapes reuse the
-//!   cached stream choice instead of re-running the sweep.
+//!   and the stream count.
 //! * [`executor`] — bridges coalesced batches onto the engines:
 //!   deterministic serial key warm-up, then bit-identical concurrent
-//!   per-request execution.
+//!   per-request execution, one verify-policy group at a time.
 //! * [`service`] — [`ServiceCore`], the single-threaded deterministic
 //!   loop (benchmarks, tests), and [`NeoService`], the bounded-channel
 //!   threaded front-end whose `submit` never blocks: overload is always

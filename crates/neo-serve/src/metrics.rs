@@ -10,8 +10,6 @@
 //! * `serve_batch_requests` / `serve_batch_est_makespan_us` — per-batch
 //!   size and the cost oracle's simulated makespan (the batch's wall time
 //!   is its `serve_batch` span, `span_duration_ns{span="serve_batch"}`);
-//! * `serve_plan_admissions_total` — batches whose stream choice was
-//!   served from the shared plan cache instead of a fresh sim sweep;
 //! * `serve_queue_depth` — pending requests (gauge).
 //!
 //! Everything follows the gate discipline: one relaxed load and no work
@@ -43,8 +41,6 @@ static BATCH_EST: LazyLock<Arc<Histogram>> =
     LazyLock::new(|| neo_trace::histogram("serve_batch_est_makespan_us", &[]));
 static QUEUE_DEPTH: LazyLock<Arc<GaugeHandle>> =
     LazyLock::new(|| neo_trace::gauge("serve_queue_depth", &[]));
-static PLAN_ADMISSIONS: LazyLock<Arc<CounterHandle>> =
-    LazyLock::new(|| neo_trace::counter("serve_plan_admissions_total", &[]));
 
 /// One admitted request.
 pub(crate) fn note_request() {
@@ -81,13 +77,6 @@ pub(crate) fn note_response(queue_ns: u64, total_ns: u64) {
     }
     QUEUE_WAIT.record(queue_ns);
     LATENCY.record(total_ns);
-}
-
-/// One batch admitted off the plan cache (no sim sweep paid).
-pub(crate) fn note_plan_admission() {
-    if neo_trace::enabled() {
-        PLAN_ADMISSIONS.inc();
-    }
 }
 
 /// Current admission-queue depth.

@@ -15,7 +15,7 @@
 use crate::admission::{AdmissionConfig, AdmissionQueue, QueuedRequest};
 use crate::executor::{execute_coalesced, BatchStats, Response};
 use crate::tenant::{TenantId, TenantRegistry};
-use neo_ckks::{BatchProgram, Ciphertext, NeoError};
+use neo_ckks::{BatchProgram, Ciphertext, KsMethod, NeoError};
 use neo_gpu_sim::DeviceModel;
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -26,11 +26,9 @@ use std::time::{Duration, Instant};
 /// Service-level configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Admission policy (window, caps, makespan budget, cost model).
+    /// Admission policy (window, caps, makespan budget, pricing
+    /// parameters).
     pub admission: AdmissionConfig,
-    /// Execute a batch's requests concurrently on the rayon pool
-    /// (results stay bit-identical to serial; only wall time changes).
-    pub parallel: bool,
     /// Device the cost oracle prices batches against.
     pub device: DeviceModel,
     /// Threaded front-end only: how long the worker waits for more
@@ -46,7 +44,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             admission: AdmissionConfig::default(),
-            parallel: true,
             device: DeviceModel::a100(),
             linger: Duration::from_micros(200),
             channel_bound: 1024,
@@ -134,7 +131,8 @@ impl ServiceCore {
     ///
     /// # Errors
     ///
-    /// * [`NeoError::InvalidParams`] — unknown tenant.
+    /// * [`NeoError::InvalidParams`] — unknown tenant, or a KLSS tenant
+    ///   while the pricing parameters carry no KLSS configuration.
     /// * [`NeoError::Overloaded`] — shed: tenant recovery budget
     ///   exhausted (`retry_budget`), tenant inflight cap
     ///   (`tenant_inflight`), or queue at bound (`queue_depth`).
@@ -147,6 +145,21 @@ impl ServiceCore {
         let session = self.registry.get(tenant).ok_or_else(|| {
             NeoError::invalid_params(format!("tenant {tenant} is not registered"))
         })?;
+        let engine = session.engine();
+        let functional = engine.context().params();
+        let pricing = self
+            .cfg
+            .admission
+            .pricing_params
+            .as_ref()
+            .unwrap_or(functional);
+        let method = engine.method();
+        if method == KsMethod::Klss && pricing.klss.is_none() {
+            return Err(NeoError::invalid_params(format!(
+                "tenant {tenant} switches keys with KLSS, but the pricing parameters carry no \
+                 KLSS configuration"
+            )));
+        }
         if session.budget_exhausted() {
             session.note_shed();
             self.stats.shed_budget += 1;
@@ -173,7 +186,6 @@ impl ServiceCore {
             ));
         }
 
-        let engine = session.engine();
         let level = inputs
             .first()
             .map_or_else(|| engine.max_level(), Ciphertext::level);
@@ -181,18 +193,11 @@ impl ServiceCore {
             .iter()
             .map(|ct| engine.noise_budget_bits(ct))
             .fold(f64::INFINITY, f64::min);
-        let functional = engine.context().params();
-        let pricing = self
-            .cfg
-            .admission
-            .pricing_params
-            .as_ref()
-            .unwrap_or(functional);
         let solo_est = crate::admission::price_request(
             &program,
             pricing,
             crate::admission::pricing_level(level, functional, pricing),
-            &self.cfg.admission.cost,
+            &crate::admission::cost_config(method),
             &self.cfg.device,
         );
         let id = self.next_id;
@@ -202,6 +207,7 @@ impl ServiceCore {
             program,
             inputs,
             level,
+            method,
             noise_bits,
             solo_est,
             submitted: Instant::now(),
@@ -225,7 +231,7 @@ impl ServiceCore {
     pub fn drain_batch(&mut self) -> Option<(Vec<Response>, BatchStats)> {
         let params = self.registry.context().params().clone();
         let batch = self.queue.coalesce(&params, &self.cfg.device)?;
-        let (responses, stats) = execute_coalesced(&self.registry, batch, self.cfg.parallel);
+        let (responses, stats) = execute_coalesced(&self.registry, batch);
         self.stats.batches += 1;
         self.stats.coalesced_requests += stats.requests as u64;
         self.stats.completed += responses.len() as u64;

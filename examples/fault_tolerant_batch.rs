@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. A transient op fault is retried bit-identically -----------
     let plan = Arc::new(FaultPlan::new(7).with_site(FaultSite::CkksOp, FaultSpec::once()));
     let scope = FaultScope::install(plan.clone());
-    let report = engine.execute_batch_with_report(&prog, &inputs, false, 2)?;
+    let report = engine.execute_batch_with_report(&prog, &inputs, 2)?;
     drop(scope);
     let recovered: Vec<Ciphertext> = report.results.into_iter().collect::<Result<_, _>>()?;
     assert_eq!(recovered, clean);
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 2. A poisoned NTT plan is quarantined and rebuilt -------------
     let plan = Arc::new(FaultPlan::new(31).with_site(FaultSite::NttPlan, FaultSpec::once()));
     let scope = FaultScope::install(plan.clone());
-    let report = engine.execute_batch_with_report(&prog, &inputs, false, 2)?;
+    let report = engine.execute_batch_with_report(&prog, &inputs, 2)?;
     drop(scope);
     let recovered: Vec<Ciphertext> = report.results.into_iter().collect::<Result<_, _>>()?;
     assert_eq!(recovered, clean);
@@ -68,10 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 3. Exhausted retries isolate the op; clean subset completes ---
-    let plan =
-        Arc::new(FaultPlan::new(23).with_site(FaultSite::CkksOp, FaultSpec::always().max_fires(2)));
+    // Every transform output is corrupted: the HMult fails its attempt
+    // and its one retry, the Rescale is poisoned, and the HAdd (no
+    // transform) completes.
+    let plan = Arc::new(FaultPlan::new(23).with_site(FaultSite::NttStage, FaultSpec::always()));
     let scope = FaultScope::install(plan.clone());
-    let report = engine.execute_batch_with_report(&prog, &inputs, false, 1)?;
+    let report = engine.execute_batch_with_report(&prog, &inputs, 1)?;
     drop(scope);
     for (i, r) in report.results.iter().enumerate() {
         match r {

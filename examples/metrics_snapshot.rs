@@ -25,7 +25,7 @@ fn main() -> Result<(), NeoError> {
     let r = prog.try_push(BatchOp::Rescale(m))?;
     let rot = prog.try_push(BatchOp::HRotate(r, 1))?;
     prog.try_push(BatchOp::HAdd(r, rot))?;
-    let report = engine.execute_batch_with_report(&prog, &[x, y], true, 2)?;
+    let report = engine.execute_batch_with_report(&prog, &[x, y], 2)?;
     println!(
         "batch: {} ops, {} retries, {} faults recovered\n",
         report.results.len(),

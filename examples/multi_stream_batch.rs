@@ -1,8 +1,8 @@
 //! Multi-stream scheduling end to end: build the kernel DAG of a batch of
 //! KLSS HMults, simulate it on 1..4 A100 streams with the `neo-sched`
 //! discrete-event simulator, then *execute* the same kind of batch on real
-//! ciphertexts with the rayon wavefront executor and verify the parallel
-//! result is bit-identical to serial.
+//! ciphertexts with the wavefront executor, which runs the independent
+//! pipelines concurrently on the rayon pool.
 //!
 //! Run with: `cargo run --release --example multi_stream_batch`
 
@@ -68,16 +68,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sq = prog.try_push(BatchOp::HMult(Slot::Input(i), Slot::Input(i)))?;
         prog.try_push(BatchOp::Rescale(sq))?;
     }
-    let serial_out = prog.execute(&chest, &inputs, KsMethod::Klss, false)?;
-    let parallel_out = prog.execute(&chest, &inputs, KsMethod::Klss, true)?;
-    assert_eq!(serial_out, parallel_out);
+    let out = prog.execute(&chest, &inputs, KsMethod::Klss)?;
     println!(
-        "\nexecuted {} ops over {copies} ciphertexts on the rayon pool: parallel == serial (bit-identical)",
+        "\nexecuted {} ops over {copies} ciphertexts on the rayon pool",
         prog.ops.len()
     );
 
     // Decode one output to show the math still works.
-    let squared = parallel_out[1].as_ref().map_err(Clone::clone)?;
+    let squared = out[1].as_ref().map_err(Clone::clone)?;
     let dec = enc.decode(&ctx, &ops::try_decrypt(&ctx, chest.secret_key(), squared)?);
     let expect = 0.3 * 0.4f64.cos();
     println!(

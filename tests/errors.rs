@@ -3,6 +3,8 @@
 //! policy guardrails fire, and batch execution isolates per-op failures
 //! while keeping the valid subset bit-identical to a clean run.
 
+mod common;
+
 use neo::ckks::ops;
 use neo::math::{Domain, RnsPoly};
 use neo::prelude::*;
@@ -280,68 +282,68 @@ fn chest_and_inputs(seed: u64, count: usize) -> (KeyChest, Vec<Ciphertext>) {
 /// Acceptance criterion: a batch with injected invalid operations still
 /// returns results for every valid operation — bit-identical to a run
 /// without the invalid ops — plus a structured error for the failed op
-/// and `PoisonedInput` for its dependents.
+/// and `PoisonedInput` for its dependents, exactly as the sequential
+/// reference does.
 #[test]
 fn batch_isolates_injected_failures() {
-    for parallel in [false, true] {
-        let (chest, inputs) = chest_and_inputs(5, 2);
+    let (chest, inputs) = chest_and_inputs(5, 2);
 
-        // The clean program: a diamond of valid work.
-        let mut clean = BatchProgram::new();
-        let m = clean
-            .try_push(BatchOp::HMult(Slot::Input(0), Slot::Input(1)))
-            .unwrap();
-        let r = clean.try_push(BatchOp::Rescale(m)).unwrap();
-        let left = clean.try_push(BatchOp::HRotate(r, 2)).unwrap();
-        let right = clean.try_push(BatchOp::HRotate(r, 3)).unwrap();
-        clean.try_push(BatchOp::HAdd(left, right)).unwrap();
-        let n_clean = clean.ops.len();
+    // The clean program: a diamond of valid work.
+    let mut clean = BatchProgram::new();
+    let m = clean
+        .try_push(BatchOp::HMult(Slot::Input(0), Slot::Input(1)))
+        .unwrap();
+    let r = clean.try_push(BatchOp::Rescale(m)).unwrap();
+    let left = clean.try_push(BatchOp::HRotate(r, 2)).unwrap();
+    let right = clean.try_push(BatchOp::HRotate(r, 3)).unwrap();
+    clean.try_push(BatchOp::HAdd(left, right)).unwrap();
+    let n_clean = clean.ops.len();
 
-        // Same program plus injected invalid work appended at the end:
-        // a Δ² product HAdd-ed to a Δ input (scale mismatch), and a
-        // rotation of that failed sum (poisoned downstream).
-        let mut dirty = clean.clone();
-        let sq = dirty
-            .try_push(BatchOp::HMult(Slot::Input(0), Slot::Input(0)))
-            .unwrap();
-        let bad = dirty.try_push(BatchOp::HAdd(sq, Slot::Input(1))).unwrap();
-        let poisoned = dirty.try_push(BatchOp::HRotate(bad, 1)).unwrap();
+    // Same program plus injected invalid work appended at the end:
+    // a Δ² product HAdd-ed to a Δ input (scale mismatch), and a
+    // rotation of that failed sum (poisoned downstream).
+    let mut dirty = clean.clone();
+    let sq = dirty
+        .try_push(BatchOp::HMult(Slot::Input(0), Slot::Input(0)))
+        .unwrap();
+    let bad = dirty.try_push(BatchOp::HAdd(sq, Slot::Input(1))).unwrap();
+    let poisoned = dirty.try_push(BatchOp::HRotate(bad, 1)).unwrap();
 
-        let want = clean
-            .execute(&chest, &inputs, KsMethod::Klss, parallel)
-            .unwrap();
-        let got = dirty
-            .execute(&chest, &inputs, KsMethod::Klss, parallel)
-            .unwrap();
-        assert_eq!(got.len(), n_clean + 3);
+    let want = clean.execute(&chest, &inputs, KsMethod::Klss).unwrap();
+    let got = dirty.execute(&chest, &inputs, KsMethod::Klss).unwrap();
+    assert_eq!(got.len(), n_clean + 3);
+    assert_eq!(
+        got,
+        common::run_sequential(&dirty, &chest, &inputs, KsMethod::Klss),
+        "executor diverged from the sequential reference"
+    );
 
-        // Every valid op still produced its result, bit-identical.
-        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(
-                w.as_ref().unwrap(),
-                g.as_ref().unwrap(),
-                "valid op {i} diverged from the clean run (parallel={parallel})"
-            );
-        }
-        // The injected square itself is fine; the mismatched add carries
-        // its typed error; the dependent rotation is poisoned with the
-        // upstream index.
-        let (sq_i, bad_i, poisoned_i) = match (sq, bad, poisoned) {
-            (Slot::Op(a), Slot::Op(b), Slot::Op(c)) => (a, b, c),
-            _ => unreachable!(),
-        };
-        assert!(got[sq_i].is_ok());
+    // Every valid op still produced its result, bit-identical.
+    for (i, (w, g)) in want.iter().zip(&got).enumerate() {
         assert_eq!(
-            got[bad_i].as_ref().unwrap_err().kind(),
-            ErrorKind::ScaleMismatch
+            w.as_ref().unwrap(),
+            g.as_ref().unwrap(),
+            "valid op {i} diverged from the clean run"
         );
-        match got[poisoned_i].as_ref().unwrap_err() {
-            NeoError::PoisonedInput { op_index, upstream } => {
-                assert_eq!(*op_index, poisoned_i);
-                assert_eq!(*upstream, bad_i);
-            }
-            other => panic!("expected PoisonedInput, got {other:?}"),
+    }
+    // The injected square itself is fine; the mismatched add carries
+    // its typed error; the dependent rotation is poisoned with the
+    // upstream index.
+    let (sq_i, bad_i, poisoned_i) = match (sq, bad, poisoned) {
+        (Slot::Op(a), Slot::Op(b), Slot::Op(c)) => (a, b, c),
+        _ => unreachable!(),
+    };
+    assert!(got[sq_i].is_ok());
+    assert_eq!(
+        got[bad_i].as_ref().unwrap_err().kind(),
+        ErrorKind::ScaleMismatch
+    );
+    match got[poisoned_i].as_ref().unwrap_err() {
+        NeoError::PoisonedInput { op_index, upstream } => {
+            assert_eq!(*op_index, poisoned_i);
+            assert_eq!(*upstream, bad_i);
         }
+        other => panic!("expected PoisonedInput, got {other:?}"),
     }
 }
 
@@ -351,9 +353,7 @@ fn batch_outer_errors_are_typed() {
     let (chest, inputs) = chest_and_inputs(6, 1);
     let mut prog = BatchProgram::new();
     prog.try_push(BatchOp::HRotate(Slot::Input(3), 1)).unwrap();
-    let err = prog
-        .execute(&chest, &inputs, KsMethod::Klss, false)
-        .unwrap_err();
+    let err = prog.execute(&chest, &inputs, KsMethod::Klss).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::ParameterMismatch);
 
     let err = BatchProgram::new()

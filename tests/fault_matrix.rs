@@ -18,6 +18,8 @@
 //! `test_lock` because clean baseline phases must not overlap another
 //! test's armed window.
 
+mod common;
+
 use neo::fault::{FaultPlan, FaultScope, FaultSite, FaultSpec};
 use neo::gpu_sim::{DeviceModel, DeviceSpec, KernelProfile};
 use neo::math::{primes, Modulus, RnsPoly};
@@ -341,15 +343,13 @@ fn ntt_plan_matrix() {
             ..OpPolicy::default()
         });
     let (prog, cts) = batch_fixture(&e);
-    let clean = unwrap_all(e.execute_batch(&prog, &cts, false).unwrap());
+    let clean = unwrap_all(common::run_sequential(&prog, e.chest(), &cts, e.method()));
     let mut injected = 0u64;
     for trial in 0..NTT_PLAN_TRIALS {
         let seed = 0x91a700 + trial;
         let plan = Arc::new(FaultPlan::new(seed).with_site(FaultSite::NttPlan, FaultSpec::once()));
         let scope = FaultScope::install(plan.clone());
-        let report = e
-            .execute_batch_with_report(&prog, &cts, trial % 2 == 1, 2)
-            .unwrap();
+        let report = e.execute_batch_with_report(&prog, &cts, 2).unwrap();
         drop(scope);
         injected += plan.injected(FaultSite::NttPlan);
         assert_batch_sound(&report, &clean, trial, seed);
@@ -406,7 +406,7 @@ fn ckks_op_matrix() {
     let _l = test_lock();
     let e = FheEngine::new(CkksParams::test_tiny(), engine_seed()).unwrap();
     let (prog, cts) = batch_fixture(&e);
-    let clean = unwrap_all(e.execute_batch(&prog, &cts, false).unwrap());
+    let clean = unwrap_all(common::run_sequential(&prog, e.chest(), &cts, e.method()));
     let mut injected = 0u64;
     for trial in 0..CKKS_TRIALS {
         let seed = 0xcc5500 + trial;
@@ -415,9 +415,7 @@ fn ckks_op_matrix() {
             FaultSpec::with_probability_ppm(400_000).max_fires(3),
         ));
         let scope = FaultScope::install(plan.clone());
-        let report = e
-            .execute_batch_with_report(&prog, &cts, trial % 2 == 1, 2)
-            .unwrap();
+        let report = e.execute_batch_with_report(&prog, &cts, 2).unwrap();
         drop(scope);
         injected += plan.injected(FaultSite::CkksOp);
         assert_batch_sound(&report, &clean, trial, seed);
@@ -450,7 +448,12 @@ fn serve_layer_matrix() {
         };
         let s = registry.register(id, engine_seed() + id, cfg).unwrap();
         let (prog, cts) = batch_fixture(s.engine());
-        let reference = unwrap_all(s.engine().execute_batch(&prog, &cts, false).unwrap());
+        let reference = unwrap_all(common::run_sequential(
+            &prog,
+            s.engine().chest(),
+            &cts,
+            s.engine().method(),
+        ));
         clean.push((prog, cts, reference));
     }
     let mut core = ServiceCore::new(Arc::clone(&registry), ServeConfig::default());

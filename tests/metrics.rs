@@ -50,7 +50,7 @@ fn engine_batch_exposes_latency_and_noise_histograms() {
 
     let ((report, snap), _) = record(|| {
         let report = engine
-            .execute_batch_with_report(&prog, &[a, b], false, 1)
+            .execute_batch_with_report(&prog, &[a, b], 1)
             .expect("batch executes");
         (report, registry().snapshot())
     });

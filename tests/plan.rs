@@ -1,8 +1,10 @@
 //! End-to-end planner properties: planned execution is bit-identical to
-//! default-config execution across both key-switching methods on random
-//! legal programs, and the plan cache round-trips.
+//! the sequential reference under the plan's key-switching method on
+//! random legal programs, and the plan cache round-trips.
 
-use neo::ckks::{BatchProgram, Ciphertext, CkksParams, ExecPlan, FheEngine, KsMethod, NeoError};
+mod common;
+
+use neo::ckks::{BatchProgram, Ciphertext, CkksParams, FheEngine, KsMethod, NeoError};
 use neo::gpu_sim::DeviceModel;
 use neo::plan::{PlanStore, Planner};
 use rand::rngs::StdRng;
@@ -17,9 +19,9 @@ fn unwrap_all(results: Vec<Result<Ciphertext, NeoError>>) -> Vec<Ciphertext> {
 }
 
 /// Random legal programs, both KS methods: executing under the
-/// planner's chosen plan (fusion/stream/verify knobs live) produces the
-/// same ciphertext bits as the default serial configuration with the
-/// same method — the only knob that changes bits.
+/// planner's chosen plan (fusion/stream knobs live) produces the same
+/// ciphertext bits as the sequential reference under the same method —
+/// the only knob that changes bits.
 #[test]
 fn planned_execution_bit_identical_on_random_programs() {
     let params = CkksParams::test_tiny();
@@ -38,15 +40,12 @@ fn planned_execution_bit_identical_on_random_programs() {
                     engine.encrypt_f64(&[x, x / 2.0], level).expect("encrypt")
                 })
                 .collect();
-            engine.warm_program(&prog, level).expect("warm");
-
-            // Default-config execution: same method, serial, no plan knobs.
-            let engine = engine.with_plan(&ExecPlan::pinned(&params, method));
-            let reference = unwrap_all(
-                engine
-                    .execute_batch_planned(&prog, &inputs)
-                    .expect("reference"),
-            );
+            let reference = unwrap_all(common::run_sequential(
+                &prog,
+                engine.chest(),
+                &inputs,
+                method,
+            ));
 
             // The planner's chosen plan, restricted to this method.
             let planner = Planner::new(params.clone(), dev.clone()).with_methods(vec![method]);
@@ -55,30 +54,12 @@ fn planned_execution_bit_identical_on_random_programs() {
             let engine = engine.with_plan(&plan);
             let planned = unwrap_all(
                 engine
-                    .execute_batch_planned(&prog, &inputs)
+                    .execute_batch(&prog, &inputs, false)
                     .expect("planned"),
             );
             assert_eq!(
                 planned, reference,
-                "seed {seed} {method:?}: planned execution diverged from default config"
-            );
-
-            // Force the parallel executor path regardless of what the
-            // sweep picked: streams/fusion must never change bits.
-            let forced = ExecPlan {
-                streams: 4,
-                fusion: true,
-                ..plan
-            };
-            let engine = engine.with_plan(&forced);
-            let parallel = unwrap_all(
-                engine
-                    .execute_batch_planned(&prog, &inputs)
-                    .expect("forced"),
-            );
-            assert_eq!(
-                parallel, reference,
-                "seed {seed} {method:?}: 4-stream execution diverged from serial"
+                "seed {seed} {method:?}: planned execution diverged from the sequential reference"
             );
         }
     }
@@ -114,16 +95,4 @@ fn plan_store_round_trips_on_random_programs() {
         .expect("other params");
     assert_eq!(store.misses(), 3, "re-parameterization must re-key");
     assert_eq!(store.len(), 3);
-}
-
-/// `execute_batch_planned` without an installed plan is a typed error,
-/// not a silent fallback.
-#[test]
-fn planned_execution_requires_a_plan() {
-    let params = CkksParams::test_tiny();
-    let engine = FheEngine::new(params, 6).expect("engine");
-    let err = engine
-        .execute_batch_planned(&BatchProgram::new(), &[])
-        .expect_err("no plan installed");
-    assert_eq!(err.kind().name(), "invalid_params");
 }

@@ -118,7 +118,7 @@ fn op_fault_recovery_leaves_plan_cache_alone() {
     let plan = Arc::new(FaultPlan::new(0xc0de).with_site(FaultSite::CkksOp, FaultSpec::once()));
     let scope = FaultScope::install(Arc::clone(&plan));
     let report = engine
-        .execute_batch_with_report(&prog, std::slice::from_ref(&ct), false, 3)
+        .execute_batch_with_report(&prog, std::slice::from_ref(&ct), 3)
         .expect("recovered run");
     drop(scope);
     assert!(

@@ -1,7 +1,9 @@
 //! Cross-crate scheduler tests: the `neo-sched` discrete-event simulator
 //! against the one-stream serial sum `DeviceModel::serial_time_s` and
-//! its overlap envelope, and the rayon batch executor against serial
-//! execution on real ciphertexts.
+//! its overlap envelope, and the wavefront batch executor against the
+//! sequential reference on real ciphertexts.
+
+mod common;
 
 use neo::ckks::batch::{BatchOp, BatchProgram, Slot};
 use neo::ckks::cost::{CostConfig, Operation};
@@ -139,9 +141,10 @@ fn chest_and_inputs(seed: u64, count: usize) -> (KeyChest, Vec<neo::ckks::Cipher
     (KeyChest::new(ctx, sk, seed ^ 0x5eed), inputs)
 }
 
-/// Acceptance criterion: the rayon batch executor is bit-identical to
-/// serial execution on randomized programs of hmult/hrotate/rescale/hadd
-/// over real ciphertexts, for both key-switching methods.
+/// Acceptance criterion: the wavefront batch executor returns exactly
+/// what the sequential reference returns on randomized programs of
+/// hmult/hrotate/rescale/hadd over real ciphertexts, for both
+/// key-switching methods.
 #[test]
 fn batch_executor_bit_identical_to_serial() {
     for (seed, method) in [(7u64, KsMethod::Klss), (8, KsMethod::Hybrid)] {
@@ -151,19 +154,19 @@ fn batch_executor_bit_identical_to_serial() {
         for round in 0..3 {
             let prog =
                 BatchProgram::random(&mut rng, inputs.len(), 10, level, chest.context().degree());
-            let serial = prog.execute(&chest, &inputs, method, false).unwrap();
-            let parallel = prog.execute(&chest, &inputs, method, true).unwrap();
+            let got = prog.execute(&chest, &inputs, method).unwrap();
             assert_eq!(
-                serial, parallel,
-                "round {round} {method:?}: parallel output diverged"
+                got,
+                common::run_sequential(&prog, &chest, &inputs, method),
+                "round {round} {method:?}: executor diverged from the sequential reference"
             );
-            assert!(serial.iter().all(|r| r.is_ok()));
+            assert!(got.iter().all(|r| r.is_ok()));
         }
     }
 }
 
-/// A hand-built diamond program: parallel branches reconverge and the
-/// executor returns the same ciphertexts either way.
+/// A hand-built diamond program: concurrent branches reconverge and the
+/// executor returns the sequential reference's ciphertexts.
 #[test]
 fn batch_executor_diamond_program() {
     let (chest, inputs) = chest_and_inputs(11, 2);
@@ -175,11 +178,11 @@ fn batch_executor_diamond_program() {
     let left = prog.try_push(BatchOp::HRotate(r, 3)).unwrap();
     let right = prog.try_push(BatchOp::HRotate(r, 5)).unwrap();
     prog.try_push(BatchOp::HAdd(left, right)).unwrap();
-    let serial = prog
-        .execute(&chest, &inputs, KsMethod::Klss, false)
-        .unwrap();
-    let parallel = prog.execute(&chest, &inputs, KsMethod::Klss, true).unwrap();
-    assert_eq!(serial, parallel);
-    assert_eq!(serial.len(), 5);
-    assert!(serial.iter().all(|r| r.is_ok()));
+    let got = prog.execute(&chest, &inputs, KsMethod::Klss).unwrap();
+    assert_eq!(
+        got,
+        common::run_sequential(&prog, &chest, &inputs, KsMethod::Klss)
+    );
+    assert_eq!(got.len(), 5);
+    assert!(got.iter().all(|r| r.is_ok()));
 }

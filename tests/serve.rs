@@ -7,9 +7,12 @@
 //! (queue depth, inflight cap, retry budget) name their reason so clients
 //! can distinguish "slow down" from "wrong answer".
 //!
-//! Own binary: fault plans install process-globally, so every test — and
-//! every proptest case — serializes on `test_lock` to keep clean baseline
-//! phases out of another test's armed window.
+//! Own binary: fault plans and the verify policy install
+//! process-globally, so every test — and every proptest case —
+//! serializes on `test_lock` to keep clean baseline phases out of
+//! another test's armed window.
+
+mod common;
 
 use neo::fault::{FaultPlan, FaultScope, FaultSite, FaultSpec};
 use neo::prelude::*;
@@ -164,10 +167,12 @@ fn retry_budget_exhaustion_sheds_until_reset() {
     let mut core = ServiceCore::new(Arc::clone(&registry), ServeConfig::default());
     let s0 = registry.get(0).expect("t0");
     let ct0 = s0.engine().encrypt_f64(&[0.5, -0.5], 3).expect("enc");
-    let clean = s0
-        .engine()
-        .execute_batch(&mixed_program(), std::slice::from_ref(&ct0), false)
-        .expect("clean");
+    let clean = common::run_sequential(
+        &mixed_program(),
+        s0.engine().chest(),
+        std::slice::from_ref(&ct0),
+        s0.engine().method(),
+    );
 
     // One recovered fault while tenant 0's request executes.
     core.submit(0, mixed_program(), vec![ct0.clone()])
@@ -236,13 +241,15 @@ fn faulty_tenant_never_corrupts_or_starves_neighbours() {
             .engine()
             .encrypt_f64(&[0.5 + id as f64, -1.0], 3)
             .expect("enc");
-        let clean: Vec<Ciphertext> = s
-            .engine()
-            .execute_batch(&mixed_program(), std::slice::from_ref(&ct), false)
-            .expect("clean")
-            .into_iter()
-            .map(|r| r.expect("clean op"))
-            .collect();
+        let clean: Vec<Ciphertext> = common::run_sequential(
+            &mixed_program(),
+            s.engine().chest(),
+            std::slice::from_ref(&ct),
+            s.engine().method(),
+        )
+        .into_iter()
+        .map(|r| r.expect("clean op"))
+        .collect();
         refs.push((ct, clean));
     }
     let mut core = ServiceCore::new(Arc::clone(&registry), ServeConfig::default());
@@ -297,6 +304,108 @@ fn faulty_tenant_never_corrupts_or_starves_neighbours() {
         injected >= TRIALS / 4,
         "matrix is vacuous: only {injected} injections over {TRIALS} trials"
     );
+}
+
+/// Tenants that verify differently share one batch without leaking
+/// their policy: the process-wide verify policy reads `Off` again after
+/// every batch of alternating `Always`/`Off` tenants, and every request
+/// is served the sequential reference's bits.
+#[test]
+fn mixed_verify_policies_leave_the_process_policy_alone() {
+    let _l = test_lock();
+    const BATCHES: usize = 60;
+    const TENANTS: u64 = 4;
+    let registry = Arc::new(TenantRegistry::new(CkksParams::test_tiny()).expect("params"));
+    let mut refs = Vec::new();
+    for id in 0..TENANTS {
+        let cfg = if id % 2 == 0 {
+            always_verify()
+        } else {
+            TenantConfig::default()
+        };
+        let s = registry.register(id, 600 + id, cfg).expect("register");
+        let ct = s.engine().encrypt_f64(&[0.25, id as f64], 3).expect("enc");
+        let clean = common::run_sequential(
+            &program_shape(1),
+            s.engine().chest(),
+            std::slice::from_ref(&ct),
+            s.engine().method(),
+        );
+        refs.push((ct, clean));
+    }
+    let mut core = ServiceCore::new(Arc::clone(&registry), ServeConfig::default());
+    assert_eq!(neo::fault::verify_policy(), VerifyPolicy::Off);
+    for batch in 0..BATCHES {
+        for id in 0..TENANTS {
+            core.submit(id, program_shape(1), vec![refs[id as usize].0.clone()])
+                .expect("submit");
+        }
+        let (responses, _) = core.drain_batch().expect("one batch");
+        assert_eq!(responses.len(), TENANTS as usize, "batch {batch}");
+        assert_eq!(
+            neo::fault::verify_policy(),
+            VerifyPolicy::Off,
+            "batch {batch}: a tenant's verify policy outlived the batch"
+        );
+        for resp in &responses {
+            let results = resp.outcome.as_ref().expect("served");
+            assert_eq!(results, &refs[resp.tenant as usize].1, "batch {batch}");
+        }
+    }
+}
+
+/// A tenant on parameters without a KLSS configuration runs Hybrid key
+/// switching, and admission prices its requests as Hybrid: an
+/// HMult → Rescale request is served, not a pricing panic.
+#[test]
+fn klss_free_tenant_hmult_is_served() {
+    let _l = test_lock();
+    let params = CkksParams {
+        klss: None,
+        ..CkksParams::test_tiny()
+    };
+    let registry = Arc::new(TenantRegistry::new(params).expect("params"));
+    let s = registry.register_default(0, 31).expect("register");
+    assert_eq!(s.engine().method(), KsMethod::Hybrid);
+    let ct = s.engine().encrypt_f64(&[0.5, -1.5], 3).expect("enc");
+    let prog = program_shape(2);
+    let clean = common::run_sequential(
+        &prog,
+        s.engine().chest(),
+        std::slice::from_ref(&ct),
+        KsMethod::Hybrid,
+    );
+    let mut core = ServiceCore::new(Arc::clone(&registry), ServeConfig::default());
+    core.submit(0, prog, vec![ct]).expect("submit");
+    let responses = core.run_until_idle();
+    assert_eq!(responses.len(), 1);
+    let results = responses[0].outcome.as_ref().expect("served");
+    assert!(results.iter().all(Result::is_ok));
+    assert_eq!(results, &clean);
+}
+
+/// A KLSS tenant cannot be priced on pricing parameters without a KLSS
+/// configuration: its submit is a typed refusal that charges nothing,
+/// not a pricing panic.
+#[test]
+fn klss_tenant_on_klss_free_pricing_is_refused_typed() {
+    let _l = test_lock();
+    let registry = Arc::new(TenantRegistry::new(CkksParams::test_tiny()).expect("params"));
+    let s = registry.register_default(0, 32).expect("register");
+    assert_eq!(s.engine().method(), KsMethod::Klss);
+    let ct = s.engine().encrypt_f64(&[0.5], 3).expect("enc");
+    let mut cfg = ServeConfig::default();
+    cfg.admission.pricing_params = Some(CkksParams {
+        klss: None,
+        ..CkksParams::test_small()
+    });
+    let mut core = ServiceCore::new(Arc::clone(&registry), cfg);
+    let err = core
+        .submit(0, program_shape(2), vec![ct])
+        .expect_err("KLSS cannot be priced");
+    assert_eq!(err.kind(), ErrorKind::InvalidParams);
+    assert_eq!(s.inflight(), 0);
+    assert_eq!(core.queue_depth(), 0);
 }
 
 // --- property: coalesced serving is observationally serial -----------------
@@ -357,13 +466,15 @@ proptest! {
                 .engine()
                 .encrypt_f64(&[values[id as usize], 0.25], 3)
                 .expect("enc");
-            let clean: Vec<Ciphertext> = s
-                .engine()
-                .execute_batch(&prog, std::slice::from_ref(&ct), false)
-                .expect("clean")
-                .into_iter()
-                .map(|r| r.expect("clean op"))
-                .collect();
+            let clean: Vec<Ciphertext> = common::run_sequential(
+                &prog,
+                s.engine().chest(),
+                std::slice::from_ref(&ct),
+                s.engine().method(),
+            )
+            .into_iter()
+            .map(|r| r.expect("clean op"))
+            .collect();
             expected.push((prog, ct, clean));
         }
         let mut core = ServiceCore::new(Arc::clone(&registry), ServeConfig::default());
