@@ -16,15 +16,15 @@
 //! `results/sched_trace.json` (Chrome trace of the best 4-stream HMult
 //! schedule — load in `chrome://tracing` or Perfetto).
 
-use neo_bench::fmt_time;
 use neo_bench::measure::{self, MeasureConfig};
-use neo_ckks::batch::{BatchOp, BatchProgram, Slot};
+use neo_bench::{fmt_time, run_sequential};
+use neo_ckks::batch::BatchProgram;
 use neo_ckks::bootstrap::BootstrapPlan;
 use neo_ckks::cost::{CostConfig, Operation};
 use neo_ckks::encoding::Complex64;
 use neo_ckks::keys::{PublicKey, SecretKey};
 use neo_ckks::sched::{batch_op_graph, trace_graph};
-use neo_ckks::{ops, Ciphertext, CkksContext, CkksParams, Encoder, KeyChest, KsMethod, ParamSet};
+use neo_ckks::{ops, CkksContext, CkksParams, Encoder, KeyChest, KsMethod, ParamSet};
 use neo_gpu_sim::DeviceModel;
 use neo_sched::{chrome_trace, simulate, simulate_best, OpGraph, SimConfig};
 use rand::rngs::StdRng;
@@ -63,37 +63,6 @@ fn sweep(g: &OpGraph, dev: &DeviceModel, ops_in_graph: usize, human: &mut String
         }));
     }
     rows
-}
-
-/// The executor's reference: the program's ops one by one in issue
-/// order through the public `ops::try_*` calls.
-fn run_sequential(prog: &BatchProgram, chest: &KeyChest, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
-    let ctx = chest.context();
-    let mut out: Vec<Ciphertext> = Vec::with_capacity(prog.ops.len());
-    for op in &prog.ops {
-        let get = |s: Slot| match s {
-            Slot::Input(i) => &inputs[i],
-            Slot::Op(j) => &out[j],
-        };
-        let ct = match *op {
-            BatchOp::HMult(a, b) => ops::try_hmult(chest, get(a), get(b), KsMethod::Klss),
-            BatchOp::HAdd(a, b) => ops::try_hadd(ctx, get(a), get(b)),
-            BatchOp::HRotate(a, steps) => ops::try_hrotate(chest, get(a), steps, KsMethod::Klss),
-            BatchOp::Rescale(a) => ops::try_rescale(ctx, get(a)),
-        }
-        .expect("random programs are legal");
-        out.push(ct);
-    }
-    out
-}
-
-/// The batch executor's outputs.
-fn run_executor(prog: &BatchProgram, chest: &KeyChest, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
-    prog.execute(chest, inputs, KsMethod::Klss)
-        .expect("random programs are legal")
-        .into_iter()
-        .map(|r| r.expect("random programs are legal"))
-        .collect()
 }
 
 fn main() {
@@ -160,18 +129,24 @@ fn main() {
         })
         .collect();
     let prog = BatchProgram::random(&mut rng, inputs.len(), 24, level, ctx.degree());
+    let sequential = || run_sequential(&prog, &chest, &inputs, KsMethod::Klss);
+    let executor = || {
+        prog.execute(&chest, &inputs, KsMethod::Klss)
+            .expect("random programs are legal")
+    };
     // The first sequential run generates the keys, outside the timings.
-    let reference = run_sequential(&prog, &chest, &inputs);
+    let reference = sequential();
+    assert!(
+        reference.iter().all(Result::is_ok),
+        "random programs are legal"
+    );
     assert_eq!(
-        run_executor(&prog, &chest, &inputs),
+        executor(),
         reference,
         "executor outputs diverged from the sequential reference"
     );
-    let (sequential, executor) = measure::time_pair(
-        &MeasureConfig::from_env(),
-        || run_sequential(&prog, &chest, &inputs),
-        || run_executor(&prog, &chest, &inputs),
-    );
+    let (sequential, executor) =
+        measure::time_pair(&MeasureConfig::from_env(), sequential, executor);
     let (sequential_s, executor_s) = (sequential.median_ns * 1e-9, executor.median_ns * 1e-9);
     let host_speedup = sequential_s / executor_s;
     let _ = writeln!(

@@ -3,16 +3,55 @@
 //! Every binary regenerates one artifact of the paper's evaluation
 //! (`cargo run -p neo-bench --bin table5`, `--bin fig14`, …), printing a
 //! formatted table to stdout and writing machine-readable JSON under
-//! `results/`.
+//! `results/`. The library also holds the fault matrix ([`faults`]) and
+//! the batch executor's sequential reference ([`run_sequential`]), which
+//! the binaries and the workspace's integration tests share.
 
 #![deny(clippy::unwrap_used)]
 
+use neo_ckks::batch::{BatchOp, BatchProgram, Slot};
+use neo_ckks::{ops, Ciphertext, KeyChest, KsMethod, NeoError};
 use serde_json::Value;
 use std::fs;
 use std::path::PathBuf;
 
+pub mod faults;
 pub mod guard;
 pub mod measure;
+
+/// The batch executor's reference: a program's ops one by one in issue
+/// order through the public `ops::try_*` calls, with a failed operand
+/// poisoning the op that reads it. `BatchProgram::execute` must return
+/// exactly this.
+pub fn run_sequential(
+    prog: &BatchProgram,
+    chest: &KeyChest,
+    inputs: &[Ciphertext],
+    method: KsMethod,
+) -> Vec<Result<Ciphertext, NeoError>> {
+    let ctx = chest.context();
+    let mut out: Vec<Result<Ciphertext, NeoError>> = Vec::with_capacity(prog.ops.len());
+    for (idx, op) in prog.ops.iter().enumerate() {
+        let get = |s: Slot| match s {
+            Slot::Input(i) => Ok(&inputs[i]),
+            Slot::Op(j) => out[j].as_ref().map_err(|_| NeoError::poisoned(idx, j)),
+        };
+        let result = match *op {
+            BatchOp::HMult(a, b) => {
+                get(a).and_then(|a| get(b).and_then(|b| ops::try_hmult(chest, a, b, method)))
+            }
+            BatchOp::HAdd(a, b) => {
+                get(a).and_then(|a| get(b).and_then(|b| ops::try_hadd(ctx, a, b)))
+            }
+            BatchOp::HRotate(a, steps) => {
+                get(a).and_then(|a| ops::try_hrotate(chest, a, steps, method))
+            }
+            BatchOp::Rescale(a) => get(a).and_then(|a| ops::try_rescale(ctx, a)),
+        };
+        out.push(result);
+    }
+    out
+}
 
 /// The `--out <path>` (or `--out=<path>`) override every bench binary
 /// accepts: when present, [`emit`] writes its JSON artifact to that path

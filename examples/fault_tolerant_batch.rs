@@ -86,7 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- 4. What does verification cost? -------------------------------
+    // Warm the unverified engine's keys first: `engine`'s are warm from
+    // the runs above, and key generation is not the batch's work.
     let off = FheEngine::new(CkksParams::test_tiny(), 42)?;
+    off.warm_program(&prog, off.max_level())?;
     let (_, w_off) = neo::trace::record(|| off.execute_batch(&prog, &inputs, false));
     let (_, w_on) = neo::trace::record(|| engine.execute_batch(&prog, &inputs, false));
     let base = neo::gpu_sim::KernelProfile::from_counters("off", &w_off).cuda_modmacs;

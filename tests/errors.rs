@@ -3,12 +3,11 @@
 //! policy guardrails fire, and batch execution isolates per-op failures
 //! while keeping the valid subset bit-identical to a clean run.
 
-mod common;
-
 use neo::ckks::ops;
 use neo::math::{Domain, RnsPoly};
 use neo::prelude::*;
 use neo::store::codec;
+use neo_bench::run_sequential;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -314,7 +313,7 @@ fn batch_isolates_injected_failures() {
     assert_eq!(got.len(), n_clean + 3);
     assert_eq!(
         got,
-        common::run_sequential(&dirty, &chest, &inputs, KsMethod::Klss),
+        run_sequential(&dirty, &chest, &inputs, KsMethod::Klss),
         "executor diverged from the sequential reference"
     );
 

@@ -2,11 +2,10 @@
 //! the sequential reference under the plan's key-switching method on
 //! random legal programs, and the plan cache round-trips.
 
-mod common;
-
 use neo::ckks::{BatchProgram, Ciphertext, CkksParams, FheEngine, KsMethod, NeoError};
 use neo::gpu_sim::DeviceModel;
 use neo::plan::{PlanStore, Planner};
+use neo_bench::run_sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -40,12 +39,7 @@ fn planned_execution_bit_identical_on_random_programs() {
                     engine.encrypt_f64(&[x, x / 2.0], level).expect("encrypt")
                 })
                 .collect();
-            let reference = unwrap_all(common::run_sequential(
-                &prog,
-                engine.chest(),
-                &inputs,
-                method,
-            ));
+            let reference = unwrap_all(run_sequential(&prog, engine.chest(), &inputs, method));
 
             // The planner's chosen plan, restricted to this method.
             let planner = Planner::new(params.clone(), dev.clone()).with_methods(vec![method]);

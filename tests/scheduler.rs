@@ -3,8 +3,6 @@
 //! its overlap envelope, and the wavefront batch executor against the
 //! sequential reference on real ciphertexts.
 
-mod common;
-
 use neo::ckks::batch::{BatchOp, BatchProgram, Slot};
 use neo::ckks::cost::{CostConfig, Operation};
 use neo::ckks::encoding::Complex64;
@@ -13,6 +11,7 @@ use neo::ckks::sched::{batch_op_graph, op_graph};
 use neo::ckks::{ops, CkksContext, CkksParams, Encoder, KsMethod, ParamSet};
 use neo::gpu_sim::DeviceModel;
 use neo::sched::{simulate, simulate_best, SimConfig};
+use neo_bench::run_sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -157,7 +156,7 @@ fn batch_executor_bit_identical_to_serial() {
             let got = prog.execute(&chest, &inputs, method).unwrap();
             assert_eq!(
                 got,
-                common::run_sequential(&prog, &chest, &inputs, method),
+                run_sequential(&prog, &chest, &inputs, method),
                 "round {round} {method:?}: executor diverged from the sequential reference"
             );
             assert!(got.iter().all(|r| r.is_ok()));
@@ -179,10 +178,7 @@ fn batch_executor_diamond_program() {
     let right = prog.try_push(BatchOp::HRotate(r, 5)).unwrap();
     prog.try_push(BatchOp::HAdd(left, right)).unwrap();
     let got = prog.execute(&chest, &inputs, KsMethod::Klss).unwrap();
-    assert_eq!(
-        got,
-        common::run_sequential(&prog, &chest, &inputs, KsMethod::Klss)
-    );
+    assert_eq!(got, run_sequential(&prog, &chest, &inputs, KsMethod::Klss));
     assert_eq!(got.len(), 5);
     assert!(got.iter().all(|r| r.is_ok()));
 }

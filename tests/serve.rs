@@ -12,11 +12,10 @@
 //! serializes on `test_lock` to keep clean baseline phases out of
 //! another test's armed window.
 
-mod common;
-
 use neo::fault::{FaultPlan, FaultScope, FaultSite, FaultSpec};
 use neo::prelude::*;
 use neo::serve::{ServeConfig, ServiceCore, TenantConfig, TenantRegistry};
+use neo_bench::run_sequential;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -167,7 +166,7 @@ fn retry_budget_exhaustion_sheds_until_reset() {
     let mut core = ServiceCore::new(Arc::clone(&registry), ServeConfig::default());
     let s0 = registry.get(0).expect("t0");
     let ct0 = s0.engine().encrypt_f64(&[0.5, -0.5], 3).expect("enc");
-    let clean = common::run_sequential(
+    let clean = run_sequential(
         &mixed_program(),
         s0.engine().chest(),
         std::slice::from_ref(&ct0),
@@ -241,7 +240,7 @@ fn faulty_tenant_never_corrupts_or_starves_neighbours() {
             .engine()
             .encrypt_f64(&[0.5 + id as f64, -1.0], 3)
             .expect("enc");
-        let clean: Vec<Ciphertext> = common::run_sequential(
+        let clean: Vec<Ciphertext> = run_sequential(
             &mixed_program(),
             s.engine().chest(),
             std::slice::from_ref(&ct),
@@ -325,7 +324,7 @@ fn mixed_verify_policies_leave_the_process_policy_alone() {
         };
         let s = registry.register(id, 600 + id, cfg).expect("register");
         let ct = s.engine().encrypt_f64(&[0.25, id as f64], 3).expect("enc");
-        let clean = common::run_sequential(
+        let clean = run_sequential(
             &program_shape(1),
             s.engine().chest(),
             std::slice::from_ref(&ct),
@@ -369,7 +368,7 @@ fn klss_free_tenant_hmult_is_served() {
     assert_eq!(s.engine().method(), KsMethod::Hybrid);
     let ct = s.engine().encrypt_f64(&[0.5, -1.5], 3).expect("enc");
     let prog = program_shape(2);
-    let clean = common::run_sequential(
+    let clean = run_sequential(
         &prog,
         s.engine().chest(),
         std::slice::from_ref(&ct),
@@ -466,7 +465,7 @@ proptest! {
                 .engine()
                 .encrypt_f64(&[values[id as usize], 0.25], 3)
                 .expect("enc");
-            let clean: Vec<Ciphertext> = common::run_sequential(
+            let clean: Vec<Ciphertext> = run_sequential(
                 &prog,
                 s.engine().chest(),
                 std::slice::from_ref(&ct),
