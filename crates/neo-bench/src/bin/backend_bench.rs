@@ -216,8 +216,10 @@ fn main() {
         rows[..terms].iter().map(Vec::as_slice).collect(),
         rows[terms..].iter().map(Vec::as_slice).collect(),
     );
-    let mul_acc = |kind: BackendKind| {
-        let mut out = vec![0u64; n];
+    // `mul_acc` is write-only: every call's output starts as junk, a
+    // different junk per backend, that the result must not depend on.
+    let mul_acc = |kind: BackendKind, junk: u64| {
+        let mut out = vec![junk; n];
         backend::get(kind).mul_acc(&qt, &xs, &ys, &mut out);
         out
     };
@@ -225,8 +227,8 @@ fn main() {
         "mul_acc_4terms_n16384_q48",
         IFMA,
         json!({ "n": n, "terms": terms, "prime_bits": 48 }),
-        || mul_acc(BackendKind::Portable),
-        || mul_acc(BackendKind::Simd),
+        || mul_acc(BackendKind::Portable, u64::MAX),
+        || mul_acc(BackendKind::Simd, 0x5eed_5eed_5eed_5eed),
     );
 
     // --- 256x256x256 modular GEMM, 55-bit prime. ---

@@ -310,21 +310,47 @@ fn tcu_fragment(base: u64) -> Tally {
 }
 
 /// Corrupted limbs after NTT stage execution: the spot check must flag
-/// the transform whenever the output deviates from clean.
+/// the transform whenever the output deviates from clean. Trials take
+/// turns: a forward kernel; an inverse kernel, plain or scaled by a
+/// seeded factor as KLSS's T-basis inverses are; and a warm HMult through
+/// an always-verifying engine, its one corrupted limb landing in the
+/// per-limb tensor or in the switch's T-basis inverses.
 fn ntt_stage(base: u64) -> Tally {
     let mut t = Tally::default();
     let q = primes::ntt_primes(36, 256, 1).expect("a 36-bit prime")[0];
     let plan = neo_ntt::cache::get_or_build(q, 128).expect("plan builds");
+    let e = engine(VerifyPolicy::Always);
+    let (_, cts) = batch_fixture(&e);
+    let hmult = || e.hmult(&cts[0], &cts[1]);
+    // Also generates the relinearisation key, so every trial runs warm.
+    let clean_ct = hmult().expect("clean run succeeds");
+    let windows = hmult_windows(&e, ntt_transforms(|| drop(hmult())));
     for trial in 0..NTT_STAGE_TRIALS {
         let seed = trial_seed(base, FaultSite::NttStage, trial);
+        if let Some(&(first, len)) = windows.get((trial % 4) as usize) {
+            let spec = FaultSpec::once_after(first + splitmix64(seed) % len);
+            match t.trial(seed, FaultSite::NttStage, spec, hmult) {
+                Ok(ct) => t.outcome(seed, Ok(ct == clean_ct)),
+                Err(err) => {
+                    let retry_clean = hmult().is_ok_and(|ct| ct == clean_ct);
+                    t.recovery(seed, &err, false, retry_clean);
+                }
+            }
+            continue;
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let coeffs: Vec<u64> = (0..128).map(|_| rng.gen_range(0..q)).collect();
-        let forward = trial % 2 == 0;
+        let forward = trial % 4 == 2;
+        let factor = if forward || trial % 8 == 3 {
+            1
+        } else {
+            rng.gen_range(2..q)
+        };
         let transform = |x: &mut [u64]| {
             if forward {
                 neo_ntt::radix2::forward(&plan, x);
             } else {
-                neo_ntt::radix2::inverse(&plan, x);
+                neo_ntt::radix2::inverse_scaled(&plan, x, factor);
             }
         };
         let mut clean = coeffs.clone();
@@ -338,10 +364,25 @@ fn ntt_stage(base: u64) -> Tally {
         } else {
             (&out, &coeffs)
         };
-        let check = neo_ntt::spot_check_transform(&plan, c, evals, seed, forward);
+        let check = neo_ntt::spot_check_transform(&plan, c, evals, seed, forward, factor);
         t.outcome(seed, check.as_ref().map(|_| out == clean));
     }
     t
+}
+
+/// The `(first, count)` limb transforms of a warm top-level HMult that
+/// `total` counts: the per-limb tensor's seven per limb, then, after the
+/// switch's Mod Up, its T-basis inverses, two per output digit and `T`
+/// limb.
+fn hmult_windows(e: &FheEngine, total: u64) -> [(u64, u64); 2] {
+    let params = e.context().params();
+    let level = e.max_level();
+    let t_limbs = e.context().t_primes().len() as u64;
+    let tensor = 7 * (level as u64 + 1);
+    let mod_up = params.beta(level) as u64 * t_limbs;
+    let inverses = 2 * params.beta_tilde(level) as u64 * t_limbs;
+    assert_eq!(tensor + mod_up + inverses, total, "HMult transform count");
+    [(0, tensor), (tensor + mod_up, inverses)]
 }
 
 /// One corrupted NTT limb inside cold key generation or the secret's

@@ -8,6 +8,7 @@
 
 use crate::params::CkksParams;
 use neo_error::NeoError;
+use neo_math::recycle::LIMBS;
 use neo_math::{
     backend, primes, BconvTable, ComputeBackend, Domain, MathError, Modulus, RnsBasis, RnsPoly,
 };
@@ -20,6 +21,16 @@ use std::sync::Arc;
 
 /// Cache of BConv tables keyed by (source primes, destination primes).
 type BconvMap = HashMap<(Vec<u64>, Vec<u64>), Arc<BconvTable>>;
+
+/// The transform one limb runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LimbTransform {
+    /// Coefficients to evaluations.
+    Forward,
+    /// Evaluations to coefficients, times a factor on top of `n⁻¹` (1
+    /// for the plain inverse), applied in the same scale pass.
+    Inverse(u64),
+}
 
 /// Everything derived from a [`CkksParams`]: the modulus chains
 /// (`q_0..q_L`, special `p_0..p_{K-1}`, and the KLSS auxiliary
@@ -184,8 +195,9 @@ impl CkksContext {
     /// poisoning) of a cached plan is visible to the very next transform.
     /// When the active [`neo_fault::VerifyPolicy`] says a check is due,
     /// each limb's (input, output) pair is spot-checked via
-    /// [`neo_ntt::spot_check_transform`], which also re-hashes the plan
-    /// against its build-time integrity token.
+    /// [`neo_ntt::spot_check_transform`], which also re-hashes a plan
+    /// object against its build-time integrity token the first time a
+    /// check uses it.
     ///
     /// # Errors
     ///
@@ -195,7 +207,7 @@ impl CkksContext {
     /// (site `ntt_forward` / `ntt_plan`) on a failed check;
     /// [`NeoError::Math`] if a plan cannot be built.
     pub fn try_ntt_forward(&self, poly: &mut RnsPoly, moduli: &[Modulus]) -> Result<(), NeoError> {
-        self.transform(poly, moduli, true)
+        self.transform(poly, moduli, true, &[])
     }
 
     /// Inverse NTT with ABFT verification; see [`Self::try_ntt_forward`].
@@ -208,17 +220,38 @@ impl CkksContext {
     /// [`NeoError::FaultDetected`] (site `ntt_inverse` / `ntt_plan`) on a
     /// failed check; [`NeoError::Math`] if a plan cannot be built.
     pub fn try_ntt_inverse(&self, poly: &mut RnsPoly, moduli: &[Modulus]) -> Result<(), NeoError> {
-        self.transform(poly, moduli, false)
+        self.transform(poly, moduli, false, &[])
     }
 
-    /// The one NTT driver behind [`Self::try_ntt_forward`] and
-    /// [`Self::try_ntt_inverse`]. The domain is set only when every limb
-    /// transformed and passed its check.
+    /// [`Self::try_ntt_inverse`] that also multiplies limb `i` by
+    /// `factors[i]`, in the `n⁻¹` scale pass the inverse already makes;
+    /// the spot check takes the factor into its identities.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::try_ntt_inverse`].
+    pub(crate) fn try_ntt_inverse_scaled(
+        &self,
+        poly: &mut RnsPoly,
+        moduli: &[Modulus],
+        factors: &[u64],
+    ) -> Result<(), NeoError> {
+        assert_eq!(factors.len(), moduli.len(), "one factor per limb");
+        self.transform(poly, moduli, false, factors)
+    }
+
+    /// The one NTT driver behind [`Self::try_ntt_forward`] and the
+    /// inverses: one verification draw for the whole polynomial, then
+    /// [`Self::transform_limb`] on every limb (limb `i` of an inverse
+    /// scaled by `factors[i]`, or by 1 when `factors` is empty). The
+    /// domain is set only when every limb transformed and passed its
+    /// check.
     fn transform(
         &self,
         poly: &mut RnsPoly,
         moduli: &[Modulus],
         forward: bool,
+        factors: &[u64],
     ) -> Result<(), NeoError> {
         let (site, from, to) = if forward {
             ("ntt_forward", Domain::Coeff, Domain::Ntt)
@@ -226,32 +259,19 @@ impl CkksContext {
             ("ntt_inverse", Domain::Ntt, Domain::Coeff)
         };
         self.check_transform(site, poly, moduli, from)?;
-        let kernel = if forward {
-            radix2::forward
-        } else {
-            radix2::inverse
-        };
-        let n = self.degree();
         let verify = neo_fault::verification_due();
         let checks: Vec<Result<(), NeoError>> = poly
             .limbs_mut()
             .par_iter_mut()
             .zip(moduli.par_iter())
-            .map(|(limb, m)| {
-                let plan = ntt_cache::get_or_build(m.value(), n)?;
-                let input = verify.then(|| limb.clone());
-                kernel(&plan, limb);
-                let Some(input) = input else {
-                    return Ok(());
-                };
-                let (coeffs, evals) = if forward {
-                    (&input[..], &limb[..])
+            .enumerate()
+            .map(|(i, (limb, m))| {
+                let kind = if forward {
+                    LimbTransform::Forward
                 } else {
-                    (&limb[..], &input[..])
+                    LimbTransform::Inverse(factors.get(i).copied().unwrap_or(1))
                 };
-                // Salt with the modulus: deterministic per limb, so a
-                // rayon schedule cannot change which point is checked.
-                neo_ntt::spot_check_transform(&plan, coeffs, evals, m.value(), forward)
+                self.transform_limb(limb, m, kind, verify)
             })
             .collect();
         checks.into_iter().collect::<Result<(), NeoError>>()?;
@@ -259,10 +279,54 @@ impl CkksContext {
         Ok(())
     }
 
+    /// One limb's transform on the plan for `m`, fetched from the
+    /// process-wide [`neo_ntt::cache`] now, and spot-checked when `verify`
+    /// is set: the per-limb core of every transform the context runs, and
+    /// of HMult's per-limb tensor.
+    ///
+    /// # Errors
+    ///
+    /// [`NeoError::FaultDetected`] (site `ntt_forward` / `ntt_inverse` /
+    /// `ntt_plan`) on a failed check; [`NeoError::Math`] if the plan
+    /// cannot be built.
+    pub(crate) fn transform_limb(
+        &self,
+        limb: &mut [u64],
+        m: &Modulus,
+        kind: LimbTransform,
+        verify: bool,
+    ) -> Result<(), NeoError> {
+        let plan = ntt_cache::get_or_build(m.value(), self.degree())?;
+        let input = verify.then(|| LIMBS.copied(limb));
+        let (forward, factor) = match kind {
+            LimbTransform::Forward => {
+                radix2::forward(&plan, limb);
+                (true, 1)
+            }
+            LimbTransform::Inverse(factor) => {
+                radix2::inverse_scaled(&plan, limb, factor);
+                (false, factor)
+            }
+        };
+        let Some(input) = input else {
+            return Ok(());
+        };
+        let (coeffs, evals) = if forward {
+            (&input[..], &limb[..])
+        } else {
+            (&limb[..], &input[..])
+        };
+        // Salt with the modulus: deterministic per limb, so a rayon
+        // schedule cannot change which point is checked.
+        let check = neo_ntt::spot_check_transform(&plan, coeffs, evals, m.value(), forward, factor);
+        LIMBS.give(input);
+        check
+    }
+
     /// Refuses a transform input the context cannot run: a poly outside
     /// the `from` domain, a limb count other than `moduli.len()`, or a
     /// degree other than the context's.
-    fn check_transform(
+    pub(crate) fn check_transform(
         &self,
         site: &'static str,
         poly: &RnsPoly,

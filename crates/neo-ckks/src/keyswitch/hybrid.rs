@@ -28,7 +28,6 @@ pub fn keyswitch_hybrid(
     let qp_primes = ctx.qp_primes(level);
     let q_primes = &ctx.q_primes()[..=level];
     let ranges = digit_ranges(ctx.params().alpha(), level + 1);
-    let n = d.degree();
     let dnum = ranges.len();
     let _s = neo_trace::span!("keyswitch.hybrid", level = level, dnum = dnum);
     // Mod Up each digit independently (approximate BConv into the
@@ -69,10 +68,8 @@ pub fn keyswitch_hybrid(
             .map(|(x, d)| (x, &d[part]))
             .collect()
     };
-    let mut acc0 = RnsPoly::zero(n, qp.len(), Domain::Ntt);
-    let mut acc1 = RnsPoly::zero(n, qp.len(), Domain::Ntt);
-    acc0.mul_acc_terms_assign(ctx.backend(), &terms(0), &qp);
-    acc1.mul_acc_terms_assign(ctx.backend(), &terms(1), &qp);
+    let mut acc0 = RnsPoly::inner_product(ctx.backend(), &terms(0), &qp);
+    let mut acc1 = RnsPoly::inner_product(ctx.backend(), &terms(1), &qp);
     ctx.try_ntt_inverse(&mut acc0, &qp)?;
     ctx.try_ntt_inverse(&mut acc1, &qp)?;
     Ok((mod_down(ctx, acc0, level)?, mod_down(ctx, acc1, level)?))

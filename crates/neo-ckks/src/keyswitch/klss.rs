@@ -44,7 +44,6 @@ pub fn keyswitch_klss(
     let t_moduli = ctx.t_moduli().to_vec();
     let qp = ctx.qp_moduli(level);
     let qp_primes = ctx.qp_primes(level);
-    let n = d.degree();
     let ranges = digit_ranges(params.alpha(), level + 1);
     let dnum = ranges.len();
     let _s = neo_trace::span!("keyswitch.klss", level = level, dnum = dnum);
@@ -79,16 +78,17 @@ pub fn keyswitch_klss(
         .map(|(jj, range)| -> Result<[Vec<Vec<u64>>; 2], NeoError> {
             let table = ctx.bconv_table(&t_primes, &qp_primes[range.clone()]);
             let recover = |c: usize| -> Result<Vec<Vec<u64>>, NeoError> {
-                let mut acc = RnsPoly::zero(n, t_moduli.len(), Domain::Ntt);
                 let terms: Vec<(&RnsPoly, &RnsPoly)> = xs
                     .iter()
                     .zip(&key.digits)
                     .map(|(x, digit)| (x, &digit[jj][c]))
                     .collect();
-                acc.mul_acc_terms_assign(ctx.backend(), &terms, &t_moduli);
-                ctx.try_ntt_inverse(&mut acc, &t_moduli)?;
-                // Exact centered BConv of G_ĵ into digit ĵ's limbs.
-                Ok(table.convert_exact(acc.limbs()))
+                let mut acc = RnsPoly::inner_product(ctx.backend(), &terms, &t_moduli);
+                // The inverse multiplies limb i by n⁻¹·T̂_i⁻¹ in its one
+                // scale pass, so the exact centered BConv of G_ĵ into
+                // digit ĵ's limbs starts from rows already scaled.
+                ctx.try_ntt_inverse_scaled(&mut acc, &t_moduli, table.qhat_inv())?;
+                Ok(table.convert_exact_scaled(acc.limbs()))
             };
             Ok([recover(0)?, recover(1)?])
         })
@@ -114,6 +114,69 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
+
+    /// The switch before the T-basis inverse carried Recover's scaling:
+    /// each output digit's inner product, a plain inverse NTT, then
+    /// `convert_exact` with its own `T̂_i⁻¹` scaling pass.
+    fn keyswitch_unfused(ctx: &CkksContext, key: &KlssKey, d: &RnsPoly) -> [RnsPoly; 2] {
+        let level = key.level;
+        let (q_primes, t_primes) = (&ctx.q_primes()[..=level], ctx.t_primes());
+        let t_moduli = ctx.t_moduli();
+        let qp_primes = ctx.qp_primes(level);
+        let xs: Vec<RnsPoly> = digit_ranges(ctx.params().alpha(), level + 1)
+            .into_iter()
+            .map(|r| {
+                let table = ctx.bconv_table(&q_primes[r.clone()], t_primes);
+                let conv = table.convert_exact(&d.limbs()[r]);
+                let mut x = RnsPoly::from_limbs(conv, Domain::Coeff).unwrap();
+                ctx.try_ntt_forward(&mut x, t_moduli).unwrap();
+                x
+            })
+            .collect();
+        let key_ranges = digit_ranges(ctx.params().klss.unwrap().alpha_tilde, qp_primes.len());
+        let mut result = [Vec::new(), Vec::new()];
+        for (jj, range) in key_ranges.iter().enumerate() {
+            let table = ctx.bconv_table(t_primes, &qp_primes[range.clone()]);
+            for (c, res) in result.iter_mut().enumerate() {
+                let mut acc = RnsPoly::zero(ctx.degree(), t_moduli.len(), Domain::Ntt);
+                for (x, digit) in xs.iter().zip(&key.digits) {
+                    let mut p = x.clone();
+                    p.mul_pointwise_assign(&digit[jj][c], t_moduli);
+                    acc.add_assign(&p, t_moduli);
+                }
+                ctx.try_ntt_inverse(&mut acc, t_moduli).unwrap();
+                res.extend(table.convert_exact(acc.limbs()));
+            }
+        }
+        result.map(|limbs| {
+            let poly = RnsPoly::from_limbs(limbs, Domain::Coeff).unwrap();
+            mod_down(ctx, poly, level).unwrap()
+        })
+    }
+
+    /// The switch equals the unfused one bit for bit, at the top level and
+    /// at a level whose last key range holds a single limb.
+    #[test]
+    fn klss_matches_the_unfused_switch() {
+        let (ctx, chest) = chest();
+        let mut rng = StdRng::seed_from_u64(19);
+        let alpha_tilde = ctx.params().klss.unwrap().alpha_tilde;
+        let top = ctx.params().max_level;
+        let single = (0..top)
+            .rev()
+            .find(|&l| {
+                let ranges = digit_ranges(alpha_tilde, ctx.qp_primes(l).len());
+                ranges.last().unwrap().len() == 1
+            })
+            .expect("a level whose last key range holds one limb");
+        for level in [top, single] {
+            let q = ctx.q_moduli(level);
+            let d = RnsPoly::random_uniform(&mut rng, ctx.degree(), q, Domain::Coeff);
+            let key = chest.klss_key(level, KeyTarget::Relin).unwrap();
+            let (u0, u1) = keyswitch_klss(&ctx, &key, &d).unwrap();
+            assert_eq!([u0, u1], keyswitch_unfused(&ctx, &key, &d), "level {level}");
+        }
+    }
 
     fn chest() -> (Arc<CkksContext>, KeyChest) {
         let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());

@@ -16,7 +16,7 @@ use crate::keys::KeyChest;
 use crate::ops;
 use crate::params::KsMethod;
 use neo_error::NeoError;
-use neo_math::{Domain, RnsPoly};
+use neo_math::RnsPoly;
 use parking_lot::Mutex;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -238,9 +238,7 @@ impl LinearTransform {
                     .iter()
                     .map(|(i, pt)| (&babies[i][k], pt.poly()))
                     .collect();
-                let mut sum = RnsPoly::zero(ctx.degree(), level + 1, Domain::Ntt);
-                sum.mul_acc_terms_assign(be, &terms, moduli);
-                sum
+                RnsPoly::inner_product(be, &terms, moduli)
             });
             for part in &mut parts {
                 ctx.try_ntt_inverse(part, moduli)?;

@@ -7,16 +7,18 @@
 //! [`crate::engine::FheEngine`] session facade.
 
 use crate::ciphertext::{Ciphertext, Plaintext};
-use crate::context::CkksContext;
+use crate::context::{CkksContext, LimbTransform};
 use crate::keys::{KeyChest, KeyTarget, PublicKey, SecretKey};
 use crate::keyswitch::{hybrid::keyswitch_hybrid, klss::keyswitch_klss};
 use crate::metrics::{note_noise, OpKind};
 use crate::params::KsMethod;
 use neo_error::NeoError;
+use neo_math::poly::inner_product_row;
 use neo_math::recycle::LIMBS;
-use neo_math::{Domain, Modulus, RnsPoly};
+use neo_math::{ComputeBackend, Domain, Modulus, RnsPoly};
 use neo_trace::span;
 use rand::Rng;
+use rayon::prelude::*;
 
 /// Relative scale drift tolerated between operands: rescaling divides by
 /// `q_i ≈ 2^scale_bits`, leaving a ~1e-6 relative drift between "one
@@ -273,33 +275,98 @@ pub fn try_hmult(
     let level = a.level();
     check_level(ctx, "hmult", level)?;
     let _s = span!("ckks.hmult", level = level);
-    let moduli = ctx.q_moduli(level).to_vec();
-    // Tensor product in NTT domain.
-    let mut a0 = a.c0().clone();
-    let mut a1 = a.c1().clone();
-    let mut b0 = b.c0().clone();
-    let mut b1 = b.c1().clone();
-    ctx.try_ntt_forward(&mut a0, &moduli)?;
-    ctx.try_ntt_forward(&mut a1, &moduli)?;
-    ctx.try_ntt_forward(&mut b0, &moduli)?;
-    ctx.try_ntt_forward(&mut b1, &moduli)?;
-    let be = ctx.backend();
-    let zero = || RnsPoly::zero(a0.degree(), moduli.len(), Domain::Ntt);
-    let (mut d0, mut d1, mut d2) = (zero(), zero(), zero());
-    d0.mul_acc_terms_assign(be, &[(&a0, &b0)], &moduli);
-    d1.mul_acc_terms_assign(be, &[(&a0, &b1), (&a1, &b0)], &moduli);
-    d2.mul_acc_terms_assign(be, &[(&a1, &b1)], &moduli);
-    ctx.try_ntt_inverse(&mut d0, &moduli)?;
-    ctx.try_ntt_inverse(&mut d1, &moduli)?;
-    ctx.try_ntt_inverse(&mut d2, &moduli)?;
+    let moduli = ctx.q_moduli(level);
+    let [mut d0, mut d1, d2] = tensor(ctx, a, b)?;
     // Relinearize d2.
     let (u0, u1) = switch(chest, level, KeyTarget::Relin, &d2, method)?;
-    d0.add_assign(&u0, &moduli);
-    d1.add_assign(&u1, &moduli);
+    d0.add_assign(&u0, moduli);
+    d1.add_assign(&u1, moduli);
     let out = Ciphertext::new(d0, d1, a.scale() * b.scale(), level);
     emit_budget(ctx, "hmult", &out);
     note_noise(OpKind::HMult, ctx, &[a, b], &out);
     Ok(out)
+}
+
+/// The tensor `(d0, d1, d2) = (a0·b0, a0·b1 + a1·b0, a1·b1)` of two
+/// ciphertexts at one level, in the coefficient domain, formed one limb
+/// at a time: each limb's four operand rows are copied into recycled
+/// scratch and run four forward transforms, three products and three
+/// inverse transforms while its seven rows stay in cache. The seven
+/// transforms' verification draws are taken first, in the order of the
+/// polynomial-wide transforms this replaces (the four operands forward,
+/// then `d0`, `d1`, `d2` inverse), and every operand is refused as those
+/// transforms would refuse it.
+fn tensor(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> Result<[RnsPoly; 3], NeoError> {
+    let moduli = ctx.q_moduli(a.level());
+    let operands = [a.c0(), a.c1(), b.c0(), b.c1()];
+    for p in operands {
+        ctx.check_transform("ntt_forward", p, moduli, Domain::Coeff)?;
+    }
+    let verify: [bool; 7] = std::array::from_fn(|_| neo_fault::verification_due());
+    let be = ctx.backend();
+    let rows: Vec<Result<[Vec<u64>; 3], NeoError>> = moduli
+        .par_iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let mut x = operands.map(|p| LIMBS.copied(p.limb(i)));
+            let d = tensor_limb(ctx, be, m, &mut x, &verify);
+            LIMBS.give_all(x);
+            d
+        })
+        .collect();
+    let mut parts = [(); 3].map(|_| Vec::with_capacity(moduli.len()));
+    let mut failed = None;
+    for r in rows {
+        match r {
+            Ok(d) => {
+                for (part, row) in parts.iter_mut().zip(d) {
+                    part.push(row);
+                }
+            }
+            Err(e) => {
+                failed.get_or_insert(e);
+            }
+        }
+    }
+    if let Some(e) = failed {
+        LIMBS.give_all(parts.into_iter().flatten());
+        return Err(e);
+    }
+    let [d0, d1, d2] = parts.map(|limbs| RnsPoly::from_limbs(limbs, Domain::Coeff));
+    Ok([d0?, d1?, d2?])
+}
+
+/// One limb of [`tensor`] modulo `m`: transforms the operand rows
+/// `x = [a0, a1, b0, b1]` forward in place and returns the limb's
+/// `[d0, d1, d2]` rows, transformed back. `verify` holds the seven
+/// transforms' draws.
+fn tensor_limb(
+    ctx: &CkksContext,
+    be: &dyn ComputeBackend,
+    m: &Modulus,
+    x: &mut [Vec<u64>; 4],
+    verify: &[bool; 7],
+) -> Result<[Vec<u64>; 3], NeoError> {
+    for (row, &v) in x.iter_mut().zip(verify) {
+        ctx.transform_limb(row, m, LimbTransform::Forward, v)?;
+    }
+    let [a0, a1, b0, b1] = x.each_ref().map(Vec::as_slice);
+    let mut d = [
+        inner_product_row(be, m, &[a0], &[b0]),
+        inner_product_row(be, m, &[a0, a1], &[b1, b0]),
+        inner_product_row(be, m, &[a1], &[b1]),
+    ];
+    let inverses = d
+        .iter_mut()
+        .zip(&verify[4..])
+        .try_for_each(|(row, &v)| ctx.transform_limb(row, m, LimbTransform::Inverse(1), v));
+    match inverses {
+        Ok(()) => Ok(d),
+        Err(e) => {
+            LIMBS.give_all(d);
+            Err(e)
+        }
+    }
 }
 
 /// The Galois element `5^steps mod 2N` a left rotation by `steps` uses —
@@ -505,15 +572,57 @@ mod tests {
             .collect()
     }
 
+    fn random_ct(ctx: &CkksContext, rng: &mut StdRng, level: usize) -> Ciphertext {
+        let moduli = ctx.q_moduli(level);
+        let mut poly = || RnsPoly::random_uniform(rng, ctx.degree(), moduli, Domain::Coeff);
+        Ciphertext::new(poly(), poly(), 2f64.powi(30), level)
+    }
+
+    /// The op-major tensor the per-limb one replaced: clone the four
+    /// operands, transform each whole polynomial forward, form the three
+    /// products, transform each back.
+    fn tensor_op_major(ctx: &CkksContext, a: &Ciphertext, b: &Ciphertext) -> [RnsPoly; 3] {
+        let moduli = ctx.q_moduli(a.level());
+        let mut v = [a.c0(), a.c1(), b.c0(), b.c1()].map(Clone::clone);
+        for p in &mut v {
+            ctx.try_ntt_forward(p, moduli).unwrap();
+        }
+        let [a0, a1, b0, b1] = v;
+        let product = |x: &RnsPoly, y: &RnsPoly| {
+            let mut p = x.clone();
+            p.mul_pointwise_assign(y, moduli);
+            p
+        };
+        let mut d1 = product(&a0, &b1);
+        d1.add_assign(&product(&a1, &b0), moduli);
+        let mut d = [product(&a0, &b0), d1, product(&a1, &b1)];
+        for p in &mut d {
+            ctx.try_ntt_inverse(p, moduli).unwrap();
+        }
+        d
+    }
+
+    #[test]
+    fn per_limb_tensor_matches_the_op_major_tensor() {
+        let ctx = CkksContext::new(CkksParams::test_small()).unwrap();
+        let mut rng = StdRng::seed_from_u64(25);
+        for level in [ctx.params().max_level, 1] {
+            let (a, b) = (
+                random_ct(&ctx, &mut rng, level),
+                random_ct(&ctx, &mut rng, level),
+            );
+            let got = tensor(&ctx, &a, &b).unwrap();
+            assert!(got.iter().all(|d| d.domain() == Domain::Coeff));
+            assert_eq!(got, tensor_op_major(&ctx, &a, &b), "level {level}");
+        }
+    }
+
     #[test]
     fn rescale_matches_two_pass_reference() {
         let ctx = CkksContext::new(CkksParams::test_small()).unwrap();
         let mut rng = StdRng::seed_from_u64(22);
         for level in [1, ctx.params().max_level] {
-            let moduli = ctx.q_moduli(level);
-            let mut poly =
-                || RnsPoly::random_uniform(&mut rng, ctx.degree(), moduli, Domain::Coeff);
-            let ct = Ciphertext::new(poly(), poly(), 2f64.powi(30), level);
+            let ct = random_ct(&ctx, &mut rng, level);
             let out = try_rescale(&ctx, &ct).unwrap();
             assert_eq!(out.c0().limbs(), rescale_two_pass(&ctx, ct.c0(), level));
             assert_eq!(out.c1().limbs(), rescale_two_pass(&ctx, ct.c1(), level));

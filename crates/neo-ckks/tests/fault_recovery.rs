@@ -4,9 +4,10 @@
 //! tests; within the binary every test holds `test_lock` so clean
 //! baseline phases never overlap another test's armed window.
 
+use neo_ckks::encoding::Complex64;
 use neo_ckks::{
-    BatchOp, BatchProgram, Ciphertext, CkksParams, ErrorKind, FheEngine, NeoError, OpPolicy, Slot,
-    VerifyPolicy,
+    BatchOp, BatchProgram, Ciphertext, CkksParams, ErrorKind, FheEngine, LinearTransform, NeoError,
+    OpPolicy, Slot, VerifyPolicy,
 };
 use neo_fault::{FaultPlan, FaultScope, FaultSite, FaultSpec};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -67,6 +68,46 @@ fn verify_always_matches_verify_off_on_clean_runs() {
     assert_eq!(w_off.get(neo_trace::Counter::AbftChecks), 0);
     assert!(w_on.get(neo_trace::Counter::AbftChecks) > 0);
     assert!(w_on.get(neo_trace::Counter::AbftMacs) > 0);
+}
+
+/// HMult's per-limb tensor, HRotate and a BSGS transform, the fused
+/// T-basis inverses included, return the same ciphertexts when every
+/// transform is spot-checked as when none is, and the checks ran.
+#[test]
+fn hmult_hrotate_and_bsgs_match_across_verify_policies() {
+    let _l = test_lock();
+    let run = |verify| {
+        let e = FheEngine::new(CkksParams::test_small(), 23)
+            .unwrap()
+            .with_policy(OpPolicy {
+                verify,
+                ..OpPolicy::default()
+            });
+        let cts = inputs(&e);
+        let slots = e.slots();
+        let diagonals = [0, 1, 2, 5, slots - 1]
+            .into_iter()
+            .map(|d| {
+                let diag = (0..slots)
+                    .map(|i| Complex64::new(((i * 7 + d) % 5) as f64 * 0.1, 0.0))
+                    .collect();
+                (d, diag)
+            })
+            .collect();
+        let lt = LinearTransform::try_from_diagonals(slots, diagonals).unwrap();
+        neo_trace::record(|| {
+            [
+                e.hmult(&cts[0], &cts[1]).unwrap(),
+                e.hrotate(&cts[0], 3).unwrap(),
+                e.apply_transform_bsgs(&lt, &cts[1]).unwrap(),
+            ]
+        })
+    };
+    let (off, w_off) = run(VerifyPolicy::Off);
+    let (on, w_on) = run(VerifyPolicy::Always);
+    assert_eq!(off, on);
+    assert_eq!(w_off.get(neo_trace::Counter::AbftChecks), 0);
+    assert!(w_on.get(neo_trace::Counter::AbftChecks) > 0);
 }
 
 #[test]

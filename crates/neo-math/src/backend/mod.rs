@@ -197,10 +197,11 @@ pub trait ComputeBackend: Send + Sync {
     /// half rounds exactly.
     fn bconv_overshoot(&self, ys: &[&[u64]], inv_q: &[f64], out: &mut [u64]);
 
-    /// Fused element-wise multiply-accumulate across terms:
-    /// `out[c] = (out[c] + Σ_j a[j][c] · b[j][c]) mod q`, the sum taken
-    /// exactly and reduced once — a zeroed `out` gives the plain inner
-    /// product. Every input, `out` included, must be reduced (`< q`);
+    /// Fused element-wise inner product across terms:
+    /// `out[c] = (Σ_j a[j][c] · b[j][c]) mod q`, the sum taken exactly and
+    /// reduced once. Write-only: `out` is never read, so it may hold
+    /// anything (a recycled row needs no zeroing), and no terms give
+    /// zeros. Every `a` and `b` input must be reduced (`< q`);
     /// `a.len() == b.len()` and every row is at least as long as `out`.
     fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]);
 
@@ -341,19 +342,26 @@ mod tests {
             simd.bconv_ip(&m, &ys, q, &w, &mut b);
             assert_eq!(a, b, "bconv_ip bits={bits}");
 
-            // q − 1 operands and accumulator maximise every lane sum; 70
-            // terms carry the IFMA high lane past 2^52 and take the
-            // portable path through two fold groups at 61 bits.
-            for terms in [1usize, 4, 70] {
+            // q − 1 operands maximise every lane sum; 70 terms carry the
+            // IFMA high lane past 2^52 and take the portable path through
+            // two fold groups at 61 bits. The outputs start as different
+            // junk, which the write-only kernels must ignore.
+            for terms in [0usize, 1, 4, 70] {
                 let rows: Vec<Vec<u64>> = (0..2 * terms)
                     .map(|_| (0..n + 3).map(|_| rng.gen_range(q - 2..q)).collect())
                     .collect();
                 let xs: Vec<&[u64]> = rows[..terms].iter().map(Vec::as_slice).collect();
                 let ys: Vec<&[u64]> = rows[terms..].iter().map(Vec::as_slice).collect();
-                let (mut a, mut b) = (vec![q - 1; n + 3], vec![q - 1; n + 3]);
+                let (mut a, mut b) = (vec![u64::MAX; n + 3], vec![q; n + 3]);
                 portable.mul_acc(&m, &xs, &ys, &mut a);
                 simd.mul_acc(&m, &xs, &ys, &mut b);
                 assert_eq!(a, b, "mul_acc terms={terms} bits={bits}");
+                for (c, &got) in a.iter().enumerate() {
+                    let want = xs.iter().zip(&ys).fold(0u128, |s, (x, y)| {
+                        (s + u128::from(x[c]) * u128::from(y[c])) % u128::from(q)
+                    });
+                    assert_eq!(u128::from(got), want, "mul_acc terms={terms} bits={bits}");
+                }
             }
 
             let (gm, gk, gn) = (5usize, 600usize, 19usize);

@@ -79,10 +79,15 @@ impl ComputeBackend for PortableBackend {
     fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
         // `span` terms fit the u128 accumulator on top of a value below q
         // (the GEMM's fold bound); longer sums take one pass per group.
+        // The first group writes `out` without reading it, each later one
+        // starts from the group before.
+        if a.is_empty() {
+            out.fill(0);
+        }
         let span = gemm_span(q);
-        for (xs, ys) in a.chunks(span).zip(b.chunks(span)) {
+        for (g, (xs, ys)) in a.chunks(span).zip(b.chunks(span)).enumerate() {
             for (c, o) in out.iter_mut().enumerate() {
-                let mut acc = u128::from(*o);
+                let mut acc = if g == 0 { 0 } else { u128::from(*o) };
                 for (x, y) in xs.iter().zip(ys) {
                     acc += u128::from(x[c]) * u128::from(y[c]);
                 }

@@ -709,15 +709,15 @@ mod ifma {
         }
     }
 
-    /// `out[c] = (out[c] + Σ_j a[j][c]·b[j][c]) mod q` for reduced inputs
-    /// and fewer than `2^11` terms: `lo` starts at `out[c] < 2^50` and
-    /// gains `< 2^52` per term, `hi` gains `< 2^48`.
+    /// `out[c] = (Σ_j a[j][c]·b[j][c]) mod q` for reduced inputs and fewer
+    /// than `2^11` terms, never reading `out`: `lo` gains `< 2^52` per
+    /// term, `hi` gains `< 2^48`.
     #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     pub fn mul_acc(q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
         let reducer = WideReducer::new(q);
         let (outs, tail) = out.as_chunks_mut::<8>();
         for (c, o) in outs.iter_mut().enumerate() {
-            let (mut hi, mut lo) = (_mm512_setzero_si512(), load(o));
+            let (mut hi, mut lo) = (_mm512_setzero_si512(), _mm512_setzero_si512());
             for (x, y) in a.iter().zip(b) {
                 let (x, y) = (load_at(x, 8 * c), load_at(y, 8 * c));
                 lo = _mm512_madd52lo_epu64(lo, x, y);

@@ -25,7 +25,10 @@
 //! All three are one [`bconv_ip`] call per target limb: the correction and
 //! the division are folded into that inner product as extra rows and
 //! rescaled weights. Each output is then an exact sum congruent to the
-//! scalar formula, reduced once — the same canonical residue.
+//! scalar formula, reduced once — the same canonical residue. Each first
+//! scales source limb `i` by `q̂_i⁻¹`; [`BconvTable::convert_exact_scaled`]
+//! takes rows that already carry that factor (KLSS's Recover folds it
+//! into the inverse NTT's `n⁻¹` scale).
 //!
 //! The exact flavour is provably safe when the represented value keeps a
 //! factor-2 margin below `Q` (the KLSS `T ≥ 2βN·B·B̃` budget guarantees
@@ -210,6 +213,24 @@ impl BconvTable {
         self.convert_limbs(x, Fold::Exact)
     }
 
+    /// [`Self::convert_exact`] of limbs that already carry their scaling:
+    /// row `i` holds the canonical `[x_i · q̂_i⁻¹]_{q_i}`, as an inverse
+    /// NTT that folds [`Self::qhat_inv`] into its `n⁻¹` scale leaves it.
+    /// Bit-identical to `convert_exact(x)`, without the scaling pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if limb counts do not match the table's bases.
+    pub fn convert_exact_scaled(&self, y: &[Vec<u64>]) -> Vec<Vec<u64>> {
+        self.convert_scaled(y, Fold::Exact)
+    }
+
+    /// `q̂_i⁻¹ mod q_i` for each source prime `q_i`: the factor every
+    /// conversion first multiplies source limb `i` by.
+    pub fn qhat_inv(&self) -> &[u64] {
+        &self.qhat_inv
+    }
+
     /// Mod Down by the source modulus `Q`: for a value held as source
     /// limbs `x` and target limbs `a`, overwrites each `a[j]` with
     /// `(a_j − BConv(x)_j)·Q⁻¹ mod t_j` — the approximate conversion's
@@ -226,40 +247,52 @@ impl BconvTable {
         LIMBS.give_all(replaced.map(|(limb, new)| std::mem::replace(limb, new)));
     }
 
-    /// Limb-major conversion on the pinned backend: one [`bconv_ip`] per
-    /// target limb over the scaled rows `y_i` and the rows `fold` appends,
-    /// with weights that make the exact sum congruent to the scalar
-    /// formula. Bit-identical to the coefficient-wise oracles: the scaling
-    /// multiply lands on the same canonical residue as
-    /// `mul(reduce(x), q̂⁻¹)`, the inner product is an exact sum
-    /// (order-independent) reduced once, and the exact correction
-    /// accumulates the fractional sum in the same source-limb order so the
-    /// f64 rounding decision cannot differ.
-    ///
-    /// Scratch rows and outputs come from the [`LIMBS`] recycler; the
-    /// scratch goes back before returning.
-    ///
-    /// [`bconv_ip`]: crate::backend::ComputeBackend::bconv_ip
+    /// Limb-major conversion on the pinned backend: scales each source
+    /// limb by `q̂_i⁻¹` into a scratch row from the [`LIMBS`] recycler, then
+    /// [`Self::convert_scaled`]; the scratch goes back before returning.
+    /// The scaling multiply lands on the same canonical residue as the
+    /// coefficient-wise oracles' `mul(reduce(x), q̂⁻¹)`.
     fn convert_limbs(&self, x: &[Vec<u64>], fold: Fold<'_>) -> Vec<Vec<u64>> {
         assert_eq!(x.len(), self.src.len(), "source limb count mismatch");
-        let n = x[0].len();
+        let ys = self.scale_with(x, |len| LIMBS.take(len));
+        let out = self.convert_scaled(&ys, fold);
+        LIMBS.give_all(ys);
+        // One multiply per scaled residue.
+        neo_trace::add(Counter::ModMuls, (x[0].len() * x.len()) as u64);
+        out
+    }
+
+    /// The conversion of scaled rows `y_i = [x_i · q̂_i⁻¹]_{q_i}`: one
+    /// [`bconv_ip`] per target limb over the rows `y_i` and the rows `fold`
+    /// appends, with weights that make the exact sum congruent to the
+    /// scalar formula. Bit-identical to the coefficient-wise oracles: the
+    /// inner product is an exact sum (order-independent) reduced once, and
+    /// the exact correction accumulates the fractional sum in the same
+    /// source-limb order so the f64 rounding decision cannot differ.
+    /// Outputs and the overshoot row come from the [`LIMBS`] recycler.
+    ///
+    /// [`bconv_ip`]: crate::backend::ComputeBackend::bconv_ip
+    fn convert_scaled(&self, ys: &[Vec<u64>], fold: Fold<'_>) -> Vec<Vec<u64>> {
+        assert_eq!(ys.len(), self.src.len(), "source limb count mismatch");
+        let n = ys[0].len();
         let own: &[Vec<u64>] = if let Fold::Divide(a) = fold { a } else { &[] };
-        for limb in x.iter().chain(own) {
+        for limb in ys.iter().chain(own) {
             assert_eq!(limb.len(), n, "ragged limb lengths");
         }
         let be = backend::get(self.backend);
-        let mut ys = self.scale_with(x, |len| LIMBS.take(len));
-        if let Fold::Exact = fold {
+        let mut rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
+        let ks = matches!(fold, Fold::Exact).then(|| {
             // Overshoot counts k = round(Σ_i y_i/q_i), the fractional sums
             // taken in source-limb order per coefficient (the oracle's
             // order).
-            let rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
             let mut ks = LIMBS.take(n);
             be.bconv_overshoot(&rows, &self.inv_q, &mut ks);
-            ys.push(ks);
-        }
-        // Exclusive bound on every row: `mul_const` emits canonical values
-        // and the overshoot count is at most `src.len()`, so the largest
+            ks
+        });
+        rows.extend(ks.as_deref());
+        let scaled = rows.len();
+        // Exclusive bound on every row: the scaled rows are canonical and
+        // the overshoot count is at most `src.len()`, so the largest
         // source modulus bounds them; Mod Down's own rows are canonical
         // target residues. Backends use it to pick narrower multiply paths
         // (IFMA).
@@ -269,7 +302,6 @@ impl BconvTable {
             _ => bound(&self.src),
         }
         .unwrap_or(u64::MAX);
-        let mut rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
         let mut w = Vec::with_capacity(rows.len() + 1);
         let out = self
             .dst
@@ -290,7 +322,7 @@ impl BconvTable {
                             *wi = t.neg(t.mul(*wi, inv));
                         }
                         w.push(inv);
-                        rows.truncate(ys.len());
+                        rows.truncate(scaled);
                         rows.push(&a[j]);
                     }
                 }
@@ -300,14 +332,15 @@ impl BconvTable {
                 limb
             })
             .collect();
-        LIMBS.give_all(ys);
-        // One MAC per (coeff, src, dst) triple plus the per-source residue
-        // scaling; the exact flavour counts one correction multiply per
-        // target (Table 2's work, though it now rides in the inner product).
+        LIMBS.give_all(ks);
+        // One MAC per (coeff, src, dst) triple; the exact flavour counts
+        // one correction multiply per target (Table 2's work, though it
+        // now rides in the inner product).
         let (s, d) = (self.src.len() as u64, self.dst.len() as u64);
-        let exact = matches!(fold, Fold::Exact);
         neo_trace::add(Counter::ModMacs, n as u64 * s * d);
-        neo_trace::add(Counter::ModMuls, n as u64 * (s + if exact { d } else { 0 }));
+        if let Fold::Exact = fold {
+            neo_trace::add(Counter::ModMuls, n as u64 * d);
+        }
         out
     }
 
@@ -522,6 +555,19 @@ mod tests {
                     assert_eq!(exact[j][c], ecol[j]);
                     assert_eq!(approx[j][c], acol[j]);
                 }
+            }
+        }
+    }
+
+    /// Rows that already carry `q̂_i⁻¹` convert exactly as the unscaled
+    /// limbs do.
+    #[test]
+    fn scaled_rows_convert_as_the_unscaled_limbs() {
+        for (src, dst, x) in klss_shapes() {
+            for kind in [BackendKind::Portable, BackendKind::Simd] {
+                let table = BconvTable::new(&src, &dst).unwrap().with_backend(kind);
+                let scaled = table.convert_exact_scaled(&table.scale_limbs(&x));
+                assert_eq!(scaled, table.convert_exact(&x), "{kind}");
             }
         }
     }

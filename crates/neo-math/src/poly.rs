@@ -246,47 +246,55 @@ impl RnsPoly {
         self.check_pair(other);
         self.check_moduli(moduli);
         let be = backend::active();
-        // `mul_acc` accumulates into its output, so each product lands in
-        // a zeroed scratch row that then swaps places with the limb.
+        // `mul_acc` cannot write over its own input, so each product lands
+        // in a scratch row that then swaps places with the limb.
         let mut prod = LIMBS.take(self.n);
         for ((limb, b), m) in self.limbs.iter_mut().zip(&other.limbs).zip(moduli) {
-            prod.fill(0);
             be.mul_acc(m, &[limb], &[b], &mut prod);
             std::mem::swap(limb, &mut prod);
         }
         LIMBS.give(prod);
     }
 
-    /// Fused inner product on `be`: `self += Σ_j a_j * b_j` pointwise (NTT
-    /// domain), each coefficient one exact sum reduced once — one
-    /// [`ComputeBackend::mul_acc`] call per limb.
+    /// The fused inner product `Σ_j a_j * b_j` on `be`, pointwise (NTT
+    /// domain): each coefficient one exact sum reduced once, one
+    /// [`inner_product_row`] per limb.
     ///
     /// # Panics
     ///
-    /// Panics on domain or shape mismatch, or when `moduli.len()` differs
-    /// from the limb count.
-    pub fn mul_acc_terms_assign(
-        &mut self,
+    /// Panics when `terms` is empty, on domain or shape mismatch, or when
+    /// `moduli.len()` differs from the limb count.
+    pub fn inner_product(
         be: &dyn ComputeBackend,
         terms: &[(&Self, &Self)],
         moduli: &[Modulus],
-    ) {
-        assert_eq!(self.domain, Domain::Ntt, "multiply-add needs NTT domain");
-        self.check_moduli(moduli);
+    ) -> Self {
+        let (first, _) = terms.first().expect("an inner product needs a term");
+        assert_eq!(first.domain, Domain::Ntt, "multiply-add needs NTT domain");
+        first.check_moduli(moduli);
         for (a, b) in terms {
-            self.check_pair(a);
+            first.check_pair(a);
             a.check_pair(b);
         }
         let (mut a, mut b) = (
             Vec::with_capacity(terms.len()),
             Vec::with_capacity(terms.len()),
         );
-        for (i, (dst, m)) in self.limbs.iter_mut().zip(moduli).enumerate() {
-            a.clear();
-            b.clear();
-            a.extend(terms.iter().map(|(x, _)| x.limb(i)));
-            b.extend(terms.iter().map(|(_, y)| y.limb(i)));
-            be.mul_acc(m, &a, &b, dst);
+        let limbs = moduli
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                a.clear();
+                b.clear();
+                a.extend(terms.iter().map(|(x, _)| x.limb(i)));
+                b.extend(terms.iter().map(|(_, y)| y.limb(i)));
+                inner_product_row(be, m, &a, &b)
+            })
+            .collect();
+        Self {
+            n: first.n,
+            domain: Domain::Ntt,
+            limbs,
         }
     }
 
@@ -353,6 +361,25 @@ impl RnsPoly {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// A recycled row holding `Σ_j a_j[c]·b_j[c] mod q`, as long as the
+/// terms' rows: one [`ComputeBackend::mul_acc`] call, which writes every
+/// element, so the row is taken from [`LIMBS`] without zeroing.
+///
+/// # Panics
+///
+/// Panics when `a` is empty.
+pub fn inner_product_row(
+    be: &dyn ComputeBackend,
+    q: &Modulus,
+    a: &[&[u64]],
+    b: &[&[u64]],
+) -> Vec<u64> {
+    let len = a.first().expect("an inner product needs a term").len();
+    let mut row = LIMBS.take(len);
+    be.mul_acc(q, a, b, &mut row);
+    row
 }
 
 impl Clone for RnsPoly {
@@ -488,8 +515,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "moduli count mismatch")]
-    fn mul_acc_terms_assign_rejects_short_moduli() {
-        short_moduli_case(|a, b, ms| a.mul_acc_terms_assign(backend::active(), &[(b, b)], ms));
+    fn inner_product_rejects_short_moduli() {
+        short_moduli_case(|_, b, ms| {
+            RnsPoly::inner_product(backend::active(), &[(b, b)], ms);
+        });
     }
 
     #[test]
@@ -550,16 +579,21 @@ mod tests {
         assert_eq!(LIMBS.counts(n).0, 2);
     }
 
+    /// The inner product equals its pointwise products summed, on limbs
+    /// the recycler hands out unzeroed (a dropped polynomial's rows).
     #[test]
-    fn mul_acc_matches_manual() {
+    fn inner_product_matches_manual_on_dirty_recycled_limbs() {
+        let n = 1 << 12;
         let ms = moduli(2);
         let mut rng = rand::thread_rng();
-        let mut acc = RnsPoly::zero(8, 2, Domain::Ntt);
-        let a = RnsPoly::random_uniform(&mut rng, 8, &ms, Domain::Ntt);
-        let b = RnsPoly::random_uniform(&mut rng, 8, &ms, Domain::Ntt);
-        acc.mul_acc_terms_assign(backend::active(), &[(&a, &b)], &ms);
+        let a = RnsPoly::random_uniform(&mut rng, n, &ms, Domain::Ntt);
+        let b = RnsPoly::random_uniform(&mut rng, n, &ms, Domain::Ntt);
+        drop(RnsPoly::random_uniform(&mut rng, n, &ms, Domain::Ntt));
+        let acc = RnsPoly::inner_product(backend::active(), &[(&a, &b), (&b, &a)], &ms);
         let mut manual = a.clone();
         manual.mul_pointwise_assign(&b, &ms);
+        let twice = manual.clone();
+        manual.add_assign(&twice, &ms);
         assert_eq!(acc, manual);
     }
 }

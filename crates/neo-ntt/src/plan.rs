@@ -1,4 +1,5 @@
 use neo_math::{primes, BackendKind, MathError, Modulus, ShoupMul};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Precomputed tables for NTTs of degree `n` modulo one prime.
 ///
@@ -28,6 +29,21 @@ pub struct NttPlan {
     /// [`NttPlan::verify_integrity`] recomputes and compares, so the plan
     /// cache can quarantine entries whose twiddles rotted after insertion.
     token: u64,
+    /// Set once a re-hash of this object matched the token.
+    hashed_clean: CleanMark,
+}
+
+/// A flag that a clone does not inherit: a cloned plan is a new object,
+/// whose tables have not been re-hashed yet. `Relaxed` suffices: the flag
+/// publishes no data, since the tables it vouches for never change after
+/// construction.
+#[derive(Debug, Default)]
+struct CleanMark(AtomicBool);
+
+impl Clone for CleanMark {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl NttPlan {
@@ -97,6 +113,7 @@ impl NttPlan {
             inv_twiddles,
             backend,
             token: 0,
+            hashed_clean: CleanMark::default(),
         };
         plan.token = plan.checksum();
         Ok(plan)
@@ -181,9 +198,22 @@ impl NttPlan {
         self.token
     }
 
-    /// True iff the tables still hash to the build-time token.
+    /// True iff the tables still hash to the build-time token. A match is
+    /// remembered on this object ([`NttPlan::hashed_clean`]).
     pub fn verify_integrity(&self) -> bool {
-        self.checksum() == self.token
+        let clean = self.checksum() == self.token;
+        if clean {
+            self.hashed_clean.0.store(true, Ordering::Relaxed);
+        }
+        clean
+    }
+
+    /// Whether a re-hash of this very object has matched the token. The
+    /// tables never change after construction, so a clean re-hash stays
+    /// true; a clone, such as [`NttPlan::poisoned_clone`], starts
+    /// unchecked.
+    pub fn hashed_clean(&self) -> bool {
+        self.hashed_clean.0.load(Ordering::Relaxed)
     }
 
     /// Test support: a clone with one forward twiddle corrupted
@@ -264,6 +294,22 @@ mod tests {
             assert_eq!(poisoned.psi_pows(), plan.psi_pows());
             assert_eq!(poisoned.omega_pows(), plan.omega_pows());
         }
+    }
+
+    /// A clean re-hash is remembered on the object that passed it, and a
+    /// clone, poisoned or not, starts unchecked.
+    #[test]
+    fn a_clean_rehash_is_remembered_per_object() {
+        let q = primes::ntt_primes(36, 64, 1).unwrap()[0];
+        let plan = NttPlan::new(q, 64).unwrap();
+        assert!(!plan.hashed_clean());
+        assert!(plan.verify_integrity());
+        assert!(plan.hashed_clean());
+        assert!(!plan.clone().hashed_clean());
+        let poisoned = plan.poisoned_clone(3);
+        assert!(!poisoned.hashed_clean());
+        assert!(!poisoned.verify_integrity());
+        assert!(!poisoned.hashed_clean());
     }
 
     #[test]

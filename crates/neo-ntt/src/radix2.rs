@@ -76,14 +76,26 @@ pub fn forward(plan: &NttPlan, x: &mut [u64]) {
 ///
 /// Panics if `x.len()` differs from the plan's degree.
 pub fn inverse(plan: &NttPlan, x: &mut [u64]) {
+    inverse_scaled(plan, x, 1);
+}
+
+/// [`inverse`] with every output also multiplied by `factor`: the scale
+/// pass multiplies by `n⁻¹·factor mod q` instead of `n⁻¹`, so the factor
+/// costs no pass of its own and the output stays canonical.
+///
+/// # Panics
+///
+/// Panics if `x.len()` differs from the plan's degree.
+pub fn inverse_scaled(plan: &NttPlan, x: &mut [u64], factor: u64) {
     let n = plan.degree();
     assert_eq!(x.len(), n, "length mismatch");
     let _s = SpanGuard::timer("ntt.inverse");
     let m = plan.modulus();
+    let scale = m.mul(plan.n_inv(), m.reduce(factor));
     let be = neo_math::backend::get(plan.backend());
-    let butterflies = be.ntt_inverse(m, x, plan.inv_twiddles(), m.shoup(plan.n_inv()));
+    let butterflies = be.ntt_inverse(m, x, plan.inv_twiddles(), m.shoup(scale));
     neo_trace::add(Counter::NttButterflies, butterflies);
-    // The n⁻¹ scale, one full Shoup multiply per coefficient.
+    // The scale, one full Shoup multiply per coefficient.
     neo_trace::add(Counter::ModMuls, n as u64);
     if neo_fault::armed() {
         neo_fault::corrupt_limb(neo_fault::FaultSite::NttStage, x);
@@ -244,6 +256,24 @@ mod tests {
             neo_trace::enable();
             assert_eq!((fwd.count(), inv.count()), (f0 + 1, i0 + 1));
         });
+    }
+
+    /// The factor rides in the scale pass: the scaled inverse equals the
+    /// plain inverse followed by a multiply by the factor.
+    #[test]
+    fn scaled_inverse_is_the_inverse_times_the_factor() {
+        let p = plan(1 << 10);
+        let m = p.modulus();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let evals: Vec<u64> = (0..1 << 10).map(|_| rng.gen_range(0..m.value())).collect();
+        for factor in [0, 1, 2, m.value() - 1, rng.gen(), u64::MAX] {
+            let mut plain = evals.clone();
+            inverse(&p, &mut plain);
+            let mut scaled = evals.clone();
+            inverse_scaled(&p, &mut scaled, factor);
+            let want: Vec<u64> = plain.iter().map(|&c| m.mul(c, m.reduce(factor))).collect();
+            assert_eq!(scaled, want, "factor={factor}");
+        }
     }
 
     #[test]

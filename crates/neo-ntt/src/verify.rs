@@ -23,6 +23,12 @@
 //! single-limb corruption on either side a guaranteed detection,
 //! whichever direction the transform ran.
 //!
+//! An inverse that multiplies by a factor `f` on top of `n⁻¹`
+//! ([`crate::radix2::inverse_scaled`]) leaves coefficients `a' = f·a`, so
+//! [`spot_check_transform`] takes `f` and checks `f·Σ_j y_j ≡ n·a'_0` and
+//! `a'(z) ≡ f·y_{rev(j)}`. A prime `q` and `f ≢ 0` keep both single-flip
+//! arguments: `f` times a non-zero shift is non-zero.
+//!
 //! One corruption class slips through both identities deterministically:
 //! a corrupted *final-stage* twiddle shifts a butterfly's two outputs by
 //! `+δ/−δ`, which cancels exactly in the sum and is only sampled with
@@ -30,7 +36,12 @@
 //! rot — and plans carry an integrity token (a checksum of every table,
 //! frozen at build). [`spot_check_transform`] therefore re-hashes the
 //! plan first and convicts a poisoned plan deterministically with site
-//! `"ntt_plan"` before running the data identities.
+//! `"ntt_plan"` before running the data identities. A plan's tables never
+//! change after construction, so the re-hash runs once per plan object:
+//! the first check that uses the object re-hashes it and a clean result
+//! is remembered on it ([`NttPlan::hashed_clean`]). A poisoned plan
+//! swapped into the cache is a new object, so it is re-hashed before it
+//! is trusted.
 //!
 //! Costs are tallied under [`Counter::AbftChecks`]/[`Counter::AbftMacs`]
 //! so the analytic cost model can price verification overhead.
@@ -56,7 +67,7 @@ pub fn spot_check_forward(
     evals: &[u64],
     salt: u64,
 ) -> Result<(), NeoError> {
-    check_pair(plan, coeffs, evals, salt, "ntt_forward")
+    check_pair(plan, coeffs, evals, salt, 1, "ntt_forward")
 }
 
 /// Checks that `coeffs` is the inverse negacyclic NTT of `evals` under
@@ -76,13 +87,18 @@ pub fn spot_check_inverse(
     coeffs: &[u64],
     salt: u64,
 ) -> Result<(), NeoError> {
-    check_pair(plan, coeffs, evals, salt, "ntt_inverse")
+    check_pair(plan, coeffs, evals, salt, 1, "ntt_inverse")
 }
 
 /// Full transform verification: re-hashes the plan's tables against its
-/// build-time integrity token, then runs both data identities on the
-/// coefficient/evaluation pair. This is the check the CKKS layer runs
-/// per limb when a [`neo_fault::VerifyPolicy`] says verification is due.
+/// build-time integrity token unless this plan object already passed,
+/// then runs both data identities on the coefficient/evaluation pair.
+/// This is the check the CKKS layer runs per limb when a
+/// [`neo_fault::VerifyPolicy`] says verification is due.
+///
+/// `factor` is what the transform multiplied by on top of its own
+/// scaling, so that `NTT(coeffs) = factor · evals`: 1 for the forward and
+/// the plain inverse, `f` for [`crate::radix2::inverse_scaled`] by `f`.
 ///
 /// # Errors
 ///
@@ -99,7 +115,22 @@ pub fn spot_check_transform(
     evals: &[u64],
     salt: u64,
     forward: bool,
+    factor: u64,
 ) -> Result<(), NeoError> {
+    if !plan.hashed_clean() {
+        rehash(plan)?;
+    }
+    let site = if forward {
+        "ntt_forward"
+    } else {
+        "ntt_inverse"
+    };
+    check_pair(plan, coeffs, evals, salt, factor, site)
+}
+
+/// Re-hashes `plan` against its integrity token, remembering a match on
+/// the object.
+fn rehash(plan: &NttPlan) -> Result<(), NeoError> {
     // The checksum walks every table (8n words of reads, one splitmix
     // mix each); price it so the overhead report stays honest.
     let n = plan.degree() as u64;
@@ -116,22 +147,19 @@ pub fn spot_check_transform(
             ),
         ));
     }
-    let site = if forward {
-        "ntt_forward"
-    } else {
-        "ntt_inverse"
-    };
-    check_pair(plan, coeffs, evals, salt, site)
+    Ok(())
 }
 
-/// Direction-agnostic core: verifies the coefficient/evaluation pair
-/// against both identities, reducing both sides defensively (a corrupted
-/// limb may exceed `q`; its residue still shifts, see the module docs).
+/// Direction-agnostic core: verifies the coefficient/evaluation pair,
+/// `NTT(coeffs) = factor · evals`, against both identities, reducing both
+/// sides defensively (a corrupted limb may exceed `q`; its residue still
+/// shifts, see the module docs).
 fn check_pair(
     plan: &NttPlan,
     coeffs: &[u64],
     evals: &[u64],
     salt: u64,
+    factor: u64,
     site: &'static str,
 ) -> Result<(), NeoError> {
     let n = plan.degree();
@@ -142,37 +170,39 @@ fn check_pair(
     neo_trace::add(Counter::AbftMacs, 3 * n as u64);
     neo_trace::add(Counter::BytesRead, 16 * n as u64);
 
-    // Identity 1: Σ_j y_j ≡ n · a_0 (mod q).
+    // Identity 1: f · Σ_j y_j ≡ n · a_0 (mod q).
+    let f = m.reduce(factor);
     let mut sum = 0u64;
     for &y in evals {
         sum = m.add(sum, m.reduce(y));
     }
+    let sum = m.mul(f, sum);
     let expect = m.mul(n as u64, m.reduce(coeffs[0]));
     if sum != expect {
         return Err(NeoError::fault_detected(
             site,
             format!(
-                "sum identity failed: sum(evals) = {sum}, n*a0 = {expect} \
-                 (n = {n}, q = {})",
+                "sum identity failed: f*sum(evals) = {sum}, n*a0 = {expect} \
+                 (f = {f}, n = {n}, q = {})",
                 m.value()
             ),
         ));
     }
 
-    // Identity 2: a(ψ·ω^j) ≡ y_{rev(j)} for a salt-derived point j.
+    // Identity 2: a(ψ·ω^j) ≡ f · y_{rev(j)} for a salt-derived point j.
     let j = (neo_fault::splitmix64(salt ^ m.value() ^ (n as u64) << 8) % n as u64) as usize;
     let z = m.mul(plan.psi_pows()[1], plan.omega_pows()[j]);
     let mut acc = 0u64;
     for &c in coeffs.iter().rev() {
         acc = m.add(m.mul(acc, z), m.reduce(c));
     }
-    let got = m.reduce(evals[crate::bit_rev(j, n.trailing_zeros())]);
+    let got = m.mul(f, m.reduce(evals[crate::bit_rev(j, n.trailing_zeros())]));
     if acc != got {
         return Err(NeoError::fault_detected(
             site,
             format!(
                 "evaluation spot check failed at j={j}: a(psi*omega^j) = {acc}, \
-                 eval = {got} (n = {n}, q = {})",
+                 f*eval = {got} (f = {f}, n = {n}, q = {})",
                 m.value()
             ),
         ));
@@ -235,11 +265,37 @@ mod tests {
             let mut clean = coeffs.clone();
             radix2::forward(&p, &mut clean);
             assert_ne!(evals, clean, "salt {salt} produced a benign poison");
-            let err = spot_check_transform(&bad, &coeffs, &evals, salt, true).unwrap_err();
+            let err = spot_check_transform(&bad, &coeffs, &evals, salt, true, 1).unwrap_err();
             let NeoError::FaultDetected { site, .. } = err else {
                 panic!("expected FaultDetected, got {err}");
             };
             assert_eq!(site, "ntt_plan");
+        }
+    }
+
+    /// An inverse scaled by `f` passes both identities once they take `f`,
+    /// and one flipped bit on either side fails one of them.
+    #[test]
+    fn a_factored_inverse_passes_and_a_flipped_bit_fails() {
+        let p = plan(36, 64);
+        let m = p.modulus();
+        let mut rng = StdRng::seed_from_u64(8);
+        let evals: Vec<u64> = (0..64).map(|_| rng.gen_range(0..m.value())).collect();
+        for f in [1, 2, rng.gen_range(3..m.value())] {
+            let mut coeffs = evals.clone();
+            radix2::inverse_scaled(&p, &mut coeffs, f);
+            spot_check_transform(&p, &coeffs, &evals, 5, false, f).unwrap();
+            // The plain identities do not hold for f ≠ 1.
+            let plain = spot_check_transform(&p, &coeffs, &evals, 5, false, 1);
+            assert_eq!(plain.is_ok(), f == 1, "f={f}");
+            for (idx, bit) in [(0, 0), (17, 35), (63, 63)] {
+                let mut bad = coeffs.clone();
+                bad[idx] ^= 1 << bit;
+                assert!(spot_check_transform(&p, &bad, &evals, 5, false, f).is_err());
+                let mut bad = evals.clone();
+                bad[idx] ^= 1 << bit;
+                assert!(spot_check_transform(&p, &coeffs, &bad, 5, false, f).is_err());
+            }
         }
     }
 

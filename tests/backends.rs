@@ -122,9 +122,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The fused multiply-accumulate agrees across backends for 1–8 terms
-    /// and ragged lengths; `saturate` makes every operand and the
-    /// accumulator `q − 1`, the largest sum the lanes must hold.
+    /// The fused inner product agrees across backends for 1–8 terms and
+    /// ragged lengths, and equals the exact sum reduced once; `saturate`
+    /// makes every operand `q − 1`, the largest sum the lanes must hold.
+    /// The kernel is write-only: each backend's output starts as its own
+    /// random junk, which it must ignore.
     #[test]
     fn mul_acc_is_bit_identical_across_backends(
         seed in any::<u64>(),
@@ -137,19 +139,29 @@ proptest! {
             neo_math::primes::ntt_primes(bits, 1 << 4, 1).unwrap()[0],
         ).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut row = || if saturate {
-            vec![q.value() - 1; len]
-        } else {
-            random_vec(&mut rng, len, q.value())
-        };
-        let rows: Vec<Vec<u64>> = (0..2 * terms).map(|_| row()).collect();
-        let acc = row();
+        let rows: Vec<Vec<u64>> = (0..2 * terms)
+            .map(|_| if saturate {
+                vec![q.value() - 1; len]
+            } else {
+                random_vec(&mut rng, len, q.value())
+            })
+            .collect();
         let xs: Vec<&[u64]> = rows[..terms].iter().map(Vec::as_slice).collect();
         let ys: Vec<&[u64]> = rows[terms..].iter().map(Vec::as_slice).collect();
-        let (mut p, mut s) = (acc.clone(), acc);
+        let mut junk = || -> Vec<u64> { (0..len).map(|_| rng.gen()).collect() };
+        let (mut p, mut s) = (junk(), junk());
         backend::get(BackendKind::Portable).mul_acc(&q, &xs, &ys, &mut p);
         backend::get(BackendKind::Simd).mul_acc(&q, &xs, &ys, &mut s);
-        prop_assert_eq!(p, s);
+        let want: Vec<u64> = (0..len)
+            .map(|c| {
+                let sum = xs.iter().zip(&ys).fold(0u128, |acc, (x, y)| {
+                    (acc + u128::from(x[c]) * u128::from(y[c])) % u128::from(q.value())
+                });
+                sum as u64
+            })
+            .collect();
+        prop_assert_eq!(&p, &want);
+        prop_assert_eq!(s, want);
     }
 
     /// `mul_const` accepts raw, unreduced 64-bit inputs; at the
