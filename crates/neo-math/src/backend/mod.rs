@@ -9,13 +9,14 @@
 //! *how* one transform/inner-product/tile is evaluated, including how an
 //! NTT's stages group into passes over the data. Every backend must land
 //! on the **bit-identical canonical output**: all kernels fully reduce at
-//! their boundary (the forward NTT's last stage folds `[0, 4q) → [0, q)`,
-//! the inverse's `n⁻¹` scale and `mul_const` are full Shoup multiplies,
-//! bconv/`mul_acc`/GEMM reduce exact sums, the overshoot row repeats one
-//! scalar sequence of IEEE operations), so backends are free to hold
-//! *different lazy representatives internally* — e.g. a 52-bit Shoup
-//! quotient that lands `q` away from the 64-bit one — as long as every
-//! intermediate stays congruent and inside its stage's lazy window.
+//! their boundary (the forward NTT ends canonical, the inverse's `n⁻¹`
+//! scale and `mul_const` are full Shoup multiplies, bconv/`mul_acc`/GEMM
+//! reduce exact sums, the overshoot row repeats one scalar sequence of
+//! IEEE operations), so backends are free to hold *different
+//! representatives internally* as long as every intermediate stays
+//! congruent and exact: the portable loops keep Harvey's `[0, 4q)` and
+//! `[0, 2q)` windows, while the IFMA lanes keep a 52-bit value below a
+//! bound they track and fold only where it would overflow.
 //!
 //! Two backends ship:
 //!
@@ -23,9 +24,10 @@
 //!   available, the correctness anchor.
 //! * [`SimdBackend`] — AVX-512 kernels (stable `core::arch`, runtime
 //!   feature detection): 8-lane 52-bit IFMA arithmetic whenever the
-//!   modulus is below `2^50`, radix-4 NTT passes, and an 8-lane `f64`
-//!   overshoot row, on CPUs with AVX-512F, IFMA and DQ; the portable
-//!   kernels otherwise.
+//!   modulus is below `2^50`, NTTs of radix-4 passes and an in-register
+//!   tail that reduce only where the 52-bit lanes need it, and an 8-lane
+//!   `f64` overshoot row, on CPUs with AVX-512F, IFMA and DQ; the
+//!   portable kernels otherwise.
 //!
 //! Selection happens once per process: the `NEO_BACKEND` environment
 //! override, else runtime CPU-feature detection ([`BackendKind::detect`]:
@@ -130,13 +132,19 @@ pub fn active() -> &'static dyn ComputeBackend {
 ///   plan's `n`-entry per-block twiddle table: the stage with `b` blocks
 ///   reads `tw[b..2b]`, and every butterfly of block `i` uses `tw[b + i]`.
 ///   The backend owns the stage schedule — how stages group into passes
-///   over the data — but not the butterflies: every element meets the
-///   same Harvey butterflies, with the same twiddles, in the same order.
-///   Forward (Cooley–Tukey) intermediates stay in `[0, 4q)`, inverse
-///   (Gentleman–Sande) ones in `[0, 2q)`, with `q < 2^62`; both emit
-///   canonical `[0, q)`. They return the butterflies their own loops
-///   executed, so the `NttButterflies` counter `radix2` records reflects
-///   real work for *any* backend.
+///   over the data — and where intermediates reduce, but not the
+///   butterflies: every element meets the same butterflies, with the same
+///   twiddles, in the same order, so every intermediate is congruent to
+///   the portable one. The boundary windows are fixed: the forward
+///   accepts `[0, 4q)` and the inverse `[0, 2q)`, with `q < 2^62`, and
+///   both emit canonical `[0, q)`. Inside, the portable loops keep
+///   Harvey's `[0, 4q)` (forward) and `[0, 2q)` (inverse); the IFMA lanes
+///   hold a value `v` in their low 52 bits, with garbage above it, and
+///   keep `v` below a tracked bound `B`, a multiple of `q`, folding only
+///   where the next stage would push `B` past `2^52`. They return the
+///   butterflies their own loops executed (`(n/2)·log₂ n` either way), so
+///   the `NttButterflies` counter `radix2` records reflects real work for
+///   *any* backend.
 /// * `mul_const` accepts **arbitrary** `u64` inputs (Shoup multiplication
 ///   is sound for any multiplicand) and emits canonical values.
 /// * `bconv_ip`, `mul_acc` and `gemm` compute exact integer sums before
@@ -154,17 +162,18 @@ pub trait ComputeBackend: Send + Sync {
 
     /// The forward transform: Cooley–Tukey stages from span `n` down to
     /// span 2, each butterfly mapping `(u, v)` to `(u + w·v, u − w·v)`
-    /// lazily, the final `[0, 4q) → [0, q)` reduction folded into the
-    /// span-2 stage. Accepts inputs in `[0, 4q)`. Returns butterflies
-    /// executed (`(n/2)·log₂ n`).
+    /// lazily, the final reduction to `[0, q)` folded into the last pass.
+    /// Accepts inputs in `[0, 4q)`. Returns butterflies executed
+    /// (`(n/2)·log₂ n`).
     fn ntt_forward(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64;
 
     /// The inverse transform: Gentleman–Sande stages from span 2 up to
     /// span `n`, each butterfly mapping `(u, v)` to `(u + v, (u − v)·w)`
     /// lazily, then the `n⁻¹` scale `x[i]·n_inv.w` as a full Shoup
-    /// multiply that emits canonical `[0, q)`. Accepts inputs in
-    /// `[0, 2q)`. Returns butterflies executed (`(n/2)·log₂ n`); the scale
-    /// is not a butterfly.
+    /// multiply that emits canonical `[0, q)` (a backend may apply it
+    /// inside the last stage). Accepts inputs in `[0, 2q)`. Returns
+    /// butterflies executed (`(n/2)·log₂ n`); the scale is not a
+    /// butterfly.
     fn ntt_inverse(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul], n_inv: ShoupMul) -> u64;
 
     /// Element-wise constant multiply `out[i] = (x[i] · s.w) mod m`,
@@ -373,6 +382,47 @@ mod tests {
             assert_eq!(a, b, "gemm bits={bits}");
         }
     }
+
+    /// The transforms agree where the IFMA lanes' fold schedule changes:
+    /// primes just below `2^46`, `2^47`, `2^48` and `2^49` and the largest
+    /// NTT prime below `2^50` (36 bits, which never folds at `2^14`, for
+    /// contrast), at every degree from `2^6` to `2^16`, on saturated inputs
+    /// (every element at `4q − 1` forward, `2q − 1` inverse) and random
+    /// ones, with the inverse scaled by `n⁻¹·f` as `inverse_scaled` does.
+    #[test]
+    fn transforms_agree_where_the_fold_schedule_changes() {
+        let portable = get(BackendKind::Portable);
+        let simd = get(BackendKind::Simd);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(46);
+        for bits in [36u32, 46, 47, 48, 49, 50] {
+            let m = Modulus::new(primes::ntt_primes(bits, 1 << 16, 1).unwrap()[0]).unwrap();
+            let q = m.value();
+            for log_n in 6..=16u32 {
+                let n = 1usize << log_n;
+                let tw: Vec<ShoupMul> = (0..n).map(|_| m.shoup(rng.gen_range(0..q))).collect();
+                let want = u64::from(log_n) * n as u64 / 2;
+                let random: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * q)).collect();
+                for x in [vec![4 * q - 1; n], random] {
+                    let (mut a, mut b) = (x.clone(), x);
+                    assert_eq!(portable.ntt_forward(&m, &mut a, &tw), want);
+                    assert_eq!(simd.ntt_forward(&m, &mut b, &tw), want);
+                    assert_eq!(a, b, "forward n={n} bits={bits}");
+                }
+                let n_inv = m.inv(n as u64 % q).unwrap();
+                for factor in [1, q - 1, rng.gen_range(0..q)] {
+                    let scale = m.shoup(m.mul(n_inv, factor));
+                    let random: Vec<u64> = (0..n).map(|_| rng.gen_range(0..2 * q)).collect();
+                    for x in [vec![2 * q - 1; n], random] {
+                        let (mut a, mut b) = (x.clone(), x);
+                        assert_eq!(portable.ntt_inverse(&m, &mut a, &tw, scale), want);
+                        assert_eq!(simd.ntt_inverse(&m, &mut b, &tw, scale), want);
+                        assert_eq!(a, b, "inverse n={n} bits={bits} factor={factor}");
+                    }
+                }
+            }
+        }
+    }
+
     /// `bconv_overshoot` rounds alike on both backends: random rows of
     /// 1–8 source limbs at the KLSS widths, and crafted rows whose `f64`
     /// sum is exactly `k + 1/2` or one ulp either side, at lengths with

@@ -2,28 +2,46 @@
 //!
 //! IFMA's `vpmadd52{lo,hi}uq` multiply the low 52 bits of two 64-bit lanes
 //! into a 104-bit product and add its low or high 52-bit half into an
-//! accumulator lane — one µop each. For every modulus `q < 2^50` the
-//! Harvey lazy window `[0, 4q)` stays below `2^52`, so every residue of
-//! the CKKS chains (36-bit `Q`/`P`, 48-bit `T`) is a native IFMA operand
-//! and 8 lanes run per instruction with no operand splitting:
+//! accumulator lane — one µop each. Every modulus `q < 2^50` leaves a
+//! lane room for `4q`, so every residue of the CKKS chains (36-bit
+//! `Q`/`P`, 48-bit `T`) is a native IFMA operand and 8 lanes run per
+//! instruction with no operand splitting:
 //!
 //! * **Shoup multiplies** use the 52-bit constant `⌊w·2^52/q⌋`, which is
 //!   exactly `w_shoup >> 12` of the plans' 64-bit [`ShoupMul`] — so the
 //!   NTT plans need no new tables. The quotient estimate
 //!   `madd52hi(a, w_shoup >> 12)` leaves `a·w − q̂·q` in `[0, 2q)` for any
 //!   `a < 2^52`, and that remainder is computed exactly modulo `2^52`.
-//! * **NTT stages** vectorise across the butterflies of a block, which all
-//!   share the block's twiddle. The backend owns the stage schedule: every
-//!   pair of stages whose wider span is at least 32 runs as one radix-4
-//!   pass (4 loads, 4 butterflies and 4 stores per 8 lanes), so a
-//!   transform of degree `2^14` makes 9 forward and 10 inverse passes over
-//!   its limb instead of 14 and 15. Spans 16 and below stay single stages;
-//!   spans 2, 4 and 8 (fewer than 8 butterflies per block) gather 8
-//!   butterflies from two vectors with `vpermt2q`, spread their blocks'
-//!   twiddles with one `vpermq` per vector, and scatter the results back.
+//! * **Transforms track a bound instead of reducing** (Harvey's lazy
+//!   butterflies, J. Symb. Comp. 2014, and Intel HEXL's IFMA NTT, carried
+//!   to the 52-bit lanes). Inside a transform a lane holds `v + k·2^52`,
+//!   and only `v`, its low 52 bits, is meaningful: IFMA reads only those
+//!   bits, and adds and subtracts keep them exact modulo `2^52`, so no
+//!   butterfly masks. `v` stays below a bound `B`, a multiple of `q`, that
+//!   the transform tracks stage by stage. A Cooley–Tukey butterfly is 3
+//!   IFMA and 3 adds and raises `B` by `2q`; a Gentleman–Sande one forms
+//!   `lo + hi` and `(lo + B − hi)·w`, also 3 IFMA and 3 adds, and doubles
+//!   `B`. A fold — a Shoup multiply by 1, 2 IFMA, blind to the bits above
+//!   `v` — goes exactly where the next stage would push `B` past `2^52`,
+//!   so the fold points follow from `q` and `n`. At 36-bit primes a
+//!   transform of degree `2^14` never folds; at 48-bit primes the forward
+//!   folds twice and the inverse every third stage.
+//! * **The backend owns the stage schedule.** Every pair of stages whose
+//!   wider span is at least 32 runs as one radix-4 pass (4 loads, 4
+//!   butterflies and 4 stores per 8 lanes). The narrow stages — spans 16
+//!   down to 2, or 8 down to 2 when `log₂ n` is odd — run as one
+//!   *register tail* over 16-element groups held in two vectors, which
+//!   move between the butterfly layouts with one `vpermt2q` each and read
+//!   the per-block twiddle table as it is. The forward ends in its tail,
+//!   whose exit folds, masks and subtracts `q` once; the inverse starts
+//!   with its tail and ends in a radix-4 pass whose span-`n` butterflies
+//!   also apply the `n⁻¹` scale. A transform of degree `2^14` makes 6
+//!   passes over its limb each way.
 //! * **Inner products** (`bconv_ip`, `mul_acc`) accumulate the exact sum
 //!   as a base-`2^52` pair `(hi, lo)` — two µops per term — and reduce it
-//!   once.
+//!   once. `mul_acc` prefetches every operand row a fixed distance ahead:
+//!   the key-switch inner product streams a key far larger than a core's
+//!   caches.
 //! * **The overshoot row** of exact BConv takes 8 coefficients' `f64`
 //!   sums at once with AVX-512DQ's `u64 ↔ f64` conversions, in the scalar
 //!   loop's operation order, so it rounds bit for bit alike.
@@ -31,9 +49,10 @@
 //! Everything else falls back to [`PortableBackend`], which stays the
 //! reference: moduli of `2^50` or more, transforms shorter than 64, CPUs
 //! without AVX-512F, IFMA and DQ, and GEMM (off the CKKS host path).
-//! Outputs equal the portable ones at every kernel boundary; lazy
-//! intermediates inside an NTT may differ by multiples of `q` (the 52-bit
-//! quotient estimate can differ from the 64-bit one by 1).
+//! Outputs equal the portable ones at every kernel boundary, because
+//! every kernel emits canonical residues; inside a transform the lanes
+//! hold other representatives than the portable loops' `[0, 4q)` and
+//! `[0, 2q)` windows.
 
 use super::{BackendKind, ComputeBackend, PortableBackend};
 use crate::{Modulus, ShoupMul};
@@ -81,9 +100,9 @@ impl ComputeBackend for SimdBackend {
         BackendKind::Simd
     }
 
-    // From n = 64 on every span leaves the vector loops no tail (spans
-    // 2–8 read 8 block twiddles per 64 elements); smaller transforms take
-    // the portable loops.
+    // From n = 64 on, radix-4 passes and the register tail cover every
+    // stage with whole vectors, and the inverse ends in a radix-4 pass;
+    // smaller transforms take the portable loops.
     fn ntt_forward(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64 {
         route!(
             ifma::supports(m) && x.len().is_multiple_of(64),
@@ -164,7 +183,12 @@ mod ifma {
 
     const MASK52: u64 = (1 << 52) - 1;
 
-    /// Moduli below this bound keep lazy `[0, 4q)` values below `2^52`.
+    /// `2^52`. A lane's value is its low 52 bits: the bits IFMA multiplies,
+    /// and the bits adds and subtracts keep exact.
+    pub const LANE: u64 = 1 << 52;
+
+    /// Moduli below this bound keep `4q` within a lane's value, the least
+    /// headroom a transform's bound needs.
     const MODULUS_BOUND: u64 = 1 << 50;
 
     /// Whether arithmetic modulo `q` takes the IFMA path on this CPU.
@@ -175,6 +199,10 @@ mod ifma {
     /// Term count below which an inner product's base-`2^52` lane
     /// accumulators cannot overflow (each term adds `< 2^52` to `lo`).
     pub const MAX_TERMS: usize = 1 << 11;
+
+    /// How far ahead `mul_acc` prefetches each operand row, in vectors of
+    /// 8 words (one 64-byte line each): 24 lines, 1.5 KiB per row.
+    const PREFETCH_AHEAD: usize = 24;
 
     /// Every row from element `from` on: the operands of the portable
     /// code that finishes the `len % 8` elements whole vectors leave.
@@ -237,13 +265,6 @@ mod ifma {
         _mm512_permutex2var_epi64(a, idx, b)
     }
 
-    /// Stage kinds: a lazy forward (Cooley–Tukey) stage, the last forward
-    /// stage (span 2, outputs canonical), and an inverse (Gentleman–Sande)
-    /// stage.
-    pub const CT: u8 = 0;
-    pub const CT_FINAL: u8 = 1;
-    pub const GS: u8 = 2;
-
     /// Per-modulus lane constants.
     pub struct Lanes {
         q: V,
@@ -252,6 +273,8 @@ mod ifma {
         /// modulo `2^52`.
         neg_q: V,
         mask: V,
+        /// `⌊2^52/q⌋`, the 52-bit Shoup constant of 1.
+        one_s: V,
     }
 
     impl Lanes {
@@ -262,54 +285,65 @@ mod ifma {
             Self {
                 q: splat(q),
                 two_q: splat(2 * q),
-                neg_q: splat((1 << 52) - q),
+                neg_q: splat(LANE - q),
                 mask: splat(MASK52),
+                one_s: splat(shoup52(m, 1).1),
             }
         }
 
-        /// `a·w − q̂·q` for the 52-bit quotient estimate
-        /// `q̂ = ⌊a·ws/2^52⌋`, `ws = ⌊w·2^52/q⌋`: in `[0, 2q)` for
-        /// `a < 2^52`, `w < q`, so its low 52 bits are the whole value.
+        /// `a·w − q̂·q` for `a` the lane's value and the 52-bit quotient
+        /// estimate `q̂ = ⌊a·ws/2^52⌋`, `ws = ⌊w·2^52/q⌋`: for `w < q` the
+        /// remainder lies in `[0, 2q)`, so it is the result's whole value;
+        /// the bits above are garbage.
         #[inline]
         #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-        fn mul_shoup_lazy(&self, a: V, w: V, ws: V) -> V {
+        fn mul(&self, a: V, w: V, ws: V) -> V {
             let zero = _mm512_setzero_si512();
             let qhat = _mm512_madd52hi_epu64(zero, a, ws);
             let prod = _mm512_madd52lo_epu64(zero, a, w);
-            _mm512_and_si512(_mm512_madd52lo_epu64(prod, qhat, self.neg_q), self.mask)
+            _mm512_madd52lo_epu64(prod, qhat, self.neg_q)
         }
 
-        /// The Harvey Cooley–Tukey butterfly: `u = lo` folded below `2q`,
-        /// `t = hi·w` lazily; returns `(u + t, u + 2q − t)`, both `< 4q`.
+        /// A lane's value folded into `[0, 2q)`: [`Lanes::mul`] by 1, two
+        /// IFMA, whatever the bits above the value hold.
         #[inline]
         #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-        fn ct(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
-            let u = cond_sub(lo, self.two_q);
-            let t = self.mul_shoup_lazy(hi, w, ws);
+        fn fold(&self, a: V) -> V {
+            let qhat = _mm512_madd52hi_epu64(_mm512_setzero_si512(), a, self.one_s);
+            _mm512_madd52lo_epu64(a, qhat, self.neg_q)
+        }
+
+        /// A lane whose value lies in `[0, 2q)`, canonical: masked, then
+        /// brought below `q`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        fn exact(&self, a: V) -> V {
+            cond_sub(_mm512_and_si512(a, self.mask), self.q)
+        }
+
+        /// The Cooley–Tukey butterfly on values below `B`: `u = lo`, folded
+        /// below `2q` first when `fold`, and `t = hi·w` in `[0, 2q)`;
+        /// returns `(u + t, u + 2q − t)`, below `B + 2q` (`4q` after a
+        /// fold). 3 IFMA and 3 adds; a fold adds 2 IFMA.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        fn ct(&self, lo: V, hi: V, w: V, ws: V, fold: bool) -> (V, V) {
+            let u = if fold { self.fold(lo) } else { lo };
+            let t = self.mul(hi, w, ws);
             (add(u, t), sub(add(u, self.two_q), t))
         }
 
-        /// The lazy Gentleman–Sande butterfly for `lo, hi < 2q`: returns
-        /// `lo + hi` folded below `2q` and `(lo + 2q − hi)·w` lazily.
+        /// The Gentleman–Sande butterfly on values below `B` (broadcast in
+        /// `b`, a multiple of `q` with `2B ≤ 2^52`): returns `lo + hi`,
+        /// below `2B` (folded below `2q` when `fold`), and
+        /// `(lo + B − hi)·w`, below `2q`. 3 IFMA and 3 adds; a fold adds 2
+        /// IFMA.
         #[inline]
         #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-        fn gs(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
-            let s = cond_sub(add(lo, hi), self.two_q);
-            (s, self.mul_shoup_lazy(sub(add(lo, self.two_q), hi), w, ws))
-        }
-
-        /// The butterfly of stage kind `KIND`.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-        fn butterfly<const KIND: u8>(&self, lo: V, hi: V, w: V, ws: V) -> (V, V) {
-            match KIND {
-                CT => self.ct(lo, hi, w, ws),
-                CT_FINAL => {
-                    let (a, b) = self.ct(lo, hi, w, ws);
-                    (self.canonical(a), self.canonical(b))
-                }
-                _ => self.gs(lo, hi, w, ws),
-            }
+        fn gs(&self, lo: V, hi: V, b: V, w: V, ws: V, fold: bool) -> (V, V) {
+            let s = add(lo, hi);
+            let s = if fold { self.fold(s) } else { s };
+            (s, self.mul(sub(add(lo, b), hi), w, ws))
         }
 
         /// Folds `[0, 4q)` to canonical `[0, q)`.
@@ -317,6 +351,51 @@ mod ifma {
         #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
         fn canonical(&self, x: V) -> V {
             cond_sub(cond_sub(x, self.two_q), self.q)
+        }
+    }
+
+    /// The bound `B` a transform tracks: every lane's value stays below
+    /// it, and it is a multiple of `q`. Each stage asks it whether to fold,
+    /// so the fold points follow from `q` and the stage count alone.
+    pub struct Bound {
+        q: u64,
+        b: u64,
+    }
+
+    impl Bound {
+        /// Values below `k·q`.
+        pub fn new(m: &Modulus, k: u64) -> Self {
+            Self {
+                q: m.value(),
+                b: k * m.value(),
+            }
+        }
+
+        /// The current `B`.
+        pub fn get(&self) -> u64 {
+            self.b
+        }
+
+        /// A Cooley–Tukey stage raises `B` by `2q`. It folds its `u`
+        /// operands when that would pass `2^52`, which leaves `4q`.
+        pub fn ct(&mut self) -> bool {
+            let fold = self.b + 2 * self.q > LANE;
+            self.b = if fold {
+                4 * self.q
+            } else {
+                self.b + 2 * self.q
+            };
+            fold
+        }
+
+        /// A Gentleman–Sande stage needs `2B ≤ 2^52` and doubles `B`. It
+        /// folds its sums when the next stage would not fit, which leaves
+        /// `2q`. Returns the stage's own `B` and whether it folds.
+        pub fn gs(&mut self) -> (u64, bool) {
+            let b = self.b;
+            let fold = 4 * b > LANE;
+            self.b = if fold { 2 * self.q } else { 2 * b };
+            (b, fold)
         }
     }
 
@@ -351,72 +430,40 @@ mod ifma {
         (w, _mm512_srli_epi64::<12>(ws))
     }
 
-    /// Index vectors for a butterfly span with `half < 8` butterflies per
-    /// block: 16 consecutive elements hold `8/half` whole blocks. `gather`
-    /// picks the lo (or hi) operand of each of the 8 butterflies out of
-    /// the two input vectors; `scatter` rebuilds the first (or second)
-    /// input vector from the `(lo results ‖ hi results)` pair.
-    const fn gather_idx(half: usize, hi: bool) -> [u64; 8] {
-        let mut idx = [0u64; 8];
+    /// Loads `K < 8` Shoup pairs spread over the lanes as
+    /// `(w, w_shoup >> 12)` vectors, pair `l·K/8` in lane `l`: one masked
+    /// load of their `2K` words and one permute per vector.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    fn spread_shoup<const K: usize>(tw: &[ShoupMul; K]) -> (V, V) {
+        let words = ((1u32 << (2 * K)) - 1) as __mmask8;
+        // SAFETY: as in `load_shoup`, `tw` is `2K` contiguous readable
+        // words, and the mask loads no other.
+        let v = unsafe { _mm512_maskz_loadu_epi64(words, tw.as_ptr().cast()) };
+        let [w, ws] = const { spread_idx(K) };
+        (
+            _mm512_permutexvar_epi64(load(&w), v),
+            _mm512_srli_epi64::<12>(_mm512_permutexvar_epi64(load(&ws), v)),
+        )
+    }
+
+    /// Word indices of `K` consecutive Shoup pairs spread over 8 lanes:
+    /// lane `l` takes pair `l·K/8`'s `w` (first array) and `w_shoup`
+    /// (second).
+    const fn spread_idx(k: usize) -> [[u64; 8]; 2] {
+        let mut idx = [[0; 8]; 2];
         let mut l = 0;
         while l < 8 {
-            let off = if hi { half } else { 0 };
-            idx[l] = ((l / half) * 2 * half + l % half + off) as u64;
+            idx[0][l] = (2 * (l * k / 8)) as u64;
+            idx[1][l] = idx[0][l] + 1;
             l += 1;
         }
         idx
     }
 
-    const fn scatter_idx(half: usize, second: bool) -> [u64; 8] {
-        let mut idx = [0u64; 8];
-        let mut l = 0;
-        while l < 8 {
-            let g = l + if second { 8 } else { 0 };
-            let (block, pos) = (g / (2 * half), g % (2 * half));
-            idx[l] = if pos < half {
-                block * half + pos
-            } else {
-                8 + block * half + pos - half
-            } as u64;
-            l += 1;
-        }
-        idx
-    }
-
-    /// The four permutes of a narrow span: gather lo, gather hi, scatter
-    /// first, scatter second.
-    struct Narrow([V; 4]);
-
-    impl Narrow {
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-        fn new(half: usize) -> Self {
-            Self([
-                load(&gather_idx(half, false)),
-                load(&gather_idx(half, true)),
-                load(&scatter_idx(half, false)),
-                load(&scatter_idx(half, true)),
-            ])
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-        fn gather(&self, a: V, b: V) -> (V, V) {
-            (permute(a, self.0[0], b), permute(a, self.0[1], b))
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-        fn scatter(&self, lo: V, hi: V) -> (V, V) {
-            (permute(lo, self.0[2], hi), permute(lo, self.0[3], hi))
-        }
-    }
-
-    /// The widest span a forward transform of degree `n` runs as a single
-    /// stage: 16 when `n` has an even number of stages, 8 when odd. Every
-    /// wider stage pairs with its neighbour (the pairs' wider spans are
-    /// then at least 32), and the inverse pairs the same stages.
-    fn narrow_limit(n: usize) -> usize {
+    /// The widest span the register tail runs: 16 when `log₂ n` is even,
+    /// 8 when odd, so the radix-4 passes above it pair the other stages.
+    fn tail_span(n: usize) -> usize {
         if n.trailing_zeros().is_multiple_of(2) {
             16
         } else {
@@ -424,50 +471,86 @@ mod ifma {
         }
     }
 
-    /// The forward transform: radix-4 pairs of Cooley–Tukey stages from
-    /// span `n` down, then single stages from span 16 (or 8) to 4 and the
-    /// final span-2 stage.
+    /// The forward transform: radix-4 passes of Cooley–Tukey stages from
+    /// span `n` down to span 32 (or 16), then the register tail, which
+    /// also reduces to canonical.
     #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     pub fn forward(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64 {
         let k = Lanes::new(m);
         let n = x.len();
+        // The contract's inputs lie in [0, 4q).
+        let mut bound = Bound::new(m, 4);
         let mut butterflies = 0;
         let mut span = n;
-        while span > narrow_limit(n) {
+        while span > tail_span(n) {
             let b = n / span;
-            butterflies += pair::<CT>(&k, x, span, &tw[b..2 * b], &tw[2 * b..4 * b]);
+            let folds = [bound.ct(), bound.ct()];
+            let (wide, narrow) = (&tw[b..2 * b], &tw[2 * b..4 * b]);
+            butterflies += pass::<CT>(&k, x, span, wide, narrow, folds, [0; 2]);
             span /= 4;
         }
-        while span > 2 {
-            let b = n / span;
-            butterflies += stage::<CT>(&k, x, span, &tw[b..2 * b]);
-            span /= 2;
+        // The tail's stages, widest first; the stage of span `2^(bit+1)`
+        // keeps its decision at `folds[bit]`.
+        let mut folds = [false; 4];
+        for fold in folds[..span.trailing_zeros() as usize].iter_mut().rev() {
+            *fold = bound.ct();
         }
-        butterflies + stage::<CT_FINAL>(&k, x, 2, &tw[n / 2..])
+        butterflies + forward_tail(&k, x, tw, folds)
     }
 
-    /// The inverse transform: single Gentleman–Sande stages from span 2 up
-    /// to span 16 (or 8), radix-4 pairs up to span `n`, then the `n⁻¹`
-    /// scale.
+    /// The inverse transform: the register tail (spans 2 up to 16, or 8),
+    /// radix-4 passes of Gentleman–Sande stages up to span `n`, the last
+    /// of which also applies the `n⁻¹` scale and emits canonical values.
     #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     pub fn inverse(m: &Modulus, x: &mut [u64], tw: &[ShoupMul], n_inv: ShoupMul) -> u64 {
         let k = Lanes::new(m);
         let n = x.len();
-        let mut butterflies = 0;
-        let mut span = 2;
-        while span <= narrow_limit(n) {
-            let b = n / span;
-            butterflies += stage::<GS>(&k, x, span, &tw[b..2 * b]);
-            span *= 2;
+        // The contract's inputs lie in [0, 2q).
+        let mut bound = Bound::new(m, 2);
+        let top = tail_span(n);
+        let mut stages = [(0, false); 4];
+        for stage in &mut stages[..top.trailing_zeros() as usize] {
+            *stage = bound.gs();
         }
-        // `span` is the narrower stage of each pair.
-        while span < n {
+        let mut butterflies = inverse_tail(&k, x, tw, stages);
+        // `span` is the narrower stage of each pass.
+        let mut span = 2 * top;
+        while 2 * span < n {
             let b = n / (2 * span);
-            butterflies += pair::<GS>(&k, x, 2 * span, &tw[b..2 * b], &tw[2 * b..4 * b]);
+            let ((b0, f0), (b1, f1)) = (bound.gs(), bound.gs());
+            let (wide, narrow) = (&tw[b..2 * b], &tw[2 * b..4 * b]);
+            butterflies += pass::<GS>(&k, x, 2 * span, wide, narrow, [f0, f1], [b0, b1]);
             span *= 4;
         }
-        scale(&k, x, n_inv);
-        butterflies
+        // The span-n stage reads values below 2B ≤ 2^52 and folds none:
+        // its products by the scale are the exit.
+        let (b0, fold) = bound.gs();
+        butterflies + last_pass(&k, m, x, tw, n_inv, fold, [b0, bound.get()])
+    }
+
+    /// Pass kinds: forward (Cooley–Tukey) and inverse (Gentleman–Sande).
+    pub const CT: u8 = 0;
+    pub const GS: u8 = 1;
+
+    /// A block's four quarters, 8 lanes at a time: `[a, b, c, d]` at the
+    /// same offset in each.
+    #[inline]
+    fn quarters(block: &mut [u64]) -> impl Iterator<Item = [&mut [u64; 8]; 4]> {
+        let quarter = block.len() / 4;
+        let (ab, cd) = block.split_at_mut(2 * quarter);
+        let (a, b) = ab.split_at_mut(quarter);
+        let (c, d) = cd.split_at_mut(quarter);
+        let (a, b, c, d) = (
+            a.as_chunks_mut::<8>().0,
+            b.as_chunks_mut::<8>().0,
+            c.as_chunks_mut::<8>().0,
+            d.as_chunks_mut::<8>().0,
+        );
+        a.iter_mut()
+            .zip(b)
+            .zip(c)
+            .zip(d)
+            .map(|(((a, b), c), d)| [a, b, c, d])
     }
 
     /// Two stages in one pass: span `size` with one twiddle per block
@@ -475,19 +558,20 @@ mod ifma {
     /// Each block's quarters `a, b, c, d` load once per 8 lanes: CT runs
     /// `(a, c)`, `(b, d)` by `wide[i]`, then `(a, b)` by `narrow[2i]` and
     /// `(c, d)` by `narrow[2i + 1]`; GS runs the same butterflies in the
-    /// opposite order. Each element meets the butterflies of the two
-    /// single stages in their order, so the outputs equal theirs
-    /// bit for bit, lazy representatives included.
+    /// opposite order. `folds` and, for GS, `bounds` hold the decisions
+    /// and the `B` of the two stages in the order they run.
     #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-    pub fn pair<const KIND: u8>(
+    pub fn pass<const KIND: u8>(
         k: &Lanes,
         x: &mut [u64],
         size: usize,
         wide: &[ShoupMul],
         narrow: &[ShoupMul],
+        folds: [bool; 2],
+        bounds: [u64; 2],
     ) -> u64 {
-        let quarter = size / 4;
-        let mut butterflies = 0;
+        let [f0, f1] = folds;
+        let (b0, b1) = (splat(bounds[0]), splat(bounds[1]));
         for ((block, t), u) in x
             .chunks_exact_mut(size)
             .zip(wide)
@@ -496,26 +580,19 @@ mod ifma {
             let (w, ws) = splat_shoup(t);
             let (v0, v0s) = splat_shoup(&u[0]);
             let (v1, v1s) = splat_shoup(&u[1]);
-            let (ab, cd) = block.split_at_mut(2 * quarter);
-            let (a, b) = ab.split_at_mut(quarter);
-            let (c, d) = cd.split_at_mut(quarter);
-            let (a, _) = a.as_chunks_mut::<8>();
-            let (b, _) = b.as_chunks_mut::<8>();
-            let (c, _) = c.as_chunks_mut::<8>();
-            let (d, _) = d.as_chunks_mut::<8>();
-            for (((a, b), c), d) in a.iter_mut().zip(b).zip(c).zip(d) {
+            for [a, b, c, d] in quarters(block) {
                 let (x0, x1, x2, x3) = (load(a), load(b), load(c), load(d));
                 let (x0, x1, x2, x3) = if KIND == CT {
-                    let (x0, x2) = k.ct(x0, x2, w, ws);
-                    let (x1, x3) = k.ct(x1, x3, w, ws);
-                    let (x0, x1) = k.ct(x0, x1, v0, v0s);
-                    let (x2, x3) = k.ct(x2, x3, v1, v1s);
+                    let (x0, x2) = k.ct(x0, x2, w, ws, f0);
+                    let (x1, x3) = k.ct(x1, x3, w, ws, f0);
+                    let (x0, x1) = k.ct(x0, x1, v0, v0s, f1);
+                    let (x2, x3) = k.ct(x2, x3, v1, v1s, f1);
                     (x0, x1, x2, x3)
                 } else {
-                    let (x0, x1) = k.gs(x0, x1, v0, v0s);
-                    let (x2, x3) = k.gs(x2, x3, v1, v1s);
-                    let (x0, x2) = k.gs(x0, x2, w, ws);
-                    let (x1, x3) = k.gs(x1, x3, w, ws);
+                    let (x0, x1) = k.gs(x0, x1, b0, v0, v0s, f0);
+                    let (x2, x3) = k.gs(x2, x3, b0, v1, v1s, f0);
+                    let (x0, x2) = k.gs(x0, x2, b1, w, ws, f1);
+                    let (x1, x3) = k.gs(x1, x3, b1, w, ws, f1);
                     (x0, x1, x2, x3)
                 };
                 store(a, x0);
@@ -523,95 +600,184 @@ mod ifma {
                 store(c, x2);
                 store(d, x3);
             }
-            // Two stages of `size/2` butterflies each.
-            butterflies += size as u64;
         }
-        butterflies
+        // Two stages of `n/2` butterflies each.
+        x.len() as u64
     }
 
-    /// A stage of kind `KIND` and span `size`: every block broadcasts its
-    /// own twiddle across the lanes of its butterflies.
+    /// The inverse's last pass: the GS stage of span `n/2` (folding its
+    /// sums when `f0`), then span `n`, whose butterflies also apply the
+    /// scale `s`: `(lo + hi)·s` and `(lo + B − hi)·(w·s)`, canonical out.
+    /// The scale costs no pass of its own.
     #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-    pub fn stage<const KIND: u8>(k: &Lanes, x: &mut [u64], size: usize, tw: &[ShoupMul]) -> u64 {
-        let half = size / 2;
-        if half < 8 {
-            return narrow_stage::<KIND>(k, x, half, tw);
+    fn last_pass(
+        k: &Lanes,
+        m: &Modulus,
+        x: &mut [u64],
+        tw: &[ShoupMul],
+        s: ShoupMul,
+        f0: bool,
+        bounds: [u64; 2],
+    ) -> u64 {
+        let (b0, b1) = (splat(bounds[0]), splat(bounds[1]));
+        let (v0, v0s) = splat_shoup(&tw[2]);
+        let (v1, v1s) = splat_shoup(&tw[3]);
+        let (w, ws) = splat_shoup(&m.shoup(m.mul(tw[1].w, s.w)));
+        let (s, ss) = splat_shoup(&s);
+        for [a, b, c, d] in quarters(x) {
+            let (x0, x1, x2, x3) = (load(a), load(b), load(c), load(d));
+            let (x0, x1) = k.gs(x0, x1, b0, v0, v0s, f0);
+            let (x2, x3) = k.gs(x2, x3, b0, v1, v1s, f0);
+            store(a, k.exact(k.mul(add(x0, x2), s, ss)));
+            store(b, k.exact(k.mul(add(x1, x3), s, ss)));
+            store(c, k.exact(k.mul(sub(add(x0, b1), x2), w, ws)));
+            store(d, k.exact(k.mul(sub(add(x1, b1), x3), w, ws)));
         }
-        for (block, t) in x.chunks_exact_mut(size).zip(tw) {
-            let (w, ws) = splat_shoup(t);
-            let (lo, hi) = block.split_at_mut(half);
-            let (lo, _) = lo.as_chunks_mut::<8>();
-            let (hi, _) = hi.as_chunks_mut::<8>();
-            for (l, h) in lo.iter_mut().zip(hi) {
-                let (rl, rh) = k.butterfly::<KIND>(load(l), load(h), w, ws);
-                store(l, rl);
-                store(h, rh);
-            }
-        }
-        (x.len() / 2) as u64
+        x.len() as u64
     }
 
-    /// Lane `l` of the twiddle vector for the `g`-th vector pair under
-    /// one load of 8 block twiddles: butterfly `l` of that pair lies in
-    /// block `g·(8/half) + l/half` of the 8.
-    const fn spread_idx(half: usize, g: usize) -> [u64; 8] {
-        let mut idx = [0u64; 8];
-        let mut l = 0;
-        while l < 8 {
-            idx[l] = (g * (8 / half) + l / half) as u64;
-            l += 1;
+    /// A 16-element group in two vectors, in layout `bit`: element bit
+    /// `bit` picks the vector and the other three bits, in order, the lane.
+    /// Layout `bit` lines up the operands of the span-`2^(bit+1)`
+    /// butterflies in lane `l` of the two vectors, in block `l >> bit` of
+    /// the group's `8 >> bit`; layout 3 is memory order. Returns element
+    /// `e`'s vector and lane.
+    const fn place(e: usize, bit: usize) -> (usize, usize) {
+        (
+            (e >> bit) & 1,
+            (e >> (bit + 1)) << bit | (e & ((1 << bit) - 1)),
+        )
+    }
+
+    /// `vpermt2q` indices that take a group from layout `from` to layout
+    /// `to`: output vector `r`, lane `l` reads the input lane that holds
+    /// the element layout `to` places there.
+    const fn relayout(from: usize, to: usize) -> [[u64; 8]; 2] {
+        let mut idx = [[0; 8]; 2];
+        let mut e = 0;
+        while e < 16 {
+            let (r, l) = place(e, to);
+            let (fr, fl) = place(e, from);
+            idx[r][l] = (8 * fr + fl) as u64;
+            e += 1;
         }
         idx
     }
 
-    /// Spans 2, 4 and 8: two vectors hold `8/half` whole blocks, whose 8
-    /// butterflies are gathered into one lo and one hi vector. One load
-    /// of 8 block twiddles serves `half` vector pairs, each spreading its
-    /// blocks' twiddles across the lanes with one permute per vector.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-    fn narrow_stage<const KIND: u8>(k: &Lanes, x: &mut [u64], half: usize, tw: &[ShoupMul]) -> u64 {
-        let lanes = Narrow::new(half);
-        // Pairs past the first `half` of a group do not exist; their
-        // (out-of-range) indices are never used.
-        let spread = [
-            load(&spread_idx(half, 0)),
-            load(&spread_idx(half, 1)),
-            load(&spread_idx(half, 2)),
-            load(&spread_idx(half, 3)),
-        ];
-        let (vecs, _) = x.as_chunks_mut::<8>();
-        let (pairs, _) = vecs.as_chunks_mut::<2>();
-        let (tws, _) = tw.as_chunks::<8>();
-        for (group, t) in pairs.chunks_exact_mut(half).zip(tws) {
-            let (w8, ws8) = load_shoup(t);
-            for ([a, b], &idx) in group.iter_mut().zip(&spread) {
-                let (w, ws) = if half == 1 {
-                    (w8, ws8)
-                } else {
-                    (
-                        _mm512_permutexvar_epi64(idx, w8),
-                        _mm512_permutexvar_epi64(idx, ws8),
-                    )
-                };
-                let (lo, hi) = lanes.gather(load(a), load(b));
-                let (rl, rh) = k.butterfly::<KIND>(lo, hi, w, ws);
-                let (ra, rb) = lanes.scatter(rl, rh);
-                store(a, ra);
-                store(b, rb);
-            }
+    /// A move between two tail layouts: one `vpermt2q` per vector.
+    struct Move([V; 2]);
+
+    impl Move {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        fn new(idx: [[u64; 8]; 2]) -> Self {
+            Self([load(&idx[0]), load(&idx[1])])
         }
-        (x.len() / 2) as u64
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        fn apply(&self, a: V, b: V) -> (V, V) {
+            (permute(a, self.0[0], b), permute(a, self.0[1], b))
+        }
     }
 
-    /// `x[i] = x[i]·s.w mod q`, canonical, for `x[i] < 2q`.
+    /// The forward's narrow stages in registers: spans 16 (when `log₂ n`
+    /// is even), 8, 4 and 2 over each 16-element group held in two
+    /// vectors, one pair of permutes between stages, then the exit — every
+    /// value folded, masked and brought below `q` — and a permute back to
+    /// memory order.
+    /// `folds[bit]` is the decision of the stage of layout `bit`. Twiddles
+    /// come from the per-block table: the group's 1, 2, 4 and 8 blocks.
     #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-    fn scale(k: &Lanes, x: &mut [u64], s: ShoupMul) {
-        let (w, ws) = splat_shoup(&s);
+    pub fn forward_tail(k: &Lanes, x: &mut [u64], tw: &[ShoupMul], folds: [bool; 4]) -> u64 {
+        let n = x.len();
+        let wide = tail_span(n) == 16;
+        let to4 = Move::new(const { relayout(3, 2) });
+        let to2 = Move::new(const { relayout(2, 1) });
+        let to1 = Move::new(const { relayout(1, 0) });
+        let back = Move::new(const { relayout(0, 3) });
+        let (span8, span4, span2) = (
+            tw[n / 8..n / 4].as_chunks::<2>().0,
+            tw[n / 4..n / 2].as_chunks::<4>().0,
+            tw[n / 2..n].as_chunks::<8>().0,
+        );
         let (vecs, _) = x.as_chunks_mut::<8>();
-        for v in vecs {
-            let r = k.mul_shoup_lazy(load(v), w, ws);
-            store(v, cond_sub(r, k.q));
+        let (groups, _) = vecs.as_chunks_mut::<2>();
+        let blocks = span8.iter().zip(span4).zip(span2);
+        for (g, ([a, b], ((t8, t4), t2))) in groups.iter_mut().zip(blocks).enumerate() {
+            let (mut lo, mut hi) = (load(a), load(b));
+            if wide {
+                let (w, ws) = splat_shoup(&tw[n / 16 + g]);
+                (lo, hi) = k.ct(lo, hi, w, ws, folds[3]);
+            }
+            let (lo, hi) = to4.apply(lo, hi);
+            let (w, ws) = spread_shoup(t8);
+            let (lo, hi) = k.ct(lo, hi, w, ws, folds[2]);
+            let (lo, hi) = to2.apply(lo, hi);
+            let (w, ws) = spread_shoup(t4);
+            let (lo, hi) = k.ct(lo, hi, w, ws, folds[1]);
+            let (lo, hi) = to1.apply(lo, hi);
+            let (w, ws) = load_shoup(t2);
+            let (lo, hi) = k.ct(lo, hi, w, ws, folds[0]);
+            let (lo, hi) = back.apply(k.exact(k.fold(lo)), k.exact(k.fold(hi)));
+            store(a, lo);
+            store(b, hi);
         }
+        let stages = if wide { 4 } else { 3 };
+        (stages * n / 2) as u64
+    }
+
+    /// The inverse's narrow stages in registers: spans 2, 4, 8 and 16
+    /// (when `log₂ n` is even) over each 16-element group, the mirror of
+    /// [`forward_tail`] without its exit. `stages[bit]` holds the `B` and
+    /// the fold decision of the stage of layout `bit`.
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    pub fn inverse_tail(
+        k: &Lanes,
+        x: &mut [u64],
+        tw: &[ShoupMul],
+        stages: [(u64, bool); 4],
+    ) -> u64 {
+        let n = x.len();
+        let wide = tail_span(n) == 16;
+        let to1 = Move::new(const { relayout(3, 0) });
+        let to2 = Move::new(const { relayout(0, 1) });
+        let to4 = Move::new(const { relayout(1, 2) });
+        let back = Move::new(const { relayout(2, 3) });
+        let [b0, b1, b2, b3] = [
+            splat(stages[0].0),
+            splat(stages[1].0),
+            splat(stages[2].0),
+            splat(stages[3].0),
+        ];
+        let (span8, span4, span2) = (
+            tw[n / 8..n / 4].as_chunks::<2>().0,
+            tw[n / 4..n / 2].as_chunks::<4>().0,
+            tw[n / 2..n].as_chunks::<8>().0,
+        );
+        let (vecs, _) = x.as_chunks_mut::<8>();
+        let (groups, _) = vecs.as_chunks_mut::<2>();
+        let blocks = span8.iter().zip(span4).zip(span2);
+        for (g, ([a, b], ((t8, t4), t2))) in groups.iter_mut().zip(blocks).enumerate() {
+            let (lo, hi) = to1.apply(load(a), load(b));
+            let (w, ws) = load_shoup(t2);
+            let (lo, hi) = k.gs(lo, hi, b0, w, ws, stages[0].1);
+            let (lo, hi) = to2.apply(lo, hi);
+            let (w, ws) = spread_shoup(t4);
+            let (lo, hi) = k.gs(lo, hi, b1, w, ws, stages[1].1);
+            let (lo, hi) = to4.apply(lo, hi);
+            let (w, ws) = spread_shoup(t8);
+            let (lo, hi) = k.gs(lo, hi, b2, w, ws, stages[2].1);
+            let (mut lo, mut hi) = back.apply(lo, hi);
+            if wide {
+                let (w, ws) = splat_shoup(&tw[n / 16 + g]);
+                (lo, hi) = k.gs(lo, hi, b3, w, ws, stages[3].1);
+            }
+            store(a, lo);
+            store(b, hi);
+        }
+        let stages = if wide { 4 } else { 3 };
+        (stages * n / 2) as u64
     }
 
     /// `out[i] = x[i]·s.w mod q` for arbitrary 64-bit `x[i]`: the input
@@ -711,14 +877,24 @@ mod ifma {
 
     /// `out[c] = (Σ_j a[j][c]·b[j][c]) mod q` for reduced inputs and fewer
     /// than `2^11` terms, never reading `out`: `lo` gains `< 2^52` per
-    /// term, `hi` gains `< 2^48`.
+    /// term, `hi` gains `< 2^48`. While it sums vector `c`, it prefetches
+    /// vector `c + PREFETCH_AHEAD` of every operand row, while that lies
+    /// inside the rows (each at least as long as `out`): the key-switch
+    /// inner product streams a key far larger than a core's caches.
     #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
     pub fn mul_acc(q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
         let reducer = WideReducer::new(q);
         let (outs, tail) = out.as_chunks_mut::<8>();
+        let vectors = outs.len();
         for (c, o) in outs.iter_mut().enumerate() {
+            let ahead = 8 * (c + PREFETCH_AHEAD);
+            let fetch = c + PREFETCH_AHEAD < vectors;
             let (mut hi, mut lo) = (_mm512_setzero_si512(), _mm512_setzero_si512());
             for (x, y) in a.iter().zip(b) {
+                if fetch {
+                    prefetch(x, ahead);
+                    prefetch(y, ahead);
+                }
                 let (x, y) = (load_at(x, 8 * c), load_at(y, 8 * c));
                 lo = _mm512_madd52lo_epu64(lo, x, y);
                 hi = _mm512_madd52hi_epu64(hi, x, y);
@@ -729,6 +905,14 @@ mod ifma {
             let split = 8 * outs.len();
             PortableBackend.mul_acc(q, &tails(a, split), &tails(b, split), tail);
         }
+    }
+
+    /// Asks for the cache line that holds `row[i]`, `i < row.len()`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    fn prefetch(row: &[u64], i: usize) {
+        debug_assert!(i < row.len());
+        _mm_prefetch::<_MM_HINT_T0>(row.as_ptr().wrapping_add(i).cast());
     }
 
     /// `out[c] = round(Σ_i ys[i][c]·inv_q[i])` with the scalar loop's IEEE
@@ -765,9 +949,86 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// One radix-4 pass equals the two single IFMA stages it replaces on
-    /// the widest lazy inputs, lazy representatives included, and stays
-    /// inside their windows: `[0, 4q)` forward, `[0, 2q)` inverse.
+    /// A scalar model of one IFMA lane, the reference for the vector
+    /// kernels: IFMA multiplies the low 52 bits of its operands and adds
+    /// one 52-bit half of the product to the whole 64-bit accumulator.
+    mod lane {
+        use crate::{Modulus, ShoupMul};
+
+        pub const MASK: u64 = (1 << 52) - 1;
+
+        fn product(a: u64, b: u64) -> u128 {
+            u128::from(a & MASK) * u128::from(b & MASK)
+        }
+
+        pub fn madd52lo(acc: u64, a: u64, b: u64) -> u64 {
+            acc.wrapping_add(product(a, b) as u64 & MASK)
+        }
+
+        pub fn madd52hi(acc: u64, a: u64, b: u64) -> u64 {
+            acc.wrapping_add((product(a, b) >> 52) as u64)
+        }
+
+        /// `Lanes::mul`.
+        pub fn mul(m: &Modulus, a: u64, w: ShoupMul) -> u64 {
+            let qhat = madd52hi(0, a, w.w_shoup >> 12);
+            madd52lo(madd52lo(0, a, w.w), qhat, (1 << 52) - m.value())
+        }
+
+        /// `Lanes::fold`: `mul` by 1.
+        pub fn fold(m: &Modulus, a: u64) -> u64 {
+            let qhat = madd52hi(0, a, m.shoup(1).w_shoup >> 12);
+            madd52lo(a, qhat, (1 << 52) - m.value())
+        }
+
+        /// One single stage of span `size`: Cooley–Tukey or, with `b`
+        /// (the stage's bound), Gentleman–Sande butterflies per block.
+        pub fn stage(
+            m: &Modulus,
+            x: &mut [u64],
+            size: usize,
+            tw: &[ShoupMul],
+            gs: Option<u64>,
+            fold_it: bool,
+        ) {
+            let two_q = 2 * m.value();
+            for (block, &t) in x.chunks_exact_mut(size).zip(tw) {
+                let (lo, hi) = block.split_at_mut(size / 2);
+                for (l, h) in lo.iter_mut().zip(hi) {
+                    (*l, *h) = match gs {
+                        None => {
+                            let u = if fold_it { fold(m, *l) } else { *l };
+                            let v = mul(m, *h, t);
+                            (u.wrapping_add(v), u.wrapping_add(two_q).wrapping_sub(v))
+                        }
+                        Some(b) => {
+                            let s = l.wrapping_add(*h);
+                            let s = if fold_it { fold(m, s) } else { s };
+                            (s, mul(m, l.wrapping_add(b).wrapping_sub(*h), t))
+                        }
+                    };
+                }
+            }
+        }
+    }
+
+    fn modulus(bits: u32, n: usize) -> Modulus {
+        Modulus::new(primes::ntt_primes(bits, n, 1).unwrap()[0]).unwrap()
+    }
+
+    /// Lanes whose values lie below `bound`, with random bits above the
+    /// value, which no kernel may read.
+    fn lazy(rng: &mut StdRng, n: usize, bound: u64) -> Vec<u64> {
+        (0..n)
+            .map(|_| rng.gen_range(0..bound) | rng.gen::<u64>() << 52)
+            .collect()
+    }
+
+    /// One radix-4 pass equals the two single stages it replaces, run one
+    /// at a time on the scalar lane model: every lane bit for bit, the
+    /// bits above the values included. Every fold combination occurs, at
+    /// bounds from the schedule's start to the edge of a lane, and every
+    /// value stays below the bound the schedule tracks.
     #[test]
     fn a_radix4_pair_is_two_single_stages() {
         if !ifma_available() {
@@ -775,36 +1036,165 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(44);
         let n = 1 << 10;
-        for bits in [30u32, 36, 48, 50] {
-            let m = Modulus::new(primes::ntt_primes(bits, n, 1).unwrap()[0]).unwrap();
+        let mut seen = [[false; 4]; 2];
+        for bits in [30u32, 36, 48, 49, 50] {
+            let m = modulus(bits, n);
             let q = m.value();
+            let full = ifma::LANE / q;
             for size in [32usize, 64, 256, n] {
                 let [wide, narrow]: [Vec<ShoupMul>; 2] = [n / size, 2 * n / size]
                     .map(|count| (0..count).map(|_| m.shoup(rng.gen_range(0..q))).collect());
-                for (kind, window) in [(ifma::CT, 4 * q), (ifma::GS, 2 * q)] {
-                    let x: Vec<u64> = (0..n).map(|_| rng.gen_range(0..window)).collect();
+                // Forward: bounds from 4q up to a full lane.
+                for start in [4, full - 3, full - 2, full]
+                    .into_iter()
+                    .filter(|&s| s >= 4)
+                {
+                    let mut bound = ifma::Bound::new(&m, start);
+                    let folds = [bound.ct(), bound.ct()];
+                    seen[0][usize::from(folds[0]) + 2 * usize::from(folds[1])] = true;
+                    let x = lazy(&mut rng, n, start * q);
                     let (mut fused, mut split) = (x.clone(), x);
                     // SAFETY: `ifma_available` proved AVX-512F, IFMA and DQ.
-                    unsafe {
+                    let done = unsafe {
                         let k = ifma::Lanes::new(&m);
-                        if kind == ifma::CT {
-                            let done =
-                                ifma::pair::<{ ifma::CT }>(&k, &mut fused, size, &wide, &narrow);
-                            assert_eq!(done, n as u64);
-                            ifma::stage::<{ ifma::CT }>(&k, &mut split, size, &wide);
-                            ifma::stage::<{ ifma::CT }>(&k, &mut split, size / 2, &narrow);
-                        } else {
-                            let done =
-                                ifma::pair::<{ ifma::GS }>(&k, &mut fused, size, &wide, &narrow);
-                            assert_eq!(done, n as u64);
-                            ifma::stage::<{ ifma::GS }>(&k, &mut split, size / 2, &narrow);
-                            ifma::stage::<{ ifma::GS }>(&k, &mut split, size, &wide);
-                        }
-                    }
-                    assert_eq!(fused, split, "kind={kind} size={size} bits={bits}");
-                    assert!(fused.iter().all(|&v| v < window));
+                        ifma::pass::<{ ifma::CT }>(
+                            &k, &mut fused, size, &wide, &narrow, folds, [0; 2],
+                        )
+                    };
+                    assert_eq!(done, n as u64);
+                    lane::stage(&m, &mut split, size, &wide, None, folds[0]);
+                    lane::stage(&m, &mut split, size / 2, &narrow, None, folds[1]);
+                    assert_eq!(fused, split, "CT size={size} bits={bits} start={start}");
+                    assert!(fused.iter().all(|&v| v & lane::MASK < bound.get()));
+                }
+                // Inverse: bounds from 2q up to half a lane.
+                for start in [2, full / 8, full / 4, full / 2]
+                    .into_iter()
+                    .filter(|&s| s >= 2)
+                {
+                    let mut bound = ifma::Bound::new(&m, start);
+                    let ((b0, f0), (b1, f1)) = (bound.gs(), bound.gs());
+                    seen[1][usize::from(f0) + 2 * usize::from(f1)] = true;
+                    let x = lazy(&mut rng, n, start * q);
+                    let (mut fused, mut split) = (x.clone(), x);
+                    // SAFETY: as above.
+                    let done = unsafe {
+                        let k = ifma::Lanes::new(&m);
+                        ifma::pass::<{ ifma::GS }>(
+                            &k,
+                            &mut fused,
+                            size,
+                            &wide,
+                            &narrow,
+                            [f0, f1],
+                            [b0, b1],
+                        )
+                    };
+                    assert_eq!(done, n as u64);
+                    lane::stage(&m, &mut split, size / 2, &narrow, Some(b0), f0);
+                    lane::stage(&m, &mut split, size, &wide, Some(b1), f1);
+                    assert_eq!(fused, split, "GS size={size} bits={bits} start={start}");
+                    assert!(fused.iter().all(|&v| v & lane::MASK < bound.get()));
                 }
             }
         }
+        assert_eq!(seen, [[true; 4]; 2], "fold combinations covered");
+    }
+
+    /// The register tails equal their stages run one at a time on the
+    /// scalar lane model, for every fold pattern and both tail lengths:
+    /// the inverse's lanes bit for bit, the forward's canonical exit as
+    /// the model's values reduced.
+    #[test]
+    fn a_register_tail_is_its_single_stages() {
+        if !ifma_available() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(45);
+        for (bits, log_n) in [(36u32, 6usize), (48, 7), (49, 10), (50, 11)] {
+            let n = 1 << log_n;
+            let m = modulus(bits, n);
+            let q = m.value();
+            let tw: Vec<ShoupMul> = (0..n).map(|_| m.shoup(rng.gen_range(0..q))).collect();
+            // The tail spans 16 down to 2 for even log n, 8 down for odd.
+            let top = if log_n % 2 == 0 { 4 } else { 3 };
+            for pattern in 0..16u32 {
+                let folds: [bool; 4] = std::array::from_fn(|bit| pattern >> bit & 1 == 1);
+                let x = lazy(&mut rng, n, 4 * q);
+                let (mut tail, mut model) = (x.clone(), x);
+                // SAFETY: `ifma_available` proved AVX-512F, IFMA and DQ.
+                let done = unsafe {
+                    let k = ifma::Lanes::new(&m);
+                    ifma::forward_tail(&k, &mut tail, &tw, folds)
+                };
+                assert_eq!(done, (top * n / 2) as u64);
+                for bit in (0..top).rev() {
+                    let blocks = n >> (bit + 1);
+                    let span = 2 << bit;
+                    lane::stage(&m, &mut model, span, &tw[blocks..], None, folds[bit]);
+                }
+                let exit: Vec<u64> = model
+                    .iter()
+                    .map(|&v| (lane::fold(&m, v) & lane::MASK) % q)
+                    .collect();
+                assert_eq!(tail, exit, "forward bits={bits} n={n} folds={pattern:04b}");
+
+                // The inverse with per-stage bounds, arbitrary multiples of
+                // q: the model computes the same lanes whatever they are.
+                let bounds: [u64; 4] = std::array::from_fn(|_| q * rng.gen_range(2..64u64));
+                let stages: [(u64, bool); 4] = std::array::from_fn(|bit| (bounds[bit], folds[bit]));
+                let x = lazy(&mut rng, n, 2 * q);
+                let (mut tail, mut model) = (x.clone(), x);
+                // SAFETY: as above.
+                let done = unsafe {
+                    let k = ifma::Lanes::new(&m);
+                    ifma::inverse_tail(&k, &mut tail, &tw, stages)
+                };
+                assert_eq!(done, (top * n / 2) as u64);
+                for bit in 0..top {
+                    let blocks = n >> (bit + 1);
+                    let span = 2 << bit;
+                    let b = Some(bounds[bit]);
+                    lane::stage(&m, &mut model, span, &tw[blocks..], b, folds[bit]);
+                }
+                assert_eq!(tail, model, "inverse bits={bits} n={n} folds={pattern:04b}");
+            }
+        }
+    }
+
+    /// The fold schedule keeps every value inside a lane for every IFMA
+    /// modulus and degree, and folds where the module docs say: never at
+    /// 36 bits and `n = 2^14`; twice forward and every third inverse stage
+    /// at 48 bits.
+    #[test]
+    fn the_fold_schedule_keeps_values_inside_a_lane() {
+        // Folds of a whole transform of `stages` stages, forward and
+        // inverse, as the drivers ask for them; the inverse's last stage
+        // applies the scale and never folds.
+        let folds = |m: &Modulus, stages: u32| {
+            let (mut fwd, mut inv) = (ifma::Bound::new(m, 4), ifma::Bound::new(m, 2));
+            let mut counts = (0, 0);
+            for _ in 0..stages {
+                counts.0 += u32::from(fwd.ct());
+                assert!(fwd.get() <= ifma::LANE);
+            }
+            for _ in 1..stages {
+                let (b, fold) = inv.gs();
+                assert!(2 * b <= ifma::LANE);
+                counts.1 += u32::from(fold);
+            }
+            assert!(2 * inv.get() <= ifma::LANE);
+            counts
+        };
+        let largest = primes::ntt_primes(50, 1 << 16, 1).unwrap()[0];
+        for q in [3, 97, (1 << 36) - 5, 1 << 47 | 1, largest, (1 << 50) - 1] {
+            let m = Modulus::new(q).unwrap();
+            for stages in 6..=40 {
+                folds(&m, stages);
+            }
+        }
+        let at = |bits| folds(&modulus(bits, 1 << 14), 14);
+        assert_eq!(at(36), (0, 0));
+        assert_eq!(at(48), (2, 4));
     }
 }

@@ -23,10 +23,13 @@
 //!
 //! Each transform is one call into the plan's
 //! [`ComputeBackend`](neo_math::ComputeBackend), which owns the stage
-//! schedule: the portable backend runs one pass per stage, the AVX-512
-//! one fuses pairs of wide stages into radix-4 passes. Either way every
-//! element meets the same butterflies with the same twiddles in the same
-//! order. This driver keeps the length check, the butterfly and `n⁻¹`
+//! schedule and where values reduce: the portable backend runs one pass
+//! per stage in the windows above, the AVX-512 one fuses pairs of wide
+//! stages into radix-4 passes and the narrow stages into one pass in
+//! registers, and keeps its 52-bit lanes below a bound it tracks instead
+//! of reducing every butterfly. Either way every element meets the same
+//! butterflies with the same twiddles in the same order, and the output
+//! is canonical. This driver keeps the length check, the butterfly and `n⁻¹`
 //! multiply tallies, the `ntt.forward`/`ntt.inverse` timer spans, and the
 //! fault-injection hook, so telemetry and the fault model are
 //! backend-independent by construction.

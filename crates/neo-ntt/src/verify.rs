@@ -300,16 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn checks_tally_abft_counters() {
-        let p = plan(36, 32);
-        let (coeffs, evals) = random_pair(&p, 2);
-        let (r, w) = neo_trace::record(|| spot_check_forward(&p, &coeffs, &evals, 0));
-        r.unwrap();
-        assert_eq!(w.get(Counter::AbftChecks), 1);
-        assert_eq!(w.get(Counter::AbftMacs), 3 * 32);
-    }
-
-    #[test]
     fn cache_round_trip_smoke() {
         // get_or_build → transform → spot check, the path the CKKS layer
         // takes per limb.
