@@ -27,12 +27,12 @@ use neo_bench::measure::{self, MeasureConfig};
 use neo_bench::{emit, fmt_time};
 use neo_ckks::cost::{CostConfig, Operation};
 use neo_ckks::sched::batch_op_graph;
-use neo_ckks::{BatchOp, BatchProgram, CkksParams, FheEngine, KeyTarget, ParamSet, Slot};
+use neo_ckks::{BatchOp, BatchProgram, CkksParams, FheEngine, KeyTarget, KsMethod, ParamSet, Slot};
 use neo_gpu_sim::DeviceModel;
 use neo_math::{BackendKind, Modulus, RnsBasis};
 use neo_ntt::{radix2, NttPlan};
 use neo_sched::{publish_utilization, simulate, SimConfig};
-use neo_serve::{price_request, AdmissionConfig, AdmissionQueue, QueuedRequest};
+use neo_serve::{price_batch, AdmissionConfig};
 use neo_store::SessionStore;
 use neo_tcu::{BackendGemm, GemmEngine};
 use rand::rngs::StdRng;
@@ -109,47 +109,36 @@ fn main() {
     let sched = simulate(&hmult_fused, &DeviceModel::a100(), SimConfig::streams(4));
     publish_utilization(&sched);
 
-    // Deterministic serve-layer kernel: eight paper-scale requests (two
-    // multiply-rescale-add, six rotate-accumulate — serve_bench's
-    // workload mix) through sim-priced coalescing admission; the tracked
-    // value is the merged batch's estimated multi-stream makespan.
+    // Deterministic serve-layer kernel: eight paper-scale KLSS requests
+    // (two multiply-rescale-add, six rotate-accumulate — serve_bench's
+    // workload mix) priced as one coalesced batch; the tracked value is
+    // the merged graph's best multi-stream makespan.
     let dev = DeviceModel::a100();
-    let serve_cost = CostConfig::neo();
-    let mut queue = AdmissionQueue::new(AdmissionConfig {
-        makespan_budget: std::time::Duration::from_secs(86_400),
-        ..AdmissionConfig::default()
-    });
-    for i in 0..8u64 {
-        let mut prog = BatchProgram::new();
-        if i % 4 == 0 {
-            let m = prog
-                .try_push(BatchOp::HMult(Slot::Input(0), Slot::Input(0)))
-                .expect("push");
-            let rs = prog.try_push(BatchOp::Rescale(m)).expect("push");
-            prog.try_push(BatchOp::HAdd(rs, rs)).expect("push");
-        } else {
-            let r = prog
-                .try_push(BatchOp::HRotate(Slot::Input(0), 1))
-                .expect("push");
-            prog.try_push(BatchOp::HAdd(r, Slot::Input(0)))
-                .expect("push");
-        }
-        let solo = price_request(&prog, &p, 35, &serve_cost, &dev);
-        queue
-            .try_enqueue(QueuedRequest {
-                id: i + 1,
-                tenant: i,
-                program: prog,
-                inputs: Vec::new(), // pricing never touches ciphertexts
-                level: 35,
-                method: serve_cost.method,
-                noise_bits: 30.0,
-                solo_est: solo,
-                submitted: std::time::Instant::now(),
-            })
-            .expect("queue is empty enough");
-    }
-    let serve_batch = queue.coalesce(&p, &dev).expect("eight requests queued");
+    let serve_progs: Vec<BatchProgram> = (0..8)
+        .map(|i| {
+            let mut prog = BatchProgram::new();
+            if i % 4 == 0 {
+                let m = prog
+                    .try_push(BatchOp::HMult(Slot::Input(0), Slot::Input(0)))
+                    .expect("push");
+                let rs = prog.try_push(BatchOp::Rescale(m)).expect("push");
+                prog.try_push(BatchOp::HAdd(rs, rs)).expect("push");
+            } else {
+                let r = prog
+                    .try_push(BatchOp::HRotate(Slot::Input(0), 1))
+                    .expect("push");
+                prog.try_push(BatchOp::HAdd(r, Slot::Input(0)))
+                    .expect("push");
+            }
+            prog
+        })
+        .collect();
+    let serve_batch: Vec<_> = serve_progs
+        .iter()
+        .map(|prog| (prog, 35, KsMethod::Klss))
+        .collect();
+    let (_, serve_makespan) = price_batch(&serve_batch, &p, &AdmissionConfig::default(), &dev)
+        .expect("ParamSet::C prices KLSS");
 
     // Deterministic planner kernel: the autotuner's chosen makespan for
     // the eight-copy HMult batch (plan_bench's flagship workload). A
@@ -220,7 +209,7 @@ fn main() {
         ),
         (
             "serve_coalesce8_makespan",
-            guard::apply_injection(serve_batch.est_makespan.as_secs_f64()),
+            guard::apply_injection(serve_makespan.as_secs_f64()),
         ),
         (
             "plan_hmult8_makespan",

@@ -10,16 +10,19 @@
 //!    tenant's engine: the per-request reference for both throughput and
 //!    bit-identity;
 //! 2. **coalesced** — all requests submitted to a
-//!    [`neo_serve::ServiceCore`] and drained through the sim-priced
-//!    coalescing admission queue, requests of a batch executing
-//!    concurrently; outputs are asserted **bit-identical** to phase 1;
+//!    [`neo_serve::ServiceCore`] and drained through the coalescing
+//!    admission queue, requests of a batch executing concurrently;
+//!    outputs are asserted **bit-identical** to phase 1;
 //! 3. **overload** — a deliberately undersized queue
 //!    (`NEO_SERVE_OVERLOAD_DEPTH`) absorbing the same arrival burst, to
 //!    measure the shed rate of the backpressure path.
 //!
 //! Phases 1 and 2 alternate three times over the same requests, so the
 //! host-throughput ratio is a median of three same-run pairs rather than
-//! one pair on a host whose speed drifts between runs.
+//! one pair on a host whose speed drifts between runs. The modelled A100
+//! numbers are priced after the timed rounds: each request alone for the
+//! device-serial wall, and the last round's batches, as admission formed
+//! them, for the device-coalesced wall.
 //!
 //! All randomness flows from `NEO_SERVE_SEED` (default 42): arrival
 //! order, workload mix, and plaintexts are reproducible run to run.
@@ -30,9 +33,7 @@
 #![deny(clippy::unwrap_used)]
 
 use neo_ckks::{BatchOp, BatchProgram, Ciphertext, CkksParams, ParamSet, Slot};
-use neo_serve::{
-    AdmissionConfig, BatchStats, Response, ServeConfig, ServeStats, ServiceCore, TenantRegistry,
-};
+use neo_serve::{AdmissionConfig, Response, ServeConfig, ServeStats, ServiceCore, TenantRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
@@ -107,12 +108,12 @@ fn serial_pass(registry: &TenantRegistry, requests: &[Request]) -> (f64, Vec<Vec
 
 /// Phase 2: every request submitted to a fresh [`ServiceCore`] and
 /// drained batch by batch. Returns the wall time, the submit-order ids,
-/// the responses, each batch's stats and the service counters.
+/// each batch's responses in admission order and the service counters.
 fn coalesced_pass(
     registry: &Arc<TenantRegistry>,
     requests: &[Request],
     cfg: &ServeConfig,
-) -> (f64, Vec<u64>, Vec<Response>, Vec<BatchStats>, ServeStats) {
+) -> (f64, Vec<u64>, Vec<Vec<Response>>, ServeStats) {
     let mut core = ServiceCore::new(Arc::clone(registry), cfg.clone());
     let t0 = Instant::now();
     let ids: Vec<u64> = requests
@@ -122,19 +123,11 @@ fn coalesced_pass(
                 .expect("submit within depth bound")
         })
         .collect();
-    let mut responses = Vec::with_capacity(requests.len());
     let mut batches = Vec::new();
-    while let Some((batch_responses, batch_stats)) = core.drain_batch() {
-        batches.push(batch_stats);
-        responses.extend(batch_responses);
+    while let Some((responses, _)) = core.drain_batch() {
+        batches.push(responses);
     }
-    (
-        t0.elapsed().as_secs_f64(),
-        ids,
-        responses,
-        batches,
-        core.stats(),
-    )
+    (t0.elapsed().as_secs_f64(), ids, batches, core.stats())
 }
 
 fn median(xs: &[f64]) -> f64 {
@@ -215,37 +208,17 @@ fn main() {
 
     // --- Phases 1 and 2, alternating ---
     //
-    // Phase 1, host side: each request executed one at a time through its
-    // tenant's engine. Device side: the cost oracle prices each request
-    // alone at one stream; dispatching per-request serializes the
-    // simulated A100 end to end, so the device-serial wall is the sum.
-    //
-    // Functional execution runs the reduced test parameters; the cost
-    // oracle prices the accelerator actually being scheduled
-    // (`ParamSet::C`, the paper's A100 target), with request levels
-    // mapped by distance from the chain top.
+    // Functional execution runs the reduced test parameters; the device
+    // model prices the accelerator the paper targets (`ParamSet::C` on
+    // the A100), with request levels mapped by distance from the chain
+    // top.
     let params = registry.context().params().clone();
     let pricing = ParamSet::C.params();
-    let price_level = neo_serve::admission::pricing_level(level, &params, &pricing);
-    let dev = neo_gpu_sim::DeviceModel::a100();
-    let cost = neo_ckks::cost::CostConfig::neo();
-    let device_serial_s: f64 = requests
-        .iter()
-        .map(|req| {
-            neo_serve::admission::price_request(&req.program, &pricing, price_level, &cost, &dev)
-                .as_secs_f64()
-        })
-        .sum();
-    let device_serial_ops = requests.len() as f64 / device_serial_s;
     let cfg = ServeConfig {
         admission: AdmissionConfig {
             coalesce_window: window,
             max_batch_ops: window * 8,
             max_queue_depth: requests.len() + 1,
-            // Batches are cut by window/op caps here; the makespan
-            // budget is set above any realistic batch so the coalescing
-            // factor stays the independent variable.
-            makespan_budget: std::time::Duration::from_secs(86_400),
             pricing_params: Some(pricing.clone()),
             ..AdmissionConfig::default()
         },
@@ -272,22 +245,57 @@ fn main() {
         host_speedups.push(serial_s / pass.0);
         last = Some(pass);
     }
-    let (_, ids, responses, batches, stats) = last.expect("at least one round");
+    let (_, ids, batches, stats) = last.expect("at least one round");
+    let responses: Vec<&Response> = batches.iter().flatten().collect();
     let serial_s = median(&serial_walls);
     let serve_s = median(&serve_walls);
     let serial_ops = requests.len() as f64 / serial_s;
     let serve_ops = responses.len() as f64 / serve_s;
-    // The oracle's per-batch makespans (the simulated device wall under
-    // multi-stream overlap) accumulate over the last round's batches.
-    let device_serve_s: f64 = batches.iter().map(|b| b.est_makespan.as_secs_f64()).sum();
-    let device_serve_ops = responses.len() as f64 / device_serve_s;
-    let stream_counts: Vec<usize> = batches.iter().map(|b| b.streams).collect();
-
-    // Bit-identity: match responses back to the arrival order via ids.
     let mut by_id: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
     for (arrival, id) in ids.iter().enumerate() {
         by_id.insert(*id, arrival);
     }
+
+    // --- Device side, priced after the timed rounds ---
+    //
+    // Serial: each request alone at one stream; dispatching per request
+    // serializes the simulated A100 end to end, so the wall is the sum.
+    // Coalesced: each of the last round's batches as one merged graph,
+    // its requests in admission order, at its best stream count.
+    let dev = neo_gpu_sim::DeviceModel::a100();
+    let cost = neo_ckks::cost::CostConfig::neo();
+    let price_level = neo_serve::pricing_level(level, &params, &pricing);
+    let device_serial_s: f64 = requests
+        .iter()
+        .map(|req| {
+            neo_serve::price_request(&req.program, &pricing, price_level, &cost, &dev)
+                .expect("ParamSet::C prices KLSS")
+                .as_secs_f64()
+        })
+        .sum();
+    let device_serial_ops = requests.len() as f64 / device_serial_s;
+    let (mut device_serve_s, mut stream_total) = (0.0f64, 0usize);
+    for batch in &batches {
+        let members: Vec<_> = batch
+            .iter()
+            .map(|resp| {
+                let req = &requests[by_id[&resp.request_id]];
+                let method = registry
+                    .get(req.tenant)
+                    .expect("registered")
+                    .engine()
+                    .method();
+                (&req.program, level, method)
+            })
+            .collect();
+        let (streams, makespan) = neo_serve::price_batch(&members, &params, &cfg.admission, &dev)
+            .expect("ParamSet::C prices both key-switching methods");
+        device_serve_s += makespan.as_secs_f64();
+        stream_total += streams;
+    }
+    let device_serve_ops = responses.len() as f64 / device_serve_s;
+
+    // Bit-identity: match responses back to the arrival order via ids.
     let mut checked = 0usize;
     let mut latencies_ms: Vec<f64> = Vec::with_capacity(responses.len());
     for resp in &responses {
@@ -313,7 +321,6 @@ fn main() {
             coalesce_window: window,
             max_batch_ops: window * 8,
             max_queue_depth: overload_depth,
-            makespan_budget: std::time::Duration::from_secs(86_400),
             pricing_params: Some(pricing.clone()),
             ..AdmissionConfig::default()
         },
@@ -338,12 +345,12 @@ fn main() {
     let host_threads = rayon::current_num_threads();
     let n_requests = requests.len();
     let factor = stats.coalescing_factor();
-    let batches = stats.batches;
-    let avg_streams = if stream_counts.is_empty() {
+    let avg_streams = if batches.is_empty() {
         0.0
     } else {
-        stream_counts.iter().sum::<usize>() as f64 / stream_counts.len() as f64
+        stream_total as f64 / batches.len() as f64
     };
+    let batches = stats.batches;
     let human = format!(
         "serve_bench — {tenants} tenants, {n_requests} requests ({heavy_pct}% heavy), window {window}\n\
          setup               {setup_s:>10.2} s (shared context + {tenants} keygens)\n\
@@ -413,13 +420,12 @@ fn main() {
 
     // Throughput acceptance: coalescing must beat per-request serial
     // dispatch on the simulated device — the merged graph's multi-stream
-    // overlap is the mechanism this subsystem exists for, and the device
-    // model is this repo's throughput currency. The host-wall comparison
-    // additionally holds wherever the rayon pool has real parallelism,
-    // on the median of the alternating same-run pairs; on a single-core
-    // host, coalesced host throughput trails serial by the admission
-    // overhead, so it is reported but only asserted when more than one
-    // worker thread exists.
+    // overlap is what coalescing buys the modelled A100. The host-wall
+    // comparison additionally holds wherever the rayon pool has real
+    // parallelism, on the median of the alternating same-run pairs; on a
+    // single-core host, concurrent execution has nothing to overlap, so
+    // it is reported but only asserted when more than one worker thread
+    // exists.
     assert!(
         device_speedup > 1.0,
         "coalesced serving must beat per-request serial dispatch on simulated device throughput \

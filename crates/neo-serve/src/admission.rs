@@ -1,59 +1,102 @@
-//! Admission: priority ordering, batch coalescing, and the sim-priced
-//! cut-off.
+//! Admission: priority ordering and batch coalescing, plus the device
+//! model's prices for the callers that report them.
 //!
 //! Queued requests are ordered by urgency — lowest remaining noise
 //! budget first (closest to exhaustion), then deepest level consumed,
 //! then FIFO — and coalesced greedily in that order. The noise term is
-//! *aged* by queue wait ([`AdmissionConfig::aging_bits_per_sec`]), so a
-//! healthy request cannot be starved indefinitely by a stream of
-//! noise-poor arrivals. Pricing is two-tier so admission stays cheap at
-//! high request rates:
+//! *aged* by queue wait, one bit per second, so a healthy request cannot
+//! be starved indefinitely by a stream of noise-poor arrivals. The batch
+//! is cut at the coalescing window or at the op cap, whichever binds
+//! first; the head of the queue is always admitted.
 //!
-//! 1. at submission each request is priced **once** with a
-//!    single-stream run of the discrete-event simulator over its own
-//!    kernel graph ([`price_request`]); the coalescing cut then uses
-//!    the *additive* sum of solo estimates against
-//!    [`AdmissionConfig::makespan_budget`] — a conservative bound,
-//!    since it ignores cross-request stream overlap;
-//! 2. the admitted set's graphs are merged into one [`OpGraph`]
-//!    (disjoint union: requests share no edges, so the multi-stream
-//!    scheduler is free to overlap them) and a single
-//!    [`neo_sched::estimate_makespan_best`] sweep refines the estimate
-//!    and picks the stream count that travels with the batch to the
-//!    executor.
-//!
-//! The batch is cut at the first candidate that would push the summed
-//! estimate past the budget, or at the window/op caps.
+//! Admission is host work and reads no device model. The modelled A100
+//! prices live beside it for the callers that report them, outside the
+//! serving path: [`price_request`] prices one request on one stream, and
+//! [`price_batch`] prices a coalesced batch as the disjoint union of its
+//! requests' kernel graphs over a stream sweep.
 
 use crate::tenant::TenantId;
 use neo_ckks::cost::CostConfig;
-use neo_ckks::{BatchProgram, Ciphertext, KsMethod, NeoError};
+use neo_ckks::{BatchProgram, Ciphertext, CkksParams, KsMethod, NeoError};
 use neo_gpu_sim::DeviceModel;
 use neo_sched::{estimate_makespan, estimate_makespan_best, OpGraph};
 use std::time::{Duration, Instant};
 
+/// Bits of urgency credit per second of queue wait. Each coalesce sorts
+/// by *effective* noise budget — `noise_bits − AGING_BITS_PER_SEC ×
+/// waited` — so a healthy request stuck behind a stream of noise-starved
+/// arrivals eventually becomes the most urgent itself.
+const AGING_BITS_PER_SEC: f64 = 1.0;
+
+/// Refuses to price KLSS key switching on parameters without a KLSS
+/// configuration, before any kernel graph is built.
+fn check_priceable(params: &CkksParams, method: KsMethod) -> Result<(), NeoError> {
+    if method == KsMethod::Klss && params.klss.is_none() {
+        return Err(NeoError::invalid_params(
+            "KLSS key switching cannot be priced on parameters without a KLSS configuration",
+        ));
+    }
+    Ok(())
+}
+
 /// Prices one request: the simulated single-stream makespan of its
-/// kernel graph at `level` on `dev`. Computed once per request at
-/// submission, under Neo's cost configuration with the tenant's
-/// key-switching method; the coalescing cut sums these.
+/// kernel graph at `level` on `dev`, under `cost`.
+///
+/// # Errors
+///
+/// [`NeoError::InvalidParams`] when `cost` switches keys with KLSS and
+/// `params` carry no KLSS configuration.
 pub fn price_request(
     program: &BatchProgram,
-    params: &neo_ckks::CkksParams,
+    params: &CkksParams,
     level: usize,
     cost: &CostConfig,
     dev: &DeviceModel,
-) -> Duration {
+) -> Result<Duration, NeoError> {
+    check_priceable(params, cost.method)?;
     let g = program.kernel_graph(params, level, cost);
-    estimate_makespan(&g, dev, 1)
+    Ok(estimate_makespan(&g, dev, 1))
 }
 
-/// The kernel cost model a request is priced under: Neo's configuration
-/// with the key-switching method the tenant's engine runs.
-pub(crate) fn cost_config(method: KsMethod) -> CostConfig {
-    CostConfig {
-        method,
-        ..CostConfig::neo()
+/// Prices a coalesced batch on `dev`: the disjoint union of the
+/// requests' kernel graphs, in admission order with request `i` tagged
+/// `i`, swept over `1..=cfg.max_streams` streams. Each request is
+/// `(program, level, method)`, its level on the `functional` chain; it
+/// prices at [`pricing_level`] on `cfg.pricing_params` (on `functional`
+/// when that is `None`), under Neo's cost configuration with the
+/// request's key-switching method. Returns the best stream count and its
+/// makespan.
+///
+/// # Errors
+///
+/// [`NeoError::InvalidParams`] when `cfg.max_streams` is 0, or when a
+/// request switches keys with KLSS and the pricing parameters carry no
+/// KLSS configuration.
+pub fn price_batch(
+    requests: &[(&BatchProgram, usize, KsMethod)],
+    functional: &CkksParams,
+    cfg: &AdmissionConfig,
+    dev: &DeviceModel,
+) -> Result<(usize, Duration), NeoError> {
+    if cfg.max_streams == 0 {
+        return Err(NeoError::invalid_params(
+            "a batch is priced over 1..=max_streams streams; max_streams is 0",
+        ));
     }
+    let pricing = cfg.pricing_params.as_ref().unwrap_or(functional);
+    for &(_, _, method) in requests {
+        check_priceable(pricing, method)?;
+    }
+    let mut graph = OpGraph::default();
+    for (i, &(program, level, method)) in requests.iter().enumerate() {
+        let cost = CostConfig {
+            method,
+            ..CostConfig::neo()
+        };
+        let lvl = pricing_level(level, functional, pricing);
+        program.append_kernel_graph(&mut graph, pricing, lvl, &cost, i);
+    }
+    Ok(estimate_makespan_best(&graph, dev, cfg.max_streams))
 }
 
 /// Knobs of the admission policy.
@@ -63,34 +106,23 @@ pub struct AdmissionConfig {
     /// window).
     pub coalesce_window: usize,
     /// Maximum total [`neo_ckks::BatchOp`]s across a coalesced batch.
+    /// The head of the queue is admitted even when its own ops exceed
+    /// it (it would otherwise starve forever).
     pub max_batch_ops: usize,
     /// Pending-queue bound; submissions beyond it are shed with
     /// [`NeoError::Overloaded`] (`what = "queue_depth"`).
     pub max_queue_depth: usize,
-    /// Simulated-makespan budget per coalesced batch: the cost oracle's
-    /// cut-off. The head-of-queue request is always admitted even if it
-    /// alone exceeds the budget (otherwise it could starve forever).
-    pub makespan_budget: Duration,
-    /// Stream counts the cost oracle sweeps (`1..=max_streams`); the
-    /// winner is recorded on the batch.
+    /// Stream counts [`price_batch`] sweeps (`1..=max_streams`).
     pub max_streams: usize,
-    /// Parameter set the cost oracle prices against. `None` prices on
-    /// the registry's functional parameters; a deployment whose host
-    /// runs reduced functional parameters (the usual testing setup in
-    /// this repo) should point this at the accelerator's real set (e.g.
-    /// `ParamSet::C.params()`) so makespans — and therefore batch
-    /// cut-offs and stream choices — reflect the device being scheduled,
-    /// not the host-side stand-in. Request levels are mapped by distance
-    /// from the top of the chain: a request `d` levels below the
+    /// Parameter set [`price_batch`] prices at. `None` prices on the
+    /// registry's functional parameters; a deployment whose host runs
+    /// reduced functional parameters (the usual testing setup in this
+    /// repo) should point this at the accelerator's real set (e.g.
+    /// `ParamSet::C.params()`) so makespans reflect the device being
+    /// modelled, not the host-side stand-in. Request levels are mapped by
+    /// distance from the top of the chain: a request `d` levels below the
     /// functional ceiling prices `d` levels below the pricing ceiling.
-    pub pricing_params: Option<neo_ckks::CkksParams>,
-    /// Priority aging: bits of urgency credit per second of queue wait.
-    /// Each coalesce sorts by *effective* noise budget —
-    /// `noise_bits − aging_bits_per_sec × waited` — so a healthy request
-    /// stuck behind a stream of noise-starved arrivals eventually
-    /// becomes the most urgent itself instead of starving. `0.0`
-    /// disables aging (the pre-0.4 static ordering).
-    pub aging_bits_per_sec: f64,
+    pub pricing_params: Option<CkksParams>,
 }
 
 impl Default for AdmissionConfig {
@@ -99,9 +131,7 @@ impl Default for AdmissionConfig {
             coalesce_window: 32,
             max_batch_ops: 512,
             max_queue_depth: 4096,
-            makespan_budget: Duration::from_secs(30),
             max_streams: 4,
-            aging_bits_per_sec: 1.0,
             pricing_params: None,
         }
     }
@@ -111,11 +141,7 @@ impl Default for AdmissionConfig {
 /// preserving distance from the top: serving traffic arrives near the
 /// chain ceiling, so a request `d` levels into its budget prices `d`
 /// levels into the accelerator's budget.
-pub fn pricing_level(
-    level: usize,
-    functional: &neo_ckks::CkksParams,
-    pricing: &neo_ckks::CkksParams,
-) -> usize {
+pub fn pricing_level(level: usize, functional: &CkksParams, pricing: &CkksParams) -> usize {
     let depth = functional.max_level.saturating_sub(level);
     pricing.max_level.saturating_sub(depth)
 }
@@ -131,17 +157,11 @@ pub struct QueuedRequest {
     pub program: BatchProgram,
     /// Batch inputs (all at one level, per [`BatchProgram`] contract).
     pub inputs: Vec<Ciphertext>,
-    /// Common input level (drives key warm-up and graph costing).
+    /// Common input level (drives key warm-up and the priority order).
     pub level: usize,
-    /// The tenant engine's key-switching method: the request's kernel
-    /// graph is priced under it.
-    pub method: KsMethod,
     /// Minimum noise budget across the inputs, in bits — the urgency
     /// signal: ciphertexts nearest exhaustion run first.
     pub noise_bits: f64,
-    /// The request's solo single-stream makespan estimate (see
-    /// [`price_request`]), summed by the coalescing cut.
-    pub solo_est: Duration,
     /// Enqueue timestamp (queue-latency accounting).
     pub submitted: Instant,
 }
@@ -149,32 +169,25 @@ pub struct QueuedRequest {
 impl QueuedRequest {
     /// Priority key: lower sorts first. Noise-starved requests, then
     /// deeper (more-consumed) levels, then FIFO order. Queue wait ages
-    /// the noise term down at `aging_bits_per_sec`, so long-waiting
+    /// the noise term down at [`AGING_BITS_PER_SEC`], so long-waiting
     /// requests converge on the front of the queue; `now` is captured
     /// once per coalesce so one sort sees one consistent clock.
-    fn priority(&self, now: Instant, aging_bits_per_sec: f64) -> (u64, usize, u64) {
+    fn priority(&self, now: Instant) -> (u64, usize, u64) {
         let waited = now.saturating_duration_since(self.submitted).as_secs_f64();
         // f64 → order-preserving u64 for a total order without NaN traps
         // (budgets are finite and non-negative).
-        let bits = (self.noise_bits - aging_bits_per_sec * waited)
+        let bits = (self.noise_bits - AGING_BITS_PER_SEC * waited)
             .max(0.0)
             .to_bits();
         (bits, self.level, self.id)
     }
 }
 
-/// A coalesced batch ready for execution: the admitted requests, their
-/// merged kernel graph, and the cost oracle's verdict.
+/// A coalesced batch ready for execution.
 #[derive(Debug)]
 pub struct CoalescedBatch {
     /// Admitted requests, in priority order.
     pub requests: Vec<QueuedRequest>,
-    /// Disjoint union of the requests' kernel graphs.
-    pub graph: OpGraph,
-    /// Stream count the simulator found best for this batch.
-    pub streams: usize,
-    /// Simulated makespan at that stream count.
-    pub est_makespan: Duration,
     /// Total `BatchOp`s across the batch.
     pub total_ops: usize,
 }
@@ -234,58 +247,30 @@ impl AdmissionQueue {
 
     /// Forms the next batch: sorts pending requests by urgency, admits
     /// the head unconditionally, then greedily admits candidates while
-    /// the summed solo estimates stay within budget and the window/op
-    /// caps hold. The admitted set's merged graph is then priced once
-    /// with a full stream sweep. Returns `None` on an empty queue.
+    /// the window and op caps hold. Returns `None` on an empty queue.
     ///
-    /// The cut is *ordered*: the first over-budget candidate ends the
+    /// The cut is *ordered*: the first candidate over the op cap ends the
     /// batch rather than being skipped, so admission never reorders a
-    /// cheap request past an urgent expensive one.
-    pub fn coalesce(
-        &mut self,
-        params: &neo_ckks::CkksParams,
-        dev: &DeviceModel,
-    ) -> Option<CoalescedBatch> {
+    /// small request past an urgent large one.
+    pub fn coalesce(&mut self) -> Option<CoalescedBatch> {
         if self.pending.is_empty() {
             return None;
         }
         let now = Instant::now();
-        let aging = self.cfg.aging_bits_per_sec;
-        self.pending.sort_by_key(|r| r.priority(now, aging));
+        self.pending.sort_by_key(|r| r.priority(now));
 
-        // Head of queue: always admitted, even over budget (it would
-        // otherwise starve forever).
         let mut total_ops = self.pending[0].program.ops.len();
-        let mut summed_est = self.pending[0].solo_est;
         let mut admitted = 1usize;
         while admitted < self.pending.len() && admitted < self.cfg.coalesce_window {
-            let cand = &self.pending[admitted];
-            let cand_ops = cand.program.ops.len();
+            let cand_ops = self.pending[admitted].program.ops.len();
             if total_ops + cand_ops > self.cfg.max_batch_ops {
                 break;
             }
-            if summed_est + cand.solo_est > self.cfg.makespan_budget {
-                break;
-            }
-            summed_est += cand.solo_est;
             total_ops += cand_ops;
             admitted += 1;
         }
-
-        let requests: Vec<QueuedRequest> = self.pending.drain(..admitted).collect();
-        let pricing = self.cfg.pricing_params.as_ref().unwrap_or(params);
-        let mut graph = OpGraph::default();
-        for (i, req) in requests.iter().enumerate() {
-            let lvl = pricing_level(req.level, params, pricing);
-            req.program
-                .append_kernel_graph(&mut graph, pricing, lvl, &cost_config(req.method), i);
-        }
-        let (streams, est) = estimate_makespan_best(&graph, dev, self.cfg.max_streams);
         Some(CoalescedBatch {
-            requests,
-            graph,
-            streams,
-            est_makespan: est,
+            requests: self.pending.drain(..admitted).collect(),
             total_ops,
         })
     }
@@ -294,7 +279,7 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_ckks::{BatchOp, CkksParams, FheEngine, Slot};
+    use neo_ckks::{BatchOp, FheEngine, ParamSet, Slot};
 
     fn req(
         id: u64,
@@ -311,23 +296,32 @@ mod tests {
                 .try_push(BatchOp::HAdd(Slot::Input(0), Slot::Input(0)))
                 .expect("push");
         }
-        let solo_est = price_request(
-            &program,
-            &CkksParams::test_tiny(),
-            level,
-            &cost_config(engine.method()),
-            &DeviceModel::a100(),
-        );
         QueuedRequest {
             id,
             tenant,
             program,
             inputs: vec![ct],
             level,
-            method: engine.method(),
             noise_bits,
-            solo_est,
             submitted: Instant::now(),
+        }
+    }
+
+    /// HMult → Rescale: the shape whose key switch prices differently
+    /// under KLSS and Hybrid.
+    fn hmult_rescale() -> BatchProgram {
+        let mut p = BatchProgram::new();
+        let m = p
+            .try_push(BatchOp::HMult(Slot::Input(0), Slot::Input(0)))
+            .expect("push");
+        p.try_push(BatchOp::Rescale(m)).expect("push");
+        p
+    }
+
+    fn klss_free() -> CkksParams {
+        CkksParams {
+            klss: None,
+            ..CkksParams::test_small()
         }
     }
 
@@ -346,8 +340,6 @@ mod tests {
 
     #[test]
     fn coalesce_orders_by_urgency_and_respects_window() {
-        let params = CkksParams::test_tiny();
-        let dev = DeviceModel::a100();
         let cfg = AdmissionConfig {
             coalesce_window: 2,
             ..AdmissionConfig::default()
@@ -357,22 +349,18 @@ mod tests {
         q.try_enqueue(req(0, 1, 80.0, 3, 2)).expect("enqueue");
         q.try_enqueue(req(1, 2, 60.0, 3, 2)).expect("enqueue");
         q.try_enqueue(req(2, 3, 10.0, 3, 2)).expect("enqueue");
-        let batch = q.coalesce(&params, &dev).expect("batch");
+        let batch = q.coalesce().expect("batch");
         assert_eq!(batch.requests.len(), 2, "window of 2");
         assert_eq!(batch.requests[0].id, 2, "most urgent first");
         assert_eq!(batch.requests[1].id, 1);
         assert_eq!(q.depth(), 1, "one left behind");
-        assert!(batch.streams >= 1 && batch.est_makespan > Duration::ZERO);
         assert_eq!(batch.total_ops, 4);
     }
 
     #[test]
     fn aging_prevents_starvation_of_healthy_requests() {
-        let params = CkksParams::test_tiny();
-        let dev = DeviceModel::a100();
         let cfg = AdmissionConfig {
             coalesce_window: 1,
-            aging_bits_per_sec: 1.0,
             ..AdmissionConfig::default()
         };
         let mut q = AdmissionQueue::new(cfg);
@@ -385,57 +373,114 @@ mod tests {
         old.submitted = Instant::now() - Duration::from_secs(100);
         q.try_enqueue(old).expect("enqueue");
         q.try_enqueue(req(1, 2, 10.0, 3, 1)).expect("enqueue");
-        let batch = q.coalesce(&params, &dev).expect("batch");
+        let batch = q.coalesce().expect("batch");
         assert_eq!(
             batch.requests[0].id, 0,
             "the long-waiting request must be served first"
         );
-
-        // With aging disabled, the static order reasserts itself.
-        let cfg = AdmissionConfig {
-            coalesce_window: 1,
-            aging_bits_per_sec: 0.0,
-            ..AdmissionConfig::default()
-        };
-        let mut q = AdmissionQueue::new(cfg);
-        let mut old = req(0, 1, 80.0, 3, 1);
-        old.submitted = Instant::now() - Duration::from_secs(100);
-        q.try_enqueue(old).expect("enqueue");
-        q.try_enqueue(req(1, 2, 10.0, 3, 1)).expect("enqueue");
-        let batch = q.coalesce(&params, &dev).expect("batch");
-        assert_eq!(batch.requests[0].id, 1, "no aging: raw noise order");
-    }
-
-    #[test]
-    fn makespan_budget_cuts_batch_but_head_always_admitted() {
-        let params = CkksParams::test_tiny();
-        let dev = DeviceModel::a100();
-        // Budget so small nothing fits: the head must still be admitted.
-        let cfg = AdmissionConfig {
-            makespan_budget: Duration::from_nanos(1),
-            ..AdmissionConfig::default()
-        };
-        let mut q = AdmissionQueue::new(cfg);
-        q.try_enqueue(req(0, 1, 50.0, 3, 3)).expect("enqueue");
-        q.try_enqueue(req(1, 2, 50.0, 3, 3)).expect("enqueue");
-        let batch = q.coalesce(&params, &dev).expect("batch");
-        assert_eq!(batch.requests.len(), 1, "budget cuts after the head");
-        assert_eq!(q.depth(), 1);
     }
 
     #[test]
     fn op_cap_cuts_batch() {
-        let params = CkksParams::test_tiny();
-        let dev = DeviceModel::a100();
         let cfg = AdmissionConfig {
             max_batch_ops: 5,
             ..AdmissionConfig::default()
         };
-        let mut q = AdmissionQueue::new(cfg);
+        let mut q = AdmissionQueue::new(cfg.clone());
         q.try_enqueue(req(0, 1, 50.0, 3, 3)).expect("enqueue");
         q.try_enqueue(req(1, 2, 50.0, 3, 3)).expect("enqueue");
-        let batch = q.coalesce(&params, &dev).expect("batch");
+        let batch = q.coalesce().expect("batch");
         assert_eq!(batch.requests.len(), 1, "3 + 3 > 5");
         assert_eq!(batch.total_ops, 3);
+
+        // A head whose own ops exceed the cap is still admitted, alone.
+        let mut q = AdmissionQueue::new(cfg);
+        q.try_enqueue(req(0, 1, 10.0, 3, 7)).expect("enqueue");
+        q.try_enqueue(req(1, 2, 50.0, 3, 1)).expect("enqueue");
+        let batch = q.coalesce().expect("batch");
+        assert_eq!(batch.requests.len(), 1, "the head runs alone");
+        assert_eq!(batch.requests[0].id, 0);
+        assert_eq!(batch.total_ops, 7);
+        assert_eq!(q.depth(), 1);
+    }
+
+    #[test]
+    fn klss_pricing_on_klss_free_params_is_refused_typed() {
+        let params = klss_free();
+        let dev = DeviceModel::a100();
+        let prog = hmult_rescale();
+        let err = price_request(&prog, &params, 2, &CostConfig::neo(), &dev)
+            .expect_err("KLSS cannot be priced without a KLSS configuration");
+        assert_eq!(err.kind().name(), "invalid_params");
+        let err = price_batch(
+            &[(&prog, 2, KsMethod::Klss)],
+            &params,
+            &AdmissionConfig::default(),
+            &dev,
+        )
+        .expect_err("KLSS cannot be priced without a KLSS configuration");
+        assert_eq!(err.kind().name(), "invalid_params");
+    }
+
+    #[test]
+    fn hybrid_pricing_on_klss_free_params_is_priced() {
+        let params = klss_free();
+        let dev = DeviceModel::a100();
+        let prog = hmult_rescale();
+        let hybrid = CostConfig {
+            method: KsMethod::Hybrid,
+            ..CostConfig::neo()
+        };
+        let solo = price_request(&prog, &params, 2, &hybrid, &dev).expect("Hybrid prices");
+        assert!(solo > Duration::ZERO);
+        let (streams, makespan) = price_batch(
+            &[(&prog, 2, KsMethod::Hybrid), (&prog, 2, KsMethod::Hybrid)],
+            &params,
+            &AdmissionConfig::default(),
+            &dev,
+        )
+        .expect("Hybrid prices");
+        assert!((1..=4).contains(&streams) && makespan > Duration::ZERO);
+    }
+
+    #[test]
+    fn price_batch_without_streams_is_refused_typed() {
+        let cfg = AdmissionConfig {
+            max_streams: 0,
+            ..AdmissionConfig::default()
+        };
+        let prog = hmult_rescale();
+        let err = price_batch(
+            &[(&prog, 3, KsMethod::Klss)],
+            &CkksParams::test_tiny(),
+            &cfg,
+            &DeviceModel::a100(),
+        )
+        .expect_err("no stream count to sweep");
+        assert_eq!(err.kind().name(), "invalid_params");
+    }
+
+    #[test]
+    fn price_batch_of_one_at_one_stream_is_price_request() {
+        let functional = CkksParams::test_tiny();
+        let pricing = ParamSet::C.params();
+        let dev = DeviceModel::a100();
+        let cfg = AdmissionConfig {
+            max_streams: 1,
+            pricing_params: Some(pricing.clone()),
+            ..AdmissionConfig::default()
+        };
+        let prog = hmult_rescale();
+        for method in [KsMethod::Klss, KsMethod::Hybrid] {
+            let cost = CostConfig {
+                method,
+                ..CostConfig::neo()
+            };
+            let plevel = pricing_level(3, &functional, &pricing);
+            let solo = price_request(&prog, &pricing, plevel, &cost, &dev).expect("priced");
+            let batch =
+                price_batch(&[(&prog, 3, method)], &functional, &cfg, &dev).expect("priced");
+            assert_eq!(batch, (1, solo), "{method:?}");
+        }
     }
 }

@@ -43,8 +43,6 @@ pub struct Response {
     pub exec: Duration,
     /// Requests in the coalesced batch this one ran in (0 when shed).
     pub batch_requests: usize,
-    /// Stream count the cost oracle picked for the batch (0 when shed).
-    pub streams: usize,
 }
 
 impl Response {
@@ -59,7 +57,6 @@ impl Response {
             queue: Duration::ZERO,
             exec: Duration::ZERO,
             batch_requests: 0,
-            streams: 0,
         }
     }
 }
@@ -71,10 +68,6 @@ pub struct BatchStats {
     pub requests: usize,
     /// Total `BatchOp`s across the batch.
     pub total_ops: usize,
-    /// Stream count the cost oracle picked.
-    pub streams: usize,
-    /// The oracle's simulated makespan for the merged graph.
-    pub est_makespan: Duration,
     /// Host wall time actually spent executing the batch.
     pub exec_wall: Duration,
 }
@@ -87,17 +80,10 @@ pub fn execute_coalesced(
     batch: CoalescedBatch,
 ) -> (Vec<Response>, BatchStats) {
     let _span = SpanGuard::enter("serve_batch", || {
-        format!(
-            "requests={} ops={} streams={}",
-            batch.requests.len(),
-            batch.total_ops,
-            batch.streams
-        )
+        format!("requests={} ops={}", batch.requests.len(), batch.total_ops)
     });
     let t0 = Instant::now();
     let n_requests = batch.requests.len();
-    let streams = batch.streams;
-    let est_makespan = batch.est_makespan;
     let total_ops = batch.total_ops;
 
     // Phase 1 — deterministic warm-up, admission order. A request whose
@@ -156,7 +142,6 @@ pub fn execute_coalesced(
             queue: queued,
             exec: e0.elapsed(),
             batch_requests: n_requests,
-            streams,
         }
     };
 
@@ -194,7 +179,7 @@ pub fn execute_coalesced(
     }
 
     let exec_wall = t0.elapsed();
-    crate::metrics::note_batch(n_requests, est_makespan.as_micros() as u64);
+    crate::metrics::note_batch(n_requests);
     for resp in &responses {
         crate::metrics::note_response(
             resp.queue.as_nanos() as u64,
@@ -207,8 +192,6 @@ pub fn execute_coalesced(
         BatchStats {
             requests: n_requests,
             total_ops,
-            streams,
-            est_makespan,
             exec_wall,
         },
     )

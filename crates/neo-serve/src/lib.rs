@@ -12,12 +12,11 @@
 //!   (registering 10k tenants costs 10k key generations, not 10k
 //!   parameter setups), plus inflight caps and the retry/fault budget.
 //! * [`admission`] — [`AdmissionQueue`]: noise/level-aware priority
-//!   ordering and batch coalescing, priced by the
-//!   [`neo_sched`] discrete-event simulator — each candidate's kernel
-//!   graph, priced under its tenant's key-switching method, is appended
-//!   to the forming batch and the merged graph's
-//!   [`neo_sched::estimate_makespan_best`] verdict decides the cut-off
-//!   and the stream count.
+//!   ordering and batch coalescing, cut at the coalescing window and the
+//!   op cap. Admission is host work and consults no device model; the
+//!   modelled A100 prices ([`price_request`], [`price_batch`], on the
+//!   [`neo_sched`] discrete-event simulator) are for the callers that
+//!   report them, outside the serving path.
 //! * [`executor`] — bridges coalesced batches onto the engines:
 //!   deterministic serial key warm-up, then bit-identical concurrent
 //!   per-request execution, one verify-policy group at a time.
@@ -40,7 +39,8 @@ pub mod service;
 pub mod tenant;
 
 pub use admission::{
-    price_request, pricing_level, AdmissionConfig, AdmissionQueue, CoalescedBatch, QueuedRequest,
+    price_batch, price_request, pricing_level, AdmissionConfig, AdmissionQueue, CoalescedBatch,
+    QueuedRequest,
 };
 pub use executor::{execute_coalesced, BatchStats, Response};
 pub use service::{NeoService, ResponseHandle, ServeConfig, ServeStats, ServiceCore};

@@ -7,9 +7,8 @@
 //!   ratio is the coalescing factor;
 //! * `serve_request_latency_ns` / `serve_queue_wait_ns` — per-request
 //!   end-to-end and queue-only latency histograms;
-//! * `serve_batch_requests` / `serve_batch_est_makespan_us` — per-batch
-//!   size and the cost oracle's simulated makespan (the batch's wall time
-//!   is its `serve_batch` span, `span_duration_ns{span="serve_batch"}`);
+//! * `serve_batch_requests` — per-batch size (the batch's wall time is
+//!   its `serve_batch` span, `span_duration_ns{span="serve_batch"}`);
 //! * `serve_queue_depth` — pending requests (gauge).
 //!
 //! Everything follows the gate discipline: one relaxed load and no work
@@ -37,8 +36,6 @@ static QUEUE_WAIT: LazyLock<Arc<Histogram>> =
     LazyLock::new(|| neo_trace::histogram("serve_queue_wait_ns", &[]));
 static BATCH_REQS: LazyLock<Arc<Histogram>> =
     LazyLock::new(|| neo_trace::histogram("serve_batch_requests", &[]));
-static BATCH_EST: LazyLock<Arc<Histogram>> =
-    LazyLock::new(|| neo_trace::histogram("serve_batch_est_makespan_us", &[]));
 static QUEUE_DEPTH: LazyLock<Arc<GaugeHandle>> =
     LazyLock::new(|| neo_trace::gauge("serve_queue_depth", &[]));
 
@@ -59,15 +56,14 @@ pub(crate) fn note_shed(reason: &'static str) {
     }
 }
 
-/// One executed batch: size and the oracle's estimate.
-pub(crate) fn note_batch(requests: usize, est_makespan_us: u64) {
+/// One executed batch of `requests` requests.
+pub(crate) fn note_batch(requests: usize) {
     if !neo_trace::enabled() {
         return;
     }
     BATCHES.inc();
     COALESCED.add(requests as u64);
     BATCH_REQS.record(requests as u64);
-    BATCH_EST.record(est_makespan_us);
 }
 
 /// One completed request's latency split.

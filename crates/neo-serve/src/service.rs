@@ -15,8 +15,7 @@
 use crate::admission::{AdmissionConfig, AdmissionQueue, QueuedRequest};
 use crate::executor::{execute_coalesced, BatchStats, Response};
 use crate::tenant::{TenantId, TenantRegistry};
-use neo_ckks::{BatchProgram, Ciphertext, KsMethod, NeoError};
-use neo_gpu_sim::DeviceModel;
+use neo_ckks::{BatchProgram, Ciphertext, NeoError};
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -26,11 +25,9 @@ use std::time::{Duration, Instant};
 /// Service-level configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Admission policy (window, caps, makespan budget, pricing
+    /// Admission policy (window, caps, queue bound, pricing
     /// parameters).
     pub admission: AdmissionConfig,
-    /// Device the cost oracle prices batches against.
-    pub device: DeviceModel,
     /// Threaded front-end only: how long the worker waits for more
     /// arrivals before cutting a partial batch.
     pub linger: Duration,
@@ -44,7 +41,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             admission: AdmissionConfig::default(),
-            device: DeviceModel::a100(),
             linger: Duration::from_micros(200),
             channel_bound: 1024,
         }
@@ -93,7 +89,6 @@ impl ServeStats {
 /// The synchronous, deterministic service core.
 pub struct ServiceCore {
     registry: Arc<TenantRegistry>,
-    cfg: ServeConfig,
     queue: AdmissionQueue,
     next_id: u64,
     stats: ServeStats,
@@ -102,11 +97,9 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// A core over `registry` with policy `cfg`.
     pub fn new(registry: Arc<TenantRegistry>, cfg: ServeConfig) -> Self {
-        let queue = AdmissionQueue::new(cfg.admission.clone());
         Self {
             registry,
-            cfg,
-            queue,
+            queue: AdmissionQueue::new(cfg.admission),
             next_id: 1,
             stats: ServeStats::default(),
         }
@@ -131,8 +124,7 @@ impl ServiceCore {
     ///
     /// # Errors
     ///
-    /// * [`NeoError::InvalidParams`] — unknown tenant, or a KLSS tenant
-    ///   while the pricing parameters carry no KLSS configuration.
+    /// * [`NeoError::InvalidParams`] — unknown tenant.
     /// * [`NeoError::Overloaded`] — shed: tenant recovery budget
     ///   exhausted (`retry_budget`), tenant inflight cap
     ///   (`tenant_inflight`), or queue at bound (`queue_depth`).
@@ -146,20 +138,6 @@ impl ServiceCore {
             NeoError::invalid_params(format!("tenant {tenant} is not registered"))
         })?;
         let engine = session.engine();
-        let functional = engine.context().params();
-        let pricing = self
-            .cfg
-            .admission
-            .pricing_params
-            .as_ref()
-            .unwrap_or(functional);
-        let method = engine.method();
-        if method == KsMethod::Klss && pricing.klss.is_none() {
-            return Err(NeoError::invalid_params(format!(
-                "tenant {tenant} switches keys with KLSS, but the pricing parameters carry no \
-                 KLSS configuration"
-            )));
-        }
         if session.budget_exhausted() {
             session.note_shed();
             self.stats.shed_budget += 1;
@@ -193,13 +171,6 @@ impl ServiceCore {
             .iter()
             .map(|ct| engine.noise_budget_bits(ct))
             .fold(f64::INFINITY, f64::min);
-        let solo_est = crate::admission::price_request(
-            &program,
-            pricing,
-            crate::admission::pricing_level(level, functional, pricing),
-            &crate::admission::cost_config(method),
-            &self.cfg.device,
-        );
         let id = self.next_id;
         let req = QueuedRequest {
             id,
@@ -207,9 +178,7 @@ impl ServiceCore {
             program,
             inputs,
             level,
-            method,
             noise_bits,
-            solo_est,
             submitted: Instant::now(),
         };
         if let Err(e) = self.queue.try_enqueue(req) {
@@ -229,8 +198,7 @@ impl ServiceCore {
     /// Coalesces and executes one batch off the queue, or `None` when
     /// the queue is empty.
     pub fn drain_batch(&mut self) -> Option<(Vec<Response>, BatchStats)> {
-        let params = self.registry.context().params().clone();
-        let batch = self.queue.coalesce(&params, &self.cfg.device)?;
+        let batch = self.queue.coalesce()?;
         let (responses, stats) = execute_coalesced(&self.registry, batch);
         self.stats.batches += 1;
         self.stats.coalesced_requests += stats.requests as u64;

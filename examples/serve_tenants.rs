@@ -1,7 +1,7 @@
 //! The serving layer end to end: register tenants with their own keys and
 //! policies over one shared CKKS context, submit concurrent requests, let
-//! sim-priced admission coalesce them into multi-stream batches, and watch
-//! backpressure shed a tenant that outruns its budget.
+//! admission coalesce them into batches, and watch backpressure shed a
+//! tenant that outruns its budget.
 //!
 //! Run with: `cargo run --release --example serve_tenants`
 
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         core.submit(id as u64, double_square()?, vec![ct])?;
     }
     // All four requests were queued concurrently — one drain coalesces
-    // them into a single sim-priced multi-stream batch.
+    // them into a single batch whose requests run concurrently.
     let responses = core.run_until_idle();
     for resp in &responses {
         let session = registry.get(resp.tenant).expect("registered above");
@@ -63,12 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .decrypt_f64(last.as_ref().map_err(Clone::clone)?)?;
         let x = inputs[resp.tenant as usize];
         println!(
-            "tenant {}: x={x:+.2} -> 2x² = {:+.4} (expected {:+.4}; batch of {} on {} streams)",
+            "tenant {}: x={x:+.2} -> 2x² = {:+.4} (expected {:+.4}; batch of {})",
             resp.tenant,
             y[0],
             2.0 * x * x,
             resp.batch_requests,
-            resp.streams,
         );
     }
     let stats = core.stats();

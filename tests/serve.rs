@@ -354,8 +354,8 @@ fn mixed_verify_policies_leave_the_process_policy_alone() {
 }
 
 /// A tenant on parameters without a KLSS configuration runs Hybrid key
-/// switching, and admission prices its requests as Hybrid: an
-/// HMult → Rescale request is served, not a pricing panic.
+/// switching: an HMult → Rescale request is served, bit-identical to the
+/// Hybrid serial reference.
 #[test]
 fn klss_free_tenant_hmult_is_served() {
     let _l = test_lock();
@@ -381,30 +381,6 @@ fn klss_free_tenant_hmult_is_served() {
     let results = responses[0].outcome.as_ref().expect("served");
     assert!(results.iter().all(Result::is_ok));
     assert_eq!(results, &clean);
-}
-
-/// A KLSS tenant cannot be priced on pricing parameters without a KLSS
-/// configuration: its submit is a typed refusal that charges nothing,
-/// not a pricing panic.
-#[test]
-fn klss_tenant_on_klss_free_pricing_is_refused_typed() {
-    let _l = test_lock();
-    let registry = Arc::new(TenantRegistry::new(CkksParams::test_tiny()).expect("params"));
-    let s = registry.register_default(0, 32).expect("register");
-    assert_eq!(s.engine().method(), KsMethod::Klss);
-    let ct = s.engine().encrypt_f64(&[0.5], 3).expect("enc");
-    let mut cfg = ServeConfig::default();
-    cfg.admission.pricing_params = Some(CkksParams {
-        klss: None,
-        ..CkksParams::test_small()
-    });
-    let mut core = ServiceCore::new(Arc::clone(&registry), cfg);
-    let err = core
-        .submit(0, program_shape(2), vec![ct])
-        .expect_err("KLSS cannot be priced");
-    assert_eq!(err.kind(), ErrorKind::InvalidParams);
-    assert_eq!(s.inflight(), 0);
-    assert_eq!(core.queue_depth(), 0);
 }
 
 // --- property: coalesced serving is observationally serial -----------------
