@@ -17,9 +17,10 @@
 //!    (`NEO_SERVE_OVERLOAD_DEPTH`) absorbing the same arrival burst, to
 //!    measure the shed rate of the backpressure path.
 //!
-//! Phases 1 and 2 alternate three times over the same requests, so the
-//! host-throughput ratio is a median of three same-run pairs rather than
-//! one pair on a host whose speed drifts between runs. The modelled A100
+//! Phases 1 and 2 alternate seven times over the same requests, so the
+//! host-throughput ratio is a median of seven same-run pairs rather than
+//! one pair on a host whose speed drifts between runs: at 2000 tenants a
+//! pass takes 0.2–0.3 s, and one pair can land on either side of 1.0. The modelled A100
 //! numbers are priced after the timed rounds: each request alone for the
 //! device-serial wall, and the last round's batches, as admission formed
 //! them, for the device-coalesced wall.
@@ -78,7 +79,7 @@ fn heavy_program() -> BatchProgram {
 
 /// Alternating serial/coalesced pairs the host-throughput check takes
 /// the median of.
-const ROUNDS: usize = 3;
+const ROUNDS: usize = 7;
 
 struct Request {
     tenant: u64,
@@ -240,6 +241,11 @@ fn main() {
         }
         eprintln!("[serve_bench] round {round}/{ROUNDS}: coalesced service (window {window})…");
         let pass = coalesced_pass(&registry, &requests, &cfg);
+        eprintln!(
+            "[serve_bench] round {round}/{ROUNDS}: serial {serial_s:.3} s, coalesced {:.3} s, pair {:.2}x",
+            pass.0,
+            serial_s / pass.0
+        );
         serial_walls.push(serial_s);
         serve_walls.push(pass.0);
         host_speedups.push(serial_s / pass.0);

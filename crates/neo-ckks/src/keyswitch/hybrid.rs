@@ -1,6 +1,6 @@
 //! The Hybrid key-switching method (the pre-KLSS state of the art).
 
-use super::{check_keyswitch_input, mod_down};
+use super::{check_accumulators, check_keyswitch_input, mod_down};
 use crate::context::CkksContext;
 use crate::keys::{digit_ranges, HybridKey};
 use neo_error::NeoError;
@@ -9,21 +9,26 @@ use neo_math::{Domain, RnsPoly};
 use rayon::prelude::*;
 
 /// Switches `d` (coefficient domain, `level + 1` limbs) using a Hybrid
-/// key: returns `(u0, u1)` in coefficient domain with
-/// `u0 + u1·s ≈ d · target`.
+/// key into the accumulators `acc = [c0, c1]` (coefficient domain,
+/// `level + 1` limbs): returns `(c0 + u0, c1 + u1)`, `u_k` alone where
+/// `acc[k]` is `None`, with `u0 + u1·s ≈ d · target`. Each accumulator
+/// rides in its component's Mod Down as one more inner product row.
 ///
 /// # Errors
 ///
-/// [`NeoError::ParameterMismatch`] if `d` is in NTT domain,
-/// [`NeoError::LevelMismatch`] if its limb count disagrees with the
-/// key's level.
+/// [`NeoError::ParameterMismatch`] if `d` or an accumulator is in NTT
+/// domain or an accumulator has another limb count,
+/// [`NeoError::LevelMismatch`] if the limb count of `d` disagrees with
+/// the key's level.
 pub fn keyswitch_hybrid(
     ctx: &CkksContext,
     key: &HybridKey,
     d: &RnsPoly,
-) -> Result<(RnsPoly, RnsPoly), NeoError> {
+    acc: [Option<RnsPoly>; 2],
+) -> Result<[RnsPoly; 2], NeoError> {
     let level = key.level;
     check_keyswitch_input(d, level)?;
+    check_accumulators(&acc, level)?;
     let qp = ctx.qp_moduli(level);
     let qp_primes = ctx.qp_primes(level);
     let q_primes = &ctx.q_primes()[..=level];
@@ -68,11 +73,15 @@ pub fn keyswitch_hybrid(
             .map(|(x, d)| (x, &d[part]))
             .collect()
     };
-    let mut acc0 = RnsPoly::inner_product(ctx.backend(), &terms(0), &qp);
-    let mut acc1 = RnsPoly::inner_product(ctx.backend(), &terms(1), &qp);
-    ctx.try_ntt_inverse(&mut acc0, &qp)?;
-    ctx.try_ntt_inverse(&mut acc1, &qp)?;
-    Ok((mod_down(ctx, acc0, level)?, mod_down(ctx, acc1, level)?))
+    let mut ip0 = RnsPoly::inner_product(ctx.backend(), &terms(0), &qp);
+    let mut ip1 = RnsPoly::inner_product(ctx.backend(), &terms(1), &qp);
+    ctx.try_ntt_inverse(&mut ip0, &qp)?;
+    ctx.try_ntt_inverse(&mut ip1, &qp)?;
+    let [c0, c1] = acc;
+    Ok([
+        mod_down(ctx, ip0, level, c0)?,
+        mod_down(ctx, ip1, level, c1)?,
+    ])
 }
 
 #[cfg(test)]
@@ -98,7 +107,7 @@ mod tests {
         let d_coeffs: Vec<i64> = (0..ctx.degree() as i64).map(|i| (i % 17) - 8).collect();
         let d = RnsPoly::from_signed(&d_coeffs, &q);
         let key = chest.hybrid_key(level, KeyTarget::Relin).unwrap();
-        let (u0, u1) = keyswitch_hybrid(&ctx, &key, &d).unwrap();
+        let [u0, u1] = keyswitch_hybrid(&ctx, &key, &d, [None, None]).unwrap();
         // phase = u0 + u1*s  (computed in NTT domain).
         let s = chest.secret_key().poly_ntt(&ctx, &q).unwrap();
         let mut u1n = u1.clone();

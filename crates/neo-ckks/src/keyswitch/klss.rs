@@ -12,7 +12,7 @@
 //! `Σ_j h_j·K_j mod PQ_l` — the same quantity the Hybrid method computes,
 //! at lower cost.
 
-use super::{check_keyswitch_input, mod_down};
+use super::{check_accumulators, check_keyswitch_input, mod_down};
 use crate::context::CkksContext;
 use crate::keys::{digit_ranges, KlssKey};
 use neo_error::NeoError;
@@ -33,8 +33,28 @@ pub fn keyswitch_klss(
     key: &KlssKey,
     d: &RnsPoly,
 ) -> Result<(RnsPoly, RnsPoly), NeoError> {
+    let [u0, u1] = keyswitch_klss_into(ctx, key, d, [None, None])?;
+    Ok((u0, u1))
+}
+
+/// [`keyswitch_klss`] landing in `acc`: returns `(c0 + u0, c1 + u1)` for
+/// the accumulators `acc = [c0, c1]` (coefficient domain, `level + 1`
+/// limbs), `u_k` alone where `acc[k]` is `None`. Each accumulator rides
+/// in its component's Mod Down as one more inner product row.
+///
+/// # Errors
+///
+/// As [`keyswitch_klss`], and [`NeoError::ParameterMismatch`] if an
+/// accumulator is in NTT domain or has another limb count.
+pub fn keyswitch_klss_into(
+    ctx: &CkksContext,
+    key: &KlssKey,
+    d: &RnsPoly,
+    acc: [Option<RnsPoly>; 2],
+) -> Result<[RnsPoly; 2], NeoError> {
     let level = key.level;
     check_keyswitch_input(d, level)?;
+    check_accumulators(&acc, level)?;
     let params = ctx.params();
     let kcfg = params.klss.ok_or_else(|| {
         NeoError::key_missing(level, "klss", "parameter set has no KLSS configuration")
@@ -102,7 +122,11 @@ pub fn keyswitch_klss(
         }
     }
     let [r0, r1] = result.map(|limbs| RnsPoly::from_limbs(limbs, Domain::Coeff));
-    Ok((mod_down(ctx, r0?, level)?, mod_down(ctx, r1?, level)?))
+    let [c0, c1] = acc;
+    Ok([
+        mod_down(ctx, r0?, level, c0)?,
+        mod_down(ctx, r1?, level, c1)?,
+    ])
 }
 
 #[cfg(test)]
@@ -150,7 +174,7 @@ mod tests {
         }
         result.map(|limbs| {
             let poly = RnsPoly::from_limbs(limbs, Domain::Coeff).unwrap();
-            mod_down(ctx, poly, level).unwrap()
+            mod_down(ctx, poly, level, None).unwrap()
         })
     }
 
@@ -175,6 +199,62 @@ mod tests {
             let key = chest.klss_key(level, KeyTarget::Relin).unwrap();
             let (u0, u1) = keyswitch_klss(&ctx, &key, &d).unwrap();
             assert_eq!([u0, u1], keyswitch_unfused(&ctx, &key, &d), "level {level}");
+        }
+    }
+
+    /// Switching into accumulators equals switching, then adding, under
+    /// both methods, at the top level and at a level whose last key range
+    /// holds one limb; an evaluation-domain accumulator is refused.
+    #[test]
+    fn switching_into_accumulators_is_switch_then_add() {
+        let (ctx, chest) = chest();
+        let mut rng = StdRng::seed_from_u64(29);
+        let alpha_tilde = ctx.params().klss.unwrap().alpha_tilde;
+        let top = ctx.params().max_level;
+        let single = (0..top)
+            .rev()
+            .find(|&l| {
+                digit_ranges(alpha_tilde, ctx.qp_primes(l).len())
+                    .last()
+                    .unwrap()
+                    .len()
+                    == 1
+            })
+            .unwrap();
+        for level in [top, single] {
+            let q = ctx.q_moduli(level);
+            let mut random = || RnsPoly::random_uniform(&mut rng, ctx.degree(), q, Domain::Coeff);
+            let (d, c0, c1) = (random(), random(), random());
+            let add = |a: &RnsPoly, b: &RnsPoly| {
+                let mut sum = a.clone();
+                sum.add_assign(b, q);
+                sum
+            };
+            let cases = |[u0, u1]: [RnsPoly; 2]| {
+                [
+                    (
+                        [Some(c0.clone()), Some(c1.clone())],
+                        [add(&c0, &u0), add(&c1, &u1)],
+                    ),
+                    ([Some(c0.clone()), None], [add(&c0, &u0), u1.clone()]),
+                    ([None, Some(c1.clone())], [u0.clone(), add(&c1, &u1)]),
+                ]
+            };
+            let klss = chest.klss_key(level, KeyTarget::Relin).unwrap();
+            let (u0, u1) = keyswitch_klss(&ctx, &klss, &d).unwrap();
+            for (acc, want) in cases([u0, u1]) {
+                let got = keyswitch_klss_into(&ctx, &klss, &d, acc).unwrap();
+                assert_eq!(got, want, "KLSS, level {level}");
+            }
+            let hybrid = chest.hybrid_key(level, KeyTarget::Relin).unwrap();
+            for (acc, want) in cases(keyswitch_hybrid(&ctx, &hybrid, &d, [None, None]).unwrap()) {
+                let got = keyswitch_hybrid(&ctx, &hybrid, &d, acc).unwrap();
+                assert_eq!(got, want, "Hybrid, level {level}");
+            }
+            let mut evals = c0.clone();
+            ctx.try_ntt_forward(&mut evals, q).unwrap();
+            let err = keyswitch_klss_into(&ctx, &klss, &d, [Some(evals), None]).unwrap_err();
+            assert_eq!(err.kind(), neo_error::ErrorKind::ParameterMismatch);
         }
     }
 
@@ -223,7 +303,7 @@ mod tests {
         let d = RnsPoly::from_signed(&d_coeffs, &q);
         let hk = chest.hybrid_key(level, KeyTarget::Relin).unwrap();
         let kk = chest.klss_key(level, KeyTarget::Relin).unwrap();
-        let (h0, h1) = keyswitch_hybrid(&ctx, &hk, &d).unwrap();
+        let [h0, h1] = keyswitch_hybrid(&ctx, &hk, &d, [None, None]).unwrap();
         let (k0, k1) = keyswitch_klss(&ctx, &kk, &d).unwrap();
         let s = chest.secret_key().poly_ntt(&ctx, &q).unwrap();
         let phase = |u0: &RnsPoly, u1: &RnsPoly| {

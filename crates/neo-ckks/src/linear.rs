@@ -6,20 +6,22 @@
 //! A transform runs its baby-step/giant-step products in the evaluation
 //! domain (DESIGN.md, "Linear transforms in the evaluation domain"). It
 //! keeps its diagonals encoded and forward-transformed, so an application
-//! transforms each baby rotation once and takes one fused product and one
-//! inverse transform pair per giant group.
+//! transforms each baby rotation once, takes one fused product per giant
+//! group and component, and keeps the `c0` sum in the evaluation domain
+//! for the whole stage: a giant rotation permutes it there, and only `c1`
+//! goes back to coefficients, for its key switch.
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::encoding::{Complex64, Encoder, SLOTS};
 use crate::keys::KeyChest;
-use crate::ops;
+use crate::ops::{self, galois_element};
 use crate::params::KsMethod;
 use neo_error::NeoError;
-use neo_math::RnsPoly;
+use neo_math::{Domain, RnsPoly};
+use neo_ntt::galois_permutation;
 use parking_lot::Mutex;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A slot-space linear map `z ↦ M·z` stored by generalized diagonals:
@@ -41,7 +43,7 @@ pub struct LinearTransform {
 /// A transform's diagonals ready for BSGS products: each pre-rotated by
 /// its giant shift, encoded at the chain's scale and forward-transformed
 /// over one q-prime prefix. It depends on the transform alone, never on a
-/// ciphertext, and holds `D·(l+1)` limbs.
+/// ciphertext, and holds `D·(l+1)` limbs and one Galois map per rotation.
 struct Encoding {
     /// `q_0..q_l`: the chain and, by its length, the level.
     primes: Vec<u64>,
@@ -50,6 +52,10 @@ struct Encoding {
     /// Per giant group in ascending shift: the shift, and each diagonal
     /// as its baby step and its evaluation-domain plaintext.
     giants: Vec<(usize, Vec<(usize, Plaintext)>)>,
+    /// For every non-zero baby step and giant shift, the rotation's
+    /// automorphism as an index map of the evaluations
+    /// ([`galois_permutation`]).
+    maps: BTreeMap<usize, Vec<u32>>,
 }
 
 impl Clone for LinearTransform {
@@ -184,11 +190,18 @@ impl LinearTransform {
     /// costing `g + D/g` rotations instead of `D` for `D` diagonals,
     /// followed by one rescale. Consumes one level.
     ///
-    /// Each baby rotation `rot_i(z)` is forward-transformed once; each
-    /// giant group is one fused multiply-add per ciphertext component
-    /// against the transform's cached plaintexts, one inverse transform
-    /// pair, then its giant rotation and a coefficient-domain HAdd. The
-    /// result is bit-identical to a PMult and HAdd per diagonal.
+    /// `c0` is forward-transformed once and stays in the evaluation
+    /// domain for the whole stage. Each baby rotation `rot_i(z)` is held
+    /// forward-transformed, its `c0` built as `σ_i(NTT(c0)) + NTT(u0)`,
+    /// with `σ_i` an index permutation of the evaluations. Each giant
+    /// group is one fused multiply-add per ciphertext component against
+    /// the transform's cached plaintexts; its rotation permutes the `c0`
+    /// product into the stage's evaluation-domain sum and transforms only
+    /// the `c1` product back, whose key switch lands in the stage's
+    /// coefficient-domain sums. One inverse transform of the `c0` sum ends
+    /// the stage. Every rotation draws its `ckks_op` fault gate and opens
+    /// a `ckks.hrotate` span. The result is bit-identical to a PMult and
+    /// HAdd per diagonal.
     ///
     /// # Errors
     ///
@@ -213,48 +226,75 @@ impl LinearTransform {
         ops::check_level(ctx, "linear_transform", level)?;
         let encoding = self.encoding(ctx, enc, level, baby)?;
         let moduli = ctx.q_moduli(level);
-        // Baby rotations of the ciphertext, each computed and
-        // forward-transformed once.
+        let mut c0 = ct.c0().clone();
+        ctx.try_ntt_forward(&mut c0, moduli)?;
+        // The rotations below take `c1` in coefficients, as its transform
+        // does.
+        ctx.check_transform("ntt_forward", ct.c1(), moduli, Domain::Coeff)?;
+        // Baby rotations of the ciphertext, held forward-transformed; the
+        // unrotated one last, since it takes `c0` over.
+        let steps: BTreeSet<usize> = self.diagonals.keys().map(|d| d % baby).collect();
         let mut babies: BTreeMap<usize, [RnsPoly; 2]> = BTreeMap::new();
-        for &d in self.diagonals.keys() {
-            // Not entry().or_insert_with(): the rotation is fallible.
-            if let Entry::Vacant(slot) = babies.entry(d % baby) {
-                let rotated = match d % baby {
-                    0 => ct.clone(),
-                    i => ops::try_hrotate(chest, ct, i, method)?,
-                };
-                let (mut c0, mut c1) = rotated.into_parts();
-                ctx.try_ntt_forward(&mut c0, moduli)?;
-                ctx.try_ntt_forward(&mut c1, moduli)?;
-                slot.insert([c0, c1]);
-            }
+        for &i in steps.iter().filter(|&&i| i != 0) {
+            let [mut u0, mut u1] = ops::rotation(chest, level, i, method, |g, moduli| {
+                Ok((ct.c1().automorphism(g, moduli), [None, None]))
+            })?;
+            ctx.try_ntt_forward(&mut u0, moduli)?;
+            ctx.try_ntt_forward(&mut u1, moduli)?;
+            u0.add_permuted_assign(&c0, &encoding.maps[&i], moduli);
+            babies.insert(i, [u0, u1]);
+        }
+        if steps.contains(&0) {
+            let mut c1 = ct.c1().clone();
+            ctx.try_ntt_forward(&mut c1, moduli)?;
+            babies.insert(0, [c0, c1]);
         }
         let be = ctx.backend();
-        let scale = ct.scale() * ctx.params().scale();
-        let mut acc: Option<Ciphertext> = None;
+        // The stage's running sums: `c0`'s in the evaluation domain, and
+        // in coefficients the unrotated group's `c1` and every key
+        // switch's output. Groups ascend by shift, so an unrotated one
+        // comes first.
+        let mut sum0: Option<RnsPoly> = None;
+        let mut acc: [Option<RnsPoly>; 2] = [None, None];
         for (shift, group) in &encoding.giants {
-            let mut parts = [0, 1].map(|k| {
+            let [p0, mut p1] = [0, 1].map(|k| {
                 let terms: Vec<_> = group
                     .iter()
                     .map(|(i, pt)| (&babies[i][k], pt.poly()))
                     .collect();
                 RnsPoly::inner_product(be, &terms, moduli)
             });
-            for part in &mut parts {
-                ctx.try_ntt_inverse(part, moduli)?;
+            if *shift == 0 {
+                sum0 = Some(p0);
+                ctx.try_ntt_inverse(&mut p1, moduli)?;
+                acc[1] = Some(p1);
+                continue;
             }
-            let [c0, c1] = parts;
-            let mut giant = Ciphertext::new(c0, c1, scale, level);
-            if *shift != 0 {
-                giant = ops::try_hrotate(chest, &giant, *shift, method)?;
-            }
-            acc = Some(match acc {
-                None => giant,
-                Some(a) => ops::try_hadd(ctx, &a, &giant)?,
-            });
+            let map = &encoding.maps[shift];
+            let into = std::mem::take(&mut acc);
+            // σ_g of `c0`'s product goes into the evaluation-domain sum;
+            // `c1`'s is permuted on the warm evaluations, then takes the
+            // inverse Mod Up needs, and its switch lands in the sums.
+            let switched = ops::rotation(chest, level, *shift, method, |_, moduli| {
+                match &mut sum0 {
+                    Some(sum) => sum.add_permuted_assign(&p0, map, moduli),
+                    None => sum0 = Some(p0.permuted(map)),
+                }
+                let mut d = p1.permuted(map);
+                ctx.try_ntt_inverse(&mut d, moduli)?;
+                Ok((d, into))
+            })?;
+            acc = switched.map(Some);
         }
-        let acc = acc.ok_or_else(|| NeoError::invalid_params("transform has no diagonals"))?;
-        ops::try_rescale(ctx, &acc)
+        let (Some(mut c0), [acc0, Some(c1)]) = (sum0, acc) else {
+            return Err(NeoError::invalid_params("transform has no diagonals"));
+        };
+        ctx.try_ntt_inverse(&mut c0, moduli)?;
+        if let Some(switched) = acc0 {
+            c0.add_assign(&switched, moduli);
+        }
+        let scale = ct.scale() * ctx.params().scale();
+        ops::try_rescale(ctx, &Ciphertext::new(c0, c1, scale, level))
     }
 
     /// The encoding for `level` and `baby`: the cached one if its key
@@ -290,11 +330,20 @@ impl LinearTransform {
                 _ => giants.push((shift, vec![(i, pt)])),
             }
         }
+        let n = ctx.degree();
+        let rotations = giants
+            .iter()
+            .flat_map(|(shift, group)| group.iter().map(|(i, _)| *i).chain([*shift]))
+            .filter(|&steps| steps != 0);
+        let maps = rotations
+            .map(|steps| (steps, galois_permutation(n, galois_element(n, steps))))
+            .collect();
         let built = Arc::new(Encoding {
             primes: primes.to_vec(),
             scale_bits: scale.to_bits(),
             baby,
             giants,
+            maps,
         });
         *self.encoding.lock() = Some(Arc::clone(&built));
         Ok(built)
@@ -505,10 +554,9 @@ mod tests {
         assert_eq!(err.kind(), neo_error::ErrorKind::ModulusChainExhausted);
     }
 
-    /// Diagonals spanning several giant steps for every baby-step size
-    /// tested, with the last diagonal at the top of the slot range.
-    fn spread(slots: usize) -> LinearTransform {
-        let diagonals = [0usize, 1, 3, 8, 9, 17, 24, slots - 1]
+    /// A transform with the diagonals `indices`, each a fixed pattern.
+    fn transform(slots: usize, indices: impl IntoIterator<Item = usize>) -> LinearTransform {
+        let diagonals = indices
             .into_iter()
             .map(|d| {
                 let diag = (0..slots)
@@ -518,6 +566,12 @@ mod tests {
             })
             .collect();
         LinearTransform::try_from_diagonals(slots, diagonals).unwrap()
+    }
+
+    /// Diagonals spanning several giant steps for every baby-step size
+    /// tested, with the last diagonal at the top of the slot range.
+    fn spread(slots: usize) -> LinearTransform {
+        transform(slots, [0, 1, 3, 8, 9, 17, 24, slots - 1])
     }
 
     #[test]
@@ -633,6 +687,40 @@ mod tests {
             let want = per_diagonal(&lt, &chest, &enc, &ct_top, slots, method);
             let got = lt.try_apply(&chest, &enc, &ct_top, method).unwrap();
             assert_eq!(got, want, "{method:?}, one giant group");
+        }
+        // Stage shapes the spread transform lacks: coeff-to-slot's radix-4
+        // strides 4 and 16 at baby size 3 (seven giant groups of one
+        // diagonal each, six of them rotated), and a transform with no
+        // diagonal below its baby size, so it has no unrotated baby and
+        // its first giant group is a rotated one.
+        let radix4 = |s: usize| (0..4).flat_map(move |j| [j * s, (slots - j * s) % slots]);
+        // Each shape with its giant groups' shifts (0 marks the unrotated
+        // group) and sizes.
+        let shapes = [
+            (
+                transform(slots, radix4(4)),
+                3,
+                vec![0, 3, 6, 12, 114, 120, 123],
+            ),
+            (
+                transform(slots, radix4(16)),
+                3,
+                vec![0, 15, 30, 48, 78, 96, 111],
+            ),
+            (transform(slots, [5, 6, 9, 13]), 4, vec![4, 4, 8, 12]),
+        ];
+        assert_eq!(slots, 128, "the shifts above assume test_tiny's slots");
+        for (lt, baby, shifts) in &shapes {
+            for method in [KsMethod::Klss, KsMethod::Hybrid] {
+                let want = per_diagonal(lt, &chest, &enc, &ct_top, *baby, method);
+                let got = lt.try_apply_bsgs(&chest, &enc, &ct_top, *baby, method);
+                let ds: Vec<_> = lt.diagonals.keys().collect();
+                assert_eq!(got.unwrap(), want, "{method:?}, diagonals {ds:?}");
+            }
+            let encoding = lt.encoding.lock().clone().unwrap();
+            let groups = encoding.giants.iter();
+            let got: Vec<usize> = groups.flat_map(|(s, g)| vec![*s; g.len()]).collect();
+            assert_eq!(&got, shifts);
         }
     }
 }

@@ -66,6 +66,15 @@ pub(crate) fn note_noise(
     NOISE[kind as usize].record(consumed.round() as u64);
 }
 
+/// Records a rotation's noise consumption (HRotate's or a BSGS stage's):
+/// a rotation keeps level and scale, so it consumes no budget. A no-op
+/// while the gate is off.
+pub(crate) fn note_rotation() {
+    if neo_trace::enabled() {
+        NOISE[OpKind::HRotate as usize].record(0);
+    }
+}
+
 /// Folds a batch execution's recovery accounting into the `fhe_batch_*`
 /// counters and refreshes the NTT plan-cache gauges. A no-op while the
 /// gate is off.

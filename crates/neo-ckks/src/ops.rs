@@ -9,11 +9,11 @@
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::{CkksContext, LimbTransform};
 use crate::keys::{KeyChest, KeyTarget, PublicKey, SecretKey};
-use crate::keyswitch::{hybrid::keyswitch_hybrid, klss::keyswitch_klss};
-use crate::metrics::{note_noise, OpKind};
+use crate::keyswitch::{hybrid::keyswitch_hybrid, klss::keyswitch_klss_into};
+use crate::metrics::{note_noise, note_rotation, OpKind};
 use crate::params::KsMethod;
 use neo_error::NeoError;
-use neo_math::poly::inner_product_row;
+use neo_math::poly::{bconv_ip_row, inner_product_row};
 use neo_math::recycle::LIMBS;
 use neo_math::{ComputeBackend, Domain, Modulus, RnsPoly};
 use neo_trace::span;
@@ -275,13 +275,11 @@ pub fn try_hmult(
     let level = a.level();
     check_level(ctx, "hmult", level)?;
     let _s = span!("ckks.hmult", level = level);
-    let moduli = ctx.q_moduli(level);
-    let [mut d0, mut d1, d2] = tensor(ctx, a, b)?;
-    // Relinearize d2.
-    let (u0, u1) = switch(chest, level, KeyTarget::Relin, &d2, method)?;
-    d0.add_assign(&u0, moduli);
-    d1.add_assign(&u1, moduli);
-    let out = Ciphertext::new(d0, d1, a.scale() * b.scale(), level);
+    let [d0, d1, d2] = tensor(ctx, a, b)?;
+    // Relinearize d2 straight into (d0, d1).
+    let acc = [Some(d0), Some(d1)];
+    let [c0, c1] = switch(chest, level, KeyTarget::Relin, &d2, method, acc)?;
+    let out = Ciphertext::new(c0, c1, a.scale() * b.scale(), level);
     emit_budget(ctx, "hmult", &out);
     note_noise(OpKind::HMult, ctx, &[a, b], &out);
     Ok(out)
@@ -393,12 +391,11 @@ pub fn try_hrotate(
     steps: usize,
     method: KsMethod,
 ) -> Result<Ciphertext, NeoError> {
-    fault_gate("hrotate")?;
-    let ctx = chest.context();
-    let g = galois_element(ctx.degree(), steps);
-    let out = apply_galois("ckks.hrotate", chest, a, g, method)?;
-    note_noise(OpKind::HRotate, ctx, &[a], &out);
-    Ok(out)
+    let level = a.level();
+    let [c0, c1] = rotation(chest, level, steps, method, |g, moduli| {
+        Ok(galois_operands(a, g, moduli))
+    })?;
+    Ok(Ciphertext::new(c0, c1, a.scale(), level))
 }
 
 /// Complex conjugation of all slots (`X ↦ X^{2N-1}`).
@@ -412,47 +409,82 @@ pub fn try_hconjugate(
     a: &Ciphertext,
     method: KsMethod,
 ) -> Result<Ciphertext, NeoError> {
-    let n = chest.context().degree();
-    apply_galois("ckks.hconjugate", chest, a, 2 * n - 1, method)
+    let g = 2 * chest.context().degree() - 1;
+    let level = a.level();
+    let [c0, c1] = galois_switch("ckks.hconjugate", chest, level, g, method, |moduli| {
+        Ok(galois_operands(a, g, moduli))
+    })?;
+    Ok(Ciphertext::new(c0, c1, a.scale(), level))
 }
 
-/// The automorphism `X ↦ X^g` plus its Galois key switch, under a span
-/// named after the calling op.
-fn apply_galois(
+/// A rotation's operands: what its Galois key switch takes, and the
+/// accumulators the switch lands in.
+pub(crate) type GaloisOperands = (RnsPoly, [Option<RnsPoly>; 2]);
+
+/// One rotation by `steps` at `level`, HRotate's or a BSGS stage's: draws
+/// the `hrotate` fault gate, opens a `ckks.hrotate` span, has `operands`
+/// apply `σ_g` (given `g` and the level's moduli) and return the
+/// coefficient-domain polynomial to switch with its accumulators,
+/// switches it under the Galois key of `g`, and records the rotation's
+/// noise consumption.
+pub(crate) fn rotation(
+    chest: &KeyChest,
+    level: usize,
+    steps: usize,
+    method: KsMethod,
+    operands: impl FnOnce(usize, &[Modulus]) -> Result<GaloisOperands, NeoError>,
+) -> Result<[RnsPoly; 2], NeoError> {
+    fault_gate("hrotate")?;
+    let g = galois_element(chest.context().degree(), steps);
+    let out = galois_switch("ckks.hrotate", chest, level, g, method, |m| operands(g, m))?;
+    note_rotation();
+    Ok(out)
+}
+
+/// The Galois key switch of `X ↦ X^g` under a span named after the
+/// calling op, on the operands `operands` builds from the level's moduli.
+fn galois_switch(
     span_name: &'static str,
     chest: &KeyChest,
-    a: &Ciphertext,
+    level: usize,
     g: usize,
     method: KsMethod,
-) -> Result<Ciphertext, NeoError> {
+    operands: impl FnOnce(&[Modulus]) -> Result<GaloisOperands, NeoError>,
+) -> Result<[RnsPoly; 2], NeoError> {
     let ctx = chest.context();
-    let level = a.level();
     check_level(ctx, "galois", level)?;
     let _s = span!(span_name, level = level, g = g);
-    let moduli = ctx.q_moduli(level).to_vec();
-    let mut c0 = a.c0().automorphism(g, &moduli);
-    let c1 = a.c1().automorphism(g, &moduli);
-    let (u0, u1) = switch(chest, level, KeyTarget::Galois(g), &c1, method)?;
-    c0.add_assign(&u0, &moduli);
-    Ok(Ciphertext::new(c0, u1, a.scale(), level))
+    let (d, acc) = operands(ctx.q_moduli(level))?;
+    switch(chest, level, KeyTarget::Galois(g), &d, method, acc)
 }
 
+/// `σ_g` of a coefficient-domain ciphertext: `σ_g(c1)` to switch, landing
+/// in `(σ_g(c0), —)`, so `σ_g(c0) + u0` comes out of the switch itself.
+fn galois_operands(a: &Ciphertext, g: usize, moduli: &[Modulus]) -> GaloisOperands {
+    let c0 = a.c0().automorphism(g, moduli);
+    (a.c1().automorphism(g, moduli), [Some(c0), None])
+}
+
+/// The key switch of `d` towards `target` with `method`, landing in
+/// `acc`: `(c0 + u0, c1 + u1)`, `u_k` alone where `acc[k]` is `None`
+/// ([`keyswitch_klss_into`], [`keyswitch_hybrid`]).
 fn switch(
     chest: &KeyChest,
     level: usize,
     target: KeyTarget,
     d: &RnsPoly,
     method: KsMethod,
-) -> Result<(RnsPoly, RnsPoly), NeoError> {
+    acc: [Option<RnsPoly>; 2],
+) -> Result<[RnsPoly; 2], NeoError> {
     let ctx = chest.context();
     match method {
         KsMethod::Hybrid => {
             let key = chest.hybrid_key(level, target)?;
-            keyswitch_hybrid(ctx, &key, d)
+            keyswitch_hybrid(ctx, &key, d, acc)
         }
         KsMethod::Klss => {
             let key = chest.klss_key(level, target)?;
-            keyswitch_klss(ctx, &key, d)
+            keyswitch_klss_into(ctx, &key, d, acc)
         }
     }
 }
@@ -477,30 +509,29 @@ pub fn try_rescale(ctx: &CkksContext, ct: &Ciphertext) -> Result<Ciphertext, Neo
     // Exclusive bound on every inner-product row below.
     let y_bound = ctx.q_moduli(level).iter().map(Modulus::value).max();
     let y_bound = y_bound.unwrap_or(u64::MAX);
-    let rescale_poly = |p: &RnsPoly| -> RnsPoly {
-        let mut out = RnsPoly::zero(p.degree(), level, Domain::Coeff);
+    let rescale_poly = |p: &RnsPoly| -> Result<RnsPoly, NeoError> {
         let last = p.limb(level);
         // Centered lift of the dropped limb keeps rounding noise at q_l/2
         // instead of q_l: a residue l in the upper half stands for
         // l − q_l. With inv = q_l⁻¹ mod q_i,
         // (x_i − l + upper·q_l)·inv ≡ x_i·inv − l·inv + upper (mod q_i),
         // so each output limb is one exact inner product over the rows
-        // (x_i, l, upper), reduced once.
-        let mut upper = LIMBS.zeroed(p.degree());
-        for (u, &l) in upper.iter_mut().zip(last) {
-            *u = u64::from(q_last.to_signed(l) < 0);
-        }
-        for (i, m) in moduli.iter().enumerate() {
-            let inv = m.inv(q_last.value()).expect("coprime chain");
-            let (rows, w) = ([p.limb(i), last, &upper], [inv, m.neg(inv), 1]);
-            ctx.backend()
-                .bconv_ip(m, &rows, y_bound, &w, out.limb_mut(i));
-        }
+        // (x_i, l, upper), reduced once, on a row it writes in full.
+        let upper = LIMBS.mapped(last, |l| u64::from(q_last.to_signed(l) < 0));
+        let limbs = moduli
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let inv = m.inv(q_last.value()).expect("coprime chain");
+                let (rows, w) = ([p.limb(i), last, &upper], [inv, m.neg(inv), 1]);
+                bconv_ip_row(ctx.backend(), m, &rows, y_bound, &w)
+            })
+            .collect();
         LIMBS.give(upper);
-        out
+        Ok(RnsPoly::from_limbs(limbs, Domain::Coeff)?)
     };
-    let c0 = rescale_poly(ct.c0());
-    let c1 = rescale_poly(ct.c1());
+    let c0 = rescale_poly(ct.c0())?;
+    let c1 = rescale_poly(ct.c1())?;
     let out = Ciphertext::new(c0, c1, ct.scale() / q_last.value() as f64, level - 1);
     emit_budget(ctx, "rescale", &out);
     note_noise(OpKind::Rescale, ctx, &[ct], &out);

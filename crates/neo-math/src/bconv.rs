@@ -20,7 +20,8 @@
 //!   by the KLSS *Recover Limbs* step, where an overshoot of `Q` would be a
 //!   correctness bug rather than noise.
 //! * [`BconvTable::mod_down`] — Mod Down by `Q`: `(a − BConv(x))·Q⁻¹` on
-//!   the target limbs `a` of the same value.
+//!   the target limbs `a` of the same value, optionally added to an
+//!   accumulator `c` as one more row of weight 1.
 //!
 //! All three are one [`bconv_ip`] call per target limb: the correction and
 //! the division are folded into that inner product as extra rows and
@@ -55,8 +56,9 @@ enum Fold<'a> {
     /// The overshoot row `k` with weight `−Q`: the residues of `x`.
     Exact,
     /// Mod Down: the target limbs `a` of the same value, one row each,
-    /// and every weight times `Q⁻¹`: `(a_j − BConv(x)_j)·Q⁻¹`.
-    Divide(&'a [Vec<u64>]),
+    /// and every weight times `Q⁻¹`: `(a_j − BConv(x)_j)·Q⁻¹`; plus, when
+    /// given, the accumulator limbs `c`, one row each of weight 1.
+    Divide(&'a [Vec<u64>], Option<&'a [Vec<u64>]>),
 }
 
 /// Precomputed constants for converting from one RNS basis to another.
@@ -234,15 +236,21 @@ impl BconvTable {
     /// Mod Down by the source modulus `Q`: for a value held as source
     /// limbs `x` and target limbs `a`, overwrites each `a[j]` with
     /// `(a_j − BConv(x)_j)·Q⁻¹ mod t_j` — the approximate conversion's
-    /// residues, subtracted and divided out, as one inner product. The
-    /// replaced limbs go back to the [`LIMBS`] recycler.
+    /// residues, subtracted and divided out, as one inner product. With
+    /// an accumulator `c` (canonical target residues) the result is
+    /// `c_j + (a_j − BConv(x)_j)·Q⁻¹`: `c_j` is one more row of weight 1
+    /// in the same exact sum, reduced once. The replaced limbs go back to
+    /// the [`LIMBS`] recycler.
     ///
     /// # Panics
     ///
     /// Panics if limb counts do not match the table's bases.
-    pub fn mod_down(&self, x: &[Vec<u64>], a: &mut [Vec<u64>]) {
+    pub fn mod_down(&self, x: &[Vec<u64>], a: &mut [Vec<u64>], c: Option<&[Vec<u64>]>) {
         assert_eq!(a.len(), self.dst.len(), "target limb count mismatch");
-        let divided = self.convert_limbs(x, Fold::Divide(a));
+        if let Some(c) = c {
+            assert_eq!(c.len(), self.dst.len(), "accumulator limb count mismatch");
+        }
+        let divided = self.convert_limbs(x, Fold::Divide(a, c));
         let replaced = a.iter_mut().zip(divided);
         LIMBS.give_all(replaced.map(|(limb, new)| std::mem::replace(limb, new)));
     }
@@ -275,12 +283,18 @@ impl BconvTable {
     fn convert_scaled(&self, ys: &[Vec<u64>], fold: Fold<'_>) -> Vec<Vec<u64>> {
         assert_eq!(ys.len(), self.src.len(), "source limb count mismatch");
         let n = ys[0].len();
-        let own: &[Vec<u64>] = if let Fold::Divide(a) = fold { a } else { &[] };
-        for limb in ys.iter().chain(own) {
+        let (own, acc): (&[Vec<u64>], &[Vec<u64>]) = match fold {
+            Fold::Divide(a, c) => (a, c.unwrap_or_default()),
+            _ => (&[], &[]),
+        };
+        for limb in ys.iter().chain(own).chain(acc) {
             assert_eq!(limb.len(), n, "ragged limb lengths");
         }
         let be = backend::get(self.backend);
-        let mut rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
+        // Room for the rows a fold appends: the overshoot row, or Mod
+        // Down's own row and accumulator row.
+        let mut rows: Vec<&[u64]> = Vec::with_capacity(ys.len() + 2);
+        rows.extend(ys.iter().map(Vec::as_slice));
         let ks = matches!(fold, Fold::Exact).then(|| {
             // Overshoot counts k = round(Σ_i y_i/q_i), the fractional sums
             // taken in source-limb order per coefficient (the oracle's
@@ -293,16 +307,16 @@ impl BconvTable {
         let scaled = rows.len();
         // Exclusive bound on every row: the scaled rows are canonical and
         // the overshoot count is at most `src.len()`, so the largest
-        // source modulus bounds them; Mod Down's own rows are canonical
-        // target residues. Backends use it to pick narrower multiply paths
-        // (IFMA).
+        // source modulus bounds them; Mod Down's own rows and accumulator
+        // rows are canonical target residues. Backends use it to pick
+        // narrower multiply paths (IFMA).
         let bound = |b: &RnsBasis| b.moduli().iter().map(Modulus::value).max();
         let y_bound = match fold {
-            Fold::Divide(_) => bound(&self.src).max(bound(&self.dst)),
+            Fold::Divide(..) => bound(&self.src).max(bound(&self.dst)),
             _ => bound(&self.src),
         }
         .unwrap_or(u64::MAX);
-        let mut w = Vec::with_capacity(rows.len() + 1);
+        let mut w = Vec::with_capacity(ys.len() + 2);
         let out = self
             .dst
             .moduli()
@@ -315,8 +329,9 @@ impl BconvTable {
                     Fold::Approx => {}
                     // −k·Q: the overshoot row is the last of `rows`.
                     Fold::Exact => w.push(t.neg(self.q_mod_dst[j])),
-                    // (a_j − Σ y_i·q̂_i)·Q⁻¹ ≡ Σ y_i·(−q̂_i·Q⁻¹) + a_j·Q⁻¹.
-                    Fold::Divide(a) => {
+                    // c_j + (a_j − Σ y_i·q̂_i)·Q⁻¹
+                    //   ≡ Σ y_i·(−q̂_i·Q⁻¹) + a_j·Q⁻¹ + c_j.
+                    Fold::Divide(a, c) => {
                         let inv = self.q_inv_mod_dst[j];
                         for wi in &mut w {
                             *wi = t.neg(t.mul(*wi, inv));
@@ -324,6 +339,10 @@ impl BconvTable {
                         w.push(inv);
                         rows.truncate(scaled);
                         rows.push(&a[j]);
+                        if let Some(c) = c {
+                            w.push(1);
+                            rows.push(&c[j]);
+                        }
                     }
                 }
                 // `bconv_ip` overwrites every coefficient of its output.
@@ -601,8 +620,34 @@ mod tests {
             for kind in [BackendKind::Portable, BackendKind::Simd] {
                 let table = BconvTable::new(&src, &dst).unwrap().with_backend(kind);
                 let mut got = a.clone();
-                table.mod_down(&x, &mut got);
+                table.mod_down(&x, &mut got, None);
                 assert_eq!(got, mod_down_two_pass(&table, &x, &a), "{kind}");
+            }
+        }
+    }
+
+    /// An accumulator rides as one more row: Mod Down into `c` equals
+    /// Mod Down, then an add.
+    #[test]
+    fn mod_down_into_an_accumulator_is_mod_down_then_add() {
+        let mut rng = StdRng::seed_from_u64(28);
+        for (src, dst, x) in klss_shapes() {
+            let (a, c) = (
+                random_limbs(&dst, x[0].len(), &mut rng),
+                random_limbs(&dst, x[0].len(), &mut rng),
+            );
+            for kind in [BackendKind::Portable, BackendKind::Simd] {
+                let table = BconvTable::new(&src, &dst).unwrap().with_backend(kind);
+                let mut want = a.clone();
+                table.mod_down(&x, &mut want, None);
+                for ((w, c), t) in want.iter_mut().zip(&c).zip(dst.moduli()) {
+                    for (w, &c) in w.iter_mut().zip(c) {
+                        *w = t.add(*w, c);
+                    }
+                }
+                let mut got = a.clone();
+                table.mod_down(&x, &mut got, Some(&c));
+                assert_eq!(got, want, "{kind}");
             }
         }
     }

@@ -340,16 +340,76 @@ impl RnsPoly {
             *e = (t & (n - 1)) as u64 | u64::from(t >= n) << 63;
             t = (t + g) & (2 * n - 1);
         }
-        // Odd g makes the map a permutation: each destination is written once.
-        let mut out = Self::zero(n, self.limbs.len(), Domain::Coeff);
-        for ((dst, src), m) in out.limbs.iter_mut().zip(&self.limbs).zip(moduli) {
-            for (&c, &e) in src.iter().zip(&map) {
-                let negate = (e >> 63).wrapping_neg();
-                dst[(e & !(1 << 63)) as usize] = (m.neg(c) & negate) | (c & !negate);
+        // Odd g makes the map a permutation: each destination is written
+        // once, so the output rows need no zeroing.
+        let limbs = self
+            .limbs
+            .iter()
+            .zip(moduli)
+            .map(|(src, m)| {
+                let mut dst = LIMBS.take(n);
+                for (&c, &e) in src.iter().zip(&map) {
+                    let negate = (e >> 63).wrapping_neg();
+                    dst[(e & !(1 << 63)) as usize] = (m.neg(c) & negate) | (c & !negate);
+                }
+                dst
+            })
+            .collect();
+        LIMBS.give(map);
+        Self {
+            n,
+            domain: Domain::Coeff,
+            limbs,
+        }
+    }
+
+    /// `self[k] += other[map[k]]` in every limb. With `map` from
+    /// `neo_ntt::galois_permutation(n, g)` and both operands in the
+    /// evaluation domain, this adds `σ_g(other)`: the automorphism is an
+    /// index permutation of the bit-reversed evaluations.
+    ///
+    /// # Panics
+    ///
+    /// Panics on degree/limb/domain mismatch, when `map.len()` differs
+    /// from the degree or holds an index out of range, or when
+    /// `moduli.len()` differs from the limb count.
+    pub fn add_permuted_assign(&mut self, other: &Self, map: &[u32], moduli: &[Modulus]) {
+        self.check_pair(other);
+        self.check_moduli(moduli);
+        assert_eq!(map.len(), self.n, "map length mismatch");
+        for ((a, b), m) in self.limbs.iter_mut().zip(&other.limbs).zip(moduli) {
+            for (x, &i) in a.iter_mut().zip(map) {
+                *x = m.add(*x, b[i as usize]);
             }
         }
-        LIMBS.give(map);
-        out
+    }
+
+    /// `self[map[k]]` in every limb, on recycled rows written in full:
+    /// `σ_g(self)` for an evaluation-domain `self` and the map of
+    /// `neo_ntt::galois_permutation(n, g)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `map.len()` differs from the degree or holds an index
+    /// out of range.
+    pub fn permuted(&self, map: &[u32]) -> Self {
+        assert_eq!(map.len(), self.n, "map length mismatch");
+        let limbs = self
+            .limbs
+            .iter()
+            .map(|b| {
+                let mut row = LIMBS.take(self.n);
+                for (x, &i) in row.iter_mut().zip(map) {
+                    *x = b[i as usize];
+                }
+                row
+            })
+            .collect();
+        Self {
+            n: self.n,
+            domain: self.domain,
+            limbs,
+        }
     }
 
     /// Infinity norm of the centered lift, per limb 0 only (diagnostic aid
@@ -379,6 +439,27 @@ pub fn inner_product_row(
     let len = a.first().expect("an inner product needs a term").len();
     let mut row = LIMBS.take(len);
     be.mul_acc(q, a, b, &mut row);
+    row
+}
+
+/// A recycled row holding `Σ_i ys[i][c]·w[i] mod t`, as long as the
+/// rows: one [`ComputeBackend::bconv_ip`] call, which writes every
+/// element, so the row is taken from [`LIMBS`] without zeroing.
+/// `y_bound` is the kernel's exclusive bound on every row element.
+///
+/// # Panics
+///
+/// Panics when `ys` is empty.
+pub fn bconv_ip_row(
+    be: &dyn ComputeBackend,
+    t: &Modulus,
+    ys: &[&[u64]],
+    y_bound: u64,
+    w: &[u64],
+) -> Vec<u64> {
+    let len = ys.first().expect("an inner product needs a row").len();
+    let mut row = LIMBS.take(len);
+    be.bconv_ip(t, ys, y_bound, w, &mut row);
     row
 }
 
@@ -468,6 +549,34 @@ mod tests {
         let p = RnsPoly::from_signed(&[0, 0, 1, 0], &ms);
         let q = p.automorphism(3, &ms);
         assert_eq!(q.limb(0)[2], ms[0].value() - 1);
+    }
+
+    #[test]
+    fn permutes_read_through_the_map() {
+        let ms = moduli(2);
+        let mut rng = rand::thread_rng();
+        let a = RnsPoly::random_uniform(&mut rng, 16, &ms, Domain::Ntt);
+        let b = RnsPoly::random_uniform(&mut rng, 16, &ms, Domain::Ntt);
+        let map: Vec<u32> = (0..16).map(|k| (k * 7 + 3) % 16).collect();
+        let p = b.permuted(&map);
+        let mut sum = a.clone();
+        sum.add_permuted_assign(&b, &map, &ms);
+        for (i, m) in ms.iter().enumerate() {
+            for (k, &j) in map.iter().enumerate() {
+                assert_eq!(p.limb(i)[k], b.limb(i)[j as usize]);
+                assert_eq!(sum.limb(i)[k], m.add(a.limb(i)[k], b.limb(i)[j as usize]));
+            }
+        }
+        assert_eq!(p.domain(), Domain::Ntt);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_map_index_past_the_row_panics() {
+        let b = RnsPoly::zero(16, 1, Domain::Ntt);
+        let mut map = vec![0u32; 16];
+        map[5] = 16;
+        b.permuted(&map);
     }
 
     #[test]

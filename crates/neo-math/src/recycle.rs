@@ -12,8 +12,8 @@
 //!   plus handed out never exceeds a past peak. A buffer counts as handed
 //!   out from the take that made it until the give that returns it.
 //! * **No stale data.** A buffer leaves zeroed ([`Recycler::zeroed`]) or
-//!   overwritten ([`Recycler::copied`], and crate-internal producers that
-//!   write every element), so no residue of an earlier user reaches a
+//!   overwritten ([`Recycler::copied`], [`Recycler::mapped`], and
+//!   crate-internal producers that write every element), so no residue of an earlier user reaches a
 //!   caller.
 //!
 //! One lock guards every shelf: rayon workers run limbs on other threads,
@@ -82,6 +82,15 @@ impl<T: Copy + Default> Recycler<T> {
     pub fn copied(&self, src: &[T]) -> Vec<T> {
         let mut buf = self.take(src.len());
         buf.copy_from_slice(src);
+        buf
+    }
+
+    /// A buffer holding `f(x)` for each element `x` of `src`.
+    pub fn mapped(&self, src: &[T], f: impl Fn(T) -> T) -> Vec<T> {
+        let mut buf = self.take(src.len());
+        for (b, &x) in buf.iter_mut().zip(src) {
+            *b = f(x);
+        }
         buf
     }
 

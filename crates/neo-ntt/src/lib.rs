@@ -86,6 +86,31 @@ pub fn bit_reverse(x: &mut [u64]) {
     }
 }
 
+/// The Galois automorphism `σ_g: a(X) ↦ a(X^g)` of `Z_q[X]/(X^n + 1)` as
+/// an index map of the transforms' bit-reversed evaluations:
+/// `forward(σ_g(a))[k] = forward(a)[map[k]]` for every prime. Slot `k`
+/// holds `a(ψ^{2·rev(k)+1})`, so `σ_g(a)` there is `a` at the odd power
+/// `g·(2·rev(k)+1) mod 2n = 2j+1`, which `forward(a)` holds at `rev(j)`.
+/// The map depends on `n` and `g mod 2n` only.
+///
+/// # Panics
+///
+/// Panics if `n` is not a power of two or exceeds `2^31`, or `g` is even.
+pub fn galois_permutation(n: usize, g: usize) -> Vec<u32> {
+    assert!(n.is_power_of_two(), "length must be a power of two");
+    assert!(n <= 1 << 31, "length must fit u32 indices");
+    assert_eq!(g % 2, 1, "Galois element must be odd");
+    let (bits, two_n) = (n.trailing_zeros(), 2 * n as u64);
+    let g = (g % (2 * n)) as u64;
+    (0..n)
+        .map(|k| {
+            // Both factors lie below 2n <= 2^32, so the product fits u64.
+            let e = g * (2 * bit_rev(k, bits) as u64 + 1) % two_n;
+            bit_rev((e / 2) as usize, bits) as u32
+        })
+        .collect()
+}
+
 /// Multiplies two polynomials in `Z_q[X]/(X^N+1)` via the radix-2 NTT —
 /// a convenience oracle used throughout the test suites.
 ///

@@ -6,8 +6,9 @@
 
 use neo::ckks::batch::{BatchOp, BatchProgram, Slot};
 use neo::ckks::cost::{CostConfig, Operation};
+use neo::ckks::encoding::Complex64;
 use neo::ckks::sched::batch_op_graph;
-use neo::ckks::{CkksParams, FheEngine, ParamSet};
+use neo::ckks::{CkksParams, FheEngine, LinearTransform, ParamSet};
 use neo::gpu_sim::DeviceModel;
 use neo::sched::{chrome_trace, publish_utilization, simulate, SimConfig};
 use neo::trace::jsonv::{self, JsonValue};
@@ -85,6 +86,44 @@ fn engine_batch_exposes_latency_and_noise_histograms() {
     );
     let ops = snap.counter("fhe_batch_ops_total", &[]).expect("counter");
     assert!(ops >= 4, "batch op counter {ops} < 4");
+}
+
+/// Inside a BSGS transform each rotation, baby or giant, opens one
+/// `ckks.hrotate` span, and no HAdd runs: the giant steps' key switches
+/// land in the stage's running sums.
+#[test]
+fn bsgs_rotations_open_one_span_each_and_run_no_hadd() {
+    let engine = FheEngine::new(CkksParams::test_tiny(), 13).expect("params are valid");
+    let slots = engine.slots();
+    let a = engine.encrypt_f64(&[0.5, 0.25], 3).expect("encrypt");
+    // Baby size 3: babies 1 and 2 rotate, and so do the giant groups at
+    // shifts 3 and 9 (the group at shift 0 does not).
+    let diagonals = [0, 1, 2, 4, 9]
+        .into_iter()
+        .map(|d| (d, vec![Complex64::new(0.1, 0.0); slots]))
+        .collect();
+    let lt = LinearTransform::try_from_diagonals(slots, diagonals).expect("legal transform");
+    let apply = || {
+        lt.try_apply_bsgs(engine.chest(), engine.encoder(), &a, 3, engine.method())
+            .expect("transform applies")
+    };
+    // The first application generates the Galois keys.
+    apply();
+    let (children, _) = record(|| {
+        let outer = neo::trace::span!("test.bsgs");
+        apply();
+        drop(outer);
+        let spans = neo::trace::span::spans();
+        let outer = spans.iter().rposition(|s| s.name == "test.bsgs");
+        let children = spans
+            .iter()
+            .filter(|s| s.parent.is_some() && s.parent == outer);
+        children.map(|s| s.name).collect::<Vec<_>>()
+    });
+    let count = |name| children.iter().filter(|&&n| n == name).count();
+    assert_eq!(count("ckks.hrotate"), 4, "{children:?}");
+    assert_eq!(count("ckks.hadd"), 0, "{children:?}");
+    assert_eq!(count("ckks.rescale"), 1, "{children:?}");
 }
 
 // ---------------------------------------------------------------------
