@@ -4,16 +4,19 @@
 //! (`coeff-to-slot`) over 36-bit (`Q`/`P`) and 48-bit (`T`) primes,
 //! exact RNS base conversion in the KLSS Mod-Up (3 → 5) and
 //! Recover-Limbs (5 → 2) shapes, exact BConv's `f64` overshoot row over
-//! Recover's 5 source rows, and the 4-term `mul_acc` of the KLSS inner
-//! product, once on cached rows and once streaming its operands from a
-//! 40 MiB pool, as the inner product streams its key. The 55-bit NTT and
+//! Recover's 5 source rows, and the 4-term `mul_acc` of an inner product,
+//! once on cached rows and once streaming its operands from a 40 MiB
+//! pool; then the KLSS inner product itself, both key components per
+//! pass over key rows packed at 6 bytes per residue and streamed from a
+//! 40 MiB pool, as the switch streams its key. The 55-bit NTT and
 //! the 256×256×256 modular GEMM rows are kept as the portable fallback:
 //! the SIMD backend runs the portable kernels there, so their ratio sits
 //! at ≈1.0×.
 //!
 //! Before timing, every kernel's SIMD output is asserted bit-identical to
 //! the portable output on the same inputs — the numbers are only
-//! meaningful because the results are interchangeable.
+//! meaningful because the results are interchangeable — and the packed
+//! inner product's to two `mul_acc` calls on the unpacked rows.
 //!
 //! Timing budget comes from the shared `NEO_BENCH_WARMUP_MS` /
 //! `NEO_BENCH_MEASURE_MS` / `NEO_BENCH_SAMPLES` knobs (see
@@ -22,7 +25,7 @@
 
 use neo_bench::measure::{self, MeasureConfig, Measurement};
 use neo_bench::{emit, ratio};
-use neo_math::{backend, BackendKind, BconvTable, Modulus, RnsBasis};
+use neo_math::{backend, BackendKind, BconvTable, Domain, Modulus, PackedPoly, RnsBasis, RnsPoly};
 use neo_ntt::{radix2, NttPlan};
 use neo_tcu::{BackendGemm, GemmEngine};
 use rand::rngs::StdRng;
@@ -258,6 +261,53 @@ fn main() {
         json!({ "n": n, "terms": terms, "prime_bits": 48, "pool_mib": 40 }),
         || streamed(BackendKind::Portable, &mut p_next),
         || streamed(BackendKind::Simd, &mut s_next),
+    );
+
+    // --- The KLSS inner product over packed key rows: the same 4 terms,
+    // both key components per pass, each key residue at 6 bytes. The Mod
+    // Up rows stay put, as they do across a switch's output digits; each
+    // call takes the next 2·terms key rows of a 40 MiB pool of packed
+    // rows, as the switch streams its key. Each backend walks the pool
+    // from row 0, so their first calls agree, and those first rows are
+    // checked against two `mul_acc` calls on the unpacked rows.
+    let key_pool: Vec<PackedPoly> = (0..(40 << 20) / (6 * n))
+        .map(|_| {
+            let row = (0..n).map(|_| rng.gen_range(0..qt.value())).collect();
+            let poly = RnsPoly::from_limbs(vec![row], Domain::Ntt).unwrap();
+            PackedPoly::pack(&poly, &[qt])
+        })
+        .collect();
+    let width = key_pool[0].width();
+    let packed_ip = |kind: BackendKind, next: &mut usize| {
+        let key: Vec<[&[u8]; 2]> = (0..terms)
+            .map(|j| [0, 1].map(|c| key_pool[(*next + 2 * j + c) % key_pool.len()].row(0)))
+            .collect();
+        *next = (*next + 2 * terms) % key_pool.len();
+        let (mut a, mut b) = (vec![0u64; n], vec![0u64; n]);
+        backend::get(kind).klss_ip(&qt, &xs, &key, width, [&mut a, &mut b]);
+        [a, b]
+    };
+    let first = packed_ip(BackendKind::Simd, &mut 0);
+    for (c, got) in first.iter().enumerate() {
+        let key: Vec<Vec<u64>> = (0..terms)
+            .map(|j| key_pool[2 * j + c].limbs().remove(0))
+            .collect();
+        let key: Vec<&[u64]> = key.iter().map(Vec::as_slice).collect();
+        let mut want = vec![0u64; n];
+        backend::get(BackendKind::Portable).mul_acc(&qt, &xs, &key, &mut want);
+        assert_eq!(
+            got, &want,
+            "packed KLSS IP diverged from mul_acc, component {c}"
+        );
+    }
+    let (mut p_next, mut s_next) = (0, 0);
+    table.row(
+        "klss_ip_4terms_n16384_q48_streamed",
+        IFMA,
+        json!({ "n": n, "terms": terms, "prime_bits": 48, "bytes_per_word": width,
+                "components": 2, "pool_mib": 40 }),
+        || packed_ip(BackendKind::Portable, &mut p_next),
+        || packed_ip(BackendKind::Simd, &mut s_next),
     );
 
     // --- 256x256x256 modular GEMM, 55-bit prime. ---

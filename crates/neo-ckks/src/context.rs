@@ -10,7 +10,8 @@ use crate::params::CkksParams;
 use neo_error::NeoError;
 use neo_math::recycle::LIMBS;
 use neo_math::{
-    backend, primes, BconvTable, ComputeBackend, Domain, MathError, Modulus, RnsBasis, RnsPoly,
+    backend, packed, primes, BconvTable, ComputeBackend, Domain, MathError, Modulus, PackedPoly,
+    RnsBasis, RnsPoly,
 };
 use neo_ntt::{cache as ntt_cache, radix2};
 use parking_lot::RwLock;
@@ -207,7 +208,27 @@ impl CkksContext {
     /// (site `ntt_forward` / `ntt_plan`) on a failed check;
     /// [`NeoError::Math`] if a plan cannot be built.
     pub fn try_ntt_forward(&self, poly: &mut RnsPoly, moduli: &[Modulus]) -> Result<(), NeoError> {
-        self.transform(poly, moduli, true, &[])
+        self.transform(poly, moduli, true, &[], |_| ()).map(drop)
+    }
+
+    /// [`Self::try_ntt_forward`] into the packed form of a KLSS key: each
+    /// limb is packed at [`packed::width`] bytes per residue by the task
+    /// that transformed it, while the limb is still in that core's cache,
+    /// and `poly`'s rows go back to the recycler.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::try_ntt_forward`].
+    pub(crate) fn try_ntt_forward_packed(
+        &self,
+        mut poly: RnsPoly,
+        moduli: &[Modulus],
+    ) -> Result<PackedPoly, NeoError> {
+        let width = packed::width(moduli);
+        let rows = self.transform(&mut poly, moduli, true, &[], |limb| {
+            packed::pack_row(limb, width)
+        })?;
+        Ok(PackedPoly::from_rows(rows, width))
     }
 
     /// Inverse NTT with ABFT verification; see [`Self::try_ntt_forward`].
@@ -220,7 +241,7 @@ impl CkksContext {
     /// [`NeoError::FaultDetected`] (site `ntt_inverse` / `ntt_plan`) on a
     /// failed check; [`NeoError::Math`] if a plan cannot be built.
     pub fn try_ntt_inverse(&self, poly: &mut RnsPoly, moduli: &[Modulus]) -> Result<(), NeoError> {
-        self.transform(poly, moduli, false, &[])
+        self.transform(poly, moduli, false, &[], |_| ()).map(drop)
     }
 
     /// [`Self::try_ntt_inverse`] that also multiplies limb `i` by
@@ -237,22 +258,25 @@ impl CkksContext {
         factors: &[u64],
     ) -> Result<(), NeoError> {
         assert_eq!(factors.len(), moduli.len(), "one factor per limb");
-        self.transform(poly, moduli, false, factors)
+        self.transform(poly, moduli, false, factors, |_| ())
+            .map(drop)
     }
 
     /// The one NTT driver behind [`Self::try_ntt_forward`] and the
     /// inverses: one verification draw for the whole polynomial, then
     /// [`Self::transform_limb`] on every limb (limb `i` of an inverse
-    /// scaled by `factors[i]`, or by 1 when `factors` is empty). The
-    /// domain is set only when every limb transformed and passed its
-    /// check.
-    fn transform(
+    /// scaled by `factors[i]`, or by 1 when `factors` is empty), followed
+    /// in the same task by `then` on the transformed limb; returns what
+    /// `then` made of each limb. The domain is set only when every limb
+    /// transformed and passed its check.
+    fn transform<T: Send>(
         &self,
         poly: &mut RnsPoly,
         moduli: &[Modulus],
         forward: bool,
         factors: &[u64],
-    ) -> Result<(), NeoError> {
+        then: impl Fn(&[u64]) -> T + Sync,
+    ) -> Result<Vec<T>, NeoError> {
         let (site, from, to) = if forward {
             ("ntt_forward", Domain::Coeff, Domain::Ntt)
         } else {
@@ -260,7 +284,7 @@ impl CkksContext {
         };
         self.check_transform(site, poly, moduli, from)?;
         let verify = neo_fault::verification_due();
-        let checks: Vec<Result<(), NeoError>> = poly
+        let limbs: Vec<Result<T, NeoError>> = poly
             .limbs_mut()
             .par_iter_mut()
             .zip(moduli.par_iter())
@@ -271,12 +295,13 @@ impl CkksContext {
                 } else {
                     LimbTransform::Inverse(factors.get(i).copied().unwrap_or(1))
                 };
-                self.transform_limb(limb, m, kind, verify)
+                self.transform_limb(limb, m, kind, verify)?;
+                Ok(then(limb))
             })
             .collect();
-        checks.into_iter().collect::<Result<(), NeoError>>()?;
+        let limbs = limbs.into_iter().collect::<Result<Vec<T>, NeoError>>()?;
         poly.set_domain(to);
-        Ok(())
+        Ok(limbs)
     }
 
     /// One limb's transform on the plan for `m`, fetched from the

@@ -11,7 +11,7 @@ use crate::context::CkksContext;
 use crate::params::KsMethod;
 use neo_error::NeoError;
 use neo_fault::splitmix64;
-use neo_math::{Domain, Modulus, RnsBasis, RnsPoly};
+use neo_math::{Domain, Modulus, PackedPoly, RnsBasis, RnsPoly};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -173,10 +173,14 @@ pub struct HybridKey {
 /// in NTT domain. (The gadget reconstitution factors `ẽ_ĵ` are 1 on each
 /// digit's own limbs and 0 elsewhere, so no factor table is needed —
 /// Recover Limbs writes each digit's limbs directly.)
+///
+/// The residues are stored at `⌈WordSize_T/8⌉` bytes each
+/// ([`PackedPoly`]), not in `u64` words: the key is only ever read by the
+/// switch's inner product, which streams the packed rows.
 #[derive(Debug, Clone)]
 pub struct KlssKey {
-    /// `digits[j][ĵ] = [k0, k1]` over the `T` basis, NTT domain.
-    pub digits: Vec<Vec<[RnsPoly; 2]>>,
+    /// `digits[j][ĵ] = [k0, k1]` over the `T` basis, NTT domain, packed.
+    pub digits: Vec<Vec<[PackedPoly; 2]>>,
     /// The level this key was generated for.
     pub level: usize,
 }
@@ -462,7 +466,9 @@ impl KeyChest {
         for k in raw.iter_mut().flatten() {
             ctx.try_ntt_inverse(k, &qp)?;
         }
-        // Key digits: α̃-limb runs over the full qp chain.
+        // Key digits: α̃-limb runs over the full qp chain. Each limb is
+        // packed by the task that transforms it, and its `u64` rows go back
+        // to the recycler for the next, so no whole `u64` key ever exists.
         let key_ranges = digit_ranges(kcfg.alpha_tilde, level + 1 + params.special);
         let digits = raw
             .iter()
@@ -473,9 +479,8 @@ impl KeyChest {
                         let table = ctx.bconv_table(&qp_primes[r.clone()], &t_primes);
                         let [k0, k1] = pair.each_ref().map(|k| {
                             let conv = table.convert_exact(&k.limbs()[r.clone()]);
-                            let mut p = RnsPoly::from_limbs(conv, Domain::Coeff)?;
-                            ctx.try_ntt_forward(&mut p, &t_moduli)?;
-                            Ok::<_, NeoError>(p)
+                            let p = RnsPoly::from_limbs(conv, Domain::Coeff)?;
+                            ctx.try_ntt_forward_packed(p, &t_moduli)
                         });
                         Ok([k0?, k1?])
                     })
@@ -724,6 +729,35 @@ mod tests {
         assert_eq!(key.digits.len(), p.beta(level));
         assert_eq!(key.digits[0].len(), p.beta_tilde(level));
         assert_eq!(key.digits[0][0][0].limb_count(), p.alpha_prime());
+    }
+
+    /// A cached KLSS key holds exactly `β·β̃·2·α'·N·⌈WordSize_T/8⌉` bytes
+    /// of residues at 36-, 48- and 60-bit `T` primes (5, 6 and 8 bytes
+    /// per word), so it cannot silently return to `u64` rows.
+    #[test]
+    fn klss_keys_store_words_at_the_t_word_size() {
+        for (word_size_t, width) in [(36u32, 5usize), (48, 6), (60, 8)] {
+            let mut params = CkksParams::test_tiny();
+            params.klss = Some(crate::params::KlssConfig {
+                word_size_t,
+                alpha_tilde: 2,
+            });
+            let ctx = Arc::new(CkksContext::new(params).unwrap());
+            let sk = SecretKey::generate(&ctx, &mut StdRng::seed_from_u64(3));
+            let chest = KeyChest::new(ctx.clone(), sk, 4);
+            let p = ctx.params();
+            let level = p.max_level;
+            let key = chest.klss_key(level, KeyTarget::Relin).unwrap();
+            let bytes: usize = key
+                .digits
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|k| (0..k.limb_count()).map(|i| k.row(i).len()).sum::<usize>())
+                .sum();
+            let words = p.beta(level) * p.beta_tilde(level) * 2 * p.alpha_prime() * ctx.degree();
+            assert_eq!(bytes, words * width, "WordSize_T = {word_size_t}");
+        }
     }
 
     #[test]

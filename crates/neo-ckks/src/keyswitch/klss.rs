@@ -16,7 +16,8 @@ use super::{check_accumulators, check_keyswitch_input, mod_down};
 use crate::context::CkksContext;
 use crate::keys::{digit_ranges, KlssKey};
 use neo_error::NeoError;
-use neo_math::{Domain, RnsPoly};
+use neo_math::packed::klss_ip_rows;
+use neo_math::{Domain, PackedPoly, RnsPoly};
 use rayon::prelude::*;
 
 /// Switches `d` (coefficient domain, `level + 1` limbs) using a KLSS key:
@@ -97,20 +98,32 @@ pub fn keyswitch_klss_into(
         .enumerate()
         .map(|(jj, range)| -> Result<[Vec<Vec<u64>>; 2], NeoError> {
             let table = ctx.bconv_table(&t_primes, &qp_primes[range.clone()]);
-            let recover = |c: usize| -> Result<Vec<Vec<u64>>, NeoError> {
-                let terms: Vec<(&RnsPoly, &RnsPoly)> = xs
-                    .iter()
-                    .zip(&key.digits)
-                    .map(|(x, digit)| (x, &digit[jj][c]))
-                    .collect();
-                let mut acc = RnsPoly::inner_product(ctx.backend(), &terms, &t_moduli);
+            // The IP of both key components, one T limb at a time: each
+            // Mod Up row is read once for both, beside the key's packed
+            // rows.
+            let pairs: Vec<&[PackedPoly; 2]> = key.digits.iter().map(|digit| &digit[jj]).collect();
+            let width = pairs[0][0].width();
+            let limbs = t_moduli.len();
+            let (mut ip0, mut ip1) = (Vec::with_capacity(limbs), Vec::with_capacity(limbs));
+            let (mut x, mut k) = (Vec::with_capacity(dnum), Vec::with_capacity(dnum));
+            for (i, t) in t_moduli.iter().enumerate() {
+                x.clear();
+                k.clear();
+                x.extend(xs.iter().map(|x| x.limb(i)));
+                k.extend(pairs.iter().map(|pair| pair.each_ref().map(|p| p.row(i))));
+                let [a, b] = klss_ip_rows(ctx.backend(), t, &x, &k, width);
+                ip0.push(a);
+                ip1.push(b);
+            }
+            let recover = |rows: Vec<Vec<u64>>| -> Result<Vec<Vec<u64>>, NeoError> {
+                let mut acc = RnsPoly::from_limbs(rows, Domain::Ntt)?;
                 // The inverse multiplies limb i by n⁻¹·T̂_i⁻¹ in its one
                 // scale pass, so the exact centered BConv of G_ĵ into
                 // digit ĵ's limbs starts from rows already scaled.
                 ctx.try_ntt_inverse_scaled(&mut acc, &t_moduli, table.qhat_inv())?;
                 Ok(table.convert_exact_scaled(acc.limbs()))
             };
-            Ok([recover(0)?, recover(1)?])
+            Ok([recover(ip0)?, recover(ip1)?])
         })
         .collect();
     // The key ranges cover the R_PQ limbs in order, so the recovered limbs
@@ -134,14 +147,16 @@ mod tests {
     use super::*;
     use crate::keys::{KeyChest, KeyTarget, SecretKey};
     use crate::keyswitch::hybrid::keyswitch_hybrid;
-    use crate::params::CkksParams;
+    use crate::params::{CkksParams, KlssConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    /// The switch before the T-basis inverse carried Recover's scaling:
-    /// each output digit's inner product, a plain inverse NTT, then
-    /// `convert_exact` with its own `T̂_i⁻¹` scaling pass.
+    /// The switch over `u64` keys, before the T-basis inverse carried
+    /// Recover's scaling: each output digit's inner product as
+    /// `RnsPoly::inner_product` (one `mul_acc` per T limb and component)
+    /// over the key rows unpacked into `u64` words, a plain inverse NTT,
+    /// then `convert_exact` with its own `T̂_i⁻¹` scaling pass.
     fn keyswitch_unfused(ctx: &CkksContext, key: &KlssKey, d: &RnsPoly) -> [RnsPoly; 2] {
         let level = key.level;
         let (q_primes, t_primes) = (&ctx.q_primes()[..=level], ctx.t_primes());
@@ -162,12 +177,13 @@ mod tests {
         for (jj, range) in key_ranges.iter().enumerate() {
             let table = ctx.bconv_table(t_primes, &qp_primes[range.clone()]);
             for (c, res) in result.iter_mut().enumerate() {
-                let mut acc = RnsPoly::zero(ctx.degree(), t_moduli.len(), Domain::Ntt);
-                for (x, digit) in xs.iter().zip(&key.digits) {
-                    let mut p = x.clone();
-                    p.mul_pointwise_assign(&digit[jj][c], t_moduli);
-                    acc.add_assign(&p, t_moduli);
-                }
+                let keys: Vec<RnsPoly> = key
+                    .digits
+                    .iter()
+                    .map(|digit| RnsPoly::from_limbs(digit[jj][c].limbs(), Domain::Ntt).unwrap())
+                    .collect();
+                let terms: Vec<(&RnsPoly, &RnsPoly)> = xs.iter().zip(&keys).collect();
+                let mut acc = RnsPoly::inner_product(ctx.backend(), &terms, t_moduli);
                 ctx.try_ntt_inverse(&mut acc, t_moduli).unwrap();
                 res.extend(table.convert_exact(acc.limbs()));
             }
@@ -178,27 +194,33 @@ mod tests {
         })
     }
 
-    /// The switch equals the unfused one bit for bit, at the top level and
-    /// at a level whose last key range holds a single limb.
+    /// The switch over packed keys equals the unfused one over `u64` keys
+    /// bit for bit, at the top level and at a level whose last key range
+    /// holds a single limb, with 48-bit `T` primes (6 bytes per word, the
+    /// IFMA kernel where the CPU has it), 36-bit ones (5 bytes) and 60-bit
+    /// ones (8 bytes, past the IFMA bound).
     #[test]
     fn klss_matches_the_unfused_switch() {
-        let (ctx, chest) = chest();
         let mut rng = StdRng::seed_from_u64(19);
-        let alpha_tilde = ctx.params().klss.unwrap().alpha_tilde;
-        let top = ctx.params().max_level;
-        let single = (0..top)
-            .rev()
-            .find(|&l| {
-                let ranges = digit_ranges(alpha_tilde, ctx.qp_primes(l).len());
-                ranges.last().unwrap().len() == 1
-            })
-            .expect("a level whose last key range holds one limb");
-        for level in [top, single] {
-            let q = ctx.q_moduli(level);
-            let d = RnsPoly::random_uniform(&mut rng, ctx.degree(), q, Domain::Coeff);
-            let key = chest.klss_key(level, KeyTarget::Relin).unwrap();
-            let (u0, u1) = keyswitch_klss(&ctx, &key, &d).unwrap();
-            assert_eq!([u0, u1], keyswitch_unfused(&ctx, &key, &d), "level {level}");
+        for word_size_t in [48, 36, 60] {
+            let (ctx, chest) = chest_at(word_size_t);
+            let alpha_tilde = ctx.params().klss.unwrap().alpha_tilde;
+            let top = ctx.params().max_level;
+            let single = (0..top)
+                .rev()
+                .find(|&l| {
+                    let ranges = digit_ranges(alpha_tilde, ctx.qp_primes(l).len());
+                    ranges.last().unwrap().len() == 1
+                })
+                .expect("a level whose last key range holds one limb");
+            for level in [top, single] {
+                let q = ctx.q_moduli(level);
+                let d = RnsPoly::random_uniform(&mut rng, ctx.degree(), q, Domain::Coeff);
+                let key = chest.klss_key(level, KeyTarget::Relin).unwrap();
+                let (u0, u1) = keyswitch_klss(&ctx, &key, &d).unwrap();
+                let want = keyswitch_unfused(&ctx, &key, &d);
+                assert_eq!([u0, u1], want, "WordSize_T {word_size_t}, level {level}");
+            }
         }
     }
 
@@ -259,7 +281,14 @@ mod tests {
     }
 
     fn chest() -> (Arc<CkksContext>, KeyChest) {
-        let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
+        chest_at(48)
+    }
+
+    /// `test_tiny` with `T` primes of `word_size_t` bits.
+    fn chest_at(word_size_t: u32) -> (Arc<CkksContext>, KeyChest) {
+        let mut params = CkksParams::test_tiny();
+        params.klss = params.klss.map(|k| KlssConfig { word_size_t, ..k });
+        let ctx = Arc::new(CkksContext::new(params).unwrap());
         let mut rng = StdRng::seed_from_u64(17);
         let sk = SecretKey::generate(&ctx, &mut rng);
         (ctx.clone(), KeyChest::new(ctx, sk, 18))

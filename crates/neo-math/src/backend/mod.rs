@@ -26,14 +26,15 @@
 //!   feature detection): 8-lane 52-bit IFMA arithmetic whenever the
 //!   modulus is below `2^50`, NTTs of radix-4 passes and an in-register
 //!   tail that reduce only where the 52-bit lanes need it, and an 8-lane
-//!   `f64` overshoot row, on CPUs with AVX-512F, IFMA and DQ; the
-//!   portable kernels otherwise.
+//!   `f64` overshoot row, on CPUs with AVX-512F, IFMA, DQ, BW and VBMI;
+//!   the portable kernels otherwise.
 //!
 //! Selection happens once per process: the `NEO_BACKEND` environment
 //! override, else runtime CPU-feature detection ([`BackendKind::detect`]:
-//! SIMD on CPUs with AVX-512F, IFMA and DQ). [`active`] hands that choice to
-//! everything above the kernel objects — `CkksContext::backend`,
-//! [`RnsPoly`](crate::RnsPoly)'s products and the default constructors
+//! SIMD on CPUs with AVX-512F, IFMA, DQ, BW and VBMI). [`active`] hands
+//! that choice to everything above the kernel objects —
+//! `CkksContext::backend`, [`RnsPoly`](crate::RnsPoly)'s products and the
+//! default constructors
 //! (`NttPlan::new`, [`BconvTable::new`](crate::BconvTable::new),
 //! `BackendGemm::auto`). The explicit pins on the kernel objects
 //! (`NttPlan::with_backend`, [`BconvTable::with_backend`](crate::BconvTable::with_backend),
@@ -56,7 +57,7 @@ pub enum BackendKind {
     /// Scalar Shoup/lazy-reduction kernels (the reference).
     Portable,
     /// AVX-512 kernels (IFMA for moduli below `2^50`) on CPUs with
-    /// AVX-512F, IFMA and DQ; the portable kernels otherwise.
+    /// AVX-512F, IFMA, DQ, BW and VBMI; the portable kernels otherwise.
     Simd,
 }
 
@@ -83,7 +84,7 @@ impl BackendKind {
     ///
     /// 1. `NEO_BACKEND=portable|scalar|simd` wins outright (unknown values
     ///    are ignored, not errors — benches sweep this variable);
-    /// 2. otherwise, on a CPU with AVX-512F, AVX-512 IFMA and AVX-512DQ,
+    /// 2. otherwise, on a CPU with AVX-512F, IFMA, DQ, BW and VBMI,
     ///    [`BackendKind::Simd`];
     /// 3. otherwise [`BackendKind::Portable`].
     pub fn detect() -> Self {
@@ -147,8 +148,9 @@ pub fn active() -> &'static dyn ComputeBackend {
 ///   *any* backend.
 /// * `mul_const` accepts **arbitrary** `u64` inputs (Shoup multiplication
 ///   is sound for any multiplicand) and emits canonical values.
-/// * `bconv_ip`, `mul_acc` and `gemm` compute exact integer sums before
-///   reducing, so their outputs are independent of association order.
+/// * `bconv_ip`, `mul_acc`, `klss_ip` and `gemm` compute exact integer
+///   sums before reducing, so their outputs are independent of
+///   association order.
 /// * `bconv_overshoot` takes the IEEE operations of one fixed scalar
 ///   loop in one fixed order, so every backend rounds alike.
 pub trait ComputeBackend: Send + Sync {
@@ -214,6 +216,25 @@ pub trait ComputeBackend: Send + Sync {
     /// `a.len() == b.len()` and every row is at least as long as `out`.
     fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]);
 
+    /// The KLSS inner product of one output digit over one `T` limb, both
+    /// key components in one pass:
+    /// `out[k][c] = (Σ_j x[j][c] · key[j][k][c]) mod q` for `k ∈ {0, 1}`,
+    /// each sum taken exactly and reduced once, each `x` row read once for
+    /// both. `key[j][k]` is a row packed at `width` bytes per residue, as
+    /// [`pack_row`](crate::packed::pack_row) writes it. Write-only, like
+    /// [`mul_acc`](Self::mul_acc). Every input must be reduced (`< q`);
+    /// `x.len() == key.len()`, both outputs have one length, every `x`
+    /// row is at least that long and every key row at least `width` times
+    /// that, and `1 ≤ width ≤ 8`.
+    fn klss_ip(
+        &self,
+        q: &Modulus,
+        x: &[&[u64]],
+        key: &[[&[u8]; 2]],
+        width: usize,
+        out: [&mut [u64]; 2],
+    );
+
     /// Blocked deferred-reduction modular GEMM: `out = a·b (mod q)` for
     /// row-major `m×k` / `k×n` operands with reduced entries. Dimension
     /// checks and work-counter tallies are the caller's job
@@ -229,6 +250,20 @@ pub trait ComputeBackend: Send + Sync {
         k: usize,
         n: usize,
         out: &mut [u64],
+    );
+}
+
+/// [`ComputeBackend::klss_ip`]'s shape contract, checked by both backends
+/// before they read a row.
+fn check_klss_ip(x: &[&[u64]], key: &[[&[u8]; 2]], width: usize, out: &[&mut [u64]; 2]) {
+    assert!((1..=8).contains(&width), "width {width} outside 1..=8");
+    assert_eq!(x.len(), key.len(), "one key pair per Mod Up row");
+    let len = out[0].len();
+    assert_eq!(out[1].len(), len, "output lengths differ");
+    assert!(x.iter().all(|r| r.len() >= len), "Mod Up row too short");
+    assert!(
+        key.iter().flatten().all(|r| r.len() >= len * width),
+        "key row too short"
     );
 }
 
@@ -271,8 +306,9 @@ mod tests {
         assert_eq!(active().kind(), BackendKind::detect());
     }
 
-    /// A CPU with AVX-512F, IFMA and DQ defaults to the SIMD backend, so
-    /// the cross-backend tests compare two different implementations there.
+    /// A CPU with AVX-512F, IFMA, DQ, BW and VBMI defaults to the SIMD
+    /// backend, so the cross-backend tests compare two different
+    /// implementations there.
     #[test]
     fn detect_picks_simd_exactly_on_ifma_cpus() {
         let overridden = std::env::var("NEO_BACKEND")
@@ -282,7 +318,9 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         let avx512 = std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512ifma")
-            && std::arch::is_x86_feature_detected!("avx512dq");
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vbmi");
         #[cfg(not(target_arch = "x86_64"))]
         let avx512 = false;
         assert_eq!(simd::ifma_available(), avx512);
@@ -370,6 +408,43 @@ mod tests {
                         (s + u128::from(x[c]) * u128::from(y[c])) % u128::from(q)
                     });
                     assert_eq!(u128::from(got), want, "mul_acc terms={terms} bits={bits}");
+                }
+            }
+
+            // The KLSS inner product over key rows packed at the modulus's
+            // width equals two `mul_acc` calls on the unpacked rows, on
+            // near-saturated operands, each backend over its own junk.
+            let width = bits.div_ceil(8) as usize;
+            let mut row = || -> Vec<u64> { (0..n + 3).map(|_| rng.gen_range(q - 2..q)).collect() };
+            for terms in [0usize, 1, 4, 70] {
+                let xs: Vec<Vec<u64>> = (0..terms).map(|_| row()).collect();
+                let ks: Vec<[Vec<u64>; 2]> = (0..terms).map(|_| [row(), row()]).collect();
+                let packed: Vec<[Vec<u8>; 2]> = ks
+                    .iter()
+                    .map(|pair| pair.each_ref().map(|k| crate::packed::pack_row(k, width)))
+                    .collect();
+                let x: Vec<&[u64]> = xs.iter().map(Vec::as_slice).collect();
+                let key: Vec<[&[u8]; 2]> = packed
+                    .iter()
+                    .map(|pair| pair.each_ref().map(Vec::as_slice))
+                    .collect();
+                let want: Vec<Vec<u64>> = (0..2)
+                    .map(|c| {
+                        let k: Vec<&[u64]> = ks.iter().map(|pair| pair[c].as_slice()).collect();
+                        let mut w = vec![0u64; n + 3];
+                        portable.mul_acc(&m, &x, &k, &mut w);
+                        w
+                    })
+                    .collect();
+                for (be, junk) in [(portable, u64::MAX), (simd, q)] {
+                    let (mut o0, mut o1) = (vec![junk; n + 3], vec![junk; n + 3]);
+                    be.klss_ip(&m, &x, &key, width, [&mut o0, &mut o1]);
+                    assert_eq!(
+                        [o0, o1],
+                        *want,
+                        "klss_ip terms={terms} bits={bits} {}",
+                        be.name()
+                    );
                 }
             }
 

@@ -2,7 +2,8 @@
 //! anchor every other backend is property-tested against, and the
 //! fallback on targets without better options.
 
-use super::{gemm_span, BackendKind, ComputeBackend};
+use super::{check_klss_ip, gemm_span, BackendKind, ComputeBackend};
+use crate::packed::word;
 use crate::{Modulus, ShoupMul};
 
 /// Scalar Shoup/lazy-reduction kernels (the original fast path).
@@ -92,6 +93,41 @@ impl ComputeBackend for PortableBackend {
                     acc += u128::from(x[c]) * u128::from(y[c]);
                 }
                 *o = q.reduce_u128(acc);
+            }
+        }
+    }
+
+    fn klss_ip(
+        &self,
+        q: &Modulus,
+        x: &[&[u64]],
+        key: &[[&[u8]; 2]],
+        width: usize,
+        out: [&mut [u64]; 2],
+    ) {
+        check_klss_ip(x, key, width, &out);
+        let [o0, o1] = out;
+        if x.is_empty() {
+            o0.fill(0);
+            o1.fill(0);
+        }
+        // As in `mul_acc`: `span` terms per pass, the first pass writing
+        // the outputs without reading them.
+        let span = gemm_span(q);
+        for (g, (xs, ks)) in x.chunks(span).zip(key.chunks(span)).enumerate() {
+            for (c, (a, b)) in o0.iter_mut().zip(o1.iter_mut()).enumerate() {
+                let (mut s0, mut s1) = if g == 0 {
+                    (0, 0)
+                } else {
+                    (u128::from(*a), u128::from(*b))
+                };
+                for (row, [k0, k1]) in xs.iter().zip(ks) {
+                    let v = u128::from(row[c]);
+                    s0 += v * u128::from(word(k0, c, width));
+                    s1 += v * u128::from(word(k1, c, width));
+                }
+                *a = q.reduce_u128(s0);
+                *b = q.reduce_u128(s1);
             }
         }
     }

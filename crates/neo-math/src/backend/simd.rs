@@ -42,19 +42,25 @@
 //!   once. `mul_acc` prefetches every operand row a fixed distance ahead:
 //!   the key-switch inner product streams a key far larger than a core's
 //!   caches.
+//! * **Packed key rows** (`klss_ip`) hold residues at `width ≤ 8`
+//!   bytes; the KLSS inner product loads 8 of them with one byte-masked
+//!   load (AVX-512BW) and spreads them to their lanes with one byte
+//!   permute (`vpermb`, VBMI), and loads each Mod Up vector once for both
+//!   key components.
 //! * **The overshoot row** of exact BConv takes 8 coefficients' `f64`
 //!   sums at once with AVX-512DQ's `u64 ↔ f64` conversions, in the scalar
 //!   loop's operation order, so it rounds bit for bit alike.
 //!
 //! Everything else falls back to [`PortableBackend`], which stays the
 //! reference: moduli of `2^50` or more, transforms shorter than 64, CPUs
-//! without AVX-512F, IFMA and DQ, and GEMM (off the CKKS host path).
+//! without AVX-512F, IFMA, DQ, BW and VBMI, and GEMM (off the CKKS host
+//! path).
 //! Outputs equal the portable ones at every kernel boundary, because
 //! every kernel emits canonical residues; inside a transform the lanes
 //! hold other representatives than the portable loops' `[0, 4q)` and
 //! `[0, 2q)` windows.
 
-use super::{BackendKind, ComputeBackend, PortableBackend};
+use super::{check_klss_ip, BackendKind, ComputeBackend, PortableBackend};
 use crate::{Modulus, ShoupMul};
 
 /// AVX-512 kernels (IFMA for moduli below `2^50`), portable kernels
@@ -63,16 +69,18 @@ use crate::{Modulus, ShoupMul};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimdBackend;
 
-/// True when the CPU runs the AVX-512 kernels: AVX-512F, AVX-512 IFMA and
-/// AVX-512DQ together, the one feature set every kernel below enables.
-/// `is_x86_feature_detected!` caches its probe, so this is a few loads
-/// and bit tests.
+/// True when the CPU runs the AVX-512 kernels: AVX-512F, IFMA, DQ, BW and
+/// VBMI together, the one feature set every kernel below enables (every
+/// CPU with IFMA so far has the other four). `is_x86_feature_detected!`
+/// caches its probe, so this is a few loads and bit tests.
 pub(super) fn ifma_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512ifma")
             && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vbmi")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -88,7 +96,7 @@ macro_rules! route {
         if $cond {
             // SAFETY: every route condition includes `ifma_available`,
             // directly or through `ifma::supports`, which proved
-            // AVX-512F, AVX-512 IFMA and AVX-512DQ on this CPU.
+            // AVX-512F, IFMA, DQ, BW and VBMI on this CPU.
             return unsafe { $ifma };
         }
         $portable
@@ -151,6 +159,22 @@ impl ComputeBackend for SimdBackend {
         )
     }
 
+    fn klss_ip(
+        &self,
+        q: &Modulus,
+        x: &[&[u64]],
+        key: &[[&[u8]; 2]],
+        width: usize,
+        out: [&mut [u64]; 2],
+    ) {
+        check_klss_ip(x, key, width, &out);
+        route!(
+            ifma::supports(q) && x.len() < ifma::MAX_TERMS,
+            ifma::klss_ip(q, x, key, width, out),
+            PortableBackend.klss_ip(q, x, key, width, out)
+        )
+    }
+
     fn gemm(
         &self,
         q: &Modulus,
@@ -166,12 +190,12 @@ impl ComputeBackend for SimdBackend {
 }
 
 /// The AVX-512 kernels. Each carries
-/// `#[target_feature(enable = "avx512f,avx512ifma,avx512dq")]`, so calling
-/// one from code without those features is `unsafe`; the dispatcher calls
-/// them only after [`ifma_available`] proved all three — through
-/// [`supports`](ifma::supports) for the modular kernels, which also
-/// require a modulus below `2^50`, the bound every lane-range argument
-/// below relies on.
+/// `#[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]`,
+/// so calling one from code without those features is `unsafe`; the
+/// dispatcher calls them only after [`ifma_available`] proved all five —
+/// through [`supports`](ifma::supports) for the modular kernels, which
+/// also require a modulus below `2^50`, the bound every lane-range
+/// argument below relies on.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use super::PortableBackend;
@@ -211,13 +235,13 @@ mod ifma {
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn splat(v: u64) -> V {
         _mm512_set1_epi64(v as i64)
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn load(v: &[u64; 8]) -> V {
         // SAFETY: `v` is 64 readable bytes; `loadu` needs no alignment.
         unsafe { _mm512_loadu_si512(v.as_ptr().cast()) }
@@ -225,26 +249,26 @@ mod ifma {
 
     /// Loads `row[i..i + 8]`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn load_at(row: &[u64], i: usize) -> V {
         load(row[i..].first_chunk().expect("row shorter than the output"))
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn store(v: &mut [u64; 8], x: V) {
         // SAFETY: `v` is 64 writable bytes; `storeu` needs no alignment.
         unsafe { _mm512_storeu_si512(v.as_mut_ptr().cast(), x) }
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn add(a: V, b: V) -> V {
         _mm512_add_epi64(a, b)
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn sub(a: V, b: V) -> V {
         _mm512_sub_epi64(a, b)
     }
@@ -252,7 +276,7 @@ mod ifma {
     /// `x − c` where `x ≥ c`, else `x`: the wrapped difference is huge
     /// exactly when `x < c`, so the unsigned minimum picks the answer.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn cond_sub(x: V, c: V) -> V {
         _mm512_min_epu64(_mm512_sub_epi64(x, c), x)
     }
@@ -260,7 +284,7 @@ mod ifma {
     /// Two-source lane permute: lane `l` of the result is lane `idx[l]` of
     /// the concatenation `a ‖ b` (one `vpermt2q`).
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn permute(a: V, idx: V, b: V) -> V {
         _mm512_permutex2var_epi64(a, idx, b)
     }
@@ -279,7 +303,7 @@ mod ifma {
 
     impl Lanes {
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         pub fn new(m: &Modulus) -> Self {
             let q = m.value();
             Self {
@@ -296,7 +320,7 @@ mod ifma {
         /// remainder lies in `[0, 2q)`, so it is the result's whole value;
         /// the bits above are garbage.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn mul(&self, a: V, w: V, ws: V) -> V {
             let zero = _mm512_setzero_si512();
             let qhat = _mm512_madd52hi_epu64(zero, a, ws);
@@ -307,7 +331,7 @@ mod ifma {
         /// A lane's value folded into `[0, 2q)`: [`Lanes::mul`] by 1, two
         /// IFMA, whatever the bits above the value hold.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn fold(&self, a: V) -> V {
             let qhat = _mm512_madd52hi_epu64(_mm512_setzero_si512(), a, self.one_s);
             _mm512_madd52lo_epu64(a, qhat, self.neg_q)
@@ -316,7 +340,7 @@ mod ifma {
         /// A lane whose value lies in `[0, 2q)`, canonical: masked, then
         /// brought below `q`.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn exact(&self, a: V) -> V {
             cond_sub(_mm512_and_si512(a, self.mask), self.q)
         }
@@ -326,7 +350,7 @@ mod ifma {
         /// returns `(u + t, u + 2q − t)`, below `B + 2q` (`4q` after a
         /// fold). 3 IFMA and 3 adds; a fold adds 2 IFMA.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn ct(&self, lo: V, hi: V, w: V, ws: V, fold: bool) -> (V, V) {
             let u = if fold { self.fold(lo) } else { lo };
             let t = self.mul(hi, w, ws);
@@ -339,7 +363,7 @@ mod ifma {
         /// `(lo + B − hi)·w`, below `2q`. 3 IFMA and 3 adds; a fold adds 2
         /// IFMA.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn gs(&self, lo: V, hi: V, b: V, w: V, ws: V, fold: bool) -> (V, V) {
             let s = add(lo, hi);
             let s = if fold { self.fold(s) } else { s };
@@ -348,7 +372,7 @@ mod ifma {
 
         /// Folds `[0, 4q)` to canonical `[0, q)`.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn canonical(&self, x: V) -> V {
             cond_sub(cond_sub(x, self.two_q), self.q)
         }
@@ -406,7 +430,7 @@ mod ifma {
 
     /// One Shoup pair broadcast to every lane as `(w, w_shoup >> 12)`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn splat_shoup(s: &ShoupMul) -> (V, V) {
         (splat(s.w), splat(s.w_shoup >> 12))
     }
@@ -414,7 +438,7 @@ mod ifma {
     /// Loads 8 Shoup pairs as `(w, w_shoup >> 12)` lane vectors: two wide
     /// loads and two deinterleaving permutes.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn load_shoup(tw: &[ShoupMul; 8]) -> (V, V) {
         let words = tw.as_ptr().cast::<u64>();
         // SAFETY: `ShoupMul` is `repr(C)` with two `u64` fields and no
@@ -434,7 +458,7 @@ mod ifma {
     /// `(w, w_shoup >> 12)` vectors, pair `l·K/8` in lane `l`: one masked
     /// load of their `2K` words and one permute per vector.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn spread_shoup<const K: usize>(tw: &[ShoupMul; K]) -> (V, V) {
         let words = ((1u32 << (2 * K)) - 1) as __mmask8;
         // SAFETY: as in `load_shoup`, `tw` is `2K` contiguous readable
@@ -474,7 +498,7 @@ mod ifma {
     /// The forward transform: radix-4 passes of Cooley–Tukey stages from
     /// span `n` down to span 32 (or 16), then the register tail, which
     /// also reduces to canonical.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn forward(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> u64 {
         let k = Lanes::new(m);
         let n = x.len();
@@ -501,7 +525,7 @@ mod ifma {
     /// The inverse transform: the register tail (spans 2 up to 16, or 8),
     /// radix-4 passes of Gentleman–Sande stages up to span `n`, the last
     /// of which also applies the `n⁻¹` scale and emits canonical values.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn inverse(m: &Modulus, x: &mut [u64], tw: &[ShoupMul], n_inv: ShoupMul) -> u64 {
         let k = Lanes::new(m);
         let n = x.len();
@@ -560,7 +584,7 @@ mod ifma {
     /// `(c, d)` by `narrow[2i + 1]`; GS runs the same butterflies in the
     /// opposite order. `folds` and, for GS, `bounds` hold the decisions
     /// and the `B` of the two stages in the order they run.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn pass<const KIND: u8>(
         k: &Lanes,
         x: &mut [u64],
@@ -609,7 +633,7 @@ mod ifma {
     /// sums when `f0`), then span `n`, whose butterflies also apply the
     /// scale `s`: `(lo + hi)·s` and `(lo + B − hi)·(w·s)`, canonical out.
     /// The scale costs no pass of its own.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     fn last_pass(
         k: &Lanes,
         m: &Modulus,
@@ -669,13 +693,13 @@ mod ifma {
 
     impl Move {
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn new(idx: [[u64; 8]; 2]) -> Self {
             Self([load(&idx[0]), load(&idx[1])])
         }
 
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn apply(&self, a: V, b: V) -> (V, V) {
             (permute(a, self.0[0], b), permute(a, self.0[1], b))
         }
@@ -688,7 +712,7 @@ mod ifma {
     /// memory order.
     /// `folds[bit]` is the decision of the stage of layout `bit`. Twiddles
     /// come from the per-block table: the group's 1, 2, 4 and 8 blocks.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn forward_tail(k: &Lanes, x: &mut [u64], tw: &[ShoupMul], folds: [bool; 4]) -> u64 {
         let n = x.len();
         let wide = tail_span(n) == 16;
@@ -731,7 +755,7 @@ mod ifma {
     /// (when `log₂ n` is even) over each 16-element group, the mirror of
     /// [`forward_tail`] without its exit. `stages[bit]` holds the `B` and
     /// the fold decision of the stage of layout `bit`.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn inverse_tail(
         k: &Lanes,
         x: &mut [u64],
@@ -784,7 +808,7 @@ mod ifma {
     /// splits as `x = h·2^52 + l` (`h < 2^12`) and
     /// `x·w ≡ l·w + h·(2^52·w mod q)`; both products take one 52-bit
     /// Shoup quotient, so their combined remainder lies in `[0, 4q)`.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn mul_const(m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) {
         let k = Lanes::new(m);
         let (w, ws) = shoup52(m, s.w);
@@ -817,7 +841,7 @@ mod ifma {
 
     impl WideReducer {
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn new(m: &Modulus) -> Self {
             let c52 = m.reduce(1 << 52);
             let c104 = m.mul(c52, c52);
@@ -835,7 +859,7 @@ mod ifma {
         /// share one Shoup remainder in `[0, 4q)`; `l0` takes its own
         /// (Shoup by 1) in `[0, 2q)`.
         #[inline]
-        #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
         fn reduce(&self, hi: V, lo: V) -> V {
             let k = &self.k;
             let zero = _mm512_setzero_si512();
@@ -856,7 +880,7 @@ mod ifma {
     /// `out[c] = (Σ_i ys[i][c]·w[i]) mod t` for `ys < 2^52`, `w < t`, fewer
     /// than `2^11` rows: each term adds `< 2^52` to `lo` and `< 2^50` to
     /// `hi`, so neither lane wraps.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn bconv_ip(t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]) {
         let reducer = WideReducer::new(t);
         let (outs, tail) = out.as_chunks_mut::<8>();
@@ -881,7 +905,7 @@ mod ifma {
     /// vector `c + PREFETCH_AHEAD` of every operand row, while that lies
     /// inside the rows (each at least as long as `out`): the key-switch
     /// inner product streams a key far larger than a core's caches.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn mul_acc(q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
         let reducer = WideReducer::new(q);
         let (outs, tail) = out.as_chunks_mut::<8>();
@@ -909,10 +933,109 @@ mod ifma {
 
     /// Asks for the cache line that holds `row[i]`, `i < row.len()`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
-    fn prefetch(row: &[u64], i: usize) {
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
+    fn prefetch<T>(row: &[T], i: usize) {
         debug_assert!(i < row.len());
         _mm_prefetch::<_MM_HINT_T0>(row.as_ptr().wrapping_add(i).cast());
+    }
+
+    /// Loads 8 residues of a row packed at `width` bytes, each into its
+    /// lane, zero-extended: one masked load of their `8·width` bytes and
+    /// one `vpermb`, which moves residue `l`'s bytes to lane `l`'s low
+    /// bytes and zeroes the rest.
+    struct Unpack {
+        idx: V,
+        /// The bytes of each lane that take a residue's byte.
+        lanes: __mmask64,
+        /// The `8·width` bytes one load reads.
+        bytes: __mmask64,
+        /// `8·width`.
+        vector: usize,
+    }
+
+    impl Unpack {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
+        fn new(width: usize) -> Self {
+            let (mut idx, mut lanes) = ([0u8; 64], 0u64);
+            for (k, i) in idx.iter_mut().enumerate() {
+                let (lane, byte) = (k / 8, k % 8);
+                if byte < width {
+                    *i = (lane * width + byte) as u8;
+                    lanes |= 1 << k;
+                }
+            }
+            Self {
+                // SAFETY: `idx` is 64 readable bytes; `loadu` needs no
+                // alignment.
+                idx: unsafe { _mm512_loadu_si512(idx.as_ptr().cast()) },
+                lanes,
+                bytes: u64::MAX >> (64 - 8 * width),
+                vector: 8 * width,
+            }
+        }
+
+        /// Residues `8c..8c + 8` of `row`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
+        fn load(&self, row: &[u8], c: usize) -> V {
+            let chunk = &row[c * self.vector..(c + 1) * self.vector];
+            // SAFETY: the mask enables the first `vector` bytes from the
+            // chunk's start, exactly the chunk's readable bytes.
+            let v = unsafe { _mm512_maskz_loadu_epi8(self.bytes, chunk.as_ptr().cast()) };
+            _mm512_maskz_permutexvar_epi8(self.lanes, self.idx, v)
+        }
+    }
+
+    /// `out[k][c] = (Σ_j x[j][c]·key[j][k][c]) mod q` for `k ∈ {0, 1}`,
+    /// reduced inputs, fewer than `2^11` terms and key rows packed at
+    /// `width` bytes, never reading `out`: each term loads its `x` vector
+    /// once and adds its two products to two lane-sum pairs, each bounded
+    /// as in `mul_acc`. Every row is prefetched `PREFETCH_AHEAD` vectors
+    /// ahead, as `mul_acc` does.
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
+    pub fn klss_ip(
+        q: &Modulus,
+        x: &[&[u64]],
+        key: &[[&[u8]; 2]],
+        width: usize,
+        out: [&mut [u64]; 2],
+    ) {
+        let reducer = WideReducer::new(q);
+        let unpack = Unpack::new(width);
+        let [o0, o1] = out;
+        let (outs0, tail0) = o0.as_chunks_mut::<8>();
+        let (outs1, tail1) = o1.as_chunks_mut::<8>();
+        let vectors = outs0.len();
+        for (c, (a, b)) in outs0.iter_mut().zip(outs1.iter_mut()).enumerate() {
+            let ahead = c + PREFETCH_AHEAD;
+            let fetch = ahead < vectors;
+            let zero = _mm512_setzero_si512();
+            let (mut hi0, mut lo0, mut hi1, mut lo1) = (zero, zero, zero, zero);
+            for (row, [k0, k1]) in x.iter().zip(key) {
+                if fetch {
+                    prefetch(row, 8 * ahead);
+                    prefetch(k0, unpack.vector * ahead);
+                    prefetch(k1, unpack.vector * ahead);
+                }
+                let v = load_at(row, 8 * c);
+                let (w0, w1) = (unpack.load(k0, c), unpack.load(k1, c));
+                lo0 = _mm512_madd52lo_epu64(lo0, v, w0);
+                hi0 = _mm512_madd52hi_epu64(hi0, v, w0);
+                lo1 = _mm512_madd52lo_epu64(lo1, v, w1);
+                hi1 = _mm512_madd52hi_epu64(hi1, v, w1);
+            }
+            store(a, reducer.reduce(hi0, lo0));
+            store(b, reducer.reduce(hi1, lo1));
+        }
+        if !tail0.is_empty() {
+            let split = 8 * vectors;
+            let key: Vec<[&[u8]; 2]> = key
+                .iter()
+                .map(|pair| pair.map(|r| &r[split * width..]))
+                .collect();
+            PortableBackend.klss_ip(q, &tails(x, split), &key, width, [tail0, tail1]);
+        }
     }
 
     /// `out[c] = round(Σ_i ys[i][c]·inv_q[i])` with the scalar loop's IEEE
@@ -921,7 +1044,7 @@ mod ifma {
     /// FMA); then truncation (`vcvttpd2uqq`), the remainder compared with
     /// one half, and a masked increment. Both conversions round as Rust's
     /// `as` casts do, and they are exact below `2^52`.
-    #[target_feature(enable = "avx512f,avx512ifma,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn bconv_overshoot(ys: &[&[u64]], inv_q: &[f64], out: &mut [u64]) {
         let (half, one) = (_mm512_set1_pd(0.5), splat(1));
         let (outs, tail) = out.as_chunks_mut::<8>();
@@ -1054,7 +1177,7 @@ mod tests {
                     seen[0][usize::from(folds[0]) + 2 * usize::from(folds[1])] = true;
                     let x = lazy(&mut rng, n, start * q);
                     let (mut fused, mut split) = (x.clone(), x);
-                    // SAFETY: `ifma_available` proved AVX-512F, IFMA and DQ.
+                    // SAFETY: `ifma_available` proved every feature the kernels enable.
                     let done = unsafe {
                         let k = ifma::Lanes::new(&m);
                         ifma::pass::<{ ifma::CT }>(
@@ -1122,7 +1245,7 @@ mod tests {
                 let folds: [bool; 4] = std::array::from_fn(|bit| pattern >> bit & 1 == 1);
                 let x = lazy(&mut rng, n, 4 * q);
                 let (mut tail, mut model) = (x.clone(), x);
-                // SAFETY: `ifma_available` proved AVX-512F, IFMA and DQ.
+                // SAFETY: `ifma_available` proved every feature the kernels enable.
                 let done = unsafe {
                     let k = ifma::Lanes::new(&m);
                     ifma::forward_tail(&k, &mut tail, &tw, folds)

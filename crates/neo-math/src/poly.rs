@@ -298,7 +298,9 @@ impl RnsPoly {
         }
     }
 
-    /// Multiplies limb `i` by the scalar `s[i]` (one scalar per limb).
+    /// Multiplies limb `i` by the scalar `s[i]` (one scalar per limb), as
+    /// one [`ComputeBackend::mul_const`] pass per limb on the
+    /// process-wide backend.
     ///
     /// # Panics
     ///
@@ -306,12 +308,15 @@ impl RnsPoly {
     pub fn mul_scalar_per_limb_assign(&mut self, s: &[u64], moduli: &[Modulus]) {
         assert_eq!(s.len(), self.limbs.len());
         self.check_moduli(moduli);
-        for ((a, &sc), m) in self.limbs.iter_mut().zip(s).zip(moduli) {
-            let sc = m.reduce(sc);
-            for x in a.iter_mut() {
-                *x = m.mul(*x, sc);
-            }
+        let be = backend::active();
+        // As in `mul_pointwise_assign`: each product lands in a scratch
+        // row that then swaps places with the limb.
+        let mut prod = LIMBS.take(self.n);
+        for ((limb, &sc), m) in self.limbs.iter_mut().zip(s).zip(moduli) {
+            be.mul_const(m, m.shoup(m.reduce(sc)), limb, &mut prod);
+            std::mem::swap(limb, &mut prod);
         }
+        LIMBS.give(prod);
     }
 
     /// Applies the Galois automorphism `X ↦ X^g` in the coefficient domain

@@ -1,9 +1,10 @@
 //! Cross-backend bit-identity: the portable and SIMD compute backends
 //! must produce byte-for-byte equal outputs on every kernel the
 //! [`neo_math::ComputeBackend`] seam covers — forward/inverse NTT, RNS
-//! base conversion, the fused multiply-accumulate, and the verified
-//! modular GEMM — across random primes on both sides of the SIMD
-//! backend's `2^50` IFMA bound and bootstrapping-adjacent degrees. The
+//! base conversion, the fused multiply-accumulate, the KLSS inner
+//! product over packed key rows, and the verified modular GEMM — across
+//! random primes on both sides of the SIMD backend's `2^50` IFMA bound
+//! and bootstrapping-adjacent degrees. The
 //! kernel tests pin each backend on the kernel objects in one process.
 //! The backend is a process-wide fact above them, so whole CKKS
 //! operations and a session-store round trip are compared against a
@@ -13,7 +14,7 @@
 //! integrity tokens, stored sessions and golden test vectors all remain
 //! valid regardless of which backend computed them.
 
-use neo_math::{backend, BackendKind, BconvTable, Modulus, RnsBasis};
+use neo_math::{backend, packed, BackendKind, BconvTable, Modulus, RnsBasis};
 use neo_ntt::{radix2, NttPlan};
 use neo_tcu::{BackendGemm, CheckedGemm};
 use proptest::prelude::*;
@@ -162,6 +163,55 @@ proptest! {
             .collect();
         prop_assert_eq!(&p, &want);
         prop_assert_eq!(s, want);
+    }
+
+    /// The KLSS inner product over packed key rows agrees across backends
+    /// for 1–8 terms, ragged lengths and every packing width from 4 to 8
+    /// bytes, and equals two `mul_acc` calls on the unpacked rows; both
+    /// outputs start as junk.
+    #[test]
+    fn klss_ip_is_bit_identical_across_backends(
+        seed in any::<u64>(),
+        bits in 30u32..=61,
+        terms in 1usize..=8,
+        len in 1usize..=70,
+        saturate in any::<bool>(),
+    ) {
+        let q = Modulus::new(
+            neo_math::primes::ntt_primes(bits, 1 << 4, 1).unwrap()[0],
+        ).unwrap();
+        let width = bits.div_ceil(8) as usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut row = || if saturate {
+            vec![q.value() - 1; len]
+        } else {
+            random_vec(&mut rng, len, q.value())
+        };
+        let xs: Vec<Vec<u64>> = (0..terms).map(|_| row()).collect();
+        let ks: Vec<[Vec<u64>; 2]> = (0..terms).map(|_| [row(), row()]).collect();
+        let packed: Vec<[Vec<u8>; 2]> = ks
+            .iter()
+            .map(|pair| pair.each_ref().map(|k| packed::pack_row(k, width)))
+            .collect();
+        let x: Vec<&[u64]> = xs.iter().map(Vec::as_slice).collect();
+        let key: Vec<[&[u8]; 2]> = packed
+            .iter()
+            .map(|pair| pair.each_ref().map(Vec::as_slice))
+            .collect();
+        let want: Vec<Vec<u64>> = (0..2)
+            .map(|c| {
+                let k: Vec<&[u64]> = ks.iter().map(|pair| pair[c].as_slice()).collect();
+                let mut w = vec![0u64; len];
+                backend::get(BackendKind::Portable).mul_acc(&q, &x, &k, &mut w);
+                w
+            })
+            .collect();
+        for kind in [BackendKind::Portable, BackendKind::Simd] {
+            let mut junk = || -> Vec<u64> { (0..len).map(|_| rng.gen()).collect() };
+            let (mut o0, mut o1) = (junk(), junk());
+            backend::get(kind).klss_ip(&q, &x, &key, width, [&mut o0, &mut o1]);
+            prop_assert_eq!(&[o0, o1][..], &want[..], "{}", kind);
+        }
     }
 
     /// `mul_const` accepts raw, unreduced 64-bit inputs; at the
