@@ -11,16 +11,18 @@
 //! Both are planned on the accelerator parameters (`ParamSet::C`, A100
 //! device model) and the chosen plan's simulated makespan is compared
 //! against [`ExecPlan::unplanned`] — the all-defaults configuration
-//! (parameter-default KS method, no fusion, one stream). The chosen
+//! (the parameters' own KS method, no fusion, one stream). The chosen
 //! plan's `predicted_makespan_s` is cross-checked **exactly** (`==`)
 //! against an independent re-simulation.
 //!
 //! Host measurement runs the HMult batch on reduced functional
 //! parameters (`test_small` — the usual two-tier pricing split, as in
-//! `serve_bench`): a host-side planner picks a plan, and execution on a
-//! session the plan is installed on ([`FheEngine::with_plan`]) is timed
-//! against the all-defaults session, with outputs asserted
-//! bit-identical to a same-method reference.
+//! `serve_bench`): a host-side planner picks a plan, and a session built
+//! from the plan's parameters (same seed) is timed against the
+//! all-defaults session, each on its second run of the batch (the first
+//! warms keys and conversion tables), with outputs asserted
+//! bit-identical to a sequential loop under the plan's method on the
+//! all-defaults session's keys.
 //!
 //! Artifacts: `BENCH_plan.json` at the repo root,
 //! `results/plan_bench.json` (via the shared `emit` convention), and
@@ -29,11 +31,11 @@
 
 #![deny(clippy::unwrap_used)]
 
-use neo_bench::{emit, fmt_time, ratio};
+use neo_bench::{emit, fmt_time, ratio, run_sequential};
 use neo_ckks::bootstrap::BootstrapPlan;
-use neo_ckks::{BatchOp, BatchProgram, CkksParams, ExecPlan, FheEngine, ParamSet, Slot};
+use neo_ckks::{BatchOp, BatchProgram, Ciphertext, CkksParams, FheEngine, ParamSet, Slot};
 use neo_gpu_sim::DeviceModel;
-use neo_plan::{PlanStore, Planner};
+use neo_plan::{ExecPlan, PlanStore, Planner};
 use neo_sched::{chrome_trace, simulate, SimConfig};
 use serde_json::json;
 use std::sync::Arc;
@@ -61,13 +63,13 @@ fn hmult_batch(copies: usize) -> BatchProgram {
 
 fn plan_summary(p: &ExecPlan) -> String {
     format!(
-        "{:?} wst={} fusion={} streams={} verify={:?}",
-        p.method,
-        p.word_size_t
-            .map_or_else(|| "-".to_string(), |w| w.to_string()),
+        "{:?} wst={} fusion={} streams={}",
+        p.params.method(),
+        p.params
+            .klss
+            .map_or_else(|| "-".to_string(), |k| k.word_size_t.to_string()),
         p.fusion,
         p.streams,
-        p.verify
     )
 }
 
@@ -87,12 +89,8 @@ fn main() {
     eprintln!("[plan_bench] planning {copies}x HMult batch on ParamSet::C…");
     let hmult_plan = planner.plan_program(&prog, sim_level).expect("plan hmult");
     let hmult_default = ExecPlan::unplanned(&params);
-    let hmult_default_s = planner
-        .simulate_program_plan(&prog, sim_level, &hmult_default)
-        .expect("price default");
-    let hmult_recheck = planner
-        .simulate_program_plan(&prog, sim_level, &hmult_plan)
-        .expect("recheck");
+    let hmult_default_s = planner.simulate_program_plan(&prog, sim_level, &hmult_default);
+    let hmult_recheck = planner.simulate_program_plan(&prog, sim_level, &hmult_plan);
     assert_eq!(
         hmult_plan.predicted_makespan_s, hmult_recheck,
         "predicted makespan must match an independent re-simulation exactly"
@@ -109,12 +107,8 @@ fn main() {
         .expect("bootstrap plan")
         .trace();
     let bs_plan = planner.plan_trace(&bs_steps).expect("plan bootstrap");
-    let bs_default_s = planner
-        .simulate_trace_plan(&bs_steps, &hmult_default)
-        .expect("price default trace");
-    let bs_recheck = planner
-        .simulate_trace_plan(&bs_steps, &bs_plan)
-        .expect("recheck trace");
+    let bs_default_s = planner.simulate_trace_plan(&bs_steps, &hmult_default);
+    let bs_recheck = planner.simulate_trace_plan(&bs_steps, &bs_plan);
     assert_eq!(
         bs_plan.predicted_makespan_s, bs_recheck,
         "bootstrap predicted makespan must re-simulate exactly"
@@ -122,9 +116,8 @@ fn main() {
     let bs_sim_speedup = ratio(bs_default_s, bs_plan.predicted_makespan_s);
 
     // Chrome trace of the chosen HMult schedule.
-    let (chosen_params, chosen_cost) = planner.realize(&hmult_plan).expect("realize");
     let graph = {
-        let g = prog.kernel_graph(&chosen_params, sim_level, &chosen_cost);
+        let g = prog.kernel_graph(&hmult_plan.params, sim_level, &hmult_plan.cost());
         if hmult_plan.fusion {
             g.fuse_elementwise().0
         } else {
@@ -155,52 +148,43 @@ fn main() {
             engine.encrypt_f64(&[x, -x], host_level).expect("encrypt")
         })
         .collect();
-    engine.warm_program(&prog, host_level).expect("warm");
+    // Each session runs the batch once untimed, which warms its keys and
+    // its context's conversion tables, then once timed.
+    let timed_run = |e: &FheEngine| -> (f64, Vec<Ciphertext>) {
+        e.execute_batch(&prog, &inputs, false).expect("warm-up run");
+        let t = Instant::now();
+        let out = e.execute_batch(&prog, &inputs, false).expect("timed run");
+        let s = t.elapsed().as_secs_f64();
+        let out = out.into_iter().collect::<Result<Vec<_>, _>>();
+        (s, out.expect("every op succeeds"))
+    };
 
-    // All-defaults baseline (parameter-default method, 1 stream).
-    let t0 = Instant::now();
-    let default_out = engine
-        .execute_batch(&prog, &inputs, false)
-        .expect("default");
-    let host_default_s = t0.elapsed().as_secs_f64();
+    // All-defaults baseline: the parameters' own method.
+    let (host_default_s, default_out) = timed_run(&engine);
 
-    // Same-method reference: the bit-identity anchor. Only the KS method
-    // changes ciphertext bits; streams/fusion are timing-side.
-    let engine = engine.with_plan(&ExecPlan::pinned(&host_params, host_plan.method));
-    let reference: Vec<_> = engine
-        .execute_batch(&prog, &inputs, false)
-        .expect("reference")
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .expect("reference ops");
+    // Same-method reference: the bit-identity anchor, a sequential loop
+    // under the plan's method on the all-defaults session's keys.
+    let reference: Vec<_> =
+        run_sequential(&prog, engine.chest(), &inputs, host_plan.params.method())
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .expect("reference ops");
 
-    // Planned execution under the tuned plan.
-    let engine = engine.with_plan(&host_plan);
-    let t1 = Instant::now();
-    let planned_out = engine
-        .execute_batch(&prog, &inputs, false)
-        .expect("planned");
-    let host_planned_s = t1.elapsed().as_secs_f64();
-    let planned: Vec<_> = planned_out
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .expect("planned ops");
+    // The planned session, built from the plan's parameters with the
+    // same seed: its keys are the all-defaults session's.
+    let planned_engine = FheEngine::new(host_plan.params.clone(), 42).expect("planned engine");
+    let (host_planned_s, planned) = timed_run(&planned_engine);
     assert_eq!(
         planned, reference,
         "planned outputs must be bit-identical to the same-method reference"
     );
-    let mut identical = planned.len();
-    if host_plan.method == ExecPlan::unplanned(&host_params).method {
-        let default_ok: Vec<_> = default_out
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .expect("default ops");
+    if host_plan.params == host_params {
         assert_eq!(
-            planned, default_ok,
-            "same-method planned outputs must equal the unplanned run bit for bit"
+            planned, default_out,
+            "a plan of the default parameters must equal the unplanned run bit for bit"
         );
-        identical = planned.len();
     }
+    let identical = planned.len();
     let host_speedup = ratio(host_default_s, host_planned_s);
 
     let human = format!(
@@ -228,11 +212,10 @@ fn main() {
 
     let plan_json = |p: &ExecPlan| {
         json!({
-            "method": format!("{:?}", p.method),
-            "word_size_t": p.word_size_t,
+            "method": format!("{:?}", p.params.method()),
+            "word_size_t": p.params.klss.map(|k| k.word_size_t),
             "fusion": p.fusion,
             "streams": p.streams,
-            "verify": format!("{:?}", p.verify),
             "predicted_makespan_s": p.predicted_makespan_s,
         })
     };

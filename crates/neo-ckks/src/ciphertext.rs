@@ -83,11 +83,6 @@ impl Ciphertext {
         (&mut self.c0, &mut self.c1)
     }
 
-    /// Consumes into components.
-    pub fn into_parts(self) -> (RnsPoly, RnsPoly) {
-        (self.c0, self.c1)
-    }
-
     /// Current scale.
     pub fn scale(&self) -> f64 {
         self.scale
@@ -101,16 +96,5 @@ impl Ciphertext {
     /// Current level `l`.
     pub fn level(&self) -> usize {
         self.level
-    }
-
-    /// Decrements level metadata after limb drops (used by rescaling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polynomials still carry more limbs than `level + 1`.
-    pub fn set_level(&mut self, level: usize) {
-        assert_eq!(self.c0.limb_count(), level + 1);
-        assert_eq!(self.c1.limb_count(), level + 1);
-        self.level = level;
     }
 }

@@ -1,13 +1,12 @@
 //! [`FheEngine`] — a session-style facade over the CKKS stack.
 //!
 //! The engine bundles the pieces a caller otherwise wires by hand
-//! ([`CkksContext`], [`KeyChest`], [`Encoder`], a key-switching method)
-//! behind one object whose every operation returns
-//! [`Result<_, NeoError>`], and applies an [`OpPolicy`] of runtime
-//! guardrails: automatic level alignment, optional automatic rescaling
-//! after multiplications, a noise-budget floor below which operations are
-//! refused with a structured error, and an optional requirement that
-//! key-switching keys be pre-warmed.
+//! ([`CkksContext`], [`KeyChest`], [`Encoder`]) behind one object whose
+//! every operation returns [`Result<_, NeoError>`], and applies an
+//! [`OpPolicy`] of runtime guardrails: automatic level alignment,
+//! optional automatic rescaling after multiplications, a noise-budget
+//! floor below which operations are refused with a structured error, and
+//! an optional requirement that key-switching keys be pre-warmed.
 
 use crate::batch::BatchProgram;
 use crate::ciphertext::{Ciphertext, Plaintext};
@@ -16,7 +15,6 @@ use crate::encoding::{Complex64, Encoder};
 use crate::keys::{describe_target, KeyChest, KeyTarget, PublicKey, SecretKey};
 use crate::linear::LinearTransform;
 use crate::params::{CkksParams, KsMethod};
-use crate::plan::ExecPlan;
 use crate::{linear, ops};
 use neo_error::NeoError;
 use neo_fault::{VerifyPolicy, VerifyScope};
@@ -83,9 +81,7 @@ pub struct FheEngine {
     chest: KeyChest,
     encoder: Encoder,
     pk: PublicKey,
-    method: KsMethod,
     policy: OpPolicy,
-    plan: Option<ExecPlan>,
     rng: Mutex<StdRng>,
 }
 
@@ -151,18 +147,11 @@ impl FheEngine {
         seed: u64,
     ) -> Result<Self, NeoError> {
         let pk = PublicKey::generate(&ctx, &sk, &mut rng)?;
-        let method = if ctx.params().klss.is_some() {
-            KsMethod::Klss
-        } else {
-            KsMethod::Hybrid
-        };
         Ok(Self {
             encoder: Encoder::new(ctx.degree()),
             chest: KeyChest::new(ctx, sk, seed.wrapping_mul(0x9e37_79b9).wrapping_add(1)),
             pk,
-            method,
             policy: OpPolicy::default(),
-            plan: None,
             rng: Mutex::new(rng),
         })
     }
@@ -178,26 +167,7 @@ impl FheEngine {
     /// cannot exist, [`NeoError::FaultDetected`] if its generation fails a
     /// transform check.
     pub fn warm_program(&self, prog: &BatchProgram, input_level: usize) -> Result<(), NeoError> {
-        prog.warm_keys(&self.chest, input_level, self.method)
-    }
-
-    /// Installs an execution plan: the session adopts the plan's
-    /// key-switching method and verify policy. Its fusion, stream count
-    /// and `WordSize_T` price the device model only; host execution does
-    /// not read them. The single planned entry point replacing the
-    /// removed per-knob setters (the 0.3.0-deprecated `with_method`,
-    /// manual `OpPolicy.verify` edits). A plan carries no compute
-    /// backend, so any plan installs on any session.
-    pub fn with_plan(mut self, plan: &ExecPlan) -> Self {
-        self.method = plan.method;
-        self.policy.verify = plan.verify;
-        self.plan = Some(*plan);
-        self
-    }
-
-    /// The installed execution plan, if any.
-    pub fn plan(&self) -> Option<&ExecPlan> {
-        self.plan.as_ref()
+        prog.warm_keys(&self.chest, input_level, self.method())
     }
 
     /// Overrides the guardrail policy.
@@ -221,9 +191,11 @@ impl FheEngine {
         &self.encoder
     }
 
-    /// The active key-switching method.
+    /// The session's key-switching method, its parameters' own
+    /// ([`CkksParams::method`]): to run the other one, build the
+    /// session from parameters that select it.
     pub fn method(&self) -> KsMethod {
-        self.method
+        self.context().params().method()
     }
 
     /// The active guardrail policy.
@@ -435,7 +407,7 @@ impl FheEngine {
         let (a, b) = self.align_pair("hmult", a, b)?;
         self.guard_budget("hmult", a.level(), a.scale() * b.scale())?;
         self.guard_warm(a.level(), KeyTarget::Relin)?;
-        let out = ops::try_hmult(&self.chest, &a, &b, self.method)?;
+        let out = ops::try_hmult(&self.chest, &a, &b, self.method())?;
         self.maybe_rescale(out)
     }
 
@@ -449,7 +421,7 @@ impl FheEngine {
         let _v = VerifyScope::enter(self.policy.verify);
         let g = ops::galois_element(self.context().degree(), steps);
         self.guard_warm(a.level(), KeyTarget::Galois(g))?;
-        ops::try_hrotate(&self.chest, a, steps, self.method)
+        ops::try_hrotate(&self.chest, a, steps, self.method())
     }
 
     /// Complex conjugation of all slots.
@@ -462,7 +434,7 @@ impl FheEngine {
         let _v = VerifyScope::enter(self.policy.verify);
         let g = 2 * self.context().degree() - 1;
         self.guard_warm(a.level(), KeyTarget::Galois(g))?;
-        ops::try_hconjugate(&self.chest, a, self.method)
+        ops::try_hconjugate(&self.chest, a, self.method())
     }
 
     /// Rescale by the last chain prime.
@@ -509,7 +481,7 @@ impl FheEngine {
         ct: &Ciphertext,
     ) -> Result<Ciphertext, NeoError> {
         let _v = VerifyScope::enter(self.policy.verify);
-        lt.try_apply(&self.chest, &self.encoder, ct, self.method)
+        lt.try_apply(&self.chest, &self.encoder, ct, self.method())
     }
 
     /// Applies a linear transform with baby-step/giant-step rotations
@@ -529,7 +501,7 @@ impl FheEngine {
     ) -> Result<Ciphertext, NeoError> {
         let _v = VerifyScope::enter(self.policy.verify);
         let baby = ((lt.diagonal_count() as f64).sqrt().ceil() as usize).max(1);
-        lt.try_apply_bsgs(&self.chest, &self.encoder, ct, baby, self.method)
+        lt.try_apply_bsgs(&self.chest, &self.encoder, ct, baby, self.method())
     }
 
     /// Evaluates a polynomial (Horner) on a ciphertext.
@@ -542,7 +514,7 @@ impl FheEngine {
     /// errors.
     pub fn eval_polynomial(&self, ct: &Ciphertext, coeffs: &[f64]) -> Result<Ciphertext, NeoError> {
         let _v = VerifyScope::enter(self.policy.verify);
-        linear::try_eval_polynomial(&self.chest, &self.encoder, ct, coeffs, self.method)
+        linear::try_eval_polynomial(&self.chest, &self.encoder, ct, coeffs, self.method())
     }
 
     /// Runs a batch program, its independent ops concurrently (see
@@ -564,7 +536,7 @@ impl FheEngine {
         _parallel: bool,
     ) -> Result<Vec<Result<Ciphertext, NeoError>>, NeoError> {
         let _v = VerifyScope::enter(self.policy.verify);
-        prog.execute(&self.chest, inputs, self.method)
+        prog.execute(&self.chest, inputs, self.method())
     }
 
     /// [`Self::execute_batch`] with explicit retry control and recovery
@@ -580,7 +552,7 @@ impl FheEngine {
         max_retries: u32,
     ) -> Result<crate::batch::BatchReport, NeoError> {
         let _v = VerifyScope::enter(self.policy.verify);
-        prog.execute_with_report(&self.chest, inputs, self.method, max_retries)
+        prog.execute_with_report(&self.chest, inputs, self.method(), max_retries)
     }
 
     // --- Guardrails ---
@@ -643,7 +615,7 @@ impl FheEngine {
     /// Under `require_warm_keys`, refuses key switches whose key is not
     /// already cached.
     fn guard_warm(&self, level: usize, target: KeyTarget) -> Result<(), NeoError> {
-        if self.policy.require_warm_keys && !self.chest.has_key(level, target, self.method) {
+        if self.policy.require_warm_keys && !self.chest.has_key(level, target, self.method()) {
             return Err(NeoError::key_missing(
                 level,
                 describe_target(target),

@@ -25,12 +25,15 @@
 //!
 //! The free functions in [`ops`] are available in fallible `try_*` form
 //! (the original panicking names were removed after their one-release
-//! migration window). Performance knobs — key-switching method, fusion,
-//! stream count, verify policy — travel as a typed [`ExecPlan`] installed
-//! via [`FheEngine::with_plan`]; the `neo-plan` crate's autotuner
-//! produces one by sweeping the knob space through the `neo-sched`
-//! simulator. The compute backend is not a knob: every session in a
-//! process runs on the one [`neo_math::backend::active`] resolves.
+//! migration window). A session runs its parameters' key-switching
+//! method ([`CkksParams::method`]: KLSS exactly when
+//! [`CkksParams::klss`] is set) and verifies under its
+//! [`OpPolicy::verify`] alone. Tuning is choosing parameters: the
+//! `neo-plan` crate's autotuner prices candidate parameter sets through
+//! the `neo-sched` simulator, and a session built from the winner's
+//! parameters runs the planned method. The compute backend is not a
+//! knob: every session in a process runs on the one
+//! [`neo_math::backend::active`] resolves.
 
 // Library code must surface failures as typed `NeoError`s, never by
 // unwrapping; tests may unwrap freely.
@@ -51,7 +54,6 @@ pub(crate) mod metrics;
 pub mod noise;
 pub mod ops;
 pub mod params;
-pub mod plan;
 pub mod sched;
 
 pub use batch::{BatchOp, BatchProgram, BatchReport, Slot, DEFAULT_MAX_RETRIES};
@@ -64,4 +66,3 @@ pub use linear::LinearTransform;
 pub use neo_error::{ErrorKind, NeoError};
 pub use neo_fault::VerifyPolicy;
 pub use params::{CkksParams, CkksParamsBuilder, KlssConfig, KsMethod, ParamSet};
-pub use plan::ExecPlan;

@@ -39,7 +39,9 @@ pub struct CkksParams {
     pub special: usize,
     /// Gadget digit count `d_num`.
     pub dnum: usize,
-    /// KLSS configuration, if the KLSS method is to be available.
+    /// KLSS configuration. When set, a session over these parameters
+    /// switches keys with KLSS, otherwise with Hybrid
+    /// ([`Self::method`]).
     pub klss: Option<KlssConfig>,
     /// Ciphertexts batched per operation (performance model only).
     pub batch_size: usize,
@@ -112,6 +114,46 @@ impl CkksParams {
             + (self.alpha() as f64) * self.word_size as f64
             + (k.alpha_tilde as f64) * self.word_size as f64;
         (log_bound / k.word_size_t as f64).ceil() as usize
+    }
+
+    /// The key-switching method a session over these parameters runs:
+    /// KLSS exactly when [`Self::klss`] is set.
+    pub fn method(&self) -> KsMethod {
+        if self.klss.is_some() {
+            KsMethod::Klss
+        } else {
+            KsMethod::Hybrid
+        }
+    }
+
+    /// These parameters with `klss` as their KLSS configuration (`None`
+    /// runs Hybrid), re-checked by [`CkksParamsBuilder::build`] unless
+    /// nothing changes. The one way a plan's parameters are derived
+    /// from its base set, by the planner and by a store that rebuilds a
+    /// plan record.
+    ///
+    /// # Errors
+    ///
+    /// As [`CkksParamsBuilder::build`], e.g. for a `WordSize_T` that
+    /// violates Eq. 4 or cannot supply enough NTT-friendly primes.
+    pub fn with_klss(&self, klss: Option<KlssConfig>) -> Result<Self, NeoError> {
+        if klss == self.klss {
+            return Ok(self.clone());
+        }
+        CkksParamsBuilder {
+            log_n: self.log_n,
+            max_level: self.max_level,
+            word_size: self.word_size,
+            special: Some(self.special),
+            dnum: self.dnum,
+            klss,
+            batch_size: self.batch_size,
+            error_std: self.error_std,
+            scale_bits: Some(self.scale_bits),
+            lambda: self.lambda,
+            single_scaling: self.single_scaling,
+        }
+        .build()
     }
 
     /// Basic consistency checks.
@@ -620,6 +662,36 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err.kind(), neo_error::ErrorKind::InvalidParams);
+    }
+
+    #[test]
+    fn with_klss_rekeys_the_method_and_rechecks() {
+        let p = CkksParams::test_small();
+        assert_eq!(p.method(), KsMethod::Klss);
+        assert_eq!(p.with_klss(p.klss).unwrap(), p);
+        let hybrid = p.with_klss(None).unwrap();
+        assert_eq!(hybrid.method(), KsMethod::Hybrid);
+        assert_eq!(
+            CkksParams {
+                klss: p.klss,
+                ..hybrid
+            },
+            p
+        );
+        let k = p.klss.unwrap();
+        let w36 = p
+            .with_klss(Some(KlssConfig {
+                word_size_t: 36,
+                ..k
+            }))
+            .unwrap();
+        assert_eq!(w36.klss.unwrap().word_size_t, 36);
+        assert!(p
+            .with_klss(Some(KlssConfig {
+                word_size_t: 16,
+                ..k
+            }))
+            .is_err());
     }
 
     #[test]

@@ -249,11 +249,6 @@ impl FaultPlan {
         self.recovered[site as usize].load(Ordering::Relaxed)
     }
 
-    /// Total faults injected across all sites.
-    pub fn total_injected(&self) -> u64 {
-        FaultSite::ALL.iter().map(|&s| self.injected(s)).sum()
-    }
-
     /// Snapshot of all per-site tallies.
     pub fn report(&self) -> FaultReport {
         FaultReport {

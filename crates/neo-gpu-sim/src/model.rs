@@ -50,11 +50,6 @@ impl DeviceModel {
         &self.spec
     }
 
-    /// Mutable spec access (calibration).
-    pub fn spec_mut(&mut self) -> &mut DeviceSpec {
-        &mut self.spec
-    }
-
     /// Component times for one profile, in seconds:
     /// `(t_cuda, t_tcu, t_mem, t_launch)`.
     pub fn component_times(&self, p: &KernelProfile) -> (f64, f64, f64, f64) {

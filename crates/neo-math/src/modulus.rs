@@ -216,13 +216,6 @@ impl Modulus {
             a as i64
         }
     }
-
-    /// High word of the 128-bit Barrett ratio `floor((2^128-1)/q)`; exposed
-    /// for microbenchmarks of reduction strategies.
-    #[inline]
-    pub fn barrett_hint(&self) -> u64 {
-        self.barrett_hi
-    }
 }
 
 /// A constant prepared for Shoup multiplication against a fixed [`Modulus`].

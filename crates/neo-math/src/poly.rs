@@ -135,11 +135,6 @@ impl RnsPoly {
         &self.limbs[i]
     }
 
-    /// Write access to limb `i`.
-    pub fn limb_mut(&mut self, i: usize) -> &mut [u64] {
-        &mut self.limbs[i]
-    }
-
     /// All limbs.
     pub fn limbs(&self) -> &[Vec<u64>] {
         &self.limbs
@@ -166,14 +161,6 @@ impl RnsPoly {
     pub fn truncate_limbs(&mut self, k: usize) {
         assert!(k >= 1 && k <= self.limbs.len());
         LIMBS.give_all(self.limbs.drain(k..));
-    }
-
-    /// Appends extra limb rows (e.g. after a Mod Up).
-    pub fn extend_limbs(&mut self, extra: Vec<Vec<u64>>) {
-        for l in &extra {
-            assert_eq!(l.len(), self.n, "limb length mismatch");
-        }
-        self.limbs.extend(extra);
     }
 
     fn check_pair(&self, other: &Self) {

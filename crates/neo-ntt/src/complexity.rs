@@ -38,12 +38,6 @@ pub fn radix16_stages(n: usize) -> u32 {
     s + 1
 }
 
-/// Scalar (CUDA-core) twiddle multiplications per polynomial in the
-/// Radix-16 NTT: one twist plus one twiddle pass per split level.
-pub fn radix16_scalar_muls(n: usize) -> u64 {
-    n as u64 * radix16_stages(n) as u64
-}
-
 /// Butterfly MACs of the radix-2 reference (`(N/2)·log2 N` butterflies,
 /// 1 mul + 2 add each; counted as MACs).
 pub fn radix2_butterfly_macs(n: usize) -> u64 {

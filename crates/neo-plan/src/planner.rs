@@ -1,5 +1,6 @@
 //! [`Planner`] — the sweep engine that turns a workload into an
-//! [`ExecPlan`].
+//! [`ExecPlan`]: the parameter set it priced cheapest, with the device
+//! choices and makespan that priced it.
 //!
 //! The sweep space is the cross product of:
 //!
@@ -12,10 +13,13 @@
 //! * **stream count** `1..=4` (delegated to
 //!   [`neo_sched::simulate_best`]).
 //!
-//! Each candidate is priced by the discrete-event simulator under Neo's
-//! cost configuration, with ABFT verification off. The strict minimum
-//! wins, ties resolving to the earliest candidate in sweep order so
-//! planning is deterministic.
+//! The method and `WordSize_T` are parameters: each candidate is the
+//! base set re-keyed by [`CkksParams::with_klss`] (Hybrid candidates
+//! carry `klss: None`), priced by the discrete-event simulator under
+//! Neo's cost configuration. Fusion and streams are the simulator's
+//! best-of for that set, reported and read only by re-pricing. The
+//! strict minimum wins, ties resolving to the earliest candidate in
+//! sweep order so planning is deterministic.
 //!
 //! [`Planner::simulate_program_plan`] / [`simulate_trace_plan`]
 //! re-price a *given* plan through the identical code path, so a
@@ -29,7 +33,7 @@ use crate::store::PlanStore;
 use neo_ckks::bootstrap::TraceStep;
 use neo_ckks::cost::CostConfig;
 use neo_ckks::sched::trace_graph;
-use neo_ckks::{BatchProgram, CkksParams, ExecPlan, KsMethod, NeoError, VerifyPolicy};
+use neo_ckks::{BatchProgram, CkksParams, KlssConfig, KsMethod, NeoError};
 use neo_gpu_sim::DeviceModel;
 use neo_sched::{simulate, simulate_best, OpGraph, SimConfig};
 use std::sync::Arc;
@@ -41,6 +45,49 @@ const EXTRA_WORD_SIZES: [u32; 3] = [36, 48, 60];
 
 /// Stream counts the sweep tries: `1..=MAX_STREAMS`.
 const MAX_STREAMS: usize = 4;
+
+/// The planner's priced result. Build an engine or a tenant registry
+/// from [`Self::params`] to run the planned method; nothing else in a
+/// plan reaches the host.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecPlan {
+    /// The parameter set the plan priced: the base set with the chosen
+    /// KLSS configuration (its `WordSize_T`), or `klss: None` for
+    /// Hybrid ([`CkksParams::method`]).
+    pub params: CkksParams,
+    /// Whether fusing element-wise kernel chains priced best. A device
+    /// choice: reported, and read only by re-pricing.
+    pub fusion: bool,
+    /// The stream count the simulator found best. A device choice:
+    /// reported, and read only by re-pricing.
+    pub streams: usize,
+    /// The simulated makespan of the planned workload, in seconds (0.0
+    /// for [`Self::unplanned`]).
+    pub predicted_makespan_s: f64,
+}
+
+impl ExecPlan {
+    /// The all-defaults plan for `p`: its own parameters, no fusion, one
+    /// stream — what an unplanned session prices at, and the baseline
+    /// `plan_bench` compares the planner's choice against.
+    pub fn unplanned(p: &CkksParams) -> Self {
+        Self {
+            params: p.clone(),
+            fusion: false,
+            streams: 1,
+            predicted_makespan_s: 0.0,
+        }
+    }
+
+    /// The cost configuration the plan is priced under: Neo's preset at
+    /// its parameters' key-switching method.
+    pub fn cost(&self) -> CostConfig {
+        CostConfig {
+            method: self.params.method(),
+            ..CostConfig::neo()
+        }
+    }
+}
 
 /// Sim-driven autotuner over the Neo knob space.
 ///
@@ -59,8 +106,8 @@ pub struct Planner {
 
 impl Planner {
     /// Planner for `params` priced on `dev`, with the Neo cost preset,
-    /// up to 4 streams, both applicable KS methods, the default
-    /// `WordSize_T` candidate set, and verify off.
+    /// up to 4 streams, both applicable KS methods and the default
+    /// `WordSize_T` candidate set.
     pub fn new(params: CkksParams, dev: DeviceModel) -> Self {
         let mut methods = vec![KsMethod::Hybrid];
         let mut word_sizes = Vec::new();
@@ -129,65 +176,14 @@ impl Planner {
         prog: &BatchProgram,
         input_level: usize,
         plan: &ExecPlan,
-    ) -> Result<f64, NeoError> {
+    ) -> f64 {
         self.simulate_plan_with(plan, |p, cfg| prog.kernel_graph(p, input_level, cfg))
     }
 
     /// Re-prices `plan` for this trace through the exact sweep code
     /// path (see [`simulate_program_plan`](Planner::simulate_program_plan)).
-    pub fn simulate_trace_plan(
-        &self,
-        steps: &[TraceStep],
-        plan: &ExecPlan,
-    ) -> Result<f64, NeoError> {
+    pub fn simulate_trace_plan(&self, steps: &[TraceStep], plan: &ExecPlan) -> f64 {
         self.simulate_plan_with(plan, |p, cfg| trace_graph(p, steps, cfg))
-    }
-
-    /// Parameter set and cost config realizing `plan`'s (method,
-    /// word-size) choice — what a graph builder or executor should use
-    /// to reproduce the planned configuration.
-    pub fn realize(&self, plan: &ExecPlan) -> Result<(CkksParams, CostConfig), NeoError> {
-        self.candidate(plan.method, plan.word_size_t)
-    }
-
-    /// Parameter set and cost config realizing one (method, word-size)
-    /// candidate. `Err` means the candidate is infeasible.
-    fn candidate(
-        &self,
-        method: KsMethod,
-        wst: Option<u32>,
-    ) -> Result<(CkksParams, CostConfig), NeoError> {
-        let cost = CostConfig {
-            method,
-            ..CostConfig::neo()
-        };
-        let params = match method {
-            KsMethod::Hybrid => self.params.clone(),
-            KsMethod::Klss => {
-                let k = self.params.klss.ok_or_else(|| {
-                    NeoError::invalid_params("cannot plan KLSS: params carry no KlssConfig")
-                })?;
-                let w = wst.unwrap_or(k.word_size_t);
-                if w == k.word_size_t {
-                    self.params.clone()
-                } else {
-                    CkksParams::builder()
-                        .log_n(self.params.log_n)
-                        .max_level(self.params.max_level)
-                        .word_size(self.params.word_size)
-                        .special(self.params.special)
-                        .dnum(self.params.dnum)
-                        .klss(w, k.alpha_tilde)
-                        .batch_size(self.params.batch_size)
-                        .error_std(self.params.error_std)
-                        .scale_bits(self.params.scale_bits)
-                        .lambda(self.params.lambda)
-                        .single_scaling(self.params.single_scaling)
-                        .build()?
-                }
-            }
-        };
-        Ok((params, cost))
     }
 
     fn plan_with(
@@ -201,22 +197,22 @@ impl Planner {
             }
         }
         let mut best: Option<ExecPlan> = None;
-        let klss_wsts: Vec<Option<u32>> = self.word_sizes.iter().copied().map(Some).collect();
         for &method in &self.methods {
-            let wsts: &[Option<u32>] = match method {
-                KsMethod::Hybrid => &[None],
-                KsMethod::Klss => {
-                    if self.params.klss.is_none() {
-                        continue;
-                    }
-                    &klss_wsts
-                }
+            let klss: Vec<Option<KlssConfig>> = match (method, self.params.klss) {
+                (KsMethod::Hybrid, _) => vec![None],
+                (KsMethod::Klss, None) => continue,
+                (KsMethod::Klss, Some(k)) => self
+                    .word_sizes
+                    .iter()
+                    .map(|&word_size_t| Some(KlssConfig { word_size_t, ..k }))
+                    .collect(),
             };
-            for &wst in wsts {
-                let Ok((params, cost)) = self.candidate(method, wst) else {
+            for k in klss {
+                let Ok(params) = self.params.with_klss(k) else {
                     continue; // infeasible WordSize_T — skip, don't fail
                 };
-                let unfused = build(&params, &cost);
+                let mut candidate = ExecPlan::unplanned(&params);
+                let unfused = build(&params, &candidate.cost());
                 let (fused, _) = unfused.fuse_elementwise();
                 for (fusion, graph) in [(false, &unfused), (true, &fused)] {
                     let sched = simulate_best(graph, &self.dev, MAX_STREAMS);
@@ -224,14 +220,10 @@ impl Planner {
                         .as_ref()
                         .is_none_or(|b| sched.makespan_s < b.predicted_makespan_s);
                     if better {
-                        best = Some(ExecPlan {
-                            method,
-                            word_size_t: wst,
-                            fusion,
-                            streams: sched.streams,
-                            verify: VerifyPolicy::Off,
-                            predicted_makespan_s: sched.makespan_s,
-                        });
+                        candidate.fusion = fusion;
+                        candidate.streams = sched.streams;
+                        candidate.predicted_makespan_s = sched.makespan_s;
+                        best = Some(candidate.clone());
                     }
                 }
             }
@@ -240,7 +232,7 @@ impl Planner {
             NeoError::invalid_params("plan sweep found no feasible candidate configuration")
         })?;
         if let Some(store) = &self.store {
-            store.insert(key, plan);
+            store.insert(key, plan.clone());
         }
         Ok(plan)
     }
@@ -249,29 +241,14 @@ impl Planner {
         &self,
         plan: &ExecPlan,
         build: impl Fn(&CkksParams, &CostConfig) -> OpGraph,
-    ) -> Result<f64, NeoError> {
-        let (params, cost) = self.candidate(plan.method, plan.word_size_t)?;
-        let unfused = build(&params, &cost);
+    ) -> f64 {
+        let unfused = build(&plan.params, &plan.cost());
         let graph = if plan.fusion {
             unfused.fuse_elementwise().0
         } else {
             unfused
         };
-        let sched = simulate(&graph, &self.dev, SimConfig::streams(plan.streams));
-        Ok(sched.makespan_s * verify_factor(self.params.log_n, plan.verify))
-    }
-}
-
-/// Closed-form ABFT overhead multiplier on a simulated makespan: each
-/// verified op adds two checksum inner products of length `N` against
-/// `N log N`-scale kernels, so full verification costs `~2/log_2 N`
-/// extra, discounted by the sampling rate.
-pub fn verify_factor(log_n: u32, verify: VerifyPolicy) -> f64 {
-    let ln = f64::from(log_n.max(1));
-    match verify {
-        VerifyPolicy::Off => 1.0,
-        VerifyPolicy::Always => 1.0 + 2.0 / ln,
-        VerifyPolicy::Sampled(n) => 1.0 + 2.0 / (ln * f64::from(n.max(1))),
+        simulate(&graph, &self.dev, SimConfig::streams(plan.streams)).makespan_s
     }
 }
 
@@ -301,7 +278,7 @@ mod tests {
         let prog = hmult_batch(6);
         let plan = pl.plan_program(&prog, 4).unwrap();
         let unplanned = ExecPlan::unplanned(pl.params());
-        let baseline = pl.simulate_program_plan(&prog, 4, &unplanned).unwrap();
+        let baseline = pl.simulate_program_plan(&prog, 4, &unplanned);
         assert!(
             plan.predicted_makespan_s <= baseline,
             "planned {} > unplanned {baseline}",
@@ -311,11 +288,33 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_carries_the_parameters_it_priced() {
+        let base = CkksParams::test_small();
+        let prog = hmult_batch(2);
+        let hybrid = planner()
+            .with_methods(vec![KsMethod::Hybrid])
+            .plan_program(&prog, 4)
+            .unwrap();
+        assert_eq!(hybrid.params, base.with_klss(None).unwrap());
+        let klss = planner()
+            .with_methods(vec![KsMethod::Klss])
+            .plan_program(&prog, 4)
+            .unwrap();
+        assert_eq!(klss.params, base.with_klss(klss.params.klss).unwrap());
+        let k = klss
+            .params
+            .klss
+            .expect("a KLSS plan carries its configuration");
+        assert_eq!(k.alpha_tilde, base.klss.unwrap().alpha_tilde);
+        assert!([36, 48, 60].contains(&k.word_size_t));
+    }
+
+    #[test]
     fn predicted_makespan_matches_simulator_exactly() {
         let pl = planner();
         let prog = hmult_batch(4);
         let plan = pl.plan_program(&prog, 4).unwrap();
-        let repriced = pl.simulate_program_plan(&prog, 4, &plan).unwrap();
+        let repriced = pl.simulate_program_plan(&prog, 4, &plan);
         assert_eq!(
             plan.predicted_makespan_s, repriced,
             "cross-check must be exact"
@@ -346,7 +345,7 @@ mod tests {
             count: 8,
         }];
         let plan = pl.plan_trace(&steps).unwrap();
-        let repriced = pl.simulate_trace_plan(&steps, &plan).unwrap();
+        let repriced = pl.simulate_trace_plan(&steps, &plan);
         assert_eq!(plan.predicted_makespan_s, repriced);
     }
 }

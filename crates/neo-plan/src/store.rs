@@ -2,7 +2,7 @@
 
 use crate::keys::PlanKey;
 use crate::metrics;
-use neo_ckks::ExecPlan;
+use crate::ExecPlan;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +40,7 @@ impl PlanStore {
     /// Looks up a cached plan, counting the outcome (and the
     /// `plan_store_*` metrics when the registry is enabled).
     pub fn get(&self, key: &PlanKey) -> Option<ExecPlan> {
-        let found = self.map.read().get(key).copied();
+        let found = self.map.read().get(key).cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -84,8 +84,12 @@ impl PlanStore {
     /// deterministic iteration — what a persistence layer enumerates when
     /// flushing the cache to disk.
     pub fn entries(&self) -> Vec<(PlanKey, ExecPlan)> {
-        let mut out: Vec<(PlanKey, ExecPlan)> =
-            self.map.read().iter().map(|(k, v)| (*k, *v)).collect();
+        let mut out: Vec<(PlanKey, ExecPlan)> = self
+            .map
+            .read()
+            .iter()
+            .map(|(k, v)| (*k, v.clone()))
+            .collect();
         out.sort_by_key(|(k, _)| (k.fingerprint, k.shape));
         out
     }

@@ -16,7 +16,9 @@
 //!   different streams overlap on exclusive engines while concurrently
 //!   resident traffic shares the HBM bandwidth. It is the workspace's
 //!   one timing model: the paper artifacts (`neo_ckks::cost`), the
-//!   planner and serve admission all price on it. On one stream it
+//!   planner, and `neo_serve::price_request`/`price_batch` (which only
+//!   `serve_bench` and `bench_guard` call, outside the serving path)
+//!   price on it. On one stream it
 //!   collapses to [`neo_gpu_sim::DeviceModel::serial_time_s`]
 //!   (property-tested). Simulated timelines export as Chrome traces via
 //!   [`sim::chrome_trace`].

@@ -11,6 +11,9 @@
 //!   [`neo_ckks::FheEngine`]s sharing one `Arc<CkksContext>`
 //!   (registering 10k tenants costs 10k key generations, not 10k
 //!   parameter setups), plus inflight caps and the retry/fault budget.
+//!   Every tenant runs the registry's parameters' key-switching method
+//!   and verifies under its own [`neo_ckks::OpPolicy`]; a planned
+//!   method is a registry built from the plan's parameters.
 //! * [`admission`] — [`AdmissionQueue`]: noise/level-aware priority
 //!   ordering and batch coalescing, cut at the coalescing window and the
 //!   op cap. Admission is host work and consults no device model; the

@@ -8,7 +8,7 @@
 //! tenants costs ten thousand key generations, not ten thousand
 //! parameter setups.
 
-use neo_ckks::{CkksContext, CkksParams, ExecPlan, FheEngine, NeoError, OpPolicy};
+use neo_ckks::{CkksContext, CkksParams, FheEngine, NeoError, OpPolicy};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -24,12 +24,6 @@ pub struct TenantConfig {
     /// Guardrail policy installed on the tenant's engine (auto-rescale,
     /// level alignment, noise floor, warm-key requirement, verification).
     pub policy: OpPolicy,
-    /// Tuned execution plan installed on the tenant's engine via
-    /// [`FheEngine::with_plan`] at registration. Produce one with the
-    /// `neo-plan` autotuner; to pin a key-switching method, pin it in the
-    /// plan ([`ExecPlan::pinned`] — the per-knob `method` override was
-    /// removed in 0.4.0 after its one-release deprecation window).
-    pub plan: Option<ExecPlan>,
     /// Per-request retry ceiling handed to
     /// [`neo_ckks::BatchProgram::execute_with_report`].
     pub max_retries: u32,
@@ -50,7 +44,6 @@ impl Default for TenantConfig {
     fn default() -> Self {
         Self {
             policy: OpPolicy::default(),
-            plan: None,
             max_retries: neo_ckks::DEFAULT_MAX_RETRIES,
             fault_budget: 64,
             max_inflight: 64,
@@ -189,7 +182,9 @@ pub struct TenantRegistry {
 }
 
 impl TenantRegistry {
-    /// Builds the shared context once; tenants are registered against it.
+    /// Builds the shared context once; tenants are registered against it
+    /// and run its key-switching method ([`CkksParams::method`]). To run
+    /// a planned method, pass the planner's `ExecPlan::params`.
     ///
     /// # Errors
     ///
@@ -213,7 +208,6 @@ impl TenantRegistry {
     }
 
     /// Registers a tenant: fresh keys seeded from `seed`, shared context.
-    /// A [`TenantConfig::plan`] is installed via [`FheEngine::with_plan`].
     ///
     /// # Errors
     ///
@@ -239,9 +233,6 @@ impl TenantRegistry {
         cfg: TenantConfig,
     ) -> Result<Arc<TenantSession>, NeoError> {
         engine.set_policy(cfg.policy);
-        if let Some(p) = cfg.plan.as_ref() {
-            engine = engine.with_plan(p);
-        }
         let session = Arc::new(TenantSession::new(id, engine, cfg));
         let mut map = self.tenants.write();
         if map.contains_key(&id) {
@@ -354,22 +345,6 @@ mod tests {
             (wrong[0] - 1.0).abs() > 1e-3,
             "tenant B's key must not decrypt tenant A's ciphertext"
         );
-    }
-
-    #[test]
-    fn plan_installed_on_registration() {
-        let params = CkksParams::test_tiny();
-        let reg = TenantRegistry::new(params.clone()).expect("params");
-        let plan = ExecPlan {
-            streams: 3,
-            ..ExecPlan::unplanned(&params)
-        };
-        let cfg = TenantConfig {
-            plan: Some(plan),
-            ..TenantConfig::default()
-        };
-        let s = reg.register(1, 11, cfg).expect("register");
-        assert_eq!(s.engine().plan(), Some(&plan));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! verified, so a decode failure means either a format bug or a
 //! checksum collision — both are refused, never guessed at.
 
-use neo_ckks::{Ciphertext, ExecPlan, KsMethod, VerifyPolicy};
+use neo_ckks::{Ciphertext, CkksParams, KlssConfig};
 use neo_error::NeoError;
 use neo_math::{Domain, RnsPoly};
+use neo_plan::ExecPlan;
 
 /// Reader over a payload with bounds-checked little-endian accessors.
 pub(crate) struct Reader<'a> {
@@ -191,51 +192,42 @@ pub fn decode_secret_key(bytes: &[u8]) -> Result<Vec<i64>, NeoError> {
 // Execution plans
 // ---------------------------------------------------------------------------
 
-/// Encodes an [`ExecPlan`].
+/// Encodes an [`ExecPlan`]: only what the fingerprint of its base
+/// parameters does not already fix — the chosen KLSS configuration (tag
+/// 0 for Hybrid), fusion, streams and the predicted makespan.
 pub fn encode_plan(plan: &ExecPlan) -> Vec<u8> {
     let mut out = Vec::new();
-    out.push(match plan.method {
-        KsMethod::Hybrid => 0,
-        KsMethod::Klss => 1,
-    });
-    match plan.word_size_t {
+    match plan.params.klss {
         None => out.push(0),
-        Some(w) => {
+        Some(k) => {
             out.push(1);
-            out.extend_from_slice(&w.to_le_bytes());
+            out.extend_from_slice(&k.word_size_t.to_le_bytes());
+            out.extend_from_slice(&(k.alpha_tilde as u64).to_le_bytes());
         }
     }
     out.push(u8::from(plan.fusion));
     out.extend_from_slice(&(plan.streams as u64).to_le_bytes());
-    match plan.verify {
-        VerifyPolicy::Off => out.push(0),
-        VerifyPolicy::Always => out.push(1),
-        VerifyPolicy::Sampled(n) => {
-            out.push(2);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-    }
     out.extend_from_slice(&plan.predicted_makespan_s.to_bits().to_le_bytes());
     out
 }
 
-/// Decodes [`encode_plan`].
+/// Decodes [`encode_plan`] over `base`, the parameters the record was
+/// stored under, rebuilding the plan's parameters with
+/// [`CkksParams::with_klss`].
 ///
 /// # Errors
 ///
-/// [`NeoError::FaultDetected`] on unknown tags, truncation, or trailing
-/// bytes.
-pub fn decode_plan(bytes: &[u8]) -> Result<ExecPlan, NeoError> {
+/// [`NeoError::FaultDetected`] on unknown tags, truncation, trailing
+/// bytes, or a KLSS configuration that does not rebuild over `base`.
+pub fn decode_plan(bytes: &[u8], base: &CkksParams) -> Result<ExecPlan, NeoError> {
     let mut r = Reader::new(bytes);
-    let method = match r.u8()? {
-        0 => KsMethod::Hybrid,
-        1 => KsMethod::Klss,
-        t => return Err(corrupt(format!("unknown method tag {t}"))),
-    };
-    let word_size_t = match r.u8()? {
+    let klss = match r.u8()? {
         0 => None,
-        1 => Some(r.u32()?),
-        t => return Err(corrupt(format!("unknown word-size tag {t}"))),
+        1 => Some(KlssConfig {
+            word_size_t: r.u32()?,
+            alpha_tilde: r.len("alpha_tilde")?,
+        }),
+        t => return Err(corrupt(format!("unknown KLSS tag {t}"))),
     };
     let fusion = match r.u8()? {
         0 => false,
@@ -243,20 +235,15 @@ pub fn decode_plan(bytes: &[u8]) -> Result<ExecPlan, NeoError> {
         t => return Err(corrupt(format!("unknown fusion tag {t}"))),
     };
     let streams = r.len("stream count")?;
-    let verify = match r.u8()? {
-        0 => VerifyPolicy::Off,
-        1 => VerifyPolicy::Always,
-        2 => VerifyPolicy::Sampled(r.u32()?),
-        t => return Err(corrupt(format!("unknown verify tag {t}"))),
-    };
     let predicted_makespan_s = r.f64()?;
     r.finish()?;
+    let params = base
+        .with_klss(klss)
+        .map_err(|e| corrupt(format!("plan parameters do not rebuild: {e}")))?;
     Ok(ExecPlan {
-        method,
-        word_size_t,
+        params,
         fusion,
         streams,
-        verify,
         predicted_makespan_s,
     })
 }
@@ -352,26 +339,26 @@ mod tests {
 
     #[test]
     fn plans_roundtrip() {
-        for plan in [
-            ExecPlan {
-                method: KsMethod::Klss,
-                word_size_t: Some(32),
-                fusion: true,
-                streams: 4,
-                verify: VerifyPolicy::Sampled(16),
-                predicted_makespan_s: 1.25e-3,
-            },
-            ExecPlan {
-                method: KsMethod::Hybrid,
-                word_size_t: None,
-                fusion: false,
-                streams: 1,
-                verify: VerifyPolicy::Off,
-                predicted_makespan_s: 0.0,
-            },
-        ] {
+        let base = CkksParams::test_small();
+        let k = base.klss.expect("test_small carries KLSS");
+        let klss36 = Some(KlssConfig {
+            word_size_t: 36,
+            ..k
+        });
+        for (klss, fusion, streams, predicted_makespan_s) in
+            [(klss36, true, 4, 1.25e-3), (None, false, 1, 0.0)]
+        {
+            let plan = ExecPlan {
+                params: base.with_klss(klss).expect("feasible"),
+                fusion,
+                streams,
+                predicted_makespan_s,
+            };
             let bytes = encode_plan(&plan);
-            assert_eq!(decode_plan(&bytes).expect("roundtrip"), plan);
+            assert_eq!(decode_plan(&bytes, &base).expect("roundtrip"), plan);
+            for cut in 0..bytes.len() {
+                assert!(decode_plan(&bytes[..cut], &base).is_err(), "cut at {cut}");
+            }
         }
     }
 

@@ -22,8 +22,10 @@ pub const RECORD_MAGIC: [u8; 4] = *b"NREC";
 /// versions are quarantined, not guessed at. Version 2 dropped the
 /// compute-backend byte from `ExecPlan` payloads. Version 3 stores
 /// NTT-domain limbs (KSK `b`-parts) in the radix-2 transforms'
-/// bit-reversed evaluation order.
-pub const RECORD_VERSION: u16 = 3;
+/// bit-reversed evaluation order. Version 4 stores a plan as its KLSS
+/// configuration, fusion, streams and makespan, its parameters rebuilt
+/// over the store's on load.
+pub const RECORD_VERSION: u16 = 4;
 
 /// Size of the fixed record header in bytes.
 pub const HEADER_LEN: usize = 72;
@@ -43,7 +45,8 @@ pub enum RecordKind {
     /// Seed-compressed KLSS key-switching key (same payload shape as
     /// [`RecordKind::HybridKsk`] — raw `b`-parts before decomposition).
     KlssKsk = 3,
-    /// A cached `ExecPlan`; `aux` holds the plan key's shape hash.
+    /// A cached `neo_plan::ExecPlan`; `aux` holds the plan key's shape
+    /// hash.
     ExecPlan = 4,
     /// A ciphertext; `aux` is a caller-chosen handle.
     Ciphertext = 5,

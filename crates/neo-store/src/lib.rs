@@ -2,7 +2,11 @@
 //!
 //! Durable storage for the expensive-to-regenerate state of a Neo FHE
 //! deployment: secret keys, key-switching keys, cached execution plans,
-//! and ciphertexts. Three properties drive the design:
+//! and ciphertexts. A plan record keeps only what the store's parameter
+//! fingerprint does not fix (the chosen KLSS configuration, fusion,
+//! streams, makespan); loading rebuilds its parameters over the store's
+//! and refuses a record that does not rebuild. Three properties drive
+//! the design:
 //!
 //! * **Crash safety.** [`Store::commit`] publishes the whole record set
 //!   via write-temp → fsync → rename, so the on-disk image is always

@@ -248,12 +248,14 @@ impl SessionStore {
     }
 
     /// Hydrates `plans` with every valid plan record under this
-    /// fingerprint; returns how many were loaded.
+    /// fingerprint, each plan's parameters rebuilt over this store's
+    /// context ([`codec::decode_plan`]); returns how many were loaded.
     ///
     /// # Errors
     ///
-    /// [`NeoError::FaultDetected`] on a failed read-back checksum or an
-    /// undecodable plan payload.
+    /// [`NeoError::FaultDetected`] on a failed read-back checksum, an
+    /// undecodable plan payload, or a plan whose parameters do not
+    /// rebuild.
     pub fn load_plans(&self, plans: &PlanStore) -> Result<usize, NeoError> {
         let mut loaded = 0;
         for id in self.store.ids() {
@@ -270,7 +272,7 @@ impl SessionStore {
                     fingerprint: self.fingerprint,
                     shape: id.aux,
                 },
-                codec::decode_plan(&bytes)?,
+                codec::decode_plan(&bytes, self.ctx.params())?,
             );
             loaded += 1;
         }
@@ -327,7 +329,8 @@ impl SessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_ckks::CkksParams;
+    use neo_ckks::{CkksParams, KlssConfig};
+    use neo_plan::ExecPlan;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -448,12 +451,14 @@ mod tests {
         std::fs::write(path, out).expect("write");
     }
 
-    /// Version-2 KSK records hold `b`-parts in natural evaluation order,
-    /// which the current transforms do not use: they are quarantined
-    /// unread, and a whole version-2 session cold-starts.
+    /// Records of an older version are quarantined unread: version-2 KSK
+    /// records hold `b`-parts in natural evaluation order, which the
+    /// current transforms do not use, and version-3 plan records hold the
+    /// whole plan in the old layout. A whole old-version session
+    /// cold-starts and hydrates no plan.
     #[test]
-    fn version_2_records_are_quarantined_and_never_hydrated() {
-        let path = tmp("v2");
+    fn version_2_and_3_records_are_quarantined_and_never_hydrated() {
+        let path = tmp("old-versions");
         let ctx = ctx();
         let lvl = ctx.params().max_level;
         let cold = FheEngine::with_context(ctx.clone(), 5).unwrap();
@@ -461,10 +466,19 @@ mod tests {
             .warm(lvl, KeyTarget::Relin, cold.method())
             .expect("warm");
         let kind = ksk_kind(cold.method());
+        let plans = PlanStore::new();
+        plans.insert(
+            PlanKey {
+                fingerprint: param_fingerprint(ctx.params()),
+                shape: 1,
+            },
+            ExecPlan::unplanned(ctx.params()),
+        );
         let save = || {
             let _ = std::fs::remove_file(&path);
             let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
             ss.save_engine(2, &cold, 5).unwrap();
+            ss.save_plans(&plans);
             ss.commit().expect("commit");
         };
         let ksk = RecordId {
@@ -474,29 +488,34 @@ mod tests {
             aux: KeyTarget::Relin.code(),
         };
 
-        // Only the KSK is version 2: the session warm-starts from its
-        // secret key, and the stale key is never decoded into the chest.
-        save();
-        rewrite_versions(&path, 2, |k| k == kind);
-        let mut ss2 = SessionStore::open(&path, ctx.clone()).expect("reopen");
-        assert_eq!(ss2.store().report().quarantined, 1);
-        assert_eq!(ss2.store().status(ksk), RecordStatus::Missing);
-        let warm = ss2.warm_start(2).expect("warm").expect("present");
-        assert!(warm.chest().cached_keys(warm.method()).is_empty());
-        // The key regenerates from seed, bit-identical to the cold one.
-        assert_eq!(
-            warm.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap(),
-            cold.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap()
-        );
+        for version in [2, 3] {
+            // Only the KSK is old: the session warm-starts from its
+            // secret key, and the stale key is never decoded into the
+            // chest.
+            save();
+            rewrite_versions(&path, version, |k| k == kind);
+            let mut ss2 = SessionStore::open(&path, ctx.clone()).expect("reopen");
+            assert_eq!(ss2.store().report().quarantined, 1, "v{version}");
+            assert_eq!(ss2.store().status(ksk), RecordStatus::Missing);
+            let warm = ss2.warm_start(2).expect("warm").expect("present");
+            assert!(warm.chest().cached_keys(warm.method()).is_empty());
+            // The key regenerates from seed, bit-identical to the cold one.
+            assert_eq!(
+                warm.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap(),
+                cold.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap()
+            );
 
-        // A whole version-2 session: nothing is valid, so it cold-starts.
-        save();
-        rewrite_versions(&path, 2, |_| true);
-        let mut ss3 = SessionStore::open(&path, ctx).expect("reopen v2");
-        assert_eq!(ss3.store().report().quarantined, 2);
-        assert!(ss3.store().ids().is_empty());
-        assert!(!ss3.has_session(2));
-        assert!(ss3.warm_start(2).expect("cold").is_none());
+            // A whole old-version store: nothing is valid, so it
+            // cold-starts and hydrates no plan.
+            save();
+            rewrite_versions(&path, version, |_| true);
+            let mut ss3 = SessionStore::open(&path, ctx.clone()).expect("reopen old");
+            assert_eq!(ss3.store().report().quarantined, 3, "v{version}");
+            assert!(ss3.store().ids().is_empty());
+            assert!(!ss3.has_session(2));
+            assert!(ss3.warm_start(2).expect("cold").is_none());
+            assert_eq!(ss3.load_plans(&PlanStore::new()).expect("load"), 0);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -504,27 +523,29 @@ mod tests {
     fn plans_roundtrip_through_the_store() {
         let path = tmp("plans");
         let ctx = ctx();
+        let base = ctx.params();
         let plans = PlanStore::new();
-        let fp = param_fingerprint(ctx.params());
-        let plan = neo_ckks::ExecPlan {
+        let fp = param_fingerprint(base);
+        let k = base.klss.expect("test_tiny carries KLSS");
+        let klss36 = Some(KlssConfig {
+            word_size_t: 36,
+            ..k
+        });
+        let klss_plan = ExecPlan {
+            params: base.with_klss(klss36).expect("feasible"),
+            fusion: true,
             streams: 3,
-            ..neo_ckks::ExecPlan::unplanned(ctx.params())
+            predicted_makespan_s: 2.5e-3,
         };
-        plans.insert(
-            PlanKey {
-                fingerprint: fp,
-                shape: 0xABCD,
-            },
-            plan,
-        );
+        let hybrid_plan = ExecPlan {
+            params: base.with_klss(None).expect("feasible"),
+            ..ExecPlan::unplanned(base)
+        };
+        let key = |fingerprint, shape| PlanKey { fingerprint, shape };
+        plans.insert(key(fp, 0xABCD), klss_plan.clone());
+        plans.insert(key(fp, 0xBCDE), hybrid_plan.clone());
         // A foreign-fingerprint plan must not be persisted under ours.
-        plans.insert(
-            PlanKey {
-                fingerprint: fp ^ 1,
-                shape: 0xEEEE,
-            },
-            plan,
-        );
+        plans.insert(key(fp ^ 1, 0xEEEE), klss_plan.clone());
 
         let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
         ss.save_plans(&plans);
@@ -532,18 +553,49 @@ mod tests {
 
         let ss2 = SessionStore::open(&path, ctx).expect("reopen");
         let hydrated = PlanStore::new();
-        let n = ss2.load_plans(&hydrated).expect("load");
-        assert_eq!(n, 1);
-        assert_eq!(
-            hydrated
-                .get(&PlanKey {
-                    fingerprint: fp,
-                    shape: 0xABCD
-                })
-                .expect("plan present")
-                .streams,
-            3
+        assert_eq!(ss2.load_plans(&hydrated).expect("load"), 2);
+        assert_eq!(hydrated.get(&key(fp, 0xABCD)), Some(klss_plan));
+        assert_eq!(hydrated.get(&key(fp, 0xBCDE)), Some(hybrid_plan));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A plan record whose KLSS configuration does not rebuild over the
+    /// store's parameters is refused, never hydrated with other
+    /// parameters.
+    #[test]
+    fn plan_records_that_do_not_rebuild_are_refused() {
+        let path = tmp("bad-plan");
+        let ctx = ctx();
+        let base = ctx.params();
+        let plans = PlanStore::new();
+        let bad = ExecPlan {
+            params: CkksParams {
+                klss: Some(KlssConfig {
+                    word_size_t: 16,
+                    alpha_tilde: 2,
+                }),
+                ..base.clone()
+            },
+            ..ExecPlan::unplanned(base)
+        };
+        plans.insert(
+            PlanKey {
+                fingerprint: param_fingerprint(base),
+                shape: 7,
+            },
+            bad,
         );
+        let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
+        ss.save_plans(&plans);
+        ss.commit().expect("commit");
+
+        let ss2 = SessionStore::open(&path, ctx).expect("reopen");
+        let hydrated = PlanStore::new();
+        let err = ss2
+            .load_plans(&hydrated)
+            .expect_err("WordSize_T 16 cannot rebuild");
+        assert_eq!(err.kind().name(), "fault_detected");
+        assert!(hydrated.is_empty());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -32,14 +32,17 @@ pub use neo_kernels as kernels;
 pub use neo_math as math;
 /// Negacyclic NTTs: radix-2, four-step, and radix-16 (ten-step) matrix form.
 pub use neo_ntt as ntt;
-/// Sim-driven execution-plan autotuner: sweeps the knob space through the
-/// scheduler's simulator and caches winning [`ckks::ExecPlan`]s.
+/// Sim-driven execution-plan autotuner: prices candidate parameter sets
+/// through the scheduler's simulator and caches winning
+/// [`plan::ExecPlan`]s, whose parameters a session is built from.
 pub use neo_plan as plan;
-/// Kernel-DAG scheduling: fusion rewrites, the discrete-event multi-stream
-/// simulator, and the rayon wavefront batch executor.
+/// Kernel-DAG scheduling for the device model: fusion rewrites and the
+/// discrete-event multi-stream simulator. (The host's batch executor is
+/// [`ckks::BatchProgram::execute`].)
 pub use neo_sched as sched;
 /// Multi-tenant serving: per-tenant sessions over a shared context,
-/// sim-priced admission and batch coalescing, typed backpressure.
+/// urgency-ordered admission that coalesces batches by window and op
+/// cap, typed backpressure.
 pub use neo_serve as serve;
 /// Crash-safe persistent key & plan store: checksummed records, atomic
 /// commits, integrity quarantine, and seed-compressed KSK warm starts.
