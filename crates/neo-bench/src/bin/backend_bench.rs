@@ -20,19 +20,20 @@
 //!
 //! Timing budget comes from the shared `NEO_BENCH_WARMUP_MS` /
 //! `NEO_BENCH_MEASURE_MS` / `NEO_BENCH_SAMPLES` knobs (see
-//! [`neo_bench::measure`]). Artifacts: `BENCH_simd.json` at the repo root
-//! and `results/backend_bench.json`.
+//! [`neo_bench::measure`]). Artifact: `BENCH_simd.json` at the repo root
+//! (or `--out <path>`).
 
 use neo_bench::measure::{self, MeasureConfig, Measurement};
 use neo_bench::{emit, ratio};
 use neo_math::{backend, BackendKind, BconvTable, Domain, Modulus, PackedPoly, RnsBasis, RnsPoly};
 use neo_ntt::{radix2, NttPlan};
 use neo_tcu::{BackendGemm, GemmEngine};
+use neo_trace::json;
+use neo_trace::jsonv::JsonValue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::json;
 
-fn stats_json(m: &Measurement) -> serde_json::Value {
+fn stats_json(m: &Measurement) -> JsonValue {
     json!({
         "min_us": m.min_ns / 1e3,
         "median_us": m.median_ns / 1e3,
@@ -52,7 +53,7 @@ const FALLBACK: &str = "portable fallback";
 struct Table {
     cfg: MeasureConfig,
     human: String,
-    rows: Vec<serde_json::Value>,
+    rows: Vec<JsonValue>,
 }
 
 impl Table {
@@ -60,7 +61,7 @@ impl Table {
         &mut self,
         name: &str,
         path: &str,
-        config: serde_json::Value,
+        config: JsonValue,
         mut portable: impl FnMut() -> T,
         mut simd: impl FnMut() -> T,
     ) {
@@ -352,12 +353,5 @@ fn main() {
             "Absolute times drift between runs on a shared VM; compare same-run ratios.",
         ],
     });
-    match serde_json::to_string_pretty(&doc) {
-        Ok(s) => match std::fs::write("BENCH_simd.json", s) {
-            Ok(()) => eprintln!("[wrote BENCH_simd.json]"),
-            Err(e) => eprintln!("warning: could not write BENCH_simd.json: {e}"),
-        },
-        Err(e) => eprintln!("warning: could not serialize BENCH_simd.json: {e}"),
-    }
-    emit("backend_bench", &table.human, doc);
+    emit("BENCH_simd.json", &table.human, doc);
 }

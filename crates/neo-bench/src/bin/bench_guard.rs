@@ -10,12 +10,12 @@
 //! fail on any drift from their baselines, up or down.
 //!
 //! Artifacts:
-//! * `BENCH_metrics.json` (repo root) — per-kernel guard verdicts (the
-//!   telemetry gate's overhead lives in `BENCH_trace.json`);
+//! * `BENCH_metrics.json` (repo root, or `--out <path>`) — the JSON
+//!   report of per-kernel guard verdicts (the telemetry gate's overhead
+//!   lives in `BENCH_trace.json`);
 //! * `results/bench_guard.prom` — a Prometheus-text snapshot of the
 //!   `neo-trace` registry populated during the run (span durations of
-//!   the GEMM and store kernels, scheduler utilization, guard gauges);
-//! * `results/bench_guard.json` (or `--out <path>`) — the JSON report.
+//!   the GEMM and store kernels, scheduler utilization, guard gauges).
 //!
 //! Flags: `--update-baselines` rewrites `results/baselines.json` with
 //! this run's medians (promotion; never fails the build).
@@ -24,7 +24,7 @@
 
 use neo_bench::guard::{self, Baselines, GuardResult, Verdict};
 use neo_bench::measure::{self, MeasureConfig};
-use neo_bench::{emit, fmt_time};
+use neo_bench::{emit, fmt_time, write_artifact};
 use neo_ckks::cost::{CostConfig, Operation};
 use neo_ckks::sched::batch_op_graph;
 use neo_ckks::{BatchOp, BatchProgram, CkksParams, FheEngine, KeyTarget, KsMethod, ParamSet, Slot};
@@ -35,9 +35,9 @@ use neo_sched::{publish_utilization, simulate, SimConfig};
 use neo_serve::{price_batch, AdmissionConfig};
 use neo_store::SessionStore;
 use neo_tcu::{BackendGemm, GemmEngine};
+use neo_trace::json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::json;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -275,14 +275,7 @@ fn main() {
     // --- Artifacts. ---
     let snap = neo_trace::registry().snapshot();
     neo_trace::disable();
-    let prom = neo_trace::export::prometheus_text(&snap);
-    if let Some(dir) = Path::new(PROM_PATH).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(PROM_PATH, &prom) {
-        Ok(()) => eprintln!("[wrote {PROM_PATH}]"),
-        Err(e) => eprintln!("warning: could not write {PROM_PATH}: {e}"),
-    }
+    write_artifact(PROM_PATH, &neo_trace::export::prometheus_text(&snap));
 
     let doc = json!({
         "description": "CI perf-regression gate: tracked kernel medians vs the committed \
@@ -306,26 +299,15 @@ fn main() {
             "overall": overall.tag(),
         },
     });
-    match serde_json::to_string_pretty(&doc) {
-        Ok(s) => match std::fs::write("BENCH_metrics.json", s) {
-            Ok(()) => eprintln!("[wrote BENCH_metrics.json]"),
-            Err(e) => eprintln!("warning: could not write BENCH_metrics.json: {e}"),
-        },
-        Err(e) => eprintln!("warning: could not serialize BENCH_metrics.json: {e}"),
-    }
-    emit("bench_guard", &human, doc);
+    emit("BENCH_metrics.json", &human, doc);
 
     if update_baselines {
         let mut b = Baselines::default();
         for (k, v) in timed.iter().chain(&modelled) {
             b.kernels.insert((*k).to_string(), *v);
         }
-        match b.save(Path::new(BASELINE_PATH)) {
-            Ok(()) => eprintln!("[updated {BASELINE_PATH}]"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+        if !b.save(Path::new(BASELINE_PATH)) {
+            std::process::exit(2);
         }
         return; // promotion runs never fail the build
     }

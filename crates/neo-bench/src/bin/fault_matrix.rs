@@ -1,8 +1,8 @@
 //! `fault_matrix` — every row of the fault matrix ([`neo_bench::faults`])
 //! from one base seed: prints the table, writes
-//! `results/fault_report.json`, and exits non-zero when the run fails — a
-//! silent outcome, a row under its injection floor, or the compute or
-//! store rows under the 1000-trial floor.
+//! `results/fault_report.json` (or `--out <path>`), and exits non-zero
+//! when the run fails — a silent outcome, a row under its injection
+//! floor, or the compute or store rows under the 1000-trial floor.
 //!
 //! The base seed comes from `FAULT_MATRIX_SEED` (default
 //! [`faults::DEFAULT_SEED`]) and is printed up front. The single-threaded
@@ -15,8 +15,10 @@
 //! can differ between runs of one seed (`ckks_op`'s recovered, identical
 //! and detected counts do).
 
+use neo_bench::emit;
 use neo_bench::faults::{self, Row, Tally};
-use serde_json::json;
+use neo_trace::json;
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -29,13 +31,14 @@ fn main() -> ExitCode {
     let runs: Vec<(&Row, Tally)> = faults::ROWS.iter().map(|r| (r, r.run(base))).collect();
     let mut failures = faults::trial_floor_failures(runs.iter().map(|(r, t)| (*r, t.trials)));
     let mut rows = Vec::new();
-    println!(
+    let mut human = format!(
         "\n{:<18} {:>7} {:>9} {:>6} {:>10} {:>10} {:>9} {:>7}",
         "site", "trials", "injected", "floor", "recovered", "identical", "detected", "silent"
     );
     for (row, t) in &runs {
-        println!(
-            "{:<18} {:>7} {:>9} {:>6} {:>10} {:>10} {:>9} {:>7}",
+        let _ = write!(
+            human,
+            "\n{:<18} {:>7} {:>9} {:>6} {:>10} {:>10} {:>9} {:>7}",
             row.name,
             t.trials,
             t.injected,
@@ -60,7 +63,7 @@ fn main() -> ExitCode {
     }
     let trials: u64 = runs.iter().map(|(_, t)| t.trials).sum();
     let silent: usize = runs.iter().map(|(_, t)| t.silent_seeds.len()).sum();
-    println!("\n{trials} trials, {silent} silent corruptions");
+    let _ = write!(human, "\n\n{trials} trials, {silent} silent corruptions");
 
     let report = json!({
         "bench": "fault_matrix",
@@ -70,14 +73,7 @@ fn main() -> ExitCode {
         "failures": failures.clone(),
         "sites": rows,
     });
-    let written = std::fs::create_dir_all("results")
-        .map_err(|e| e.to_string())
-        .and_then(|()| serde_json::to_string_pretty(&report).map_err(|e| e.to_string()))
-        .and_then(|s| std::fs::write("results/fault_report.json", s).map_err(|e| e.to_string()));
-    match written {
-        Ok(()) => eprintln!("[wrote results/fault_report.json]"),
-        Err(e) => eprintln!("warning: could not write results/fault_report.json: {e}"),
-    }
+    emit("results/fault_report.json", &human, report);
 
     if !failures.is_empty() {
         for f in &failures {

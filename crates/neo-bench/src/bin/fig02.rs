@@ -6,7 +6,7 @@ use neo_bench::emit;
 use neo_ckks::cost::CostConfig;
 use neo_ckks::sched::keyswitch_graph;
 use neo_ckks::{KsMethod, ParamSet};
-use serde_json::json;
+use neo_trace::json;
 
 fn share(profiles: &[neo_gpu_sim::KernelProfile]) -> (f64, f64, f64, f64) {
     let total: f64 = profiles.iter().map(|p| p.total_bytes()).sum();
@@ -56,5 +56,5 @@ fn main() {
     human.push_str(
         "\nBConv + IP dominate the transfer (the paper reports 43.4% + 41.8% at l=35, KLSS).\n",
     );
-    emit("fig02", &human, json!({ "rows": rows }));
+    emit("results/fig02.json", &human, json!({ "rows": rows }));
 }

@@ -5,7 +5,7 @@
 use neo_bench::emit;
 use neo_gpu_sim::{DeviceModel, KernelProfile};
 use neo_tcu::{Fp64SplitScheme, GemmDims, Int8SplitScheme, FP64_FRAGMENT, INT8_FRAGMENTS};
-use serde_json::json;
+use neo_trace::json;
 
 const M: usize = 1 << 19;
 const NK: usize = 16;
@@ -104,7 +104,7 @@ fn main() {
         ));
     }
     emit(
-        "fig03",
+        "results/fig03.json",
         &human,
         json!({ "rows": rows, "speedups": speedups }),
     );

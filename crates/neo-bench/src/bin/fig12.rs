@@ -4,7 +4,7 @@
 use neo_bench::emit;
 use neo_ckks::ParamSet;
 use neo_tcu::{valid_proportion, GemmDims, FP64_FRAGMENT};
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let p = ParamSet::C.params();
@@ -38,5 +38,5 @@ fn main() {
         "\nNTT and BConv stay at 100% (fragment-aligned shapes); IP varies with\n\
          beta/beta~ and drives the adaptive mapping rule of Section 4.5.3.\n",
     );
-    emit("fig12", &human, json!({ "rows": rows }));
+    emit("results/fig12.json", &human, json!({ "rows": rows }));
 }

@@ -6,7 +6,7 @@ use neo_bench::emit;
 use neo_ckks::ParamSet;
 use neo_gpu_sim::DeviceModel;
 use neo_kernels::{bconv, ip, BconvGeom, IpGeom, MatmulTarget};
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let dev = DeviceModel::a100();
@@ -56,7 +56,7 @@ fn main() {
         ip_orig / ip_opt,
     );
     emit(
-        "fig13",
+        "results/fig13.json",
         &human,
         json!({
             "bconv": { "original_us": bconv_orig, "optimized_us": bconv_opt,

@@ -6,7 +6,7 @@ use neo_apps::{helr, resnet, workload, AppKind};
 use neo_baselines::ablation_ladder;
 use neo_bench::emit;
 use neo_gpu_sim::DeviceModel;
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let dev = DeviceModel::a100();
@@ -53,5 +53,5 @@ fn main() {
         rows.push(json!({ "step": step.label, "cells": cells }));
     }
     human.push_str("\nEach optimization step lowers (or holds) relative time; the final\nconfiguration is full Neo.\n");
-    emit("fig14", &human, json!({ "rows": rows }));
+    emit("results/fig14.json", &human, json!({ "rows": rows }));
 }

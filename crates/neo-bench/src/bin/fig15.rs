@@ -5,7 +5,7 @@
 use neo_bench::emit;
 use neo_ckks::ParamSet;
 use neo_kernels::{bconv, ip, BconvGeom, IpGeom, MatmulTarget};
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let p = ParamSet::C.params();
@@ -54,5 +54,5 @@ fn main() {
         }));
     }
     human.push_str("\nThe matrix dataflow removes the per-output re-reads (alpha'- and\nbeta~-fold reductions respectively).\n");
-    emit("fig15", &human, json!({ "rows": rows }));
+    emit("results/fig15.json", &human, json!({ "rows": rows }));
 }

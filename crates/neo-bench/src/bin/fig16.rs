@@ -7,7 +7,7 @@ use neo_bench::emit;
 use neo_ckks::cost::{keyswitch_time_us, CostConfig};
 use neo_ckks::{CkksParams, KlssConfig, KsMethod, ParamSet};
 use neo_gpu_sim::DeviceModel;
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let dev = DeviceModel::a100();
@@ -48,5 +48,5 @@ fn main() {
         human.push_str(&format!("{} ", klss_p(wt).alpha_prime()));
     }
     human.push_str(")\nThe paper finds WordSize_T = 48 optimal; 64 pays the 3x3 Booth penalty.\n");
-    emit("fig16", &human, json!({ "rows": rows }));
+    emit("results/fig16.json", &human, json!({ "rows": rows }));
 }

@@ -6,7 +6,7 @@ use neo_bench::emit;
 use neo_ckks::cost::CostConfig;
 use neo_ckks::ParamSet;
 use neo_gpu_sim::DeviceModel;
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let dev = DeviceModel::a100();
@@ -43,11 +43,11 @@ fn main() {
         human.push('\n');
         rows.push(json!({
             "app": app.to_string(),
-            "batch_sizes": batches,
+            "batch_sizes": batches.to_vec(),
             "relative": times.iter().map(|t| t / base).collect::<Vec<_>>(),
             "seconds": times,
         }));
     }
     human.push_str("\nPer-ciphertext time decreases monotonically with BatchSize\n(higher parallelism / utilization), as in the paper.\n");
-    emit("fig17", &human, json!({ "rows": rows }));
+    emit("results/fig17.json", &human, json!({ "rows": rows }));
 }

@@ -19,27 +19,27 @@
 //! parameters (`test_small` — the usual two-tier pricing split, as in
 //! `serve_bench`): a host-side planner picks a plan, and a session built
 //! from the plan's parameters (same seed) is timed against the
-//! all-defaults session, each on its second run of the batch (the first
-//! warms keys and conversion tables), with outputs asserted
-//! bit-identical to a sequential loop under the plan's method on the
-//! all-defaults session's keys.
+//! all-defaults session with [`measure::time_pair`] (alternating
+//! samples, median; one run of each batch first warms keys and
+//! conversion tables), with outputs asserted bit-identical to a
+//! sequential loop under the plan's method on the all-defaults session's
+//! keys.
 //!
-//! Artifacts: `BENCH_plan.json` at the repo root,
-//! `results/plan_bench.json` (via the shared `emit` convention), and
+//! Artifacts: `BENCH_plan.json` at the repo root (or `--out <path>`) and
 //! `results/plan_trace.json` — the Chrome trace of the chosen HMult
 //! schedule.
 
 #![deny(clippy::unwrap_used)]
 
-use neo_bench::{emit, fmt_time, ratio, run_sequential};
+use neo_bench::measure::{self, MeasureConfig};
+use neo_bench::{emit, fmt_time, ratio, run_sequential, write_artifact};
 use neo_ckks::bootstrap::BootstrapPlan;
 use neo_ckks::{BatchOp, BatchProgram, Ciphertext, CkksParams, FheEngine, ParamSet, Slot};
 use neo_gpu_sim::DeviceModel;
 use neo_plan::{ExecPlan, PlanStore, Planner};
 use neo_sched::{chrome_trace, simulate, SimConfig};
-use serde_json::json;
+use neo_trace::json;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -125,12 +125,7 @@ fn main() {
         }
     };
     let sched = simulate(&graph, &dev, SimConfig::streams(hmult_plan.streams));
-    if std::fs::create_dir_all("results").is_ok() {
-        match std::fs::write("results/plan_trace.json", chrome_trace(&graph, &sched)) {
-            Ok(()) => eprintln!("[wrote results/plan_trace.json]"),
-            Err(e) => eprintln!("warning: could not write results/plan_trace.json: {e}"),
-        }
-    }
+    write_artifact("results/plan_trace.json", &chrome_trace(&graph, &sched));
 
     // --- Host-measured execution on reduced functional parameters ---
     let host_params = CkksParams::test_small();
@@ -148,19 +143,18 @@ fn main() {
             engine.encrypt_f64(&[x, -x], host_level).expect("encrypt")
         })
         .collect();
-    // Each session runs the batch once untimed, which warms its keys and
-    // its context's conversion tables, then once timed.
-    let timed_run = |e: &FheEngine| -> (f64, Vec<Ciphertext>) {
-        e.execute_batch(&prog, &inputs, false).expect("warm-up run");
-        let t = Instant::now();
-        let out = e.execute_batch(&prog, &inputs, false).expect("timed run");
-        let s = t.elapsed().as_secs_f64();
-        let out = out.into_iter().collect::<Result<Vec<_>, _>>();
-        (s, out.expect("every op succeeds"))
+    // One run per session checks its outputs and warms its keys and its
+    // context's conversion tables before the timed runs.
+    let run = |e: &FheEngine| -> Vec<Ciphertext> {
+        e.execute_batch(&prog, &inputs, false)
+            .expect("batch runs")
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .expect("every op succeeds")
     };
 
     // All-defaults baseline: the parameters' own method.
-    let (host_default_s, default_out) = timed_run(&engine);
+    let default_out = run(&engine);
 
     // Same-method reference: the bit-identity anchor, a sequential loop
     // under the plan's method on the all-defaults session's keys.
@@ -173,7 +167,7 @@ fn main() {
     // The planned session, built from the plan's parameters with the
     // same seed: its keys are the all-defaults session's.
     let planned_engine = FheEngine::new(host_plan.params.clone(), 42).expect("planned engine");
-    let (host_planned_s, planned) = timed_run(&planned_engine);
+    let planned = run(&planned_engine);
     assert_eq!(
         planned, reference,
         "planned outputs must be bit-identical to the same-method reference"
@@ -185,15 +179,22 @@ fn main() {
         );
     }
     let identical = planned.len();
+    let (default_t, planned_t) = measure::time_pair(
+        &MeasureConfig::from_env(),
+        || engine.execute_batch(&prog, &inputs, false),
+        || planned_engine.execute_batch(&prog, &inputs, false),
+    );
+    let (host_default_s, host_planned_s) = (default_t.median_ns * 1e-9, planned_t.median_ns * 1e-9);
     let host_speedup = ratio(host_default_s, host_planned_s);
+    let samples = default_t.samples;
 
     let human = format!(
         "plan_bench — {copies}x HMult batch + standard bootstrap trace\n\
          workload            default (sim)   chosen (sim)    sim speedup   chosen config\n\
          hmult_batch         {:>13}   {:>12}   {:>10.2}x   {}\n\
          bootstrap_trace     {:>13}   {:>12}   {:>10.2}x   {}\n\
-         host hmult (test_small): default {} -> planned {} ({host_speedup:.2}x), \
-         {identical} op outputs bit-identical\n\
+         host hmult (test_small, median of {samples} alternating samples): default {} -> \
+         planned {} ({host_speedup:.2}x), {identical} op outputs bit-identical\n\
          plan store: {} hits / {} misses ({} plans cached)",
         fmt_time(hmult_default_s),
         fmt_time(hmult_plan.predicted_makespan_s),
@@ -246,6 +247,7 @@ fn main() {
             "default_s": host_default_s,
             "planned_s": host_planned_s,
             "host_speedup": host_speedup,
+            "samples": samples,
             "plan": plan_json(&host_plan),
             "bit_identical_ops": identical,
         },
@@ -256,14 +258,7 @@ fn main() {
         },
     });
 
-    match serde_json::to_string_pretty(&doc) {
-        Ok(s) => match std::fs::write("BENCH_plan.json", s) {
-            Ok(()) => eprintln!("[wrote BENCH_plan.json]"),
-            Err(e) => eprintln!("warning: could not write BENCH_plan.json: {e}"),
-        },
-        Err(e) => eprintln!("warning: could not serialize BENCH_plan.json: {e}"),
-    }
-    emit("plan_bench", &human, doc);
+    emit("BENCH_plan.json", &human, doc);
 
     // Acceptance: the tuned plan must strictly beat the all-defaults
     // configuration on simulated makespan for both workloads.

@@ -8,11 +8,11 @@
 //! any cross-check metric deviates by more than 1% — this is the CI gate
 //! that keeps the analytic cost model honest.
 //!
-//! Artifacts: `results/profile.json` (counters + cross-check deltas) and
-//! `results/profile_trace.json` (Chrome trace format — load in
-//! `chrome://tracing` or Perfetto).
+//! Artifacts: `results/profile.json` (counters + cross-check deltas; or
+//! `--out <path>`) and `results/profile_trace.json` (Chrome trace format —
+//! load in `chrome://tracing` or Perfetto).
 
-use neo_bench::emit;
+use neo_bench::{emit, write_artifact};
 use neo_ckks::bootstrap::BootstrapPlan;
 use neo_ckks::cost::{op_time_us, CostConfig};
 use neo_ckks::encoding::Complex64;
@@ -20,28 +20,17 @@ use neo_ckks::keys::{PublicKey, SecretKey};
 use neo_ckks::{ops, CkksContext, CkksParams, Encoder, KeyChest, KsMethod};
 use neo_gpu_sim::{DeviceModel, KernelProfile};
 use neo_kernels::crosscheck::{measured_vs_analytic, CheckOp, ProfileDelta};
+use neo_trace::json;
+use neo_trace::jsonv::{self, JsonValue};
 use neo_trace::{record, report, Counter, WorkCounters};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde_json::{json, Value};
 use std::sync::Arc;
 
 /// The tolerance of the measured-vs-analytic gate (satellite e).
 const TOLERANCE: f64 = 0.01;
 
-fn counters_json(w: &WorkCounters) -> Value {
-    // The vendored serde_json has no `from_str`, so build the object from
-    // the counter list rather than round-tripping `WorkCounters::to_json`.
-    Value::Object(
-        Counter::ALL
-            .iter()
-            .filter(|&&c| w.get(c) != 0)
-            .map(|&c| (c.name().to_string(), json!(w.get(c))))
-            .collect(),
-    )
-}
-
-fn profile_json(p: &KernelProfile) -> Value {
+fn profile_json(p: &KernelProfile) -> JsonValue {
     json!({
         "name": p.name.clone(),
         "cuda_modmacs": p.cuda_modmacs,
@@ -53,7 +42,7 @@ fn profile_json(p: &KernelProfile) -> Value {
     })
 }
 
-fn delta_json(d: &ProfileDelta) -> Value {
+fn delta_json(d: &ProfileDelta) -> JsonValue {
     json!({
         "op": d.op.clone(),
         "max_rel_error": d.max_rel_error(),
@@ -120,7 +109,7 @@ fn main() {
         let profile = KernelProfile::from_counters(name.clone(), w);
         ops_json.push(json!({
             "op": name,
-            "counters": counters_json(w),
+            "counters": jsonv::parse(&w.to_json()).expect("counters print valid JSON"),
             "measured_profile": profile_json(&profile),
         }));
     }
@@ -220,15 +209,9 @@ fn main() {
     ));
 
     // --- Artifacts. ---
-    let chrome = report::chrome_trace();
-    if std::fs::create_dir_all("results").is_ok() {
-        match std::fs::write("results/profile_trace.json", &chrome) {
-            Ok(()) => eprintln!("[wrote results/profile_trace.json]"),
-            Err(e) => eprintln!("warning: could not write chrome trace: {e}"),
-        }
-    }
+    write_artifact("results/profile_trace.json", &report::chrome_trace());
     emit(
-        "profile",
+        "results/profile.json",
         &human,
         json!({
             "params": "test_small",

@@ -12,12 +12,12 @@
 //! ops one by one through `ops::try_*` on real ciphertexts
 //! (`test_small`), checking bit-identity along the way.
 //!
-//! Artifacts: `BENCH_sched.json` at the repo root and
+//! Artifacts: `BENCH_sched.json` at the repo root (or `--out <path>`) and
 //! `results/sched_trace.json` (Chrome trace of the best 4-stream HMult
 //! schedule — load in `chrome://tracing` or Perfetto).
 
 use neo_bench::measure::{self, MeasureConfig};
-use neo_bench::{fmt_time, run_sequential};
+use neo_bench::{emit, fmt_time, run_sequential, write_artifact};
 use neo_ckks::batch::BatchProgram;
 use neo_ckks::bootstrap::BootstrapPlan;
 use neo_ckks::cost::{CostConfig, Operation};
@@ -27,9 +27,10 @@ use neo_ckks::sched::{batch_op_graph, trace_graph};
 use neo_ckks::{ops, CkksContext, CkksParams, Encoder, KeyChest, KsMethod, ParamSet};
 use neo_gpu_sim::DeviceModel;
 use neo_sched::{chrome_trace, simulate, simulate_best, OpGraph, SimConfig};
+use neo_trace::json;
+use neo_trace::jsonv::JsonValue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde_json::{json, Value};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -38,7 +39,12 @@ const HMULT_COPIES: usize = 8;
 
 /// One simulated sweep of `g`: fixed-stream and best-of-N makespans for
 /// every stream count, plus per-count modeled throughput in ops/s.
-fn sweep(g: &OpGraph, dev: &DeviceModel, ops_in_graph: usize, human: &mut String) -> Vec<Value> {
+fn sweep(
+    g: &OpGraph,
+    dev: &DeviceModel,
+    ops_in_graph: usize,
+    human: &mut String,
+) -> Vec<JsonValue> {
     let serial = simulate(g, dev, SimConfig::streams(1)).makespan_s;
     let mut rows = Vec::new();
     for streams in 1..=MAX_STREAMS {
@@ -102,13 +108,10 @@ fn main() {
 
     // --- Chrome trace of the best 4-stream HMult schedule -------------
     let schedule = simulate_best(&hmult_fused, &dev, 4);
-    let trace_json = chrome_trace(&hmult_fused, &schedule);
-    if std::fs::create_dir_all("results").is_ok() {
-        match std::fs::write("results/sched_trace.json", &trace_json) {
-            Ok(()) => eprintln!("[wrote results/sched_trace.json]"),
-            Err(e) => eprintln!("warning: could not write results/sched_trace.json: {e}"),
-        }
-    }
+    write_artifact(
+        "results/sched_trace.json",
+        &chrome_trace(&hmult_fused, &schedule),
+    );
 
     // --- Batch executor: host wall-clock speedup ---------------------
     let ctx = Arc::new(CkksContext::new(CkksParams::test_small()).expect("test_small context"));
@@ -158,8 +161,7 @@ fn main() {
         fmt_time(executor_s),
     );
 
-    println!("{human}");
-    let out = json!({
+    let doc = json!({
         "bench": "sched_sweep",
         "device": "A100 analytic model",
         "param_set": "C",
@@ -193,11 +195,5 @@ fn main() {
             "bit_identical": true,
         },
     });
-    match serde_json::to_string_pretty(&out) {
-        Ok(s) => match std::fs::write("BENCH_sched.json", s) {
-            Ok(()) => eprintln!("[wrote BENCH_sched.json]"),
-            Err(e) => eprintln!("warning: could not write BENCH_sched.json: {e}"),
-        },
-        Err(e) => eprintln!("warning: could not serialize: {e}"),
-    }
+    emit("BENCH_sched.json", &human, doc);
 }

@@ -27,17 +27,18 @@
 //!
 //! All randomness flows from `NEO_SERVE_SEED` (default 42): arrival
 //! order, workload mix, and plaintexts are reproducible run to run.
-//! Artifacts: `BENCH_serve.json` at the repo root (ops/sec, p50/p99
-//! latency, shed rate, coalescing factor) plus the `serve_*`
-//! histograms/counters in the `neo-trace` registry.
+//! Artifacts: `BENCH_serve.json` at the repo root, or `--out <path>`
+//! (ops/sec, p50/p99 latency, shed rate, coalescing factor), plus the
+//! `serve_*` histograms/counters in the `neo-trace` registry.
 
 #![deny(clippy::unwrap_used)]
 
+use neo_bench::emit;
 use neo_ckks::{BatchOp, BatchProgram, Ciphertext, CkksParams, ParamSet, Slot};
 use neo_serve::{AdmissionConfig, Response, ServeConfig, ServeStats, ServiceCore, TenantRegistry};
+use neo_trace::json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::json;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -369,7 +370,6 @@ fn main() {
          overload shed rate  {shed_rate:>10.3} ({shed}/{attempts} at bound {overload_depth})\n\
          bit-identity        {checked} op outputs identical to serial"
     );
-    println!("{human}");
 
     let snapshot = neo_trace::registry().snapshot();
     let queue_wait_p99_ns = snapshot
@@ -416,13 +416,7 @@ fn main() {
         },
         "bit_identical_ops": checked,
     });
-    match serde_json::to_string_pretty(&payload) {
-        Ok(s) => match std::fs::write("BENCH_serve.json", s) {
-            Ok(()) => eprintln!("[wrote BENCH_serve.json]"),
-            Err(e) => eprintln!("warning: could not write BENCH_serve.json: {e}"),
-        },
-        Err(e) => eprintln!("warning: could not serialize BENCH_serve.json: {e}"),
-    }
+    emit("BENCH_serve.json", &human, payload);
 
     // Throughput acceptance: coalescing must beat per-request serial
     // dispatch on the simulated device — the merged graph's multi-stream

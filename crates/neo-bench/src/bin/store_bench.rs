@@ -16,8 +16,8 @@
 //!    two-polys-per-digit representation the store avoids writing.
 //!
 //! The run fails (nonzero exit) if the KSK compression ratio drops
-//! below the 1.8x floor the store is designed around. Artifacts:
-//! `BENCH_store.json` at the repo root and `results/store_bench.json`.
+//! below the 1.8x floor the store is designed around. Artifact:
+//! `BENCH_store.json` at the repo root (or `--out <path>`).
 
 #![deny(clippy::unwrap_used)]
 
@@ -25,7 +25,7 @@ use neo_bench::{emit, fmt_time, ratio};
 use neo_ckks::ops::galois_element;
 use neo_ckks::{CkksContext, CkksParams, FheEngine, KeyTarget};
 use neo_store::{RecordKind, SessionStore, HEADER_LEN};
-use serde_json::json;
+use neo_trace::json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -225,14 +225,7 @@ fn main() -> ExitCode {
             "ksk_reduction_floor_x": RATIO_FLOOR,
         },
     });
-    match serde_json::to_string_pretty(&doc) {
-        Ok(s) => match std::fs::write("BENCH_store.json", s) {
-            Ok(()) => eprintln!("[wrote BENCH_store.json]"),
-            Err(e) => eprintln!("warning: could not write BENCH_store.json: {e}"),
-        },
-        Err(e) => eprintln!("warning: could not serialize BENCH_store.json: {e}"),
-    }
-    emit("store_bench", &human, doc);
+    emit("BENCH_store.json", &human, doc);
 
     if ksk_ratio < RATIO_FLOOR {
         eprintln!(

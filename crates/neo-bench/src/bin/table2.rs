@@ -4,7 +4,7 @@
 use neo_bench::emit;
 use neo_ckks::complexity::{hybrid, klss};
 use neo_ckks::ParamSet;
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let p = ParamSet::C.params();
@@ -41,7 +41,7 @@ fn main() {
         k as f64 / h as f64
     ));
     emit(
-        "table2",
+        "results/table2.json",
         &human,
         json!({ "rows": rows, "klss_over_hybrid_l35": k as f64 / h as f64 }),
     );

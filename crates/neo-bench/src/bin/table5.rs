@@ -5,7 +5,7 @@ use neo_apps::AppKind;
 use neo_baselines::SchemeModel;
 use neo_bench::emit;
 use neo_ckks::ParamSet;
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let mut schemes: Vec<(String, SchemeModel)> = Vec::new();
@@ -72,7 +72,7 @@ fn main() {
         "  geomean: {geo:.2}x  (paper: 3.28x vs TensorFHE's optimal configuration)\n"
     ));
     emit(
-        "table5",
+        "results/table5.json",
         &human,
         json!({ "rows": rows, "neo_vs_tensorfhe_best_geomean": geo }),
     );

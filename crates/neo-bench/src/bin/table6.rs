@@ -5,7 +5,7 @@ use neo_baselines::SchemeModel;
 use neo_bench::emit;
 use neo_ckks::cost::Operation;
 use neo_ckks::ParamSet;
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let ops = [
@@ -59,7 +59,7 @@ fn main() {
         tfa / neo
     ));
     emit(
-        "table6",
+        "results/table6.json",
         &human,
         json!({ "rows": rows, "hmult_ratio_tfA_over_neoC": tfa / neo }),
     );

@@ -7,7 +7,7 @@ use neo_bench::emit;
 use neo_ckks::ParamSet;
 use neo_gpu_sim::DeviceModel;
 use neo_kernels::{bconv, ip, ntt, BconvGeom, IpGeom, MatmulTarget, NttAlgorithm, NttGeom};
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let dev = DeviceModel::a100();
@@ -75,7 +75,7 @@ fn main() {
         tf_ntt / neo_ntt,
     );
     emit(
-        "table7",
+        "results/table7.json",
         &human,
         json!({
             "tensorfhe": { "bconv_per_s": to_rate(tf_bconv), "ip_per_s": to_rate(tf_ip), "ntt_per_s": to_rate(tf_ntt) },

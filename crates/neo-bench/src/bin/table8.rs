@@ -5,7 +5,7 @@ use neo_bench::emit;
 use neo_ckks::cost::{keyswitch_time_us, CostConfig};
 use neo_ckks::{CkksParams, KlssConfig, ParamSet};
 use neo_gpu_sim::DeviceModel;
-use serde_json::json;
+use neo_trace::json;
 
 fn main() {
     let dev = DeviceModel::a100();
@@ -49,7 +49,7 @@ fn main() {
         best.1, best.2, best.0
     ));
     emit(
-        "table8",
+        "results/table8.json",
         &human,
         json!({ "rows": rows, "best": { "dnum": best.1, "alpha_tilde": best.2, "ms": best.0 } }),
     );

@@ -20,7 +20,8 @@
 //! actually fails on a synthetic regression (the acceptance test injects
 //! 20% and asserts a `Fail` verdict) without committing a slow kernel.
 
-use serde_json::json;
+use neo_trace::json;
+use neo_trace::jsonv::JsonValue;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -72,8 +73,8 @@ pub struct GuardResult {
 }
 
 impl GuardResult {
-    /// The JSON row written into `BENCH_metrics.json` / the bench report.
-    pub fn to_json(&self) -> serde_json::Value {
+    /// The JSON row written into `BENCH_metrics.json`.
+    pub fn to_json(&self) -> JsonValue {
         json!({
             "kernel": self.kernel.clone(),
             "baseline": self.baseline,
@@ -173,22 +174,16 @@ impl Baselines {
         Ok(Some(Self { kernels }))
     }
 
-    /// Writes the baseline file (pretty-printed, trailing newline).
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        let mut obj = serde_json::Map::new();
-        for (k, v) in &self.kernels {
-            obj.insert(k.clone(), serde_json::Value::from(*v));
-        }
-        let doc = json!({ "kernels": serde_json::Value::Object(obj) });
-        let mut text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        text.push('\n');
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-            }
-        }
-        std::fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))
+    /// Writes the baseline file (trailing newline) through
+    /// [`crate::write_artifact`]; returns whether it was written.
+    pub fn save(&self, path: &Path) -> bool {
+        let kernels = self
+            .kernels
+            .iter()
+            .map(|(k, v)| (k.clone(), JsonValue::from(*v)))
+            .collect();
+        let doc = json!({ "kernels": JsonValue::Obj(kernels) });
+        crate::write_artifact(path, &format!("{doc}\n"))
     }
 
     /// The baseline value for `kernel`, if committed.
@@ -287,7 +282,7 @@ mod tests {
         let mut b = Baselines::default();
         b.kernels.insert("ntt_forward_n16384".into(), 123456.0);
         b.kernels.insert("sched_klss_hmult_makespan".into(), 0.0042);
-        b.save(&path).expect("save");
+        assert!(b.save(&path));
         let loaded = Baselines::load(&path).expect("load").expect("present");
         assert_eq!(loaded, b);
         let missing = Baselines::load(&dir.join("nope.json")).expect("load");

@@ -1,19 +1,21 @@
 //! Shared plumbing for the table/figure binaries.
 //!
 //! Every binary regenerates one artifact of the paper's evaluation
-//! (`cargo run -p neo-bench --bin table5`, `--bin fig14`, …), printing a
-//! formatted table to stdout and writing machine-readable JSON under
-//! `results/`. The library also holds the fault matrix ([`faults`]) and
-//! the batch executor's sequential reference ([`run_sequential`]), which
-//! the binaries and the workspace's integration tests share.
+//! (`cargo run -p neo-bench --bin table5`, `--bin fig14`, …) or one
+//! repo-local measurement, printing a formatted table to stdout and
+//! writing one JSON document ([`emit`]): `results/<id>.json`, or a
+//! `BENCH_*.json` record at the repo root. The library also holds the
+//! fault matrix ([`faults`]) and the batch executor's sequential
+//! reference ([`run_sequential`]), which the binaries and the
+//! workspace's integration tests share.
 
 #![deny(clippy::unwrap_used)]
 
 use neo_ckks::batch::{BatchOp, BatchProgram, Slot};
 use neo_ckks::{ops, Ciphertext, KeyChest, KsMethod, NeoError};
-use serde_json::Value;
+use neo_trace::jsonv::JsonValue;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 pub mod faults;
 pub mod guard;
@@ -53,11 +55,8 @@ pub fn run_sequential(
     out
 }
 
-/// The `--out <path>` (or `--out=<path>`) override every bench binary
-/// accepts: when present, [`emit`] writes its JSON artifact to that path
-/// instead of `results/<id>.json`. See `crates/neo-bench/README.md` for
-/// the artifact/promotion convention.
-pub fn out_override() -> Option<PathBuf> {
+/// The `--out <path>` (or `--out=<path>`) argument, if given.
+fn out_override() -> Option<PathBuf> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--out" {
@@ -70,29 +69,34 @@ pub fn out_override() -> Option<PathBuf> {
     None
 }
 
-/// Prints the human-readable table and writes the JSON artifact —
-/// `results/<id>.json` by default, or the [`out_override`] path when the
-/// binary was invoked with `--out`.
-pub fn emit(id: &str, human: &str, json: Value) {
+/// Prints the human-readable report and writes the binary's one JSON
+/// document: to `default` (a `results/<id>.json` artifact or a root
+/// `BENCH_*.json` record), or to the path every bench binary accepts as
+/// `--out <path>` (or `--out=<path>`). See `crates/neo-bench/README.md`
+/// for the artifact/promotion convention.
+pub fn emit(default: &str, human: &str, doc: JsonValue) {
     println!("{human}");
-    let path =
-        out_override().unwrap_or_else(|| PathBuf::from("results").join(format!("{id}.json")));
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() && fs::create_dir_all(dir).is_err() {
-            eprintln!("warning: could not create {}", dir.display());
-            return;
-        }
+    write_artifact(
+        out_override().unwrap_or_else(|| default.into()),
+        &doc.to_string(),
+    );
+}
+
+/// Writes `text` to `path`, creating its directory, and reports the
+/// outcome on stderr (`[wrote <path>]` or a warning). Returns whether the
+/// file was written.
+pub fn write_artifact(path: impl AsRef<Path>, text: &str) -> bool {
+    let path = path.as_ref();
+    let written = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => fs::create_dir_all(dir),
+        _ => Ok(()),
     }
-    match serde_json::to_string_pretty(&json) {
-        Ok(s) => {
-            if let Err(e) = fs::write(&path, s) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("[wrote {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {id}: {e}"),
+    .and_then(|()| fs::write(path, text));
+    match &written {
+        Ok(()) => eprintln!("[wrote {}]", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
+    written.is_ok()
 }
 
 /// Formats a ratio row entry, guarding divide-by-zero.

@@ -68,7 +68,7 @@ impl FaultSite {
         FaultSite::StoreTorn,
     ];
 
-    /// Stable snake_case name, used in error details and fault reports.
+    /// Stable snake_case name, as detection sites spell it in error details.
     pub const fn name(self) -> &'static str {
         match self {
             FaultSite::TcuFragment => "tcu_fragment",
@@ -248,65 +248,6 @@ impl FaultPlan {
     pub fn recovered(&self, site: FaultSite) -> u64 {
         self.recovered[site as usize].load(Ordering::Relaxed)
     }
-
-    /// Snapshot of all per-site tallies.
-    pub fn report(&self) -> FaultReport {
-        FaultReport {
-            seed: self.seed,
-            sites: FaultSite::ALL
-                .iter()
-                .map(|&s| SiteReport {
-                    site: s.name(),
-                    armed: self.specs[s as usize].is_some(),
-                    opportunities: self.opportunities(s),
-                    injected: self.injected(s),
-                    recovered: self.recovered(s),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Per-site tallies in a [`FaultReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteReport {
-    /// Stable site name.
-    pub site: &'static str,
-    /// Whether the plan armed this site at all.
-    pub armed: bool,
-    /// Draw opportunities the site saw.
-    pub opportunities: u64,
-    /// Faults actually injected.
-    pub injected: u64,
-    /// Injected faults later recovered (retry / dedup / quarantine).
-    pub recovered: u64,
-}
-
-/// Snapshot of a plan's tallies, serializable by hand (the crate is
-/// dependency-free).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultReport {
-    /// The plan's seed (printed on failure for reproduction).
-    pub seed: u64,
-    /// One entry per [`FaultSite`], in discriminant order.
-    pub sites: Vec<SiteReport>,
-}
-
-impl FaultReport {
-    /// Hand-rolled JSON (stable key order, no external deps).
-    pub fn to_json(&self) -> String {
-        let sites: Vec<String> = self
-            .sites
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"site\":\"{}\",\"armed\":{},\"opportunities\":{},\"injected\":{},\"recovered\":{}}}",
-                    s.site, s.armed, s.opportunities, s.injected, s.recovered
-                )
-            })
-            .collect();
-        format!("{{\"seed\":{},\"sites\":[{}]}}", self.seed, sites.join(","))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -386,12 +327,6 @@ pub fn note_recovery(site: FaultSite) {
     if let Some(plan) = guard.as_ref() {
         plan.note_recovery(site);
     }
-}
-
-/// Report from the installed plan, if one is armed.
-pub fn report() -> Option<FaultReport> {
-    let guard = ACTIVE.read().unwrap_or_else(PoisonError::into_inner);
-    guard.as_ref().map(|p| p.report())
 }
 
 // ---------------------------------------------------------------------------
@@ -634,7 +569,6 @@ mod tests {
         assert_eq!(xs, [7, 8, 9]);
         assert!(!fires(FaultSite::CkksOp));
         assert!(completion_fault().is_none());
-        assert!(report().is_none());
     }
 
     #[test]
@@ -732,16 +666,14 @@ mod tests {
     }
 
     #[test]
-    fn recovery_tallies_flow_into_the_report() {
+    fn recovery_tallies_flow_into_the_plan() {
         let plan = FaultPlan::new(5).with_site(FaultSite::CkksOp, FaultSpec::once());
         with_scope(plan, |p| {
             assert!(fires(FaultSite::CkksOp));
             assert!(!fires(FaultSite::CkksOp), "max_fires=1 caps injection");
             note_recovery(FaultSite::CkksOp);
-            let report = p.report();
-            let ckks = report.sites.iter().find(|s| s.site == "ckks_op").unwrap();
-            assert_eq!((ckks.injected, ckks.recovered), (1, 1));
-            assert!(report.to_json().contains("\"site\":\"ckks_op\""));
+            let site = FaultSite::CkksOp;
+            assert_eq!((p.injected(site), p.recovered(site)), (1, 1));
         });
     }
 

@@ -1,10 +1,18 @@
-//! JSON without dependencies: the string escaper every exporter in this
-//! crate shares, and a strict parser.
+//! JSON without dependencies: the workspace's one JSON tree
+//! ([`JsonValue`]), its strict parser ([`parse`]), its printer (the
+//! `Display` impl), the [`json!`](crate::json) builder, and the string
+//! escaper every exporter in this crate shares.
 //!
-//! The vendored `serde_json` stub is write-only (it can print a `Value`
-//! tree but not read one back), so consumers that must *validate* JSON —
-//! the exporter round-trip tests and `bench_guard`'s committed baseline
-//! file — parse through this module instead.
+//! The benchmark binaries build their documents with `json!` and print
+//! them; the exporter round-trip tests and `bench_guard`'s committed
+//! baseline file read theirs back through [`parse`].
+//!
+//! The printer has one form: 2-space indentation, object keys sorted in
+//! byte order, integers exact, integral floats below 1e15 with a trailing
+//! `.0`, other floats in Rust's shortest round-trip form, and non-finite
+//! floats as `null`. So a tree whose objects list their keys in order
+//! parses back equal, except that an integral float of 1e15 or more
+//! prints without `.0` and comes back as an integer.
 //!
 //! "Strict" means stricter than lenient production parsers where the
 //! strictness catches exporter bugs:
@@ -18,7 +26,7 @@
 //!   `.5`, no hex, no `NaN`/`Infinity`);
 //! * nesting depth is capped so malformed input cannot blow the stack.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Escapes `s` for use inside a JSON string literal (quotes, backslashes,
 /// and every control character).
@@ -40,21 +48,23 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value. Objects preserve source order (unlike the
-/// write-side stub, which sorts) so tests can assert on exporter order.
+/// A JSON value. Objects keep their fields in insertion (or source)
+/// order, so tests can assert on exporter order; the printer sorts them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number, widened to f64.
-    Num(f64),
+    /// A number without fraction or exponent, kept exact.
+    Int(i128),
+    /// Any other number.
+    Float(f64),
     /// A string (escapes resolved).
     Str(String),
     /// An array.
     Arr(Vec<JsonValue>),
-    /// An object, in source order. Keys are unique by construction.
+    /// An object. A parsed object's keys are unique.
     Obj(Vec<(String, JsonValue)>),
 }
 
@@ -62,7 +72,8 @@ impl JsonValue {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(v) => Some(*v),
+            JsonValue::Int(v) => Some(*v as f64),
+            JsonValue::Float(v) => Some(*v),
             _ => None,
         }
     }
@@ -96,6 +107,160 @@ impl JsonValue {
         self.as_object()
             .and_then(|o| o.iter().find(|(k, _)| k == key).map(|(_, v)| v))
     }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            JsonValue::Int(v) => write!(f, "{v}"),
+            JsonValue::Float(v) if !v.is_finite() => f.write_str("null"),
+            JsonValue::Float(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(f, "{v:.1}"),
+            JsonValue::Float(v) => write!(f, "{v}"),
+            JsonValue::Str(s) => write!(f, "\"{}\"", escape(s)),
+            JsonValue::Arr(items) => {
+                write_list(f, depth, ('[', ']'), items.iter().map(|v| (None, v)))
+            }
+            JsonValue::Obj(fields) => {
+                let mut sorted: Vec<_> = fields.iter().collect();
+                sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                write_list(
+                    f,
+                    depth,
+                    ('{', '}'),
+                    sorted.into_iter().map(|(k, v)| (Some(k), v)),
+                )
+            }
+        }
+    }
+}
+
+/// One array or object: `[]`/`{}` when empty, else one entry per line,
+/// indented two spaces per level.
+fn write_list<'a>(
+    f: &mut fmt::Formatter<'_>,
+    depth: usize,
+    (open, close): (char, char),
+    entries: impl ExactSizeIterator<Item = (Option<&'a String>, &'a JsonValue)>,
+) -> fmt::Result {
+    if entries.len() == 0 {
+        return write!(f, "{open}{close}");
+    }
+    f.write_char(open)?;
+    for (i, (key, value)) in entries.enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        write!(f, "{sep}\n{:indent$}", "", indent = 2 * (depth + 1))?;
+        if let Some(key) = key {
+            write!(f, "\"{}\": ", escape(key))?;
+        }
+        value.write(f, depth + 1)?;
+    }
+    write!(f, "\n{:indent$}{close}", "", indent = 2 * depth)
+}
+
+/// The one printed form (see the module docs).
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+macro_rules! from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(v: $t) -> Self {
+                JsonValue::Int(v as i128)
+            }
+        }
+    )*};
+}
+
+from_int!(u32, u64, usize, i32, i64);
+
+impl From<f64> for JsonValue {
+    fn from(v: f64) -> Self {
+        JsonValue::Float(v)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(v: bool) -> Self {
+        JsonValue::Bool(v)
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(v: String) -> Self {
+        JsonValue::Str(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(v: &str) -> Self {
+        JsonValue::Str(v.to_string())
+    }
+}
+
+impl<T: Clone + Into<JsonValue>> From<&T> for JsonValue {
+    fn from(v: &T) -> Self {
+        v.clone().into()
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(v: Vec<T>) -> Self {
+        JsonValue::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+/// Builds a [`JsonValue`](crate::jsonv::JsonValue) from a JSON-shaped
+/// literal. Object values and array elements may be nested `{...}` /
+/// `[...]` literals, `null`, or any Rust expression with a `From`
+/// conversion into `JsonValue`.
+///
+/// ```
+/// let x = 2.0;
+/// let doc = neo_trace::json!({ "b": [1u64, null], "a": { "half": x / 2.0 } });
+/// assert_eq!(doc.to_string(), "{\n  \"a\": {\n    \"half\": 1.0\n  },\n  \"b\": [\n    1,\n    null\n  ]\n}");
+/// ```
+#[macro_export]
+macro_rules! json {
+    // Arrays and objects munch one entry at a time into `[done, ...]`.
+    (@array [$($done:expr),*]) => {
+        $crate::jsonv::JsonValue::Arr(::std::vec![$($done),*])
+    };
+    (@array [$($done:expr),*] $value:tt $(, $($rest:tt)*)?) => {
+        $crate::json!(@array [$($done,)* $crate::json!($value)] $($($rest)*)?)
+    };
+    (@array [$($done:expr),*] $value:expr $(, $($rest:tt)*)?) => {
+        $crate::json!(@array [$($done,)* $crate::json!($value)] $($($rest)*)?)
+    };
+    (@object [$($done:expr),*]) => {
+        $crate::jsonv::JsonValue::Obj(::std::vec![$($done),*])
+    };
+    (@object [$($done:expr),*] $key:literal : $value:tt $(, $($rest:tt)*)?) => {
+        $crate::json!(@object [$($done,)* ($key.to_string(), $crate::json!($value))] $($($rest)*)?)
+    };
+    (@object [$($done:expr),*] $key:literal : $value:expr $(, $($rest:tt)*)?) => {
+        $crate::json!(@object [$($done,)* ($key.to_string(), $crate::json!($value))] $($($rest)*)?)
+    };
+    (null) => {
+        $crate::jsonv::JsonValue::Null
+    };
+    ([ $($tt:tt)* ]) => {
+        $crate::json!(@array [] $($tt)*)
+    };
+    ({ $($tt:tt)* }) => {
+        $crate::json!(@object [] $($tt)*)
+    };
+    ($other:expr) => {
+        $crate::jsonv::JsonValue::from($other)
+    };
 }
 
 const MAX_DEPTH: usize = 128;
@@ -338,8 +503,12 @@ impl Parser<'_> {
         }
         let s = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid number".to_string())?;
+        // Without fraction or exponent (and within i128) it is an integer.
+        if let Ok(v) = s.parse::<i128>() {
+            return Ok(JsonValue::Int(v));
+        }
         s.parse::<f64>()
-            .map(JsonValue::Num)
+            .map(JsonValue::Float)
             .map_err(|e| format!("invalid number {s:?}: {e}"))
     }
 }
@@ -427,6 +596,97 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
         }
+    }
+
+    #[test]
+    fn json_macro_shapes() {
+        let rows = vec![json!({ "a": 1u64, "b": 2.5f64 })];
+        let v = json!({ "rows": rows, "name": "x", "flag": true, "none": null });
+        assert_eq!(v.as_object().map(<[_]>::len), Some(4));
+        assert_eq!(v.get("name").and_then(JsonValue::as_str), Some("x"));
+        assert_eq!(v.get("none"), Some(&JsonValue::Null));
+        assert_eq!(
+            v.get("rows")
+                .and_then(JsonValue::as_array)
+                .and_then(|rows| rows[0].get("b"))
+                .and_then(JsonValue::as_f64),
+            Some(2.5)
+        );
+    }
+
+    #[test]
+    fn json_macro_nests_inline() {
+        let x = 2.0f64;
+        let v = json!({
+            "outer": { "inner": [1u64, 2u64, { "deep": x / 2.0 }], "n": null },
+            "arr": [[1u64], []],
+            "expr": x * 3.0,
+        });
+        let inner = v.get("outer").and_then(|o| o.get("inner"));
+        assert_eq!(
+            inner
+                .and_then(JsonValue::as_array)
+                .and_then(|a| a[2].get("deep"))
+                .and_then(JsonValue::as_f64),
+            Some(1.0)
+        );
+        assert_eq!(v.get("expr").and_then(JsonValue::as_f64), Some(6.0));
+        assert_eq!(
+            v.get("arr"),
+            Some(&JsonValue::Arr(vec![
+                JsonValue::Arr(vec![JsonValue::Int(1)]),
+                JsonValue::Arr(vec![]),
+            ]))
+        );
+    }
+
+    #[test]
+    fn pretty_output_is_pinned() {
+        let v = json!({ "b": 1u64, "a": [1u64, 2u64], "s": "hi\"x", "e": {}, "l": [] });
+        assert_eq!(
+            v.to_string(),
+            "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": 1,\n  \"e\": {},\n  \"l\": [],\n  \"s\": \"hi\\\"x\"\n}"
+        );
+    }
+
+    #[test]
+    fn numbers_follow_the_printed_conventions() {
+        assert_eq!(json!(1.0f64).to_string(), "1.0");
+        assert_eq!(json!(0.25f64).to_string(), "0.25");
+        assert_eq!(json!(f64::NAN).to_string(), "null");
+        assert_eq!(json!(f64::NEG_INFINITY).to_string(), "null");
+        assert_eq!(json!(-3i64).to_string(), "-3");
+        assert_eq!(json!(u64::MAX).to_string(), "18446744073709551615");
+        // Integral floats of 1e15 or more print without `.0`, so they
+        // parse back as integers.
+        assert_eq!(
+            json!(999_999_999_999_999.0f64).to_string(),
+            "999999999999999.0"
+        );
+        assert_eq!(json!(1e15f64).to_string(), "1000000000000000");
+        assert_eq!(json!(-2e16f64).to_string(), "-20000000000000000");
+        assert_eq!(
+            parse("1000000000000000"),
+            Ok(JsonValue::Int(1_000_000_000_000_000))
+        );
+    }
+
+    #[test]
+    fn printed_trees_parse_back_equal() {
+        let v = json!({
+            "floats": [0.25f64, -2.5, 1.0, -0.0, 0.1, 1e-7, 123_456.789, f64::MIN_POSITIVE],
+            "ints": [0u64, u64::MAX, i64::MIN, -1i64],
+            "nested": { "a": [], "b": {}, "c": [true, false, null] },
+            "strings": [
+                "",
+                "quote \" backslash \\ slash /",
+                "\n\t\r",
+                "\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}",
+                "é ∑ 😀 \u{10FFFF}",
+            ],
+        });
+        let text = v.to_string();
+        assert_eq!(parse(&text), Ok(v), "{text}");
     }
 
     #[test]

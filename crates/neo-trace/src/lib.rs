@@ -31,7 +31,9 @@
 //!
 //! Every JSON document the crate writes goes through one string escaper
 //! ([`jsonv::escape`]), and [`jsonv::parse`] is the strict parser the
-//! round-trip tests validate them with.
+//! round-trip tests validate them with. Its tree, [`jsonv::JsonValue`],
+//! is the workspace's one JSON tree: built with [`json!`], it prints the
+//! benchmark documents.
 //!
 //! The canonical measurement pattern is [`record`], which serialises
 //! measured sections behind a global mutex so parallel test threads
