@@ -36,10 +36,9 @@ use neo_bench::{emit, fmt_time, ratio, run_sequential, write_artifact};
 use neo_ckks::bootstrap::BootstrapPlan;
 use neo_ckks::{BatchOp, BatchProgram, Ciphertext, CkksParams, FheEngine, ParamSet, Slot};
 use neo_gpu_sim::DeviceModel;
-use neo_plan::{ExecPlan, PlanStore, Planner};
+use neo_plan::{ExecPlan, Planner};
 use neo_sched::{chrome_trace, simulate, SimConfig};
 use neo_trace::json;
-use std::sync::Arc;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -76,13 +75,11 @@ fn plan_summary(p: &ExecPlan) -> String {
 #[allow(clippy::too_many_lines)]
 fn main() {
     let copies = env_usize("NEO_PLAN_COPIES", 8);
-    neo_trace::enable();
 
     // --- Simulated planning on the accelerator parameters ---
     let params = ParamSet::C.params();
     let dev = DeviceModel::a100();
-    let store = Arc::new(PlanStore::new());
-    let planner = Planner::new(params.clone(), dev.clone()).with_store(Arc::clone(&store));
+    let planner = Planner::new(params.clone(), dev.clone());
 
     let prog = hmult_batch(copies);
     let sim_level = params.max_level;
@@ -96,11 +93,6 @@ fn main() {
         "predicted makespan must match an independent re-simulation exactly"
     );
     let hmult_sim_speedup = ratio(hmult_default_s, hmult_plan.predicted_makespan_s);
-
-    // Same shape again: must be served from the plan cache.
-    let cached = planner.plan_program(&prog, sim_level).expect("replan");
-    assert_eq!(cached, hmult_plan);
-    assert!(store.hits() >= 1, "second plan call must hit the store");
 
     eprintln!("[plan_bench] planning standard bootstrap trace…");
     let bs_steps = BootstrapPlan::try_standard(&params)
@@ -194,8 +186,7 @@ fn main() {
          hmult_batch         {:>13}   {:>12}   {:>10.2}x   {}\n\
          bootstrap_trace     {:>13}   {:>12}   {:>10.2}x   {}\n\
          host hmult (test_small, median of {samples} alternating samples): default {} -> \
-         planned {} ({host_speedup:.2}x), {identical} op outputs bit-identical\n\
-         plan store: {} hits / {} misses ({} plans cached)",
+         planned {} ({host_speedup:.2}x), {identical} op outputs bit-identical",
         fmt_time(hmult_default_s),
         fmt_time(hmult_plan.predicted_makespan_s),
         hmult_sim_speedup,
@@ -206,9 +197,6 @@ fn main() {
         plan_summary(&bs_plan),
         fmt_time(host_default_s),
         fmt_time(host_planned_s),
-        store.hits(),
-        store.misses(),
-        store.len(),
     );
 
     let plan_json = |p: &ExecPlan| {
@@ -250,11 +238,6 @@ fn main() {
             "samples": samples,
             "plan": plan_json(&host_plan),
             "bit_identical_ops": identical,
-        },
-        "plan_store": {
-            "hits": store.hits(),
-            "misses": store.misses(),
-            "cached": store.len(),
         },
     });
 

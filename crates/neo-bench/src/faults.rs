@@ -771,9 +771,8 @@ fn store_path(tag: &str) -> PathBuf {
 }
 
 /// A fresh store at `path` holding a deterministic mixed-kind record set
-/// (seed-recoverable KSK material plus quarantine-only plan and
-/// ciphertext records), ready to commit, with the bytes each record must
-/// serve.
+/// (seed-recoverable KSK material plus two quarantine-only ciphertext
+/// records), ready to commit, with the bytes each record must serve.
 fn store_fixture(seed: u64, path: &Path) -> (Store, Vec<(RecordId, Vec<u8>)>) {
     let _ = std::fs::remove_file(path);
     let mut store = Store::open(path).expect("open a fresh store");
@@ -781,7 +780,7 @@ fn store_fixture(seed: u64, path: &Path) -> (Store, Vec<(RecordId, Vec<u8>)>) {
         RecordKind::SecretKey,
         RecordKind::HybridKsk,
         RecordKind::KlssKsk,
-        RecordKind::ExecPlan,
+        RecordKind::Ciphertext,
         RecordKind::Ciphertext,
     ];
     let clean = (0u64..)

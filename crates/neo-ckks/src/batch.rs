@@ -80,8 +80,8 @@ struct OpOutcome {
 /// recovery tally it should credit.
 fn injection_site(site: &str) -> Option<neo_fault::FaultSite> {
     match site {
-        "tcu_gemm" | "tcu_fragment" => Some(neo_fault::FaultSite::TcuFragment),
-        "ntt_forward" | "ntt_inverse" | "ntt_stage" => Some(neo_fault::FaultSite::NttStage),
+        "tcu_gemm" => Some(neo_fault::FaultSite::TcuFragment),
+        "ntt_forward" | "ntt_inverse" => Some(neo_fault::FaultSite::NttStage),
         "ntt_plan" => Some(neo_fault::FaultSite::NttPlan),
         "ckks_op" => Some(neo_fault::FaultSite::CkksOp),
         _ => None,
@@ -94,10 +94,7 @@ fn injection_site(site: &str) -> Option<neo_fault::FaultSite> {
 /// errors) takes the cache's write lock and — under fault injection —
 /// can evict and rebuild plans other tenants are concurrently using.
 fn sweeps_plan_cache(site: Option<&'static str>) -> bool {
-    matches!(
-        site,
-        Some("ntt_plan" | "ntt_forward" | "ntt_inverse" | "ntt_stage")
-    )
+    matches!(site, Some("ntt_plan" | "ntt_forward" | "ntt_inverse"))
 }
 
 /// Deterministic backoff between retry attempts: a bounded spin whose
@@ -648,7 +645,7 @@ mod tests {
 
     #[test]
     fn plan_sweep_is_site_gated() {
-        for site in ["ntt_plan", "ntt_forward", "ntt_inverse", "ntt_stage"] {
+        for site in ["ntt_plan", "ntt_forward", "ntt_inverse"] {
             assert!(sweeps_plan_cache(Some(site)), "{site}");
         }
         assert!(!sweeps_plan_cache(Some("tcu_gemm")));

@@ -128,9 +128,8 @@ impl CkksParams {
 
     /// These parameters with `klss` as their KLSS configuration (`None`
     /// runs Hybrid), re-checked by [`CkksParamsBuilder::build`] unless
-    /// nothing changes. The one way a plan's parameters are derived
-    /// from its base set, by the planner and by a store that rebuilds a
-    /// plan record.
+    /// nothing changes. The one way the planner derives a candidate's
+    /// parameters from its base set.
     ///
     /// # Errors
     ///

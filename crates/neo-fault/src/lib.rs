@@ -68,20 +68,6 @@ impl FaultSite {
         FaultSite::StoreTorn,
     ];
 
-    /// Stable snake_case name, as detection sites spell it in error details.
-    pub const fn name(self) -> &'static str {
-        match self {
-            FaultSite::TcuFragment => "tcu_fragment",
-            FaultSite::NttStage => "ntt_stage",
-            FaultSite::NttPlan => "ntt_plan",
-            FaultSite::SchedCompletion => "sched_completion",
-            FaultSite::CkksOp => "ckks_op",
-            FaultSite::StoreWrite => "store_write",
-            FaultSite::StoreRead => "store_read",
-            FaultSite::StoreTorn => "store_torn",
-        }
-    }
-
     /// Per-site salt folded into every draw so sites are independent
     /// streams even under the same seed.
     const fn salt(self) -> u64 {
@@ -540,21 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn site_names_are_stable_and_distinct() {
-        let names: Vec<_> = FaultSite::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "tcu_fragment",
-                "ntt_stage",
-                "ntt_plan",
-                "sched_completion",
-                "ckks_op",
-                "store_write",
-                "store_read",
-                "store_torn"
-            ]
-        );
+    fn all_lists_sites_in_discriminant_order() {
         for (i, s) in FaultSite::ALL.iter().enumerate() {
             assert_eq!(*s as usize, i);
         }

@@ -1,62 +1,12 @@
 //! Element-wise kernels: ModMUL, ModADD, and AUTO (Fig. 4, right).
 //!
 //! These kernels have no matrix-multiplication structure, so they always
-//! map onto CUDA cores. Functional forms operate on raw limb slices; the
-//! RNS-polynomial layer in `neo-ckks` wraps them.
+//! map onto CUDA cores. This module prices them; the host's element-wise
+//! work runs in `neo-math`.
 
 use crate::geometry::ElemGeom;
+use neo_gpu_sim::costs::WORD_BYTES;
 use neo_gpu_sim::KernelProfile;
-use neo_math::Modulus;
-
-/// Element-wise modular multiplication `out[i] = a[i] * b[i] mod q`.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn modmul(m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), out.len());
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = m.mul(x, y);
-    }
-}
-
-/// Element-wise modular addition `out[i] = a[i] + b[i] mod q`.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn modadd(m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), out.len());
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = m.add(x, y);
-    }
-}
-
-/// The AUTO kernel: Galois automorphism `X ↦ X^g` on one limb in the
-/// coefficient domain (negacyclic sign handling included).
-///
-/// # Panics
-///
-/// Panics if `g` is even or `out.len() != limb.len()`.
-pub fn auto(m: &Modulus, limb: &[u64], g: usize, out: &mut [u64]) {
-    let n = limb.len();
-    assert_eq!(out.len(), n);
-    assert_eq!(g % 2, 1, "automorphism index must be odd");
-    out.fill(0);
-    let two_n = 2 * n;
-    for (j, &c) in limb.iter().enumerate() {
-        let t = (j * g) % two_n;
-        if t < n {
-            out[t] = m.add(out[t], c);
-        } else {
-            out[t - n] = m.sub(out[t - n], c);
-        }
-    }
-}
-
-const WORD_BYTES: f64 = 8.0;
 
 /// Profile of ModMUL over `g.elems` elements.
 pub fn profile_modmul(g: &ElemGeom) -> KernelProfile {
@@ -88,35 +38,6 @@ pub fn profile_auto(g: &ElemGeom) -> KernelProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_math::primes;
-
-    fn modulus() -> Modulus {
-        Modulus::new(primes::ntt_primes(36, 16, 1).unwrap()[0]).unwrap()
-    }
-
-    #[test]
-    fn modmul_modadd_basic() {
-        let m = modulus();
-        let a = vec![2u64, 3, m.value() - 1];
-        let b = vec![5u64, 7, 2];
-        let mut prod = vec![0u64; 3];
-        let mut sum = vec![0u64; 3];
-        modmul(&m, &a, &b, &mut prod);
-        modadd(&m, &a, &b, &mut sum);
-        assert_eq!(prod, vec![10, 21, m.value() - 2]);
-        assert_eq!(sum, vec![7, 10, 1]);
-    }
-
-    #[test]
-    fn auto_matches_rns_poly() {
-        let m = modulus();
-        let limb: Vec<u64> = (0..16u64).collect();
-        let mut out = vec![0u64; 16];
-        auto(&m, &limb, 5, &mut out);
-        let poly = neo_math::RnsPoly::from_limbs(vec![limb], neo_math::Domain::Coeff).unwrap();
-        let want = poly.automorphism(5, std::slice::from_ref(&m));
-        assert_eq!(out, want.limb(0));
-    }
 
     #[test]
     fn profiles_scale() {

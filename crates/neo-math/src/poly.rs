@@ -145,13 +145,6 @@ impl RnsPoly {
         &mut self.limbs
     }
 
-    /// Consumes the polynomial, returning the limb data. The limbs leave
-    /// without going back to the recycler; wrapping them in
-    /// [`RnsPoly::from_limbs`] again returns them when that poly drops.
-    pub fn into_limbs(mut self) -> Vec<Vec<u64>> {
-        std::mem::take(&mut self.limbs)
-    }
-
     /// Drops limbs after the first `k` (level reduction), giving them back
     /// to the recycler.
     ///
@@ -665,19 +658,6 @@ mod tests {
         assert_eq!(LIMBS.counts(n).0, 2);
         drop(p);
         assert_eq!(LIMBS.counts(n).0, 3);
-    }
-
-    #[test]
-    fn into_limbs_releases_the_limbs_to_the_caller() {
-        let n = 1 << 11;
-        let ms = moduli(2);
-        let p = RnsPoly::random_uniform(&mut rand::thread_rng(), n, &ms, Domain::Coeff);
-        let limbs = p.clone().into_limbs();
-        assert_eq!(limbs, p.limbs());
-        assert_eq!(LIMBS.counts(n).0, 0, "released limbs must not be shelved");
-        // Wrapped again, they go back when that polynomial drops.
-        drop(RnsPoly::from_limbs(limbs, Domain::Coeff).unwrap());
-        assert_eq!(LIMBS.counts(n).0, 2);
     }
 
     /// The inner product equals its pointwise products summed, on limbs

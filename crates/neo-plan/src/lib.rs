@@ -12,11 +12,9 @@
 //! fusion and streams describe the modelled device and only re-pricing
 //! reads them.
 //!
-//! Winning plans are cached in a [`PlanStore`] keyed by
-//! ([`param_fingerprint`] of the base set, workload shape hash), with
-//! gate-disciplined hit/miss metrics (`plan_store_hits_total` /
-//! `plan_store_misses_total` / `plan_store_size`); `neo-store` persists
-//! the cache with a tenant's session.
+//! Planning is a pure function of its inputs: the planner keeps no
+//! cache, and the same workload always gets the same plan. A caller that
+//! plans one shape many times can keep the result itself.
 //!
 //! Both methods decrypt to the same values. A plan's parameters keep the
 //! base set's chain, and KLSS's exact conversions make its output
@@ -27,11 +25,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(missing_docs)]
 
-mod keys;
-mod metrics;
 mod planner;
-mod store;
 
-pub use keys::{param_fingerprint, program_shape, trace_shape, PlanKey};
 pub use planner::{ExecPlan, Planner};
-pub use store::PlanStore;

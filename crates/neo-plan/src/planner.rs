@@ -28,15 +28,12 @@
 //!
 //! [`simulate_trace_plan`]: Planner::simulate_trace_plan
 
-use crate::keys::PlanKey;
-use crate::store::PlanStore;
 use neo_ckks::bootstrap::TraceStep;
 use neo_ckks::cost::CostConfig;
 use neo_ckks::sched::trace_graph;
 use neo_ckks::{BatchProgram, CkksParams, KlssConfig, KsMethod, NeoError};
 use neo_gpu_sim::DeviceModel;
 use neo_sched::{simulate, simulate_best, OpGraph, SimConfig};
-use std::sync::Arc;
 
 /// `WordSize_T` candidates beyond the configured value: the paper's
 /// sweet spot (48) and its neighbors trading digit count against
@@ -91,17 +88,15 @@ impl ExecPlan {
 
 /// Sim-driven autotuner over the Neo knob space.
 ///
-/// Construct with [`Planner::new`], optionally attach a shared
-/// [`PlanStore`] or restrict the methods swept, then call
-/// [`plan_program`](Planner::plan_program) or
-/// [`plan_trace`](Planner::plan_trace).
+/// Construct with [`Planner::new`], optionally restrict the methods
+/// swept, then call [`plan_program`](Planner::plan_program) or
+/// [`plan_trace`](Planner::plan_trace). Each call runs the whole sweep.
 #[derive(Debug, Clone)]
 pub struct Planner {
     params: CkksParams,
     dev: DeviceModel,
     methods: Vec<KsMethod>,
     word_sizes: Vec<u32>,
-    store: Option<Arc<PlanStore>>,
 }
 
 impl Planner {
@@ -125,15 +120,7 @@ impl Planner {
             dev,
             methods,
             word_sizes,
-            store: None,
         }
-    }
-
-    /// Attaches a plan cache; subsequent plans are looked up before
-    /// sweeping and inserted after.
-    pub fn with_store(mut self, store: Arc<PlanStore>) -> Self {
-        self.store = Some(store);
-        self
     }
 
     /// Restricts the key-switching methods swept.
@@ -147,25 +134,18 @@ impl Planner {
         &self.params
     }
 
-    /// The attached plan cache, if any.
-    pub fn store(&self) -> Option<&Arc<PlanStore>> {
-        self.store.as_ref()
-    }
-
     /// Plans a batch program executed at `input_level`.
     pub fn plan_program(
         &self,
         prog: &BatchProgram,
         input_level: usize,
     ) -> Result<ExecPlan, NeoError> {
-        let key = PlanKey::for_program(&self.params, prog, input_level);
-        self.plan_with(key, |p, cfg| prog.kernel_graph(p, input_level, cfg))
+        self.plan_with(|p, cfg| prog.kernel_graph(p, input_level, cfg))
     }
 
     /// Plans a workload trace (e.g. a bootstrap's step sequence).
     pub fn plan_trace(&self, steps: &[TraceStep]) -> Result<ExecPlan, NeoError> {
-        let key = PlanKey::for_trace(&self.params, steps);
-        self.plan_with(key, |p, cfg| trace_graph(p, steps, cfg))
+        self.plan_with(|p, cfg| trace_graph(p, steps, cfg))
     }
 
     /// Re-prices `plan` for this program through the exact sweep code
@@ -188,14 +168,8 @@ impl Planner {
 
     fn plan_with(
         &self,
-        key: PlanKey,
         build: impl Fn(&CkksParams, &CostConfig) -> OpGraph,
     ) -> Result<ExecPlan, NeoError> {
-        if let Some(store) = &self.store {
-            if let Some(plan) = store.get(&key) {
-                return Ok(plan);
-            }
-        }
         let mut best: Option<ExecPlan> = None;
         for &method in &self.methods {
             let klss: Vec<Option<KlssConfig>> = match (method, self.params.klss) {
@@ -228,13 +202,9 @@ impl Planner {
                 }
             }
         }
-        let plan = best.ok_or_else(|| {
+        best.ok_or_else(|| {
             NeoError::invalid_params("plan sweep found no feasible candidate configuration")
-        })?;
-        if let Some(store) = &self.store {
-            store.insert(key, plan.clone());
-        }
-        Ok(plan)
+        })
     }
 
     fn simulate_plan_with(
@@ -319,21 +289,6 @@ mod tests {
             plan.predicted_makespan_s, repriced,
             "cross-check must be exact"
         );
-    }
-
-    #[test]
-    fn store_round_trip_hits_on_same_shape() {
-        let store = Arc::new(PlanStore::new());
-        let pl = planner().with_store(Arc::clone(&store));
-        let prog = hmult_batch(3);
-        let a = pl.plan_program(&prog, 4).unwrap();
-        assert_eq!(store.misses(), 1);
-        let b = pl.plan_program(&prog, 4).unwrap();
-        assert_eq!(store.hits(), 1, "same shape must hit");
-        assert_eq!(a, b);
-        // Perturbed shape (different level) must miss.
-        pl.plan_program(&prog, 3).unwrap();
-        assert_eq!(store.misses(), 2, "perturbed shape must miss");
     }
 
     #[test]

@@ -136,19 +136,6 @@ impl OpGraph {
         sum.named("graph-total")
     }
 
-    /// Appends every node and edge of `other`, returning the id offset
-    /// (old `other` node `i` becomes `NodeId(offset + i)`).
-    pub fn append_graph(&mut self, other: &OpGraph) -> usize {
-        let offset = self.nodes.len();
-        for (i, n) in other.nodes.iter().enumerate() {
-            self.add(n.profile.clone(), n.fusable, n.tag);
-            for &p in other.preds(i) {
-                self.depend(NodeId(offset + p), NodeId(offset + i));
-            }
-        }
-        offset
-    }
-
     /// Critical-path lower bound on any schedule of this graph, in
     /// seconds: the launch prologue (every kernel dispatched once,
     /// CUDA-graph style) plus the longest dependency path weighted by
@@ -349,20 +336,6 @@ mod tests {
             g.total_profile().cuda_modmacs
         );
         assert!(f.total_profile().total_bytes() <= g.total_profile().total_bytes());
-    }
-
-    #[test]
-    fn append_graph_offsets_edges() {
-        let mut g = OpGraph::new();
-        let a = g.add(elem("a", 1.0, 1.0), true, 0);
-        let b = g.add(elem("b", 1.0, 1.0), true, 0);
-        g.depend(a, b);
-        let mut h = OpGraph::new();
-        h.add(elem("x", 1.0, 1.0), true, 1);
-        let off = h.append_graph(&g);
-        assert_eq!(off, 1);
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.preds(2), &[1]);
     }
 
     #[test]

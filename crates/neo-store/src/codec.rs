@@ -7,10 +7,9 @@
 //! verified, so a decode failure means either a format bug or a
 //! checksum collision — both are refused, never guessed at.
 
-use neo_ckks::{Ciphertext, CkksParams, KlssConfig};
+use neo_ckks::Ciphertext;
 use neo_error::NeoError;
 use neo_math::{Domain, RnsPoly};
-use neo_plan::ExecPlan;
 
 /// Reader over a payload with bounds-checked little-endian accessors.
 pub(crate) struct Reader<'a> {
@@ -43,12 +42,6 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn u8(&mut self) -> Result<u8, NeoError> {
         Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, NeoError> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(b))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, NeoError> {
@@ -189,66 +182,6 @@ pub fn decode_secret_key(bytes: &[u8]) -> Result<Vec<i64>, NeoError> {
 }
 
 // ---------------------------------------------------------------------------
-// Execution plans
-// ---------------------------------------------------------------------------
-
-/// Encodes an [`ExecPlan`]: only what the fingerprint of its base
-/// parameters does not already fix — the chosen KLSS configuration (tag
-/// 0 for Hybrid), fusion, streams and the predicted makespan.
-pub fn encode_plan(plan: &ExecPlan) -> Vec<u8> {
-    let mut out = Vec::new();
-    match plan.params.klss {
-        None => out.push(0),
-        Some(k) => {
-            out.push(1);
-            out.extend_from_slice(&k.word_size_t.to_le_bytes());
-            out.extend_from_slice(&(k.alpha_tilde as u64).to_le_bytes());
-        }
-    }
-    out.push(u8::from(plan.fusion));
-    out.extend_from_slice(&(plan.streams as u64).to_le_bytes());
-    out.extend_from_slice(&plan.predicted_makespan_s.to_bits().to_le_bytes());
-    out
-}
-
-/// Decodes [`encode_plan`] over `base`, the parameters the record was
-/// stored under, rebuilding the plan's parameters with
-/// [`CkksParams::with_klss`].
-///
-/// # Errors
-///
-/// [`NeoError::FaultDetected`] on unknown tags, truncation, trailing
-/// bytes, or a KLSS configuration that does not rebuild over `base`.
-pub fn decode_plan(bytes: &[u8], base: &CkksParams) -> Result<ExecPlan, NeoError> {
-    let mut r = Reader::new(bytes);
-    let klss = match r.u8()? {
-        0 => None,
-        1 => Some(KlssConfig {
-            word_size_t: r.u32()?,
-            alpha_tilde: r.len("alpha_tilde")?,
-        }),
-        t => return Err(corrupt(format!("unknown KLSS tag {t}"))),
-    };
-    let fusion = match r.u8()? {
-        0 => false,
-        1 => true,
-        t => return Err(corrupt(format!("unknown fusion tag {t}"))),
-    };
-    let streams = r.len("stream count")?;
-    let predicted_makespan_s = r.f64()?;
-    r.finish()?;
-    let params = base
-        .with_klss(klss)
-        .map_err(|e| corrupt(format!("plan parameters do not rebuild: {e}")))?;
-    Ok(ExecPlan {
-        params,
-        fusion,
-        streams,
-        predicted_makespan_s,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Ciphertexts
 // ---------------------------------------------------------------------------
 
@@ -335,31 +268,6 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] = 7;
         assert!(decode_secret_key(&bad).is_err());
-    }
-
-    #[test]
-    fn plans_roundtrip() {
-        let base = CkksParams::test_small();
-        let k = base.klss.expect("test_small carries KLSS");
-        let klss36 = Some(KlssConfig {
-            word_size_t: 36,
-            ..k
-        });
-        for (klss, fusion, streams, predicted_makespan_s) in
-            [(klss36, true, 4, 1.25e-3), (None, false, 1, 0.0)]
-        {
-            let plan = ExecPlan {
-                params: base.with_klss(klss).expect("feasible"),
-                fusion,
-                streams,
-                predicted_makespan_s,
-            };
-            let bytes = encode_plan(&plan);
-            assert_eq!(decode_plan(&bytes, &base).expect("roundtrip"), plan);
-            for cut in 0..bytes.len() {
-                assert!(decode_plan(&bytes[..cut], &base).is_err(), "cut at {cut}");
-            }
-        }
     }
 
     #[test]

@@ -20,18 +20,22 @@ pub const RECORD_MAGIC: [u8; 4] = *b"NREC";
 
 /// Current record format version. Bumped on any layout change; old
 /// versions are quarantined, not guessed at. Version 2 dropped the
-/// compute-backend byte from `ExecPlan` payloads. Version 3 stores
-/// NTT-domain limbs (KSK `b`-parts) in the radix-2 transforms'
-/// bit-reversed evaluation order. Version 4 stores a plan as its KLSS
-/// configuration, fusion, streams and makespan, its parameters rebuilt
-/// over the store's on load.
+/// compute-backend byte from plan payloads. Version 3 stores NTT-domain
+/// limbs (KSK `b`-parts) in the radix-2 transforms' bit-reversed
+/// evaluation order. Version 4 changed only the plan layout, and plan
+/// records are retired (kind 4), so every payload a version-4 store
+/// still holds has the version-3 layout.
 pub const RECORD_VERSION: u16 = 4;
 
 /// Size of the fixed record header in bytes.
 pub const HEADER_LEN: usize = 72;
 
 /// What a record holds. The discriminants are the on-disk encoding —
-/// never reorder or reuse them.
+/// never reorder or reuse them. Discriminant 4 is retired: it held
+/// execution plans, which the store no longer keeps. A kind-4 record in
+/// an older file decodes as an unknown kind, so the recovery scan
+/// quarantines it and skips it by its length; 4 must never name a new
+/// kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u16)]
 pub enum RecordKind {
@@ -45,9 +49,6 @@ pub enum RecordKind {
     /// Seed-compressed KLSS key-switching key (same payload shape as
     /// [`RecordKind::HybridKsk`] — raw `b`-parts before decomposition).
     KlssKsk = 3,
-    /// A cached `neo_plan::ExecPlan`; `aux` holds the plan key's shape
-    /// hash.
-    ExecPlan = 4,
     /// A ciphertext; `aux` is a caller-chosen handle.
     Ciphertext = 5,
 }
@@ -59,7 +60,6 @@ impl RecordKind {
             1 => Some(RecordKind::SecretKey),
             2 => Some(RecordKind::HybridKsk),
             3 => Some(RecordKind::KlssKsk),
-            4 => Some(RecordKind::ExecPlan),
             5 => Some(RecordKind::Ciphertext),
             _ => None,
         }
@@ -78,7 +78,6 @@ impl RecordKind {
             RecordKind::SecretKey => "secret_key",
             RecordKind::HybridKsk => "hybrid_ksk",
             RecordKind::KlssKsk => "klss_ksk",
-            RecordKind::ExecPlan => "exec_plan",
             RecordKind::Ciphertext => "ciphertext",
         }
     }
@@ -90,12 +89,12 @@ impl RecordKind {
 pub struct RecordId {
     /// What the record holds.
     pub kind: RecordKind,
-    /// Owning tenant (0 for tenant-less records such as plans).
+    /// Owning tenant.
     pub tenant: u64,
     /// Key level for KSK records; 0 otherwise.
     pub level: u64,
-    /// Kind-specific discriminator: `KeyTarget::code()` for KSKs, the
-    /// plan-shape hash for plans, a caller handle for ciphertexts.
+    /// Kind-specific discriminator: `KeyTarget::code()` for KSKs, a
+    /// caller handle for ciphertexts.
     pub aux: u64,
 }
 
@@ -110,7 +109,7 @@ pub struct Header {
     /// engine seed for the secret key); 0 when unused.
     pub seed: u64,
     /// Parameter fingerprint of the context the record belongs to
-    /// (`neo_plan::param_fingerprint`).
+    /// ([`crate::param_fingerprint`]).
     pub fingerprint: u64,
     /// Payload length in bytes.
     pub payload_len: u64,
@@ -276,7 +275,6 @@ mod tests {
             (RecordKind::SecretKey, 1u16, "secret_key"),
             (RecordKind::HybridKsk, 2, "hybrid_ksk"),
             (RecordKind::KlssKsk, 3, "klss_ksk"),
-            (RecordKind::ExecPlan, 4, "exec_plan"),
             (RecordKind::Ciphertext, 5, "ciphertext"),
         ] {
             assert_eq!(kind as u16, disc);
@@ -284,6 +282,7 @@ mod tests {
             assert_eq!(kind.name(), name);
         }
         assert_eq!(RecordKind::from_u16(0), None);
+        assert_eq!(RecordKind::from_u16(4), None, "retired: plan records");
         assert_eq!(RecordKind::from_u16(6), None);
     }
 }

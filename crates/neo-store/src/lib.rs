@@ -1,12 +1,9 @@
-//! # neo-store — crash-safe persistent key & plan store
+//! # neo-store — crash-safe persistent key & ciphertext store
 //!
 //! Durable storage for the expensive-to-regenerate state of a Neo FHE
-//! deployment: secret keys, key-switching keys, cached execution plans,
-//! and ciphertexts. A plan record keeps only what the store's parameter
-//! fingerprint does not fix (the chosen KLSS configuration, fusion,
-//! streams, makespan); loading rebuilds its parameters over the store's
-//! and refuses a record that does not rebuild. Three properties drive
-//! the design:
+//! deployment: secret keys, key-switching keys and ciphertexts, each
+//! record tagged with the [`param_fingerprint`] of the parameters it was
+//! written under. Three properties drive the design:
 //!
 //! * **Crash safety.** [`Store::commit`] publishes the whole record set
 //!   via write-temp → fsync → rename, so the on-disk image is always
@@ -45,5 +42,5 @@ pub mod store;
 
 pub use checksum::checksum64;
 pub use format::{Header, HeaderError, RecordId, RecordKind, FILE_MAGIC, HEADER_LEN};
-pub use session::SessionStore;
+pub use session::{param_fingerprint, SessionStore};
 pub use store::{RecordStatus, RecoveryReport, Store};

@@ -8,8 +8,8 @@
 //! * `store_hits_total` / `store_misses_total` — typed `get` outcomes;
 //! * `store_commit_bytes` — size of the last committed file (gauge).
 //!
-//! Gate discipline matches `neo-plan`: one relaxed load and no work
-//! while [`neo_trace::enabled`] is off.
+//! Gate discipline: one relaxed load and no work while
+//! [`neo_trace::enabled`] is off.
 
 use neo_trace::{CounterHandle, GaugeHandle};
 use std::sync::{Arc, LazyLock};

@@ -1,8 +1,8 @@
 //! The typed session layer over [`Store`]: saving and warm-starting
-//! whole FHE sessions, plan caches, and ciphertexts.
+//! whole FHE sessions and their ciphertexts.
 //!
 //! A [`SessionStore`] binds a [`Store`] to one parameter set (via its
-//! `neo_plan::param_fingerprint`); records written under a different
+//! [`param_fingerprint`]); records written under a different
 //! fingerprint are ignored on load and refused on decode, so a store
 //! file can be shared across parameter upgrades without ever hydrating
 //! keys into the wrong context.
@@ -20,11 +20,36 @@ use crate::codec;
 use crate::format::{RecordId, RecordKind};
 use crate::metrics;
 use crate::store::{RecordStatus, Store};
-use neo_ckks::{Ciphertext, CkksContext, FheEngine, KeyTarget, KsMethod, SecretKey};
+use neo_ckks::{Ciphertext, CkksContext, CkksParams, FheEngine, KeyTarget, KsMethod, SecretKey};
 use neo_error::NeoError;
-use neo_plan::{param_fingerprint, PlanKey, PlanStore};
+use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::Arc;
+
+/// Deterministic hash of every [`CkksParams`] field: the tag every
+/// record carries, so a store never hydrates a record into a context it
+/// was not written for. Changing any parameter changes the fingerprint.
+/// The compute backend is not a parameter, so a record answers under
+/// either one.
+///
+/// The hash is the fixed-key [`std::collections::hash_map::DefaultHasher`]
+/// over the fields in declaration order; its values are pinned by test,
+/// because every record on disk carries one.
+pub fn param_fingerprint(p: &CkksParams) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    p.log_n.hash(&mut h);
+    p.max_level.hash(&mut h);
+    p.word_size.hash(&mut h);
+    p.special.hash(&mut h);
+    p.dnum.hash(&mut h);
+    p.klss.hash(&mut h);
+    p.batch_size.hash(&mut h);
+    p.error_std.to_bits().hash(&mut h);
+    p.scale_bits.hash(&mut h);
+    p.lambda.hash(&mut h);
+    p.single_scaling.hash(&mut h);
+    h.finish()
+}
 
 /// A [`Store`] bound to one CKKS context and its parameter fingerprint.
 #[derive(Debug)]
@@ -226,59 +251,6 @@ impl SessionStore {
         Ok(Some(engine))
     }
 
-    /// Persists every plan cached for this fingerprint. Memory only
-    /// until [`Self::commit`].
-    pub fn save_plans(&mut self, plans: &PlanStore) {
-        for (key, plan) in plans.entries() {
-            if key.fingerprint != self.fingerprint {
-                continue;
-            }
-            self.store.put(
-                RecordId {
-                    kind: RecordKind::ExecPlan,
-                    tenant: 0,
-                    level: 0,
-                    aux: key.shape,
-                },
-                0,
-                key.fingerprint,
-                codec::encode_plan(&plan),
-            );
-        }
-    }
-
-    /// Hydrates `plans` with every valid plan record under this
-    /// fingerprint, each plan's parameters rebuilt over this store's
-    /// context ([`codec::decode_plan`]); returns how many were loaded.
-    ///
-    /// # Errors
-    ///
-    /// [`NeoError::FaultDetected`] on a failed read-back checksum, an
-    /// undecodable plan payload, or a plan whose parameters do not
-    /// rebuild.
-    pub fn load_plans(&self, plans: &PlanStore) -> Result<usize, NeoError> {
-        let mut loaded = 0;
-        for id in self.store.ids() {
-            if id.kind != RecordKind::ExecPlan
-                || self.store.fingerprint_of(id) != Some(self.fingerprint)
-            {
-                continue;
-            }
-            let Some(bytes) = self.store.get(id)? else {
-                continue;
-            };
-            plans.insert(
-                PlanKey {
-                    fingerprint: self.fingerprint,
-                    shape: id.aux,
-                },
-                codec::decode_plan(&bytes, self.ctx.params())?,
-            );
-            loaded += 1;
-        }
-        Ok(loaded)
-    }
-
     /// Persists a ciphertext under a caller-chosen handle. Memory only
     /// until [`Self::commit`].
     pub fn save_ciphertext(&mut self, tenant: u64, handle: u64, ct: &Ciphertext) {
@@ -329,8 +301,9 @@ impl SessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_ckks::{CkksParams, KlssConfig};
-    use neo_plan::ExecPlan;
+    use crate::checksum::checksum64;
+    use crate::format::{Header, FILE_MAGIC, HEADER_LEN};
+    use neo_ckks::ParamSet;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -430,32 +403,36 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Rewrites the header of every record `pick` selects to claim
-    /// `version`, with a valid header checksum: the file an older build
-    /// wrote.
-    fn rewrite_versions(path: &Path, version: u16, pick: impl Fn(RecordKind) -> bool) {
-        use crate::format::{Header, FILE_MAGIC, HEADER_LEN};
-        let bytes = std::fs::read(path).expect("read");
-        let mut out = bytes[..FILE_MAGIC.len()].to_vec();
+    /// Hands the raw header of every record to `patch` with its kind,
+    /// then recomputes the header checksum: the file another build
+    /// wrote, framing intact.
+    fn patch_headers(path: &Path, patch: impl Fn(RecordKind, &mut [u8])) {
+        let mut bytes = std::fs::read(path).expect("read");
         let mut offset = FILE_MAGIC.len();
         while offset < bytes.len() {
-            let mut header = Header::decode(&bytes[offset..]).expect("current header");
-            if pick(header.id.kind) {
-                header.version = version;
-            }
-            header.encode_to(&mut out);
-            let end = offset + HEADER_LEN + header.payload_len as usize;
-            out.extend_from_slice(&bytes[offset + HEADER_LEN..end]);
-            offset = end;
+            let header = Header::decode(&bytes[offset..]).expect("current header");
+            let raw = &mut bytes[offset..offset + HEADER_LEN];
+            patch(header.id.kind, raw);
+            let hc = checksum64(&raw[..HEADER_LEN - 8]);
+            raw[HEADER_LEN - 8..].copy_from_slice(&hc.to_le_bytes());
+            offset += HEADER_LEN + header.payload_len as usize;
         }
-        std::fs::write(path, out).expect("write");
+        std::fs::write(path, bytes).expect("write");
+    }
+
+    /// Makes every record `pick` selects claim `version`.
+    fn rewrite_versions(path: &Path, version: u16, pick: impl Fn(RecordKind) -> bool) {
+        patch_headers(path, |kind, raw| {
+            if pick(kind) {
+                raw[4..6].copy_from_slice(&version.to_le_bytes());
+            }
+        });
     }
 
     /// Records of an older version are quarantined unread: version-2 KSK
     /// records hold `b`-parts in natural evaluation order, which the
-    /// current transforms do not use, and version-3 plan records hold the
-    /// whole plan in the old layout. A whole old-version session
-    /// cold-starts and hydrates no plan.
+    /// current transforms do not use. A whole old-version session
+    /// cold-starts.
     #[test]
     fn version_2_and_3_records_are_quarantined_and_never_hydrated() {
         let path = tmp("old-versions");
@@ -466,19 +443,10 @@ mod tests {
             .warm(lvl, KeyTarget::Relin, cold.method())
             .expect("warm");
         let kind = ksk_kind(cold.method());
-        let plans = PlanStore::new();
-        plans.insert(
-            PlanKey {
-                fingerprint: param_fingerprint(ctx.params()),
-                shape: 1,
-            },
-            ExecPlan::unplanned(ctx.params()),
-        );
         let save = || {
             let _ = std::fs::remove_file(&path);
             let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
             ss.save_engine(2, &cold, 5).unwrap();
-            ss.save_plans(&plans);
             ss.commit().expect("commit");
         };
         let ksk = RecordId {
@@ -506,96 +474,76 @@ mod tests {
             );
 
             // A whole old-version store: nothing is valid, so it
-            // cold-starts and hydrates no plan.
+            // cold-starts.
             save();
             rewrite_versions(&path, version, |_| true);
             let mut ss3 = SessionStore::open(&path, ctx.clone()).expect("reopen old");
-            assert_eq!(ss3.store().report().quarantined, 3, "v{version}");
+            assert_eq!(ss3.store().report().quarantined, 2, "v{version}");
             assert!(ss3.store().ids().is_empty());
             assert!(!ss3.has_session(2));
             assert!(ss3.warm_start(2).expect("cold").is_none());
-            assert_eq!(ss3.load_plans(&PlanStore::new()).expect("load"), 0);
         }
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A record of a retired kind (4, the plan records older builds
+    /// wrote) is quarantined and skipped by its length; every record
+    /// around it stays valid and the session warm-starts.
     #[test]
-    fn plans_roundtrip_through_the_store() {
-        let path = tmp("plans");
+    fn a_retired_kind_is_skipped_and_the_session_warm_starts() {
+        let path = tmp("retired-kind");
         let ctx = ctx();
-        let base = ctx.params();
-        let plans = PlanStore::new();
-        let fp = param_fingerprint(base);
-        let k = base.klss.expect("test_tiny carries KLSS");
-        let klss36 = Some(KlssConfig {
-            word_size_t: 36,
-            ..k
-        });
-        let klss_plan = ExecPlan {
-            params: base.with_klss(klss36).expect("feasible"),
-            fusion: true,
-            streams: 3,
-            predicted_makespan_s: 2.5e-3,
-        };
-        let hybrid_plan = ExecPlan {
-            params: base.with_klss(None).expect("feasible"),
-            ..ExecPlan::unplanned(base)
-        };
-        let key = |fingerprint, shape| PlanKey { fingerprint, shape };
-        plans.insert(key(fp, 0xABCD), klss_plan.clone());
-        plans.insert(key(fp, 0xBCDE), hybrid_plan.clone());
-        // A foreign-fingerprint plan must not be persisted under ours.
-        plans.insert(key(fp ^ 1, 0xEEEE), klss_plan.clone());
-
+        let lvl = ctx.params().max_level;
+        let cold = FheEngine::with_context(ctx.clone(), 3).unwrap();
+        cold.chest()
+            .warm(lvl, KeyTarget::Relin, cold.method())
+            .expect("warm");
+        let ct = cold.encrypt_f64(&[0.75], lvl).expect("enc");
         let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
-        ss.save_plans(&plans);
+        ss.save_engine(8, &cold, 3).unwrap();
+        ss.save_ciphertext(8, 1, &ct);
         ss.commit().expect("commit");
+        patch_headers(&path, |kind, raw| {
+            if kind == RecordKind::Ciphertext {
+                raw[6..8].copy_from_slice(&4u16.to_le_bytes());
+            }
+        });
 
-        let ss2 = SessionStore::open(&path, ctx).expect("reopen");
-        let hydrated = PlanStore::new();
-        assert_eq!(ss2.load_plans(&hydrated).expect("load"), 2);
-        assert_eq!(hydrated.get(&key(fp, 0xABCD)), Some(klss_plan));
-        assert_eq!(hydrated.get(&key(fp, 0xBCDE)), Some(hybrid_plan));
+        let mut ss2 = SessionStore::open(&path, ctx).expect("reopen");
+        let report = ss2.store().report().clone();
+        assert_eq!((report.valid, report.quarantined), (2, 1));
+        assert_eq!((report.recoverable, report.lost_tail), (0, false));
+        assert!(ss2.has_session(8));
+        let warm = ss2.warm_start(8).expect("warm").expect("present");
+        assert_eq!(
+            warm.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap(),
+            cold.chest().export_b_parts(lvl, KeyTarget::Relin).unwrap()
+        );
+        assert!(ss2.load_ciphertext(8, 1).expect("absent").is_none());
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A plan record whose KLSS configuration does not rebuild over the
-    /// store's parameters is refused, never hydrated with other
-    /// parameters.
     #[test]
-    fn plan_records_that_do_not_rebuild_are_refused() {
-        let path = tmp("bad-plan");
-        let ctx = ctx();
-        let base = ctx.params();
-        let plans = PlanStore::new();
-        let bad = ExecPlan {
-            params: CkksParams {
-                klss: Some(KlssConfig {
-                    word_size_t: 16,
-                    alpha_tilde: 2,
-                }),
-                ..base.clone()
-            },
-            ..ExecPlan::unplanned(base)
-        };
-        plans.insert(
-            PlanKey {
-                fingerprint: param_fingerprint(base),
-                shape: 7,
-            },
-            bad,
-        );
-        let mut ss = SessionStore::open(&path, ctx.clone()).expect("open");
-        ss.save_plans(&plans);
-        ss.commit().expect("commit");
+    fn fingerprint_tracks_every_field() {
+        let p = CkksParams::test_small();
+        let base = param_fingerprint(&p);
+        assert_eq!(base, param_fingerprint(&p.clone()), "deterministic");
 
-        let ss2 = SessionStore::open(&path, ctx).expect("reopen");
-        let hydrated = PlanStore::new();
-        let err = ss2
-            .load_plans(&hydrated)
-            .expect_err("WordSize_T 16 cannot rebuild");
-        assert_eq!(err.kind().name(), "fault_detected");
-        assert!(hydrated.is_empty());
-        let _ = std::fs::remove_file(&path);
+        let mut q = p.clone();
+        q.max_level += 1;
+        assert_ne!(base, param_fingerprint(&q), "level change re-keys");
+    }
+
+    /// Every record on disk carries one of these, so they must never
+    /// move.
+    #[test]
+    fn fingerprints_are_pinned() {
+        for (p, want) in [
+            (CkksParams::test_tiny(), 0x5c66_1d03_b536_c259_u64),
+            (CkksParams::test_small(), 0x4571_8292_277f_0cfa),
+            (ParamSet::C.params(), 0x4b9d_2112_d5be_6e00),
+        ] {
+            assert_eq!(param_fingerprint(&p), want, "{p:?}");
+        }
     }
 }

@@ -19,11 +19,6 @@ pub struct FragmentShape {
 }
 
 impl FragmentShape {
-    /// Output elements per fragment MMA.
-    pub fn output_elems(&self) -> usize {
-        self.m * self.n
-    }
-
     /// Multiply-accumulate operations per fragment MMA.
     pub fn macs(&self) -> usize {
         self.m * self.n * self.k
@@ -183,6 +178,5 @@ mod tests {
     fn shape_metrics() {
         assert_eq!(FP64_FRAGMENT.macs(), 256);
         assert_eq!(INT8_FRAGMENTS[0].macs(), 4096);
-        assert_eq!(FP64_FRAGMENT.output_elems(), 64);
     }
 }

@@ -61,17 +61,6 @@ pub fn valid_proportion(dims: GemmDims, shape: FragmentShape) -> f64 {
     dims.macs() as f64 / dims.padded_macs(shape) as f64
 }
 
-/// Total fragment MMA count for a full split GEMM on the FP64 path.
-pub fn total_fragments_fp64(dims: GemmDims, word_size: u32) -> u64 {
-    booth_complexity_fp64(word_size) * dims.fragments(crate::FP64_FRAGMENT)
-}
-
-/// Total fragment MMA count for a full split GEMM on the INT8 path with
-/// the given fragment shape.
-pub fn total_fragments_int8(dims: GemmDims, word_size: u32, shape: FragmentShape) -> u64 {
-    booth_complexity_int8(word_size) * dims.fragments(shape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,8 +107,6 @@ mod tests {
     fn fragment_counts() {
         let dims = GemmDims::new(16, 16, 16);
         assert_eq!(dims.fragments(FP64_FRAGMENT), 2 * 2 * 4);
-        assert_eq!(total_fragments_fp64(dims, 36), 3 * 16);
         assert_eq!(dims.fragments(INT8_FRAGMENTS[0]), 1);
-        assert_eq!(total_fragments_int8(dims, 36, INT8_FRAGMENTS[0]), 25);
     }
 }

@@ -1,17 +1,14 @@
 //! Exporters for recorded spans, events, and counters.
 //!
-//! Three formats:
+//! Two formats:
 //! * [`tree_report`] — human-readable indented tree with durations and
 //!   per-span counter deltas;
-//! * [`json_report`] — a self-contained JSON document (spans, events,
-//!   global counters);
 //! * [`chrome_trace`] — Chrome `chrome://tracing` / Perfetto "trace event"
 //!   JSON (`ph:"X"` complete events plus `ph:"i"` instants).
 //!
 //! JSON is emitted by hand so the crate stays dependency-free; every
 //! string goes through the shared [`crate::jsonv::escape`].
 
-use crate::counters::snapshot;
 use crate::jsonv::escape as json_escape;
 use crate::span::{events, spans, Event, SpanNode};
 use std::fmt::Write as _;
@@ -74,64 +71,6 @@ pub fn tree_report() -> String {
         out.push_str("(no spans recorded)\n");
     }
     out
-}
-
-fn span_json(s: &SpanNode, idx: usize) -> String {
-    let mut o = String::from("{");
-    let _ = write!(
-        o,
-        "\"id\":{idx},\"name\":\"{}\",\"label\":\"{}\",\"tid\":{},\"depth\":{},\"start_us\":{},\"dur_us\":{}",
-        json_escape(s.name),
-        json_escape(&s.label),
-        s.tid,
-        s.depth,
-        s.start_us,
-        s.duration_us()
-    );
-    if let Some(p) = s.parent {
-        let _ = write!(o, ",\"parent\":{p}");
-    }
-    let _ = write!(o, ",\"work\":{}", s.work.to_json());
-    o.push('}');
-    o
-}
-
-/// Self-contained JSON document: `{"counters": .., "spans": [..],
-/// "events": [..]}`. Counters are the *global* totals since the last
-/// [`crate::reset`].
-pub fn json_report() -> String {
-    let all = spans();
-    let evs = events();
-    let span_objs: Vec<String> = all
-        .iter()
-        .enumerate()
-        .map(|(i, s)| span_json(s, i))
-        .collect();
-    let event_objs: Vec<String> = evs
-        .iter()
-        .map(|e| {
-            let mut o = String::from("{");
-            let _ = write!(
-                o,
-                "\"name\":\"{}\",\"detail\":\"{}\",\"ts_us\":{},\"tid\":{}",
-                json_escape(e.name),
-                json_escape(&e.detail),
-                e.ts_us,
-                e.tid
-            );
-            if let Some(s) = e.span {
-                let _ = write!(o, ",\"span\":{s}");
-            }
-            o.push('}');
-            o
-        })
-        .collect();
-    format!(
-        "{{\"counters\":{},\"spans\":[{}],\"events\":[{}]}}",
-        snapshot().to_json(),
-        span_objs.join(","),
-        event_objs.join(",")
-    )
 }
 
 /// Chrome trace-event JSON (open in `chrome://tracing` or
@@ -227,22 +166,22 @@ mod tests {
 
     #[test]
     fn exporters_cover_recorded_spans() {
-        let ((tree, json, chrome), _) = record(|| {
+        let ((tree, chrome), _) = record(|| {
             crate::reset();
             {
                 let _op = crate::span!("op.test", n = 1024);
                 add(Counter::NttButterflies, 5120);
                 crate::span::event("noise.budget", "bits=31.5");
             }
-            let out = (tree_report(), json_report(), chrome_trace());
+            let out = (tree_report(), chrome_trace());
             crate::reset();
             out
         });
         assert!(tree.contains("op.test"));
         assert!(tree.contains("ntt_butterflies=5120"));
         assert!(tree.contains("noise.budget"));
-        assert!(json.contains("\"name\":\"op.test\""));
-        assert!(json.contains("\"label\":\"n=1024\""));
+        assert!(chrome.contains("\"name\":\"op.test\""));
+        assert!(chrome.contains("\"label\":\"n=1024\""));
         assert!(chrome.contains("\"ph\":\"X\""));
         assert!(chrome.contains("\"ph\":\"i\""));
     }

@@ -33,8 +33,8 @@ pub use neo_math as math;
 /// Negacyclic NTTs: radix-2, four-step, and radix-16 (ten-step) matrix form.
 pub use neo_ntt as ntt;
 /// Sim-driven execution-plan autotuner: prices candidate parameter sets
-/// through the scheduler's simulator and caches winning
-/// [`plan::ExecPlan`]s, whose parameters a session is built from.
+/// through the scheduler's simulator and returns the cheapest as a
+/// [`plan::ExecPlan`], whose parameters a session is built from.
 pub use neo_plan as plan;
 /// Kernel-DAG scheduling for the device model: fusion rewrites and the
 /// discrete-event multi-stream simulator. (The host's batch executor is
@@ -44,8 +44,9 @@ pub use neo_sched as sched;
 /// urgency-ordered admission that coalesces batches by window and op
 /// cap, typed backpressure.
 pub use neo_serve as serve;
-/// Crash-safe persistent key & plan store: checksummed records, atomic
-/// commits, integrity quarantine, and seed-compressed KSK warm starts.
+/// Crash-safe persistent key & ciphertext store: checksummed records,
+/// atomic commits, integrity quarantine, and seed-compressed KSK warm
+/// starts.
 pub use neo_store as store;
 /// Tensor-core fragment emulation (FP64 / INT8) and splitting schemes.
 pub use neo_tcu as tcu;

@@ -2,20 +2,19 @@
 //! parameters runs the plan's key-switching method bit-identically to
 //! the sequential reference and to the base-params engine on random
 //! legal programs, KLSS outputs do not depend on `WordSize_T`, a tenant
-//! on a planned registry keeps its own verify policy, and the plan cache
-//! round-trips.
+//! on a planned registry keeps its own verify policy, and planning is
+//! deterministic.
 
 use neo::ckks::{
     BatchProgram, Ciphertext, CkksParams, FheEngine, KlssConfig, KsMethod, NeoError, OpPolicy,
     VerifyPolicy,
 };
 use neo::gpu_sim::DeviceModel;
-use neo::plan::{PlanStore, Planner};
+use neo::plan::Planner;
 use neo::serve::{TenantConfig, TenantRegistry};
 use neo_bench::run_sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 fn unwrap_all(results: Vec<Result<Ciphertext, NeoError>>) -> Vec<Ciphertext> {
     results
@@ -126,34 +125,32 @@ fn a_tenant_on_planned_params_keeps_its_verify_policy() {
     assert_eq!(tenant.engine().method(), plan.params.method());
 }
 
-/// PlanStore round-trip: the same (params, shape) key hits; perturbing
-/// the program shape or the parameters misses.
+/// Planning is a pure function of its inputs: on random programs and
+/// levels, two fresh planners return equal plans, makespan bits
+/// included, and each plan re-prices to its own predicted makespan.
 #[test]
-fn plan_store_round_trips_on_random_programs() {
+fn planning_is_deterministic_on_random_programs() {
     let params = CkksParams::test_tiny();
-    let store = Arc::new(PlanStore::new());
-    let planner = Planner::new(params.clone(), DeviceModel::a100()).with_store(Arc::clone(&store));
-    let mut rng = StdRng::seed_from_u64(29);
-    let level = params.max_level;
-    let prog = BatchProgram::random(&mut rng, 2, 6, level, 1 << params.log_n);
-
-    let first = planner.plan_program(&prog, level).expect("plan");
-    assert_eq!((store.hits(), store.misses()), (0, 1));
-    let second = planner.plan_program(&prog, level).expect("replan");
-    assert_eq!(first, second, "cache must return the identical plan");
-    assert_eq!((store.hits(), store.misses()), (1, 1));
-
-    // Same ops at a different level: different shape, fresh sweep.
-    planner.plan_program(&prog, level - 1).expect("perturbed");
-    assert_eq!(store.misses(), 2, "perturbed shape must miss");
-
-    // Same shape under different params: different fingerprint.
-    let other = CkksParams::test_small();
-    let other_planner =
-        Planner::new(other.clone(), DeviceModel::a100()).with_store(Arc::clone(&store));
-    other_planner
-        .plan_program(&prog, level)
-        .expect("other params");
-    assert_eq!(store.misses(), 3, "re-parameterization must re-key");
-    assert_eq!(store.len(), 3);
+    let fresh = || Planner::new(params.clone(), DeviceModel::a100());
+    for (seed, level) in [
+        (29u64, params.max_level),
+        (41, params.max_level - 1),
+        (53, 2),
+    ] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let prog = BatchProgram::random(&mut rng, 2, 6, level, params.n());
+        let a = fresh().plan_program(&prog, level).expect("plan");
+        let b = fresh().plan_program(&prog, level).expect("replan");
+        assert_eq!(a, b, "seed {seed} level {level}");
+        assert_eq!(
+            a.predicted_makespan_s.to_bits(),
+            b.predicted_makespan_s.to_bits(),
+            "seed {seed} level {level}"
+        );
+        assert_eq!(
+            fresh().simulate_program_plan(&prog, level, &a),
+            a.predicted_makespan_s,
+            "seed {seed} level {level}: re-pricing must be exact"
+        );
+    }
 }

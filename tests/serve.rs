@@ -325,7 +325,7 @@ fn mixed_verify_policies_leave_the_process_policy_alone() {
         let s = registry.register(id, 600 + id, cfg).expect("register");
         let ct = s.engine().encrypt_f64(&[0.25, id as f64], 3).expect("enc");
         let clean = run_sequential(
-            &program_shape(1),
+            &shaped_program(1),
             s.engine().chest(),
             std::slice::from_ref(&ct),
             s.engine().method(),
@@ -336,7 +336,7 @@ fn mixed_verify_policies_leave_the_process_policy_alone() {
     assert_eq!(neo::fault::verify_policy(), VerifyPolicy::Off);
     for batch in 0..BATCHES {
         for id in 0..TENANTS {
-            core.submit(id, program_shape(1), vec![refs[id as usize].0.clone()])
+            core.submit(id, shaped_program(1), vec![refs[id as usize].0.clone()])
                 .expect("submit");
         }
         let (responses, _) = core.drain_batch().expect("one batch");
@@ -367,7 +367,7 @@ fn klss_free_tenant_hmult_is_served() {
     let s = registry.register_default(0, 31).expect("register");
     assert_eq!(s.engine().method(), KsMethod::Hybrid);
     let ct = s.engine().encrypt_f64(&[0.5, -1.5], 3).expect("enc");
-    let prog = program_shape(2);
+    let prog = shaped_program(2);
     let clean = run_sequential(
         &prog,
         s.engine().chest(),
@@ -386,7 +386,7 @@ fn klss_free_tenant_hmult_is_served() {
 // --- property: coalesced serving is observationally serial -----------------
 
 /// Program shapes the generator picks from — each valid at level ≥ 2.
-fn program_shape(idx: usize) -> BatchProgram {
+fn shaped_program(idx: usize) -> BatchProgram {
     let mut p = BatchProgram::new();
     match idx {
         0 => {
@@ -436,7 +436,7 @@ proptest! {
         let mut expected = Vec::new();
         for id in 0..n as u64 {
             let s = registry.register_default(id, seed ^ (0xa5a5 + id)).expect("register");
-            let prog = program_shape(shapes[id as usize]);
+            let prog = shaped_program(shapes[id as usize]);
             let ct = s
                 .engine()
                 .encrypt_f64(&[values[id as usize], 0.25], 3)

@@ -41,7 +41,7 @@ fn committed_fixture(seed: u64, tag: &str) -> Fixture {
     for (i, kind) in [
         RecordKind::SecretKey,
         RecordKind::HybridKsk,
-        RecordKind::ExecPlan,
+        RecordKind::Ciphertext,
         RecordKind::Ciphertext,
     ]
     .into_iter()
