@@ -78,7 +78,6 @@ impl SchemeModel {
                 bconv_target: MatmulTarget::Cuda,
                 ip_matrix: false,
                 ip_adaptive: false,
-                ip_target: MatmulTarget::Cuda,
                 hybrid_intt_per_digit: false,
                 multi_stream: false,
             },
@@ -173,7 +172,6 @@ pub fn ablation_ladder() -> Vec<AblationStep> {
         bconv_target: MatmulTarget::Cuda,
         ip_matrix: true,
         ip_adaptive: false,
-        ip_target: MatmulTarget::Cuda,
         ..klss
     };
     let ten_step = CostConfig {

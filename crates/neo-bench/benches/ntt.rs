@@ -80,11 +80,12 @@ fn bench_scalar_gemm(c: &mut Criterion) {
     let b_mat: Vec<u64> = (0..dim * dim)
         .map(|_| rng.gen_range(0..q.value()))
         .collect();
+    let cols = vec![q; dim];
     group.sample_size(10);
     group.bench_function("reference", |b| {
         b.iter(|| {
             let mut out = vec![0u64; dim * dim];
-            neo_tcu::reference_gemm(&q, &a, &b_mat, dim, dim, dim, &mut out);
+            neo_tcu::reference_gemm(&cols, &a, &b_mat, dim, dim, dim, &mut out);
             out
         })
     });
@@ -92,7 +93,7 @@ fn bench_scalar_gemm(c: &mut Criterion) {
         b.iter(|| {
             let mut out = vec![0u64; dim * dim];
             use neo_tcu::GemmEngine;
-            ScalarGemm.gemm(&q, &a, &b_mat, dim, dim, dim, &mut out);
+            ScalarGemm.gemm(&cols, &a, &b_mat, dim, dim, dim, &mut out);
             out
         })
     });

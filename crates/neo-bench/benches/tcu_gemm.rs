@@ -13,6 +13,7 @@ fn bench_engines(c: &mut Criterion) {
     let (m, k, n) = (256usize, 16usize, 16usize);
     let a: Vec<u64> = (0..m * k).map(|_| rng.gen_range(0..q.value())).collect();
     let b: Vec<u64> = (0..k * n).map(|_| rng.gen_range(0..q.value())).collect();
+    let cols = vec![q; n];
     let mut group = c.benchmark_group("modular_gemm_256x16x16");
     let engines: Vec<Box<dyn GemmEngine>> = vec![
         Box::new(ScalarGemm),
@@ -23,7 +24,7 @@ fn bench_engines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(engine.name(), m), &a, |bch, a| {
             let mut out = vec![0u64; m * n];
             bch.iter(|| {
-                engine.gemm(&q, a, &b, m, k, n, &mut out);
+                engine.gemm(&cols, a, &b, m, k, n, &mut out);
                 out[0]
             })
         });
@@ -39,11 +40,12 @@ fn bench_word_sizes(c: &mut Criterion) {
         let (m, k, n) = (128usize, 16usize, 16usize);
         let a: Vec<u64> = (0..m * k).map(|_| rng.gen_range(0..q.value())).collect();
         let b: Vec<u64> = (0..k * n).map(|_| rng.gen_range(0..q.value())).collect();
+        let cols = vec![q; n];
         let engine = Fp64TcuGemm::for_word_size(ws);
         group.bench_with_input(BenchmarkId::new("fp64", ws), &a, |bch, a| {
             let mut out = vec![0u64; m * n];
             bch.iter(|| {
-                engine.gemm(&q, a, &b, m, k, n, &mut out);
+                engine.gemm(&cols, a, &b, m, k, n, &mut out);
                 out[0]
             })
         });

@@ -8,10 +8,9 @@
 //! once on cached rows and once streaming its operands from a 40 MiB
 //! pool; then the KLSS inner product itself, both key components per
 //! pass over key rows packed at 6 bytes per residue and streamed from a
-//! 40 MiB pool, as the switch streams its key. The 55-bit NTT and
-//! the 256×256×256 modular GEMM rows are kept as the portable fallback:
-//! the SIMD backend runs the portable kernels there, so their ratio sits
-//! at ≈1.0×.
+//! 40 MiB pool, as the switch streams its key. The 55-bit NTT row is
+//! kept as the portable fallback: the SIMD backend runs the portable
+//! kernels there, so its ratio sits at ≈1.0×.
 //!
 //! Before timing, every kernel's SIMD output is asserted bit-identical to
 //! the portable output on the same inputs — the numbers are only
@@ -27,7 +26,6 @@ use neo_bench::measure::{self, MeasureConfig, Measurement};
 use neo_bench::{emit, ratio};
 use neo_math::{backend, BackendKind, BconvTable, Domain, Modulus, PackedPoly, RnsBasis, RnsPoly};
 use neo_ntt::{radix2, NttPlan};
-use neo_tcu::{BackendGemm, GemmEngine};
 use neo_trace::json;
 use neo_trace::jsonv::JsonValue;
 use rand::rngs::StdRng;
@@ -311,28 +309,6 @@ fn main() {
         || packed_ip(BackendKind::Simd, &mut s_next),
     );
 
-    // --- 256x256x256 modular GEMM, 55-bit prime. ---
-    let dim = 256usize;
-    let qm = Modulus::new(neo_math::primes::ntt_primes(55, n, 1).unwrap()[0]).unwrap();
-    let ga: Vec<u64> = (0..dim * dim)
-        .map(|_| rng.gen_range(0..qm.value()))
-        .collect();
-    let gb: Vec<u64> = (0..dim * dim)
-        .map(|_| rng.gen_range(0..qm.value()))
-        .collect();
-    let gemm = |kind: BackendKind| {
-        let mut out = vec![0u64; dim * dim];
-        BackendGemm::new(kind).gemm(&qm, &ga, &gb, dim, dim, dim, &mut out);
-        out
-    };
-    table.row(
-        "gemm_256",
-        FALLBACK,
-        json!({ "m": dim, "k": dim, "n": dim, "prime_bits": 55 }),
-        || gemm(BackendKind::Portable),
-        || gemm(BackendKind::Simd),
-    );
-
     let doc = json!({
         "description": "Portable vs SIMD compute-backend medians at the CKKS workloads' \
                         widths. Bit-identity is asserted on the bench inputs before timing. \
@@ -348,8 +324,8 @@ fn main() {
         "notes": [
             "The SIMD backend runs AVX-512 kernels on CPUs with AVX-512F, IFMA and DQ \
              (IFMA for moduli below 2^50, radix-4 NTT passes, an f64 overshoot row), and \
-             the portable kernels otherwise; rows marked `portable fallback` (55-bit NTT, \
-             GEMM) time the same code twice.",
+             the portable kernels otherwise; the row marked `portable fallback` (55-bit NTT) \
+             times the same code twice.",
             "Absolute times drift between runs on a shared VM; compare same-run ratios.",
         ],
     });

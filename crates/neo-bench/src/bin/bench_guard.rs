@@ -1,7 +1,10 @@
 //! `bench_guard` — the CI perf-regression gate.
 //!
-//! Re-runs the tracked micro-kernels (portable backend, the same setups
-//! as `backend_bench`) and the store warm start, compares each median
+//! Re-runs the tracked micro-kernels — the forward NTT and exact BConv
+//! on the portable backend (the same setups as `backend_bench`), and
+//! `gemm_256`, a 256³ product on `neo_tcu::ScalarGemm`, the CUDA-core
+//! engine behind the matrix NTT, BConv and IP witnesses (no host op runs
+//! a GEMM) — and the store warm start, compares each median
 //! against the committed baselines in `results/baselines.json`, and
 //! applies the [`neo_bench::guard`] policy: >15% slower fails the build
 //! (exit 1), >7% warns. Three model rows — the 4-stream KLSS HMult
@@ -34,7 +37,7 @@ use neo_ntt::{radix2, NttPlan};
 use neo_sched::{publish_utilization, simulate, SimConfig};
 use neo_serve::{price_batch, AdmissionConfig};
 use neo_store::SessionStore;
-use neo_tcu::{BackendGemm, GemmEngine};
+use neo_tcu::{GemmEngine, ScalarGemm};
 use neo_trace::json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +65,8 @@ fn main() {
     neo_trace::reset();
     neo_trace::disable();
 
-    // --- Kernel setups (portable backend, backend_bench's inputs). ---
+    // --- Kernel setups (portable backend, backend_bench's inputs; the
+    // GEMM on ScalarGemm). ---
     let n = 1usize << 14;
     let q = neo_math::primes::ntt_primes(55, n, 1).expect("55-bit NTT prime exists")[0];
     let plan = NttPlan::with_backend(q, n, BackendKind::Portable).expect("plan builds");
@@ -94,10 +98,10 @@ fn main() {
     let qm = Modulus::new(q).expect("prime is a valid modulus");
     let ga: Vec<u64> = (0..dim * dim).map(|_| rng.gen_range(0..q)).collect();
     let gb: Vec<u64> = (0..dim * dim).map(|_| rng.gen_range(0..q)).collect();
-    let engine = BackendGemm::new(BackendKind::Portable);
+    let cols = vec![qm; dim];
     let gemm = measure::time(&cfg, || {
         let mut out = vec![0u64; dim * dim];
-        engine.gemm(&qm, &ga, &gb, dim, dim, dim, &mut out);
+        ScalarGemm.gemm(&cols, &ga, &gb, dim, dim, dim, &mut out);
         out
     });
 

@@ -13,10 +13,9 @@
 //! (Han–Ki-style CTS/STC factorization, degree-63 Chebyshev EvalMod with
 //! double-angle foldings).
 
-use crate::cost::{op_time_us, CostConfig, Operation};
+use crate::cost::Operation;
 use crate::params::CkksParams;
 use neo_error::NeoError;
-use neo_gpu_sim::DeviceModel;
 
 /// One step of a workload trace: an operation executed at a level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,14 +187,6 @@ impl BootstrapPlan {
             * (2 * self.cts_stages + ((self.evalmod_degree + 1) as f64).log2().ceil() as usize);
         self.start_level.saturating_sub(consumed)
     }
-
-    /// Batch-amortized time of one bootstrap on a device, in seconds.
-    pub fn time_s(&self, dev: &DeviceModel, p: &CkksParams, cfg: &CostConfig) -> f64 {
-        self.trace()
-            .iter()
-            .map(|s| s.count as f64 * op_time_us(dev, p, s.level.max(1), s.op, cfg) * 1e-6)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -234,14 +225,5 @@ mod tests {
             assert!(s.level <= prev);
             prev = s.level;
         }
-    }
-
-    #[test]
-    fn bootstrap_time_positive_and_dominated_by_hmults_and_rotations() {
-        let dev = DeviceModel::a100();
-        let p = ParamSet::C.params();
-        let plan = BootstrapPlan::try_standard(&p).unwrap();
-        let t = plan.time_s(&dev, &p, &CostConfig::neo());
-        assert!(t > 0.0 && t < 60.0, "implausible bootstrap time {t}");
     }
 }

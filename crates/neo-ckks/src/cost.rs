@@ -44,10 +44,9 @@ pub struct CostConfig {
     pub bconv_target: MatmulTarget,
     /// Use the matrix-form IP (Algorithm 4) instead of element-wise.
     pub ip_matrix: bool,
-    /// Apply Neo's 80%-valid-proportion rule for the IP mapping.
+    /// Apply Neo's 80%-valid-proportion rule for the IP mapping; off, the
+    /// matrix-form IP runs on CUDA cores.
     pub ip_adaptive: bool,
-    /// Fixed IP target when not adaptive.
-    pub ip_target: MatmulTarget,
     /// Run the Hybrid INTT per digit (`2β(l+α)` transforms, the
     /// TensorFHE implementation behavior that Table 2 records) instead of
     /// accumulating in NTT domain first (`2(l+α)`).
@@ -71,7 +70,6 @@ impl CostConfig {
             bconv_target: MatmulTarget::TcuFp64,
             ip_matrix: true,
             ip_adaptive: true,
-            ip_target: MatmulTarget::TcuFp64,
             hybrid_intt_per_digit: false,
             multi_stream: true,
         }
@@ -88,7 +86,6 @@ impl CostConfig {
             bconv_target: MatmulTarget::Cuda,
             ip_matrix: false,
             ip_adaptive: false,
-            ip_target: MatmulTarget::Cuda,
             hybrid_intt_per_digit: true,
             multi_stream: false,
         }
@@ -105,7 +102,6 @@ impl CostConfig {
             bconv_target: MatmulTarget::Cuda,
             ip_matrix: false,
             ip_adaptive: false,
-            ip_target: MatmulTarget::Cuda,
             hybrid_intt_per_digit: false,
             multi_stream: false,
         }

@@ -12,7 +12,9 @@
 use crate::bootstrap::TraceStep;
 use crate::cost::{CostConfig, Operation};
 use crate::params::{CkksParams, KsMethod};
-use neo_kernels::{bconv, elementwise, ip, ntt, BconvGeom, ElemGeom, IpGeom, KernelClass, NttGeom};
+use neo_kernels::{
+    bconv, elementwise, ip, ntt, BconvGeom, ElemGeom, IpGeom, KernelClass, MatmulTarget, NttGeom,
+};
 use neo_sched::{NodeId, OpGraph};
 
 /// Appends `profile` classified as `class`, depending on `deps`.
@@ -31,7 +33,7 @@ fn push(
 }
 
 /// The IP kernel profile under a config (matrix vs element-wise, with
-/// Neo's adaptive target rule).
+/// Neo's adaptive target rule, else CUDA cores).
 pub(crate) fn ip_profile(geom: &IpGeom, cfg: &CostConfig) -> neo_gpu_sim::KernelProfile {
     if !cfg.ip_matrix {
         return ip::profile_original(geom);
@@ -39,7 +41,7 @@ pub(crate) fn ip_profile(geom: &IpGeom, cfg: &CostConfig) -> neo_gpu_sim::Kernel
     let target = if cfg.ip_adaptive {
         ip::neo_target(geom)
     } else {
-        cfg.ip_target
+        MatmulTarget::Cuda
     };
     ip::profile_matrix(geom, target)
 }

@@ -12,8 +12,8 @@ use neo_gpu_sim::costs::{MERGE_COST, REORDER_COST, SPLIT_COST, WORD_BYTES};
 use neo_gpu_sim::KernelProfile;
 use neo_math::BconvTable;
 use neo_tcu::{
-    gemm_multi_mod_fp64, gemm_multi_mod_int8, gemm_multi_mod_scalar, Fp64SplitScheme, GemmDims,
-    Int8SplitScheme, FP64_FRAGMENT, INT8_FRAGMENTS,
+    Fp64SplitScheme, Fp64TcuGemm, GemmDims, GemmEngine, Int8SplitScheme, Int8TcuGemm, ScalarGemm,
+    FP64_FRAGMENT, INT8_FRAGMENTS,
 };
 use neo_trace::{span, Counter};
 use rayon::prelude::*;
@@ -112,36 +112,24 @@ fn bconv_matrix_impl(
                 row[i] = limb[coeff];
             }
         });
-    // Step 3: one (n × α × α') multi-modulus GEMM against the q̂ matrix.
+    // Step 3: one (n × α × α') GEMM against the q̂ matrix, column j
+    // reduced mod t_j.
     let b = table.qhat_matrix();
-    let cols = table.dst().moduli().to_vec();
-    let mut c = vec![0u64; n * alpha_out];
     let w_src = table.src().moduli().iter().map(|m| m.bits()).max().unwrap();
     let w_dst = table.dst().moduli().iter().map(|m| m.bits()).max().unwrap();
-    match target {
-        MatmulTarget::Cuda => {
-            gemm_multi_mod_scalar(&cols, &a, &b, n, alpha, alpha_out, &mut c);
-        }
-        MatmulTarget::TcuFp64 => {
-            let scheme = Fp64SplitScheme::for_operands(w_src, w_dst);
-            gemm_multi_mod_fp64(&scheme, &cols, &a, &b, n, alpha, alpha_out, &mut c);
-        }
-        MatmulTarget::TcuInt8 => {
-            let scheme = Int8SplitScheme::for_operands(w_src, w_dst);
-            // 32×8×16 — the best INT8 shape for BConv per Fig. 11.
-            gemm_multi_mod_int8(
-                &scheme,
-                INT8_FRAGMENTS[1],
-                &cols,
-                &a,
-                &b,
-                n,
-                alpha,
-                alpha_out,
-                &mut c,
-            );
-        }
-    }
+    let engine: Box<dyn GemmEngine> = match target {
+        MatmulTarget::Cuda => Box::new(ScalarGemm),
+        MatmulTarget::TcuFp64 => Box::new(Fp64TcuGemm::new(Fp64SplitScheme::for_operands(
+            w_src, w_dst,
+        ))),
+        // 32×8×16 — the best INT8 shape for BConv per Fig. 11.
+        MatmulTarget::TcuInt8 => Box::new(
+            Int8TcuGemm::new(Int8SplitScheme::for_operands(w_src, w_dst))
+                .with_shape(INT8_FRAGMENTS[1]),
+        ),
+    };
+    let mut c = vec![0u64; n * alpha_out];
+    engine.gemm(table.dst().moduli(), &a, &b, n, alpha, alpha_out, &mut c);
     // Step 4: reorder back to limb-major, one worker per output limb.
     let mut out = vec![vec![0u64; n]; alpha_out];
     out.par_iter_mut().enumerate().for_each(|(j, limb)| {

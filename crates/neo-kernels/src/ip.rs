@@ -22,7 +22,7 @@ use neo_gpu_sim::costs::{MERGE_COST, REORDER_COST, SPLIT_COST, WORD_BYTES};
 use neo_gpu_sim::KernelProfile;
 use neo_math::Modulus;
 use neo_tcu::{
-    BackendGemm, Fp64TcuGemm, GemmDims, GemmEngine, Int8TcuGemm, FP64_FRAGMENT, INT8_FRAGMENTS,
+    Fp64TcuGemm, GemmDims, GemmEngine, Int8TcuGemm, ScalarGemm, FP64_FRAGMENT, INT8_FRAGMENTS,
 };
 use neo_trace::{span, Counter};
 use rayon::prelude::*;
@@ -111,9 +111,7 @@ pub fn ip_matrix(
     neo_trace::add(Counter::Launches, 1);
     let w = moduli.iter().map(|m| m.bits()).max().unwrap();
     let engine: Box<dyn GemmEngine + Sync> = match target {
-        // The CUDA-core path runs on the process-default compute backend
-        // (vectorized when available); output is bit-identical to scalar.
-        MatmulTarget::Cuda => Box::new(BackendGemm::auto()),
+        MatmulTarget::Cuda => Box::new(ScalarGemm),
         MatmulTarget::TcuFp64 => Box::new(Fp64TcuGemm::for_word_size(w.clamp(2, 48))),
         MatmulTarget::TcuInt8 => Box::new(Int8TcuGemm::for_word_size(w)),
     };
@@ -122,7 +120,8 @@ pub fn ip_matrix(
     let per_limb: Vec<Vec<Vec<u64>>> = (0..alpha_p)
         .into_par_iter()
         .map(|k| {
-            let m = &moduli[k];
+            // Every output column of this limb's GEMMs reduces mod q_k.
+            let cols = vec![moduli[k]; beta_t];
             let mut a = vec![0u64; batch * beta];
             let mut bmat = vec![0u64; beta * beta_t];
             let mut cmat = vec![0u64; batch * beta_t];
@@ -146,7 +145,7 @@ pub fn ip_matrix(
                         bmat[j * beta_t + i] = evk[i][j][k][l];
                     }
                 }
-                engine.gemm(m, &a, &bmat, batch, beta, beta_t, &mut cmat);
+                engine.gemm(&cols, &a, &bmat, batch, beta, beta_t, &mut cmat);
                 for b in 0..batch {
                     for (i, out_i) in out_k.iter_mut().enumerate() {
                         out_i[b * n + l] = cmat[b * beta_t + i];

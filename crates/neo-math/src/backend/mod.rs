@@ -1,22 +1,23 @@
-//! Pluggable compute backends for the three hot kernels.
+//! Pluggable compute backends for the hot host kernels.
 //!
 //! [`ComputeBackend`] is the seam between the algorithmic drivers
 //! (`neo-ntt`'s transforms, `neo-math::bconv`'s limb conversion,
-//! [`RnsPoly`](crate::RnsPoly)'s and `neo-ckks`'s inner products,
-//! `neo-tcu`'s blocked GEMM) and the arithmetic loops they execute.
-//! The drivers own *what* work happens — which transform, counter
-//! tallies, fault-injection hooks, ABFT checks — while a backend owns
-//! *how* one transform/inner-product/tile is evaluated, including how an
-//! NTT's stages group into passes over the data. Every backend must land
-//! on the **bit-identical canonical output**: all kernels fully reduce at
-//! their boundary (the forward NTT ends canonical, the inverse's `n⁻¹`
-//! scale and `mul_const` are full Shoup multiplies, bconv/`mul_acc`/GEMM
-//! reduce exact sums, the overshoot row repeats one scalar sequence of
-//! IEEE operations), so backends are free to hold *different
-//! representatives internally* as long as every intermediate stays
-//! congruent and exact: the portable loops keep Harvey's `[0, 4q)` and
-//! `[0, 2q)` windows, while the IFMA lanes keep a 52-bit value below a
-//! bound they track and fold only where it would overflow.
+//! [`RnsPoly`](crate::RnsPoly)'s and `neo-ckks`'s inner products) and the
+//! arithmetic loops they execute. The drivers own *what* work happens —
+//! which transform, counter tallies, fault-injection hooks, ABFT checks —
+//! while a backend owns *how* one transform or inner product is
+//! evaluated, including how an NTT's stages group into passes over the
+//! data. Every backend must land on the **bit-identical canonical
+//! output**: all kernels fully reduce at their boundary (the forward NTT
+//! ends canonical, the inverse's `n⁻¹` scale and `mul_const` are full
+//! Shoup multiplies, bconv/`mul_acc`/`klss_ip` reduce exact sums, the
+//! overshoot row repeats one scalar sequence of IEEE operations), so
+//! backends are free to hold *different representatives internally* as
+//! long as every intermediate stays congruent and exact: the portable
+//! loops keep Harvey's `[0, 4q)` and `[0, 2q)` windows, while the IFMA
+//! lanes keep a 52-bit value below a bound they track and fold only where
+//! it would overflow. The modular GEMM is not a host kernel: no CKKS op
+//! runs one, and its engines live in `neo-tcu`.
 //!
 //! Two backends ship:
 //!
@@ -35,12 +36,11 @@
 //! that choice to everything above the kernel objects —
 //! `CkksContext::backend`, [`RnsPoly`](crate::RnsPoly)'s products and the
 //! default constructors
-//! (`NttPlan::new`, [`BconvTable::new`](crate::BconvTable::new),
-//! `BackendGemm::auto`). The explicit pins on the kernel objects
-//! (`NttPlan::with_backend`, [`BconvTable::with_backend`](crate::BconvTable::with_backend),
-//! `BackendGemm::new`) are bench and test seams: they let one process run
-//! both backends side by side, as the cross-backend property tests and
-//! `backend_bench` do.
+//! (`NttPlan::new`, [`BconvTable::new`](crate::BconvTable::new)). The
+//! explicit pins on the kernel objects (`NttPlan::with_backend`,
+//! [`BconvTable::with_backend`](crate::BconvTable::with_backend)) are
+//! bench and test seams: they let one process run both backends side by
+//! side, as the cross-backend property tests and `backend_bench` do.
 
 use crate::{Modulus, ShoupMul};
 use std::sync::LazyLock;
@@ -124,7 +124,7 @@ pub fn active() -> &'static dyn ComputeBackend {
     get(BackendKind::detect())
 }
 
-/// The arithmetic inner loops of the three hot kernels.
+/// The arithmetic inner loops of the hot host kernels.
 ///
 /// Contract highlights (see module docs for the bit-identity argument):
 ///
@@ -148,9 +148,9 @@ pub fn active() -> &'static dyn ComputeBackend {
 ///   *any* backend.
 /// * `mul_const` accepts **arbitrary** `u64` inputs (Shoup multiplication
 ///   is sound for any multiplicand) and emits canonical values.
-/// * `bconv_ip`, `mul_acc`, `klss_ip` and `gemm` compute exact integer
-///   sums before reducing, so their outputs are independent of
-///   association order.
+/// * `bconv_ip`, `mul_acc` and `klss_ip` compute exact integer sums
+///   before reducing, so their outputs are independent of association
+///   order.
 /// * `bconv_overshoot` takes the IEEE operations of one fixed scalar
 ///   loop in one fixed order, so every backend rounds alike.
 pub trait ComputeBackend: Send + Sync {
@@ -234,23 +234,6 @@ pub trait ComputeBackend: Send + Sync {
         width: usize,
         out: [&mut [u64]; 2],
     );
-
-    /// Blocked deferred-reduction modular GEMM: `out = a·b (mod q)` for
-    /// row-major `m×k` / `k×n` operands with reduced entries. Dimension
-    /// checks and work-counter tallies are the caller's job
-    /// (`neo-tcu::gemm` keeps them engine-side so every engine pays the
-    /// same accounting).
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &self,
-        q: &Modulus,
-        a: &[u64],
-        b: &[u64],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [u64],
-    );
 }
 
 /// [`ComputeBackend::klss_ip`]'s shape contract, checked by both backends
@@ -267,13 +250,15 @@ fn check_klss_ip(x: &[&[u64]], key: &[[&[u8]; 2]], width: usize, out: &[&mut [u6
     );
 }
 
-/// The accumulation span: how many products of reduced operands fit in a
-/// `u128` accumulator that starts below `q` without wrapping
-/// (`span·(q-1)² + (q-1) ≤ u128::MAX`). GEMM folds its accumulators back
-/// below `q` once per span, and so does the portable `mul_acc`.
-pub(crate) fn gemm_span(q: &Modulus) -> usize {
+/// The accumulation span: how many products `x·y` of an `x ≤ x_max` and
+/// a `y` reduced mod `q` fit in a `u128` accumulator that starts below `q`
+/// without wrapping (`span·x_max·(q-1) + (q-1) ≤ u128::MAX`). The portable
+/// `mul_acc` and `klss_ip`, whose operands are both reduced
+/// (`x_max = q - 1`), fold their sums back below `q` once per span, and so
+/// does `neo-tcu`'s `ScalarGemm`, whose `A` entries may be any `u64`.
+pub fn accumulation_span(x_max: u64, q: &Modulus) -> usize {
     let qm1 = u128::from(q.value() - 1);
-    usize::try_from((u128::MAX - qm1) / (qm1 * qm1).max(1))
+    usize::try_from((u128::MAX - qm1) / (u128::from(x_max) * qm1).max(1))
         .unwrap_or(usize::MAX)
         .max(1)
 }
@@ -447,14 +432,6 @@ mod tests {
                     );
                 }
             }
-
-            let (gm, gk, gn) = (5usize, 600usize, 19usize);
-            let ga: Vec<u64> = (0..gm * gk).map(|_| rng.gen_range(0..q)).collect();
-            let gb: Vec<u64> = (0..gk * gn).map(|_| rng.gen_range(0..q)).collect();
-            let (mut a, mut b) = (vec![0u64; gm * gn], vec![0u64; gm * gn]);
-            portable.gemm(&m, &ga, &gb, gm, gk, gn, &mut a);
-            simd.gemm(&m, &ga, &gb, gm, gk, gn, &mut b);
-            assert_eq!(a, b, "gemm bits={bits}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! anchor every other backend is property-tested against, and the
 //! fallback on targets without better options.
 
-use super::{check_klss_ip, gemm_span, BackendKind, ComputeBackend};
+use super::{accumulation_span, check_klss_ip, BackendKind, ComputeBackend};
 use crate::packed::word;
 use crate::{Modulus, ShoupMul};
 
@@ -78,14 +78,14 @@ impl ComputeBackend for PortableBackend {
     }
 
     fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
-        // `span` terms fit the u128 accumulator on top of a value below q
-        // (the GEMM's fold bound); longer sums take one pass per group.
+        // `span` terms fit the u128 accumulator on top of a value below q;
+        // longer sums take one pass per group.
         // The first group writes `out` without reading it, each later one
         // starts from the group before.
         if a.is_empty() {
             out.fill(0);
         }
-        let span = gemm_span(q);
+        let span = accumulation_span(q.value() - 1, q);
         for (g, (xs, ys)) in a.chunks(span).zip(b.chunks(span)).enumerate() {
             for (c, o) in out.iter_mut().enumerate() {
                 let mut acc = if g == 0 { 0 } else { u128::from(*o) };
@@ -113,7 +113,7 @@ impl ComputeBackend for PortableBackend {
         }
         // As in `mul_acc`: `span` terms per pass, the first pass writing
         // the outputs without reading them.
-        let span = gemm_span(q);
+        let span = accumulation_span(q.value() - 1, q);
         for (g, (xs, ks)) in x.chunks(span).zip(key.chunks(span)).enumerate() {
             for (c, (a, b)) in o0.iter_mut().zip(o1.iter_mut()).enumerate() {
                 let (mut s0, mut s1) = if g == 0 {
@@ -128,42 +128,6 @@ impl ComputeBackend for PortableBackend {
                 }
                 *a = q.reduce_u128(s0);
                 *b = q.reduce_u128(s1);
-            }
-        }
-    }
-
-    fn gemm(
-        &self,
-        q: &Modulus,
-        a: &[u64],
-        b: &[u64],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [u64],
-    ) {
-        // Each product of reduced operands is at most (q-1)²; after a fold
-        // the accumulator restarts below q, so `span` additions fit in
-        // u128 without wrapping: span·(q-1)² + (q-1) ≤ u128::MAX.
-        let span = gemm_span(q);
-        let mut acc = vec![0u128; n];
-        for i in 0..m {
-            acc.fill(0);
-            let a_row = &a[i * k..(i + 1) * k];
-            for t0 in (0..k).step_by(span) {
-                for (t, &ai) in a_row.iter().enumerate().skip(t0).take(span) {
-                    let ai = u128::from(ai);
-                    for (s, &bj) in acc.iter_mut().zip(&b[t * n..(t + 1) * n]) {
-                        *s += ai * u128::from(bj);
-                    }
-                }
-                // Fold every accumulator back below q before the next span.
-                for s in acc.iter_mut() {
-                    *s = u128::from(q.reduce_u128(*s));
-                }
-            }
-            for (o, &s) in out[i * n..(i + 1) * n].iter_mut().zip(&acc) {
-                *o = s as u64;
             }
         }
     }

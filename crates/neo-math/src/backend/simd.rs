@@ -52,9 +52,8 @@
 //!   loop's operation order, so it rounds bit for bit alike.
 //!
 //! Everything else falls back to [`PortableBackend`], which stays the
-//! reference: moduli of `2^50` or more, transforms shorter than 64, CPUs
-//! without AVX-512F, IFMA, DQ, BW and VBMI, and GEMM (off the CKKS host
-//! path).
+//! reference: moduli of `2^50` or more, transforms shorter than 64, and
+//! CPUs without AVX-512F, IFMA, DQ, BW and VBMI.
 //! Outputs equal the portable ones at every kernel boundary, because
 //! every kernel emits canonical residues; inside a transform the lanes
 //! hold other representatives than the portable loops' `[0, 4q)` and
@@ -173,19 +172,6 @@ impl ComputeBackend for SimdBackend {
             ifma::klss_ip(q, x, key, width, out),
             PortableBackend.klss_ip(q, x, key, width, out)
         )
-    }
-
-    fn gemm(
-        &self,
-        q: &Modulus,
-        a: &[u64],
-        b: &[u64],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [u64],
-    ) {
-        PortableBackend.gemm(q, a, b, m, k, n, out);
     }
 }
 

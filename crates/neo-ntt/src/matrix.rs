@@ -153,7 +153,7 @@ fn dft_rows(
                 }
             }
             let mut out = vec![0u64; rows * n];
-            engine.gemm(m, data, &w, rows, n, n, &mut out);
+            engine.gemm(&vec![*m; n], data, &w, rows, n, n, &mut out);
             data.copy_from_slice(&out);
         }
         Some((n1, n2)) => {

@@ -19,6 +19,8 @@
 //!
 //! [`verify_gemm`] checks an already-computed product; [`CheckedGemm`]
 //! wraps any [`GemmEngine`] so the check runs after every merge+reduce.
+//! Both take one modulus, which every output column shares: the row
+//! checksum sums across columns, so it needs a single modulus.
 
 use crate::gemm::GemmEngine;
 use neo_error::NeoError;
@@ -167,7 +169,7 @@ impl<E: GemmEngine> CheckedGemm<E> {
         n: usize,
         out: &mut [u64],
     ) -> Result<(), NeoError> {
-        self.inner.gemm(q, a, b, m, k, n, out);
+        self.inner.gemm(&vec![*q; n], a, b, m, k, n, out);
         verify_gemm(q, a, b, m, k, n, out)
     }
 
@@ -201,7 +203,7 @@ mod tests {
         let a: Vec<u64> = (0..m * k).map(|_| rng.gen_range(0..q.value())).collect();
         let b: Vec<u64> = (0..k * n).map(|_| rng.gen_range(0..q.value())).collect();
         let mut c = vec![0u64; m * n];
-        ScalarGemm.gemm(q, &a, &b, m, k, n, &mut c);
+        ScalarGemm.gemm(&vec![*q; n], &a, &b, m, k, n, &mut c);
         (a, b, c)
     }
 
@@ -235,29 +237,25 @@ mod tests {
     }
 
     #[test]
-    fn abft_detection_is_backend_independent() {
-        use neo_math::BackendKind;
+    fn abft_accepts_the_scalar_product_and_detects_a_flip() {
         let q = test_modulus(48);
         let (a, b, _) = random_gemm(3, &q, 9, 33, 7);
-        for kind in [BackendKind::Portable, BackendKind::Simd] {
-            let checked = CheckedGemm::new(crate::gemm::BackendGemm::new(kind));
-            assert_eq!(checked.name(), format!("{}+abft", kind.name()));
-            let mut out = vec![0u64; 63];
-            checked
-                .gemm_verified(&q, &a, &b, 9, 33, 7, &mut out)
-                .unwrap_or_else(|e| panic!("clean {kind} product rejected: {e}"));
-            // A single flipped accumulator bit must trip the checksum no
-            // matter which backend produced the product.
-            out[17] ^= 1 << 29;
-            let err = verify_gemm(&q, &a, &b, 9, 33, 7, &out).unwrap_err();
-            assert!(matches!(
-                err,
-                NeoError::FaultDetected {
-                    site: "tcu_gemm",
-                    ..
-                }
-            ));
-        }
+        let checked = CheckedGemm::new(ScalarGemm);
+        assert_eq!(checked.name(), "scalar+abft");
+        let mut out = vec![0u64; 63];
+        checked
+            .gemm_verified(&q, &a, &b, 9, 33, 7, &mut out)
+            .unwrap_or_else(|e| panic!("clean product rejected: {e}"));
+        // A single flipped accumulator bit must trip the checksum.
+        out[17] ^= 1 << 29;
+        let err = verify_gemm(&q, &a, &b, 9, 33, 7, &out).unwrap_err();
+        assert!(matches!(
+            err,
+            NeoError::FaultDetected {
+                site: "tcu_gemm",
+                ..
+            }
+        ));
     }
 
     proptest! {

@@ -1,47 +1,55 @@
 //! Modular GEMM engines.
 //!
-//! [`GemmEngine`] is the pluggable matrix-multiplication backend used by the
-//! NTT, BConv and IP kernels. Four engines are provided:
+//! [`GemmEngine`] is the pluggable matrix-multiplication backend of the
+//! matrix NTT, the matrix BConv and IP witnesses, the ABFT wrapper and the
+//! benches. Every engine reduces output column `j` by its own modulus
+//! `cols[j]`: BConv's matrix form (Algorithm 2) needs that, since column
+//! `j` of its `q̂` matrix holds `q̂_i mod t_j`, and a single-modulus product
+//! is the case where every column carries the same modulus. Three engines
+//! are provided:
 //!
-//! * [`ScalarGemm`] — straightforward modular arithmetic (the CUDA-core
-//!   path, and the correctness oracle);
-//! * [`BackendGemm`] — the same contract routed through a pinned
-//!   [`neo_math::ComputeBackend`], so the inner loop can run vectorized;
+//! * [`ScalarGemm`] — blocked `u128` accumulation with deferred reduction
+//!   (the CUDA-core path);
 //! * [`Fp64TcuGemm`] — Neo's pipeline: split → FP64 `8×8×4` fragment MMAs →
 //!   shift-merge → reduce;
 //! * [`Int8TcuGemm`] — TensorFHE's pipeline with byte planes and INT8
 //!   fragments.
 //!
-//! All four produce **identical** outputs for reduced inputs; the TCU
-//! engines really route every multiply through the fragment emulation in
-//! [`crate::fragment`].
+//! All three produce **identical** outputs, equal to the [`reference_gemm`]
+//! oracle; the TCU engines really route every multiply through the
+//! fragment emulation in [`crate::fragment`], and their only modular step
+//! is the per-column merge.
 
 use crate::fragment::{self, FragmentShape, FP64_FRAGMENT, INT8_FRAGMENTS};
 use crate::split::{Fp64SplitScheme, Int8SplitScheme};
-use neo_math::{BackendKind, Modulus, PortableBackend};
+use neo_math::backend::accumulation_span;
+use neo_math::Modulus;
 use neo_trace::{Counter, SpanGuard};
 use std::cell::RefCell;
 
 thread_local! {
     // Per-plane-pair accumulator tiles, reused across gemm calls so the
-    // hot NTT/BConv paths don't allocate on every invocation.
+    // matrix NTT and BConv don't allocate on every invocation.
     static FP64_TILE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     static INT8_TILE: RefCell<Vec<i64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A backend that computes `C = A × B (mod q)` for row-major `u64`
-/// matrices: `A` is `m×k`, `B` is `k×n`, `C` is `m×n`.
+/// An engine that computes `C = A × B` for row-major `u64` matrices — `A`
+/// is `m×k`, `B` is `k×n`, `C` is `m×n` — with output column `j` reduced
+/// mod `cols[j]`.
 pub trait GemmEngine {
-    /// Computes the modular product into `out`.
+    /// Computes the product into `out`, column `j` reduced mod `cols[j]`.
+    /// Column `j` of `B` must be reduced mod `cols[j]`; each engine states
+    /// how wide `A`'s entries may be.
     ///
     /// # Panics
     ///
-    /// Implementations panic if slice lengths disagree with the dimensions
-    /// or operands are not reduced mod `q`.
+    /// Implementations panic if `cols` or the slice lengths disagree with
+    /// the dimensions.
     #[allow(clippy::too_many_arguments)]
     fn gemm(
         &self,
-        q: &Modulus,
+        cols: &[Modulus],
         a: &[u64],
         b: &[u64],
         m: usize,
@@ -58,16 +66,17 @@ pub trait GemmEngine {
 ///
 /// Runs an i-k-j loop over a row of `u128` accumulators with deferred
 /// reduction: inside one K-span no modular reduction happens at all, and
-/// the span length is chosen so the accumulators provably cannot wrap.
-/// Output is bit-identical to [`reference_gemm`] — both land on the
-/// canonical representative in `[0, q)`.
+/// the span ([`accumulation_span`] of the widest column modulus, for `A`
+/// entries of any `u64`) is chosen so the accumulators provably cannot
+/// wrap. Output is bit-identical to [`reference_gemm`] — both land on the
+/// canonical representative of each column's modulus.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarGemm;
 
 impl GemmEngine for ScalarGemm {
     fn gemm(
         &self,
-        q: &Modulus,
+        cols: &[Modulus],
         a: &[u64],
         b: &[u64],
         m: usize,
@@ -75,10 +84,35 @@ impl GemmEngine for ScalarGemm {
         n: usize,
         out: &mut [u64],
     ) {
-        check_dims(a, b, out, m, k, n);
+        check_dims(cols, a, b, out, m, k, n);
         neo_trace::add(Counter::GemmMacs, (m * k * n) as u64);
-        use neo_math::ComputeBackend;
-        PortableBackend.gemm(q, a, b, m, k, n, out);
+        // A timer span: one relaxed load while the gate is off.
+        let _s = SpanGuard::timer("tcu.gemm");
+        let span = cols
+            .iter()
+            .max_by_key(|t| t.value())
+            .map_or(1, |t| accumulation_span(u64::MAX, t));
+        let mut acc = vec![0u128; n];
+        for i in 0..m {
+            acc.fill(0);
+            let a_row = &a[i * k..(i + 1) * k];
+            for t0 in (0..k).step_by(span) {
+                for (t, &ai) in a_row.iter().enumerate().skip(t0).take(span) {
+                    let ai = u128::from(ai);
+                    for (s, &bj) in acc.iter_mut().zip(&b[t * n..(t + 1) * n]) {
+                        *s += ai * u128::from(bj);
+                    }
+                }
+                // Fold every accumulator below its column's modulus before
+                // the next span.
+                for (s, t) in acc.iter_mut().zip(cols) {
+                    *s = u128::from(t.reduce_u128(*s));
+                }
+            }
+            for (o, &s) in out[i * n..(i + 1) * n].iter_mut().zip(&acc) {
+                *o = s as u64;
+            }
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -86,72 +120,11 @@ impl GemmEngine for ScalarGemm {
     }
 }
 
-/// Modular GEMM dispatched through a [`neo_math::ComputeBackend`].
-///
-/// Same contract and telemetry as [`ScalarGemm`] — `GemmMacs` tallies the
-/// full `m·k·n` regardless of backend — but the i-k-j inner loop runs on
-/// the pinned backend, which may use vector lanes. Output is bit-identical
-/// to [`ScalarGemm`] and [`reference_gemm`]: every backend folds its
-/// accumulators on the same K-span schedule and emits the canonical
-/// representative in `[0, q)`.
-#[derive(Debug, Clone, Copy)]
-pub struct BackendGemm {
-    kind: BackendKind,
-}
-
-impl BackendGemm {
-    /// Engine pinned to `kind`.
-    pub fn new(kind: BackendKind) -> Self {
-        Self { kind }
-    }
-
-    /// Engine on the process-wide backend ([`neo_math::backend::active`]):
-    /// the `NEO_BACKEND` override if set, otherwise the best backend the
-    /// CPU supports.
-    pub fn auto() -> Self {
-        Self::new(neo_math::backend::active().kind())
-    }
-
-    /// The pinned backend kind.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
-    }
-}
-
-impl Default for BackendGemm {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
-
-impl GemmEngine for BackendGemm {
-    fn gemm(
-        &self,
-        q: &Modulus,
-        a: &[u64],
-        b: &[u64],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [u64],
-    ) {
-        check_dims(a, b, out, m, k, n);
-        neo_trace::add(Counter::GemmMacs, (m * k * n) as u64);
-        // A timer span: one relaxed load while the gate is off.
-        let _s = SpanGuard::timer("tcu.gemm");
-        neo_math::backend::get(self.kind).gemm(q, a, b, m, k, n, out);
-    }
-
-    fn name(&self) -> &'static str {
-        self.kind.name()
-    }
-}
-
-/// The `O(m·k·n)` fully-reduced oracle: one `mul` + `add` per term, a
-/// modular reduction after every operation. [`ScalarGemm`] is property
-/// tested to match this bit for bit.
+/// The `O(m·k·n)` fully-reduced oracle: one product reduced and one
+/// modular add per term, column `j` mod `cols[j]`. Every engine is tested
+/// to match it bit for bit.
 pub fn reference_gemm(
-    q: &Modulus,
+    cols: &[Modulus],
     a: &[u64],
     b: &[u64],
     m: usize,
@@ -159,25 +132,38 @@ pub fn reference_gemm(
     n: usize,
     out: &mut [u64],
 ) {
-    check_dims(a, b, out, m, k, n);
+    check_dims(cols, a, b, out, m, k, n);
     for i in 0..m {
-        for j in 0..n {
+        for (j, q) in cols.iter().enumerate() {
             let mut acc = 0u64;
             for t in 0..k {
-                acc = q.add(acc, q.mul(a[i * k + t], b[t * n + j]));
+                let p = u128::from(a[i * k + t]) * u128::from(b[t * n + j]);
+                acc = q.add(acc, q.reduce_u128(p));
             }
             out[i * n + j] = acc;
         }
     }
 }
 
-fn check_dims(a: &[u64], b: &[u64], out: &[u64], m: usize, k: usize, n: usize) {
+fn check_dims(cols: &[Modulus], a: &[u64], b: &[u64], out: &[u64], m: usize, k: usize, n: usize) {
+    assert_eq!(cols.len(), n, "one modulus per output column");
     assert_eq!(a.len(), m * k, "A shape mismatch");
     assert_eq!(b.len(), k * n, "B shape mismatch");
     assert_eq!(out.len(), m * n, "C shape mismatch");
 }
 
-/// Neo's FP64 tensor-core GEMM.
+/// Adds one plane pair's exact integer tile, shifted left by `shift`, into
+/// `out`, element `(i, j)` reduced mod `cols[j]`: the merge step, the only
+/// modular arithmetic of a TCU engine.
+fn merge(out: &mut [u64], tile: impl Iterator<Item = u128>, cols: &[Modulus], shift: u32) {
+    neo_trace::add(Counter::MergeOps, out.len() as u64);
+    for ((o, v), t) in out.iter_mut().zip(tile).zip(cols.iter().cycle()) {
+        *o = t.add(*o, t.reduce_u128(v << shift));
+    }
+}
+
+/// Neo's FP64 tensor-core GEMM. Exact for `A` entries below
+/// `2^scheme.a_width()` and `B` entries below `2^scheme.b_width()`.
 #[derive(Debug, Clone)]
 pub struct Fp64TcuGemm {
     scheme: Fp64SplitScheme,
@@ -186,12 +172,11 @@ pub struct Fp64TcuGemm {
 impl Fp64TcuGemm {
     /// Engine with the paper's splitting scheme for `word_size`.
     pub fn for_word_size(word_size: u32) -> Self {
-        Self {
-            scheme: Fp64SplitScheme::for_word_size(word_size),
-        }
+        Self::new(Fp64SplitScheme::for_word_size(word_size))
     }
 
-    /// Engine with a custom scheme.
+    /// Engine with a custom scheme (e.g. BConv's asymmetric
+    /// [`Fp64SplitScheme::for_operands`]).
     pub fn new(scheme: Fp64SplitScheme) -> Self {
         Self { scheme }
     }
@@ -205,7 +190,7 @@ impl Fp64TcuGemm {
 impl GemmEngine for Fp64TcuGemm {
     fn gemm(
         &self,
-        q: &Modulus,
+        cols: &[Modulus],
         a: &[u64],
         b: &[u64],
         m: usize,
@@ -213,9 +198,9 @@ impl GemmEngine for Fp64TcuGemm {
         n: usize,
         out: &mut [u64],
     ) {
-        check_dims(a, b, out, m, k, n);
+        check_dims(cols, a, b, out, m, k, n);
         debug_assert!(
-            q.bits() <= self.scheme.word_size(),
+            cols.iter().all(|t| t.bits() <= self.scheme.word_size()),
             "modulus wider than the splitting scheme's word size"
         );
         out.fill(0);
@@ -230,17 +215,15 @@ impl GemmEngine for Fp64TcuGemm {
                 let kw = kc.min(k - k0);
                 for (off_a, pa) in &a_planes {
                     for (off_b, pb) in &b_planes {
-                        let shift = off_a + off_b;
                         fragment_tiled_gemm_fp64(pa, pb, m, k, n, k0, kw, &mut tile);
-                        neo_trace::add(Counter::MergeOps, (m * n) as u64);
-                        for (o, &v) in out.iter_mut().zip(tile.iter()) {
+                        let exact = tile.iter().map(|&v| {
                             debug_assert!(
                                 (0.0..9_007_199_254_740_992.0).contains(&v),
                                 "exactness broken"
                             );
-                            let contrib = q.reduce_u128((v as u128) << shift);
-                            *o = q.add(*o, contrib);
-                        }
+                            v as u128
+                        });
+                        merge(out, exact, cols, off_a + off_b);
                     }
                 }
             }
@@ -302,7 +285,8 @@ fn fragment_tiled_gemm_fp64(
     }
 }
 
-/// TensorFHE's INT8 tensor-core GEMM.
+/// TensorFHE's INT8 tensor-core GEMM. Exact for `A` entries below
+/// `2^(8·scheme.planes_a())` and `B` entries below `2^(8·scheme.planes_b())`.
 #[derive(Debug, Clone)]
 pub struct Int8TcuGemm {
     scheme: Int8SplitScheme,
@@ -313,8 +297,15 @@ impl Int8TcuGemm {
     /// Engine with byte planes for `word_size` and the default `16×16×16`
     /// fragment.
     pub fn for_word_size(word_size: u32) -> Self {
+        Self::new(Int8SplitScheme::for_word_size(word_size))
+    }
+
+    /// Engine with a custom scheme (e.g. BConv's asymmetric
+    /// [`Int8SplitScheme::for_operands`]) and the default `16×16×16`
+    /// fragment.
+    pub fn new(scheme: Int8SplitScheme) -> Self {
         Self {
-            scheme: Int8SplitScheme::for_word_size(word_size),
+            scheme,
             shape: INT8_FRAGMENTS[0],
         }
     }
@@ -343,7 +334,7 @@ impl Int8TcuGemm {
 impl GemmEngine for Int8TcuGemm {
     fn gemm(
         &self,
-        q: &Modulus,
+        cols: &[Modulus],
         a: &[u64],
         b: &[u64],
         m: usize,
@@ -351,8 +342,10 @@ impl GemmEngine for Int8TcuGemm {
         n: usize,
         out: &mut [u64],
     ) {
-        check_dims(a, b, out, m, k, n);
-        debug_assert!(q.bits() <= 8 * self.scheme.planes() as u32);
+        check_dims(cols, a, b, out, m, k, n);
+        debug_assert!(cols
+            .iter()
+            .all(|t| t.bits() <= 8 * self.scheme.planes() as u32));
         out.fill(0);
         let a_planes = self.scheme.split_a(a);
         let b_planes = self.scheme.split_b(b);
@@ -360,13 +353,8 @@ impl GemmEngine for Int8TcuGemm {
             let mut tile = cell.borrow_mut();
             for (off_a, pa) in &a_planes {
                 for (off_b, pb) in &b_planes {
-                    let shift = off_a + off_b;
                     fragment_tiled_gemm_int8(self.shape, pa, pb, m, k, n, &mut tile);
-                    neo_trace::add(Counter::MergeOps, (m * n) as u64);
-                    for (o, &v) in out.iter_mut().zip(tile.iter()) {
-                        let contrib = q.reduce_u128((v as u128) << shift);
-                        *o = q.add(*o, contrib);
-                    }
+                    merge(out, tile.iter().map(|&v| v as u128), cols, off_a + off_b);
                 }
             }
         });
@@ -433,41 +421,64 @@ mod tests {
         (0..len).map(|_| rng.gen_range(0..q.value())).collect()
     }
 
-    fn compare_engines(bits: u32, m: usize, k: usize, n: usize, seed: u64) {
+    /// Every engine's product equals the per-column oracle's.
+    fn assert_engines_match_oracle(
+        engines: &[&dyn GemmEngine],
+        cols: &[Modulus],
+        a: &[u64],
+        b: &[u64],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<u64> {
+        let mut want = vec![0u64; m * n];
+        reference_gemm(cols, a, b, m, k, n, &mut want);
+        for engine in engines {
+            let mut got = vec![u64::MAX; m * n];
+            engine.gemm(cols, a, b, m, k, n, &mut got);
+            assert_eq!(got, want, "{} diverged ({m}x{k}x{n})", engine.name());
+        }
+        want
+    }
+
+    /// One `bits`-bit modulus in every column: returns the product.
+    fn compare_engines(bits: u32, m: usize, k: usize, n: usize, seed: u64) -> Vec<u64> {
         let q = modulus(bits);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a = random_mat(&mut rng, &q, m * k);
         let b = random_mat(&mut rng, &q, k * n);
-        let mut c_ref = vec![0u64; m * n];
-        let mut c_fp64 = vec![0u64; m * n];
-        let mut c_int8 = vec![0u64; m * n];
-        ScalarGemm.gemm(&q, &a, &b, m, k, n, &mut c_ref);
-        Fp64TcuGemm::for_word_size(if bits <= 36 { 36 } else { 48 }).gemm(
-            &q,
-            &a,
-            &b,
-            m,
-            k,
-            n,
-            &mut c_fp64,
+        let ws = if bits <= 36 { 36 } else { 48 };
+        let (fp64, int8) = (
+            Fp64TcuGemm::for_word_size(ws),
+            Int8TcuGemm::for_word_size(ws),
         );
-        Int8TcuGemm::for_word_size(if bits <= 36 { 36 } else { 48 }).gemm(
-            &q,
-            &a,
-            &b,
-            m,
-            k,
-            n,
-            &mut c_int8,
-        );
-        assert_eq!(
-            c_ref, c_fp64,
-            "fp64 path diverged ({bits} bits, {m}x{k}x{n})"
-        );
-        assert_eq!(
-            c_ref, c_int8,
-            "int8 path diverged ({bits} bits, {m}x{k}x{n})"
-        );
+        assert_engines_match_oracle(&[&ScalarGemm, &fp64, &int8], &vec![q; n], &a, &b, m, k, n)
+    }
+
+    /// `n` distinct `wb`-bit column moduli, `A` entries of `wa` bits and
+    /// column `j` of `B` reduced mod `t_j`: the shape of BConv's product.
+    fn per_column(
+        m: usize,
+        k: usize,
+        n: usize,
+        wa: u32,
+        wb: u32,
+        seed: u64,
+    ) -> (Vec<Modulus>, Vec<u64>, Vec<u64>) {
+        let cols: Vec<Modulus> = primes::ntt_primes(wb, 1 << 8, n)
+            .unwrap()
+            .into_iter()
+            .map(|q| Modulus::new(q).unwrap())
+            .collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a: Vec<u64> = (0..m * k).map(|_| rng.gen_range(0..1u64 << wa)).collect();
+        let mut b = vec![0u64; k * n];
+        for t in 0..k {
+            for (j, c) in cols.iter().enumerate() {
+                b[t * n + j] = rng.gen_range(0..c.value());
+            }
+        }
+        (cols, a, b)
     }
 
     #[test]
@@ -497,48 +508,68 @@ mod tests {
     }
 
     #[test]
-    fn names() {
-        assert_eq!(ScalarGemm.name(), "scalar");
-        assert_eq!(Fp64TcuGemm::for_word_size(36).name(), "tcu-fp64");
-        assert_eq!(Int8TcuGemm::for_word_size(36).name(), "tcu-int8");
-        assert_eq!(BackendGemm::new(BackendKind::Portable).name(), "portable");
-        assert_eq!(BackendGemm::new(BackendKind::Simd).name(), "simd");
-        assert_eq!(BackendGemm::auto().kind(), BackendKind::detect());
+    fn engines_agree_per_column_bconv_shape() {
+        // BConv-like: A 36-bit, columns 40-bit, K = alpha = 4.
+        let (cols, a, b) = per_column(24, 4, 6, 36, 40, 42);
+        let fp64 = Fp64TcuGemm::new(Fp64SplitScheme::for_operands(36, 40));
+        let int8 = Int8TcuGemm::new(Int8SplitScheme::for_operands(36, 40));
+        assert_engines_match_oracle(&[&ScalarGemm, &fp64, &int8], &cols, &a, &b, 24, 4, 6);
     }
 
     #[test]
-    fn backend_gemm_is_bit_identical_across_kinds() {
-        // Wide modulus + long K forces mid-row folds, the place where a
-        // backend with a different fold schedule would diverge.
-        let q = Modulus::new(primes::ntt_primes(61, 1 << 10, 1).unwrap()[0]).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let (m, k, n) = (4usize, 600usize, 19usize);
-        let a = random_mat(&mut rng, &q, m * k);
-        let b = random_mat(&mut rng, &q, k * n);
-        let mut scalar = vec![0u64; m * n];
-        let mut portable = vec![0u64; m * n];
-        let mut simd = vec![0u64; m * n];
-        ScalarGemm.gemm(&q, &a, &b, m, k, n, &mut scalar);
-        BackendGemm::new(BackendKind::Portable).gemm(&q, &a, &b, m, k, n, &mut portable);
-        BackendGemm::new(BackendKind::Simd).gemm(&q, &a, &b, m, k, n, &mut simd);
-        assert_eq!(scalar, portable);
-        assert_eq!(scalar, simd);
+    fn engines_agree_per_column_recover_shape() {
+        // KLSS Recover-Limbs-like: both operands 48-bit, long K.
+        let (cols, a, b) = per_column(8, 20, 4, 48, 48, 43);
+        let fp64 = Fp64TcuGemm::new(Fp64SplitScheme::for_operands(48, 48));
+        let int8 = Int8TcuGemm::new(Int8SplitScheme::for_operands(48, 48));
+        assert_engines_match_oracle(&[&ScalarGemm, &fp64, &int8], &cols, &a, &b, 8, 20, 4);
     }
 
     #[test]
-    fn blocked_scalar_matches_reference_on_wide_modulus() {
-        // A 61-bit prime keeps the accumulation span short (~hundreds of
-        // products), so K = 600 forces several mid-row folds.
-        let q = Modulus::new(primes::ntt_primes(61, 1 << 10, 1).unwrap()[0]).unwrap();
+    fn engines_agree_per_column_on_the_bconv_int8_fragment() {
+        // The 32×8×16 INT8 fragment BConv runs on.
+        let (cols, a, b) = per_column(16, 4, 8, 36, 40, 44);
+        let int8 =
+            Int8TcuGemm::new(Int8SplitScheme::for_operands(36, 40)).with_shape(INT8_FRAGMENTS[1]);
+        assert_engines_match_oracle(&[&ScalarGemm, &int8], &cols, &a, &b, 16, 4, 8);
+    }
+
+    /// One modulus in every column is the single-modulus product: every
+    /// engine matches the oracle and pinned FNV-1a digests of the outputs,
+    /// so no single-modulus result can move.
+    #[test]
+    fn one_modulus_in_every_column_is_the_single_modulus_product() {
+        let digest = |c: &[u64]| {
+            c.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+                (h ^ v).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        assert_eq!(digest(&compare_engines(36, 16, 16, 16, 2)), PINNED[0]);
+        assert_eq!(digest(&compare_engines(48, 12, 9, 8, 7)), PINNED[1]);
+        assert_eq!(digest(&compare_engines(48, 8, 33, 8, 9)), PINNED[2]);
+        // A 61-bit prime and K = 600 force several mid-row folds; the TCU
+        // schemes stop at 48 bits.
+        let q = modulus(61);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let (m, k, n) = (3usize, 600usize, 5usize);
         let a = random_mat(&mut rng, &q, m * k);
         let b = random_mat(&mut rng, &q, k * n);
-        let mut blocked = vec![0u64; m * n];
-        let mut naive = vec![0u64; m * n];
-        ScalarGemm.gemm(&q, &a, &b, m, k, n, &mut blocked);
-        reference_gemm(&q, &a, &b, m, k, n, &mut naive);
-        assert_eq!(blocked, naive);
+        let c = assert_engines_match_oracle(&[&ScalarGemm], &vec![q; n], &a, &b, m, k, n);
+        assert_eq!(digest(&c), PINNED[3]);
+    }
+
+    const PINNED: [u64; 4] = [
+        0xc6a9_1897_65f8_04a4,
+        0xa4a3_dcd9_ffe1_2a89,
+        0x2795_853b_35d6_fb3b,
+        0x8e97_f1e9_6d31_4cb3,
+    ];
+
+    #[test]
+    fn names() {
+        assert_eq!(ScalarGemm.name(), "scalar");
+        assert_eq!(Fp64TcuGemm::for_word_size(36).name(), "tcu-fp64");
+        assert_eq!(Int8TcuGemm::for_word_size(36).name(), "tcu-int8");
     }
 }
 
@@ -563,13 +594,14 @@ mod blocked_property_tests {
             n in 1usize..12,
         ) {
             let q = Modulus::new(primes::ntt_primes(bits, 1 << 10, 1).unwrap()[0]).unwrap();
+            let cols = vec![q; n];
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let a: Vec<u64> = (0..m * k).map(|_| rng.gen_range(0..q.value())).collect();
             let b: Vec<u64> = (0..k * n).map(|_| rng.gen_range(0..q.value())).collect();
             let mut blocked = vec![0u64; m * n];
             let mut naive = vec![0u64; m * n];
-            ScalarGemm.gemm(&q, &a, &b, m, k, n, &mut blocked);
-            reference_gemm(&q, &a, &b, m, k, n, &mut naive);
+            ScalarGemm.gemm(&cols, &a, &b, m, k, n, &mut blocked);
+            reference_gemm(&cols, &a, &b, m, k, n, &mut naive);
             prop_assert_eq!(blocked, naive);
         }
     }
@@ -586,15 +618,16 @@ mod shape_tests {
         let q = Modulus::new(primes::ntt_primes(36, 1 << 10, 1).unwrap()[0]).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let (m, k, n) = (40usize, 12usize, 20usize);
+        let cols = vec![q; n];
         let a: Vec<u64> = (0..m * k).map(|_| rng.gen_range(0..q.value())).collect();
         let b: Vec<u64> = (0..k * n).map(|_| rng.gen_range(0..q.value())).collect();
         let mut want = vec![0u64; m * n];
-        ScalarGemm.gemm(&q, &a, &b, m, k, n, &mut want);
+        reference_gemm(&cols, &a, &b, m, k, n, &mut want);
         for shape in crate::INT8_FRAGMENTS {
             let mut got = vec![0u64; m * n];
             Int8TcuGemm::for_word_size(36)
                 .with_shape(shape)
-                .gemm(&q, &a, &b, m, k, n, &mut got);
+                .gemm(&cols, &a, &b, m, k, n, &mut got);
             assert_eq!(got, want, "shape {shape}");
         }
     }
@@ -611,13 +644,14 @@ mod shape_tests {
         let scheme = crate::Fp64SplitScheme::new(36, 36, vec![18, 18], vec![18, 18], 16);
         assert_eq!(scheme.partial_products(), 4);
         let q = Modulus::new(primes::ntt_primes(36, 1 << 10, 1).unwrap()[0]).unwrap();
+        let cols = vec![q; 8];
         let mut rng = rand::rngs::StdRng::seed_from_u64(100);
         let a: Vec<u64> = (0..8 * 8).map(|_| rng.gen_range(0..q.value())).collect();
         let b: Vec<u64> = (0..8 * 8).map(|_| rng.gen_range(0..q.value())).collect();
         let mut want = vec![0u64; 64];
         let mut got = vec![0u64; 64];
-        ScalarGemm.gemm(&q, &a, &b, 8, 8, 8, &mut want);
-        Fp64TcuGemm::new(scheme).gemm(&q, &a, &b, 8, 8, 8, &mut got);
+        reference_gemm(&cols, &a, &b, 8, 8, 8, &mut want);
+        Fp64TcuGemm::new(scheme).gemm(&cols, &a, &b, 8, 8, 8, &mut got);
         assert_eq!(got, want);
     }
 }

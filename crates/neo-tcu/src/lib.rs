@@ -17,9 +17,10 @@
 //!   accumulating u8 products);
 //! * [`split`] — the FP64 12/24-bit splitting schemes and INT8 byte planes,
 //!   with exactness checks (`wa + wb + log2(K) ≤ 53`);
-//! * [`gemm`] — the [`GemmEngine`] trait plus four engines: scalar
-//!   reference, compute-backend (optionally vectorized), FP64-TCU, and
-//!   INT8-TCU, all producing identical results;
+//! * [`gemm`] — the [`GemmEngine`] trait, whose products reduce each
+//!   output column by its own modulus, plus three engines: scalar
+//!   (CUDA-core), FP64-TCU and INT8-TCU, all producing identical results;
+//! * [`abft`] — Huang–Abraham checksums over a single-modulus product;
 //! * [`stats`] — Booth complexity, fragment counts, padding and the
 //!   *valid proportion* metric of the paper's Fig. 12.
 //!
@@ -33,10 +34,11 @@
 //! let q = Modulus::new(neo_math::primes::ntt_primes(36, 1 << 10, 1)?[0])?;
 //! let a = vec![123456789u64 % q.value(); 8 * 4];
 //! let b = vec![987654321u64 % q.value(); 4 * 8];
+//! let cols = [q; 8]; // one modulus per output column
 //! let mut c_ref = vec![0u64; 8 * 8];
 //! let mut c_tcu = vec![0u64; 8 * 8];
-//! ScalarGemm.gemm(&q, &a, &b, 8, 4, 8, &mut c_ref);
-//! Fp64TcuGemm::for_word_size(36).gemm(&q, &a, &b, 8, 4, 8, &mut c_tcu);
+//! ScalarGemm.gemm(&cols, &a, &b, 8, 4, 8, &mut c_ref);
+//! Fp64TcuGemm::for_word_size(36).gemm(&cols, &a, &b, 8, 4, 8, &mut c_tcu);
 //! assert_eq!(c_ref, c_tcu);
 //! # Ok(())
 //! # }
@@ -45,13 +47,11 @@
 pub mod abft;
 pub mod fragment;
 pub mod gemm;
-pub mod multimod;
 pub mod split;
 pub mod stats;
 
 pub use abft::{verify_gemm, CheckedGemm};
 pub use fragment::{FragmentShape, FP64_FRAGMENT, INT8_FRAGMENTS};
-pub use gemm::{reference_gemm, BackendGemm, Fp64TcuGemm, GemmEngine, Int8TcuGemm, ScalarGemm};
-pub use multimod::{gemm_multi_mod_fp64, gemm_multi_mod_int8, gemm_multi_mod_scalar};
+pub use gemm::{reference_gemm, Fp64TcuGemm, GemmEngine, Int8TcuGemm, ScalarGemm};
 pub use split::{Fp64SplitScheme, Int8SplitScheme};
 pub use stats::{booth_complexity_fp64, booth_complexity_int8, valid_proportion, GemmDims};

@@ -3,8 +3,8 @@
 //! count exact increments in a binary of their own, where no other test's
 //! GEMM or ABFT check runs concurrently.
 
-use neo_math::{BackendKind, Modulus};
-use neo_tcu::{verify_gemm, BackendGemm, GemmEngine, ScalarGemm};
+use neo_math::Modulus;
+use neo_tcu::{verify_gemm, GemmEngine, ScalarGemm};
 use neo_trace::Counter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +24,7 @@ fn clean_product_verifies_and_tallies() {
     let q = modulus();
     let (a, b) = random_operands(1, &q, 32);
     let mut c = vec![0u64; 64];
-    ScalarGemm.gemm(&q, &a, &b, 8, 4, 8, &mut c);
+    ScalarGemm.gemm(&[q; 8], &a, &b, 8, 4, 8, &mut c);
     let (r, w) = neo_trace::record(|| verify_gemm(&q, &a, &b, 8, 4, 8, &c));
     r.unwrap();
     assert_eq!(w.get(Counter::AbftChecks), 1);
@@ -40,7 +40,7 @@ fn gemm_span_and_detections_record_under_the_gate() {
     let detections = neo_trace::counter("tcu_abft_detections_total", &[]);
     let ((), _) = neo_trace::record(|| {
         let (timed, detected) = (gemm_ns.count(), detections.get());
-        BackendGemm::new(BackendKind::Portable).gemm(&q, &a, &b, 4, 4, 4, &mut c);
+        ScalarGemm.gemm(&[q; 4], &a, &b, 4, 4, 4, &mut c);
         assert_eq!(gemm_ns.count(), timed + 1);
         verify_gemm(&q, &a, &b, 4, 4, 4, &c).expect("clean gemm verifies");
         assert_eq!(detections.get(), detected);

@@ -39,8 +39,7 @@ fn main() {
         let mut cfg = CostConfig::neo();
         cfg.ntt_target = target;
         cfg.bconv_target = target;
-        cfg.ip_adaptive = false;
-        cfg.ip_target = MatmulTarget::Cuda; // IP validity < 80% at l=35
+        cfg.ip_adaptive = false; // IP validity < 80% at l=35: CUDA cores
         let t = op_time_us(&dev, &p, 35, Operation::HMult, &cfg);
         println!("  matmuls on {label}: HMult = {t:7.0} us");
     }

@@ -163,8 +163,8 @@ fn umbrella_reexports_work_together() {
     let b = vec![5u64; 4 * 8];
     let mut c1 = vec![0u64; 64];
     let mut c2 = vec![0u64; 64];
-    ScalarGemm.gemm(&q, &a, &b, 8, 4, 8, &mut c1);
-    Fp64TcuGemm::for_word_size(36).gemm(&q, &a, &b, 8, 4, 8, &mut c2);
+    ScalarGemm.gemm(&[q; 8], &a, &b, 8, 4, 8, &mut c1);
+    Fp64TcuGemm::for_word_size(36).gemm(&[q; 8], &a, &b, 8, 4, 8, &mut c2);
     assert_eq!(c1, c2);
     assert!(c1.iter().all(|&v| v == 60));
 }

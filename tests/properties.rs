@@ -74,9 +74,10 @@ proptest! {
         let mut c0 = vec![0u64; m * n];
         let mut c1 = vec![0u64; m * n];
         let mut c2 = vec![0u64; m * n];
-        ScalarGemm.gemm(&q, &a, &b, m, k, n, &mut c0);
-        Fp64TcuGemm::for_word_size(36).gemm(&q, &a, &b, m, k, n, &mut c1);
-        Int8TcuGemm::for_word_size(36).gemm(&q, &a, &b, m, k, n, &mut c2);
+        let cols = vec![q; n];
+        ScalarGemm.gemm(&cols, &a, &b, m, k, n, &mut c0);
+        Fp64TcuGemm::for_word_size(36).gemm(&cols, &a, &b, m, k, n, &mut c1);
+        Int8TcuGemm::for_word_size(36).gemm(&cols, &a, &b, m, k, n, &mut c2);
         prop_assert_eq!(&c0, &c1);
         prop_assert_eq!(&c0, &c2);
     }
