@@ -24,7 +24,8 @@
 
 use neo_bench::measure::{self, MeasureConfig, Measurement};
 use neo_bench::{emit, ratio};
-use neo_math::{backend, BackendKind, BconvTable, Domain, Modulus, PackedPoly, RnsBasis, RnsPoly};
+use neo_math::backend::{self, Start};
+use neo_math::{BackendKind, BconvTable, Domain, Modulus, PackedPoly, RnsBasis, RnsPoly};
 use neo_ntt::{radix2, NttPlan};
 use neo_trace::json;
 use neo_trace::jsonv::JsonValue;
@@ -224,7 +225,7 @@ fn main() {
     // different junk per backend, that the result must not depend on.
     let mul_acc = |kind: BackendKind, junk: u64| {
         let mut out = vec![junk; n];
-        backend::get(kind).mul_acc(&qt, &xs, &ys, &mut out);
+        backend::get(kind).mul_acc(&qt, &xs, &ys, Start::Zero, &mut out);
         out
     };
     table.row(
@@ -250,7 +251,7 @@ fn main() {
             .collect();
         *next = (*next + 2 * terms) % pool.len();
         let mut out = vec![0u64; n];
-        backend::get(kind).mul_acc(&qt, &rows[..terms], &rows[terms..], &mut out);
+        backend::get(kind).mul_acc(&qt, &rows[..terms], &rows[terms..], Start::Zero, &mut out);
         out
     };
     let (mut p_next, mut s_next) = (0, 0);
@@ -283,7 +284,7 @@ fn main() {
             .collect();
         *next = (*next + 2 * terms) % key_pool.len();
         let (mut a, mut b) = (vec![0u64; n], vec![0u64; n]);
-        backend::get(kind).klss_ip(&qt, &xs, &key, width, [&mut a, &mut b]);
+        backend::get(kind).klss_ip(&qt, &xs, &key, width, Start::Zero, [&mut a, &mut b]);
         [a, b]
     };
     let first = packed_ip(BackendKind::Simd, &mut 0);
@@ -293,7 +294,7 @@ fn main() {
             .collect();
         let key: Vec<&[u64]> = key.iter().map(Vec::as_slice).collect();
         let mut want = vec![0u64; n];
-        backend::get(BackendKind::Portable).mul_acc(&qt, &xs, &key, &mut want);
+        backend::get(BackendKind::Portable).mul_acc(&qt, &xs, &key, Start::Zero, &mut want);
         assert_eq!(
             got, &want,
             "packed KLSS IP diverged from mul_acc, component {c}"

@@ -6,6 +6,7 @@
 //! a quarantined and rebuilt plan reaches the next transform, key
 //! generation and decryption included.
 
+use crate::keyswitch::klss;
 use crate::params::CkksParams;
 use neo_error::NeoError;
 use neo_math::recycle::LIMBS;
@@ -48,6 +49,8 @@ pub struct CkksContext {
     t_moduli: Vec<Modulus>,
     /// `P mod q_i`.
     p_mod_q: Vec<u64>,
+    /// Per level, the KLSS inner products one Recover takes.
+    klss_sum_limits: Vec<usize>,
     bconv_cache: RwLock<BconvMap>,
 }
 
@@ -111,6 +114,7 @@ impl CkksContext {
             }
             p_mod_q.push(acc);
         }
+        let klss_sum_limits = klss::sum_limits(&params, &q_primes, &p_primes, &t_primes);
         Ok(Self {
             params,
             q_primes,
@@ -120,6 +124,7 @@ impl CkksContext {
             p_moduli,
             t_moduli,
             p_mod_q,
+            klss_sum_limits,
             bconv_cache: RwLock::new(HashMap::new()),
         })
     }
@@ -188,6 +193,14 @@ impl CkksContext {
     /// `P mod q_i`.
     pub fn p_mod_q(&self, i: usize) -> u64 {
         self.p_mod_q[i]
+    }
+
+    /// How many KLSS inner products one Recover takes at `level`: the
+    /// largest `G` whose summed `|G_ĵ|` provably stays below `T/4`
+    /// ([`crate::keyswitch::klss`]'s module docs), computed once per level
+    /// from the exact prime products. 1 outside the chain or without KLSS.
+    pub(crate) fn klss_sum_limit(&self, level: usize) -> usize {
+        self.klss_sum_limits.get(level).copied().unwrap_or(1)
     }
 
     /// Forward NTT of every limb, with ABFT verification. Plans are

@@ -486,8 +486,10 @@ impl FheEngine {
 
     /// Applies a linear transform with baby-step/giant-step rotations
     /// (baby-step size ≈ √D for D diagonals,
-    /// [`LinearTransform::try_apply_bsgs`]): about `2√D` rotations, an
-    /// evaluation-domain product per diagonal, one rescale.
+    /// [`LinearTransform::try_apply_bsgs`]): about `√D` baby rotations,
+    /// each a whole key switch, and `√D` giant rotations that share one
+    /// key-switch tail, an evaluation-domain product per diagonal, one
+    /// rescale.
     ///
     /// # Errors
     ///

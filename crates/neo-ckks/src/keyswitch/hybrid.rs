@@ -12,7 +12,8 @@ use rayon::prelude::*;
 /// key into the accumulators `acc = [c0, c1]` (coefficient domain,
 /// `level + 1` limbs): returns `(c0 + u0, c1 + u1)`, `u_k` alone where
 /// `acc[k]` is `None`, with `u0 + u1·s ≈ d · target`. Each accumulator
-/// rides in its component's Mod Down as one more inner product row.
+/// rides in its component's Mod Down as one more inner product row. This
+/// is a `HybridSum` of one term.
 ///
 /// # Errors
 ///
@@ -29,59 +30,123 @@ pub fn keyswitch_hybrid(
     let level = key.level;
     check_keyswitch_input(d, level)?;
     check_accumulators(&acc, level)?;
-    let qp = ctx.qp_moduli(level);
-    let qp_primes = ctx.qp_primes(level);
-    let q_primes = &ctx.q_primes()[..=level];
-    let ranges = digit_ranges(ctx.params().alpha(), level + 1);
-    let dnum = ranges.len();
+    let dnum = ctx.params().beta(level);
     let _s = neo_trace::span!("keyswitch.hybrid", level = level, dnum = dnum);
-    // Mod Up each digit independently (approximate BConv into the
-    // complement basis, reassemble, forward NTT) — digits never touch each
-    // other's limbs, so the whole stage fans out across the pool.
-    let xs: Vec<Result<RnsPoly, NeoError>> = ranges
-        .par_iter()
-        .map(|r| -> Result<RnsPoly, NeoError> {
-            let complement: Vec<u64> = qp_primes
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !r.contains(i))
-                .map(|(_, &p)| p)
-                .collect();
-            let table = ctx.bconv_table(&q_primes[r.clone()], &complement);
-            let mut conv = table.convert_approx(&d.limbs()[r.clone()]).into_iter();
-            // Reassemble in qp order: the digit's own limbs are copied in.
-            let limbs = (0..qp.len())
-                .map(|i| {
-                    if r.contains(&i) {
-                        LIMBS.copied(d.limb(i))
-                    } else {
-                        conv.next().expect("converted limb")
-                    }
-                })
-                .collect();
-            let mut x = RnsPoly::from_limbs(limbs, Domain::Coeff)?;
-            ctx.try_ntt_forward(&mut x, &qp)?;
-            Ok(x)
-        })
-        .collect();
-    let xs: Vec<RnsPoly> = xs.into_iter().collect::<Result<_, _>>()?;
-    // Inner product with the digit key: one exact sum over every digit
-    // per coefficient, reduced once.
-    let terms = |part: usize| -> Vec<(&RnsPoly, &RnsPoly)> {
-        xs.iter()
-            .zip(&key.digits)
-            .map(|(x, d)| (x, &d[part]))
-            .collect()
-    };
-    let mut ip0 = RnsPoly::inner_product(ctx.backend(), &terms(0), &qp);
-    let mut ip1 = RnsPoly::inner_product(ctx.backend(), &terms(1), &qp);
-    ctx.try_ntt_inverse(&mut ip0, &qp)?;
-    ctx.try_ntt_inverse(&mut ip1, &qp)?;
-    let [c0, c1] = acc;
-    Ok([
-        mod_down(ctx, ip0, level, c0)?,
-        mod_down(ctx, ip1, level, c1)?,
-    ])
+    let mut sum = HybridSum::new(ctx, level);
+    sum.add(key, &sum.mod_up(d)?);
+    sum.finish(acc)
+}
+
+/// A sum of Hybrid switches at one level (the module docs of
+/// [`crate::keyswitch`]): each term's inner product grows the sum's
+/// `R_PQ_l` evaluation rows in place, and [`Self::finish`] takes them
+/// back to coefficients once and divides by `P` once.
+pub(crate) struct HybridSum<'a> {
+    ctx: &'a CkksContext,
+    level: usize,
+    /// Both components' `Σ_k IP_k` over `R_PQ_l`, evaluation domain;
+    /// `None` before the first term and after each tail.
+    rows: Option<[RnsPoly; 2]>,
+}
+
+impl<'a> HybridSum<'a> {
+    /// An empty sum at `level`.
+    pub(crate) fn new(ctx: &'a CkksContext, level: usize) -> Self {
+        Self {
+            ctx,
+            level,
+            rows: None,
+        }
+    }
+
+    /// A term's Mod Up: each digit of `d` converted into its complement
+    /// basis, reassembled over `R_PQ_l` and forward-transformed.
+    ///
+    /// # Errors
+    ///
+    /// As [`keyswitch_hybrid`] for `d`.
+    pub(crate) fn mod_up(&self, d: &RnsPoly) -> Result<Vec<RnsPoly>, NeoError> {
+        let (ctx, level) = (self.ctx, self.level);
+        check_keyswitch_input(d, level)?;
+        let qp = ctx.qp_moduli(level);
+        let qp_primes = ctx.qp_primes(level);
+        let q_primes = &ctx.q_primes()[..=level];
+        let ranges = digit_ranges(ctx.params().alpha(), level + 1);
+        // Digits never touch each other's limbs, so the whole stage fans
+        // out across the pool.
+        let xs: Vec<Result<RnsPoly, NeoError>> = ranges
+            .par_iter()
+            .map(|r| -> Result<RnsPoly, NeoError> {
+                let complement: Vec<u64> = qp_primes
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| !r.contains(i))
+                    .map(|(_, &p)| p)
+                    .collect();
+                let table = ctx.bconv_table(&q_primes[r.clone()], &complement);
+                let mut conv = table.convert_approx(&d.limbs()[r.clone()]).into_iter();
+                // Reassemble in qp order: the digit's own limbs are copied in.
+                let limbs = (0..qp.len())
+                    .map(|i| {
+                        if r.contains(&i) {
+                            LIMBS.copied(d.limb(i))
+                        } else {
+                            conv.next().expect("converted limb")
+                        }
+                    })
+                    .collect();
+                let mut x = RnsPoly::from_limbs(limbs, Domain::Coeff)?;
+                ctx.try_ntt_forward(&mut x, &qp)?;
+                Ok(x)
+            })
+            .collect();
+        xs.into_iter().collect()
+    }
+
+    /// Adds the inner product of a term's Mod Up rows `xs` with `key` to
+    /// the sum's rows: one exact sum over every digit per coefficient,
+    /// reduced once, starting from the sum so far.
+    pub(crate) fn add(&mut self, key: &HybridKey, xs: &[RnsPoly]) {
+        let terms = |part: usize| -> Vec<(&RnsPoly, &RnsPoly)> {
+            xs.iter()
+                .zip(&key.digits)
+                .map(|(x, d)| (x, &d[part]))
+                .collect()
+        };
+        let (be, qp) = (self.ctx.backend(), self.ctx.qp_moduli(self.level));
+        match &mut self.rows {
+            None => self.rows = Some([0, 1].map(|c| RnsPoly::inner_product(be, &terms(c), &qp))),
+            Some(rows) => {
+                for (c, row) in rows.iter_mut().enumerate() {
+                    row.add_inner_product_assign(be, &terms(c), &qp);
+                }
+            }
+        }
+    }
+
+    /// Lands the sum in `acc`: one inverse NTT of each component's rows,
+    /// then Mod Down by `P` with the accumulator as its extra row. The sum
+    /// is empty afterwards.
+    ///
+    /// # Errors
+    ///
+    /// [`NeoError::InvalidParams`] if the sum holds no term, plus the
+    /// transform errors.
+    pub(crate) fn finish(&mut self, acc: [Option<RnsPoly>; 2]) -> Result<[RnsPoly; 2], NeoError> {
+        let [mut ip0, mut ip1] = self
+            .rows
+            .take()
+            .ok_or_else(|| NeoError::invalid_params("a key-switch sum needs a term"))?;
+        let (ctx, level) = (self.ctx, self.level);
+        let qp = ctx.qp_moduli(level);
+        ctx.try_ntt_inverse(&mut ip0, &qp)?;
+        ctx.try_ntt_inverse(&mut ip1, &qp)?;
+        let [c0, c1] = acc;
+        Ok([
+            mod_down(ctx, ip0, level, c0)?,
+            mod_down(ctx, ip1, level, c1)?,
+        ])
+    }
 }
 
 #[cfg(test)]

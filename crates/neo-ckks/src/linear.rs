@@ -9,12 +9,14 @@
 //! transforms each baby rotation once, takes one fused product per giant
 //! group and component, and keeps the `c0` sum in the evaluation domain
 //! for the whole stage: a giant rotation permutes it there, and only `c1`
-//! goes back to coefficients, for its key switch.
+//! goes back to coefficients, for its Mod Up. The giant rotations' key
+//! switches are one sum with one tail.
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::encoding::{Complex64, Encoder, SLOTS};
-use crate::keys::KeyChest;
+use crate::keys::{KeyChest, KeyTarget};
+use crate::keyswitch::SwitchSum;
 use crate::ops::{self, galois_element};
 use crate::params::KsMethod;
 use neo_error::NeoError;
@@ -27,10 +29,12 @@ use std::sync::Arc;
 /// A slot-space linear map `z ↦ M·z` stored by generalized diagonals:
 /// `(M·z)_i = Σ_d diag_d[i] · z_{(i+d) mod slots}`.
 ///
-/// Homomorphic application ([`Self::try_apply_bsgs`]) costs `g + D/g`
-/// rotations for `D` diagonals and baby-step size `g`, and one
-/// evaluation-domain product per diagonal — the access pattern whose
-/// cost the bootstrap plan models with BSGS counts. The transform keeps
+/// Homomorphic application ([`Self::try_apply_bsgs`]) costs about `g`
+/// baby rotations, each a whole key switch, and `D/g` giant rotations
+/// that share one key-switch tail, for `D` diagonals and baby-step size
+/// `g`, and one evaluation-domain product per diagonal — the access
+/// pattern the bootstrap plan models with BSGS counts, each giant priced
+/// as a whole rotation. The transform keeps
 /// one encoding of its diagonals, built by the first application and
 /// rebuilt only when the q-prime prefix, the scale or `g` changes.
 pub struct LinearTransform {
@@ -187,8 +191,10 @@ impl LinearTransform {
     /// Applies the transform with the baby-step/giant-step rotation
     /// schedule used by real CoeffToSlot/SlotToCoeff implementations:
     /// `M·z = Σ_j rot_{g·j}( Σ_i rot^{-gj}(diag_{gj+i}) ⊙ rot_i(z) )`,
-    /// costing `g + D/g` rotations instead of `D` for `D` diagonals,
-    /// followed by one rescale. Consumes one level.
+    /// followed by one rescale. Consumes one level. For `D` diagonals and
+    /// baby size `g` it rotates about `g + D/g` times instead of `D`: up
+    /// to `g − 1` baby rotations, each a whole key switch, and up to `D/g`
+    /// giant rotations that share one key-switch tail.
     ///
     /// `c0` is forward-transformed once and stays in the evaluation
     /// domain for the whole stage. Each baby rotation `rot_i(z)` is held
@@ -197,11 +203,15 @@ impl LinearTransform {
     /// group is one fused multiply-add per ciphertext component against
     /// the transform's cached plaintexts; its rotation permutes the `c0`
     /// product into the stage's evaluation-domain sum and transforms only
-    /// the `c1` product back, whose key switch lands in the stage's
-    /// coefficient-domain sums. One inverse transform of the `c0` sum ends
-    /// the stage. Every rotation draws its `ckks_op` fault gate and opens
-    /// a `ckks.hrotate` span. The result is bit-identical to a PMult and
-    /// HAdd per diagonal.
+    /// the `c1` product back, whose Mod Up and key inner product join the
+    /// stage's key-switch sum. After the last group that sum runs one
+    /// tail — inverse NTT, Recover for KLSS, Mod Down — into the stage's
+    /// coefficient-domain sums, and one inverse transform of the `c0` sum
+    /// ends the stage. Every rotation draws its `ckks_op` fault gate and
+    /// opens a `ckks.hrotate` span. The result is bit-identical to a PMult
+    /// and HAdd per diagonal, except where the summed tail's `δ` (the
+    /// [`crate::keyswitch`] module docs) carries a last-limb residue across
+    /// `±q_l/2`, which the rescale would otherwise remove with it.
     ///
     /// # Errors
     ///
@@ -210,6 +220,21 @@ impl LinearTransform {
     /// a ciphertext level outside the chain; plus the underlying
     /// transform, rotation and rescale errors.
     pub fn try_apply_bsgs(
+        &self,
+        chest: &KeyChest,
+        enc: &Encoder,
+        ct: &Ciphertext,
+        baby: usize,
+        method: KsMethod,
+    ) -> Result<Ciphertext, NeoError> {
+        let stage = self.stage(chest, enc, ct, baby, method)?;
+        ops::try_rescale(chest.context(), &stage)
+    }
+
+    /// [`Self::try_apply_bsgs`] before its rescale: the stage's sum at the
+    /// input's level, at the product of the input's and the chain's
+    /// scales.
+    pub(crate) fn stage(
         &self,
         chest: &KeyChest,
         enc: &Encoder,
@@ -236,8 +261,9 @@ impl LinearTransform {
         let steps: BTreeSet<usize> = self.diagonals.keys().map(|d| d % baby).collect();
         let mut babies: BTreeMap<usize, [RnsPoly; 2]> = BTreeMap::new();
         for &i in steps.iter().filter(|&&i| i != 0) {
-            let [mut u0, mut u1] = ops::rotation(chest, level, i, method, |g, moduli| {
-                Ok((ct.c1().automorphism(g, moduli), [None, None]))
+            let [mut u0, mut u1] = ops::rotation(chest, level, i, |g, moduli| {
+                let d = ct.c1().automorphism(g, moduli);
+                ops::switch(chest, level, KeyTarget::Galois(g), &d, method, [None, None])
             })?;
             ctx.try_ntt_forward(&mut u0, moduli)?;
             ctx.try_ntt_forward(&mut u1, moduli)?;
@@ -251,11 +277,12 @@ impl LinearTransform {
         }
         let be = ctx.backend();
         // The stage's running sums: `c0`'s in the evaluation domain, and
-        // in coefficients the unrotated group's `c1` and every key
-        // switch's output. Groups ascend by shift, so an unrotated one
-        // comes first.
+        // in coefficients the unrotated group's `c1`, which the giant
+        // rotations' summed key switch lands in. Groups ascend by shift,
+        // so an unrotated one comes first.
         let mut sum0: Option<RnsPoly> = None;
         let mut acc: [Option<RnsPoly>; 2] = [None, None];
+        let mut giants = SwitchSum::new(chest, level, method)?;
         for (shift, group) in &encoding.giants {
             let [p0, mut p1] = [0, 1].map(|k| {
                 let terms: Vec<_> = group
@@ -271,20 +298,24 @@ impl LinearTransform {
                 continue;
             }
             let map = &encoding.maps[shift];
-            let into = std::mem::take(&mut acc);
             // σ_g of `c0`'s product goes into the evaluation-domain sum;
             // `c1`'s is permuted on the warm evaluations, then takes the
-            // inverse Mod Up needs, and its switch lands in the sums.
-            let switched = ops::rotation(chest, level, *shift, method, |_, moduli| {
+            // inverse Mod Up needs, and its Mod Up and inner product join
+            // the stage's key-switch sum.
+            ops::rotation(chest, level, *shift, |g, moduli| {
                 match &mut sum0 {
                     Some(sum) => sum.add_permuted_assign(&p0, map, moduli),
                     None => sum0 = Some(p0.permuted(map)),
                 }
                 let mut d = p1.permuted(map);
                 ctx.try_ntt_inverse(&mut d, moduli)?;
-                Ok((d, into))
+                giants.add(KeyTarget::Galois(g), &d)
             })?;
-            acc = switched.map(Some);
+        }
+        // One tail for every giant rotation: the T-basis inverse, Recover
+        // and Mod Down run once, landing in the stage's sums.
+        if !giants.is_empty() {
+            acc = giants.finish(acc)?.map(Some);
         }
         let (Some(mut c0), [acc0, Some(c1)]) = (sum0, acc) else {
             return Err(NeoError::invalid_params("transform has no diagonals"));
@@ -294,7 +325,7 @@ impl LinearTransform {
             c0.add_assign(&switched, moduli);
         }
         let scale = ct.scale() * ctx.params().scale();
-        ops::try_rescale(ctx, &Ciphertext::new(c0, c1, scale, level))
+        Ok(Ciphertext::new(c0, c1, scale, level))
     }
 
     /// The encoding for `level` and `baby`: the cached one if its key
@@ -424,7 +455,14 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn rig(seed: u64) -> (Arc<CkksContext>, KeyChest, PublicKey, Encoder, StdRng) {
-        let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()).unwrap());
+        rig_with(CkksParams::test_tiny(), seed)
+    }
+
+    fn rig_with(
+        params: CkksParams,
+        seed: u64,
+    ) -> (Arc<CkksContext>, KeyChest, PublicKey, Encoder, StdRng) {
+        let ctx = Arc::new(CkksContext::new(params).unwrap());
         let mut rng = StdRng::seed_from_u64(seed);
         let sk = SecretKey::generate(&ctx, &mut rng);
         let pk = PublicKey::generate(&ctx, &sk, &mut rng).unwrap();
@@ -614,6 +652,20 @@ mod tests {
         baby: usize,
         method: KsMethod,
     ) -> Ciphertext {
+        let stage = per_giant(lt, chest, enc, ct, baby, method);
+        ops::try_rescale(chest.context(), &stage).unwrap()
+    }
+
+    /// [`per_diagonal`] before its rescale: every giant rotation a whole
+    /// HRotate, with its own key-switch tail.
+    fn per_giant(
+        lt: &LinearTransform,
+        chest: &KeyChest,
+        enc: &Encoder,
+        ct: &Ciphertext,
+        baby: usize,
+        method: KsMethod,
+    ) -> Ciphertext {
         let ctx = chest.context();
         let scale = ctx.params().scale();
         let slots = lt.slots();
@@ -652,7 +704,7 @@ mod tests {
                 Some(a) => ops::try_hadd(ctx, &a, &giant).unwrap(),
             });
         }
-        ops::try_rescale(ctx, &acc.unwrap()).unwrap()
+        acc.unwrap()
     }
 
     #[test]
@@ -721,6 +773,128 @@ mod tests {
             let groups = encoding.giants.iter();
             let got: Vec<usize> = groups.flat_map(|(s, g)| vec![*s; g.len()]).collect();
             assert_eq!(&got, shifts);
+        }
+    }
+
+    /// The radix-4 diagonals of stride `s`: `j·s` and `slots − j·s` for
+    /// `j < 4`, coeff-to-slot's stage shape.
+    fn radix4(slots: usize, s: usize) -> LinearTransform {
+        transform(slots, (0..4).flat_map(|j| [j * s, (slots - j * s) % slots]))
+    }
+
+    /// Asserts that each component of `got` is `want`'s plus one integer
+    /// `δ ∈ [0, max]` per coefficient, the same in every limb; returns
+    /// how many coefficients have `δ > 0`.
+    fn assert_plus_delta(
+        ctx: &CkksContext,
+        got: &Ciphertext,
+        want: &Ciphertext,
+        max: u64,
+    ) -> usize {
+        assert_eq!((got.level(), got.scale()), (want.level(), want.scale()));
+        let moduli = ctx.q_moduli(got.level());
+        let mut lifted = 0;
+        for (g, w) in [(got.c0(), want.c0()), (got.c1(), want.c1())] {
+            for c in 0..ctx.degree() {
+                let delta = moduli[0].sub(g.limb(0)[c], w.limb(0)[c]);
+                assert!(delta <= max, "coefficient {c}: δ = {delta} > {max}");
+                for (i, m) in moduli.iter().enumerate() {
+                    let want = m.add(w.limb(i)[c], m.reduce(delta));
+                    assert_eq!(g.limb(i)[c], want, "coefficient {c}, limb {i}: δ differs");
+                }
+                lifted += usize::from(delta > 0);
+            }
+        }
+        lifted
+    }
+
+    /// The rotated giant groups of `lt` at baby size `baby`.
+    fn rotated_groups(lt: &LinearTransform, baby: usize) -> u64 {
+        let shifts: BTreeSet<usize> = lt.diagonals.keys().map(|d| d - d % baby).collect();
+        shifts.iter().filter(|&&s| s != 0).count() as u64
+    }
+
+    /// A stage sums its rotated giant groups' key switches before one
+    /// tail, so before its rescale each component is the per-giant
+    /// stage's plus `δ`, one integer per coefficient and the same in every
+    /// limb, with `0 ≤ δ ≤ K·(G−1)` for `G` rotated groups, under both
+    /// methods: the spread transform at baby sizes 1, 2, 3 and 8, and
+    /// coeff-to-slot's radix-4 strides 4 and 16 at baby size 3.
+    #[test]
+    fn a_summed_stage_is_the_per_giant_stage_plus_delta() {
+        let (ctx, chest, pk, enc, mut rng) = rig(23);
+        let slots = enc.slots();
+        let z: Vec<Complex64> = (0..slots)
+            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let top = ctx.params().max_level;
+        let pt = enc.encode(&ctx, &z, ctx.params().scale(), top);
+        let ct = ops::try_encrypt(&ctx, &pk, &pt, &mut rng).unwrap();
+        let k = ctx.p_primes().len() as u64;
+        let shapes = [
+            (spread(slots), 1),
+            (spread(slots), 2),
+            (spread(slots), 3),
+            (spread(slots), 8),
+            (radix4(slots, 4), 3),
+            (radix4(slots, 16), 3),
+        ];
+        for (lt, baby) in &shapes {
+            let giants = rotated_groups(lt, *baby);
+            assert!(giants >= 2, "baby {baby}: {giants} rotated groups");
+            assert!(ctx.klss_sum_limit(top) >= giants as usize, "one chunk");
+            for method in [KsMethod::Klss, KsMethod::Hybrid] {
+                let got = lt.stage(&chest, &enc, &ct, *baby, method).unwrap();
+                let want = per_giant(lt, &chest, &enc, &ct, *baby, method);
+                let lifted = assert_plus_delta(&ctx, &got, &want, k * (giants - 1));
+                assert!(lifted > 0, "{method:?}, baby {baby}: the sum made no δ");
+            }
+        }
+    }
+
+    /// A KLSS stage with more rotated giant groups than one Recover takes
+    /// finishes its sum in chunks, and still equals the per-diagonal loop
+    /// after its rescale, bit for bit, and the per-giant stage plus `δ`
+    /// before it. `test_tiny` with 31-bit `T` primes (five of them, 155
+    /// bits against the Eq. 4 bound's 154.6) takes two terms per Recover
+    /// at its top level, fewer than the spread transform's rotated groups
+    /// at every baby size below, so every stage here runs two to four
+    /// chunks.
+    #[test]
+    fn a_stage_past_the_headroom_limit_sums_in_chunks() {
+        let params = CkksParams::builder()
+            .log_n(8)
+            .max_level(5)
+            .word_size(36)
+            .special(2)
+            .dnum(3)
+            .klss(31, 2)
+            .build()
+            .unwrap();
+        let (ctx, chest, pk, enc, mut rng) = rig_with(params, 29);
+        let top = ctx.params().max_level;
+        let limit = ctx.klss_sum_limit(top);
+        assert_eq!(limit, 2, "31-bit T primes");
+        let slots = enc.slots();
+        let z: Vec<Complex64> = (0..slots)
+            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let pt = enc.encode(&ctx, &z, ctx.params().scale(), top);
+        let ct = ops::try_encrypt(&ctx, &pk, &pt, &mut rng).unwrap();
+        let lt = spread(slots);
+        let k = ctx.p_primes().len() as u64;
+        for baby in [1, 2, 3, 8] {
+            let giants = rotated_groups(&lt, baby);
+            assert!(
+                giants > limit as u64,
+                "baby {baby}: {giants} rotated groups"
+            );
+            let stage = lt.stage(&chest, &enc, &ct, baby, KsMethod::Klss).unwrap();
+            let want = per_giant(&lt, &chest, &enc, &ct, baby, KsMethod::Klss);
+            assert_plus_delta(&ctx, &stage, &want, k * (giants - 1));
+            let got = lt.try_apply_bsgs(&chest, &enc, &ct, baby, KsMethod::Klss);
+            let want = per_diagonal(&lt, &chest, &enc, &ct, baby, KsMethod::Klss);
+            assert_eq!(got.unwrap(), want, "baby {baby}");
         }
     }
 }

@@ -392,8 +392,9 @@ pub fn try_hrotate(
     method: KsMethod,
 ) -> Result<Ciphertext, NeoError> {
     let level = a.level();
-    let [c0, c1] = rotation(chest, level, steps, method, |g, moduli| {
-        Ok(galois_operands(a, g, moduli))
+    let [c0, c1] = rotation(chest, level, steps, |g, moduli| {
+        let (d, acc) = galois_operands(a, g, moduli);
+        switch(chest, level, KeyTarget::Galois(g), &d, method, acc)
     })?;
     Ok(Ciphertext::new(c0, c1, a.scale(), level))
 }
@@ -409,58 +410,46 @@ pub fn try_hconjugate(
     a: &Ciphertext,
     method: KsMethod,
 ) -> Result<Ciphertext, NeoError> {
-    let g = 2 * chest.context().degree() - 1;
+    let ctx = chest.context();
+    let g = 2 * ctx.degree() - 1;
     let level = a.level();
-    let [c0, c1] = galois_switch("ckks.hconjugate", chest, level, g, method, |moduli| {
-        Ok(galois_operands(a, g, moduli))
-    })?;
+    check_level(ctx, "galois", level)?;
+    let _s = span!("ckks.hconjugate", level = level, g = g);
+    let (d, acc) = galois_operands(a, g, ctx.q_moduli(level));
+    let [c0, c1] = switch(chest, level, KeyTarget::Galois(g), &d, method, acc)?;
     Ok(Ciphertext::new(c0, c1, a.scale(), level))
 }
 
-/// A rotation's operands: what its Galois key switch takes, and the
-/// accumulators the switch lands in.
-pub(crate) type GaloisOperands = (RnsPoly, [Option<RnsPoly>; 2]);
-
 /// One rotation by `steps` at `level`, HRotate's or a BSGS stage's: draws
-/// the `hrotate` fault gate, opens a `ckks.hrotate` span, has `operands`
-/// apply `σ_g` (given `g` and the level's moduli) and return the
-/// coefficient-domain polynomial to switch with its accumulators,
-/// switches it under the Galois key of `g`, and records the rotation's
-/// noise consumption.
-pub(crate) fn rotation(
+/// the `hrotate` fault gate, opens a `ckks.hrotate` span over `body`,
+/// which gets `g` and the level's moduli and applies `σ_g` and the key
+/// switch (or, for a BSGS giant group, its term of the stage's summed
+/// switch), and records the rotation's noise consumption.
+pub(crate) fn rotation<T>(
     chest: &KeyChest,
     level: usize,
     steps: usize,
-    method: KsMethod,
-    operands: impl FnOnce(usize, &[Modulus]) -> Result<GaloisOperands, NeoError>,
-) -> Result<[RnsPoly; 2], NeoError> {
+    body: impl FnOnce(usize, &[Modulus]) -> Result<T, NeoError>,
+) -> Result<T, NeoError> {
     fault_gate("hrotate")?;
-    let g = galois_element(chest.context().degree(), steps);
-    let out = galois_switch("ckks.hrotate", chest, level, g, method, |m| operands(g, m))?;
+    let ctx = chest.context();
+    let g = galois_element(ctx.degree(), steps);
+    check_level(ctx, "galois", level)?;
+    let out = {
+        let _s = span!("ckks.hrotate", level = level, g = g);
+        body(g, ctx.q_moduli(level))?
+    };
     note_rotation();
     Ok(out)
 }
 
-/// The Galois key switch of `X ↦ X^g` under a span named after the
-/// calling op, on the operands `operands` builds from the level's moduli.
-fn galois_switch(
-    span_name: &'static str,
-    chest: &KeyChest,
-    level: usize,
-    g: usize,
-    method: KsMethod,
-    operands: impl FnOnce(&[Modulus]) -> Result<GaloisOperands, NeoError>,
-) -> Result<[RnsPoly; 2], NeoError> {
-    let ctx = chest.context();
-    check_level(ctx, "galois", level)?;
-    let _s = span!(span_name, level = level, g = g);
-    let (d, acc) = operands(ctx.q_moduli(level))?;
-    switch(chest, level, KeyTarget::Galois(g), &d, method, acc)
-}
-
 /// `σ_g` of a coefficient-domain ciphertext: `σ_g(c1)` to switch, landing
 /// in `(σ_g(c0), —)`, so `σ_g(c0) + u0` comes out of the switch itself.
-fn galois_operands(a: &Ciphertext, g: usize, moduli: &[Modulus]) -> GaloisOperands {
+fn galois_operands(
+    a: &Ciphertext,
+    g: usize,
+    moduli: &[Modulus],
+) -> (RnsPoly, [Option<RnsPoly>; 2]) {
     let c0 = a.c0().automorphism(g, moduli);
     (a.c1().automorphism(g, moduli), [Some(c0), None])
 }
@@ -468,7 +457,7 @@ fn galois_operands(a: &Ciphertext, g: usize, moduli: &[Modulus]) -> GaloisOperan
 /// The key switch of `d` towards `target` with `method`, landing in
 /// `acc`: `(c0 + u0, c1 + u1)`, `u_k` alone where `acc[k]` is `None`
 /// ([`keyswitch_klss_into`], [`keyswitch_hybrid`]).
-fn switch(
+pub(crate) fn switch(
     chest: &KeyChest,
     level: usize,
     target: KeyTarget,

@@ -150,7 +150,10 @@ pub fn active() -> &'static dyn ComputeBackend {
 ///   is sound for any multiplicand) and emits canonical values.
 /// * `bconv_ip`, `mul_acc` and `klss_ip` compute exact integer sums
 ///   before reducing, so their outputs are independent of association
-///   order.
+///   order. `mul_acc` and `klss_ip` start each sum where [`Start`] says:
+///   at zero, or at `out`'s canonical residue, so an inner product can
+///   grow in place one call at a time and still reduce one exact sum per
+///   call.
 /// * `bconv_overshoot` takes the IEEE operations of one fixed scalar
 ///   loop in one fixed order, so every backend rounds alike.
 pub trait ComputeBackend: Send + Sync {
@@ -209,20 +212,24 @@ pub trait ComputeBackend: Send + Sync {
     fn bconv_overshoot(&self, ys: &[&[u64]], inv_q: &[f64], out: &mut [u64]);
 
     /// Fused element-wise inner product across terms:
-    /// `out[c] = (Σ_j a[j][c] · b[j][c]) mod q`, the sum taken exactly and
-    /// reduced once. Write-only: `out` is never read, so it may hold
-    /// anything (a recycled row needs no zeroing), and no terms give
-    /// zeros. Every `a` and `b` input must be reduced (`< q`);
+    /// `out[c] = (s[c] + Σ_j a[j][c] · b[j][c]) mod q`, the sum taken
+    /// exactly and reduced once, where `s[c]` is 0 under [`Start::Zero`]
+    /// and `out[c]` itself under [`Start::Out`]. Under `Start::Zero` the
+    /// kernel is write-only: `out` is never read, so it may hold anything
+    /// (a recycled row needs no zeroing), and no terms give zeros. Under
+    /// `Start::Out`, `out` must be reduced (`< q`) and no terms leave it
+    /// as it is. Every `a` and `b` input must be reduced (`< q`);
     /// `a.len() == b.len()` and every row is at least as long as `out`.
-    fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]);
+    fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], start: Start, out: &mut [u64]);
 
     /// The KLSS inner product of one output digit over one `T` limb, both
     /// key components in one pass:
-    /// `out[k][c] = (Σ_j x[j][c] · key[j][k][c]) mod q` for `k ∈ {0, 1}`,
-    /// each sum taken exactly and reduced once, each `x` row read once for
-    /// both. `key[j][k]` is a row packed at `width` bytes per residue, as
-    /// [`pack_row`](crate::packed::pack_row) writes it. Write-only, like
-    /// [`mul_acc`](Self::mul_acc). Every input must be reduced (`< q`);
+    /// `out[k][c] = (s[k][c] + Σ_j x[j][c] · key[j][k][c]) mod q` for
+    /// `k ∈ {0, 1}`, each sum taken exactly and reduced once, each `x` row
+    /// read once for both, with `s` as in [`mul_acc`](Self::mul_acc).
+    /// `key[j][k]` is a row packed at `width` bytes per residue, as
+    /// [`pack_row`](crate::packed::pack_row) writes it. Every input, and
+    /// `out` under [`Start::Out`], must be reduced (`< q`);
     /// `x.len() == key.len()`, both outputs have one length, every `x`
     /// row is at least that long and every key row at least `width` times
     /// that, and `1 ≤ width ≤ 8`.
@@ -232,8 +239,20 @@ pub trait ComputeBackend: Send + Sync {
         x: &[&[u64]],
         key: &[[&[u8]; 2]],
         width: usize,
+        start: Start,
         out: [&mut [u64]; 2],
     );
+}
+
+/// Where [`ComputeBackend::mul_acc`] and [`ComputeBackend::klss_ip`]
+/// start each exact sum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start {
+    /// At zero: the kernel writes `out` without reading it.
+    Zero,
+    /// At `out`'s canonical residue: the kernel adds its terms to `out`
+    /// in place, one more addend below `q` inside the same exact sum.
+    Out,
 }
 
 /// [`ComputeBackend::klss_ip`]'s shape contract, checked by both backends
@@ -385,8 +404,8 @@ mod tests {
                 let xs: Vec<&[u64]> = rows[..terms].iter().map(Vec::as_slice).collect();
                 let ys: Vec<&[u64]> = rows[terms..].iter().map(Vec::as_slice).collect();
                 let (mut a, mut b) = (vec![u64::MAX; n + 3], vec![q; n + 3]);
-                portable.mul_acc(&m, &xs, &ys, &mut a);
-                simd.mul_acc(&m, &xs, &ys, &mut b);
+                portable.mul_acc(&m, &xs, &ys, Start::Zero, &mut a);
+                simd.mul_acc(&m, &xs, &ys, Start::Zero, &mut b);
                 assert_eq!(a, b, "mul_acc terms={terms} bits={bits}");
                 for (c, &got) in a.iter().enumerate() {
                     let want = xs.iter().zip(&ys).fold(0u128, |s, (x, y)| {
@@ -417,19 +436,73 @@ mod tests {
                     .map(|c| {
                         let k: Vec<&[u64]> = ks.iter().map(|pair| pair[c].as_slice()).collect();
                         let mut w = vec![0u64; n + 3];
-                        portable.mul_acc(&m, &x, &k, &mut w);
+                        portable.mul_acc(&m, &x, &k, Start::Zero, &mut w);
                         w
                     })
                     .collect();
                 for (be, junk) in [(portable, u64::MAX), (simd, q)] {
                     let (mut o0, mut o1) = (vec![junk; n + 3], vec![junk; n + 3]);
-                    be.klss_ip(&m, &x, &key, width, [&mut o0, &mut o1]);
+                    be.klss_ip(&m, &x, &key, width, Start::Zero, [&mut o0, &mut o1]);
                     assert_eq!(
                         [o0, o1],
                         *want,
                         "klss_ip terms={terms} bits={bits} {}",
                         be.name()
                     );
+                }
+            }
+        }
+    }
+
+    /// Under [`Start::Out`] `mul_acc` and `klss_ip` equal their
+    /// [`Start::Zero`] form plus a modular add of the row they start from,
+    /// bit for bit, on both backends: at the 36-, 48- and 60-bit `T` word
+    /// sizes (60 bits past the IFMA bound), on rows of whole vectors and
+    /// with a vector tail, for no terms, one, four and 70 (two portable
+    /// fold groups at 60 bits), on near-saturated operands and starting
+    /// rows.
+    #[test]
+    fn accumulating_kernels_add_onto_their_output() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+        for bits in [36u32, 48, 60] {
+            let m = modulus(bits);
+            let q = m.value();
+            let width = bits.div_ceil(8) as usize;
+            for len in [64usize, 67] {
+                let mut row =
+                    || -> Vec<u64> { (0..len).map(|_| rng.gen_range(q - 2..q)).collect() };
+                let start = row();
+                let plus_start = |sum: &[u64]| -> Vec<u64> {
+                    sum.iter().zip(&start).map(|(&a, &b)| m.add(a, b)).collect()
+                };
+                for terms in [0usize, 1, 4, 70] {
+                    let xs: Vec<Vec<u64>> = (0..terms).map(|_| row()).collect();
+                    let ks: Vec<[Vec<u64>; 2]> = (0..terms).map(|_| [row(), row()]).collect();
+                    let x: Vec<&[u64]> = xs.iter().map(Vec::as_slice).collect();
+                    let k: [Vec<&[u64]>; 2] =
+                        [0, 1].map(|c| ks.iter().map(|pair| pair[c].as_slice()).collect());
+                    let packed: Vec<[Vec<u8>; 2]> = ks
+                        .iter()
+                        .map(|pair| pair.each_ref().map(|r| crate::packed::pack_row(r, width)))
+                        .collect();
+                    let key: Vec<[&[u8]; 2]> = packed
+                        .iter()
+                        .map(|pair| pair.each_ref().map(Vec::as_slice))
+                        .collect();
+                    for be in [get(BackendKind::Portable), get(BackendKind::Simd)] {
+                        let case = format!("bits={bits} len={len} terms={terms} {}", be.name());
+                        let want = k.each_ref().map(|k| {
+                            let mut w = vec![u64::MAX; len];
+                            be.mul_acc(&m, &x, k, Start::Zero, &mut w);
+                            plus_start(&w)
+                        });
+                        let mut got = start.clone();
+                        be.mul_acc(&m, &x, &k[0], Start::Out, &mut got);
+                        assert_eq!(got, want[0], "mul_acc {case}");
+                        let [mut o0, mut o1] = [start.clone(), start.clone()];
+                        be.klss_ip(&m, &x, &key, width, Start::Out, [&mut o0, &mut o1]);
+                        assert_eq!([o0, o1], want, "klss_ip {case}");
+                    }
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! anchor every other backend is property-tested against, and the
 //! fallback on targets without better options.
 
-use super::{accumulation_span, check_klss_ip, BackendKind, ComputeBackend};
+use super::{accumulation_span, check_klss_ip, BackendKind, ComputeBackend, Start};
 use crate::packed::word;
 use crate::{Modulus, ShoupMul};
 
@@ -77,18 +77,19 @@ impl ComputeBackend for PortableBackend {
         }
     }
 
-    fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+    fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], start: Start, out: &mut [u64]) {
         // `span` terms fit the u128 accumulator on top of a value below q;
-        // longer sums take one pass per group.
-        // The first group writes `out` without reading it, each later one
-        // starts from the group before.
-        if a.is_empty() {
+        // longer sums take one pass per group. Each group starts from the
+        // one before; the first starts from zero, writing `out` without
+        // reading it, or from `out` itself, as `start` says.
+        if a.is_empty() && start == Start::Zero {
             out.fill(0);
         }
         let span = accumulation_span(q.value() - 1, q);
         for (g, (xs, ys)) in a.chunks(span).zip(b.chunks(span)).enumerate() {
+            let fresh = g == 0 && start == Start::Zero;
             for (c, o) in out.iter_mut().enumerate() {
-                let mut acc = if g == 0 { 0 } else { u128::from(*o) };
+                let mut acc = if fresh { 0 } else { u128::from(*o) };
                 for (x, y) in xs.iter().zip(ys) {
                     acc += u128::from(x[c]) * u128::from(y[c]);
                 }
@@ -103,20 +104,22 @@ impl ComputeBackend for PortableBackend {
         x: &[&[u64]],
         key: &[[&[u8]; 2]],
         width: usize,
+        start: Start,
         out: [&mut [u64]; 2],
     ) {
         check_klss_ip(x, key, width, &out);
         let [o0, o1] = out;
-        if x.is_empty() {
+        if x.is_empty() && start == Start::Zero {
             o0.fill(0);
             o1.fill(0);
         }
-        // As in `mul_acc`: `span` terms per pass, the first pass writing
-        // the outputs without reading them.
+        // As in `mul_acc`: `span` terms per pass, the first pass starting
+        // where `start` says.
         let span = accumulation_span(q.value() - 1, q);
         for (g, (xs, ks)) in x.chunks(span).zip(key.chunks(span)).enumerate() {
+            let fresh = g == 0 && start == Start::Zero;
             for (c, (a, b)) in o0.iter_mut().zip(o1.iter_mut()).enumerate() {
-                let (mut s0, mut s1) = if g == 0 {
+                let (mut s0, mut s1) = if fresh {
                     (0, 0)
                 } else {
                     (u128::from(*a), u128::from(*b))

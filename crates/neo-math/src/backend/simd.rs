@@ -59,7 +59,7 @@
 //! hold other representatives than the portable loops' `[0, 4q)` and
 //! `[0, 2q)` windows.
 
-use super::{check_klss_ip, BackendKind, ComputeBackend, PortableBackend};
+use super::{check_klss_ip, BackendKind, ComputeBackend, PortableBackend, Start};
 use crate::{Modulus, ShoupMul};
 
 /// AVX-512 kernels (IFMA for moduli below `2^50`), portable kernels
@@ -150,11 +150,11 @@ impl ComputeBackend for SimdBackend {
         )
     }
 
-    fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+    fn mul_acc(&self, q: &Modulus, a: &[&[u64]], b: &[&[u64]], start: Start, out: &mut [u64]) {
         route!(
             ifma::supports(q) && a.len() < ifma::MAX_TERMS,
-            ifma::mul_acc(q, a, b, out),
-            PortableBackend.mul_acc(q, a, b, out)
+            ifma::mul_acc(q, a, b, start, out),
+            PortableBackend.mul_acc(q, a, b, start, out)
         )
     }
 
@@ -164,13 +164,14 @@ impl ComputeBackend for SimdBackend {
         x: &[&[u64]],
         key: &[[&[u8]; 2]],
         width: usize,
+        start: Start,
         out: [&mut [u64]; 2],
     ) {
         check_klss_ip(x, key, width, &out);
         route!(
             ifma::supports(q) && x.len() < ifma::MAX_TERMS,
-            ifma::klss_ip(q, x, key, width, out),
-            PortableBackend.klss_ip(q, x, key, width, out)
+            ifma::klss_ip(q, x, key, width, start, out),
+            PortableBackend.klss_ip(q, x, key, width, start, out)
         )
     }
 }
@@ -185,7 +186,7 @@ impl ComputeBackend for SimdBackend {
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use super::PortableBackend;
-    use crate::backend::ComputeBackend;
+    use crate::backend::{ComputeBackend, Start};
     use crate::{Modulus, ShoupMul};
     use core::arch::x86_64::*;
 
@@ -207,7 +208,8 @@ mod ifma {
     }
 
     /// Term count below which an inner product's base-`2^52` lane
-    /// accumulators cannot overflow (each term adds `< 2^52` to `lo`).
+    /// accumulators cannot overflow (each term adds `< 2^52` to `lo`, and
+    /// so does a [`Start::Out`] value, one more addend inside the bound).
     pub const MAX_TERMS: usize = 1 << 11;
 
     /// How far ahead `mul_acc` prefetches each operand row, in vectors of
@@ -885,21 +887,23 @@ mod ifma {
         }
     }
 
-    /// `out[c] = (Σ_j a[j][c]·b[j][c]) mod q` for reduced inputs and fewer
-    /// than `2^11` terms, never reading `out`: `lo` gains `< 2^52` per
-    /// term, `hi` gains `< 2^48`. While it sums vector `c`, it prefetches
-    /// vector `c + PREFETCH_AHEAD` of every operand row, while that lies
-    /// inside the rows (each at least as long as `out`): the key-switch
-    /// inner product streams a key far larger than a core's caches.
+    /// `out[c] = (s[c] + Σ_j a[j][c]·b[j][c]) mod q` for reduced inputs
+    /// and fewer than `2^11` terms, `s` as [`ComputeBackend::mul_acc`]
+    /// says: `lo` starts at 0 or at `out`'s reduced value (`< 2^50`, read
+    /// only under [`Start::Out`]), and gains `< 2^52` per term, `hi`
+    /// gains `< 2^48`. While it sums vector `c`, it prefetches vector
+    /// `c + PREFETCH_AHEAD` of every operand row, while that lies inside
+    /// the rows (each at least as long as `out`): the key-switch inner
+    /// product streams a key far larger than a core's caches.
     #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
-    pub fn mul_acc(q: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+    pub fn mul_acc(q: &Modulus, a: &[&[u64]], b: &[&[u64]], start: Start, out: &mut [u64]) {
         let reducer = WideReducer::new(q);
         let (outs, tail) = out.as_chunks_mut::<8>();
         let vectors = outs.len();
         for (c, o) in outs.iter_mut().enumerate() {
             let ahead = 8 * (c + PREFETCH_AHEAD);
             let fetch = c + PREFETCH_AHEAD < vectors;
-            let (mut hi, mut lo) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+            let (mut hi, mut lo) = (_mm512_setzero_si512(), lane_start(start, o));
             for (x, y) in a.iter().zip(b) {
                 if fetch {
                     prefetch(x, ahead);
@@ -913,7 +917,18 @@ mod ifma {
         }
         if !tail.is_empty() {
             let split = 8 * outs.len();
-            PortableBackend.mul_acc(q, &tails(a, split), &tails(b, split), tail);
+            PortableBackend.mul_acc(q, &tails(a, split), &tails(b, split), start, tail);
+        }
+    }
+
+    /// Where a lane sum over the output vector `o` starts: at zero, or at
+    /// `o` itself under [`Start::Out`].
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
+    fn lane_start(start: Start, o: &[u64; 8]) -> V {
+        match start {
+            Start::Zero => _mm512_setzero_si512(),
+            Start::Out => load(o),
         }
     }
 
@@ -973,18 +988,19 @@ mod ifma {
         }
     }
 
-    /// `out[k][c] = (Σ_j x[j][c]·key[j][k][c]) mod q` for `k ∈ {0, 1}`,
-    /// reduced inputs, fewer than `2^11` terms and key rows packed at
-    /// `width` bytes, never reading `out`: each term loads its `x` vector
-    /// once and adds its two products to two lane-sum pairs, each bounded
-    /// as in `mul_acc`. Every row is prefetched `PREFETCH_AHEAD` vectors
-    /// ahead, as `mul_acc` does.
+    /// `out[k][c] = (s[k][c] + Σ_j x[j][c]·key[j][k][c]) mod q` for
+    /// `k ∈ {0, 1}`, reduced inputs, fewer than `2^11` terms and key rows
+    /// packed at `width` bytes, `s` as in `mul_acc`: each term loads its
+    /// `x` vector once and adds its two products to two lane-sum pairs,
+    /// each started and bounded as in `mul_acc`. Every row is prefetched
+    /// `PREFETCH_AHEAD` vectors ahead, as `mul_acc` does.
     #[target_feature(enable = "avx512f,avx512ifma,avx512dq,avx512bw,avx512vbmi")]
     pub fn klss_ip(
         q: &Modulus,
         x: &[&[u64]],
         key: &[[&[u8]; 2]],
         width: usize,
+        start: Start,
         out: [&mut [u64]; 2],
     ) {
         let reducer = WideReducer::new(q);
@@ -997,7 +1013,8 @@ mod ifma {
             let ahead = c + PREFETCH_AHEAD;
             let fetch = ahead < vectors;
             let zero = _mm512_setzero_si512();
-            let (mut hi0, mut lo0, mut hi1, mut lo1) = (zero, zero, zero, zero);
+            let (mut hi0, mut hi1) = (zero, zero);
+            let (mut lo0, mut lo1) = (lane_start(start, a), lane_start(start, b));
             for (row, [k0, k1]) in x.iter().zip(key) {
                 if fetch {
                     prefetch(row, 8 * ahead);
@@ -1020,7 +1037,7 @@ mod ifma {
                 .iter()
                 .map(|pair| pair.map(|r| &r[split * width..]))
                 .collect();
-            PortableBackend.klss_ip(q, &tails(x, split), &key, width, [tail0, tail1]);
+            PortableBackend.klss_ip(q, &tails(x, split), &key, width, start, [tail0, tail1]);
         }
     }
 

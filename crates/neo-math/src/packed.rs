@@ -8,7 +8,7 @@
 //! key that is only ever read by an inner product never needs its `u64`
 //! form.
 
-use crate::backend::ComputeBackend;
+use crate::backend::{ComputeBackend, Start};
 use crate::recycle::{Recycler, LIMBS};
 use crate::{Modulus, RnsPoly};
 
@@ -189,7 +189,7 @@ pub fn klss_ip_rows(
 ) -> [Vec<u64>; 2] {
     let len = x.first().expect("an inner product needs a term").len();
     let [mut a, mut b] = [LIMBS.take(len), LIMBS.take(len)];
-    be.klss_ip(t, x, key, width, [&mut a, &mut b]);
+    be.klss_ip(t, x, key, width, Start::Zero, [&mut a, &mut b]);
     [a, b]
 }
 

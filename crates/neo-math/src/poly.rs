@@ -11,7 +11,7 @@
 //! [`RnsPoly::from_limbs`] takes them from it, and dropping or truncating
 //! a polynomial gives them back.
 
-use crate::backend::{self, ComputeBackend};
+use crate::backend::{self, ComputeBackend, Start};
 use crate::recycle::LIMBS;
 use crate::{signed_mod, MathError, Modulus};
 use rand::Rng;
@@ -230,7 +230,7 @@ impl RnsPoly {
         // in a scratch row that then swaps places with the limb.
         let mut prod = LIMBS.take(self.n);
         for ((limb, b), m) in self.limbs.iter_mut().zip(&other.limbs).zip(moduli) {
-            be.mul_acc(m, &[limb], &[b], &mut prod);
+            be.mul_acc(m, &[limb], &[b], Start::Zero, &mut prod);
             std::mem::swap(limb, &mut prod);
         }
         LIMBS.give(prod);
@@ -250,24 +250,13 @@ impl RnsPoly {
         moduli: &[Modulus],
     ) -> Self {
         let (first, _) = terms.first().expect("an inner product needs a term");
-        assert_eq!(first.domain, Domain::Ntt, "multiply-add needs NTT domain");
-        first.check_moduli(moduli);
-        for (a, b) in terms {
-            first.check_pair(a);
-            a.check_pair(b);
-        }
-        let (mut a, mut b) = (
-            Vec::with_capacity(terms.len()),
-            Vec::with_capacity(terms.len()),
-        );
+        first.check_terms(terms, moduli);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         let limbs = moduli
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                a.clear();
-                b.clear();
-                a.extend(terms.iter().map(|(x, _)| x.limb(i)));
-                b.extend(terms.iter().map(|(_, y)| y.limb(i)));
+                term_rows(terms, i, &mut a, &mut b);
                 inner_product_row(be, m, &a, &b)
             })
             .collect();
@@ -275,6 +264,42 @@ impl RnsPoly {
             n: first.n,
             domain: Domain::Ntt,
             limbs,
+        }
+    }
+
+    /// `self += Σ_j a_j * b_j` on `be`, pointwise (NTT domain):
+    /// [`Self::inner_product`] grown in place, each coefficient one exact
+    /// sum that starts from `self`'s residue ([`Start::Out`]), reduced
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::inner_product`], and when `self` is in the coefficient
+    /// domain or shaped unlike the terms.
+    pub fn add_inner_product_assign(
+        &mut self,
+        be: &dyn ComputeBackend,
+        terms: &[(&Self, &Self)],
+        moduli: &[Modulus],
+    ) {
+        assert!(!terms.is_empty(), "an inner product needs a term");
+        self.check_terms(terms, moduli);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for (i, (limb, m)) in self.limbs.iter_mut().zip(moduli).enumerate() {
+            term_rows(terms, i, &mut a, &mut b);
+            be.mul_acc(m, &a, &b, Start::Out, limb);
+        }
+    }
+
+    /// An inner product's shape contract: `self` and every term in the
+    /// NTT domain with `self`'s degree and limb count, one modulus per
+    /// limb.
+    fn check_terms(&self, terms: &[(&Self, &Self)], moduli: &[Modulus]) {
+        assert_eq!(self.domain, Domain::Ntt, "multiply-add needs NTT domain");
+        self.check_moduli(moduli);
+        for (a, b) in terms {
+            self.check_pair(a);
+            a.check_pair(b);
         }
     }
 
@@ -423,8 +448,21 @@ pub fn inner_product_row(
 ) -> Vec<u64> {
     let len = a.first().expect("an inner product needs a term").len();
     let mut row = LIMBS.take(len);
-    be.mul_acc(q, a, b, &mut row);
+    be.mul_acc(q, a, b, Start::Zero, &mut row);
     row
+}
+
+/// Limb `i` of every term, the `a` rows in `a` and the `b` rows in `b`.
+fn term_rows<'a>(
+    terms: &[(&'a RnsPoly, &'a RnsPoly)],
+    i: usize,
+    a: &mut Vec<&'a [u64]>,
+    b: &mut Vec<&'a [u64]>,
+) {
+    a.clear();
+    b.clear();
+    a.extend(terms.iter().map(|(x, _)| x.limb(i)));
+    b.extend(terms.iter().map(|(_, y)| y.limb(i)));
 }
 
 /// A recycled row holding `Σ_i ys[i][c]·w[i] mod t`, as long as the
@@ -676,5 +714,24 @@ mod tests {
         let twice = manual.clone();
         manual.add_assign(&twice, &ms);
         assert_eq!(acc, manual);
+    }
+
+    /// Growing an inner product in place, one term per call, equals the
+    /// whole inner product in one call.
+    #[test]
+    fn inner_product_grows_in_place() {
+        let n = 1 << 6;
+        let ms = moduli(3);
+        let mut rng = rand::thread_rng();
+        let polys: Vec<RnsPoly> = (0..6)
+            .map(|_| RnsPoly::random_uniform(&mut rng, n, &ms, Domain::Ntt))
+            .collect();
+        let terms: Vec<(&RnsPoly, &RnsPoly)> = polys.iter().zip(polys.iter().rev()).collect();
+        let be = backend::active();
+        let mut grown = RnsPoly::inner_product(be, &terms[..1], &ms);
+        for term in terms[1..].chunks(2) {
+            grown.add_inner_product_assign(be, term, &ms);
+        }
+        assert_eq!(grown, RnsPoly::inner_product(be, &terms, &ms));
     }
 }

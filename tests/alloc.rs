@@ -74,7 +74,10 @@ fn hot_ops_request_no_limb_sized_allocation_once_warm() {
     let a = e.encrypt_f64(&xs, level).unwrap();
     let b = e.encrypt_f64(&xs, level).unwrap();
     let pt = e.encode_f64(&xs, level).unwrap();
-    let diagonals: BTreeMap<usize, Vec<Complex64>> = (0..4)
+    // Baby size 2: two rotated giant groups (shifts 2 and 4), whose key
+    // switches share one tail, so its sum's rows come from the recycler
+    // too.
+    let diagonals: BTreeMap<usize, Vec<Complex64>> = (0..6)
         .map(|d| (d, vec![Complex64::new(0.25, 0.0); slots]))
         .collect();
     let lt = LinearTransform::try_from_diagonals(slots, diagonals).unwrap();

@@ -15,7 +15,8 @@
 //! integrity tokens, stored sessions and golden test vectors all remain
 //! valid regardless of which backend computed them.
 
-use neo_math::{backend, packed, BackendKind, BconvTable, Modulus, RnsBasis};
+use neo_math::backend::{self, Start};
+use neo_math::{packed, BackendKind, BconvTable, Modulus, RnsBasis};
 use neo_ntt::{radix2, NttPlan};
 use neo_tcu::{reference_gemm, CheckedGemm, ScalarGemm};
 use proptest::prelude::*;
@@ -150,8 +151,8 @@ proptest! {
         let ys: Vec<&[u64]> = rows[terms..].iter().map(Vec::as_slice).collect();
         let mut junk = || -> Vec<u64> { (0..len).map(|_| rng.gen()).collect() };
         let (mut p, mut s) = (junk(), junk());
-        backend::get(BackendKind::Portable).mul_acc(&q, &xs, &ys, &mut p);
-        backend::get(BackendKind::Simd).mul_acc(&q, &xs, &ys, &mut s);
+        backend::get(BackendKind::Portable).mul_acc(&q, &xs, &ys, Start::Zero, &mut p);
+        backend::get(BackendKind::Simd).mul_acc(&q, &xs, &ys, Start::Zero, &mut s);
         let want: Vec<u64> = (0..len)
             .map(|c| {
                 let sum = xs.iter().zip(&ys).fold(0u128, |acc, (x, y)| {
@@ -201,14 +202,14 @@ proptest! {
             .map(|c| {
                 let k: Vec<&[u64]> = ks.iter().map(|pair| pair[c].as_slice()).collect();
                 let mut w = vec![0u64; len];
-                backend::get(BackendKind::Portable).mul_acc(&q, &x, &k, &mut w);
+                backend::get(BackendKind::Portable).mul_acc(&q, &x, &k, Start::Zero, &mut w);
                 w
             })
             .collect();
         for kind in [BackendKind::Portable, BackendKind::Simd] {
             let mut junk = || -> Vec<u64> { (0..len).map(|_| rng.gen()).collect() };
             let (mut o0, mut o1) = (junk(), junk());
-            backend::get(kind).klss_ip(&q, &x, &key, width, [&mut o0, &mut o1]);
+            backend::get(kind).klss_ip(&q, &x, &key, width, Start::Zero, [&mut o0, &mut o1]);
             prop_assert_eq!(&[o0, o1][..], &want[..], "{}", kind);
         }
     }

@@ -90,7 +90,9 @@ fn engine_batch_exposes_latency_and_noise_histograms() {
 
 /// Inside a BSGS transform each rotation, baby or giant, opens one
 /// `ckks.hrotate` span, and no HAdd runs: the giant steps' key switches
-/// land in the stage's running sums.
+/// land in the stage's running sums. The rotated giant groups share one
+/// key-switch tail, whose span sums their two terms; each baby keeps its
+/// own switch span, and a giant's rotation opens none.
 #[test]
 fn bsgs_rotations_open_one_span_each_and_run_no_hadd() {
     let engine = FheEngine::new(CkksParams::test_tiny(), 13).expect("params are valid");
@@ -109,21 +111,38 @@ fn bsgs_rotations_open_one_span_each_and_run_no_hadd() {
     };
     // The first application generates the Galois keys.
     apply();
-    let (children, _) = record(|| {
+    let ((spans, outer), _) = record(|| {
         let outer = neo::trace::span!("test.bsgs");
         apply();
         drop(outer);
         let spans = neo::trace::span::spans();
         let outer = spans.iter().rposition(|s| s.name == "test.bsgs");
-        let children = spans
-            .iter()
-            .filter(|s| s.parent.is_some() && s.parent == outer);
-        children.map(|s| s.name).collect::<Vec<_>>()
+        (spans, outer)
     });
+    let children_of = |parent: Option<usize>| {
+        let spans = spans.iter().enumerate();
+        spans.filter(move |(_, s)| s.parent.is_some() && s.parent == parent)
+    };
+    let children: Vec<&str> = children_of(outer).map(|(_, s)| s.name).collect();
     let count = |name| children.iter().filter(|&&n| n == name).count();
     assert_eq!(count("ckks.hrotate"), 4, "{children:?}");
     assert_eq!(count("ckks.hadd"), 0, "{children:?}");
     assert_eq!(count("ckks.rescale"), 1, "{children:?}");
+    let tails: Vec<&str> = children_of(outer)
+        .filter(|(_, s)| s.name == "keyswitch.tail")
+        .map(|(_, s)| s.label.as_str())
+        .collect();
+    assert_eq!(tails.len(), 1, "{children:?}");
+    assert!(tails[0].split(' ').any(|kv| kv == "terms=2"), "{tails:?}");
+    // Rotations in order: the babies 1 and 2, then the giants 3 and 9.
+    let switches: Vec<usize> = children_of(outer)
+        .filter(|(_, s)| s.name == "ckks.hrotate")
+        .map(|(i, _)| {
+            let switches = children_of(Some(i)).filter(|(_, s)| s.name.starts_with("keyswitch."));
+            switches.count()
+        })
+        .collect();
+    assert_eq!(switches, [1, 1, 0, 0], "switch spans per rotation");
 }
 
 // ---------------------------------------------------------------------
